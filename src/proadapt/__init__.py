@@ -8,7 +8,8 @@ harness plus a volatility-trace emulator for evaluating all of it.
 """
 
 from .arima import (ArimaModel, ArimaOrder, FitError, ResidualDiagnostics, acf,
-                    check_residuals, difference, fit_arima, forecast, pacf, reanchor)
+                    check_residuals, difference, fit_arima, fit_arima_windows, forecast,
+                    pacf, reanchor)
 from .emulator import (EmulatorConfig, LatencyShape, Mirror, MirrorSettings, Phase,
                        SAMPLE_TACTIC_A, SAMPLE_TACTIC_B, TacticProfile, TraceFormatError,
                        TraceRecord, generate_trace, ingest_trace_csv,

@@ -8,7 +8,11 @@ Estimation is conditional least squares on the differenced series: the
 regression of z_t on z_{t-1} (plus a constant) coincides with the Gaussian
 maximum-likelihood estimate for pure AR models up to edge effects, has a
 closed form, and is fully deterministic. A constant term is always
-included so drift in the differenced data is captured.
+included so drift in the differenced data is captured. One vectorised
+kernel solves it for a stack of windows at once: ``fit_arima`` is its
+one-window case, and ``fit_arima_windows`` fits the sliding windows of a
+long history block by block, so refitting on every window of a monitor
+run costs little more than re-anchoring one model.
 
 ``fit_arima`` and ``forecast`` are pure functions of their inputs and
 ``ArimaModel`` is immutable, so models can be shared across threads.
@@ -18,8 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .types import TimeSeries
 
@@ -32,12 +38,15 @@ __all__ = [
     "acf",
     "pacf",
     "fit_arima",
+    "fit_arima_windows",
     "forecast",
     "check_residuals",
     "reanchor",
 ]
 
 MIN_FIT_LENGTH = 10  # differenced observations needed before fitting
+FIT_BLOCK = 256  # windows fitted per vectorised pass of fit_arima_windows
+_RANK_TOL = 1e-8  # singular-value ratio below which a lag design counts as rank-deficient
 
 
 class FitError(ValueError):
@@ -145,13 +154,65 @@ def pacf(series: TimeSeries, max_lag: int) -> list[float]:
     return partial
 
 
-def _fit_ar1_cls(z: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """Conditional least squares for z_t = c + phi*z_{t-1} + e_t."""
+def _fit_ar1_lstsq(z: np.ndarray) -> tuple[float, float, float]:
+    """Minimum-norm least squares for one row whose lag design is rank-deficient."""
     design = np.column_stack([np.ones(z.size - 1), z[:-1]])
     coef, *_ = np.linalg.lstsq(design, z[1:], rcond=None)
-    c, phi = float(coef[0]), float(coef[1])
     residuals = z[1:] - design @ coef
-    return c, phi, residuals
+    return float(coef[0]), float(coef[1]), float(np.mean(residuals**2))
+
+
+def _fit_cls(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Conditional least squares on each row of the 2-D stack ``z`` of
+    differenced windows; returns the arrays (c, phi, residual variance).
+
+    p = 1 regresses z_t on z_{t-1} plus a constant in closed form from
+    centred sums, phi = Sxy / Sxx and c = ybar - phi * xbar; p = 0 is the
+    mean-only fit. A row whose lag design [1, z_{t-1}] is rank-deficient up
+    to ``_RANK_TOL`` (Sxx ~ 0, e.g. the constant differences of a ramp)
+    takes ``lstsq``'s minimum-norm answer instead.
+    """
+    if p == 0:
+        c = z.mean(axis=1)
+        centred = z - c[:, None]
+        return c, np.zeros(len(z)), (centred * centred).mean(axis=1)
+    x, y = z[:, :-1], z[:, 1:]
+    xbar, ybar = x.mean(axis=1), y.mean(axis=1)
+    xc, yc = x - xbar[:, None], y - ybar[:, None]
+    sxx = (xc * xc).sum(axis=1)
+    m = x.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # sqrt(m * Sxx) / (m + Sx^2) is within a factor 2 of the design's
+        # smallest-to-largest singular value ratio.
+        deficient = ~(np.sqrt(m * sxx) > _RANK_TOL * (m + (x * x).sum(axis=1)))
+        phi = (xc * yc).sum(axis=1) / np.where(deficient, 1.0, sxx)
+        c = ybar - phi * xbar
+        residuals = yc - phi[:, None] * xc
+        variance = (residuals * residuals).mean(axis=1)
+    for i in np.flatnonzero(deficient):
+        c[i], phi[i], variance[i] = _fit_ar1_lstsq(z[i])
+    return c, phi, variance
+
+
+def _length_error(order: ArimaOrder, length: int) -> FitError | None:
+    """Reject unsupported orders; the FitError a series of ``length`` gets."""
+    if not order.supported:
+        raise ValueError(f"unsupported order {order}: need p in {{0,1}}, "
+                         f"d in {{0,1,2}}, q = 0")
+    if length <= order.d:
+        return FitError("series too short to difference")
+    if length - order.d < MIN_FIT_LENGTH:
+        return FitError(f"need at least {MIN_FIT_LENGTH} differenced observations, "
+                        f"got {length - order.d}")
+    return None
+
+
+def _build(order: ArimaOrder, c: float, phi: float, variance: float,
+           last_observations: np.ndarray) -> ArimaModel | FitError:
+    if order.p == 1 and not (math.isfinite(phi) and abs(phi) < 1.0):
+        return FitError(f"fitted AR coefficient {phi!r} is not stationary")
+    return ArimaModel(order=order, phi=phi, c=c, last_observations=last_observations,
+                      residual_variance=variance)
 
 
 def fit_arima(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
@@ -162,30 +223,52 @@ def fit_arima(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
     ``MIN_FIT_LENGTH`` or the fitted coefficient is non-stationary
     (|phi| >= 1), and ``ValueError`` for unsupported orders.
     """
-    if not order.supported:
-        raise ValueError(f"unsupported order {order}: need p in {{0,1}}, "
-                         f"d in {{0,1,2}}, q = 0")
-    if len(series) <= order.d:
-        raise FitError("series too short to difference")
-    z = difference(series, order.d).values
-    if z.size < MIN_FIT_LENGTH:
-        raise FitError(f"need at least {MIN_FIT_LENGTH} differenced observations, "
-                       f"got {z.size}")
-    if order.p == 0:
-        c = float(z.mean())
-        residuals = z - c
-        phi = 0.0
-    else:
-        c, phi, residuals = _fit_ar1_cls(z)
-        if not math.isfinite(phi) or abs(phi) >= 1.0:
-            raise FitError(f"fitted AR coefficient {phi!r} is not stationary")
-    return ArimaModel(
-        order=order,
-        phi=phi,
-        c=c,
-        last_observations=tuple(series.tail(order.d + order.p)),
-        residual_variance=float(np.mean(residuals**2)) if residuals.size else 0.0,
-    )
+    error = _length_error(order, len(series))
+    if error is not None:
+        raise error
+    z = np.diff(series.values, n=order.d)
+    c, phi, variance = _fit_cls(z[np.newaxis], order.p)
+    model = _build(order, float(c[0]), float(phi[0]), float(variance[0]),
+                   series.tail(order.d + order.p))
+    if isinstance(model, FitError):
+        raise model
+    return model
+
+
+def fit_arima_windows(series: TimeSeries, order: ArimaOrder, window: int,
+                      starts: Sequence[int]) -> Iterator[ArimaModel | FitError]:
+    """Fit ``order`` on each window ``series.values[s:s + window]`` of ``starts``.
+
+    Yields, per start and in order, what ``fit_arima`` on that window
+    returns, or the :class:`FitError` it raises. The windows are fitted
+    ``FIT_BLOCK`` at a time as the caller consumes them, and each model is
+    built only when reached, so a long history costs neither up-front time
+    nor whole-history temporaries. Raises ``ValueError`` for an unsupported
+    order or a window that does not lie inside ``series``.
+    """
+    error = _length_error(order, window)
+    starts = np.asarray(starts, dtype=np.intp).reshape(-1)
+    if window < 1 or (starts.size and (starts.min() < 0
+                                       or starts.max() + window > len(series))):
+        raise ValueError(f"windows of {window} observations at the given starts "
+                         f"do not lie inside a series of {len(series)}")
+    return _windows(series.values, order, window, starts, error)
+
+
+def _windows(values: np.ndarray, order: ArimaOrder, window: int, starts: np.ndarray,
+             error: FitError | None) -> Iterator[ArimaModel | FitError]:
+    if error is not None:
+        for _ in range(starts.size):
+            yield FitError(*error.args)
+        return
+    differenced = sliding_window_view(np.diff(values, n=order.d), window - order.d)
+    keep = order.d + order.p
+    for lo in range(0, starts.size, FIT_BLOCK):
+        block = starts[lo:lo + FIT_BLOCK]
+        c, phi, variance = (a.tolist() for a in _fit_cls(differenced[block], order.p))
+        for i, start in enumerate(block.tolist()):
+            end = start + window
+            yield _build(order, c[i], phi[i], variance[i], values[end - keep:end])
 
 
 def forecast(model: ArimaModel, horizon: int) -> list[float]:

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arima import ArimaOrder, fit_arima
+from .arima import ArimaOrder, FitError, fit_arima_windows
 from .emulator import (EmulatorConfig, Mirror, Phase, SAMPLE_TACTIC_A, SAMPLE_TACTIC_B,
                        generate_trace, ingest_trace_csv, run_cost_impact_simulation,
                        to_idle_series, to_regression_dataset, write_trace_csv)
@@ -36,8 +36,9 @@ from .metrics import (BRR_MODEL, FORECAST_MODEL, MEAN_BASELINE, MRA_MODEL,
                       run_forecast_experiments, run_predictor_experiments, summarize,
                       write_reports_csv)
 from .regression import fit_mra
-from .types import Direction, SlaSpec, Tactic, TimeSeries
-from .workflow import (TacticModels, WorkflowConfig, tick_entry_to_dict, workflow_tick)
+from .types import Direction, SlaSpec, Tactic, TimeSeries, order_specs_by_reward
+from .workflow import (TacticModels, TickEntry, WorkflowConfig, tick_entry_to_dict,
+                       workflow_tick)
 
 DEFAULT_SEED = 42
 
@@ -154,6 +155,10 @@ def _load_specs(path: str) -> list[SlaSpec]:
         for field in ("name", "threshold"):
             if field not in entry:
                 raise ValueError(f"spec file entry {i}: missing field '{field}'")
+        for field in ("threshold", "penalty", "reward"):
+            if isinstance(entry.get(field), bool):
+                raise ValueError(f"spec file entry {i}: field '{field}' must be a number, "
+                                 f"got {json.dumps(entry[field])}")
         direction_text = entry.get("direction", "upper")
         try:
             direction = Direction(direction_text)
@@ -168,6 +173,8 @@ def _load_specs(path: str) -> list[SlaSpec]:
                                  reward=float(entry.get("reward", 0.0))))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"spec file entry {i}: {exc}") from None
+        if specs[-1].name in (spec.name for spec in specs[:-1]):
+            raise ValueError(f"spec file entry {i}: duplicate name {specs[-1].name!r}")
     return specs
 
 
@@ -195,6 +202,8 @@ def _load_tactic_context(tactics_path: str, trace_path: str | None):
     records = ingest_trace_csv(trace_path)
     tactics, registry, features = [], {}, {}
     for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise ValueError(f"tactics file entry {i}: expected a JSON object")
         for field in ("name", "static_latency", "static_cost"):
             if field not in entry:
                 raise ValueError(f"tactics file entry {i}: missing field '{field}'")
@@ -223,6 +232,10 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     specs = _load_specs(args.spec)
     history = _load_history(args.history)
     window = args.window
+    if window < 1:
+        raise ValueError(f"--window must be >= 1, got {window}")
+    if args.refit_every < 0:
+        raise ValueError(f"--refit-every must be >= 0, got {args.refit_every}")
     if len(history) < window:
         raise ValueError(f"history has {len(history)} points but the window needs {window}")
     config = WorkflowConfig(horizon=args.horizon, risk_margin=args.risk_margin,
@@ -232,16 +245,28 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     else:
         tactics, registry, features = [], {}, {}
 
-    forecasters = {}
-    order = ArimaOrder(1, 1, 0)
-    for tick in range(len(history) - window + 1):
-        values = history.values[tick:tick + window]
-        series = TimeSeries(values, interval=history.interval)
-        refit = tick == 0 or (args.refit_every > 0 and tick % args.refit_every == 0)
-        if refit:
-            forecasters = {spec.name: fit_arima(series, order) for spec in specs}
-        entries = workflow_tick(specs, {s.name: series for s in specs}, tactics,
-                                registry, features, config, forecasters=forecasters)
+    ticks = len(history) - window + 1
+    every = args.refit_every or ticks  # 0 fits once, on the first window
+    # One model per refit tick, shared by every spec: all specs watch the
+    # one history. A failed refit keeps the last good model.
+    fits = fit_arima_windows(history, ArimaOrder(1, 1, 0), window, range(0, ticks, every))
+    names = [spec.name for spec in specs]
+    forecasters, fit_error = None, ""
+    for tick in range(ticks):
+        series = TimeSeries(history.values[tick:tick + window], interval=history.interval)
+        if tick % every == 0:
+            fitted = next(fits)
+            if isinstance(fitted, FitError):
+                fit_error = str(fitted)
+                print(f"warning: tick {tick}: refit failed: {fit_error}", file=sys.stderr)
+            else:
+                forecasters = dict.fromkeys(names, fitted)
+        if forecasters is None:
+            entries = [TickEntry(spec.name, None, error=fit_error)
+                       for spec in order_specs_by_reward(specs)]
+        else:
+            entries = workflow_tick(specs, dict.fromkeys(names, series), tactics,
+                                    registry, features, config, forecasters=forecasters)
         for entry in entries:
             print(json.dumps({"tick": tick, **tick_entry_to_dict(entry)}))
     return 0

@@ -90,6 +90,8 @@ class SlaSpec:
             raise ValueError("spec name must be non-empty")
         if not math.isfinite(self.threshold):
             raise ValueError("threshold must be finite")
+        if not (math.isfinite(self.penalty) and math.isfinite(self.reward)):
+            raise ValueError("penalty and reward must be finite")
         if self.penalty < 0 or self.reward < 0:
             raise ValueError("penalty and reward must be >= 0")
 

@@ -137,6 +137,32 @@ def _enters_risk_band(spec: SlaSpec, value: float, margin_width: float) -> bool:
     return value < spec.threshold + margin_width
 
 
+def _predict(history: TimeSeries, horizon: int,
+             model: ArimaModel | None) -> tuple[float, ...]:
+    """Forecast ``history``: fit ARIMA(1, 1, 0) on it, or re-anchor ``model``."""
+    if len(history) == 0:
+        raise ValueError("history must be non-empty")
+    if model is None:
+        model = fit_arima(history, ArimaOrder(1, 1, 0))
+    else:
+        model = reanchor(model, history)
+    return tuple(forecast(model, horizon))
+
+
+def _classify(spec: SlaSpec, history: TimeSeries, predicted: tuple[float, ...],
+              risk_margin: float) -> SpecAnalysis:
+    """Broken when the current value violates, at risk from the first
+    forecast step inside the risk band, healthy otherwise."""
+    if spec.violates(float(history.values[-1])):
+        return SpecAnalysis(spec.name, predicted, SpecStatus.BROKEN)
+    margin_width = risk_margin * abs(spec.threshold)
+    for step, value in enumerate(predicted, start=1):
+        if _enters_risk_band(spec, value, margin_width):
+            return SpecAnalysis(spec.name, predicted, SpecStatus.AT_RISK,
+                                first_violation_step=step)
+    return SpecAnalysis(spec.name, predicted, SpecStatus.HEALTHY)
+
+
 def analyze_specification(spec: SlaSpec, history: TimeSeries, horizon: int,
                           risk_margin: float,
                           model: ArimaModel | None = None) -> SpecAnalysis:
@@ -150,22 +176,7 @@ def analyze_specification(spec: SlaSpec, history: TimeSeries, horizon: int,
         raise ValueError("horizon must be >= 1")
     if not 0.0 <= risk_margin < 1.0:
         raise ValueError("risk_margin must lie in [0, 1)")
-    if len(history) == 0:
-        raise ValueError("history must be non-empty")
-    if model is None:
-        model = fit_arima(history, ArimaOrder(1, 1, 0))
-    else:
-        model = reanchor(model, history)
-    predicted = forecast(model, horizon)
-    current = float(history.values[-1])
-    if spec.violates(current):
-        return SpecAnalysis(spec.name, tuple(predicted), SpecStatus.BROKEN)
-    margin_width = risk_margin * abs(spec.threshold)
-    for step, value in enumerate(predicted, start=1):
-        if _enters_risk_band(spec, value, margin_width):
-            return SpecAnalysis(spec.name, tuple(predicted), SpecStatus.AT_RISK,
-                                first_violation_step=step)
-    return SpecAnalysis(spec.name, tuple(predicted), SpecStatus.HEALTHY)
+    return _classify(spec, history, _predict(history, horizon, model), risk_margin)
 
 
 def make_latency_estimate(tactic: Tactic, features: Sequence[float],
@@ -219,20 +230,33 @@ def workflow_tick(specs: Sequence[SlaSpec],
     """One pass over all specifications in descending-reward order.
 
     Tactic estimates are produced only for potentially broken (at-risk or
-    broken) specifications. A per-spec failure is recorded on its entry and
+    broken) specifications. Specifications that share one history object
+    and one forecaster are forecast once. A per-spec failure is recorded on
+    its entry (on every affected entry when a shared forecast fails) and
     the remaining specifications are still processed.
     """
     cfg = config or WorkflowConfig()
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
         raise ValueError("spec names must be unique")
+    # Specs that share a series and a model share one forecast, or its error.
+    predictions: dict[tuple[int, int], tuple[float, ...] | str] = {}
     entries: list[TickEntry] = []
     for spec in order_specs_by_reward(specs):
         try:
             history = histories[spec.name]
             prefit = forecasters.get(spec.name) if forecasters else None
-            analysis = analyze_specification(spec, history, cfg.horizon,
-                                             cfg.risk_margin, model=prefit)
+            key = (id(history), id(prefit))
+            if key not in predictions:
+                try:
+                    predictions[key] = _predict(history, cfg.horizon, prefit)
+                except ValueError as exc:
+                    predictions[key] = str(exc)
+            predicted = predictions[key]
+            if isinstance(predicted, str):
+                entries.append(TickEntry(spec.name, None, error=predicted))
+                continue
+            analysis = _classify(spec, history, predicted, cfg.risk_margin)
             if analysis.status is SpecStatus.HEALTHY or not tactics:
                 entries.append(TickEntry(spec.name, analysis))
                 continue

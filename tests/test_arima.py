@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from proadapt import (ArimaModel, ArimaOrder, FitError, TimeSeries, acf,
-                      check_residuals, difference, fit_arima, forecast, pacf, reanchor)
+                      check_residuals, difference, fit_arima, fit_arima_windows,
+                      forecast, pacf, reanchor)
+from proadapt import arima
 
 
 def brute_acf(values, max_lag):
@@ -248,3 +251,127 @@ class TestReanchor:
         model = fit_arima(arima_110_series(0.4, 300, seed=16), ArimaOrder(1, 1, 0))
         with pytest.raises(ValueError):
             reanchor(model, TimeSeries([1.0]))
+
+
+EPS = np.finfo(float).eps
+
+
+def lstsq_oracle(z):
+    """Independent CLS fit of z_t = c + phi*z_{t-1}: (c, phi, residual
+    variance, condition number of the lag design)."""
+    design = np.column_stack([np.ones(z.size - 1), z[:-1]])
+    coef, *_ = np.linalg.lstsq(design, z[1:], rcond=None)
+    residuals = z[1:] - design @ coef
+    sv = np.linalg.svd(design, compute_uv=False)
+    cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
+    return coef[0], coef[1], np.mean(residuals**2), cond
+
+
+@st.composite
+def window_cases(draw):
+    """A raw series whose differences are a random walk's steps, a ramp's
+    (near-)constant steps, a near-unit-root alternation, or a near-unit-root
+    AR(1); plus a window length and the window starts."""
+    kind = draw(st.sampled_from(["walk", "ramp", "alternating", "unit_root"]))
+    n = draw(st.integers(12, 90))
+    scale = draw(st.sampled_from([1e-4, 1.0, 1e4]))
+    jitter = 10.0 ** draw(st.integers(-14, -1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "walk":
+        steps = rng.normal(draw(st.floats(-2.0, 2.0)), 1.0, n)
+    elif kind == "ramp":
+        steps = draw(st.floats(-3.0, 3.0)) * (1.0 + jitter * rng.normal(size=n))
+    elif kind == "alternating":
+        steps = np.arange(n) % 2 + jitter * rng.normal(size=n)
+    else:
+        phi = draw(st.floats(0.98, 1.02))
+        steps = np.zeros(n)
+        for i in range(1, n):
+            steps[i] = phi * steps[i - 1] + rng.normal()
+    values = draw(st.floats(-1e3, 1e3)) + scale * np.cumsum(steps)
+    window = draw(st.integers(2, n))
+    starts = draw(st.lists(st.integers(0, n - window), min_size=1, max_size=8))
+    return TimeSeries(values), window, starts
+
+
+class TestFitArimaWindows:
+    @given(window_cases())
+    def test_cls_kernel_matches_lstsq_oracle(self, case):
+        series, window, starts = case
+        for start, fitted in zip(starts, fit_arima_windows(series, ArimaOrder(1, 1, 0),
+                                                           window, starts)):
+            z = np.diff(series.values[start:start + window])
+            if z.size < arima.MIN_FIT_LENGTH:
+                assert isinstance(fitted, FitError)
+                continue
+            c, phi, variance, cond = lstsq_oracle(z)
+            if cond > 1e9:  # rank-deficient: lstsq's own minimum-norm answer
+                got = (None if isinstance(fitted, FitError)
+                       else (fitted.c, fitted.phi, fitted.residual_variance))
+                assert got == ((c, phi, variance) if abs(phi) < 1.0 else None)
+                continue
+            # Both solutions lie within a few eps * cond of the exact one;
+            # c and the variance are compared on the scale of the data.
+            tol = 16 * EPS * cond
+            scale = np.abs(z).max()
+            if isinstance(fitted, FitError):
+                assert "not stationary" in str(fitted)
+                assert not abs(phi) < 1.0 - tol
+                continue
+            assert abs(phi) < 1.0 + tol
+            assert abs(fitted.phi - phi) <= tol
+            assert abs(fitted.c - c) <= tol * scale
+            assert abs(fitted.residual_variance - variance) <= tol * scale**2
+
+    @given(window_cases(), st.sampled_from([0, 1]), st.sampled_from([0, 1, 2]))
+    def test_each_window_is_fit_arima_on_it(self, case, p, d):
+        series, window, starts = case
+        order = ArimaOrder(p, d, 0)
+        for start, fitted in zip(starts, fit_arima_windows(series, order, window, starts)):
+            try:
+                expected = fit_arima(TimeSeries(series.values[start:start + window]), order)
+            except FitError as exc:
+                assert isinstance(fitted, FitError) and str(fitted) == str(exc)
+                continue
+            assert fitted == expected
+
+    def test_ramp_keeps_lstsq_minimum_norm_answer(self):
+        # Constant differences make the lag design rank-deficient.
+        values = 0.30 + 0.004 * np.arange(200.0)
+        for start, model in enumerate(fit_arima_windows(TimeSeries(values),
+                                                        ArimaOrder(1, 1, 0), 60, range(141))):
+            c, phi, variance, _ = lstsq_oracle(np.diff(values[start:start + 60]))
+            assert (model.c, model.phi, model.residual_variance) == (c, phi, variance)
+
+    def test_fits_block_by_block_as_consumed(self, monkeypatch):
+        calls = []
+        kernel = arima._fit_cls
+
+        def counting(z, p):
+            calls.append(len(z))
+            return kernel(z, p)
+
+        monkeypatch.setattr(arima, "_fit_cls", counting)
+        series = arima_110_series(0.4, arima.FIT_BLOCK + 100, seed=17)
+        fits = fit_arima_windows(series, ArimaOrder(1, 1, 0), 60,
+                                 range(arima.FIT_BLOCK + 41))
+        assert calls == []
+        next(fits)
+        assert calls == [arima.FIT_BLOCK]
+        for _ in range(arima.FIT_BLOCK):
+            next(fits)
+        assert calls == [arima.FIT_BLOCK, 41]
+        assert len(list(fits)) == 40
+
+    def test_short_window_yields_fit_error_per_start(self):
+        series = TimeSeries(np.arange(30.0))
+        fits = list(fit_arima_windows(series, ArimaOrder(1, 1, 0), 5, [0, 3, 25]))
+        assert len(fits) == 3 and all(isinstance(f, FitError) for f in fits)
+
+    def test_bad_arguments_raise_at_call(self):
+        series = TimeSeries(np.arange(30.0))
+        with pytest.raises(ValueError):
+            fit_arima_windows(series, ArimaOrder(2, 1, 0), 20, [0])
+        for window, starts in ((20, [11]), (20, [-1]), (0, [0]), (31, [0])):
+            with pytest.raises(ValueError):
+                fit_arima_windows(series, ArimaOrder(1, 1, 0), window, starts)

@@ -2,7 +2,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from proadapt import (ArimaOrder, TimeSeries, WorkflowConfig, cli, fit_arima, forecast,
+                      generate_trace, reanchor, workflow_tick, write_trace_csv)
+from proadapt.cli import main
+from proadapt.workflow import tick_entry_to_dict
 
 
 def run_cli(*args, cwd=None):
@@ -168,3 +174,171 @@ class TestContracts:
     @pytest.mark.parametrize("args", [("frobnicate",), ("generate",)])
     def test_usage_errors_exit_2(self, args):
         assert run_cli(*args).returncode == 2
+
+
+def run_main(capsys, *args):
+    """Run the CLI in this process: (exit code, stdout, stderr)."""
+    code = main(list(args))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def write_monitor_inputs(tmp_path, values, specs):
+    spec = tmp_path / "specs.json"
+    spec.write_text(json.dumps(specs))
+    history = tmp_path / "history.csv"
+    history.write_text("value\n" + "".join(f"{v!r}\n" for v in values))
+    return str(spec), str(history)
+
+
+def random_walk(n, seed):
+    return np.cumsum(np.random.default_rng(seed).normal(size=n)).tolist()
+
+
+def alternating_break(seed):
+    """200 random-walk points, 70 points stepping +0/+1 alternately (a
+    unit-root window, phi = -1), then the same 200 points again."""
+    walk = random_walk(200, seed)
+    steps = walk[-1] + np.cumsum(np.arange(70) % 2)
+    return walk + steps.tolist() + walk
+
+
+def quantile_specs(values, quantiles=(0.4, 0.6, 0.8)):
+    return [{"name": f"spec_{q}", "threshold": float(np.quantile(values, q)),
+             "reward": float(i)} for i, q in enumerate(quantiles)]
+
+
+class TestMonitorRefit:
+    WINDOW, HORIZON = 30, 5
+
+    def reference(self, specs_path, values, refit_every, tactics_args):
+        """Expected lines from a loop that fits every spec separately on each
+        refit tick and runs one workflow tick per spec."""
+        specs = cli._load_specs(specs_path)
+        tactics, registry, features = (cli._load_tactic_context(*tactics_args)
+                                       if tactics_args else ([], {}, {}))
+        config = WorkflowConfig(horizon=self.HORIZON)
+        ticks = len(values) - self.WINDOW + 1
+        lines, models = {}, {}
+        for tick in range(ticks):
+            series = TimeSeries(values[tick:tick + self.WINDOW])
+            if tick == 0 or (refit_every > 0 and tick % refit_every == 0):
+                models = {s.name: fit_arima(series, ArimaOrder(1, 1, 0)) for s in specs}
+            for spec in specs:
+                entry, = workflow_tick([spec], {spec.name: series}, tactics, registry,
+                                       features, config, {spec.name: models[spec.name]})
+                lines[(tick, spec.name)] = tick_entry_to_dict(entry)
+        return lines
+
+    @pytest.mark.parametrize("refit_every", [0, 1, 3])
+    def test_shared_fits_match_per_spec_fits(self, tmp_path, capsys, refit_every):
+        # 320 points give 291 ticks: refitting every tick crosses a fit block.
+        values = (5.0 + 0.01 * np.arange(320) + 0.3 * np.array(random_walk(320, 21))).tolist()
+        spec, history = write_monitor_inputs(tmp_path, values, quantile_specs(values))
+        trace = tmp_path / "trace.csv"
+        write_trace_csv(generate_trace(120, 4), trace)
+        tactics = tmp_path / "tactics.json"
+        tactics.write_text(json.dumps([
+            {"name": f"use_{m}", "static_latency": 3.0, "static_cost": 36.0, "mirror": m}
+            for m in ("germany", "ontario")]))
+        code, out, err = run_main(capsys, "monitor", "--spec", spec, "--history", history,
+                                  "--window", str(self.WINDOW), "--horizon",
+                                  str(self.HORIZON), "--refit-every", str(refit_every),
+                                  "--tactics", str(tactics), "--trace", str(trace))
+        assert code == 0 and err == ""
+        expected = self.reference(spec, values, refit_every, (str(tactics), str(trace)))
+        got = [json.loads(line) for line in out.splitlines()]
+        assert len(got) == len(expected)
+        assert {"healthy", "at_risk", "broken"} <= {line["status"] for line in got}
+        assert any(line["tactics"] for line in got)
+        for line in got:
+            want = expected[(line.pop("tick"), line["name"])]
+            np.testing.assert_allclose(line.pop("forecast"), want.pop("forecast"),
+                                       rtol=1e-12, atol=0)
+            assert line == want
+
+    def test_failed_refit_keeps_last_good_model(self, tmp_path, capsys):
+        values = alternating_break(seed=0)
+        spec, history = write_monitor_inputs(tmp_path, values, quantile_specs(values))
+        code, out, err = run_main(capsys, "monitor", "--spec", spec, "--history", history,
+                                  "--refit-every", "1")
+        assert code == 0
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert len(lines) == 3 * (len(values) - 60 + 1)
+        assert all("error" not in line for line in lines)
+        warnings = err.splitlines()
+        assert warnings and all(w.startswith("warning: tick ") and "refit failed: " in w
+                                and "not stationary" in w for w in warnings)
+        # The first failing tick forecasts from the previous tick's model.
+        first = int(warnings[0].split()[2].rstrip(":"))
+        last_good = fit_arima(TimeSeries(values[first - 1:first + 59]), ArimaOrder(1, 1, 0))
+        moved = reanchor(last_good, TimeSeries(values[first:first + 60]))
+        line = next(line for line in lines if line["tick"] == first)
+        assert line["forecast"] == forecast(moved, 5)
+
+    def test_entries_carry_fit_error_until_a_fit_succeeds(self, tmp_path, capsys):
+        # Explosive alternating steps (phi = -1.05) until the walk takes over.
+        walk = random_walk(100, 3)
+        values = (walk[0] + np.cumsum((-1.05) ** np.arange(70))).tolist() + walk
+        spec, history = write_monitor_inputs(tmp_path, values, quantile_specs(values))
+        code, out, err = run_main(capsys, "monitor", "--spec", spec, "--history", history,
+                                  "--refit-every", "1")
+        assert code == 0
+        lines = [json.loads(line) for line in out.splitlines()]
+        failed = {int(w.split()[2].rstrip(":")) for w in err.splitlines()}
+        assert 0 in failed
+        first_fit = min(set(range(len(values) - 59)) - failed)
+        for line in lines:
+            if line["tick"] < first_fit:
+                assert "not stationary" in line["error"] and "status" not in line
+            else:
+                assert "error" not in line
+
+
+class TestMonitorInputErrors:
+    def assert_one_error(self, capsys, *args):
+        code, out, err = run_main(capsys, *args)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        return err
+
+    def test_negative_refit_every_rejected(self, tmp_path, capsys):
+        spec, history = write_ramp_fixture(tmp_path)
+        err = self.assert_one_error(capsys, "monitor", "--spec", str(spec), "--history",
+                                    str(history), "--refit-every", "-3")
+        assert "--refit-every" in err
+
+    def test_nonpositive_window_rejected(self, tmp_path, capsys):
+        spec, history = write_ramp_fixture(tmp_path)
+        err = self.assert_one_error(capsys, "monitor", "--spec", str(spec), "--history",
+                                    str(history), "--window", "0")
+        assert "--window" in err
+
+    def test_tactics_entry_must_be_object(self, tmp_path, capsys):
+        spec, history = write_ramp_fixture(tmp_path)
+        trace = tmp_path / "trace.csv"
+        write_trace_csv(generate_trace(30, 4), trace)
+        tactics = tmp_path / "tactics.json"
+        tactics.write_text(json.dumps(["name static_latency static_cost"]))
+        err = self.assert_one_error(capsys, "monitor", "--spec", str(spec), "--history",
+                                    str(history), "--tactics", str(tactics),
+                                    "--trace", str(trace))
+        assert "tactics file entry 0" in err
+
+    @pytest.mark.parametrize("fields", [
+        '"threshold": true', '"threshold": 0.7, "penalty": false',
+        '"threshold": 0.7, "reward": NaN', '"threshold": 0.7, "penalty": Infinity'])
+    def test_spec_bool_and_nonfinite_fields_rejected(self, tmp_path, capsys, fields):
+        spec, history = write_ramp_fixture(tmp_path)
+        spec.write_text('{"name": "x", ' + fields + '}')
+        err = self.assert_one_error(capsys, "monitor", "--spec", str(spec),
+                                    "--history", str(history))
+        assert "spec file entry 0" in err
+
+    def test_duplicate_spec_names_rejected(self, tmp_path, capsys):
+        spec, history = write_ramp_fixture(tmp_path)
+        spec.write_text(json.dumps([{"name": "x", "threshold": 1.0},
+                                    {"name": "x", "threshold": 2.0}]))
+        err = self.assert_one_error(capsys, "monitor", "--spec", str(spec),
+                                    "--history", str(history))
+        assert "duplicate" in err

@@ -125,6 +125,12 @@ class TestSpecAndTactic:
         with pytest.raises(ValueError):
             SlaSpec("", 1.0)
 
+    @pytest.mark.parametrize("field", ["penalty", "reward"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_spec_penalty_and_reward_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            SlaSpec("bad", 1.0, **{field: value})
+
     def test_spec_violation_directions(self):
         upper = SlaSpec("u", 0.7, direction=Direction.UPPER_BOUND)
         lower = SlaSpec("l", 0.7, direction=Direction.LOWER_BOUND)

@@ -9,6 +9,7 @@ from proadapt import (ArimaOrder, Direction, RegressionModel, SlaSpec, SpecAnaly
                       entries_to_json_lines, fit_arima, generate_trace,
                       make_cost_estimate, make_latency_estimate, rank_tactics,
                       to_regression_dataset, workflow_tick, fit_mra)
+from proadapt import workflow
 
 UPPER = SlaSpec("response_time", 0.7, direction=Direction.UPPER_BOUND,
                 penalty=3.0, reward=10.0)
@@ -263,3 +264,29 @@ class TestWorkflowTick:
         assert {"name", "status", "first_violation_step", "forecast",
                 "tactics"} <= decoded[0].keys()
         assert [t["rank"] for t in decoded[0]["tactics"]] == [1, 2]
+
+    def test_shared_series_and_model_forecast_once(self, monkeypatch):
+        series = ramp(0.50, 0.01, 40)
+        model = fit_arima(ramp(0.40, 0.012, 40), ArimaOrder(1, 1, 0))
+        specs = [SlaSpec("a", 0.7, reward=3.0), SlaSpec("b", 0.9, reward=2.0),
+                 SlaSpec("c", 2.0, reward=1.0)]
+        calls = []
+        original = workflow.forecast
+        monkeypatch.setattr(workflow, "forecast",
+                            lambda m, h: calls.append(h) or original(m, h))
+        entries = workflow_tick(specs, dict.fromkeys("abc", series), [], {}, {},
+                                forecasters=dict.fromkeys("abc", model))
+        assert calls == [5]
+        for spec, entry in zip(specs, entries):
+            assert entry.analysis == analyze_specification(spec, series, 5, 0.10,
+                                                           model=model)
+        assert {e.analysis.status for e in entries} == {
+            SpecStatus.BROKEN, SpecStatus.AT_RISK, SpecStatus.HEALTHY}
+
+    def test_shared_forecast_failure_lands_on_each_spec(self):
+        model = fit_arima(ramp(0.40, 0.012, 40), ArimaOrder(1, 1, 0))
+        specs = [SlaSpec("a", 0.7, reward=2.0), SlaSpec("b", 0.9, reward=1.0)]
+        entries = workflow_tick(specs, dict.fromkeys("ab", TimeSeries([0.5])), [], {}, {},
+                                forecasters=dict.fromkeys("ab", model))
+        assert [e.spec_name for e in entries] == ["a", "b"]
+        assert all(e.analysis is None and "at least 2" in e.error for e in entries)
