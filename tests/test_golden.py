@@ -1,0 +1,117 @@
+"""Golden output digests: the CLI's stdout and report files, bit for bit.
+
+Seeded inputs are generated by committed code, each command runs through
+``cli.main`` in this process, and the SHA-256 of its stdout and of every
+report file is compared with ``golden_digests.json``. A refactor that
+claims to keep behaviour passes unchanged; a change that moves output
+bits on purpose re-records the digests and says so.
+
+Float formatting and NumPy's reductions can differ between NumPy
+releases, so the digests hold only for the NumPy version they were
+recorded with; under any other version the test is skipped.
+
+Re-record (after a declared output change) with:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from proadapt import cli
+from proadapt.emulator import generate_trace, to_idle_series, write_trace_csv
+
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+SEEDS = (1, 2)
+HISTORY_MINUTES = 800  # one idle reading per minute
+TRACE_MINUTES = 240
+RISK_MARGIN = 0.10
+SPEC_QUANTILES = (("gold", 0.35, 3.0), ("silver", 0.45, 2.0), ("bronze", 0.55, 1.0))
+MIRRORS = ("germany", "massachusetts", "ontario")
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def write_inputs(seed: int, directory: Path) -> dict[str, Path]:
+    """history.csv, specs.json (three upper bounds at quantiles of the
+    history), tactics.json (three mirror tactics) and trace.csv."""
+    directory.mkdir(parents=True, exist_ok=True)
+    idle = to_idle_series(generate_trace(HISTORY_MINUTES, seed)).values
+    paths = {name: directory / name
+             for name in ("history.csv", "specs.json", "tactics.json", "trace.csv")}
+    paths["history.csv"].write_text(
+        "value\n" + "".join(f"{v!r}\n" for v in idle.tolist()), encoding="utf-8")
+    specs = [{"name": f"idle_energy_{name}",
+              "threshold": round(float(np.quantile(idle, q)) / (1.0 - RISK_MARGIN), 6),
+              "direction": "upper", "penalty": 2.0 * reward, "reward": reward}
+             for name, q, reward in SPEC_QUANTILES]
+    paths["specs.json"].write_text(json.dumps(specs), encoding="utf-8")
+    tactics = [{"name": f"mirror_{m}", "mirror": m, "static_latency": 2.5,
+                "static_cost": 30.0} for m in MIRRORS]
+    paths["tactics.json"].write_text(json.dumps(tactics), encoding="utf-8")
+    write_trace_csv(generate_trace(TRACE_MINUTES, seed + 100), paths["trace.csv"])
+    return paths
+
+
+def run(argv: list[str]) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(argv)
+    assert rc == 0, argv
+    return out.getvalue().encode("utf-8")
+
+
+def compute_digests(seed: int, directory: Path) -> dict[str, str]:
+    paths = write_inputs(seed, directory)
+    monitor = ["monitor", "--spec", str(paths["specs.json"]),
+               "--history", str(paths["history.csv"])]
+    tactics = ["--tactics", str(paths["tactics.json"]), "--trace", str(paths["trace.csv"])]
+    out_dir = directory / "replicate"
+    digests = {
+        "generate.csv": sha256(paths["trace.csv"].read_bytes()),
+        "monitor.stdout": sha256(run(monitor)),
+        "monitor-refit.stdout": sha256(run(monitor + ["--refit-every", "1"])),
+        "monitor-tactics.stdout": sha256(run(monitor + tactics)),
+        "replicate.stdout": sha256(run(["replicate", "--emulate", "--minutes",
+                                        str(TRACE_MINUTES), "--runs", "5", "--seed",
+                                        str(seed), "--out-dir", str(out_dir)])),
+    }
+    for name in ("rq1.csv", "rq2.csv", "rq3.csv", "rq4.csv"):
+        digests[f"replicate.{name}"] = sha256((out_dir / name).read_bytes())
+    return digests
+
+
+def load_golden() -> dict:
+    golden = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    if golden["numpy"] != np.__version__:
+        pytest.skip(f"golden digests were recorded with NumPy {golden['numpy']}, "
+                    f"running NumPy {np.__version__}")
+    return golden
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_outputs_match_golden_digests(seed, tmp_path):
+    golden = load_golden()
+    assert compute_digests(seed, tmp_path) == golden["digests"][str(seed)]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        record = {"numpy": np.__version__,
+                  "digests": {str(seed): compute_digests(seed, Path(tmp) / str(seed))
+                              for seed in SEEDS}}
+    DIGESTS.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n",
+                       encoding="utf-8")
+    sys.stdout.write(f"wrote {DIGESTS}\n")
