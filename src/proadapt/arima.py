@@ -21,7 +21,7 @@ run costs little more than re-anchoring one model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -281,12 +281,13 @@ def forecast(model: ArimaModel, horizon: int) -> list[float]:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     d, p = model.order.d, model.order.p
-    ladder = [np.asarray(model.last_observations, dtype=float)]
-    for _ in range(d):
-        ladder.append(np.diff(ladder[-1]))
     # heads[j] carries the running last value at differencing level j.
-    heads = [float(level[-1]) for level in ladder[:d]]
-    z_prev = float(ladder[d][-1]) if p == 1 else 0.0
+    level = [float(v) for v in model.last_observations]
+    heads = []
+    for _ in range(d):
+        heads.append(level[-1])
+        level = [b - a for a, b in zip(level, level[1:])]
+    z_prev = level[-1] if p == 1 else 0.0
     out = []
     for _ in range(horizon):
         z_hat = model.c + model.phi * z_prev if p == 1 else model.c
@@ -335,4 +336,6 @@ def reanchor(model: ArimaModel, series: TimeSeries) -> ArimaModel:
     needed = model.order.d + model.order.p
     if len(series) < needed:
         raise ValueError(f"series must hold at least {needed} observations")
-    return replace(model, last_observations=tuple(series.tail(needed)))
+    return ArimaModel(order=model.order, phi=model.phi, c=model.c,
+                      last_observations=series.tail(needed).tolist(),
+                      residual_variance=model.residual_variance)

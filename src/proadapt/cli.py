@@ -145,20 +145,35 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{what}: JSON nested too deeply") from None
+
+
+def _check_entry(entry, i: int, what: str, required: Sequence[str],
+                 numbers: Sequence[str]) -> None:
+    """Entry ``i`` of a JSON list must be an object with the ``required``
+    fields, and none of its ``numbers`` fields may be a JSON boolean."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{what} entry {i}: expected a JSON object")
+    for field in required:
+        if field not in entry:
+            raise ValueError(f"{what} entry {i}: missing field '{field}'")
+    for field in numbers:
+        if isinstance(entry.get(field), bool):
+            raise ValueError(f"{what} entry {i}: field '{field}' must be a number, "
+                             f"got {json.dumps(entry[field])}")
+
+
 def _load_specs(path: str) -> list[SlaSpec]:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = _read_json(path, "spec file")
     entries = raw if isinstance(raw, list) else [raw]
     specs = []
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ValueError(f"spec file entry {i}: expected a JSON object")
-        for field in ("name", "threshold"):
-            if field not in entry:
-                raise ValueError(f"spec file entry {i}: missing field '{field}'")
-        for field in ("threshold", "penalty", "reward"):
-            if isinstance(entry.get(field), bool):
-                raise ValueError(f"spec file entry {i}: field '{field}' must be a number, "
-                                 f"got {json.dumps(entry[field])}")
+        _check_entry(entry, i, "spec file", ("name", "threshold"),
+                     ("threshold", "penalty", "reward"))
         direction_text = entry.get("direction", "upper")
         try:
             direction = Direction(direction_text)
@@ -171,7 +186,7 @@ def _load_specs(path: str) -> list[SlaSpec]:
                                  direction=direction,
                                  penalty=float(entry.get("penalty", 0.0)),
                                  reward=float(entry.get("reward", 0.0))))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"spec file entry {i}: {exc}") from None
         if specs[-1].name in (spec.name for spec in specs[:-1]):
             raise ValueError(f"spec file entry {i}: duplicate name {specs[-1].name!r}")
@@ -180,8 +195,10 @@ def _load_specs(path: str) -> list[SlaSpec]:
 
 def _load_history(path: str) -> TimeSeries:
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        rows = list(reader)
+        try:
+            rows = list(csv.reader(handle))
+        except csv.Error as exc:
+            raise ValueError(f"history file: {exc}") from None
     if not rows or rows[0] != ["value"]:
         raise ValueError("history file must start with a 'value' header")
     try:
@@ -196,17 +213,14 @@ def _load_tactic_context(tactics_path: str, trace_path: str | None):
     tactics JSON file plus the trace that supplies training data."""
     if not trace_path:
         raise ValueError("--tactics requires --trace for training data")
-    raw = json.loads(Path(tactics_path).read_text(encoding="utf-8"))
+    raw = _read_json(tactics_path, "tactics file")
     if not isinstance(raw, list):
         raise ValueError("tactics file must hold a JSON list")
     records = ingest_trace_csv(trace_path)
     tactics, registry, features = [], {}, {}
     for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise ValueError(f"tactics file entry {i}: expected a JSON object")
-        for field in ("name", "static_latency", "static_cost"):
-            if field not in entry:
-                raise ValueError(f"tactics file entry {i}: missing field '{field}'")
+        _check_entry(entry, i, "tactics file", ("name", "static_latency", "static_cost"),
+                     ("static_latency", "static_cost"))
         subset = records
         if "mirror" in entry:
             try:
@@ -217,10 +231,15 @@ def _load_tactic_context(tactics_path: str, trace_path: str | None):
             subset = [r for r in records
                       if r.phase is not Phase.DOWNLOAD or r.mirror is mirror]
         X, latency, cost = to_regression_dataset(subset)
-        tactic = Tactic(name=str(entry["name"]),
-                        static_latency=float(entry["static_latency"]),
-                        static_cost=float(entry["static_cost"]),
-                        feature_names=X.column_names)
+        try:
+            tactic = Tactic(name=str(entry["name"]),
+                            static_latency=float(entry["static_latency"]),
+                            static_cost=float(entry["static_cost"]),
+                            feature_names=X.column_names)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"tactics file entry {i}: {exc}") from None
+        if tactic.name in registry:
+            raise ValueError(f"tactics file entry {i}: duplicate name {tactic.name!r}")
         tactics.append(tactic)
         registry[tactic.name] = TacticModels(latency_model=fit_mra(X, latency),
                                              cost_model=fit_mra(X, cost))
@@ -253,7 +272,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     names = [spec.name for spec in specs]
     forecasters, fit_error = None, ""
     for tick in range(ticks):
-        series = TimeSeries(history.values[tick:tick + window], interval=history.interval)
+        series = history.window(tick, tick + window)
         if tick % every == 0:
             fitted = next(fits)
             if isinstance(fitted, FitError):
@@ -267,8 +286,8 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         else:
             entries = workflow_tick(specs, dict.fromkeys(names, series), tactics,
                                     registry, features, config, forecasters=forecasters)
-        for entry in entries:
-            print(json.dumps({"tick": tick, **tick_entry_to_dict(entry)}))
+        sys.stdout.write("".join(json.dumps({"tick": tick, **tick_entry_to_dict(entry)})
+                                 + "\n" for entry in entries))
     return 0
 
 

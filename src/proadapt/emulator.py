@@ -26,7 +26,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -323,6 +323,16 @@ def write_trace_csv(records: Sequence[TraceRecord], path: str | Path) -> None:
     Path(path).write_text(trace_csv_text(records), encoding="utf-8", newline="\n")
 
 
+def _csv_rows(handle) -> Iterator[list[str]]:
+    """The CSV rows of ``handle``; the reader's own errors (an over-long
+    field, say) become :class:`TraceFormatError`."""
+    reader = csv.reader(handle)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise TraceFormatError(f"line {reader.line_num}: {exc}") from None
+
+
 def ingest_trace_csv(path: str | Path) -> list[TraceRecord]:
     """Parse and validate a trace CSV; errors name the offending line."""
     mirrors = {m.value: m for m in Mirror}
@@ -330,8 +340,7 @@ def ingest_trace_csv(path: str | Path) -> list[TraceRecord]:
     records: list[TraceRecord] = []
     last_timestamp = -math.inf
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        for line_no, row in enumerate(reader, start=1):
+        for line_no, row in enumerate(_csv_rows(handle), start=1):
             if line_no == 1:
                 if ",".join(row) != TRACE_HEADER:
                     raise TraceFormatError(f"line 1: expected header '{TRACE_HEADER}'")

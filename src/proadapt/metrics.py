@@ -145,9 +145,7 @@ def split_train_test(series: TimeSeries, train_fraction: float,
         raise ValueError(f"series too short to leave {MIN_TRAIN_POINTS} training points")
     rng = np.random.default_rng(seed)
     start = int(rng.integers(MIN_TRAIN_POINTS, last_start + 1))
-    train = TimeSeries(series.values[:start], interval=series.interval)
-    test = TimeSeries(series.values[start:start + test_len], interval=series.interval)
-    return train, test
+    return series.window(0, start), series.window(start, start + test_len)
 
 
 def run_forecast_experiments(series: TimeSeries, n_runs: int, seed: int,

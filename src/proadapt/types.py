@@ -56,6 +56,21 @@ class TimeSeries:
     def __len__(self) -> int:
         return int(self.values.size)
 
+    def window(self, start: int, stop: int) -> "TimeSeries":
+        """Observations ``start:stop`` as a series with the same interval.
+
+        A view, not a copy: the slice of this series' checked, read-only
+        buffer needs no new check, and a view of a read-only array cannot
+        be made writeable.
+        """
+        if not 0 <= start <= stop <= len(self):
+            raise ValueError(f"cannot take observations [{start}, {stop}) "
+                             f"of {len(self)}")
+        view = object.__new__(TimeSeries)
+        object.__setattr__(view, "values", self.values[start:stop])
+        object.__setattr__(view, "interval", self.interval)
+        return view
+
     def tail(self, n: int) -> np.ndarray:
         """The last ``n`` observations (``n`` may be 0)."""
         if not 0 <= n <= len(self):
@@ -76,7 +91,9 @@ class SlaSpec:
 
     ``reward`` orders requirements (highest handled first); ``penalty`` is
     carried for callers that account for violations but is not part of the
-    utility computation.
+    utility computation. A zero ``threshold`` is allowed; the decision
+    loop's risk band is a fraction of |threshold| wide, so it then has
+    width 0 and "at risk" means that a forecast step violates.
     """
 
     name: str
@@ -120,6 +137,8 @@ class Tactic:
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         if not self.name:
             raise ValueError("tactic name must be non-empty")
+        if not (math.isfinite(self.static_latency) and math.isfinite(self.static_cost)):
+            raise ValueError("static latency and cost must be finite")
         if self.static_latency < 0 or self.static_cost < 0:
             raise ValueError("static latency and cost must be >= 0")
         if not self.feature_names:

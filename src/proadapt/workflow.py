@@ -96,10 +96,12 @@ class WorkflowConfig:
 
     ``risk_margin`` widens the threshold band: a forecast within
     margin * |threshold| of the threshold (on the approaching side) counts
-    as potentially broken. ``utility_params``, when given, scores each
-    tactic with the interval utility using its predicted cost (floored at
-    ``cost_floor`` since the utility divides by cost); without them all
-    utility scores are 0 and ranking falls through to predicted cost.
+    as potentially broken. For a zero threshold the band has width 0
+    whatever the margin, so AT_RISK then means a forecast step violates.
+    ``utility_params``, when given, scores each tactic with the interval
+    utility using its predicted cost (floored at ``cost_floor`` since the
+    utility divides by cost); without them all utility scores are 0 and
+    ranking falls through to predicted cost.
     """
 
     horizon: int = 5
@@ -195,6 +197,24 @@ def make_cost_estimate(tactic: Tactic, features: Sequence[float],
     return predict(model, features).value
 
 
+def _price(tactics: Sequence[Tactic], registry: Mapping[str, TacticModels],
+           features: Mapping[str, Sequence[float]],
+           cfg: WorkflowConfig) -> list[TacticEstimate]:
+    """Unranked latency, cost and utility estimates of every tactic now."""
+    estimates = []
+    for tactic in tactics:
+        models = registry[tactic.name]
+        x = features[tactic.name]
+        latency = make_latency_estimate(tactic, x, models.latency_model)
+        cost = make_cost_estimate(tactic, x, models.cost_model)
+        if cfg.utility_params is not None:
+            score = utility(cfg.utility_params.with_cost(max(cost, cfg.cost_floor)))
+        else:
+            score = 0.0
+        estimates.append(TacticEstimate(tactic.name, latency, cost, score))
+    return estimates
+
+
 def rank_tactics(estimates: Sequence[TacticEstimate], analysis: SpecAnalysis,
                  tick_seconds: float) -> list[TacticEstimate]:
     """Order tactics: ready-in-time first, then by descending utility,
@@ -230,10 +250,13 @@ def workflow_tick(specs: Sequence[SlaSpec],
     """One pass over all specifications in descending-reward order.
 
     Tactic estimates are produced only for potentially broken (at-risk or
-    broken) specifications. Specifications that share one history object
-    and one forecaster are forecast once. A per-spec failure is recorded on
-    its entry (on every affected entry when a shared forecast fails) and
-    the remaining specifications are still processed.
+    broken) specifications, and at most once per tick: they depend on the
+    tactics' models and the current features, not on the specification, so
+    each potentially broken specification ranks the same estimates against
+    its own deadline. Specifications that share one history object and one
+    forecaster are forecast once. A per-spec failure is recorded on its
+    entry (on every affected entry when a shared forecast or the pricing
+    fails) and the remaining specifications are still processed.
     """
     cfg = config or WorkflowConfig()
     names = [s.name for s in specs]
@@ -241,6 +264,9 @@ def workflow_tick(specs: Sequence[SlaSpec],
         raise ValueError("spec names must be unique")
     # Specs that share a series and a model share one forecast, or its error.
     predictions: dict[tuple[int, int], tuple[float, ...] | str] = {}
+    # Tactic estimates do not depend on the spec: priced at the first
+    # potentially broken spec, then only ranked against each deadline.
+    priced: list[TacticEstimate] | str | None = None
     entries: list[TickEntry] = []
     for spec in order_specs_by_reward(specs):
         try:
@@ -260,18 +286,15 @@ def workflow_tick(specs: Sequence[SlaSpec],
             if analysis.status is SpecStatus.HEALTHY or not tactics:
                 entries.append(TickEntry(spec.name, analysis))
                 continue
-            estimates = []
-            for tactic in tactics:
-                models = registry[tactic.name]
-                x = features[tactic.name]
-                latency = make_latency_estimate(tactic, x, models.latency_model)
-                cost = make_cost_estimate(tactic, x, models.cost_model)
-                if cfg.utility_params is not None:
-                    score = utility(cfg.utility_params.with_cost(max(cost, cfg.cost_floor)))
-                else:
-                    score = 0.0
-                estimates.append(TacticEstimate(tactic.name, latency, cost, score))
-            ranked = rank_tactics(estimates, analysis, cfg.tick_seconds)
+            if priced is None:
+                try:
+                    priced = _price(tactics, registry, features, cfg)
+                except (ValueError, KeyError) as exc:
+                    priced = str(exc)
+            if isinstance(priced, str):
+                entries.append(TickEntry(spec.name, None, error=priced))
+                continue
+            ranked = rank_tactics(priced, analysis, cfg.tick_seconds)
             entries.append(TickEntry(spec.name, analysis, tuple(ranked)))
         except (ValueError, KeyError) as exc:
             entries.append(TickEntry(spec.name, None, error=str(exc)))

@@ -375,3 +375,39 @@ class TestFitArimaWindows:
         for window, starts in ((20, [11]), (20, [-1]), (0, [0]), (31, [0])):
             with pytest.raises(ValueError):
                 fit_arima_windows(series, ArimaOrder(1, 1, 0), window, starts)
+
+
+def numpy_ladder_forecast(model, horizon):
+    """The NumPy differencing ladder ``forecast`` used before it moved to
+    plain float arithmetic, kept as a bit-exact reference."""
+    d, p = model.order.d, model.order.p
+    ladder = [np.asarray(model.last_observations, dtype=float)]
+    for _ in range(d):
+        ladder.append(np.diff(ladder[-1]))
+    heads = [float(level[-1]) for level in ladder[:d]]
+    z_prev = float(ladder[d][-1]) if p == 1 else 0.0
+    out = []
+    for _ in range(horizon):
+        z_hat = model.c + model.phi * z_prev if p == 1 else model.c
+        z_prev = z_hat
+        value = z_hat
+        for j in range(d - 1, -1, -1):
+            heads[j] += value
+            value = heads[j]
+        out.append(float(value))
+    return out
+
+
+@st.composite
+def arima_models(draw):
+    order = ArimaOrder(draw(st.sampled_from([0, 1])), draw(st.sampled_from([0, 1, 2])), 0)
+    finite = st.floats(-1e6, 1e6)
+    phi = draw(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)) if order.p else 0.0
+    last = draw(st.lists(finite, min_size=order.d + order.p, max_size=order.d + order.p))
+    return ArimaModel(order, phi=phi, c=draw(finite), last_observations=last,
+                      residual_variance=0.0)
+
+
+@given(arima_models(), st.integers(1, 12))
+def test_forecast_matches_numpy_ladder_bitwise(model, horizon):
+    assert forecast(model, horizon) == numpy_ladder_forecast(model, horizon)

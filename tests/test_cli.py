@@ -314,15 +314,18 @@ class TestMonitorInputErrors:
                                     str(history), "--window", "0")
         assert "--window" in err
 
-    def test_tactics_entry_must_be_object(self, tmp_path, capsys):
+    def run_tactics(self, tmp_path, capsys, text):
         spec, history = write_ramp_fixture(tmp_path)
         trace = tmp_path / "trace.csv"
         write_trace_csv(generate_trace(30, 4), trace)
         tactics = tmp_path / "tactics.json"
-        tactics.write_text(json.dumps(["name static_latency static_cost"]))
-        err = self.assert_one_error(capsys, "monitor", "--spec", str(spec), "--history",
-                                    str(history), "--tactics", str(tactics),
-                                    "--trace", str(trace))
+        tactics.write_text(text)
+        return self.assert_one_error(capsys, "monitor", "--spec", str(spec), "--history",
+                                     str(history), "--tactics", str(tactics),
+                                     "--trace", str(trace))
+
+    def test_tactics_entry_must_be_object(self, tmp_path, capsys):
+        err = self.run_tactics(tmp_path, capsys, json.dumps(["name static_latency static_cost"]))
         assert "tactics file entry 0" in err
 
     @pytest.mark.parametrize("fields", [
@@ -342,3 +345,49 @@ class TestMonitorInputErrors:
         err = self.assert_one_error(capsys, "monitor", "--spec", str(spec),
                                     "--history", str(history))
         assert "duplicate" in err
+
+    @pytest.mark.parametrize("field", [
+        '"static_latency": true', '"static_latency": null', '"static_latency": []',
+        '"static_latency": NaN', '"static_latency": 1e400', '"static_latency": 1' + 400 * '0'])
+    def test_tactic_static_fields_checked(self, tmp_path, capsys, field):
+        err = self.run_tactics(tmp_path, capsys,
+                               '[{"name": "t", "static_cost": 1.0, ' + field + '}]')
+        assert "tactics file entry 0" in err
+
+    def test_duplicate_tactic_names_rejected(self, tmp_path, capsys):
+        entry = {"name": "t", "static_latency": 1.0, "static_cost": 1.0}
+        err = self.run_tactics(tmp_path, capsys, json.dumps([entry, entry]))
+        assert "tactics file entry 1: duplicate name 't'" in err
+
+    def test_spec_number_too_large_for_a_float(self, tmp_path, capsys):
+        spec, history = write_ramp_fixture(tmp_path)
+        spec.write_text('{"name": "x", "threshold": 1, "reward": 1' + 400 * "0" + "}")
+        err = self.assert_one_error(capsys, "monitor", "--spec", str(spec),
+                                    "--history", str(history))
+        assert "spec file entry 0" in err
+
+    @pytest.mark.parametrize("which", ["spec", "tactics"])
+    def test_deeply_nested_json_rejected(self, tmp_path, capsys, which):
+        deep = "[" * 100_000 + "]" * 100_000
+        if which == "tactics":
+            err = self.run_tactics(tmp_path, capsys, deep)
+        else:
+            spec, history = write_ramp_fixture(tmp_path)
+            spec.write_text(deep)
+            err = self.assert_one_error(capsys, "monitor", "--spec", str(spec),
+                                        "--history", str(history))
+        assert f"{which} file: JSON nested too deeply" in err
+
+    def test_oversized_csv_field_rejected(self, tmp_path, capsys):
+        spec, history = write_ramp_fixture(tmp_path)
+        history.write_text("value\n" + "1" * 200_000 + "\n")
+        err = self.assert_one_error(capsys, "monitor", "--spec", str(spec),
+                                    "--history", str(history))
+        assert err.startswith("error: history file: field larger than field limit")
+        trace = tmp_path / "trace.csv"
+        write_trace_csv(generate_trace(30, 4), trace)
+        trace.write_text(trace.read_text() + "1" * 200_000 + "\n")
+        code, out, err = run_main(capsys, "replicate", "--trace", str(trace),
+                                  "--out-dir", str(tmp_path))
+        assert code == 1 and "field larger than field limit" in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: line 122: ")

@@ -115,8 +115,39 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             series.values[0] = 9.0
 
+    @given(st.lists(st.floats(-1e9, 1e9), max_size=30), st.data())
+    def test_window_equals_copied_slice(self, values, data):
+        series = TimeSeries(values, interval=6.0)
+        stop = data.draw(st.integers(0, len(values)))
+        start = data.draw(st.integers(0, stop))
+        view = series.window(start, stop)
+        copied = TimeSeries(series.values[start:stop], interval=6.0)
+        assert view.values.tolist() == copied.values.tolist()
+        assert view.interval == copied.interval and len(view) == len(copied)
+
+    def test_window_is_a_read_only_view(self):
+        series = TimeSeries([1.0, 2.0, 3.0, 4.0])
+        view = series.window(1, 3)
+        assert np.shares_memory(view.values, series.values)
+        with pytest.raises(ValueError):
+            view.values[0] = 9.0
+        with pytest.raises(ValueError):
+            view.values.flags.writeable = True
+
+    @pytest.mark.parametrize("start, stop", [(-1, 2), (3, 2), (0, 5), (5, 5)])
+    def test_window_rejects_bounds_outside_the_series(self, start, stop):
+        with pytest.raises(ValueError):
+            TimeSeries([1.0, 2.0, 3.0, 4.0]).window(start, stop)
+
 
 class TestSpecAndTactic:
+    @pytest.mark.parametrize("field", ["static_latency", "static_cost"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_tactic_static_values_must_be_finite(self, field, value):
+        values = {"static_latency": 1.0, "static_cost": 1.0, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            Tactic("t", **values)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SlaSpec("bad", float("inf"))

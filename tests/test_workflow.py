@@ -52,6 +52,19 @@ class TestAnalyzeSpecification:
         analysis = analyze_specification(UPPER, gentle, horizon=1, risk_margin=0.0)
         assert analysis.status is SpecStatus.HEALTHY
 
+    @pytest.mark.parametrize("direction, step", [(Direction.UPPER_BOUND, 0.2),
+                                                  (Direction.LOWER_BOUND, -0.2)])
+    def test_zero_threshold_has_a_zero_width_risk_band(self, direction, step):
+        # A ramp ending 0.5 on the safe side of 0 forecasts -0.3, -0.1, 0.1, ...
+        # (mirrored for a lower bound): only step 3 violates, at any margin.
+        spec = SlaSpec("zero", 0.0, direction=direction)
+        history = ramp(-21.5 * step, step, 20)
+        for margin in (0.0, 0.5, 0.99):
+            analysis = analyze_specification(spec, history, horizon=5, risk_margin=margin)
+            assert analysis.status is SpecStatus.AT_RISK
+            violating = [spec.violates(v) for v in analysis.forecast_values]
+            assert analysis.first_violation_step == violating.index(True) + 1 == 3
+
     def test_lower_bound_direction(self):
         spec = SlaSpec("throughput", 100.0, direction=Direction.LOWER_BOUND)
         falling = ramp(130.0, -1.0, 25)
@@ -290,3 +303,73 @@ class TestWorkflowTick:
                                 forecasters=dict.fromkeys("ab", model))
         assert [e.spec_name for e in entries] == ["a", "b"]
         assert all(e.analysis is None and "at least 2" in e.error for e in entries)
+
+
+class PricingFixture:
+    """One rising series (0.50 to 0.89 in steps of 0.01) and tactics whose
+    intercept-only models predict fixed latencies and costs."""
+
+    def __init__(self, prices=None):
+        prices = prices or {f"t{i}": (1.0 + i, 4.0 - i) for i in range(4)}
+        self.series = ramp(0.50, 0.01, 40)
+        self.tactics = [Tactic(name, 1.0, 1.0) for name in prices]
+        self.registry = {name: TacticModels(RegressionModel(weights=(latency,)),
+                                            RegressionModel(weights=(cost,)))
+                         for name, (latency, cost) in prices.items()}
+        self.features = dict.fromkeys(prices, (1.0,))
+
+    def run(self, specs, config=None, registry=None):
+        return workflow_tick(specs, dict.fromkeys((s.name for s in specs), self.series),
+                             self.tactics, self.registry if registry is None else registry,
+                             self.features, config)
+
+
+def count_predictions(monkeypatch):
+    calls = []
+    original = workflow.predict
+    monkeypatch.setattr(workflow, "predict",
+                        lambda model, x: calls.append(model) or original(model, x))
+    return calls
+
+
+class TestOncePerTickPricing:
+    def test_three_priced_specs_price_each_tactic_once(self, monkeypatch):
+        fx = PricingFixture()
+        calls = count_predictions(monkeypatch)
+        specs = [SlaSpec("a", 0.7, reward=3.0), SlaSpec("b", 0.8, reward=2.0),
+                 SlaSpec("c", 0.95, reward=1.0)]
+        entries = fx.run(specs)
+        assert all(e.analysis.status is not SpecStatus.HEALTHY for e in entries)
+        assert len(calls) == 2 * len(fx.tactics)
+        assert all(len(e.estimates) == len(fx.tactics) for e in entries)
+
+    def test_all_healthy_tick_prices_nothing(self, monkeypatch):
+        fx = PricingFixture()
+        calls = count_predictions(monkeypatch)
+        entries = fx.run([SlaSpec("a", 10.0, reward=2.0), SlaSpec("b", 20.0, reward=1.0)])
+        assert all(e.analysis.status is SpecStatus.HEALTHY for e in entries)
+        assert calls == []
+
+    def test_rankings_follow_each_specs_deadline(self):
+        # "instant" is ready even for a broken spec; "cheap" needs 10 s,
+        # which fits before a violation at step 2 or later (12 s and up).
+        fx = PricingFixture({"instant": (0.0, 5.0), "cheap": (10.0, 1.0)})
+        broken, late = SlaSpec("broken", 0.7, reward=2.0), SlaSpec("late", 0.925, reward=1.0)
+        entries = fx.run([broken, late], WorkflowConfig(risk_margin=0.0))
+        assert entries[0].analysis.status is SpecStatus.BROKEN
+        assert entries[1].analysis.status is SpecStatus.AT_RISK
+        assert entries[1].analysis.first_violation_step >= 2
+        assert [e.tactic_name for e in entries[0].estimates] == ["instant", "cheap"]
+        assert [e.tactic_name for e in entries[1].estimates] == ["cheap", "instant"]
+
+    def test_pricing_error_lands_on_every_priced_spec_only(self):
+        fx = PricingFixture()
+        registry = dict(fx.registry)
+        del registry["t2"]
+        specs = [SlaSpec("a", 0.7, reward=3.0), SlaSpec("cool", 10.0, reward=2.0),
+                 SlaSpec("b", 0.8, reward=1.0)]
+        by_name = {e.spec_name: e for e in fx.run(specs, registry=registry)}
+        assert by_name["a"].error == by_name["b"].error == str(KeyError("t2"))
+        assert by_name["a"].analysis is None and by_name["b"].analysis is None
+        assert by_name["cool"].error is None
+        assert by_name["cool"].analysis.status is SpecStatus.HEALTHY
