@@ -1,8 +1,9 @@
-"""Golden output digests: the CLI's stdout and report files, bit for bit.
+"""Golden output digests: the CLI's and the demos' output, bit for bit.
 
 Seeded inputs are generated by committed code, each command runs through
 ``cli.main`` in this process, and the SHA-256 of its stdout and of every
-report file is compared with ``golden_digests.json``. A refactor that
+report file is compared with ``golden_digests.json``; so is the stdout of
+each ``demos/*.py`` script, also run in this process. A refactor that
 claims to keep behaviour passes unchanged; a change that moves output
 bits on purpose re-records the digests and says so.
 
@@ -21,6 +22,7 @@ import contextlib
 import hashlib
 import io
 import json
+import runpy
 import sys
 import tempfile
 from pathlib import Path
@@ -32,6 +34,7 @@ from proadapt import cli
 from proadapt.emulator import generate_trace, to_idle_series, write_trace_csv
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
+DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
 SEEDS = (1, 2)
 HISTORY_MINUTES = 800  # one idle reading per minute
 TRACE_MINUTES = 240
@@ -93,6 +96,13 @@ def compute_digests(seed: int, directory: Path) -> dict[str, str]:
     return digests
 
 
+def demo_digest(path: Path) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(path), run_name="__main__")
+    return sha256(out.getvalue().encode("utf-8"))
+
+
 def load_golden() -> dict:
     golden = json.loads(DIGESTS.read_text(encoding="utf-8"))
     if golden["numpy"] != np.__version__:
@@ -107,11 +117,18 @@ def test_outputs_match_golden_digests(seed, tmp_path):
     assert compute_digests(seed, tmp_path) == golden["digests"][str(seed)]
 
 
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_stdout_matches_golden_digest(demo):
+    golden = load_golden()
+    assert demo_digest(demo) == golden["demos"][demo.name]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         record = {"numpy": np.__version__,
                   "digests": {str(seed): compute_digests(seed, Path(tmp) / str(seed))
-                              for seed in SEEDS}}
+                              for seed in SEEDS},
+                  "demos": {path.name: demo_digest(path) for path in DEMOS}}
     DIGESTS.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n",
                        encoding="utf-8")
     sys.stdout.write(f"wrote {DIGESTS}\n")
