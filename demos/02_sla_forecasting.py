@@ -8,8 +8,8 @@ the persistence reference.
 
 import numpy as np
 
-from proadapt import (ArimaOrder, TimeSeries, acf, check_residuals, difference,
-                      fit_arima, forecast, generate_trace, pacf, rmse, to_idle_series)
+from proadapt import (TimeSeries, acf, check_residuals, difference, fit_arima, forecast,
+                      generate_trace, pacf, rmse, to_idle_series)
 
 trace = generate_trace(duration_minutes=1440, seed=42)
 series = to_idle_series(trace)
@@ -17,7 +17,7 @@ print(f"idle-energy series: {len(series)} one-minute readings, "
       f"range [{series.values.min():.3f}, {series.values.max():.3f}] J")
 
 # identification: the raw series drifts, its first difference does not
-diffed = difference(series, 1)
+diffed = difference(series)
 print(f"\nlag-1..5 autocorrelation, raw series:   "
       f"{[round(v, 3) for v in acf(series, 5)]}")
 print(f"lag-1..5 autocorrelation, differenced:  "
@@ -31,7 +31,7 @@ print("the partial autocorrelation cuts off after lag 1: one AR term on the "
 cut = int(len(series) * 0.9)
 train = TimeSeries(series.values[:cut], interval=series.interval)
 test = series.values[cut:]
-model = fit_arima(train, ArimaOrder(1, 1, 0))
+model = fit_arima(train)
 print(f"\nfitted: phi={model.phi:.4f}, drift constant={model.c:.6f}, "
       f"residual variance={model.residual_variance:.6f}")
 diagnostics = check_residuals(model, train)

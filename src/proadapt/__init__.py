@@ -7,9 +7,8 @@ specification is potentially broken, and ships a seeded replication
 harness plus a volatility-trace emulator for evaluating all of it.
 """
 
-from .arima import (ArimaModel, ArimaOrder, FitError, ResidualDiagnostics, acf,
-                    check_residuals, difference, fit_arima, fit_arima_windows, forecast,
-                    pacf, reanchor)
+from .arima import (ArimaModel, FitError, ResidualDiagnostics, acf, check_residuals,
+                    difference, fit_arima, fit_arima_windows, forecast, pacf, reanchor)
 from .emulator import (EmulatorConfig, LatencyShape, Mirror, MirrorSettings, Phase,
                        SAMPLE_TACTIC_A, SAMPLE_TACTIC_B, TacticProfile, TraceFormatError,
                        TraceRecord, generate_trace, ingest_trace_csv,
@@ -19,13 +18,12 @@ from .metrics import (ExperimentReport, ScorePair, Summary, mae, reports_to_csv_
                       rmse, run_forecast_experiments, run_predictor_experiments,
                       split_train_test, summarize, write_reports_csv)
 from .regression import (DesignMatrix, Prediction, RegressionModel, ResponseVector,
-                         TacticAttribute, baseline_mean, baseline_static,
-                         error_function, fit_bayesian_ridge, fit_mra, predict)
+                         baseline_mean, error_function, fit_bayesian_ridge, fit_mra,
+                         predict)
 from .types import (Direction, SlaSpec, Tactic, TimeSeries, UtilityParams,
                     order_specs_by_reward, utility)
 from .workflow import (SpecAnalysis, SpecStatus, TacticEstimate, TacticModels,
-                       TickEntry, WorkflowConfig, analyze_specification,
-                       entries_to_json_lines, make_cost_estimate,
-                       make_latency_estimate, rank_tactics, workflow_tick)
+                       TickEntry, WorkflowConfig, analyze_specification, rank_tactics,
+                       workflow_tick)
 
 __version__ = "0.1.0"

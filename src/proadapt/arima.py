@@ -1,18 +1,17 @@
-"""Differenced first-order autoregressive forecasting.
+"""Differenced first-order autoregressive forecasting: ARIMA(1, 1, 0).
 
-The supported model family is ARIMA(p, d, 0) with p in {0, 1} and
-d in {0, 1, 2}; the working configuration throughout the package is the
-differenced first-order autoregressive model ARIMA(1, 1, 0).
+The one model is the paper's: the first difference z_t = y_t - y_{t-1}
+follows z_t = c + phi * z_{t-1} + e_t with |phi| < 1. The constant c
+captures drift in the differenced data.
 
 Estimation is conditional least squares on the differenced series: the
-regression of z_t on z_{t-1} (plus a constant) coincides with the Gaussian
-maximum-likelihood estimate for pure AR models up to edge effects, has a
-closed form, and is fully deterministic. A constant term is always
-included so drift in the differenced data is captured. One vectorised
-kernel solves it for a stack of windows at once: ``fit_arima`` is its
-one-window case, and ``fit_arima_windows`` fits the sliding windows of a
-long history block by block, so refitting on every window of a monitor
-run costs little more than re-anchoring one model.
+regression of z_t on z_{t-1} plus a constant coincides with the Gaussian
+maximum-likelihood estimate up to edge effects, has a closed form, and is
+fully deterministic. One vectorised kernel solves it for a stack of
+windows at once: ``fit_arima`` is its one-window case, and
+``fit_arima_windows`` fits the sliding windows of a long history block by
+block, so refitting on every window of a monitor run costs little more
+than re-anchoring one model.
 
 ``fit_arima`` and ``forecast`` are pure functions of their inputs and
 ``ArimaModel`` is immutable, so models can be shared across threads.
@@ -30,7 +29,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .types import TimeSeries
 
 __all__ = [
-    "ArimaOrder",
     "ArimaModel",
     "ResidualDiagnostics",
     "FitError",
@@ -54,45 +52,23 @@ class FitError(ValueError):
 
 
 @dataclass(frozen=True)
-class ArimaOrder:
-    """(p, d, q) with p autoregressive lags and d differencing passes.
-
-    Orders outside p in {0, 1}, d in {0, 1, 2}, q = 0 construct fine but
-    are rejected at fit time.
-    """
-
-    p: int = 1
-    d: int = 1
-    q: int = 0
-
-    def __post_init__(self) -> None:
-        if min(self.p, self.d, self.q) < 0:
-            raise ValueError("order components must be non-negative")
-
-    @property
-    def supported(self) -> bool:
-        return self.p in (0, 1) and self.d in (0, 1, 2) and self.q == 0
-
-
-@dataclass(frozen=True)
 class ArimaModel:
-    """Fitted AR(1)-with-constant model on the ``order.d``-times differenced scale.
+    """Fitted ARIMA(1, 1, 0): z_t = c + phi * z_{t-1} on the first differences.
 
-    ``last_observations`` holds the trailing ``d + p`` raw observations,
-    which is exactly what ``forecast`` needs to rebuild the differencing
-    ladder and seed the autoregression.
+    ``last_observations`` holds the last two raw observations, which is
+    exactly what ``forecast`` needs: the last difference seeds the
+    autoregression and the last value anchors its integration.
     """
 
-    order: ArimaOrder
     phi: float
     c: float
-    last_observations: tuple[float, ...]
+    last_observations: tuple[float, float]
     residual_variance: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "last_observations", tuple(self.last_observations))
-        if len(self.last_observations) != self.order.d + self.order.p:
-            raise ValueError("last_observations must hold exactly d + p values")
+        if len(self.last_observations) != 2:
+            raise ValueError("last_observations must hold exactly 2 values")
         if self.residual_variance < 0:
             raise ValueError("residual_variance must be >= 0")
 
@@ -108,16 +84,12 @@ class ResidualDiagnostics:
     suspect: bool
 
 
-def difference(series: TimeSeries, degree: int) -> TimeSeries:
-    """Apply ``degree`` passes of adjacent differencing (y'_t = y_t - y_{t-1})."""
-    if degree not in (0, 1, 2):
-        raise ValueError("differencing degree must be 0, 1, or 2")
-    if len(series) <= degree:
+def difference(series: TimeSeries) -> TimeSeries:
+    """The first difference y'_t = y_t - y_{t-1}."""
+    if len(series) <= 1:
         raise ValueError(f"series of length {len(series)} is too short to difference "
-                         f"{degree} time(s)")
-    if degree == 0:
-        return series
-    return TimeSeries(np.diff(series.values, n=degree), interval=series.interval)
+                         f"1 time(s)")
+    return TimeSeries(np.diff(series.values), interval=series.interval)
 
 
 def acf(series: TimeSeries, max_lag: int) -> list[float]:
@@ -162,26 +134,23 @@ def _fit_ar1_lstsq(z: np.ndarray) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), float(np.mean(residuals**2))
 
 
-def _fit_cls(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fit_cls(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Conditional least squares on each row of the 2-D stack ``z`` of
     differenced windows; returns the arrays (c, phi, residual variance).
 
-    p = 1 regresses z_t on z_{t-1} plus a constant in closed form from
-    centred sums, phi = Sxy / Sxx and c = ybar - phi * xbar; p = 0 is the
-    mean-only fit. A row whose lag design [1, z_{t-1}] is rank-deficient up
-    to ``_RANK_TOL`` (Sxx ~ 0, e.g. the constant differences of a ramp)
-    takes ``lstsq``'s minimum-norm answer instead.
+    Regresses z_t on z_{t-1} plus a constant in closed form from centred
+    sums, phi = Sxy / Sxx and c = ybar - phi * xbar. A finite row whose lag
+    design [1, z_{t-1}] is rank-deficient up to ``_RANK_TOL`` (Sxx ~ 0,
+    e.g. the constant differences of a ramp) takes ``lstsq``'s minimum-norm
+    answer instead. Sums that overflow give non-finite results, which
+    ``_build`` rejects.
     """
-    if p == 0:
-        c = z.mean(axis=1)
-        centred = z - c[:, None]
-        return c, np.zeros(len(z)), (centred * centred).mean(axis=1)
     x, y = z[:, :-1], z[:, 1:]
-    xbar, ybar = x.mean(axis=1), y.mean(axis=1)
-    xc, yc = x - xbar[:, None], y - ybar[:, None]
-    sxx = (xc * xc).sum(axis=1)
     m = x.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
+        xbar, ybar = x.mean(axis=1), y.mean(axis=1)
+        xc, yc = x - xbar[:, None], y - ybar[:, None]
+        sxx = (xc * xc).sum(axis=1)
         # sqrt(m * Sxx) / (m + Sx^2) is within a factor 2 of the design's
         # smallest-to-largest singular value ratio.
         deficient = ~(np.sqrt(m * sxx) > _RANK_TOL * (m + (x * x).sum(axis=1)))
@@ -189,114 +158,111 @@ def _fit_cls(z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         c = ybar - phi * xbar
         residuals = yc - phi[:, None] * xc
         variance = (residuals * residuals).mean(axis=1)
-    for i in np.flatnonzero(deficient):
-        c[i], phi[i], variance[i] = _fit_ar1_lstsq(z[i])
+        for i in np.flatnonzero(deficient):
+            if np.isfinite(z[i]).all():  # LAPACK cannot take inf or NaN
+                c[i], phi[i], variance[i] = _fit_ar1_lstsq(z[i])
     return c, phi, variance
 
 
-def _length_error(order: ArimaOrder, length: int) -> FitError | None:
-    """Reject unsupported orders; the FitError a series of ``length`` gets."""
-    if not order.supported:
-        raise ValueError(f"unsupported order {order}: need p in {{0,1}}, "
-                         f"d in {{0,1,2}}, q = 0")
-    if length <= order.d:
+def _length_error(length: int) -> FitError | None:
+    """The FitError a series of ``length`` gets, if any."""
+    if length <= 1:
         return FitError("series too short to difference")
-    if length - order.d < MIN_FIT_LENGTH:
+    if length - 1 < MIN_FIT_LENGTH:
         return FitError(f"need at least {MIN_FIT_LENGTH} differenced observations, "
-                        f"got {length - order.d}")
+                        f"got {length - 1}")
     return None
 
 
-def _build(order: ArimaOrder, c: float, phi: float, variance: float,
+def _differences(values: np.ndarray) -> np.ndarray:
+    """First differences; one that overflows is inf, which ``_build`` rejects."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.diff(values)
+
+
+def _build(c: float, phi: float, variance: float,
            last_observations: np.ndarray) -> ArimaModel | FitError:
-    if order.p == 1 and not (math.isfinite(phi) and abs(phi) < 1.0):
+    if not (math.isfinite(phi) and abs(phi) < 1.0):
         return FitError(f"fitted AR coefficient {phi!r} is not stationary")
-    return ArimaModel(order=order, phi=phi, c=c, last_observations=last_observations,
+    if not (math.isfinite(c) and math.isfinite(variance)):
+        return FitError(f"fitted model is not finite (c={c!r}, "
+                        f"residual variance={variance!r})")
+    return ArimaModel(phi=phi, c=c, last_observations=last_observations,
                       residual_variance=variance)
 
 
-def fit_arima(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
-    """Difference ``series`` per ``order.d`` and fit the AR part by
-    conditional least squares; p = 0 fits the mean-only model.
+def fit_arima(series: TimeSeries) -> ArimaModel:
+    """Difference ``series`` once and fit the AR(1) part by conditional
+    least squares.
 
     Raises :class:`FitError` when the differenced series is shorter than
-    ``MIN_FIT_LENGTH`` or the fitted coefficient is non-stationary
-    (|phi| >= 1), and ``ValueError`` for unsupported orders.
+    ``MIN_FIT_LENGTH``, the fitted coefficient is non-stationary
+    (|phi| >= 1), or the fit overflows.
     """
-    error = _length_error(order, len(series))
+    error = _length_error(len(series))
     if error is not None:
         raise error
-    z = np.diff(series.values, n=order.d)
-    c, phi, variance = _fit_cls(z[np.newaxis], order.p)
-    model = _build(order, float(c[0]), float(phi[0]), float(variance[0]),
-                   series.tail(order.d + order.p))
+    c, phi, variance = _fit_cls(_differences(series.values)[np.newaxis])
+    model = _build(float(c[0]), float(phi[0]), float(variance[0]), series.tail(2))
     if isinstance(model, FitError):
         raise model
     return model
 
 
-def fit_arima_windows(series: TimeSeries, order: ArimaOrder, window: int,
+def fit_arima_windows(series: TimeSeries, window: int,
                       starts: Sequence[int]) -> Iterator[ArimaModel | FitError]:
-    """Fit ``order`` on each window ``series.values[s:s + window]`` of ``starts``.
+    """Fit each window ``series.values[s:s + window]`` of ``starts``.
 
     Yields, per start and in order, what ``fit_arima`` on that window
     returns, or the :class:`FitError` it raises. The windows are fitted
     ``FIT_BLOCK`` at a time as the caller consumes them, and each model is
     built only when reached, so a long history costs neither up-front time
-    nor whole-history temporaries. Raises ``ValueError`` for an unsupported
-    order or a window that does not lie inside ``series``.
+    nor whole-history temporaries. Raises ``ValueError`` for a window that
+    does not lie inside ``series``.
     """
-    error = _length_error(order, window)
+    error = _length_error(window)
     starts = np.asarray(starts, dtype=np.intp).reshape(-1)
     if window < 1 or (starts.size and (starts.min() < 0
                                        or starts.max() + window > len(series))):
         raise ValueError(f"windows of {window} observations at the given starts "
                          f"do not lie inside a series of {len(series)}")
-    return _windows(series.values, order, window, starts, error)
+    return _windows(series.values, window, starts, error)
 
 
-def _windows(values: np.ndarray, order: ArimaOrder, window: int, starts: np.ndarray,
+def _windows(values: np.ndarray, window: int, starts: np.ndarray,
              error: FitError | None) -> Iterator[ArimaModel | FitError]:
     if error is not None:
         for _ in range(starts.size):
             yield FitError(*error.args)
         return
-    differenced = sliding_window_view(np.diff(values, n=order.d), window - order.d)
-    keep = order.d + order.p
+    differenced = sliding_window_view(_differences(values), window - 1)
     for lo in range(0, starts.size, FIT_BLOCK):
         block = starts[lo:lo + FIT_BLOCK]
-        c, phi, variance = (a.tolist() for a in _fit_cls(differenced[block], order.p))
+        c, phi, variance = (a.tolist() for a in _fit_cls(differenced[block]))
         for i, start in enumerate(block.tolist()):
             end = start + window
-            yield _build(order, c[i], phi[i], variance[i], values[end - keep:end])
+            yield _build(c[i], phi[i], variance[i], values[end - 2:end])
 
 
 def forecast(model: ArimaModel, horizon: int) -> list[float]:
     """Iterate the AR recursion on the differenced scale and integrate back.
 
     z_hat_{t+h} = c + phi * z_hat_{t+h-1}, seeded from the last observed
-    differenced value; the forecasts are cumulative-summed onto the stored
-    trailing observations to land on the original scale.
+    difference; each step adds z_hat onto the running last value. Raises
+    ``ValueError`` when a step overflows to a non-finite value.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    d, p = model.order.d, model.order.p
-    # heads[j] carries the running last value at differencing level j.
-    level = [float(v) for v in model.last_observations]
-    heads = []
-    for _ in range(d):
-        heads.append(level[-1])
-        level = [b - a for a, b in zip(level, level[1:])]
-    z_prev = level[-1] if p == 1 else 0.0
+    c, phi = float(model.c), float(model.phi)
+    previous, last = (float(v) for v in model.last_observations)
+    z = last - previous
     out = []
-    for _ in range(horizon):
-        z_hat = model.c + model.phi * z_prev if p == 1 else model.c
-        z_prev = z_hat
-        value = z_hat
-        for j in range(d - 1, -1, -1):
-            heads[j] += value
-            value = heads[j]
-        out.append(float(value))
+    for step in range(1, horizon + 1):
+        z = c + phi * z
+        last += z
+        if not math.isfinite(last):
+            raise ValueError(f"forecast step {step} is not finite")
+        out.append(last)
     return out
 
 
@@ -304,13 +270,10 @@ def check_residuals(model: ArimaModel, series: TimeSeries) -> ResidualDiagnostic
     """Recompute in-sample residuals for ``series`` (the fitting series)
     and flag suspected leftover structure when the lag-1 residual
     autocorrelation leaves the 2/sqrt(n) white-noise band."""
-    z = difference(series, model.order.d).values
-    if z.size < model.order.p + 3:
+    z = difference(series).values
+    if z.size < 4:
         raise ValueError("series too short to diagnose against this model")
-    if model.order.p == 1:
-        residuals = z[1:] - model.c - model.phi * z[:-1]
-    else:
-        residuals = z - model.c
+    residuals = z[1:] - model.c - model.phi * z[:-1]
     n = residuals.size
     centered = residuals - residuals.mean()
     c0 = float(np.dot(centered, centered))
@@ -333,9 +296,7 @@ def reanchor(model: ArimaModel, series: TimeSeries) -> ArimaModel:
     Supports the fit-once deployment style: parameters are estimated on
     historical data and the forecast origin follows the live window.
     """
-    needed = model.order.d + model.order.p
-    if len(series) < needed:
-        raise ValueError(f"series must hold at least {needed} observations")
-    return ArimaModel(order=model.order, phi=model.phi, c=model.c,
-                      last_observations=series.tail(needed).tolist(),
+    if len(series) < 2:
+        raise ValueError("series must hold at least 2 observations")
+    return ArimaModel(phi=model.phi, c=model.c, last_observations=series.tail(2).tolist(),
                       residual_variance=model.residual_variance)

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arima import ArimaOrder, FitError, fit_arima_windows
+from .arima import FitError, fit_arima_windows
 from .emulator import (EmulatorConfig, Mirror, Phase, SAMPLE_TACTIC_A, SAMPLE_TACTIC_B,
                        generate_trace, ingest_trace_csv, run_cost_impact_simulation,
                        to_idle_series, to_regression_dataset, write_trace_csv)
@@ -268,7 +268,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     every = args.refit_every or ticks  # 0 fits once, on the first window
     # One model per refit tick, shared by every spec: all specs watch the
     # one history. A failed refit keeps the last good model.
-    fits = fit_arima_windows(history, ArimaOrder(1, 1, 0), window, range(0, ticks, every))
+    fits = fit_arima_windows(history, window, range(0, ticks, every))
     names = [spec.name for spec in specs]
     forecasters, fit_error = None, ""
     for tick in range(ticks):

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .arima import ArimaOrder, fit_arima, forecast
+from .arima import fit_arima, forecast
 from .regression import DesignMatrix, ResponseVector, baseline_mean, fit_bayesian_ridge, fit_mra
 from .types import TimeSeries
 
@@ -158,7 +158,6 @@ def run_forecast_experiments(series: TimeSeries, n_runs: int, seed: int,
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    order = ArimaOrder(1, 1, 0)
     reports: list[ExperimentReport] = []
     for run, run_seed in enumerate(_run_seeds(seed, n_runs)):
         try:
@@ -174,7 +173,7 @@ def run_forecast_experiments(series: TimeSeries, n_runs: int, seed: int,
                                         _score(persistence, actual),
                                         train_fraction, run_seed))
         try:
-            model = fit_arima(train, order)
+            model = fit_arima(train)
             predicted = forecast(model, len(test))
         except ValueError as exc:
             reports.append(ExperimentReport(run, FORECAST_MODEL, None,
@@ -188,8 +187,7 @@ def run_forecast_experiments(series: TimeSeries, n_runs: int, seed: int,
 
 def run_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: int,
                               seed: int, static_value: float,
-                              train_fraction: float = 0.9,
-                              brr_iters: int = 10) -> list[ExperimentReport]:
+                              train_fraction: float = 0.9) -> list[ExperimentReport]:
     """Seeded predictor comparison on random 90/10 row splits.
 
     Scores the least-squares fit, the Bayesian ridge, the running mean of
@@ -223,7 +221,7 @@ def run_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: int,
                                             train_fraction, run_seed))
         fits = {
             MRA_MODEL: lambda: fit_mra(train_X, train_t),
-            BRR_MODEL: lambda: fit_bayesian_ridge(train_X, train_t, iters=brr_iters),
+            BRR_MODEL: lambda: fit_bayesian_ridge(train_X, train_t),
         }
         for name, fit in fits.items():
             try:
@@ -262,10 +260,6 @@ class Summary:
     models: Mapping[str, ModelAggregate] = field(default_factory=dict)
     wins: Mapping[tuple[str, str], int] = field(default_factory=dict)
     comparisons: Mapping[tuple[str, str], int] = field(default_factory=dict)
-
-    def win_rate(self, a: str, b: str) -> float:
-        total = self.comparisons.get((a, b), 0)
-        return self.wins.get((a, b), 0) / total if total else 0.0
 
 
 def summarize(reports: Sequence[ExperimentReport]) -> Summary:

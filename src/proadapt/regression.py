@@ -1,5 +1,5 @@
 """Run-time tactic latency/cost prediction via multiple regression, plus
-the comparison baselines (static value, running mean, Bayesian ridge).
+the comparison baselines (running mean, Bayesian ridge).
 
 The workhorse is the least-squares solution of the linear model
 y(x, w) = w'x over a design matrix whose rows carry a leading intercept
@@ -12,27 +12,22 @@ Everything here is a pure function over immutable inputs.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .types import Tactic
-
 __all__ = [
     "DesignMatrix",
     "ResponseVector",
     "RegressionModel",
     "Prediction",
-    "TacticAttribute",
     "error_function",
     "fit_mra",
     "predict",
     "fit_bayesian_ridge",
     "baseline_mean",
-    "baseline_static",
 ]
 
 CONDITION_LIMIT = 1e12  # beyond this the normal equations get a ridge term
@@ -120,11 +115,6 @@ class Prediction(NamedTuple):
     raw: float
 
 
-class TacticAttribute(enum.Enum):
-    LATENCY = "latency"
-    COST = "cost"
-
-
 def _check_dimensions(X: DesignMatrix, t: ResponseVector) -> None:
     if X.n != len(t):
         raise ValueError(f"design matrix has {X.n} rows but {len(t)} responses given")
@@ -144,19 +134,19 @@ def fit_mra(X: DesignMatrix, t: ResponseVector) -> RegressionModel:
     """Least-squares weights for the linear model.
 
     Solved by SVD-backed least squares (equivalent to the normal equations
-    on full-rank designs). When X'X is singular or its condition estimate
-    exceeds ``CONDITION_LIMIT``, the fit retries with the minimal ridge
-    term lambda = 1e-8 * trace(X'X) / M and records it.
+    on full-rank designs). When X'X is singular or its condition number,
+    (s_max / s_min)^2 over the singular values of X that the solve already
+    computed, exceeds ``CONDITION_LIMIT``, the fit retries with the minimal
+    ridge term lambda = 1e-8 * trace(X'X) / M and records it.
     """
     _check_dimensions(X, t)
     if X.n < X.m:
         raise ValueError(f"need at least as many rows ({X.n}) as columns ({X.m})")
-    gram = X.rows.T @ X.rows
-    cond = float(np.linalg.cond(gram))
-    if math.isfinite(cond) and cond <= CONDITION_LIMIT:
-        weights, *_ = np.linalg.lstsq(X.rows, t.t, rcond=None)
+    weights, _, _, singular = np.linalg.lstsq(X.rows, t.t, rcond=None)
+    if singular[0] <= math.sqrt(CONDITION_LIMIT) * singular[-1]:
         ridge = 0.0
     else:
+        gram = X.rows.T @ X.rows
         ridge = RIDGE_SCALE * float(np.trace(gram)) / X.m
         weights = np.linalg.solve(gram + ridge * np.eye(X.m), X.rows.T @ t.t)
     return RegressionModel(weights=tuple(weights), ridge_lambda=ridge,
@@ -220,10 +210,3 @@ def baseline_mean(history: Sequence[float]) -> float:
     if values.size == 0:
         raise ValueError("history must be non-empty")
     return float(values.mean())
-
-
-def baseline_static(tactic: Tactic, kind: TacticAttribute) -> float:
-    """The predefined static attribute, independent of any observations."""
-    if kind is TacticAttribute.LATENCY:
-        return tactic.static_latency
-    return tactic.static_cost

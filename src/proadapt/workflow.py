@@ -14,12 +14,11 @@ concurrently.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .arima import ArimaModel, ArimaOrder, fit_arima, forecast, reanchor
+from .arima import ArimaModel, fit_arima, forecast, reanchor
 from .regression import RegressionModel, predict
 from .types import (Direction, SlaSpec, Tactic, TimeSeries, UtilityParams,
                     order_specs_by_reward, utility)
@@ -32,13 +31,12 @@ __all__ = [
     "WorkflowConfig",
     "TickEntry",
     "analyze_specification",
-    "make_latency_estimate",
-    "make_cost_estimate",
     "rank_tactics",
     "workflow_tick",
     "tick_entry_to_dict",
-    "entries_to_json_lines",
 ]
+
+COST_FLOOR = 1e-6  # the utility divides by cost, so priced costs are floored here
 
 
 class SpecStatus(enum.Enum):
@@ -89,6 +87,13 @@ class TacticModels:
     latency_model: RegressionModel
     cost_model: RegressionModel
 
+    def __post_init__(self) -> None:
+        for name in ("latency_model", "cost_model"):
+            model = getattr(self, name)
+            if not isinstance(model, RegressionModel):
+                raise ValueError(f"{name} must be a RegressionModel, "
+                                 f"got {type(model).__name__}")
+
 
 @dataclass(frozen=True)
 class WorkflowConfig:
@@ -99,7 +104,7 @@ class WorkflowConfig:
     as potentially broken. For a zero threshold the band has width 0
     whatever the margin, so AT_RISK then means a forecast step violates.
     ``utility_params``, when given, scores each tactic with the interval
-    utility using its predicted cost (floored at ``cost_floor`` since the
+    utility using its predicted cost (floored at ``COST_FLOOR`` since the
     utility divides by cost); without them all utility scores are 0 and
     ranking falls through to predicted cost.
     """
@@ -108,7 +113,6 @@ class WorkflowConfig:
     risk_margin: float = 0.10
     tick_seconds: float = 6.0
     utility_params: UtilityParams | None = None
-    cost_floor: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
@@ -117,8 +121,6 @@ class WorkflowConfig:
             raise ValueError("risk_margin must lie in [0, 1)")
         if self.tick_seconds <= 0:
             raise ValueError("tick_seconds must be > 0")
-        if self.cost_floor <= 0:
-            raise ValueError("cost_floor must be > 0")
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,7 @@ def _predict(history: TimeSeries, horizon: int,
     if len(history) == 0:
         raise ValueError("history must be non-empty")
     if model is None:
-        model = fit_arima(history, ArimaOrder(1, 1, 0))
+        model = fit_arima(history)
     else:
         model = reanchor(model, history)
     return tuple(forecast(model, horizon))
@@ -181,34 +183,19 @@ def analyze_specification(spec: SlaSpec, history: TimeSeries, horizon: int,
     return _classify(spec, history, _predict(history, horizon, model), risk_margin)
 
 
-def make_latency_estimate(tactic: Tactic, features: Sequence[float],
-                          model: RegressionModel) -> float:
-    """Predicted latency (seconds, clamped at 0) for the tactic now."""
-    if model is None:
-        raise ValueError(f"no latency model trained for tactic '{tactic.name}'")
-    return predict(model, features).value
-
-
-def make_cost_estimate(tactic: Tactic, features: Sequence[float],
-                       model: RegressionModel) -> float:
-    """Predicted cost (units, clamped at 0) for the tactic now."""
-    if model is None:
-        raise ValueError(f"no cost model trained for tactic '{tactic.name}'")
-    return predict(model, features).value
-
-
 def _price(tactics: Sequence[Tactic], registry: Mapping[str, TacticModels],
            features: Mapping[str, Sequence[float]],
            cfg: WorkflowConfig) -> list[TacticEstimate]:
-    """Unranked latency, cost and utility estimates of every tactic now."""
+    """Unranked latency, cost and utility estimates of every tactic now:
+    predicted latency (seconds) and cost (units), each clamped at 0."""
     estimates = []
     for tactic in tactics:
         models = registry[tactic.name]
         x = features[tactic.name]
-        latency = make_latency_estimate(tactic, x, models.latency_model)
-        cost = make_cost_estimate(tactic, x, models.cost_model)
+        latency = predict(models.latency_model, x).value
+        cost = predict(models.cost_model, x).value
         if cfg.utility_params is not None:
-            score = utility(cfg.utility_params.with_cost(max(cost, cfg.cost_floor)))
+            score = utility(cfg.utility_params.with_cost(max(cost, COST_FLOOR)))
         else:
             score = 0.0
         estimates.append(TacticEstimate(tactic.name, latency, cost, score))
@@ -317,8 +304,3 @@ def tick_entry_to_dict(entry: TickEntry) -> dict:
             for rank, e in enumerate(entry.estimates, start=1)
         ],
     }
-
-
-def entries_to_json_lines(entries: Sequence[TickEntry]) -> str:
-    """One JSON object per spec, newline-delimited."""
-    return "".join(json.dumps(tick_entry_to_dict(e)) + "\n" for e in entries)

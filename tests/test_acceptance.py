@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from proadapt import (ArimaOrder, DesignMatrix, ResponseVector, SAMPLE_TACTIC_A,
+from proadapt import (DesignMatrix, ResponseVector, SAMPLE_TACTIC_A,
                       SAMPLE_TACTIC_B, SlaSpec, SpecStatus, RegressionModel,
                       TacticModels, Tactic, TimeSeries, difference, fit_arima, fit_mra,
                       generate_trace, ingest_trace_csv, mae, rmse,
@@ -112,7 +112,7 @@ def test_criterion_3_arima_parameter_recovery():
         for i in range(1, 2000):
             z[i] = phi * z[i - 1] + rng.normal()
         series = TimeSeries(np.concatenate(([0.0], np.cumsum(z))))
-        model = fit_arima(series, ArimaOrder(1, 1, 0))
+        model = fit_arima(series)
         assert abs(model.phi - phi) < 0.05, f"phi {phi}: fitted {model.phi}"
     report(3, "phi in {-0.5, 0.3, 0.6} recovered within 0.05 at n=2000", done())
 
@@ -261,7 +261,7 @@ def test_criterion_8_determinism_and_round_trips(tmp_path):
     rng = np.random.default_rng(808)
     for _ in range(100):
         values = rng.uniform(1.0, 2.0, size=int(rng.integers(3, 150)))
-        diffed = difference(TimeSeries(values), 1).values
+        diffed = difference(TimeSeries(values)).values
         rebuilt = np.concatenate(([values[0]], values[0] + np.cumsum(diffed)))
         assert np.array_equal(rebuilt, values)
     report(8, "reruns byte-identical; CSV and differencing round-trips exact", done())

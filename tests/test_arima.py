@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from proadapt import (ArimaModel, ArimaOrder, FitError, TimeSeries, acf,
+from proadapt import (ArimaModel, FitError, TimeSeries, acf,
                       check_residuals, difference, fit_arima, fit_arima_windows,
                       forecast, pacf, reanchor)
 from proadapt import arima
@@ -44,28 +44,20 @@ def arima_110_series(phi, n, seed, noise_sd=1.0, c=0.0):
 
 class TestDifference:
     def test_first_order(self):
-        out = difference(TimeSeries([1.0, 2.0, 4.0, 7.0]), 1)
+        out = difference(TimeSeries([1.0, 2.0, 4.0, 7.0]))
         np.testing.assert_array_equal(out.values, [1.0, 2.0, 3.0])
 
     def test_constant_series(self):
-        out = difference(TimeSeries([5.0, 5.0, 5.0, 5.0]), 1)
+        out = difference(TimeSeries([5.0, 5.0, 5.0, 5.0]))
         np.testing.assert_array_equal(out.values, [0.0, 0.0, 0.0])
 
-    def test_second_order_matches_two_passes(self):
-        series = TimeSeries([1.0, 2.0, 4.0, 7.0, 11.0])
-        once = difference(difference(series, 1), 1)
-        np.testing.assert_array_equal(difference(series, 2).values, once.values)
-        np.testing.assert_array_equal(once.values, [1.0, 1.0, 1.0])
-
-    def test_degree_zero_is_identity(self):
-        series = TimeSeries([3.0, 1.0])
-        assert difference(series, 0) is series
-
     def test_too_short_and_bad_degree(self):
-        with pytest.raises(ValueError):
-            difference(TimeSeries([1.0]), 1)
-        with pytest.raises(ValueError):
-            difference(TimeSeries([1.0, 2.0, 3.0]), 3)
+        for values in ([1.0], []):
+            with pytest.raises(ValueError):
+                difference(TimeSeries(values))
+        # Only the first difference exists: a degree is rejected, not ignored.
+        with pytest.raises(TypeError):
+            difference(TimeSeries([1.0, 2.0, 3.0]), 2)
 
     def test_integration_inverts_differencing_bitwise(self):
         # Values in [1, 2) keep every subtraction exact (Sterbenz), so the
@@ -73,7 +65,7 @@ class TestDifference:
         rng = np.random.default_rng(8)
         for _ in range(100):
             values = rng.uniform(1.0, 2.0, size=int(rng.integers(3, 120)))
-            diffed = difference(TimeSeries(values), 1).values
+            diffed = difference(TimeSeries(values)).values
             rebuilt = np.concatenate(([values[0]], values[0] + np.cumsum(diffed)))
             assert np.array_equal(rebuilt, values)
 
@@ -136,110 +128,129 @@ class TestPacf:
 
 class TestFitArima:
     def test_deterministic_ramp(self):
-        model = fit_arima(TimeSeries(np.arange(1.0, 51.0)), ArimaOrder(0, 1, 0))
-        assert model.c == pytest.approx(1.0, abs=1e-12)
-        assert model.phi == 0.0
+        # Unit differences make the lag design rank-deficient: the
+        # minimum-norm solution of c + phi * 1 = 1 is c = phi = 0.5.
+        model = fit_arima(TimeSeries(np.arange(1.0, 51.0)))
+        assert model.c == pytest.approx(0.5, abs=1e-12)
+        assert model.phi == pytest.approx(0.5, abs=1e-12)
         assert model.residual_variance == pytest.approx(0.0, abs=1e-20)
 
     def test_recovers_generating_coefficient(self):
         series = arima_110_series(phi=0.5, n=2000, seed=12)
-        model = fit_arima(series, ArimaOrder(1, 1, 0))
+        model = fit_arima(series)
         assert model.phi == pytest.approx(0.5, abs=0.05)
 
     def test_too_short(self):
         with pytest.raises(FitError):
-            fit_arima(TimeSeries([1.0, 2.0, 3.0, 4.0, 5.0]), ArimaOrder(1, 1, 0))
+            fit_arima(TimeSeries([1.0, 2.0, 3.0, 4.0, 5.0]))
 
-    def test_unsupported_orders(self):
-        series = TimeSeries(np.arange(40.0))
-        for order in (ArimaOrder(1, 1, 1), ArimaOrder(2, 1, 0), ArimaOrder(1, 3, 0)):
-            with pytest.raises(ValueError):
-                fit_arima(series, order)
+    def test_overflowing_fit_is_rejected(self):
+        # Near the float maximum the sums of squares overflow; differences
+        # of huge values of opposite sign overflow themselves.
+        ramp = 1.6e308 + 1e306 * np.arange(20.0)
+        alternating = np.resize([1.7e308, -1.7e308], 20)
+        for values in (ramp, alternating):
+            with pytest.raises(FitError):
+                fit_arima(TimeSeries(values))
+            [fitted] = fit_arima_windows(TimeSeries(values), 12, [3])
+            assert isinstance(fitted, FitError)
 
     def test_explosive_fit_rejected(self):
         values = 1.5 ** np.arange(40)
         with pytest.raises(FitError):
-            fit_arima(TimeSeries(values), ArimaOrder(1, 1, 0))
+            fit_arima(TimeSeries(values))
 
     def test_fit_is_deterministic(self):
         series = arima_110_series(phi=0.3, n=500, seed=9)
-        a, b = fit_arima(series, ArimaOrder(1, 1, 0)), fit_arima(series, ArimaOrder(1, 1, 0))
+        a, b = fit_arima(series), fit_arima(series)
         assert (a.phi, a.c, a.residual_variance) == (b.phi, b.c, b.residual_variance)
         assert a.last_observations == b.last_observations
 
     def test_stores_trailing_observations(self):
         series = TimeSeries(np.arange(1.0, 31.0))
-        model = fit_arima(series, ArimaOrder(1, 1, 0))
+        model = fit_arima(series)
         assert model.last_observations == (29.0, 30.0)
 
 
 class TestForecast:
     def test_ramp_extends(self):
-        model = fit_arima(TimeSeries(np.arange(1.0, 51.0)), ArimaOrder(0, 1, 0))
+        model = fit_arima(TimeSeries(np.arange(1.0, 51.0)))
         assert forecast(model, 3) == pytest.approx([51.0, 52.0, 53.0])
 
     def test_random_walk_holds_last_value(self):
-        model = ArimaModel(ArimaOrder(0, 1, 0), phi=0.0, c=0.0,
-                           last_observations=(7.0,), residual_variance=0.0)
+        model = ArimaModel(phi=0.0, c=0.0, last_observations=(3.0, 7.0),
+                           residual_variance=0.0)
         assert forecast(model, 2) == [7.0, 7.0]
 
     def test_hand_iterated_recursion(self):
         # last raw value 10, last differenced value 2: z-hats are 1 then 0.5
-        model = ArimaModel(ArimaOrder(1, 1, 0), phi=0.5, c=0.0,
-                           last_observations=(8.0, 10.0), residual_variance=0.0)
+        model = ArimaModel(phi=0.5, c=0.0, last_observations=(8.0, 10.0),
+                           residual_variance=0.0)
         assert forecast(model, 2) == pytest.approx([11.0, 11.5])
 
     def test_driftless_random_walk_constant_at_any_horizon(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            last = float(rng.normal())
-            model = ArimaModel(ArimaOrder(0, 1, 0), 0.0, 0.0, (last,), 0.0)
+            before, last = (float(v) for v in rng.normal(size=2))
+            model = ArimaModel(0.0, 0.0, (before, last), 0.0)
             assert forecast(model, 7) == [last] * 7
 
-    def test_second_difference_integration(self):
-        # quadratic series: second differences are constant 2
-        values = np.array([float(i * i) for i in range(15)])
-        model = fit_arima(TimeSeries(values), ArimaOrder(0, 2, 0))
-        assert forecast(model, 3) == pytest.approx([225.0, 256.0, 289.0])
-
     def test_bad_horizon(self):
-        model = ArimaModel(ArimaOrder(0, 1, 0), 0.0, 0.0, (1.0,), 0.0)
+        model = ArimaModel(0.0, 0.0, (1.0, 1.0), 0.0)
         with pytest.raises(ValueError):
             forecast(model, 0)
+
+    def test_overflowing_step_raises(self):
+        model = ArimaModel(phi=0.5, c=1e307, last_observations=(1.5e308, 1.7e308),
+                           residual_variance=0.0)
+        with pytest.raises(ValueError, match="forecast step 1 is not finite"):
+            forecast(model, 3)
+        model = ArimaModel(0.0, 4e307, (1e308, 1e308), 0.0)
+        with pytest.raises(ValueError, match="forecast step 2 is not finite"):
+            forecast(model, 3)
+
+    def test_last_observations_must_be_two_values(self):
+        for last in ((1.0,), (1.0, 2.0, 3.0)):
+            with pytest.raises(ValueError, match="exactly 2 values"):
+                ArimaModel(0.0, 0.0, last, 0.0)
 
 
 class TestCheckResiduals:
     def test_perfect_fit_is_clear(self):
         series = TimeSeries(np.arange(1.0, 51.0))
-        model = fit_arima(series, ArimaOrder(0, 1, 0))
+        model = fit_arima(series)
         report = check_residuals(model, series)
         assert report.mean == pytest.approx(0.0, abs=1e-12)
         assert not report.suspect
 
     def test_well_specified_fit_is_clear(self):
         series = arima_110_series(phi=0.5, n=2000, seed=13)
-        model = fit_arima(series, ArimaOrder(1, 1, 0))
+        model = fit_arima(series)
         assert not check_residuals(model, series).suspect
 
     def test_misspecified_fit_is_flagged(self):
+        # A driftless random walk (phi = 0) fitted to differences with
+        # phi = 0.9 leaves the AR structure in the residuals.
         series = arima_110_series(phi=0.9, n=2000, seed=14)
-        model = fit_arima(series, ArimaOrder(0, 1, 0))
+        z = np.diff(series.values)
+        model = ArimaModel(phi=0.0, c=float(z.mean()),
+                           last_observations=series.tail(2), residual_variance=0.0)
         report = check_residuals(model, series)
         assert report.suspect
         # the reported autocorrelation is exactly the acf of the residual series
-        residuals = np.diff(series.values) - model.c
+        residuals = z[1:] - model.c
         assert report.lag1_autocorr == pytest.approx(
             brute_acf(residuals, 1)[0], abs=1e-12)
 
     def test_length_mismatch(self):
-        model = fit_arima(TimeSeries(np.arange(1.0, 31.0)), ArimaOrder(1, 1, 0))
+        model = fit_arima(TimeSeries(np.arange(1.0, 31.0)))
         with pytest.raises(ValueError):
             check_residuals(model, TimeSeries([1.0, 2.0, 3.0]))
 
 
 class TestReanchor:
     def test_forecast_origin_follows_new_tail(self):
-        model = fit_arima(arima_110_series(0.4, 300, seed=15), ArimaOrder(1, 1, 0))
+        model = fit_arima(arima_110_series(0.4, 300, seed=15))
         fresh = TimeSeries([4.0, 6.0])
         moved = reanchor(model, fresh)
         assert moved.phi == model.phi and moved.c == model.c
@@ -248,7 +259,7 @@ class TestReanchor:
         assert forecast(moved, 1)[0] == pytest.approx(expected)
 
     def test_requires_enough_history(self):
-        model = fit_arima(arima_110_series(0.4, 300, seed=16), ArimaOrder(1, 1, 0))
+        model = fit_arima(arima_110_series(0.4, 300, seed=16))
         with pytest.raises(ValueError):
             reanchor(model, TimeSeries([1.0]))
 
@@ -298,8 +309,7 @@ class TestFitArimaWindows:
     @given(window_cases())
     def test_cls_kernel_matches_lstsq_oracle(self, case):
         series, window, starts = case
-        for start, fitted in zip(starts, fit_arima_windows(series, ArimaOrder(1, 1, 0),
-                                                           window, starts)):
+        for start, fitted in zip(starts, fit_arima_windows(series, window, starts)):
             z = np.diff(series.values[start:start + window])
             if z.size < arima.MIN_FIT_LENGTH:
                 assert isinstance(fitted, FitError)
@@ -323,13 +333,12 @@ class TestFitArimaWindows:
             assert abs(fitted.c - c) <= tol * scale
             assert abs(fitted.residual_variance - variance) <= tol * scale**2
 
-    @given(window_cases(), st.sampled_from([0, 1]), st.sampled_from([0, 1, 2]))
-    def test_each_window_is_fit_arima_on_it(self, case, p, d):
+    @given(window_cases())
+    def test_each_window_is_fit_arima_on_it(self, case):
         series, window, starts = case
-        order = ArimaOrder(p, d, 0)
-        for start, fitted in zip(starts, fit_arima_windows(series, order, window, starts)):
+        for start, fitted in zip(starts, fit_arima_windows(series, window, starts)):
             try:
-                expected = fit_arima(TimeSeries(series.values[start:start + window]), order)
+                expected = fit_arima(TimeSeries(series.values[start:start + window]))
             except FitError as exc:
                 assert isinstance(fitted, FitError) and str(fitted) == str(exc)
                 continue
@@ -338,8 +347,7 @@ class TestFitArimaWindows:
     def test_ramp_keeps_lstsq_minimum_norm_answer(self):
         # Constant differences make the lag design rank-deficient.
         values = 0.30 + 0.004 * np.arange(200.0)
-        for start, model in enumerate(fit_arima_windows(TimeSeries(values),
-                                                        ArimaOrder(1, 1, 0), 60, range(141))):
+        for start, model in enumerate(fit_arima_windows(TimeSeries(values), 60, range(141))):
             c, phi, variance, _ = lstsq_oracle(np.diff(values[start:start + 60]))
             assert (model.c, model.phi, model.residual_variance) == (c, phi, variance)
 
@@ -347,14 +355,13 @@ class TestFitArimaWindows:
         calls = []
         kernel = arima._fit_cls
 
-        def counting(z, p):
+        def counting(z):
             calls.append(len(z))
-            return kernel(z, p)
+            return kernel(z)
 
         monkeypatch.setattr(arima, "_fit_cls", counting)
         series = arima_110_series(0.4, arima.FIT_BLOCK + 100, seed=17)
-        fits = fit_arima_windows(series, ArimaOrder(1, 1, 0), 60,
-                                 range(arima.FIT_BLOCK + 41))
+        fits = fit_arima_windows(series, 60, range(arima.FIT_BLOCK + 41))
         assert calls == []
         next(fits)
         assert calls == [arima.FIT_BLOCK]
@@ -365,46 +372,41 @@ class TestFitArimaWindows:
 
     def test_short_window_yields_fit_error_per_start(self):
         series = TimeSeries(np.arange(30.0))
-        fits = list(fit_arima_windows(series, ArimaOrder(1, 1, 0), 5, [0, 3, 25]))
+        fits = list(fit_arima_windows(series, 5, [0, 3, 25]))
         assert len(fits) == 3 and all(isinstance(f, FitError) for f in fits)
 
     def test_bad_arguments_raise_at_call(self):
         series = TimeSeries(np.arange(30.0))
-        with pytest.raises(ValueError):
-            fit_arima_windows(series, ArimaOrder(2, 1, 0), 20, [0])
         for window, starts in ((20, [11]), (20, [-1]), (0, [0]), (31, [0])):
             with pytest.raises(ValueError):
-                fit_arima_windows(series, ArimaOrder(1, 1, 0), window, starts)
+                fit_arima_windows(series, window, starts)
 
 
 def numpy_ladder_forecast(model, horizon):
     """The NumPy differencing ladder ``forecast`` used before it moved to
-    plain float arithmetic, kept as a bit-exact reference."""
-    d, p = model.order.d, model.order.p
+    plain float arithmetic, restricted to ARIMA(1, 1, 0) and kept as a
+    bit-exact reference."""
     ladder = [np.asarray(model.last_observations, dtype=float)]
-    for _ in range(d):
-        ladder.append(np.diff(ladder[-1]))
-    heads = [float(level[-1]) for level in ladder[:d]]
-    z_prev = float(ladder[d][-1]) if p == 1 else 0.0
+    ladder.append(np.diff(ladder[-1]))
+    heads = [float(ladder[0][-1])]
+    z_prev = float(ladder[1][-1])
     out = []
     for _ in range(horizon):
-        z_hat = model.c + model.phi * z_prev if p == 1 else model.c
+        z_hat = model.c + model.phi * z_prev
         z_prev = z_hat
         value = z_hat
-        for j in range(d - 1, -1, -1):
-            heads[j] += value
-            value = heads[j]
+        heads[0] += value
+        value = heads[0]
         out.append(float(value))
     return out
 
 
 @st.composite
 def arima_models(draw):
-    order = ArimaOrder(draw(st.sampled_from([0, 1])), draw(st.sampled_from([0, 1, 2])), 0)
     finite = st.floats(-1e6, 1e6)
-    phi = draw(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)) if order.p else 0.0
-    last = draw(st.lists(finite, min_size=order.d + order.p, max_size=order.d + order.p))
-    return ArimaModel(order, phi=phi, c=draw(finite), last_observations=last,
+    phi = draw(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    last = draw(st.lists(finite, min_size=2, max_size=2))
+    return ArimaModel(phi=phi, c=draw(finite), last_observations=last,
                       residual_variance=0.0)
 
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from proadapt import (ArimaOrder, TimeSeries, WorkflowConfig, cli, fit_arima, forecast,
+from proadapt import (TimeSeries, WorkflowConfig, cli, fit_arima, forecast,
                       generate_trace, reanchor, workflow_tick, write_trace_csv)
 from proadapt.cli import main
 from proadapt.workflow import tick_entry_to_dict
@@ -223,7 +223,7 @@ class TestMonitorRefit:
         for tick in range(ticks):
             series = TimeSeries(values[tick:tick + self.WINDOW])
             if tick == 0 or (refit_every > 0 and tick % refit_every == 0):
-                models = {s.name: fit_arima(series, ArimaOrder(1, 1, 0)) for s in specs}
+                models = {s.name: fit_arima(series) for s in specs}
             for spec in specs:
                 entry, = workflow_tick([spec], {spec.name: series}, tactics, registry,
                                        features, config, {spec.name: models[spec.name]})
@@ -271,7 +271,7 @@ class TestMonitorRefit:
                                 and "not stationary" in w for w in warnings)
         # The first failing tick forecasts from the previous tick's model.
         first = int(warnings[0].split()[2].rstrip(":"))
-        last_good = fit_arima(TimeSeries(values[first - 1:first + 59]), ArimaOrder(1, 1, 0))
+        last_good = fit_arima(TimeSeries(values[first - 1:first + 59]))
         moved = reanchor(last_good, TimeSeries(values[first:first + 60]))
         line = next(line for line in lines if line["tick"] == first)
         assert line["forecast"] == forecast(moved, 5)

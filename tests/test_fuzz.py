@@ -152,6 +152,7 @@ def test_tactics_file(workdir, tactics):
 @FUZZ
 @given(history_texts)
 @example("value\n" + "1" * 200_000)
+@example("value\n" + "".join(f"{1.6e308 + 1e306 * i!r}\n" for i in range(20)))
 def test_history_file(workdir, history):
     assert_clean(*monitor(workdir, history=history))
 

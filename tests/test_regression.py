@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from proadapt import (DesignMatrix, RegressionModel, ResponseVector, Tactic,
-                      TacticAttribute, baseline_mean, baseline_static, error_function,
-                      fit_bayesian_ridge, fit_mra, predict)
+from proadapt import (DesignMatrix, RegressionModel, ResponseVector, baseline_mean,
+                      error_function, fit_bayesian_ridge, fit_mra, predict)
+from proadapt.regression import CONDITION_LIMIT
 
 
 def design(rows, names=()):
@@ -100,6 +101,24 @@ class TestFitMra:
             perturbed = np.array(model.weights) + rng.normal(0.0, 0.1, 3)
             assert error_function(X, t, perturbed) >= best
 
+    @given(st.integers(8, 60), st.integers(2, 5), st.floats(-8.0, -4.0),
+           st.integers(0, 2**32 - 1))
+    def test_ridge_decision_matches_gram_condition_oracle(self, n, m, exponent, seed):
+        # The last column is a combination of the others plus noise of
+        # scale 10**exponent, which spreads cond(X'X) over about 1e8-1e16.
+        rng = np.random.default_rng(seed)
+        rows = np.column_stack([np.ones(n), rng.normal(size=(n, m - 1))])
+        noise = 10.0**exponent * rng.normal(size=n)
+        rows[:, -1] = rows[:, :-1] @ rng.normal(size=m - 1) + noise
+        X, t = design(rows), ResponseVector(rng.normal(size=n))
+        cond = float(np.linalg.cond(X.rows.T @ X.rows))
+        assume(abs(cond / CONDITION_LIMIT - 1.0) > 1e-6)
+        model = fit_mra(X, t)
+        assert (model.ridge_lambda > 0) == (cond > CONDITION_LIMIT)
+        if model.ridge_lambda == 0:
+            expected, *_ = np.linalg.lstsq(X.rows, t.t, rcond=None)
+            assert model.weights == tuple(expected.tolist())
+
 
 class TestPredict:
     def test_dot_product(self):
@@ -173,13 +192,3 @@ class TestBaselines:
     def test_mean_rejects_empty(self):
         with pytest.raises(ValueError):
             baseline_mean([])
-
-    def test_static_returns_predefined_attributes(self):
-        tactic = Tactic("add_server", static_latency=2.0, static_cost=5.0)
-        assert baseline_static(tactic, TacticAttribute.LATENCY) == 2.0
-        assert baseline_static(tactic, TacticAttribute.COST) == 5.0
-
-    def test_static_ignores_history(self):
-        tactic = Tactic("add_server", static_latency=2.0, static_cost=5.0)
-        values = [baseline_static(tactic, TacticAttribute.LATENCY) for _ in range(5)]
-        assert values == [2.0] * 5

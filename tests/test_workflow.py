@@ -3,12 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from proadapt import (ArimaOrder, Direction, RegressionModel, SlaSpec, SpecAnalysis,
-                      SpecStatus, TacticEstimate, TacticModels, Tactic, TimeSeries,
-                      UtilityParams, WorkflowConfig, analyze_specification,
-                      entries_to_json_lines, fit_arima, generate_trace,
-                      make_cost_estimate, make_latency_estimate, rank_tactics,
-                      to_regression_dataset, workflow_tick, fit_mra)
+from proadapt import (Direction, RegressionModel, SlaSpec, SpecAnalysis, SpecStatus,
+                      TacticEstimate, TacticModels, Tactic, TimeSeries, UtilityParams,
+                      WorkflowConfig, analyze_specification, fit_arima, generate_trace,
+                      rank_tactics, to_regression_dataset, workflow_tick, fit_mra)
 from proadapt import workflow
 
 UPPER = SlaSpec("response_time", 0.7, direction=Direction.UPPER_BOUND,
@@ -75,7 +73,7 @@ class TestAnalyzeSpecification:
 
     def test_prefit_model_reused(self):
         history = ramp(0.30, 0.002, 80)
-        model = fit_arima(history, ArimaOrder(1, 1, 0))
+        model = fit_arima(history)
         later = TimeSeries(history.values + 0.2, interval=6.0)
         analysis = analyze_specification(UPPER, later, horizon=5, risk_margin=0.1,
                                          model=model)
@@ -91,19 +89,28 @@ class TestAnalyzeSpecification:
             analyze_specification(UPPER, history, horizon=5, risk_margin=1.0)
 
 
+def price(tactic, x, latency_model, cost_model):
+    """The tactic's estimate now, priced as ``workflow_tick`` prices it."""
+    registry = {tactic.name: TacticModels(latency_model, cost_model)}
+    [priced] = workflow._price([tactic], registry, {tactic.name: x}, WorkflowConfig())
+    return priced
+
+
 class TestEstimates:
     def test_constant_history_predicts_constant(self):
         rows = np.column_stack([np.ones(50), np.random.default_rng(1).normal(size=50)])
         from proadapt import DesignMatrix, ResponseVector
         model = fit_mra(DesignMatrix(rows), ResponseVector(np.full(50, 4.2)))
         tactic = Tactic("t", 1.0, 1.0, feature_names=("intercept", "x1"))
-        assert make_latency_estimate(tactic, [1.0, 0.3], model) == pytest.approx(4.2)
+        priced = price(tactic, [1.0, 0.3], model, model)
+        assert priced.predicted_latency == pytest.approx(4.2)
+        assert priced.predicted_cost == pytest.approx(4.2)
 
     def test_zero_weight_model(self):
         tactic = Tactic("t", 1.0, 1.0, feature_names=("intercept",))
         model = RegressionModel(weights=(0.0,))
-        assert make_latency_estimate(tactic, [1.0], model) == 0.0
-        assert make_cost_estimate(tactic, [1.0], model) == 0.0
+        priced = price(tactic, [1.0], model, model)
+        assert (priced.predicted_latency, priced.predicted_cost) == (0.0, 0.0)
 
     def test_peak_hour_beats_off_peak_for_same_lags(self):
         records = generate_trace(1440, seed=20)
@@ -121,16 +128,17 @@ class TestEstimates:
             x[cos_col] = np.cos(2 * np.pi * hour / 24)
             return x
 
-        peak, trough = at_hour(20), at_hour(8)
-        assert make_latency_estimate(tactic, peak, latency_model) > \
-            make_latency_estimate(tactic, trough, latency_model)
-        assert make_cost_estimate(tactic, peak, cost_model) > \
-            make_cost_estimate(tactic, trough, cost_model)
+        peak = price(tactic, at_hour(20), latency_model, cost_model)
+        trough = price(tactic, at_hour(8), latency_model, cost_model)
+        assert peak.predicted_latency > trough.predicted_latency
+        assert peak.predicted_cost > trough.predicted_cost
 
     def test_missing_model_rejected(self):
-        tactic = Tactic("t", 1.0, 1.0)
-        with pytest.raises(ValueError):
-            make_latency_estimate(tactic, [1.0], None)
+        model = RegressionModel(weights=(0.0,))
+        with pytest.raises(ValueError, match="latency_model must be a RegressionModel"):
+            TacticModels(None, model)
+        with pytest.raises(ValueError, match="cost_model must be a RegressionModel"):
+            TacticModels(model, None)
 
 
 def estimate(name, latency, cost, score):
@@ -270,7 +278,7 @@ class TestWorkflowTick:
     def test_json_lines_round_trip(self):
         fx = TickFixture(n_tactics=2)
         entries = fx.run([fx.spec_hot, fx.spec_cool])
-        lines = entries_to_json_lines(entries).strip().split("\n")
+        lines = [json.dumps(workflow.tick_entry_to_dict(e)) for e in entries]
         assert len(lines) == 2
         decoded = [json.loads(line) for line in lines]
         assert decoded[0]["name"] == "hot"
@@ -280,7 +288,7 @@ class TestWorkflowTick:
 
     def test_shared_series_and_model_forecast_once(self, monkeypatch):
         series = ramp(0.50, 0.01, 40)
-        model = fit_arima(ramp(0.40, 0.012, 40), ArimaOrder(1, 1, 0))
+        model = fit_arima(ramp(0.40, 0.012, 40))
         specs = [SlaSpec("a", 0.7, reward=3.0), SlaSpec("b", 0.9, reward=2.0),
                  SlaSpec("c", 2.0, reward=1.0)]
         calls = []
@@ -297,7 +305,7 @@ class TestWorkflowTick:
             SpecStatus.BROKEN, SpecStatus.AT_RISK, SpecStatus.HEALTHY}
 
     def test_shared_forecast_failure_lands_on_each_spec(self):
-        model = fit_arima(ramp(0.40, 0.012, 40), ArimaOrder(1, 1, 0))
+        model = fit_arima(ramp(0.40, 0.012, 40))
         specs = [SlaSpec("a", 0.7, reward=2.0), SlaSpec("b", 0.9, reward=1.0)]
         entries = workflow_tick(specs, dict.fromkeys("ab", TimeSeries([0.5])), [], {}, {},
                                 forecasters=dict.fromkeys("ab", model))
