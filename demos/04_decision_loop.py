@@ -3,15 +3,15 @@
 A hosting service records response time every six seconds against a
 0.7-second SLA threshold. Response times creep upward; the loop flags the
 specification as at-risk while it is still healthy to the naked eye, and
-only then prices the available tactics (trained from the download trace,
-one per mirror) and ranks them by readiness, utility, and cost.
+only then ranks the available tactics (trained from the download trace,
+one per mirror, and priced once) by readiness, utility, and cost.
 """
 
 import numpy as np
 
 from proadapt import (Mirror, Phase, SlaSpec, TacticModels, Tactic, TimeSeries,
                       UtilityParams, WorkflowConfig, fit_mra, generate_trace,
-                      to_regression_dataset, workflow_tick)
+                      price_tactics, to_regression_dataset, workflow_tick)
 
 # train one latency/cost model pair per mirror-bound tactic
 trace = generate_trace(duration_minutes=720, seed=42)
@@ -25,12 +25,14 @@ for mirror, static_latency in ((Mirror.MASSACHUSETTS, 2.6), (Mirror.GERMANY, 3.4
     registry[tactic.name] = TacticModels(fit_mra(X, latency), fit_mra(X, energy))
     features[tactic.name] = tuple(X.rows[-1])
 
+# the models and features are fixed, so the tactics are priced once
+estimates = price_tactics(
+    tactics, registry, features,
+    UtilityParams(tau=60.0, rate=10.0, response_time=0.5, target=0.7, max_rate=25.0,
+                  dimmer=0.6, reward_optional=2.0, reward_mandatory=1.0, cost=1.0))
+
 spec = SlaSpec("response_time", 0.7, penalty=3.0, reward=10.0)
-config = WorkflowConfig(
-    horizon=5, risk_margin=0.10, tick_seconds=6.0,
-    utility_params=UtilityParams(tau=60.0, rate=10.0, response_time=0.5, target=0.7,
-                                 max_rate=25.0, dimmer=0.6, reward_optional=2.0,
-                                 reward_mandatory=1.0, cost=1.0))
+config = WorkflowConfig(horizon=5, risk_margin=0.10, tick_seconds=6.0)
 
 # response time ramps from comfortable to violating over 12 minutes
 values = 0.40 + 0.0035 * np.arange(120)
@@ -38,8 +40,7 @@ window = 60
 previous_status = None
 for tick in range(len(values) - window + 1):
     history = TimeSeries(values[tick:tick + window], interval=6.0)
-    entry = workflow_tick([spec], {spec.name: history}, tactics,
-                          registry, features, config)[0]
+    entry = workflow_tick([spec], history, estimates, config)[0]
     status = entry.analysis.status.value
     if status == previous_status:
         continue

@@ -23,7 +23,7 @@ from .regression import (DesignMatrix, Prediction, RegressionModel, ResponseVect
 from .types import (Direction, SlaSpec, Tactic, TimeSeries, UtilityParams,
                     order_specs_by_reward, utility)
 from .workflow import (SpecAnalysis, SpecStatus, TacticEstimate, TacticModels,
-                       TickEntry, WorkflowConfig, analyze_specification, rank_tactics,
+                       TickEntry, WorkflowConfig, price_tactics, rank_tactics,
                        workflow_tick)
 
 __version__ = "0.1.0"

@@ -182,11 +182,11 @@ def _differences(values: np.ndarray) -> np.ndarray:
 
 def _build(c: float, phi: float, variance: float,
            last_observations: np.ndarray) -> ArimaModel | FitError:
-    if not (math.isfinite(phi) and abs(phi) < 1.0):
+    if not (math.isfinite(phi) and math.isfinite(c) and math.isfinite(variance)):
+        return FitError(f"fit overflows: fitted model is not finite (phi={phi!r}, "
+                        f"c={c!r}, residual variance={variance!r})")
+    if abs(phi) >= 1.0:
         return FitError(f"fitted AR coefficient {phi!r} is not stationary")
-    if not (math.isfinite(c) and math.isfinite(variance)):
-        return FitError(f"fitted model is not finite (c={c!r}, "
-                        f"residual variance={variance!r})")
     return ArimaModel(phi=phi, c=c, last_observations=last_observations,
                       residual_variance=variance)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -37,8 +38,8 @@ from .metrics import (BRR_MODEL, FORECAST_MODEL, MEAN_BASELINE, MRA_MODEL,
                       write_reports_csv)
 from .regression import fit_mra
 from .types import Direction, SlaSpec, Tactic, TimeSeries, order_specs_by_reward
-from .workflow import (TacticModels, TickEntry, WorkflowConfig, tick_entry_to_dict,
-                       workflow_tick)
+from .workflow import (TacticModels, TickEntry, WorkflowConfig, price_tactics,
+                       tick_entry_to_dict, workflow_tick)
 
 DEFAULT_SEED = 42
 
@@ -241,8 +242,11 @@ def _load_tactic_context(tactics_path: str, trace_path: str | None):
         if tactic.name in registry:
             raise ValueError(f"tactics file entry {i}: duplicate name {tactic.name!r}")
         tactics.append(tactic)
-        registry[tactic.name] = TacticModels(latency_model=fit_mra(X, latency),
-                                             cost_model=fit_mra(X, cost))
+        try:
+            registry[tactic.name] = TacticModels(latency_model=fit_mra(X, latency),
+                                                 cost_model=fit_mra(X, cost))
+        except ValueError as exc:
+            raise ValueError(f"tactics file entry {i}: {exc}") from None
         features[tactic.name] = tuple(X.rows[-1])
     return tactics, registry, features
 
@@ -259,33 +263,30 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         raise ValueError(f"history has {len(history)} points but the window needs {window}")
     config = WorkflowConfig(horizon=args.horizon, risk_margin=args.risk_margin,
                             tick_seconds=args.tick_seconds)
-    if args.tactics:
-        tactics, registry, features = _load_tactic_context(args.tactics, args.trace)
-    else:
-        tactics, registry, features = [], {}, {}
+    # The tactics' models and features are fixed for the run, so are their prices.
+    estimates = (price_tactics(*_load_tactic_context(args.tactics, args.trace))
+                 if args.tactics else ())
 
     ticks = len(history) - window + 1
     every = args.refit_every or ticks  # 0 fits once, on the first window
     # One model per refit tick, shared by every spec: all specs watch the
     # one history. A failed refit keeps the last good model.
     fits = fit_arima_windows(history, window, range(0, ticks, every))
-    names = [spec.name for spec in specs]
-    forecasters, fit_error = None, ""
+    model, fit_error = None, ""
     for tick in range(ticks):
-        series = history.window(tick, tick + window)
         if tick % every == 0:
             fitted = next(fits)
             if isinstance(fitted, FitError):
                 fit_error = str(fitted)
                 print(f"warning: tick {tick}: refit failed: {fit_error}", file=sys.stderr)
             else:
-                forecasters = dict.fromkeys(names, fitted)
-        if forecasters is None:
+                model = fitted
+        if model is None:
             entries = [TickEntry(spec.name, None, error=fit_error)
                        for spec in order_specs_by_reward(specs)]
         else:
-            entries = workflow_tick(specs, dict.fromkeys(names, series), tactics,
-                                    registry, features, config, forecasters=forecasters)
+            entries = workflow_tick(specs, history.window(tick, tick + window),
+                                    estimates, config, model)
         sys.stdout.write("".join(json.dumps({"tick": tick, **tick_entry_to_dict(entry)})
                                  + "\n" for entry in entries))
     return 0
@@ -349,7 +350,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: send what is still buffered to devnull
+        # so that the interpreter's final flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

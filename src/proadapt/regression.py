@@ -137,20 +137,28 @@ def fit_mra(X: DesignMatrix, t: ResponseVector) -> RegressionModel:
     on full-rank designs). When X'X is singular or its condition number,
     (s_max / s_min)^2 over the singular values of X that the solve already
     computed, exceeds ``CONDITION_LIMIT``, the fit retries with the minimal
-    ridge term lambda = 1e-8 * trace(X'X) / M and records it.
+    ridge term lambda = 1e-8 * trace(X'X) / M and records it. Raises
+    ``ValueError`` when the fit overflows to non-finite weights or a
+    non-finite training error.
     """
     _check_dimensions(X, t)
     if X.n < X.m:
         raise ValueError(f"need at least as many rows ({X.n}) as columns ({X.m})")
-    weights, _, _, singular = np.linalg.lstsq(X.rows, t.t, rcond=None)
-    if singular[0] <= math.sqrt(CONDITION_LIMIT) * singular[-1]:
-        ridge = 0.0
-    else:
-        gram = X.rows.T @ X.rows
-        ridge = RIDGE_SCALE * float(np.trace(gram)) / X.m
-        weights = np.linalg.solve(gram + ridge * np.eye(X.m), X.rows.T @ t.t)
+    # Data near the float maximum overflow below; the check after says so.
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights, _, _, singular = np.linalg.lstsq(X.rows, t.t, rcond=None)
+        if singular[0] <= math.sqrt(CONDITION_LIMIT) * singular[-1]:
+            ridge = 0.0
+        else:
+            gram = X.rows.T @ X.rows
+            ridge = RIDGE_SCALE * float(np.trace(gram)) / X.m
+            weights = np.linalg.solve(gram + ridge * np.eye(X.m), X.rows.T @ t.t)
+        training_error = error_function(X, t, weights)
+    if not (np.isfinite(weights).all() and math.isfinite(training_error)):
+        raise ValueError("least-squares fit overflows: the weights or the training "
+                         "error are not finite")
     return RegressionModel(weights=tuple(weights), ridge_lambda=ridge,
-                           training_error=error_function(X, t, weights))
+                           training_error=training_error)
 
 
 def predict(model: RegressionModel, x: Sequence[float]) -> Prediction:

@@ -1,14 +1,15 @@
 """The monitoring/decision loop body.
 
-One tick walks the SLA specifications in descending-reward order,
-forecasts each monitored series, and classifies it as healthy, at risk,
-or broken. Latency and cost estimates for the available tactics are
-produced only when a specification is potentially broken (at risk or
-already violated); healthy specifications yield no estimates.
+``price_tactics`` turns each tactic's trained models and feature vector
+into latency, cost and utility estimates. One tick then forecasts the
+monitored series once and walks the SLA specifications in
+descending-reward order, classifying each as healthy, at risk, or broken.
+Only a potentially broken specification (at risk or already violated)
+gets the estimates, ranked against its own deadline; a healthy one gets
+none.
 
-``workflow_tick`` is a pure function of its inputs: the model registry is
-read-only during a tick and ticks for disjoint systems can run
-concurrently.
+``workflow_tick`` is a pure function of its inputs, so ticks for disjoint
+systems can run concurrently.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ __all__ = [
     "TacticModels",
     "WorkflowConfig",
     "TickEntry",
-    "analyze_specification",
+    "price_tactics",
     "rank_tactics",
     "workflow_tick",
     "tick_entry_to_dict",
@@ -103,16 +104,11 @@ class WorkflowConfig:
     margin * |threshold| of the threshold (on the approaching side) counts
     as potentially broken. For a zero threshold the band has width 0
     whatever the margin, so AT_RISK then means a forecast step violates.
-    ``utility_params``, when given, scores each tactic with the interval
-    utility using its predicted cost (floored at ``COST_FLOOR`` since the
-    utility divides by cost); without them all utility scores are 0 and
-    ranking falls through to predicted cost.
     """
 
     horizon: int = 5
     risk_margin: float = 0.10
     tick_seconds: float = 6.0
-    utility_params: UtilityParams | None = None
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
@@ -141,18 +137,6 @@ def _enters_risk_band(spec: SlaSpec, value: float, margin_width: float) -> bool:
     return value < spec.threshold + margin_width
 
 
-def _predict(history: TimeSeries, horizon: int,
-             model: ArimaModel | None) -> tuple[float, ...]:
-    """Forecast ``history``: fit ARIMA(1, 1, 0) on it, or re-anchor ``model``."""
-    if len(history) == 0:
-        raise ValueError("history must be non-empty")
-    if model is None:
-        model = fit_arima(history)
-    else:
-        model = reanchor(model, history)
-    return tuple(forecast(model, horizon))
-
-
 def _classify(spec: SlaSpec, history: TimeSeries, predicted: tuple[float, ...],
               risk_margin: float) -> SpecAnalysis:
     """Broken when the current value violates, at risk from the first
@@ -167,39 +151,37 @@ def _classify(spec: SlaSpec, history: TimeSeries, predicted: tuple[float, ...],
     return SpecAnalysis(spec.name, predicted, SpecStatus.HEALTHY)
 
 
-def analyze_specification(spec: SlaSpec, history: TimeSeries, horizon: int,
-                          risk_margin: float,
-                          model: ArimaModel | None = None) -> SpecAnalysis:
-    """Forecast the monitored series and classify the specification.
+def price_tactics(tactics: Sequence[Tactic], registry: Mapping[str, TacticModels],
+                  features: Mapping[str, Sequence[float]],
+                  utility_params: UtilityParams | None = None,
+                  ) -> tuple[TacticEstimate, ...]:
+    """Unranked estimates of every tactic, in input order: predicted
+    latency (seconds) and cost (units), each clamped at 0.
 
-    Fits ARIMA(1, 1, 0) on ``history`` unless a pre-fitted ``model`` is
-    supplied, in which case its parameters are reused with the forecast
-    origin re-anchored on the current history tail.
+    ``utility_params``, when given, scores each tactic with the interval
+    utility using its predicted cost (floored at ``COST_FLOOR`` since the
+    utility divides by cost); without them every utility score is 0 and
+    ranking falls through to predicted cost. Raises ``ValueError`` naming
+    the tactic when it has no models, or no feature vector of its models'
+    width.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if not 0.0 <= risk_margin < 1.0:
-        raise ValueError("risk_margin must lie in [0, 1)")
-    return _classify(spec, history, _predict(history, horizon, model), risk_margin)
-
-
-def _price(tactics: Sequence[Tactic], registry: Mapping[str, TacticModels],
-           features: Mapping[str, Sequence[float]],
-           cfg: WorkflowConfig) -> list[TacticEstimate]:
-    """Unranked latency, cost and utility estimates of every tactic now:
-    predicted latency (seconds) and cost (units), each clamped at 0."""
     estimates = []
     for tactic in tactics:
-        models = registry[tactic.name]
-        x = features[tactic.name]
-        latency = predict(models.latency_model, x).value
-        cost = predict(models.cost_model, x).value
-        if cfg.utility_params is not None:
-            score = utility(cfg.utility_params.with_cost(max(cost, COST_FLOOR)))
+        models = registry.get(tactic.name)
+        if models is None:
+            raise ValueError(f"tactic {tactic.name!r}: no trained models")
+        x = features.get(tactic.name, ())
+        try:
+            latency = predict(models.latency_model, x).value
+            cost = predict(models.cost_model, x).value
+        except ValueError as exc:
+            raise ValueError(f"tactic {tactic.name!r}: {exc}") from None
+        if utility_params is not None:
+            score = utility(utility_params.with_cost(max(cost, COST_FLOOR)))
         else:
             score = 0.0
         estimates.append(TacticEstimate(tactic.name, latency, cost, score))
-    return estimates
+    return tuple(estimates)
 
 
 def rank_tactics(estimates: Sequence[TacticEstimate], analysis: SpecAnalysis,
@@ -226,65 +208,35 @@ def rank_tactics(estimates: Sequence[TacticEstimate], analysis: SpecAnalysis,
                                  -e.utility_score, e.predicted_cost))
 
 
-def workflow_tick(specs: Sequence[SlaSpec],
-                  histories: Mapping[str, TimeSeries],
-                  tactics: Sequence[Tactic],
-                  registry: Mapping[str, TacticModels],
-                  features: Mapping[str, Sequence[float]],
+def workflow_tick(specs: Sequence[SlaSpec], history: TimeSeries,
+                  estimates: Sequence[TacticEstimate] = (),
                   config: WorkflowConfig | None = None,
-                  forecasters: Mapping[str, ArimaModel] | None = None,
-                  ) -> list[TickEntry]:
+                  model: ArimaModel | None = None) -> list[TickEntry]:
     """One pass over all specifications in descending-reward order.
 
-    Tactic estimates are produced only for potentially broken (at-risk or
-    broken) specifications, and at most once per tick: they depend on the
-    tactics' models and the current features, not on the specification, so
-    each potentially broken specification ranks the same estimates against
-    its own deadline. Specifications that share one history object and one
-    forecaster are forecast once. A per-spec failure is recorded on its
-    entry (on every affected entry when a shared forecast or the pricing
-    fails) and the remaining specifications are still processed.
+    ``history`` is forecast once, by re-anchoring ``model`` on its tail or,
+    without a model, by fitting ARIMA(1, 1, 0) on it; a forecast failure
+    becomes the error of every entry. Each potentially broken (at-risk or
+    broken) specification ranks ``estimates`` against its own deadline.
     """
     cfg = config or WorkflowConfig()
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
         raise ValueError("spec names must be unique")
-    # Specs that share a series and a model share one forecast, or its error.
-    predictions: dict[tuple[int, int], tuple[float, ...] | str] = {}
-    # Tactic estimates do not depend on the spec: priced at the first
-    # potentially broken spec, then only ranked against each deadline.
-    priced: list[TacticEstimate] | str | None = None
-    entries: list[TickEntry] = []
-    for spec in order_specs_by_reward(specs):
-        try:
-            history = histories[spec.name]
-            prefit = forecasters.get(spec.name) if forecasters else None
-            key = (id(history), id(prefit))
-            if key not in predictions:
-                try:
-                    predictions[key] = _predict(history, cfg.horizon, prefit)
-                except ValueError as exc:
-                    predictions[key] = str(exc)
-            predicted = predictions[key]
-            if isinstance(predicted, str):
-                entries.append(TickEntry(spec.name, None, error=predicted))
-                continue
-            analysis = _classify(spec, history, predicted, cfg.risk_margin)
-            if analysis.status is SpecStatus.HEALTHY or not tactics:
-                entries.append(TickEntry(spec.name, analysis))
-                continue
-            if priced is None:
-                try:
-                    priced = _price(tactics, registry, features, cfg)
-                except (ValueError, KeyError) as exc:
-                    priced = str(exc)
-            if isinstance(priced, str):
-                entries.append(TickEntry(spec.name, None, error=priced))
-                continue
-            ranked = rank_tactics(priced, analysis, cfg.tick_seconds)
+    ordered = order_specs_by_reward(specs)
+    try:
+        fitted = fit_arima(history) if model is None else reanchor(model, history)
+        predicted = tuple(forecast(fitted, cfg.horizon))
+    except ValueError as exc:
+        return [TickEntry(spec.name, None, error=str(exc)) for spec in ordered]
+    entries = []
+    for spec in ordered:
+        analysis = _classify(spec, history, predicted, cfg.risk_margin)
+        if analysis.status is SpecStatus.HEALTHY or not estimates:
+            entries.append(TickEntry(spec.name, analysis))
+        else:
+            ranked = rank_tactics(estimates, analysis, cfg.tick_seconds)
             entries.append(TickEntry(spec.name, analysis, tuple(ranked)))
-        except (ValueError, KeyError) as exc:
-            entries.append(TickEntry(spec.name, None, error=str(exc)))
     return entries
 
 

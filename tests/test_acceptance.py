@@ -14,7 +14,7 @@ import numpy as np
 from proadapt import (DesignMatrix, ResponseVector, SAMPLE_TACTIC_A,
                       SAMPLE_TACTIC_B, SlaSpec, SpecStatus, RegressionModel,
                       TacticModels, Tactic, TimeSeries, difference, fit_arima, fit_mra,
-                      generate_trace, ingest_trace_csv, mae, rmse,
+                      generate_trace, ingest_trace_csv, mae, price_tactics, rmse,
                       run_cost_impact_simulation, run_forecast_experiments,
                       run_predictor_experiments, summarize, to_idle_series,
                       to_regression_dataset, workflow_tick, write_trace_csv)
@@ -183,8 +183,8 @@ def test_criterion_7_estimates_iff_potentially_broken(tmp_path):
     seen = {status: 0 for status in SpecStatus}
     for _ in range(500):
         spec, history, tactics, registry, features = random_tick_scenario(rng)
-        entries = workflow_tick([spec], {spec.name: history}, tactics,
-                                registry, features)
+        entries = workflow_tick([spec], history,
+                                price_tactics(tactics, registry, features))
         entry = entries[0]
         if entry.error is not None:
             assert entry.estimates == ()

@@ -155,6 +155,16 @@ class TestFitArima:
             [fitted] = fit_arima_windows(TimeSeries(values), 12, [3])
             assert isinstance(fitted, FitError)
 
+    def test_overflow_error_names_the_overflow(self):
+        # The differences of +-1.7e308 overflow to inf, so phi comes out NaN:
+        # the error must name the overflow, not stationarity.
+        alternating = TimeSeries(np.resize([1.7e308, -1.7e308], 20))
+        with pytest.raises(FitError, match="fit overflows") as raised:
+            fit_arima(alternating)
+        assert "stationary" not in str(raised.value)
+        [fitted] = fit_arima_windows(alternating, 12, [3])
+        assert "fit overflows" in str(fitted) and "stationary" not in str(fitted)
+
     def test_explosive_fit_rejected(self):
         values = 1.5 ** np.arange(40)
         with pytest.raises(FitError):

@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from proadapt import (TimeSeries, WorkflowConfig, cli, fit_arima, forecast,
-                      generate_trace, reanchor, workflow_tick, write_trace_csv)
+from proadapt import (Phase, TimeSeries, WorkflowConfig, cli, fit_arima, forecast,
+                      generate_trace, price_tactics, reanchor, workflow, workflow_tick,
+                      write_trace_csv)
 from proadapt.cli import main
 from proadapt.workflow import tick_entry_to_dict
 
@@ -142,6 +144,26 @@ class TestMonitor:
         assert all(len(t["tactics"]) == 2 for t in risky)
         assert all(t["tactics"] == [] for t in ticks if t["status"] == "healthy")
 
+    def test_tactics_are_priced_once_per_run(self, tmp_path, capsys, monkeypatch):
+        trace = tmp_path / "trace.csv"
+        write_trace_csv(generate_trace(120, 4), trace)
+        tactics = tmp_path / "tactics.json"
+        tactics.write_text(json.dumps([
+            {"name": f"use_{m}", "static_latency": 3.0, "static_cost": 36.0, "mirror": m}
+            for m in ("germany", "ontario", "massachusetts")]))
+        spec, history = write_ramp_fixture(tmp_path, start=0.60, step=0.004, n=80)
+        calls = []
+        original = workflow.predict
+        monkeypatch.setattr(workflow, "predict",
+                            lambda model, x: calls.append(model) or original(model, x))
+        code, out, err = run_main(capsys, "monitor", "--spec", str(spec), "--history",
+                                  str(history), "--tactics", str(tactics),
+                                  "--trace", str(trace))
+        assert code == 0 and err == ""
+        ticks = [json.loads(line) for line in out.splitlines()]
+        assert sum(t["status"] != "healthy" for t in ticks) > 1
+        assert len(calls) == 2 * 3
+
     def test_missing_history_exits_2(self, tmp_path):
         spec, _ = write_ramp_fixture(tmp_path)
         result = run_cli("monitor", "--spec", str(spec),
@@ -174,6 +196,20 @@ class TestContracts:
     @pytest.mark.parametrize("args", [("frobnicate",), ("generate",)])
     def test_usage_errors_exit_2(self, args):
         assert run_cli(*args).returncode == 2
+
+    def test_closed_stdout_exits_2_quietly(self, tmp_path):
+        # About 250 kB of lines, more than a pipe buffers, so the CLI is
+        # still writing when the reader goes away.
+        spec, history = write_ramp_fixture(tmp_path, n=2000)
+        process = subprocess.Popen(
+            [sys.executable, "-m", "proadapt.cli", "monitor", "--spec", str(spec),
+             "--history", str(history)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        json.loads(process.stdout.readline())
+        process.stdout.close()
+        stderr = process.stderr.read()
+        assert process.wait() == 2
+        assert stderr == b""
 
 
 def run_main(capsys, *args):
@@ -215,8 +251,8 @@ class TestMonitorRefit:
         """Expected lines from a loop that fits every spec separately on each
         refit tick and runs one workflow tick per spec."""
         specs = cli._load_specs(specs_path)
-        tactics, registry, features = (cli._load_tactic_context(*tactics_args)
-                                       if tactics_args else ([], {}, {}))
+        estimates = (price_tactics(*cli._load_tactic_context(*tactics_args))
+                     if tactics_args else ())
         config = WorkflowConfig(horizon=self.HORIZON)
         ticks = len(values) - self.WINDOW + 1
         lines, models = {}, {}
@@ -225,8 +261,8 @@ class TestMonitorRefit:
             if tick == 0 or (refit_every > 0 and tick % refit_every == 0):
                 models = {s.name: fit_arima(series) for s in specs}
             for spec in specs:
-                entry, = workflow_tick([spec], {spec.name: series}, tactics, registry,
-                                       features, config, {spec.name: models[spec.name]})
+                entry, = workflow_tick([spec], series, estimates, config,
+                                       models[spec.name])
                 lines[(tick, spec.name)] = tick_entry_to_dict(entry)
         return lines
 
@@ -353,6 +389,23 @@ class TestMonitorInputErrors:
         err = self.run_tactics(tmp_path, capsys,
                                '[{"name": "t", "static_cost": 1.0, ' + field + '}]')
         assert "tactics file entry 0" in err
+
+    @pytest.mark.parametrize("energy", [1e200, 1.7e308])
+    def test_overflowing_trace_energies_rejected(self, tmp_path, capsys, energy):
+        # Squares of 1e200 overflow the training error; sums of 1.7e308
+        # overflow the ridge solve's weights.
+        spec, history = write_ramp_fixture(tmp_path)
+        trace = tmp_path / "trace.csv"
+        write_trace_csv([replace(r, energy_joules=energy * (1.0 - 0.001 * (i % 7)))
+                         if r.phase is Phase.DOWNLOAD else r
+                         for i, r in enumerate(generate_trace(120, 4))], trace)
+        tactics = tmp_path / "tactics.json"
+        tactics.write_text(json.dumps([{"name": "t", "static_latency": 3.0,
+                                        "static_cost": 36.0}]))
+        err = self.assert_one_error(capsys, "monitor", "--spec", str(spec), "--history",
+                                    str(history), "--tactics", str(tactics),
+                                    "--trace", str(trace))
+        assert err.startswith("error: tactics file entry 0: least-squares fit overflows")
 
     def test_duplicate_tactic_names_rejected(self, tmp_path, capsys):
         entry = {"name": "t", "static_latency": 1.0, "static_cost": 1.0}

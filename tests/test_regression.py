@@ -70,6 +70,16 @@ class TestFitMra:
         model = fit_mra(X, t)
         np.testing.assert_allclose(model.weights, truth, atol=0.01)
 
+    @pytest.mark.parametrize("scale", [1e200, 1.7e308])
+    def test_overflowing_fit_rejected(self, scale):
+        # 1e200 overflows the training error's sum of squares; 1.7e308 also
+        # overflows the weights. Either way the error names the overflow.
+        x = np.arange(20.0)
+        X = design(np.column_stack([np.ones(20), x, x**2]))
+        t = ResponseVector(scale * (1.0 - 0.01 * (x % 3)))
+        with pytest.raises(ValueError, match="least-squares fit overflows"):
+            fit_mra(X, t)
+
     def test_underdetermined_rejected(self):
         X = design([[1.0, 2.0, 3.0]])
         with pytest.raises(ValueError):

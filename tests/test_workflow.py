@@ -5,7 +5,7 @@ import pytest
 
 from proadapt import (Direction, RegressionModel, SlaSpec, SpecAnalysis, SpecStatus,
                       TacticEstimate, TacticModels, Tactic, TimeSeries, UtilityParams,
-                      WorkflowConfig, analyze_specification, fit_arima, generate_trace,
+                      WorkflowConfig, fit_arima, generate_trace, price_tactics,
                       rank_tactics, to_regression_dataset, workflow_tick, fit_mra)
 from proadapt import workflow
 
@@ -17,10 +17,17 @@ def ramp(start, step, n, interval=6.0):
     return TimeSeries(start + step * np.arange(n), interval=interval)
 
 
+def analyze(spec, history, horizon, risk_margin, model=None):
+    """The one spec's analysis from a tick without tactics."""
+    config = WorkflowConfig(horizon=horizon, risk_margin=risk_margin)
+    [entry] = workflow_tick([spec], history, config=config, model=model)
+    return entry.analysis
+
+
 class TestAnalyzeSpecification:
     def test_flat_history_is_healthy(self):
         history = TimeSeries(np.full(60, 0.3), interval=6.0)
-        analysis = analyze_specification(UPPER, history, horizon=5, risk_margin=0.1)
+        analysis = analyze(UPPER, history, horizon=5, risk_margin=0.1)
         assert analysis.status is SpecStatus.HEALTHY
         assert analysis.first_violation_step is None
 
@@ -30,24 +37,24 @@ class TestAnalyzeSpecification:
         history = ramp(0.50, 0.05, 4)
         padded = TimeSeries(np.concatenate([np.full(20, 0.50), history.values]),
                             interval=6.0)
-        analysis = analyze_specification(UPPER, padded, horizon=3, risk_margin=0.1)
+        analysis = analyze(UPPER, padded, horizon=3, risk_margin=0.1)
         assert analysis.status is SpecStatus.AT_RISK
         assert analysis.first_violation_step in (1, 2)
 
     def test_current_violation_dominates(self):
         values = np.concatenate([np.full(30, 0.4), [0.9]])
-        analysis = analyze_specification(UPPER, TimeSeries(values, interval=6.0),
-                                         horizon=5, risk_margin=0.1)
+        analysis = analyze(UPPER, TimeSeries(values, interval=6.0),
+                           horizon=5, risk_margin=0.1)
         assert analysis.status is SpecStatus.BROKEN
         assert analysis.first_violation_step is None
 
     def test_zero_margin_single_step_equals_forecast_violation(self):
         steep = TimeSeries(np.concatenate([np.full(15, 0.40),
                                            0.40 + 0.04 * np.arange(1, 8)]), interval=6.0)
-        analysis = analyze_specification(UPPER, steep, horizon=1, risk_margin=0.0)
+        analysis = analyze(UPPER, steep, horizon=1, risk_margin=0.0)
         assert analysis.status is SpecStatus.AT_RISK  # next value forecast > 0.7
         gentle = ramp(0.10, 0.001, 60)
-        analysis = analyze_specification(UPPER, gentle, horizon=1, risk_margin=0.0)
+        analysis = analyze(UPPER, gentle, horizon=1, risk_margin=0.0)
         assert analysis.status is SpecStatus.HEALTHY
 
     @pytest.mark.parametrize("direction, step", [(Direction.UPPER_BOUND, 0.2),
@@ -58,7 +65,7 @@ class TestAnalyzeSpecification:
         spec = SlaSpec("zero", 0.0, direction=direction)
         history = ramp(-21.5 * step, step, 20)
         for margin in (0.0, 0.5, 0.99):
-            analysis = analyze_specification(spec, history, horizon=5, risk_margin=margin)
+            analysis = analyze(spec, history, horizon=5, risk_margin=margin)
             assert analysis.status is SpecStatus.AT_RISK
             violating = [spec.violates(v) for v in analysis.forecast_values]
             assert analysis.first_violation_step == violating.index(True) + 1 == 3
@@ -66,7 +73,7 @@ class TestAnalyzeSpecification:
     def test_lower_bound_direction(self):
         spec = SlaSpec("throughput", 100.0, direction=Direction.LOWER_BOUND)
         falling = ramp(130.0, -1.0, 25)
-        analysis = analyze_specification(spec, falling, horizon=10, risk_margin=0.0)
+        analysis = analyze(spec, falling, horizon=10, risk_margin=0.0)
         assert analysis.status is SpecStatus.AT_RISK
         # forecasts 105, 104, ...: the first value strictly below 100 is step 7
         assert analysis.first_violation_step == 7
@@ -75,24 +82,22 @@ class TestAnalyzeSpecification:
         history = ramp(0.30, 0.002, 80)
         model = fit_arima(history)
         later = TimeSeries(history.values + 0.2, interval=6.0)
-        analysis = analyze_specification(UPPER, later, horizon=5, risk_margin=0.1,
-                                         model=model)
+        analysis = analyze(UPPER, later, horizon=5, risk_margin=0.1, model=model)
         # parameters came from the old fit, origin from the new tail
         assert analysis.forecast_values[0] == pytest.approx(
             later.values[-1] + model.c + model.phi * 0.002, abs=1e-9)
 
     def test_validation(self):
-        history = ramp(0.3, 0.0, 40)
         with pytest.raises(ValueError):
-            analyze_specification(UPPER, history, horizon=0, risk_margin=0.1)
+            WorkflowConfig(horizon=0)
         with pytest.raises(ValueError):
-            analyze_specification(UPPER, history, horizon=5, risk_margin=1.0)
+            WorkflowConfig(risk_margin=1.0)
 
 
 def price(tactic, x, latency_model, cost_model):
-    """The tactic's estimate now, priced as ``workflow_tick`` prices it."""
+    """The one tactic's estimate from ``price_tactics``."""
     registry = {tactic.name: TacticModels(latency_model, cost_model)}
-    [priced] = workflow._price([tactic], registry, {tactic.name: x}, WorkflowConfig())
+    [priced] = price_tactics([tactic], registry, {tactic.name: x})
     return priced
 
 
@@ -139,6 +144,17 @@ class TestEstimates:
             TacticModels(None, model)
         with pytest.raises(ValueError, match="cost_model must be a RegressionModel"):
             TacticModels(model, None)
+        tactic = Tactic("t", 1.0, 1.0, feature_names=("intercept",))
+        with pytest.raises(ValueError, match="tactic 't': no trained models"):
+            price_tactics([tactic], {}, {"t": (1.0,)})
+
+    def test_feature_width_mismatch_names_the_tactic(self):
+        tactic = Tactic("t", 1.0, 1.0, feature_names=("intercept",))
+        registry = {"t": TacticModels(RegressionModel(weights=(1.0,)),
+                                      RegressionModel(weights=(2.0,)))}
+        for features in ({"t": (1.0, 2.0)}, {}):
+            with pytest.raises(ValueError, match="tactic 't': expected a feature vector"):
+                price_tactics([tactic], registry, features)
 
 
 def estimate(name, latency, cost, score):
@@ -202,17 +218,15 @@ class TestRankTactics:
 
 
 class TickFixture:
+    """One rising series (0.50 to 0.89 in steps of 0.01) that "hot" and
+    "warm" watch against 0.7 and "cool" against 10, and tactics whose
+    intercept-only models predict fixed latencies and costs."""
+
     def __init__(self, n_tactics=3):
         self.spec_hot = SlaSpec("hot", 0.7, reward=10.0)
         self.spec_warm = SlaSpec("warm", 0.7, reward=7.0)
         self.spec_cool = SlaSpec("cool", 10.0, reward=1.0)
-        rising = ramp(0.50, 0.01, 40).values
-        flat = np.full(40, 0.3)
-        self.histories = {
-            "hot": TimeSeries(rising, interval=6.0),
-            "warm": TimeSeries(rising * 0.99, interval=6.0),
-            "cool": TimeSeries(flat, interval=6.0),
-        }
+        self.history = ramp(0.50, 0.01, 40)
         self.tactics = [Tactic(f"t{i}", 1.0, 1.0, feature_names=("intercept",))
                         for i in range(n_tactics)]
         self.registry = {t.name: TacticModels(RegressionModel(weights=(float(i + 1),)),
@@ -220,9 +234,10 @@ class TickFixture:
                          for i, t in enumerate(self.tactics)}
         self.features = {t.name: (1.0,) for t in self.tactics}
 
-    def run(self, specs, config=None):
-        return workflow_tick(specs, self.histories, self.tactics, self.registry,
-                             self.features, config)
+    def run(self, specs, config=None, utility_params=None):
+        estimates = price_tactics(self.tactics, self.registry, self.features,
+                                  utility_params)
+        return workflow_tick(specs, self.history, estimates, config)
 
 
 class TestWorkflowTick:
@@ -248,15 +263,6 @@ class TestWorkflowTick:
         specs = [fx.spec_hot, fx.spec_cool]
         assert fx.run(specs) == fx.run(specs)
 
-    def test_per_spec_errors_are_isolated(self):
-        fx = TickFixture()
-        missing = SlaSpec("absent", 0.7, reward=5.0)
-        entries = fx.run([fx.spec_cool, missing])
-        by_name = {e.spec_name: e for e in entries}
-        assert by_name["absent"].error is not None
-        assert by_name["cool"].error is None
-        assert by_name["cool"].analysis is not None
-
     def test_duplicate_spec_names_rejected(self):
         fx = TickFixture()
         with pytest.raises(ValueError):
@@ -267,8 +273,7 @@ class TestWorkflowTick:
         params = UtilityParams(tau=60.0, rate=10.0, response_time=0.5, target=0.7,
                                max_rate=20.0, dimmer=0.5, reward_optional=2.0,
                                reward_mandatory=1.0, cost=1.0)
-        config = WorkflowConfig(utility_params=params)
-        entries = fx.run([fx.spec_hot], config)
+        entries = fx.run([fx.spec_hot], utility_params=params)
         scores = [e.utility_score for e in entries[0].estimates]
         assert all(s > 0 for s in scores)
         # cheaper predicted cost means higher utility, so ranking follows it
@@ -295,20 +300,17 @@ class TestWorkflowTick:
         original = workflow.forecast
         monkeypatch.setattr(workflow, "forecast",
                             lambda m, h: calls.append(h) or original(m, h))
-        entries = workflow_tick(specs, dict.fromkeys("abc", series), [], {}, {},
-                                forecasters=dict.fromkeys("abc", model))
+        entries = workflow_tick(specs, series, model=model)
         assert calls == [5]
         for spec, entry in zip(specs, entries):
-            assert entry.analysis == analyze_specification(spec, series, 5, 0.10,
-                                                           model=model)
+            assert entry.analysis == analyze(spec, series, 5, 0.10, model=model)
         assert {e.analysis.status for e in entries} == {
             SpecStatus.BROKEN, SpecStatus.AT_RISK, SpecStatus.HEALTHY}
 
     def test_shared_forecast_failure_lands_on_each_spec(self):
         model = fit_arima(ramp(0.40, 0.012, 40))
         specs = [SlaSpec("a", 0.7, reward=2.0), SlaSpec("b", 0.9, reward=1.0)]
-        entries = workflow_tick(specs, dict.fromkeys("ab", TimeSeries([0.5])), [], {}, {},
-                                forecasters=dict.fromkeys("ab", model))
+        entries = workflow_tick(specs, TimeSeries([0.5]), model=model)
         assert [e.spec_name for e in entries] == ["a", "b"]
         assert all(e.analysis is None and "at least 2" in e.error for e in entries)
 
@@ -326,10 +328,11 @@ class PricingFixture:
                          for name, (latency, cost) in prices.items()}
         self.features = dict.fromkeys(prices, (1.0,))
 
-    def run(self, specs, config=None, registry=None):
-        return workflow_tick(specs, dict.fromkeys((s.name for s in specs), self.series),
-                             self.tactics, self.registry if registry is None else registry,
-                             self.features, config)
+    def price(self):
+        return price_tactics(self.tactics, self.registry, self.features)
+
+    def run(self, specs, config=None):
+        return workflow_tick(specs, self.series, self.price(), config)
 
 
 def count_predictions(monkeypatch):
@@ -341,6 +344,9 @@ def count_predictions(monkeypatch):
 
 
 class TestOncePerTickPricing:
+    """Tactics are priced once, before any tick; a tick only ranks the
+    estimates it is given and prices nothing itself."""
+
     def test_three_priced_specs_price_each_tactic_once(self, monkeypatch):
         fx = PricingFixture()
         calls = count_predictions(monkeypatch)
@@ -353,9 +359,12 @@ class TestOncePerTickPricing:
 
     def test_all_healthy_tick_prices_nothing(self, monkeypatch):
         fx = PricingFixture()
+        estimates = fx.price()
         calls = count_predictions(monkeypatch)
-        entries = fx.run([SlaSpec("a", 10.0, reward=2.0), SlaSpec("b", 20.0, reward=1.0)])
+        entries = workflow_tick([SlaSpec("a", 10.0, reward=2.0),
+                                 SlaSpec("b", 20.0, reward=1.0)], fx.series, estimates)
         assert all(e.analysis.status is SpecStatus.HEALTHY for e in entries)
+        assert all(e.estimates == () for e in entries)
         assert calls == []
 
     def test_rankings_follow_each_specs_deadline(self):
@@ -369,15 +378,3 @@ class TestOncePerTickPricing:
         assert entries[1].analysis.first_violation_step >= 2
         assert [e.tactic_name for e in entries[0].estimates] == ["instant", "cheap"]
         assert [e.tactic_name for e in entries[1].estimates] == ["cheap", "instant"]
-
-    def test_pricing_error_lands_on_every_priced_spec_only(self):
-        fx = PricingFixture()
-        registry = dict(fx.registry)
-        del registry["t2"]
-        specs = [SlaSpec("a", 0.7, reward=3.0), SlaSpec("cool", 10.0, reward=2.0),
-                 SlaSpec("b", 0.8, reward=1.0)]
-        by_name = {e.spec_name: e for e in fx.run(specs, registry=registry)}
-        assert by_name["a"].error == by_name["b"].error == str(KeyError("t2"))
-        assert by_name["a"].analysis is None and by_name["b"].analysis is None
-        assert by_name["cool"].error is None
-        assert by_name["cool"].analysis.status is SpecStatus.HEALTHY
