@@ -3,7 +3,8 @@
 Seeded inputs are generated by committed code, each command runs through
 ``cli.main`` in this process, and the SHA-256 of its stdout and of every
 report file is compared with ``golden_digests.json``; so is the stdout of
-each ``demos/*.py`` script, also run in this process. A refactor that
+each ``demos/*.py`` script, also run in this process, and the stdout and
+stderr of one ``monitor`` run over an edge-case history. A refactor that
 claims to keep behaviour passes unchanged; a change that moves output
 bits on purpose re-records the digests and says so.
 
@@ -41,6 +42,7 @@ TRACE_MINUTES = 240
 RISK_MARGIN = 0.10
 SPEC_QUANTILES = (("gold", 0.35, 3.0), ("silver", 0.45, 2.0), ("bronze", 0.55, 1.0))
 MIRRORS = ("germany", "massachusetts", "ontario")
+EDGE_SEED = 2
 
 
 def sha256(data: bytes) -> str:
@@ -66,6 +68,56 @@ def write_inputs(seed: int, directory: Path) -> dict[str, Path]:
     paths["tactics.json"].write_text(json.dumps(tactics), encoding="utf-8")
     write_trace_csv(generate_trace(TRACE_MINUTES, seed + 100), paths["trace.csv"])
     return paths
+
+
+def ar_walk(n: int, start: float, rng: np.random.Generator) -> list[float]:
+    """A random walk whose steps follow an AR(1) with phi = 0.7."""
+    step, out = 0.0, []
+    for noise in rng.normal(0.0, 0.4, n).tolist():
+        step = 0.7 * step + noise
+        start += step
+        out.append(start)
+    return out
+
+
+def write_edge_inputs(directory: Path) -> dict[str, Path]:
+    """Inputs for a ``monitor`` run that reaches every per-tick branch.
+
+    The history opens with an exact +-1 alternation (the first fit fails:
+    phi = -1), walks, alternates exactly again (failed refits keep the last
+    good model), walks again and ends in a ramp 1.6e308 + 1e306 * i whose
+    forecasts overflow. The specs are a lower bound whose name holds a
+    quote and a non-ASCII letter, a zero threshold, and an upper bound whose
+    reward ties the lower bound's.
+    """
+    directory.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(EDGE_SEED)
+    walk = ar_walk(40, 0.0, rng)
+    alternation = [walk[-1] + (i % 2) for i in range(24)]
+    values = ([1.0, -1.0] * 7 + walk + alternation + ar_walk(30, alternation[-1], rng)
+              + [1.6e308 + 1e306 * i for i in range(20)])
+    paths = {name: directory / name
+             for name in ("history.csv", "specs.json", "tactics.json", "trace.csv")}
+    paths["history.csv"].write_text(
+        "value\n" + "".join(f"{v!r}\n" for v in values), encoding="utf-8")
+    specs = [{"name": 'floor "q" \u00e9t\u00e9', "threshold": -1.5, "direction": "lower",
+              "reward": 1.0},
+             {"name": "zero", "threshold": 0.0, "reward": 2.0},
+             {"name": "cap", "threshold": 2.5, "reward": 1.0}]
+    paths["specs.json"].write_text(json.dumps(specs), encoding="utf-8")
+    tactics = [{"name": f"mirror_{m}", "mirror": m, "static_latency": 2.5,
+                "static_cost": 30.0} for m in MIRRORS]
+    paths["tactics.json"].write_text(json.dumps(tactics), encoding="utf-8")
+    write_trace_csv(generate_trace(TRACE_MINUTES, EDGE_SEED + 100), paths["trace.csv"])
+    return paths
+
+
+def run_both(argv: list[str]) -> tuple[bytes, bytes]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    assert rc == 0, argv
+    return out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")
 
 
 def run(argv: list[str]) -> bytes:
@@ -96,6 +148,15 @@ def compute_digests(seed: int, directory: Path) -> dict[str, str]:
     return digests
 
 
+def edge_digests(directory: Path) -> dict[str, str]:
+    paths = write_edge_inputs(directory)
+    stdout, stderr = run_both([
+        "monitor", "--spec", str(paths["specs.json"]), "--history", str(paths["history.csv"]),
+        "--window", "12", "--horizon", "3", "--risk-margin", "0", "--refit-every", "7",
+        "--tactics", str(paths["tactics.json"]), "--trace", str(paths["trace.csv"])])
+    return {"monitor.stdout": sha256(stdout), "monitor.stderr": sha256(stderr)}
+
+
 def demo_digest(path: Path) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -117,6 +178,11 @@ def test_outputs_match_golden_digests(seed, tmp_path):
     assert compute_digests(seed, tmp_path) == golden["digests"][str(seed)]
 
 
+def test_edge_case_monitor_matches_golden_digest(tmp_path):
+    golden = load_golden()
+    assert edge_digests(tmp_path) == golden["edge"]
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_stdout_matches_golden_digest(demo):
     golden = load_golden()
@@ -128,6 +194,7 @@ if __name__ == "__main__":
         record = {"numpy": np.__version__,
                   "digests": {str(seed): compute_digests(seed, Path(tmp) / str(seed))
                               for seed in SEEDS},
+                  "edge": edge_digests(Path(tmp) / "edge"),
                   "demos": {path.name: demo_digest(path) for path in DEMOS}}
     DIGESTS.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n",
                        encoding="utf-8")
