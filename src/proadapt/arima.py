@@ -38,6 +38,7 @@ __all__ = [
     "fit_arima",
     "fit_arima_windows",
     "forecast",
+    "forecast_error",
     "check_residuals",
     "reanchor",
 ]
@@ -244,6 +245,11 @@ def _windows(values: np.ndarray, window: int, starts: np.ndarray,
             yield _build(c[i], phi[i], variance[i], values[end - 2:end])
 
 
+def forecast_error(step: int) -> str:
+    """The error of a forecast whose step ``step`` is not finite."""
+    return f"forecast step {step} is not finite"
+
+
 def forecast(model: ArimaModel, horizon: int) -> list[float]:
     """Iterate the AR recursion on the differenced scale and integrate back.
 
@@ -261,7 +267,7 @@ def forecast(model: ArimaModel, horizon: int) -> list[float]:
         z = c + phi * z
         last += z
         if not math.isfinite(last):
-            raise ValueError(f"forecast step {step} is not finite")
+            raise ValueError(forecast_error(step))
         out.append(last)
     return out
 

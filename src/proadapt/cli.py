@@ -8,7 +8,7 @@ Three subcommands:
   the volatility-aware vs baseline comparison) and write rq1.csv-rq4.csv
   plus a summary table on stdout.
 * ``monitor``   - slide a window over a recorded history, run the decision
-  workflow each tick, and emit one JSON line per tick and spec.
+  workflow over blocks of ticks, and emit one JSON line per tick and spec.
 
 Every command is deterministic under fixed flags and seed. Exit codes:
 0 success, 1 validation/domain error, 2 IO/usage error. stdout carries
@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arima import FitError, fit_arima_windows
+from .arima import FIT_BLOCK, FitError, fit_arima_windows, forecast_error
 from .emulator import (EmulatorConfig, Mirror, Phase, SAMPLE_TACTIC_A, SAMPLE_TACTIC_B,
                        generate_trace, ingest_trace_csv, run_cost_impact_simulation,
                        to_idle_series, to_regression_dataset, write_trace_csv)
@@ -38,10 +38,11 @@ from .metrics import (BRR_MODEL, FORECAST_MODEL, MEAN_BASELINE, MRA_MODEL,
                       write_reports_csv)
 from .regression import fit_mra
 from .types import Direction, SlaSpec, Tactic, TimeSeries, order_specs_by_reward
-from .workflow import (TacticModels, TickEntry, WorkflowConfig, price_tactics,
-                       tick_entry_to_dict, workflow_tick)
+from .workflow import (STATUSES, SpecAnalysis, SpecStatus, TacticEstimate, TacticModels,
+                       WorkflowConfig, price_tactics, rank_tactics, workflow_block)
 
 DEFAULT_SEED = 42
+BLOCK_CELLS = 1 << 16  # forecast values (ticks x horizon) per block of monitor ticks
 
 
 def _subseed(seed: int, key: int) -> int:
@@ -73,32 +74,38 @@ def _rename(reports: Sequence[ExperimentReport], mapping: dict[str, str]
 
 
 def cmd_replicate(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = EmulatorConfig()
     if args.trace:
         records = ingest_trace_csv(args.trace)
     else:
         records = generate_trace(args.minutes, _subseed(args.seed, 0), config)
 
+    # Every report is computed before any file is written, so a failing
+    # experiment leaves no partial report set behind.
     impact = run_cost_impact_simulation(SAMPLE_TACTIC_A, SAMPLE_TACTIC_B,
                                         args.runs, _subseed(args.seed, 1))
+    idle = to_idle_series(records)
+    forecast_reports = run_forecast_experiments(idle, args.runs, _subseed(args.seed, 2))
+    X, latency, cost = to_regression_dataset(records)
+    predictor_reports = []
+    for response, t, key, static in (("latency", latency, 3, args.static_latency),
+                                     ("cost", cost, 4, args.static_cost)):
+        try:
+            predictor_reports.append(run_predictor_experiments(
+                X, t, args.runs, _subseed(args.seed, key), static_value=static))
+        except ValueError as exc:
+            raise ValueError(f"{response} response: {exc}") from None
+    latency_reports, cost_reports = predictor_reports
+
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rq1_lines = ["sample,tactic,overall_cost"]
     for tactic, costs in ((SAMPLE_TACTIC_A, impact.overall_costs_a),
                           (SAMPLE_TACTIC_B, impact.overall_costs_b)):
         rq1_lines += [f"{i},{tactic.name},{c:.17g}" for i, c in enumerate(costs)]
     (out_dir / "rq1.csv").write_text("\n".join(rq1_lines) + "\n",
                                      encoding="utf-8", newline="\n")
-
-    idle = to_idle_series(records)
-    forecast_reports = run_forecast_experiments(idle, args.runs, _subseed(args.seed, 2))
     write_reports_csv(forecast_reports, out_dir / "rq2.csv")
-
-    X, latency, cost = to_regression_dataset(records)
-    latency_reports = run_predictor_experiments(
-        X, latency, args.runs, _subseed(args.seed, 3), static_value=args.static_latency)
-    cost_reports = run_predictor_experiments(
-        X, cost, args.runs, _subseed(args.seed, 4), static_value=args.static_cost)
     rq3 = (_rename(latency_reports, {MRA_MODEL: "mra_latency", BRR_MODEL: "brr_latency"})
            + _rename(cost_reports, {MRA_MODEL: "mra_cost", BRR_MODEL: "brr_cost"}))
     write_reports_csv(rq3, out_dir / "rq3.csv")
@@ -251,6 +258,88 @@ def _load_tactic_context(tactics_path: str, trace_path: str | None):
     return tactics, registry, features
 
 
+class _TickLines:
+    """The JSON lines of one monitor tick, byte for byte what ``json.dumps``
+    writes for each entry ``{"tick", "name", "status",
+    "first_violation_step", "forecast", "tactics"}`` or ``{"tick", "name",
+    "error"}``.
+
+    Each spec name is serialised once per run. The estimates and the tick
+    length are fixed for the run, so the status and ranked tactics parts of
+    a line depend only on (status, first step): each distinct pair is
+    serialised once, by ``rank_tactics`` and ``json.dumps``.
+    """
+
+    def __init__(self, ordered: Sequence[SlaSpec], estimates: Sequence[TacticEstimate],
+                 tick_seconds: float) -> None:
+        self._names = [json.dumps(spec.name) for spec in ordered]
+        self._estimates = estimates
+        self._tick_seconds = tick_seconds
+        self._parts: dict[tuple[int, int], tuple[str, str]] = {}
+
+    def errors(self, tick: int, error: str) -> str:
+        text = json.dumps(error)
+        return "".join(f'{{"tick": {tick}, "name": {name}, "error": {text}}}\n'
+                       for name in self._names)
+
+    def entries(self, tick: int, forecast: list[float], codes: list[int],
+                steps: list[int]) -> str:
+        text = repr(forecast)  # a list of finite floats reprs as its JSON text
+        parts = self._parts
+        lines = []
+        for name, key in zip(self._names, zip(codes, steps)):
+            if key not in parts:
+                parts[key] = self._part(*key, forecast)
+            head, tail = parts[key]
+            lines.append(f'{{"tick": {tick}, "name": {name}, {head}{text}{tail}')
+        return "".join(lines)
+
+    def _part(self, code: int, step: int, forecast: list[float]) -> tuple[str, str]:
+        status = STATUSES[code]
+        head = json.dumps({"status": status.value, "first_violation_step": step or None})
+        ranked = []
+        if self._estimates and status is not SpecStatus.HEALTHY:
+            analysis = SpecAnalysis("", forecast, status, step or None)
+            ranked = rank_tactics(self._estimates, analysis, self._tick_seconds)
+        tactics = json.dumps([
+            {"name": e.tactic_name, "latency": e.predicted_latency,
+             "cost": e.predicted_cost, "utility": e.utility_score, "rank": rank}
+            for rank, e in enumerate(ranked, start=1)])
+        return f'{head[1:-1]}, "forecast": ', f', "tactics": {tactics}}}\n'
+
+
+def _block_models(fits, ticks: int, every: int, size: int):
+    """Per block of at most ``size`` ticks, yield (lo, hi, fit_errors, phi, c).
+
+    ``fits`` yields the fit of every ``every``-th tick. ``fit_errors``
+    holds the fit error of each tick of the block before the first good
+    fit (such ticks open the run); ``phi`` and ``c`` hold the model
+    coefficients of the block's later ticks. A failed refit keeps the last
+    good model and prints a warning.
+    """
+    model, fit_error = None, ""
+    for lo in range(0, ticks, size):
+        hi = min(lo + size, ticks)
+        fit_errors, phi, c = [], [], []
+        # The refit ticks whose model holds for some tick of the block.
+        for refit in range(lo - lo % every, hi, every):
+            if refit >= lo:
+                fitted = next(fits)
+                if isinstance(fitted, FitError):
+                    fit_error = str(fitted)
+                    print(f"warning: tick {refit}: refit failed: {fit_error}",
+                          file=sys.stderr)
+                else:
+                    model = fitted
+            n = min(refit + every, hi) - max(refit, lo)
+            if model is None:
+                fit_errors += [fit_error] * n
+            else:
+                phi += [model.phi] * n
+                c += [model.c] * n
+        yield lo, hi, fit_errors, phi, c
+
+
 def cmd_monitor(args: argparse.Namespace) -> int:
     specs = _load_specs(args.spec)
     history = _load_history(args.history)
@@ -267,28 +356,30 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     estimates = (price_tactics(*_load_tactic_context(args.tactics, args.trace))
                  if args.tactics else ())
 
+    ordered = order_specs_by_reward(specs)
+    lines = _TickLines(ordered, estimates, config.tick_seconds)
+    values = history.values
     ticks = len(history) - window + 1
     every = args.refit_every or ticks  # 0 fits once, on the first window
     # One model per refit tick, shared by every spec: all specs watch the
-    # one history. A failed refit keeps the last good model.
+    # one history. Ticks go through the kernel a block at a time, and each
+    # is written as soon as it is serialised.
     fits = fit_arima_windows(history, window, range(0, ticks, every))
-    model, fit_error = None, ""
-    for tick in range(ticks):
-        if tick % every == 0:
-            fitted = next(fits)
-            if isinstance(fitted, FitError):
-                fit_error = str(fitted)
-                print(f"warning: tick {tick}: refit failed: {fit_error}", file=sys.stderr)
-            else:
-                model = fitted
-        if model is None:
-            entries = [TickEntry(spec.name, None, error=fit_error)
-                       for spec in order_specs_by_reward(specs)]
-        else:
-            entries = workflow_tick(specs, history.window(tick, tick + window),
-                                    estimates, config, model)
-        sys.stdout.write("".join(json.dumps({"tick": tick, **tick_entry_to_dict(entry)})
-                                 + "\n" for entry in entries))
+    size = max(1, min(FIT_BLOCK, BLOCK_CELLS // config.horizon))
+    for lo, hi, fit_errors, phi, c in _block_models(fits, ticks, every, size):
+        for tick, error in enumerate(fit_errors, start=lo):
+            sys.stdout.write(lines.errors(tick, error))
+        start = lo + len(fit_errors)
+        if start == hi:
+            continue
+        end = hi + window - 1  # one past the last value of the block's last window
+        block = workflow_block(ordered, values[start + window - 1:end],
+                               values[start + window - 2:end - 1], phi, c, config)
+        for tick, forecast, step, codes, steps in zip(
+                range(start, hi), block.forecasts.tolist(), block.nonfinite_step.tolist(),
+                block.status.tolist(), block.first_step.tolist()):
+            sys.stdout.write(lines.errors(tick, forecast_error(step)) if step
+                             else lines.entries(tick, forecast, codes, steps))
     return 0
 
 

@@ -114,8 +114,16 @@ class ExperimentReport:
             raise ValueError("exactly one of scores and error must be set")
 
 
-def _score(predicted: Sequence[float], actual: Sequence[float]) -> ScorePair:
-    return ScorePair(rmse=rmse(predicted, actual), mae=mae(predicted, actual))
+def _score(predicted: Sequence[float], actual: Sequence[float], run: int,
+           model: str) -> ScorePair:
+    """Score one run of ``model``; raises ``ValueError`` naming the run and
+    model when a score overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = rmse(predicted, actual), mae(predicted, actual)
+    if not all(math.isfinite(score) for score in scores):
+        raise ValueError(f"run {run}, model {model!r}: scores overflow "
+                         f"(rmse={scores[0]!r}, mae={scores[1]!r})")
+    return ScorePair(*scores)
 
 
 def _run_seeds(master_seed: int, n_runs: int) -> list[int]:
@@ -169,8 +177,8 @@ def run_forecast_experiments(series: TimeSeries, n_runs: int, seed: int,
             continue
         actual = test.values
         persistence = np.full(len(test), train.values[-1])
-        reports.append(ExperimentReport(run, PERSISTENCE_MODEL,
-                                        _score(persistence, actual),
+        scores = _score(persistence, actual, run, PERSISTENCE_MODEL)
+        reports.append(ExperimentReport(run, PERSISTENCE_MODEL, scores,
                                         train_fraction, run_seed))
         try:
             model = fit_arima(train)
@@ -179,8 +187,8 @@ def run_forecast_experiments(series: TimeSeries, n_runs: int, seed: int,
             reports.append(ExperimentReport(run, FORECAST_MODEL, None,
                                             train_fraction, run_seed, error=str(exc)))
         else:
-            reports.append(ExperimentReport(run, FORECAST_MODEL,
-                                            _score(predicted, actual),
+            scores = _score(predicted, actual, run, FORECAST_MODEL)
+            reports.append(ExperimentReport(run, FORECAST_MODEL, scores,
                                             train_fraction, run_seed))
     return reports
 
@@ -216,9 +224,8 @@ def run_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: int,
             STATIC_BASELINE: float(static_value),
         }
         for name, value in constants.items():
-            reports.append(ExperimentReport(run, name,
-                                            _score(np.full(n_test, value), actual),
-                                            train_fraction, run_seed))
+            scores = _score(np.full(n_test, value), actual, run, name)
+            reports.append(ExperimentReport(run, name, scores, train_fraction, run_seed))
         fits = {
             MRA_MODEL: lambda: fit_mra(train_X, train_t),
             BRR_MODEL: lambda: fit_bayesian_ridge(train_X, train_t),
@@ -231,8 +238,8 @@ def run_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: int,
                                                 run_seed, error=str(exc)))
                 continue
             predicted = np.maximum(0.0, test_rows @ weights)
-            reports.append(ExperimentReport(run, name, _score(predicted, actual),
-                                            train_fraction, run_seed))
+            scores = _score(predicted, actual, run, name)
+            reports.append(ExperimentReport(run, name, scores, train_fraction, run_seed))
     return reports
 
 

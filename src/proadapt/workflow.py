@@ -1,15 +1,23 @@
 """The monitoring/decision loop body.
 
 ``price_tactics`` turns each tactic's trained models and feature vector
-into latency, cost and utility estimates. One tick then forecasts the
-monitored series once and walks the SLA specifications in
-descending-reward order, classifying each as healthy, at risk, or broken.
-Only a potentially broken specification (at risk or already violated)
-gets the estimates, ranked against its own deadline; a healthy one gets
-none.
+into latency, cost and utility estimates. The loop then forecasts the
+monitored series and walks the SLA specifications in descending-reward
+order, classifying each as healthy, at risk, or broken. Only a
+potentially broken specification (at risk or already violated) gets the
+estimates, ranked against its own deadline; a healthy one gets none.
 
-``workflow_tick`` is a pure function of its inputs, so ticks for disjoint
-systems can run concurrently.
+``workflow_block`` is the kernel: for a block of consecutive ticks, given
+each tick's last two observations and model coefficients, it forecasts
+every tick in one array recursion (the same float operations in the same
+order as ``arima.forecast``, so the values are bit-identical), finds each
+tick's first non-finite step, and classifies every specification of every
+tick with array comparisons. ``workflow_tick`` is its one-tick case and
+returns per-spec ``TickEntry`` objects; ``monitor`` calls the kernel once
+per block of ticks.
+
+Both are pure functions of their inputs, so ticks for disjoint systems can
+run concurrently.
 """
 
 from __future__ import annotations
@@ -19,7 +27,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .arima import ArimaModel, fit_arima, forecast, reanchor
+import numpy as np
+
+from .arima import ArimaModel, fit_arima, forecast_error, reanchor
 from .regression import RegressionModel, predict
 from .types import (Direction, SlaSpec, Tactic, TimeSeries, UtilityParams,
                     order_specs_by_reward, utility)
@@ -31,10 +41,12 @@ __all__ = [
     "TacticModels",
     "WorkflowConfig",
     "TickEntry",
+    "TickBlock",
+    "STATUSES",
     "price_tactics",
     "rank_tactics",
+    "workflow_block",
     "workflow_tick",
-    "tick_entry_to_dict",
 ]
 
 COST_FLOOR = 1e-6  # the utility divides by cost, so priced costs are floored here
@@ -44,6 +56,11 @@ class SpecStatus(enum.Enum):
     HEALTHY = "healthy"
     AT_RISK = "at_risk"
     BROKEN = "broken"
+
+
+# A TickBlock's status code i stands for STATUSES[i].
+STATUSES = (SpecStatus.HEALTHY, SpecStatus.AT_RISK, SpecStatus.BROKEN)
+_HEALTHY, _AT_RISK, _BROKEN = range(3)
 
 
 @dataclass(frozen=True)
@@ -115,8 +132,14 @@ class WorkflowConfig:
             raise ValueError("horizon must be >= 1")
         if not 0.0 <= self.risk_margin < 1.0:
             raise ValueError("risk_margin must lie in [0, 1)")
-        if self.tick_seconds <= 0:
-            raise ValueError("tick_seconds must be > 0")
+        _check_tick_seconds(self.tick_seconds)
+
+
+def _check_tick_seconds(tick_seconds: float) -> None:
+    # A NaN or infinite tick length would make every deadline NaN or
+    # infinite, so every tactic would count as ready in time.
+    if not (math.isfinite(tick_seconds) and tick_seconds > 0):
+        raise ValueError(f"tick_seconds must be finite and > 0, got {tick_seconds!r}")
 
 
 @dataclass(frozen=True)
@@ -129,26 +152,60 @@ class TickEntry:
     error: str | None = None
 
 
-def _enters_risk_band(spec: SlaSpec, value: float, margin_width: float) -> bool:
-    # Strict on the approach side so that a zero margin reduces exactly to
-    # "forecast violates the threshold".
-    if spec.direction is Direction.UPPER_BOUND:
-        return value > spec.threshold - margin_width
-    return value < spec.threshold + margin_width
+@dataclass(frozen=True)
+class TickBlock:
+    """Forecasts and classifications of a block of n ticks and k specs.
+
+    ``forecasts`` is (n, horizon). ``nonfinite_step`` (n,) holds each
+    tick's first 1-based step that is not finite, 0 when all are; the
+    classification of such a tick is meaningless. ``status`` (n, k) holds
+    codes into ``STATUSES``, and ``first_step`` (n, k) the 1-based step
+    that first enters the risk band of an AT_RISK spec, 0 otherwise.
+    """
+
+    forecasts: np.ndarray
+    nonfinite_step: np.ndarray
+    status: np.ndarray
+    first_step: np.ndarray
 
 
-def _classify(spec: SlaSpec, history: TimeSeries, predicted: tuple[float, ...],
-              risk_margin: float) -> SpecAnalysis:
-    """Broken when the current value violates, at risk from the first
-    forecast step inside the risk band, healthy otherwise."""
-    if spec.violates(float(history.values[-1])):
-        return SpecAnalysis(spec.name, predicted, SpecStatus.BROKEN)
-    margin_width = risk_margin * abs(spec.threshold)
-    for step, value in enumerate(predicted, start=1):
-        if _enters_risk_band(spec, value, margin_width):
-            return SpecAnalysis(spec.name, predicted, SpecStatus.AT_RISK,
-                                first_violation_step=step)
-    return SpecAnalysis(spec.name, predicted, SpecStatus.HEALTHY)
+def workflow_block(specs: Sequence[SlaSpec], last: Sequence[float],
+                   previous: Sequence[float], phi: Sequence[float], c: Sequence[float],
+                   config: WorkflowConfig) -> TickBlock:
+    """Forecast and classify n ticks, each from its last two observations
+    (``previous``, ``last``) under its model coefficients ``phi`` and ``c``.
+
+    The forecast iterates z = c + phi * z from z = last - previous and adds
+    each z onto the running last value, as ``arima.forecast`` does. A spec
+    is broken when the tick's last value violates it, at risk from the
+    first forecast step inside its risk band (strict on the approach side,
+    so a zero margin means "a step violates"), healthy otherwise. ``specs``
+    are taken in the given order.
+    """
+    last, previous, phi, c = (np.asarray(a, dtype=float)
+                              for a in (last, previous, phi, c))
+    steps = np.empty((config.horizon, last.size))
+    status = np.empty((last.size, len(specs)), dtype=np.int8)
+    first_step = np.zeros((last.size, len(specs)), dtype=np.intp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = last - previous
+        running = last.copy()
+        for row in steps:
+            z = c + phi * z
+            running += z
+            row[:] = running
+        bad = ~np.isfinite(steps)
+        nonfinite_step = np.where(bad.any(axis=0), bad.argmax(axis=0) + 1, 0)
+        for j, spec in enumerate(specs):
+            margin_width = config.risk_margin * abs(spec.threshold)
+            if spec.direction is Direction.UPPER_BOUND:
+                now, band = last > spec.threshold, steps > spec.threshold - margin_width
+            else:
+                now, band = last < spec.threshold, steps < spec.threshold + margin_width
+            at_risk = band.any(axis=0) & ~now
+            status[:, j] = np.where(now, _BROKEN, np.where(at_risk, _AT_RISK, _HEALTHY))
+            first_step[at_risk, j] = band.argmax(axis=0)[at_risk] + 1
+    return TickBlock(steps.T, nonfinite_step, status, first_step)
 
 
 def price_tactics(tactics: Sequence[Tactic], registry: Mapping[str, TacticModels],
@@ -195,8 +252,7 @@ def rank_tactics(estimates: Sequence[TacticEstimate], analysis: SpecAnalysis,
     """
     if not estimates:
         raise ValueError("estimates must be non-empty")
-    if tick_seconds <= 0:
-        raise ValueError("tick_seconds must be > 0")
+    _check_tick_seconds(tick_seconds)
     if analysis.status is SpecStatus.BROKEN:
         deadline = 0.0
     elif analysis.status is SpecStatus.AT_RISK:
@@ -212,7 +268,8 @@ def workflow_tick(specs: Sequence[SlaSpec], history: TimeSeries,
                   estimates: Sequence[TacticEstimate] = (),
                   config: WorkflowConfig | None = None,
                   model: ArimaModel | None = None) -> list[TickEntry]:
-    """One pass over all specifications in descending-reward order.
+    """One pass over all specifications in descending-reward order: the
+    one-tick case of ``workflow_block``.
 
     ``history`` is forecast once, by re-anchoring ``model`` on its tail or,
     without a model, by fitting ARIMA(1, 1, 0) on it; a forecast failure
@@ -226,33 +283,22 @@ def workflow_tick(specs: Sequence[SlaSpec], history: TimeSeries,
     ordered = order_specs_by_reward(specs)
     try:
         fitted = fit_arima(history) if model is None else reanchor(model, history)
-        predicted = tuple(forecast(fitted, cfg.horizon))
     except ValueError as exc:
         return [TickEntry(spec.name, None, error=str(exc)) for spec in ordered]
+    previous, last = fitted.last_observations
+    block = workflow_block(ordered, [last], [previous], [fitted.phi], [fitted.c], cfg)
+    step = int(block.nonfinite_step[0])
+    if step:
+        error = forecast_error(step)
+        return [TickEntry(spec.name, None, error=error) for spec in ordered]
+    predicted = tuple(block.forecasts[0].tolist())
     entries = []
-    for spec in ordered:
-        analysis = _classify(spec, history, predicted, cfg.risk_margin)
+    for spec, code, first in zip(ordered, block.status[0].tolist(),
+                                 block.first_step[0].tolist()):
+        analysis = SpecAnalysis(spec.name, predicted, STATUSES[code], first or None)
         if analysis.status is SpecStatus.HEALTHY or not estimates:
             entries.append(TickEntry(spec.name, analysis))
         else:
             ranked = rank_tactics(estimates, analysis, cfg.tick_seconds)
             entries.append(TickEntry(spec.name, analysis, tuple(ranked)))
     return entries
-
-
-def tick_entry_to_dict(entry: TickEntry) -> dict:
-    """JSON-ready view of one spec's tick outcome."""
-    if entry.error is not None:
-        return {"name": entry.spec_name, "error": entry.error}
-    analysis = entry.analysis
-    return {
-        "name": entry.spec_name,
-        "status": analysis.status.value,
-        "first_violation_step": analysis.first_violation_step,
-        "forecast": list(analysis.forecast_values),
-        "tactics": [
-            {"name": e.tactic_name, "latency": e.predicted_latency,
-             "cost": e.predicted_cost, "utility": e.utility_score, "rank": rank}
-            for rank, e in enumerate(entry.estimates, start=1)
-        ],
-    }

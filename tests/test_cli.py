@@ -10,7 +10,7 @@ from proadapt import (Phase, TimeSeries, WorkflowConfig, cli, fit_arima, forecas
                       generate_trace, price_tactics, reanchor, workflow, workflow_tick,
                       write_trace_csv)
 from proadapt.cli import main
-from proadapt.workflow import tick_entry_to_dict
+from monitor_oracle import tick_entry_to_dict
 
 
 def run_cli(*args, cwd=None):
@@ -92,6 +92,21 @@ class TestReplicate:
     def test_requires_a_source(self, tmp_path):
         result = run_cli("replicate", "--runs", "2", "--out-dir", str(tmp_path))
         assert result.returncode == 2
+
+    def test_overflowing_scores_name_the_model_and_write_no_report(self, tmp_path):
+        # Download energies of 1e200 square to inf in the cost scores.
+        trace = tmp_path / "trace.csv"
+        write_trace_csv([replace(r, energy_joules=r.energy_joules * 1e200)
+                         if r.phase is Phase.DOWNLOAD else r
+                         for r in generate_trace(120, 4)], trace)
+        out_dir = tmp_path / "reports"
+        result = run_cli("replicate", "--trace", str(trace), "--runs", "3",
+                         "--out-dir", str(out_dir))
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: cost response: run 0, model "
+                                        "'baseline_mean': scores overflow (rmse=inf")
+        assert len(result.stderr.splitlines()) == 1
+        assert not out_dir.exists()
 
 
 class TestMonitor:
@@ -349,6 +364,13 @@ class TestMonitorInputErrors:
         err = self.assert_one_error(capsys, "monitor", "--spec", str(spec), "--history",
                                     str(history), "--window", "0")
         assert "--window" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-6"])
+    def test_tick_seconds_must_be_finite_and_positive(self, tmp_path, capsys, value):
+        spec, history = write_ramp_fixture(tmp_path)
+        err = self.assert_one_error(capsys, "monitor", "--spec", str(spec), "--history",
+                                    str(history), f"--tick-seconds={value}")
+        assert "tick_seconds must be finite and > 0" in err
 
     def run_tactics(self, tmp_path, capsys, text):
         spec, history = write_ramp_fixture(tmp_path)

@@ -9,6 +9,8 @@ from proadapt import (Direction, RegressionModel, SlaSpec, SpecAnalysis, SpecSta
                       rank_tactics, to_regression_dataset, workflow_tick, fit_mra)
 from proadapt import workflow
 
+from monitor_oracle import tick_entry_to_dict
+
 UPPER = SlaSpec("response_time", 0.7, direction=Direction.UPPER_BOUND,
                 penalty=3.0, reward=10.0)
 
@@ -216,6 +218,14 @@ class TestRankTactics:
         with pytest.raises(ValueError):
             rank_tactics([], at_risk_analysis(), tick_seconds=6.0)
 
+    @pytest.mark.parametrize("tick_seconds", [float("nan"), float("inf"), 0.0])
+    def test_tick_seconds_must_be_finite_and_positive(self, tick_seconds):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            rank_tactics([estimate("t", 1.0, 1.0, 0.0)], at_risk_analysis(),
+                         tick_seconds=tick_seconds)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            WorkflowConfig(tick_seconds=tick_seconds)
+
 
 class TickFixture:
     """One rising series (0.50 to 0.89 in steps of 0.01) that "hot" and
@@ -283,7 +293,7 @@ class TestWorkflowTick:
     def test_json_lines_round_trip(self):
         fx = TickFixture(n_tactics=2)
         entries = fx.run([fx.spec_hot, fx.spec_cool])
-        lines = [json.dumps(workflow.tick_entry_to_dict(e)) for e in entries]
+        lines = [json.dumps(tick_entry_to_dict(e)) for e in entries]
         assert len(lines) == 2
         decoded = [json.loads(line) for line in lines]
         assert decoded[0]["name"] == "hot"
@@ -297,11 +307,12 @@ class TestWorkflowTick:
         specs = [SlaSpec("a", 0.7, reward=3.0), SlaSpec("b", 0.9, reward=2.0),
                  SlaSpec("c", 2.0, reward=1.0)]
         calls = []
-        original = workflow.forecast
-        monkeypatch.setattr(workflow, "forecast",
-                            lambda m, h: calls.append(h) or original(m, h))
+        original = workflow.workflow_block
+        monkeypatch.setattr(workflow, "workflow_block",
+                            lambda s, last, *rest: calls.append(len(last))
+                            or original(s, last, *rest))
         entries = workflow_tick(specs, series, model=model)
-        assert calls == [5]
+        assert calls == [1]
         for spec, entry in zip(specs, entries):
             assert entry.analysis == analyze(spec, series, 5, 0.10, model=model)
         assert {e.analysis.status for e in entries} == {
