@@ -42,7 +42,7 @@ from .workflow import (STATUSES, SpecAnalysis, SpecStatus, TacticEstimate, Tacti
                        WorkflowConfig, price_tactics, rank_tactics, workflow_block)
 
 DEFAULT_SEED = 42
-BLOCK_CELLS = 1 << 16  # forecast values (ticks x horizon) per block of monitor ticks
+BLOCK_CELLS = 1 << 18  # forecast values (ticks x horizon) per block of monitor ticks
 
 
 def _subseed(seed: int, key: int) -> int:

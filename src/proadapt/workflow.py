@@ -189,11 +189,12 @@ def workflow_block(specs: Sequence[SlaSpec], last: Sequence[float],
     first_step = np.zeros((last.size, len(specs)), dtype=np.intp)
     with np.errstate(over="ignore", invalid="ignore"):
         z = last - previous
-        running = last.copy()
-        for row in steps:
-            z = c + phi * z
-            running += z
-            row[:] = running
+        running = last
+        for row in steps:  # in place: a long horizon makes blocks short
+            np.multiply(phi, z, out=z)
+            np.add(c, z, out=z)
+            np.add(running, z, out=row)
+            running = row
         bad = ~np.isfinite(steps)
         nonfinite_step = np.where(bad.any(axis=0), bad.argmax(axis=0) + 1, 0)
         for j, spec in enumerate(specs):

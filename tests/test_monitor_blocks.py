@@ -168,11 +168,11 @@ def test_blocks_stay_within_the_cell_budget(workdir, monkeypatch):
         return kernel(specs, last, previous, phi, c, config)
 
     monkeypatch.setattr(cli, "workflow_block", spy)
-    values = (0.01 * np.arange(40) + np.sin(np.arange(40))).tolist()
+    values = (0.01 * np.arange(80) + np.sin(np.arange(80))).tolist()
     specs = [{"name": "cap", "threshold": 1e6}]
     out, err, want_out, want_err = run_both(workdir, values, specs, 12, 5000, 0.1, 6.0,
                                             0, False)
     assert out == want_out and err == want_err
-    assert sum(n for n, _ in sizes) == 29
+    assert sum(n for n, _ in sizes) == 69
     assert all(n * horizon <= cli.BLOCK_CELLS for n, horizon in sizes)
     assert len(sizes) > 1
