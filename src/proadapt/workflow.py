@@ -190,7 +190,9 @@ def workflow_block(specs: Sequence[SlaSpec], last: Sequence[float],
     with np.errstate(over="ignore", invalid="ignore"):
         z = last - previous
         running = last
-        for row in steps:  # in place: a long horizon makes blocks short
+        # In place, since per-step call overhead dominates when a long
+        # horizon makes the block short.
+        for row in steps:
             np.multiply(phi, z, out=z)
             np.add(c, z, out=z)
             np.add(running, z, out=row)
