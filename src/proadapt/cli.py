@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -74,6 +75,11 @@ def _rename(reports: Sequence[ExperimentReport], mapping: dict[str, str]
 
 
 def cmd_replicate(args: argparse.Namespace) -> int:
+    # The rule Tactic applies to its static values, checked before any work.
+    for flag, value in (("--static-latency", args.static_latency),
+                        ("--static-cost", args.static_cost)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{flag} must be finite and >= 0, got {value!r}")
     config = EmulatorConfig()
     if args.trace:
         records = ingest_trace_csv(args.trace)

@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .regression import DesignMatrix, ResponseVector
 from .types import TimeSeries
@@ -199,6 +200,13 @@ class EmulatorConfig:
 
 def _hour_of_day(timestamp: float) -> int:
     return int((timestamp % 86400.0) // 3600.0)
+
+
+# Hour-of-day coordinates from the scalar math functions, one entry per
+# value of _hour_of_day: 0-23, and 24 for a tiny negative timestamp, whose
+# remainder rounds up to 86400.0.
+_HOUR_SIN = np.array([math.sin(2.0 * math.pi * hour / 24.0) for hour in range(25)])
+_HOUR_COS = np.array([math.cos(2.0 * math.pi * hour / 24.0) for hour in range(25)])
 
 
 def diurnal_multiplier(hour: int, amplitude: float, peak_hour: int) -> float:
@@ -387,34 +395,40 @@ def to_regression_dataset(records: Sequence[TraceRecord]
     cyclic sin/cos coordinates, and mirror membership dummies (first
     present mirror is the reference category, keeping the design full
     rank). Rows whose mirror lacks five prior observations are dropped.
+    Each mirror's lags come from one sliding window over its latencies.
     """
     downloads = _downloads_in_order(records)
     if len(downloads) < 8:
         raise ValueError(f"need at least 8 download records, got {len(downloads)}")
     present = sorted({r.mirror for r in downloads}, key=lambda m: m.value)
-    dummy_mirrors = present[1:]
+    code_of = {mirror: code for code, mirror in enumerate(present)}
     names = ["intercept", "latency_lag1", "latency_lag2", "latency_mean5",
-             "hour_sin", "hour_cos"] + [f"mirror_{m.value}" for m in dummy_mirrors]
-    history: dict[Mirror, list[float]] = {m: [] for m in present}
-    rows, latencies, energies = [], [], []
-    for record in downloads:
-        past = history[record.mirror]
-        if len(past) >= LAG_WINDOW:
-            hour = _hour_of_day(record.timestamp)
-            angle = 2.0 * math.pi * hour / 24.0
-            feature_row = [1.0, past[-1], past[-2],
-                           float(np.mean(past[-LAG_WINDOW:])),
-                           math.sin(angle), math.cos(angle)]
-            feature_row += [1.0 if record.mirror is m else 0.0 for m in dummy_mirrors]
-            rows.append(feature_row)
-            latencies.append(record.latency_seconds)
-            energies.append(record.energy_joules)
-        past.append(record.latency_seconds)
-    if not rows:
+             "hour_sin", "hour_cos"] + [f"mirror_{m.value}" for m in present[1:]]
+    codes = np.array([code_of[r.mirror] for r in downloads])
+    latencies = np.array([r.latency_seconds for r in downloads])
+    lags = np.empty((len(downloads), 3))  # lag 1, lag 2, mean of the previous five
+    complete = np.zeros(len(downloads), dtype=bool)
+    for code in range(len(present)):
+        rows = np.flatnonzero(codes == code)
+        if rows.size <= LAG_WINDOW:
+            continue
+        past = latencies[rows]
+        rows = rows[LAG_WINDOW:]
+        complete[rows] = True
+        lags[rows, 0] = past[LAG_WINDOW - 1:-1]
+        lags[rows, 1] = past[LAG_WINDOW - 2:-2]
+        lags[rows, 2] = sliding_window_view(past[:-1], LAG_WINDOW).mean(axis=1)
+    if not complete.any():
         raise ValueError("no download row has a complete lag window")
-    return (DesignMatrix(np.array(rows), tuple(names)),
-            ResponseVector(np.array(latencies)),
-            ResponseVector(np.array(energies)))
+    kept = [r for r, keep in zip(downloads, complete.tolist()) if keep]
+    hours = np.array([_hour_of_day(r.timestamp) for r in kept])
+    codes = codes[complete]
+    rows = np.column_stack([np.ones(len(kept)), lags[complete], _HOUR_SIN[hours],
+                            _HOUR_COS[hours],
+                            codes[:, None] == np.arange(1, len(present))])
+    return (DesignMatrix(rows, tuple(names)),
+            ResponseVector(latencies[complete]),
+            ResponseVector(np.array([r.energy_joules for r in kept])))
 
 
 def to_idle_series(records: Sequence[TraceRecord],

@@ -12,7 +12,21 @@ regression rows carry no such ordering, so predictor splits sample rows
 uniformly. Each run draws its own seed from the master seed through
 ``numpy.random.SeedSequence``, so runs are reorder-independent and the
 whole harness is byte-deterministic. A failed run is recorded on its
-report instead of aborting the batch.
+report instead of aborting the batch; a score that overflows raises
+``ValueError`` naming the run and model.
+
+Predictor runs are processed ``PREDICTOR_CHUNK`` at a time from downdated
+sufficient statistics (Golub & Van Loan, Matrix Computations 6.5, 12.5).
+G = X'X, X't and t't of the whole design are computed once; a run's
+training statistics are those minus its held-out rows' share, one batched
+product over the chunk's (chunk, n_test, M + 1) gather. The least-squares
+and Bayesian-ridge weights then come from ``regression.fit_gram_batch``,
+which flags every run the statistics cannot be trusted with (cond(X'X)
+above ``GRAM_CONDITION_LIMIT``, a residual sum below
+``CANCELLATION_LIMIT`` of t't, anything non-finite); those runs are refitted
+with ``fit_mra``/``fit_bayesian_ridge`` on their rows. Scores are row
+reductions over (chunk, n_test) arrays. The baselines' scores are the ones
+a per-run harness computes, bit for bit; no array grows with runs x N.
 
 Report CSV format: header ``run,model,rmse,mae,train_fraction,seed``, one
 row per scored run/model pair, reals at 17 significant digits, UTF-8, LF
@@ -29,7 +43,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .arima import fit_arima, forecast
-from .regression import DesignMatrix, ResponseVector, baseline_mean, fit_bayesian_ridge, fit_mra
+from .regression import (DesignMatrix, ResponseVector, baseline_mean, fit_bayesian_ridge,
+                         fit_gram_batch, fit_mra)
 from .types import TimeSeries
 
 __all__ = [
@@ -56,6 +71,8 @@ MRA_MODEL = "mra"
 BRR_MODEL = "brr"
 MEAN_BASELINE = "baseline_mean"
 STATIC_BASELINE = "baseline_static"
+PREDICTOR_MODELS = (MEAN_BASELINE, STATIC_BASELINE, MRA_MODEL, BRR_MODEL)
+PREDICTOR_CHUNK = 16  # runs per batched pass: bounds the (chunk, n_test, M + 1) gather
 
 
 def _paired(predicted: Sequence[float], actual: Sequence[float]) -> np.ndarray:
@@ -114,16 +131,19 @@ class ExperimentReport:
             raise ValueError("exactly one of scores and error must be set")
 
 
+def _score_pair(rmse_value: float, mae_value: float, run: int, model: str) -> ScorePair:
+    """Scores of one run of ``model``; raises ``ValueError`` naming the run
+    and model when a score overflowed."""
+    if not (math.isfinite(rmse_value) and math.isfinite(mae_value)):
+        raise ValueError(f"run {run}, model {model!r}: scores overflow "
+                         f"(rmse={rmse_value!r}, mae={mae_value!r})")
+    return ScorePair(rmse_value, mae_value)
+
+
 def _score(predicted: Sequence[float], actual: Sequence[float], run: int,
            model: str) -> ScorePair:
-    """Score one run of ``model``; raises ``ValueError`` naming the run and
-    model when a score overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        scores = rmse(predicted, actual), mae(predicted, actual)
-    if not all(math.isfinite(score) for score in scores):
-        raise ValueError(f"run {run}, model {model!r}: scores overflow "
-                         f"(rmse={scores[0]!r}, mae={scores[1]!r})")
-    return ScorePair(*scores)
+        return _score_pair(rmse(predicted, actual), mae(predicted, actual), run, model)
 
 
 def _run_seeds(master_seed: int, n_runs: int) -> list[int]:
@@ -200,7 +220,8 @@ def run_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: int,
 
     Scores the least-squares fit, the Bayesian ridge, the running mean of
     the training responses, and the caller's design-time ``static_value``
-    on each held-out row set.
+    on each held-out row set. Runs are processed ``PREDICTOR_CHUNK`` at a
+    time from downdated statistics (see the module docstring).
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -208,38 +229,72 @@ def run_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: int,
         raise ValueError(f"need at least 40 observations, got {X.n}")
     if X.n != len(t):
         raise ValueError("design matrix and responses disagree on length")
+    # The response rides as the last column, so one product gives X'X, X't and t't.
+    augmented = np.column_stack([X.rows, t.t])
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = augmented.T @ augmented
+    seeds = _run_seeds(seed, n_runs)
     reports: list[ExperimentReport] = []
-    for run, run_seed in enumerate(_run_seeds(seed, n_runs)):
-        rng = np.random.default_rng(run_seed)
-        n_test = max(1, int(round((1.0 - train_fraction) * X.n)))
-        order = rng.permutation(X.n)
-        test_idx, train_idx = order[:n_test], order[n_test:]
-        train_X = DesignMatrix(X.rows[train_idx], X.column_names)
-        train_t = ResponseVector(t.t[train_idx])
-        test_rows = X.rows[test_idx]
-        actual = t.t[test_idx]
+    for start in range(0, n_runs, PREDICTOR_CHUNK):
+        runs = range(start, min(start + PREDICTOR_CHUNK, n_runs))
+        reports += _predictor_chunk(X, t, augmented, totals, runs, seeds,
+                                    static_value, train_fraction)
+    return reports
 
-        constants = {
-            MEAN_BASELINE: baseline_mean(train_t.t),
-            STATIC_BASELINE: float(static_value),
-        }
-        for name, value in constants.items():
-            scores = _score(np.full(n_test, value), actual, run, name)
-            reports.append(ExperimentReport(run, name, scores, train_fraction, run_seed))
-        fits = {
-            MRA_MODEL: lambda: fit_mra(train_X, train_t),
-            BRR_MODEL: lambda: fit_bayesian_ridge(train_X, train_t),
-        }
-        for name, fit in fits.items():
+
+def _permutation(run_seed: int, n: int) -> np.ndarray:
+    """A run's row order: its first n_test rows are held out, the rest train."""
+    return np.random.default_rng(run_seed).permutation(n)
+
+
+def _predictor_chunk(X: DesignMatrix, t: ResponseVector, augmented: np.ndarray,
+                     totals: np.ndarray, runs: range, seeds: Sequence[int],
+                     static_value: float, train_fraction: float) -> list[ExperimentReport]:
+    """Reports of a chunk of predictor runs, in run order and, within a run,
+    in the order baseline_mean, baseline_static, mra, brr."""
+    n_test = max(1, int(round((1.0 - train_fraction) * X.n)))
+    test_idx = np.empty((len(runs), n_test), dtype=np.intp)
+    means = []
+    for i, run in enumerate(runs):
+        order = _permutation(seeds[run], X.n)
+        test_idx[i] = order[:n_test]
+        with np.errstate(over="ignore", invalid="ignore"):
+            means.append(baseline_mean(t.t[order[n_test:]]))
+    held_out = augmented[test_idx]
+    test_rows, actual = held_out[..., :-1], held_out[..., -1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = totals - np.matmul(held_out.transpose(0, 2, 1), held_out)
+    mra, mra_ok, brr, brr_ok = fit_gram_batch(stats[:, :-1, :-1], stats[:, :-1, -1],
+                                              stats[:, -1, -1], X.n - n_test)
+    weights = np.stack([mra, brr])
+    errors: dict[tuple[str, int], str] = {}
+    for k, (name, trusted, fit) in enumerate(((MRA_MODEL, mra_ok, fit_mra),
+                                              (BRR_MODEL, brr_ok, fit_bayesian_ridge))):
+        for i in np.flatnonzero(~trusted).tolist():
+            train_idx = _permutation(seeds[runs[i]], X.n)[n_test:]
             try:
-                weights = np.asarray(fit().weights)
+                model = fit(DesignMatrix(X.rows[train_idx], X.column_names),
+                            ResponseVector(t.t[train_idx]))
             except ValueError as exc:
-                reports.append(ExperimentReport(run, name, None, train_fraction,
-                                                run_seed, error=str(exc)))
-                continue
-            predicted = np.maximum(0.0, test_rows @ weights)
-            scores = _score(predicted, actual, run, name)
-            reports.append(ExperimentReport(run, name, scores, train_fraction, run_seed))
+                errors[name, i] = str(exc)
+                weights[k, i] = 0.0
+            else:
+                weights[k, i] = model.weights
+
+    constants = np.array([means, [float(static_value)] * len(runs)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        predicted = np.maximum(0.0, np.matmul(test_rows, weights[..., None])[..., 0])
+        residuals = np.concatenate([constants[..., None] - actual, predicted - actual])
+        rmses = np.sqrt(np.mean(residuals**2, axis=-1)).tolist()
+        maes = np.mean(np.abs(residuals), axis=-1).tolist()
+    reports: list[ExperimentReport] = []
+    for i, run in enumerate(runs):
+        for k, name in enumerate(PREDICTOR_MODELS):
+            error = errors.get((name, i))
+            scores = None if error is not None else _score_pair(rmses[k][i], maes[k][i],
+                                                                run, name)
+            reports.append(ExperimentReport(run, name, scores, train_fraction,
+                                            seeds[run], error=error))
     return reports
 
 

@@ -7,6 +7,17 @@ entry. Fits are solved with a numerically stable decomposition equivalent
 to the normal equations w* = (X'X)^{-1} X't; near-singular designs fall
 back to a minimal ridge term instead of failing.
 
+``fit_gram_batch`` fits a stack of training sets from their statistics
+X'X, X't and t't alone, as the replication harness needs for its chunks
+of runs. It solves the normal equations only where that is safe:
+cond(X'X) <= ``GRAM_CONDITION_LIMIT`` = 1e6, far below the
+``CONDITION_LIMIT`` = 1e12 at which ``fit_mra`` adds its ridge, and a
+residual sum of at least ``CANCELLATION_LIMIT`` = 1e-6 of t't. It flags
+every other fit for an explicit refit from the rows. The Bayesian ridge
+shares one evidence update, in the eigenbasis of X'X, between
+``fit_bayesian_ridge`` (residuals from the rows) and ``fit_gram_batch``
+(residuals from the statistics).
+
 Everything here is a pure function over immutable inputs.
 """
 
@@ -32,6 +43,13 @@ __all__ = [
 
 CONDITION_LIMIT = 1e12  # beyond this the normal equations get a ridge term
 RIDGE_SCALE = 1e-8      # fallback lambda = RIDGE_SCALE * trace(X'X) / M
+GRAM_CONDITION_LIMIT = 1e6  # batched least squares from X'X only up to this cond(X'X)
+CANCELLATION_LIMIT = 1e-6   # residual sums from statistics only down to this share of t't
+BRR_OVERFLOW = ("Bayesian ridge fit overflows: X'X, the weights or the training "
+                "error are not finite")
+_TINY = np.finfo(float).tiny
+_EVIDENCE_CAP = 1e150  # keeps beta*eigenvalues finite when residuals underflow to 0
+EVIDENCE_ITERATIONS = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,17 +190,45 @@ def predict(model: RegressionModel, x: Sequence[float]) -> Prediction:
     return Prediction(value=max(0.0, raw), raw=raw)
 
 
+def _posterior_coordinates(eigenvalues: np.ndarray, q: np.ndarray,
+                           alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Posterior mean in the eigenbasis of X'X: z_i = beta q_i / (alpha + beta lambda_i),
+    with q = V'X't. Leading axes of every argument index independent fits."""
+    beta = beta[..., None]
+    return beta * q / (alpha[..., None] + beta * eigenvalues)
+
+
+def _evidence_step(eigenvalues: np.ndarray, q: np.ndarray, z: np.ndarray,
+                   alpha: np.ndarray, beta: np.ndarray, n: int,
+                   residual_sum: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One evidence update from the posterior mean z (eigenbasis
+    coordinates) and its sum of squared residuals; returns the new alpha,
+    beta and z. ``||m||^2 = ||z||^2`` since the eigenbasis is orthonormal."""
+    scaled = beta[..., None] * eigenvalues
+    gamma = np.sum(scaled / (alpha[..., None] + scaled), axis=-1)
+    alpha = np.minimum(gamma / np.maximum(np.sum(z * z, axis=-1), _TINY), _EVIDENCE_CAP)
+    beta = np.minimum(np.maximum(n - gamma, _TINY) / np.maximum(residual_sum, _TINY),
+                      _EVIDENCE_CAP)
+    return alpha, beta, _posterior_coordinates(eigenvalues, q, alpha, beta)
+
+
 def fit_bayesian_ridge(X: DesignMatrix, t: ResponseVector,
                        alpha0: float = 1.0, beta0: float = 1.0,
-                       iters: int = 10) -> RegressionModel:
+                       iters: int = EVIDENCE_ITERATIONS) -> RegressionModel:
     """Bayesian ridge baseline via the evidence fixed-point iterations.
 
-    The posterior mean is m = (alpha*I + beta*X'X)^{-1} beta*X't. Each
-    iteration recomputes the effective parameter count
-    gamma = sum_i lambda_i / (alpha + lambda_i) over the eigenvalues of
-    beta*X'X, then updates alpha = gamma/||m||^2 and
-    beta = (N - gamma)/sum of squared residuals. ``iters`` = 0 returns the
-    posterior mean under the initial hyperparameters.
+    The posterior mean is m = (alpha*I + beta*X'X)^{-1} beta*X't. One
+    eigendecomposition X'X = V diag(lambda) V' turns each iteration's
+    posterior mean into the diagonal rescale z_i = beta q_i / (alpha +
+    beta lambda_i), q = V'X't, m = Vz (Bishop, PRML 3.5.2). Each iteration
+    recomputes the effective parameter count gamma = sum_i beta lambda_i /
+    (alpha + beta lambda_i), then updates alpha = gamma/||m||^2 and
+    beta = (N - gamma)/sum of squared residuals. The returned mean solves
+    the posterior system under the final hyperparameters, which keeps
+    badly scaled designs as accurate as a solve per iteration would.
+    ``iters`` = 0 returns the posterior mean under the initial
+    hyperparameters. Raises ``ValueError`` when X'X, the weights or the
+    training error are not finite.
     """
     _check_dimensions(X, t)
     if alpha0 <= 0 or beta0 <= 0:
@@ -191,25 +237,108 @@ def fit_bayesian_ridge(X: DesignMatrix, t: ResponseVector,
         raise ValueError("iters must be >= 0")
     if X.n < 1:
         raise ValueError("need at least one observation")
-    gram = X.rows.T @ X.rows
-    xt = X.rows.T @ t.t
-    eigenvalues = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
-    tiny = np.finfo(float).tiny
-    cap = 1e150  # keeps beta*eigenvalues finite when residuals underflow to 0
+    # Data near the float maximum overflow below; the checks say so.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        gram = X.rows.T @ X.rows
+        xt = X.rows.T @ t.t
+        if not (np.isfinite(gram).all() and np.isfinite(xt).all()):
+            raise ValueError(BRR_OVERFLOW)
+        eigenvalues, vectors = np.linalg.eigh(gram)
+        eigenvalues = np.clip(eigenvalues, 0.0, None)
+        q = vectors.T @ xt
+        alpha, beta = np.asarray(float(alpha0)), np.asarray(float(beta0))
+        z = _posterior_coordinates(eigenvalues, q, alpha, beta)
+        for _ in range(iters):
+            residuals = t.t - X.rows @ (vectors @ z)
+            alpha, beta, z = _evidence_step(eigenvalues, q, z, alpha, beta, X.n,
+                                            residuals @ residuals)
+        mean = np.linalg.solve(alpha * np.eye(X.m) + beta * gram, beta * xt)
+        ridge = float(alpha / beta)
+        training_error = error_function(X, t, mean)
+    if not (np.isfinite(mean).all() and math.isfinite(training_error)):
+        raise ValueError(BRR_OVERFLOW)
+    return RegressionModel(weights=tuple(mean), ridge_lambda=ridge,
+                           training_error=training_error)
 
-    def posterior_mean(alpha: float, beta: float) -> np.ndarray:
-        return np.linalg.solve(alpha * np.eye(X.m) + beta * gram, beta * xt)
 
-    alpha, beta = float(alpha0), float(beta0)
-    mean = posterior_mean(alpha, beta)
-    for _ in range(iters):
-        gamma = float(np.sum(beta * eigenvalues / (alpha + beta * eigenvalues)))
-        residuals = t.t - X.rows @ mean
-        alpha = min(gamma / max(float(mean @ mean), tiny), cap)
-        beta = min(max(X.n - gamma, tiny) / max(float(residuals @ residuals), tiny), cap)
-        mean = posterior_mean(alpha, beta)
-    return RegressionModel(weights=tuple(mean), ridge_lambda=alpha / beta,
-                           training_error=error_function(X, t, tuple(mean)))
+def _solve_flagged(systems: np.ndarray, rhs: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Solutions of the systems whose flag is set (zeros elsewhere); an
+    exactly singular system clears every flag, sending the whole stack to
+    the explicit fits."""
+    out = np.zeros(rhs.shape)
+    try:
+        out[ok] = np.linalg.solve(systems[ok], rhs[ok][..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        ok[:] = False
+    return out
+
+
+def fit_gram_batch(gram: np.ndarray, xt: np.ndarray, tt: np.ndarray,
+                   n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares and Bayesian-ridge weights for a stack of fits given
+    only their training statistics.
+
+    ``gram`` (k, M, M), ``xt`` (k, M) and ``tt`` (k,) hold X'X, X't and t't
+    of k training sets of ``n`` rows each. One batched ``eigh`` serves both
+    models. Returns ``(mra, mra_ok, brr, brr_ok)``: (k, M) weights and (k,)
+    flags. A fit whose flag is False was not trusted to the statistics and
+    must be refitted from its rows with ``fit_mra`` or
+    ``fit_bayesian_ridge``:
+
+    - the least-squares fit needs finite statistics and a spectrum with
+      lambda_min > 0 and lambda_max <= ``GRAM_CONDITION_LIMIT`` * lambda_min
+      (solving the normal equations squares the condition number of X); it
+      solves the equilibrated system, diag(G)^(-1/2) scaling both sides;
+    - both fits need the residual sum t't - 2 q.z + sum lambda z^2 (z the
+      fit in the eigenbasis, q = V'X't), taken from the statistics, to be
+      finite and at least ``CANCELLATION_LIMIT`` * t't (for the ridge, at
+      every iteration), since it loses digits to cancellation as the fit
+      nears exact;
+    - both need finite weights.
+
+    The ridge runs the evidence updates of ``fit_bayesian_ridge`` with its
+    defaults, taking residual sums from the statistics instead of the rows.
+    """
+    k, m = xt.shape
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        finite = (np.isfinite(gram).all(axis=(1, 2)) & np.isfinite(xt).all(axis=1)
+                  & np.isfinite(tt))
+        eigenvalues = np.ones((k, m))
+        vectors = np.broadcast_to(np.eye(m), (k, m, m)).copy()
+        try:
+            eigenvalues[finite], vectors[finite] = np.linalg.eigh(gram[finite])
+        except np.linalg.LinAlgError:
+            finite[:] = False
+        q = np.einsum("kji,kj->ki", vectors, xt)
+        floor = CANCELLATION_LIMIT * tt
+
+        def residuals(z: np.ndarray, spectrum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """Residual sums from the statistics and whether each is trusted."""
+            residual_sum = (tt - 2.0 * np.sum(q * z, axis=-1)
+                            + np.sum(spectrum * z * z, axis=-1))
+            return residual_sum, np.isfinite(residual_sum) & (residual_sum >= floor)
+
+        low, high = eigenvalues[:, 0], eigenvalues[:, -1]
+        mra_ok = finite & (low > 0) & (high <= GRAM_CONDITION_LIMIT * low)
+        # S = diag(G)^(-1/2): solve (S G S) y = S X't, then w = S y.
+        s = 1.0 / np.sqrt(np.abs(np.diagonal(gram, axis1=1, axis2=2)))
+        mra = s * _solve_flagged(s[:, :, None] * gram * s[:, None, :], s * xt, mra_ok)
+        mra_ok &= residuals(np.einsum("kji,kj->ki", vectors, mra), eigenvalues)[1]
+
+        spectrum = np.clip(eigenvalues, 0.0, None)
+        alpha, beta = np.ones(k), np.ones(k)
+        z = _posterior_coordinates(spectrum, q, alpha, beta)
+        brr_ok = finite.copy()
+        for _ in range(EVIDENCE_ITERATIONS):
+            residual_sum, trusted = residuals(z, spectrum)
+            brr_ok &= trusted
+            alpha, beta, z = _evidence_step(spectrum, q, z, alpha, beta, n, residual_sum)
+        brr_ok &= np.isfinite(alpha) & np.isfinite(beta)
+        brr = _solve_flagged(alpha[:, None, None] * np.eye(m) + beta[:, None, None] * gram,
+                             beta[:, None] * xt, brr_ok)
+    mra_ok &= np.isfinite(mra).all(axis=1)
+    brr_ok &= np.isfinite(brr).all(axis=1)
+    return mra, mra_ok, brr, brr_ok
 
 
 def baseline_mean(history: Sequence[float]) -> float:

@@ -108,6 +108,30 @@ class TestReplicate:
         assert len(result.stderr.splitlines()) == 1
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("flag", ["--static-latency", "--static-cost"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300"])
+    def test_bad_static_value_rejected_before_any_work(self, tmp_path, capsys,
+                                                       monkeypatch, flag, value):
+        def no_work(*args, **kwargs):
+            raise AssertionError("replicate did work before checking its flags")
+
+        monkeypatch.setattr(cli, "generate_trace", no_work)
+        out_dir = tmp_path / "reports"
+        rc = main(["replicate", "--emulate", "--runs", "2", "--out-dir", str(out_dir),
+                   f"{flag}={value}"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == (f"error: {flag} must be finite and >= 0, "
+                                f"got {float(value)!r}\n")
+        assert not out_dir.exists()
+
+    def test_zero_static_values_accepted(self, tmp_path):
+        result = run_cli("replicate", "--emulate", "--minutes", "120", "--runs", "2",
+                         "--static-latency", "0", "--static-cost", "0",
+                         "--out-dir", str(tmp_path))
+        assert result.returncode == 0, result.stderr
+
 
 class TestMonitor:
     def test_flat_history_is_all_healthy(self, tmp_path):

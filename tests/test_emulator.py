@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proadapt import (EmulatorConfig, LatencyShape, Mirror, MirrorSettings, Phase,
                       SAMPLE_TACTIC_A, SAMPLE_TACTIC_B, TacticProfile, TraceFormatError,
                       TraceRecord, fit_mra, generate_trace, ingest_trace_csv,
                       run_cost_impact_simulation, sample_latency, to_idle_series,
                       to_regression_dataset, write_trace_csv)
-from proadapt.emulator import diurnal_multiplier
+from proadapt.emulator import LAG_WINDOW, _downloads_in_order, _hour_of_day, diurnal_multiplier
+from proadapt.regression import DesignMatrix, ResponseVector
 
 
 def quiet_config(**overrides):
@@ -227,6 +229,101 @@ class TestRegressionDataset:
     def test_too_few_downloads(self):
         with pytest.raises(ValueError):
             to_regression_dataset(single_mirror_records(7))
+
+
+def reference_regression_dataset(records):
+    """``to_regression_dataset`` as a per-record loop with a running
+    history per mirror, kept as the oracle of the vectorised version."""
+    downloads = _downloads_in_order(records)
+    if len(downloads) < 8:
+        raise ValueError(f"need at least 8 download records, got {len(downloads)}")
+    present = sorted({r.mirror for r in downloads}, key=lambda m: m.value)
+    dummy_mirrors = present[1:]
+    names = ["intercept", "latency_lag1", "latency_lag2", "latency_mean5",
+             "hour_sin", "hour_cos"] + [f"mirror_{m.value}" for m in dummy_mirrors]
+    history = {m: [] for m in present}
+    rows, latencies, energies = [], [], []
+    for record in downloads:
+        past = history[record.mirror]
+        if len(past) >= LAG_WINDOW:
+            angle = 2.0 * math.pi * _hour_of_day(record.timestamp) / 24.0
+            feature_row = [1.0, past[-1], past[-2], float(np.mean(past[-LAG_WINDOW:])),
+                           math.sin(angle), math.cos(angle)]
+            feature_row += [1.0 if record.mirror is m else 0.0 for m in dummy_mirrors]
+            rows.append(feature_row)
+            latencies.append(record.latency_seconds)
+            energies.append(record.energy_joules)
+        past.append(record.latency_seconds)
+    if not rows:
+        raise ValueError("no download row has a complete lag window")
+    return (DesignMatrix(np.array(rows), tuple(names)), ResponseVector(np.array(latencies)),
+            ResponseVector(np.array(energies)))
+
+
+def dataset_outcome(build, records):
+    try:
+        X, latency, energy = build(records)
+    except ValueError as exc:
+        return str(exc)
+    return X.column_names, X.rows, latency.t, energy.t
+
+
+def assert_same_dataset(records):
+    got = dataset_outcome(to_regression_dataset, records)
+    want = dataset_outcome(reference_regression_dataset, records)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+@st.composite
+def download_traces(draw):
+    """Records of one to three mirrors (some with fewer than LAG_WINDOW + 1
+    downloads), idle rows mixed in, repeated and negative timestamps."""
+    mirrors = draw(st.lists(st.sampled_from(list(Mirror)), min_size=1, max_size=3,
+                            unique=True))
+    n = draw(st.integers(0, 60))
+    stamps = draw(st.lists(st.sampled_from([-86400.0 * 3 - 1.5, 0.0, 59.9, 3600.0])
+                           | st.floats(-1e6, 1e6), min_size=n, max_size=n))
+    values = st.floats(0.0, 1e3)
+    return [TraceRecord(stamp, draw(st.sampled_from(mirrors)),
+                        draw(st.sampled_from([Phase.DOWNLOAD] * 4 + [Phase.IDLE])),
+                        draw(values), draw(values)) for stamp in stamps]
+
+
+class TestVectorisedRegressionDataset:
+    @settings(max_examples=200, deadline=None)
+    @given(download_traces())
+    def test_matches_per_record_loop(self, records):
+        assert_same_dataset(records)
+
+    @pytest.mark.parametrize("minutes, seed", [(1440, 1), (1440, 2), (97, 3), (300, 4)])
+    def test_emulated_traces_match_per_record_loop(self, minutes, seed):
+        assert_same_dataset(generate_trace(minutes, seed))
+
+    def test_single_mirror_and_short_mirrors(self):
+        rng = np.random.default_rng(8)
+        records = single_mirror_records(30, lambda i: float(rng.uniform(0.5, 4.0)))
+        assert_same_dataset(records)
+        # Ontario has 3 downloads and Massachusetts exactly LAG_WINDOW: no rows.
+        extra = [TraceRecord(5.0 + 60.0 * i, mirror, Phase.DOWNLOAD, 1.0 + i, 2.0)
+                 for mirror, count in ((Mirror.ONTARIO, 3), (Mirror.MASSACHUSETTS, 5))
+                 for i in range(count)]
+        assert_same_dataset(records + extra)
+        X, _, _ = to_regression_dataset(records + extra)
+        assert X.n == 30 - LAG_WINDOW
+        assert X.column_names[-2:] == ("mirror_massachusetts", "mirror_ontario")
+        assert not X.rows[:, -2:].any()
+
+    def test_tiny_negative_timestamp_has_hour_24(self):
+        # -1e-300 % 86400.0 rounds to 86400.0, so the hour of day reads 24.
+        records = single_mirror_records(9)
+        records[-1] = TraceRecord(-1e-300, Mirror.GERMANY, Phase.DOWNLOAD, 1.0, 2.0)
+        assert _hour_of_day(-1e-300) == 24
+        assert_same_dataset(sorted(records, key=lambda r: r.timestamp, reverse=True))
 
 
 class TestIdleSeries:
