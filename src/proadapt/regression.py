@@ -38,6 +38,7 @@ __all__ = [
     "fit_mra",
     "predict",
     "fit_bayesian_ridge",
+    "fit_gram_batch",
     "baseline_mean",
 ]
 
