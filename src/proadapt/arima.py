@@ -8,10 +8,11 @@ Estimation is conditional least squares on the differenced series: the
 regression of z_t on z_{t-1} plus a constant coincides with the Gaussian
 maximum-likelihood estimate up to edge effects, has a closed form, and is
 fully deterministic. One vectorised kernel solves it for a stack of
-windows at once: ``fit_arima`` is its one-window case, and
-``fit_arima_windows`` fits the sliding windows of a long history block by
-block, so refitting on every window of a monitor run costs little more
-than re-anchoring one model.
+windows at once: ``fit_arima_windows`` returns the coefficient arrays and
+fit errors of any windows of a series, and ``fit_arima`` is its one-window
+case and the one fit that builds an ``ArimaModel``. A monitor run that
+refits on every window fits a block of windows per call, so refitting
+costs little more than re-anchoring one model.
 
 ``fit_arima`` and ``forecast`` are pure functions of their inputs and
 ``ArimaModel`` is immutable, so models can be shared across threads.
@@ -21,10 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .types import TimeSeries
 
@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 MIN_FIT_LENGTH = 10  # differenced observations needed before fitting
-FIT_BLOCK = 256  # windows fitted per vectorised pass of fit_arima_windows
 _RANK_TOL = 1e-8  # singular-value ratio below which a lag design counts as rank-deficient
 
 
@@ -144,7 +143,7 @@ def _fit_cls(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     design [1, z_{t-1}] is rank-deficient up to ``_RANK_TOL`` (Sxx ~ 0,
     e.g. the constant differences of a ramp) takes ``lstsq``'s minimum-norm
     answer instead. Sums that overflow give non-finite results, which
-    ``_build`` rejects.
+    ``_fit_error`` rejects.
     """
     x, y = z[:, :-1], z[:, 1:]
     m = x.shape[1]
@@ -175,74 +174,59 @@ def _length_error(length: int) -> FitError | None:
     return None
 
 
-def _differences(values: np.ndarray) -> np.ndarray:
-    """First differences; one that overflows is inf, which ``_build`` rejects."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.diff(values)
-
-
-def _build(c: float, phi: float, variance: float,
-           last_observations: np.ndarray) -> ArimaModel | FitError:
+def _fit_error(c: float, phi: float, variance: float) -> FitError | None:
+    """The FitError a fit of these coefficients gets, if any."""
     if not (math.isfinite(phi) and math.isfinite(c) and math.isfinite(variance)):
         return FitError(f"fit overflows: fitted model is not finite (phi={phi!r}, "
                         f"c={c!r}, residual variance={variance!r})")
     if abs(phi) >= 1.0:
         return FitError(f"fitted AR coefficient {phi!r} is not stationary")
-    return ArimaModel(phi=phi, c=c, last_observations=last_observations,
-                      residual_variance=variance)
+    return None
 
 
 def fit_arima(series: TimeSeries) -> ArimaModel:
     """Difference ``series`` once and fit the AR(1) part by conditional
-    least squares.
+    least squares: the one-window case of ``fit_arima_windows``.
 
     Raises :class:`FitError` when the differenced series is shorter than
     ``MIN_FIT_LENGTH``, the fitted coefficient is non-stationary
     (|phi| >= 1), or the fit overflows.
     """
     error = _length_error(len(series))
+    if error is None:
+        phi, c, variance, [error] = fit_arima_windows(series, len(series), [0])
     if error is not None:
         raise error
-    c, phi, variance = _fit_cls(_differences(series.values)[np.newaxis])
-    model = _build(float(c[0]), float(phi[0]), float(variance[0]), series.tail(2))
-    if isinstance(model, FitError):
-        raise model
-    return model
+    return ArimaModel(phi=float(phi[0]), c=float(c[0]), last_observations=series.tail(2),
+                      residual_variance=float(variance[0]))
 
 
-def fit_arima_windows(series: TimeSeries, window: int,
-                      starts: Sequence[int]) -> Iterator[ArimaModel | FitError]:
+def fit_arima_windows(series: TimeSeries, window: int, starts: Sequence[int]
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[FitError | None]]:
     """Fit each window ``series.values[s:s + window]`` of ``starts``.
 
-    Yields, per start and in order, what ``fit_arima`` on that window
-    returns, or the :class:`FitError` it raises. The windows are fitted
-    ``FIT_BLOCK`` at a time as the caller consumes them, and each model is
-    built only when reached, so a long history costs neither up-front time
-    nor whole-history temporaries. Raises ``ValueError`` for a window that
-    does not lie inside ``series``.
+    Returns, per start and in order, the arrays (phi, c, residual variance)
+    and a list of errors: the :class:`FitError` ``fit_arima`` raises on that
+    window, or None where it fits and the arrays hold its coefficients.
+    Only the span the starts cover is differenced. Raises ``ValueError``
+    for a window that does not lie inside ``series``.
     """
-    error = _length_error(window)
     starts = np.asarray(starts, dtype=np.intp).reshape(-1)
-    if window < 1 or (starts.size and (starts.min() < 0
-                                       or starts.max() + window > len(series))):
+    # The span [lo, hi) of the series that the windows cover.
+    lo, hi = (int(starts.min()), int(starts.max()) + window) if starts.size else (0, 0)
+    if window < 1 or lo < 0 or hi > len(series):
         raise ValueError(f"windows of {window} observations at the given starts "
                          f"do not lie inside a series of {len(series)}")
-    return _windows(series.values, window, starts, error)
-
-
-def _windows(values: np.ndarray, window: int, starts: np.ndarray,
-             error: FitError | None) -> Iterator[ArimaModel | FitError]:
+    error = _length_error(window)
     if error is not None:
-        for _ in range(starts.size):
-            yield FitError(*error.args)
-        return
-    differenced = sliding_window_view(_differences(values), window - 1)
-    for lo in range(0, starts.size, FIT_BLOCK):
-        block = starts[lo:lo + FIT_BLOCK]
-        c, phi, variance = (a.tolist() for a in _fit_cls(differenced[block]))
-        for i, start in enumerate(block.tolist()):
-            end = start + window
-            yield _build(c[i], phi[i], variance[i], values[end - 2:end])
+        return (*np.full((3, starts.size), np.nan), [error] * starts.size)
+    # A difference that overflows is inf, which _fit_error rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        differenced = np.diff(series.values[lo:hi])
+    # Row i gathers the window - 1 differences of the window at starts[i].
+    c, phi, variance = _fit_cls(differenced[(starts - lo)[:, None] + np.arange(window - 1)])
+    errors = [_fit_error(*fit) for fit in zip(c.tolist(), phi.tolist(), variance.tolist())]
+    return phi, c, variance, errors
 
 
 def forecast_error(step: int) -> str:

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arima import FIT_BLOCK, FitError, fit_arima_windows, forecast_error
+from .arima import fit_arima_windows, forecast_error
 from .emulator import (EmulatorConfig, Mirror, Phase, SAMPLE_TACTIC_A, SAMPLE_TACTIC_B,
                        generate_trace, ingest_trace_csv, run_cost_impact_simulation,
                        to_idle_series, to_regression_dataset, write_trace_csv)
@@ -43,6 +43,7 @@ from .workflow import (STATUSES, SpecAnalysis, SpecStatus, TacticEstimate, Tacti
                        WorkflowConfig, price_tactics, rank_tactics, workflow_block)
 
 DEFAULT_SEED = 42
+BLOCK_TICKS = 256  # monitor ticks per block, and so refits per fit call, at most
 BLOCK_CELLS = 1 << 18  # forecast values (ticks x horizon) per block of monitor ticks
 
 
@@ -150,12 +151,16 @@ def cmd_replicate(args: argparse.Namespace) -> int:
               f"{s_lat.wins[(MRA_MODEL, baseline)]} of "
               f"{s_lat.comparisons[(MRA_MODEL, baseline)]} runs")
 
+    # More than 10% failed scores fail the command; the reports stay written.
     all_reports = forecast_reports + latency_reports + cost_reports
     failed = sum(1 for r in all_reports if r.error is not None)
-    if failed:
-        print(f"{failed} of {len(all_reports)} run/model scores failed", file=sys.stderr)
     if failed > 0.1 * len(all_reports):
+        print(f"error: {failed} of {len(all_reports)} run/model scores failed, "
+              f"more than 10%", file=sys.stderr)
         return 1
+    if failed:
+        print(f"warning: {failed} of {len(all_reports)} run/model scores failed",
+              file=sys.stderr)
     return 0
 
 
@@ -314,35 +319,38 @@ class _TickLines:
         return f'{head[1:-1]}, "forecast": ', f', "tactics": {tactics}}}\n'
 
 
-def _block_models(fits, ticks: int, every: int, size: int):
+def _block_models(history: TimeSeries, window: int, ticks: int, every: int, size: int):
     """Per block of at most ``size`` ticks, yield (lo, hi, fit_errors, phi, c).
 
-    ``fits`` yields the fit of every ``every``-th tick. ``fit_errors``
-    holds the fit error of each tick of the block before the first good
-    fit (such ticks open the run); ``phi`` and ``c`` hold the model
-    coefficients of the block's later ticks. A failed refit keeps the last
-    good model and prints a warning.
+    The block's refit ticks, every ``every``-th tick, are fitted in one
+    call. ``fit_errors`` holds the fit error of each tick of the block
+    before the first good fit (such ticks open the run); ``phi`` and ``c``
+    hold the model coefficients of the block's later ticks. A failed refit
+    keeps the last good model and prints a warning.
     """
     model, fit_error = None, ""
     for lo in range(0, ticks, size):
         hi = min(lo + size, ticks)
+        refits = range(lo + -lo % every, hi, every)  # the refit ticks from lo on
+        fitted_phi, fitted_c, _, errors = fit_arima_windows(history, window, refits)
+        fits = zip(fitted_phi.tolist(), fitted_c.tolist(), errors)
         fit_errors, phi, c = [], [], []
         # The refit ticks whose model holds for some tick of the block.
         for refit in range(lo - lo % every, hi, every):
             if refit >= lo:
-                fitted = next(fits)
-                if isinstance(fitted, FitError):
-                    fit_error = str(fitted)
+                *coefficients, error = next(fits)
+                if error is None:
+                    model = coefficients
+                else:
+                    fit_error = str(error)
                     print(f"warning: tick {refit}: refit failed: {fit_error}",
                           file=sys.stderr)
-                else:
-                    model = fitted
             n = min(refit + every, hi) - max(refit, lo)
             if model is None:
                 fit_errors += [fit_error] * n
             else:
-                phi += [model.phi] * n
-                c += [model.c] * n
+                phi += [model[0]] * n
+                c += [model[1]] * n
         yield lo, hi, fit_errors, phi, c
 
 
@@ -370,9 +378,8 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     # One model per refit tick, shared by every spec: all specs watch the
     # one history. Ticks go through the kernel a block at a time, and each
     # is written as soon as it is serialised.
-    fits = fit_arima_windows(history, window, range(0, ticks, every))
-    size = max(1, min(FIT_BLOCK, BLOCK_CELLS // config.horizon))
-    for lo, hi, fit_errors, phi, c in _block_models(fits, ticks, every, size):
+    size = max(1, min(BLOCK_TICKS, BLOCK_CELLS // config.horizon))
+    for lo, hi, fit_errors, phi, c in _block_models(history, window, ticks, every, size):
         for tick, error in enumerate(fit_errors, start=lo):
             sys.stdout.write(lines.errors(tick, error))
         start = lo + len(fit_errors)

@@ -199,14 +199,13 @@ class EmulatorConfig:
 
 
 def _hour_of_day(timestamp: float) -> int:
-    return int((timestamp % 86400.0) // 3600.0)
+    # A tiny negative timestamp's remainder rounds up to 86400.0: hour 24 is 0.
+    return int((timestamp % 86400.0) // 3600.0) % 24
 
 
-# Hour-of-day coordinates from the scalar math functions, one entry per
-# value of _hour_of_day: 0-23, and 24 for a tiny negative timestamp, whose
-# remainder rounds up to 86400.0.
-_HOUR_SIN = np.array([math.sin(2.0 * math.pi * hour / 24.0) for hour in range(25)])
-_HOUR_COS = np.array([math.cos(2.0 * math.pi * hour / 24.0) for hour in range(25)])
+# Hour-of-day coordinates from the scalar math functions, one per hour.
+_HOUR_SIN = np.array([math.sin(2.0 * math.pi * hour / 24.0) for hour in range(24)])
+_HOUR_COS = np.array([math.cos(2.0 * math.pi * hour / 24.0) for hour in range(24)])
 
 
 def diurnal_multiplier(hour: int, amplitude: float, peak_hour: int) -> float:

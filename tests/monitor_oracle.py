@@ -4,9 +4,10 @@ This is the loop ``monitor`` ran before it processed ticks in blocks:
 each tick re-anchors the current model on its window, forecasts with the
 scalar ``arima.forecast``, classifies each specification step by step,
 ranks the tactics with ``rank_tactics`` and serialises each entry with
-``tick_entry_to_dict`` and ``json.dumps``. It never calls the block
-kernel, so comparing its bytes with ``cli.main`` checks the kernel and the
-line templates against independent code.
+``tick_entry_to_dict`` and ``json.dumps``. Each refit fits its own window
+with ``fit_arima``. It never calls the block kernel or
+``fit_arima_windows``, so comparing its bytes with ``cli.main`` checks the
+kernel, the block fits and the line templates against independent code.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import Sequence
 
-from proadapt.arima import FitError, fit_arima_windows, forecast, reanchor
+from proadapt.arima import FitError, fit_arima, forecast, reanchor
 from proadapt.types import Direction, SlaSpec, TimeSeries, order_specs_by_reward
 from proadapt.workflow import (SpecAnalysis, SpecStatus, TacticEstimate, TickEntry,
                                WorkflowConfig, rank_tactics)
@@ -81,17 +82,15 @@ def reference_monitor(specs: Sequence[SlaSpec], history: TimeSeries, window: int
     ordered = order_specs_by_reward(specs)
     ticks = len(history) - window + 1
     every = refit_every or ticks
-    fits = fit_arima_windows(history, window, range(0, ticks, every))
     model, fit_error = None, ""
     out, err = [], []
     for tick in range(ticks):
         if tick % every == 0:
-            fitted = next(fits)
-            if isinstance(fitted, FitError):
-                fit_error = str(fitted)
+            try:
+                model = fit_arima(TimeSeries(history.values[tick:tick + window]))
+            except FitError as exc:
+                fit_error = str(exc)
                 err.append(f"warning: tick {tick}: refit failed: {fit_error}\n")
-            else:
-                model = fitted
         if model is None:
             entries = [TickEntry(spec.name, None, error=fit_error) for spec in ordered]
         else:

@@ -144,6 +144,12 @@ class TestFitArima:
         with pytest.raises(FitError):
             fit_arima(TimeSeries([1.0, 2.0, 3.0, 4.0, 5.0]))
 
+    @pytest.mark.parametrize("values", [[], [1.0]])
+    def test_too_short_to_difference(self, values):
+        with pytest.raises(FitError) as raised:
+            fit_arima(TimeSeries(values))
+        assert str(raised.value) == "series too short to difference"
+
     def test_overflowing_fit_is_rejected(self):
         # Near the float maximum the sums of squares overflow; differences
         # of huge values of opposite sign overflow themselves.
@@ -152,8 +158,8 @@ class TestFitArima:
         for values in (ramp, alternating):
             with pytest.raises(FitError):
                 fit_arima(TimeSeries(values))
-            [fitted] = fit_arima_windows(TimeSeries(values), 12, [3])
-            assert isinstance(fitted, FitError)
+            *_, [error] = fit_arima_windows(TimeSeries(values), 12, [3])
+            assert isinstance(error, FitError)
 
     def test_overflow_error_names_the_overflow(self):
         # The differences of +-1.7e308 overflow to inf, so phi comes out NaN:
@@ -162,8 +168,8 @@ class TestFitArima:
         with pytest.raises(FitError, match="fit overflows") as raised:
             fit_arima(alternating)
         assert "stationary" not in str(raised.value)
-        [fitted] = fit_arima_windows(alternating, 12, [3])
-        assert "fit overflows" in str(fitted) and "stationary" not in str(fitted)
+        *_, [error] = fit_arima_windows(alternating, 12, [3])
+        assert "fit overflows" in str(error) and "stationary" not in str(error)
 
     def test_explosive_fit_rejected(self):
         values = 1.5 ** np.arange(40)
@@ -319,71 +325,84 @@ class TestFitArimaWindows:
     @given(window_cases())
     def test_cls_kernel_matches_lstsq_oracle(self, case):
         series, window, starts = case
-        for start, fitted in zip(starts, fit_arima_windows(series, window, starts)):
+        fits = fit_arima_windows(series, window, starts)
+        for start, got_phi, got_c, got_variance, error in zip(starts, *fits):
             z = np.diff(series.values[start:start + window])
             if z.size < arima.MIN_FIT_LENGTH:
-                assert isinstance(fitted, FitError)
+                assert isinstance(error, FitError)
                 continue
             c, phi, variance, cond = lstsq_oracle(z)
             if cond > 1e9:  # rank-deficient: lstsq's own minimum-norm answer
-                got = (None if isinstance(fitted, FitError)
-                       else (fitted.c, fitted.phi, fitted.residual_variance))
+                got = None if error is not None else (got_c, got_phi, got_variance)
                 assert got == ((c, phi, variance) if abs(phi) < 1.0 else None)
                 continue
             # Both solutions lie within a few eps * cond of the exact one;
             # c and the variance are compared on the scale of the data.
             tol = 16 * EPS * cond
             scale = np.abs(z).max()
-            if isinstance(fitted, FitError):
-                assert "not stationary" in str(fitted)
+            if error is not None:
+                assert "not stationary" in str(error)
                 assert not abs(phi) < 1.0 - tol
                 continue
             assert abs(phi) < 1.0 + tol
-            assert abs(fitted.phi - phi) <= tol
-            assert abs(fitted.c - c) <= tol * scale
-            assert abs(fitted.residual_variance - variance) <= tol * scale**2
+            assert abs(got_phi - phi) <= tol
+            assert abs(got_c - c) <= tol * scale
+            assert abs(got_variance - variance) <= tol * scale**2
 
     @given(window_cases())
     def test_each_window_is_fit_arima_on_it(self, case):
         series, window, starts = case
-        for start, fitted in zip(starts, fit_arima_windows(series, window, starts)):
+        phi, c, variance, errors = fit_arima_windows(series, window, starts)
+        assert len(phi) == len(c) == len(variance) == len(errors) == len(starts)
+        for i, start in enumerate(starts):
             try:
                 expected = fit_arima(TimeSeries(series.values[start:start + window]))
             except FitError as exc:
-                assert isinstance(fitted, FitError) and str(fitted) == str(exc)
+                assert isinstance(errors[i], FitError) and str(errors[i]) == str(exc)
                 continue
-            assert fitted == expected
+            assert errors[i] is None
+            assert phi[i] == expected.phi and c[i] == expected.c
+            assert variance[i] == expected.residual_variance
 
     def test_ramp_keeps_lstsq_minimum_norm_answer(self):
         # Constant differences make the lag design rank-deficient.
         values = 0.30 + 0.004 * np.arange(200.0)
-        for start, model in enumerate(fit_arima_windows(TimeSeries(values), 60, range(141))):
+        fits = fit_arima_windows(TimeSeries(values), 60, range(141))
+        assert fits[3] == [None] * 141
+        for start, got_phi, got_c, got_variance in zip(range(141), *fits[:3]):
             c, phi, variance, _ = lstsq_oracle(np.diff(values[start:start + 60]))
-            assert (model.c, model.phi, model.residual_variance) == (c, phi, variance)
+            assert (got_c, got_phi, got_variance) == (c, phi, variance)
 
-    def test_fits_block_by_block_as_consumed(self, monkeypatch):
-        calls = []
-        kernel = arima._fit_cls
+    def test_differences_only_the_span_the_starts_cover(self, monkeypatch):
+        diffs = []
+        diff = np.diff
 
-        def counting(z):
-            calls.append(len(z))
-            return kernel(z)
+        def spy(values):
+            diffs.append(len(values))
+            return diff(values)
 
-        monkeypatch.setattr(arima, "_fit_cls", counting)
-        series = arima_110_series(0.4, arima.FIT_BLOCK + 100, seed=17)
-        fits = fit_arima_windows(series, 60, range(arima.FIT_BLOCK + 41))
-        assert calls == []
-        next(fits)
-        assert calls == [arima.FIT_BLOCK]
-        for _ in range(arima.FIT_BLOCK):
-            next(fits)
-        assert calls == [arima.FIT_BLOCK, 41]
-        assert len(list(fits)) == 40
+        series = arima_110_series(0.4, 5000, seed=17)
+        monkeypatch.setattr(arima.np, "diff", spy)
+        fits = fit_arima_windows(series, 60, [4000, 4100, 4003])
+        assert diffs == [4100 + 60 - 4000]
+        monkeypatch.undo()
+        for start, phi, error in zip([4000, 4100, 4003], fits[0], fits[3]):
+            assert error is None
+            assert phi == fit_arima(TimeSeries(series.values[start:start + 60])).phi
+
+    def test_no_starts_give_empty_fits(self):
+        for window in (5, 60):
+            phi, c, variance, errors = fit_arima_windows(TimeSeries(np.arange(70.0)),
+                                                         window, [])
+            assert phi.size == c.size == variance.size == 0 and errors == []
 
     def test_short_window_yields_fit_error_per_start(self):
         series = TimeSeries(np.arange(30.0))
-        fits = list(fit_arima_windows(series, 5, [0, 3, 25]))
-        assert len(fits) == 3 and all(isinstance(f, FitError) for f in fits)
+        phi, c, variance, errors = fit_arima_windows(series, 5, [0, 3, 25])
+        assert phi.size == c.size == variance.size == 3
+        assert len(errors) == 3 and all(isinstance(e, FitError) for e in errors)
+        assert all(str(e) == "need at least 10 differenced observations, got 4"
+                   for e in errors)
 
     def test_bad_arguments_raise_at_call(self):
         series = TimeSeries(np.arange(30.0))

@@ -108,6 +108,33 @@ class TestReplicate:
         assert len(result.stderr.splitlines()) == 1
         assert not out_dir.exists()
 
+    def test_over_10_percent_failed_scores_exit_1_with_one_error(self, tmp_path, capsys):
+        # A 60-minute idle series is too short to split: both forecast
+        # models fail in every run, 4 of the 20 scores.
+        code, out, err = run_main(capsys, "replicate", "--emulate", "--minutes", "60",
+                                  "--runs", "2", "--out-dir", str(tmp_path))
+        assert code == 1
+        assert err == "error: 4 of 20 run/model scores failed, more than 10%\n"
+        assert out.startswith("experiment 1:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "rq1.csv", "rq2.csv", "rq3.csv", "rq4.csv"]
+
+    def test_at_most_10_percent_failed_scores_warn_and_exit_0(self, tmp_path, capsys):
+        # Idle energies that alternate exactly fit phi = -1, so the ARIMA
+        # forecast fails in every run and persistence does not: 1 score in 10.
+        records = generate_trace(360, 4)
+        idle = [i for i, r in enumerate(records) if r.phase is Phase.IDLE]
+        for k, i in enumerate(idle):
+            records[i] = replace(records[i], energy_joules=1.0 + k % 2)
+        trace = tmp_path / "trace.csv"
+        write_trace_csv(records, trace)
+        out_dir = tmp_path / "reports"
+        code, out, err = run_main(capsys, "replicate", "--trace", str(trace), "--runs", "3",
+                                  "--out-dir", str(out_dir))
+        assert code == 0
+        assert err == "warning: 3 of 30 run/model scores failed\n"
+        assert (out_dir / "rq2.csv").read_text().count(",persistence,") == 3
+
     @pytest.mark.parametrize("flag", ["--static-latency", "--static-cost"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300"])
     def test_bad_static_value_rejected_before_any_work(self, tmp_path, capsys,

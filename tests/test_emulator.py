@@ -318,12 +318,17 @@ class TestVectorisedRegressionDataset:
         assert X.column_names[-2:] == ("mirror_massachusetts", "mirror_ontario")
         assert not X.rows[:, -2:].any()
 
-    def test_tiny_negative_timestamp_has_hour_24(self):
-        # -1e-300 % 86400.0 rounds to 86400.0, so the hour of day reads 24.
-        records = single_mirror_records(9)
-        records[-1] = TraceRecord(-1e-300, Mirror.GERMANY, Phase.DOWNLOAD, 1.0, 2.0)
-        assert _hour_of_day(-1e-300) == 24
-        assert_same_dataset(sorted(records, key=lambda r: r.timestamp, reverse=True))
+    def test_tiny_negative_timestamp_has_hour_0(self):
+        # -1e-300 % 86400.0 rounds to 86400.0, which is midnight: hour 0.
+        # The downloads before it, at -480 to -60 s, give it a full lag window.
+        stamps = [-60.0 * k for k in range(8, 0, -1)] + [-1e-300]
+        records = [TraceRecord(t, Mirror.GERMANY, Phase.DOWNLOAD, 2.0 + 0.01 * i, 10.0)
+                   for i, t in enumerate(stamps)][::-1]
+        assert _hour_of_day(-1e-300) == 0
+        assert_same_dataset(records)
+        X, _, _ = to_regression_dataset(records)
+        hour = [X.column_names.index("hour_sin"), X.column_names.index("hour_cos")]
+        assert tuple(X.rows[-1, hour].tolist()) == (0.0, 1.0)
 
 
 class TestIdleSeries:

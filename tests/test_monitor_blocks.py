@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from monitor_oracle import reference_monitor
 from proadapt import cli
+from proadapt.arima import ArimaModel
 from proadapt.emulator import generate_trace, write_trace_csv
 from proadapt.types import TimeSeries
 from proadapt.workflow import WorkflowConfig, price_tactics
@@ -176,3 +177,40 @@ def test_blocks_stay_within_the_cell_budget(workdir, monkeypatch):
     assert sum(n for n, _ in sizes) == 69
     assert all(n * horizon <= cli.BLOCK_CELLS for n, horizon in sizes)
     assert len(sizes) > 1
+
+
+@pytest.mark.parametrize("refit_every", [1, 300])
+def test_refits_fit_one_block_per_call_without_models(workdir, monkeypatch, refit_every):
+    # 1,900 ticks make 8 blocks; refitting every 300 ticks leaves the block
+    # [1536, 1792) without a refit, so its fit call gets no starts.
+    fitted, built, built_by_cli = [], [], []
+    fit, post_init, main = cli.fit_arima_windows, ArimaModel.__post_init__, cli.main
+
+    def spy_fit(history, window, starts):
+        fitted.append(list(starts))
+        return fit(history, window, starts)
+
+    def spy_post_init(model):
+        built.append(model)
+        post_init(model)
+
+    def spy_main(argv):
+        code = main(argv)
+        built_by_cli.append(len(built))  # the reference loop builds models after
+        return code
+
+    monkeypatch.setattr(cli, "fit_arima_windows", spy_fit)
+    monkeypatch.setattr(ArimaModel, "__post_init__", spy_post_init)
+    monkeypatch.setattr(cli, "main", spy_main)
+    values = np.cumsum(np.random.default_rng(7).normal(0.0, 0.3, 1940)).tolist()
+    specs = [{"name": "hot", "threshold": float(np.quantile(values, 0.5))}]
+    out, err, want_out, want_err = run_both(workdir, values, specs, 41, 5, 0.1, 6.0,
+                                            refit_every, False)
+    assert out == want_out and err == want_err
+    assert built_by_cli == [0] and built  # the spy sees the reference loop's models
+    ticks, size = 1900, cli.BLOCK_TICKS
+    assert len(fitted) == -(-ticks // size)
+    for block, starts in enumerate(fitted):
+        assert all(block * size <= start < (block + 1) * size for start in starts)
+    assert sum(fitted, []) == list(range(0, ticks, refit_every))
+    assert ([] in fitted) == (refit_every == 300)
