@@ -15,8 +15,8 @@ from .emulator import (EmulatorConfig, LatencyShape, Mirror, MirrorSettings, Pha
                        run_cost_impact_simulation, sample_latency, to_idle_series,
                        to_regression_dataset, trace_csv_text, write_trace_csv)
 from .metrics import (ExperimentReport, ScorePair, Summary, mae, reports_to_csv_text,
-                      rmse, run_forecast_experiments, run_predictor_experiments,
-                      split_train_test, summarize, write_reports_csv)
+                      rmse, run_forecast_experiments, run_predictor_experiments, summarize,
+                      write_reports_csv)
 from .regression import (DesignMatrix, Prediction, RegressionModel, ResponseVector,
                          baseline_mean, error_function, fit_bayesian_ridge, fit_mra,
                          predict)

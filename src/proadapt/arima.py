@@ -186,19 +186,24 @@ def _fit_error(c: float, phi: float, variance: float) -> FitError | None:
 
 def fit_arima(series: TimeSeries) -> ArimaModel:
     """Difference ``series`` once and fit the AR(1) part by conditional
-    least squares: the one-window case of ``fit_arima_windows``.
+    least squares: the one-window case of ``fit_arima_windows``, bit for bit.
 
     Raises :class:`FitError` when the differenced series is shorter than
     ``MIN_FIT_LENGTH``, the fitted coefficient is non-stationary
     (|phi| >= 1), or the fit overflows.
     """
     error = _length_error(len(series))
-    if error is None:
-        phi, c, variance, [error] = fit_arima_windows(series, len(series), [0])
     if error is not None:
         raise error
-    return ArimaModel(phi=float(phi[0]), c=float(c[0]), last_observations=series.tail(2),
-                      residual_variance=float(variance[0]))
+    # A difference that overflows is inf, which _fit_error rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        differenced = np.diff(series.values)
+    c, phi, variance = (float(a[0]) for a in _fit_cls(differenced[None]))
+    error = _fit_error(c, phi, variance)
+    if error is not None:
+        raise error
+    return ArimaModel(phi=phi, c=c, last_observations=series.tail(2),
+                      residual_variance=variance)
 
 
 def fit_arima_windows(series: TimeSeries, window: int, starts: Sequence[int]

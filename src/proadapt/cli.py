@@ -44,7 +44,9 @@ from .workflow import (STATUSES, SpecAnalysis, SpecStatus, TacticEstimate, Tacti
 
 DEFAULT_SEED = 42
 BLOCK_TICKS = 256  # monitor ticks per block, and so refits per fit call, at most
-BLOCK_CELLS = 1 << 18  # forecast values (ticks x horizon) per block of monitor ticks
+# Values per array pass: forecast values (ticks x horizon) per block of
+# monitor ticks, and window values (refits x window) per fit call.
+BLOCK_CELLS = 1 << 18
 
 
 def _subseed(seed: int, key: int) -> int:
@@ -67,6 +69,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
     downloads = sum(1 for r in records if r.phase is Phase.DOWNLOAD)
     print(f"{len(records)} records ({downloads} downloads) written to {args.out}")
     return 0
+
+
+def _percentile_99(values: np.ndarray) -> float:
+    """``np.percentile(values, 99)`` of finite values, bit for bit, from one
+    sort: the same linear interpolation between the two order statistics
+    around (n - 1) * 0.99 (``np.percentile`` would import ``numpy.ma``)."""
+    ordered = np.sort(values)
+    index = (ordered.size - 1) * 0.99
+    below = math.floor(index)
+    a, b = float(ordered[below]), float(ordered[min(below + 1, ordered.size - 1)])
+    t = index - below
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def _rename(reports: Sequence[ExperimentReport], mapping: dict[str, str]
@@ -125,7 +139,7 @@ def cmd_replicate(args: argparse.Namespace) -> int:
                           (SAMPLE_TACTIC_B, impact.overall_costs_b)):
         sd = float(np.std(costs, ddof=1)) if costs.size > 1 else 0.0
         print(f"  {tactic.name}: mean={float(np.mean(costs)):.3f} sd={sd:.3f} "
-              f"p99={float(np.percentile(costs, 99)):.3f}")
+              f"p99={_percentile_99(costs):.3f}")
 
     print(f"experiment 2: idle-energy forecasting over {args.runs} runs")
     s2 = summarize(forecast_reports)
@@ -323,17 +337,23 @@ def _block_models(history: TimeSeries, window: int, ticks: int, every: int, size
     """Per block of at most ``size`` ticks, yield (lo, hi, fit_errors, phi, c).
 
     The block's refit ticks, every ``every``-th tick, are fitted in one
-    call. ``fit_errors`` holds the fit error of each tick of the block
-    before the first good fit (such ticks open the run); ``phi`` and ``c``
-    hold the model coefficients of the block's later ticks. A failed refit
-    keeps the last good model and prints a warning.
+    call, or in calls of at most ``BLOCK_CELLS`` window values each when
+    the windows are long. ``fit_errors`` holds the fit error of each tick
+    of the block before the first good fit (such ticks open the run);
+    ``phi`` and ``c`` hold the model coefficients of the block's later
+    ticks. A failed refit keeps the last good model and prints a warning.
     """
+    per_call = max(1, BLOCK_CELLS // window)
     model, fit_error = None, ""
     for lo in range(0, ticks, size):
         hi = min(lo + size, ticks)
         refits = range(lo + -lo % every, hi, every)  # the refit ticks from lo on
-        fitted_phi, fitted_c, _, errors = fit_arima_windows(history, window, refits)
-        fits = zip(fitted_phi.tolist(), fitted_c.tolist(), errors)
+        fits = []
+        for i in range(0, len(refits) or 1, per_call):
+            fitted_phi, fitted_c, _, errors = fit_arima_windows(history, window,
+                                                                refits[i:i + per_call])
+            fits += zip(fitted_phi.tolist(), fitted_c.tolist(), errors)
+        fits = iter(fits)
         fit_errors, phi, c = [], [], []
         # The refit ticks whose model holds for some tick of the block.
         for refit in range(lo - lo % every, hi, every):

@@ -15,6 +15,14 @@ whole harness is byte-deterministic. A failed run is recorded on its
 report instead of aborting the batch; a score that overflows raises
 ``ValueError`` naming the run and model.
 
+Forecast runs keep one seeded split and one ``fit_arima`` per run; the
+rest is array passes over up to ``FORECAST_CELLS`` forecast values. The
+held-out windows are gathered as one (runs, test length) array, every
+run's forecast comes from one ``z = c + phi * z`` recursion over arrays
+(the float operations ``arima.forecast`` does, in its order), and the
+scores are row reductions. Each score is the one a per-run harness
+computes with ``rmse`` and ``mae``, bit for bit.
+
 Predictor runs are processed ``PREDICTOR_CHUNK`` at a time from downdated
 sufficient statistics (Golub & Van Loan, Matrix Computations 6.5, 12.5).
 G = X'X, X't and t't of the whole design are computed once; a run's
@@ -42,7 +50,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .arima import fit_arima, forecast
+from .arima import fit_arima, forecast_error
 from .regression import (DesignMatrix, ResponseVector, baseline_mean, fit_bayesian_ridge,
                          fit_gram_batch, fit_mra)
 from .types import TimeSeries
@@ -54,7 +62,6 @@ __all__ = [
     "Summary",
     "rmse",
     "mae",
-    "split_train_test",
     "run_forecast_experiments",
     "run_predictor_experiments",
     "summarize",
@@ -73,6 +80,7 @@ MEAN_BASELINE = "baseline_mean"
 STATIC_BASELINE = "baseline_static"
 PREDICTOR_MODELS = (MEAN_BASELINE, STATIC_BASELINE, MRA_MODEL, BRR_MODEL)
 PREDICTOR_CHUNK = 16  # runs per batched pass: bounds the (chunk, n_test, M + 1) gather
+FORECAST_CELLS = 1 << 16  # forecast values (runs x test length) per forecast pass
 
 
 def _paired(predicted: Sequence[float], actual: Sequence[float]) -> np.ndarray:
@@ -140,12 +148,6 @@ def _score_pair(rmse_value: float, mae_value: float, run: int, model: str) -> Sc
     return ScorePair(rmse_value, mae_value)
 
 
-def _score(predicted: Sequence[float], actual: Sequence[float], run: int,
-           model: str) -> ScorePair:
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _score_pair(rmse(predicted, actual), mae(predicted, actual), run, model)
-
-
 def _run_seeds(master_seed: int, n_runs: int) -> list[int]:
     # Splittable counter scheme: each run keys its own SeedSequence, so the
     # draw for run i never depends on how many runs precede it.
@@ -153,63 +155,99 @@ def _run_seeds(master_seed: int, n_runs: int) -> list[int]:
             for i in range(n_runs)]
 
 
-def split_train_test(series: TimeSeries, train_fraction: float,
-                     seed: int) -> tuple[TimeSeries, TimeSeries]:
-    """Cut a contiguous test window at a seeded uniform-random position.
-
-    The window length is round((1 - train_fraction) * n); training data is
-    everything before the window and points after it are discarded, so no
-    future observation leaks into the fit.
-    """
+def _test_length(n: int, train_fraction: float) -> int:
+    """The held-out window length of an n-point series; raises ``ValueError``
+    when the split leaves too few test or training points."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie in (0, 1)")
-    n = len(series)
     test_len = int(round((1.0 - train_fraction) * n))
     if test_len < MIN_TEST_POINTS:
         raise ValueError(f"test window of {test_len} points is below the "
                          f"{MIN_TEST_POINTS}-point floor")
-    last_start = n - test_len
-    if last_start < MIN_TRAIN_POINTS:
+    if n - test_len < MIN_TRAIN_POINTS:
         raise ValueError(f"series too short to leave {MIN_TRAIN_POINTS} training points")
-    rng = np.random.default_rng(seed)
-    start = int(rng.integers(MIN_TRAIN_POINTS, last_start + 1))
-    return series.window(0, start), series.window(start, start + test_len)
+    return test_len
 
 
 def run_forecast_experiments(series: TimeSeries, n_runs: int, seed: int,
                              train_fraction: float = 0.9) -> list[ExperimentReport]:
     """Seeded forecast comparison: ARIMA(1,1,0) vs the persistence reference.
 
-    Each run splits the series, fits on the training part, forecasts the
-    whole test horizon, and scores both forecasters against the held-out
-    window. Failures are recorded per run and model.
+    Each run cuts a contiguous test window of round((1 - train_fraction) * n)
+    points at a seeded uniform-random position, fits on everything before
+    it (later points are discarded, so no future observation leaks into the
+    fit), forecasts the whole window, and scores both forecasters against
+    it. Failures are recorded per run and model. Runs go through the
+    forecast and the scores ``FORECAST_CELLS`` forecast values at a time.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
+    seeds = _run_seeds(seed, n_runs)
+    try:
+        test_len = _test_length(len(series), train_fraction)
+    except ValueError as exc:
+        return [ExperimentReport(run, model, None, train_fraction, run_seed, error=str(exc))
+                for run, run_seed in enumerate(seeds)
+                for model in (FORECAST_MODEL, PERSISTENCE_MODEL)]
+    last_start = len(series) - test_len
+    starts = [int(np.random.default_rng(run_seed).integers(MIN_TRAIN_POINTS, last_start + 1))
+              for run_seed in seeds]
+    size = max(1, FORECAST_CELLS // test_len)
     reports: list[ExperimentReport] = []
-    for run, run_seed in enumerate(_run_seeds(seed, n_runs)):
+    for lo in range(0, n_runs, size):
+        runs = range(lo, min(lo + size, n_runs))
+        reports += _forecast_pass(series, starts[lo:runs.stop], runs, seeds, test_len,
+                                  train_fraction)
+    return reports
+
+
+def _forecast_pass(series: TimeSeries, starts: Sequence[int], runs: range,
+                   seeds: Sequence[int], test_len: int,
+                   train_fraction: float) -> list[ExperimentReport]:
+    """Reports of the forecast ``runs``, whose test windows begin at
+    ``starts``, in run order and, within a run, persistence before arima."""
+    # A run whose fit fails keeps phi = c = 0, a finite (flat) forecast.
+    phi, c = np.zeros(len(runs)), np.zeros(len(runs))
+    errors: dict[int, str] = {}  # the arima error of a run, by its index in the pass
+    for i, start in enumerate(starts):
         try:
-            train, test = split_train_test(series, train_fraction, run_seed)
+            model = fit_arima(series.window(0, start))
         except ValueError as exc:
-            for model in (FORECAST_MODEL, PERSISTENCE_MODEL):
-                reports.append(ExperimentReport(run, model, None, train_fraction,
-                                                run_seed, error=str(exc)))
-            continue
-        actual = test.values
-        persistence = np.full(len(test), train.values[-1])
-        scores = _score(persistence, actual, run, PERSISTENCE_MODEL)
-        reports.append(ExperimentReport(run, PERSISTENCE_MODEL, scores,
-                                        train_fraction, run_seed))
-        try:
-            model = fit_arima(train)
-            predicted = forecast(model, len(test))
-        except ValueError as exc:
-            reports.append(ExperimentReport(run, FORECAST_MODEL, None,
-                                            train_fraction, run_seed, error=str(exc)))
+            errors[i] = str(exc)
         else:
-            scores = _score(predicted, actual, run, FORECAST_MODEL)
-            reports.append(ExperimentReport(run, FORECAST_MODEL, scores,
-                                            train_fraction, run_seed))
+            phi[i], c[i] = model.phi, model.c
+    values = series.values
+    first = np.array(starts)
+    actual = values[first[:, None] + np.arange(test_len)]
+    last = values[first - 1]
+    predicted = np.empty((test_len, len(runs)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # arima.forecast's recursion, every run at once.
+        z = last - values[first - 2]
+        running = last
+        for row in predicted:
+            np.multiply(phi, z, out=z)
+            np.add(c, z, out=z)
+            np.add(running, z, out=row)
+            running = row
+        bad = ~np.isfinite(predicted)
+        for i in np.flatnonzero(bad.any(axis=0)).tolist():
+            errors[i] = forecast_error(int(bad[:, i].argmax()) + 1)
+        # Contiguous rows, so each score sums exactly as np.mean on one run;
+        # in place, since |e|^2 == e^2 bit for bit.
+        residuals = np.empty((2, len(runs), test_len))
+        np.subtract(last[:, None], actual, out=residuals[0])
+        np.subtract(predicted.T, actual, out=residuals[1])
+        maes = np.mean(np.abs(residuals, out=residuals), axis=-1).tolist()
+        rmses = np.sqrt(np.mean(np.square(residuals, out=residuals), axis=-1)).tolist()
+    reports: list[ExperimentReport] = []
+    for i, run in enumerate(runs):
+        for k, (model, error) in enumerate(((PERSISTENCE_MODEL, None),
+                                            (FORECAST_MODEL, errors.get(i)))):
+            scores = None if error is not None else _score_pair(rmses[k][i], maes[k][i],
+                                                                run, model)
+            reports.append(ExperimentReport(run, model, scores, train_fraction,
+                                            seeds[run], error=error))
     return reports
 
 

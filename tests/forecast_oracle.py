@@ -1,0 +1,84 @@
+"""Reference per-run forecast harness, kept as an oracle for
+``metrics.run_forecast_experiments``.
+
+This is the harness as it ran before forecast runs went through array
+passes: every run splits the series with ``split_train_test``, fits on the
+training part with ``fit_arima``, forecasts the test window with the scalar
+``forecast`` and scores each model with ``rmse`` and ``mae``.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from proadapt.arima import fit_arima, forecast
+from proadapt.metrics import (FORECAST_MODEL, MIN_TEST_POINTS, MIN_TRAIN_POINTS,
+                              PERSISTENCE_MODEL, ExperimentReport, ScorePair, _run_seeds,
+                              mae, rmse)
+from proadapt.types import TimeSeries
+
+
+def split_train_test(series: TimeSeries, train_fraction: float,
+                     seed: int) -> tuple[TimeSeries, TimeSeries]:
+    """Cut a contiguous test window at a seeded uniform-random position.
+
+    The window length is round((1 - train_fraction) * n); training data is
+    everything before the window and points after it are discarded, so no
+    future observation leaks into the fit.
+    """
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError("train_fraction must lie in (0, 1)")
+    n = len(series)
+    test_len = int(round((1.0 - train_fraction) * n))
+    if test_len < MIN_TEST_POINTS:
+        raise ValueError(f"test window of {test_len} points is below the "
+                         f"{MIN_TEST_POINTS}-point floor")
+    last_start = n - test_len
+    if last_start < MIN_TRAIN_POINTS:
+        raise ValueError(f"series too short to leave {MIN_TRAIN_POINTS} training points")
+    rng = np.random.default_rng(seed)
+    start = int(rng.integers(MIN_TRAIN_POINTS, last_start + 1))
+    return series.window(0, start), series.window(start, start + test_len)
+
+
+def _score(predicted, actual, run: int, model: str) -> ScorePair:
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = rmse(predicted, actual), mae(predicted, actual)
+    if not all(math.isfinite(score) for score in scores):
+        raise ValueError(f"run {run}, model {model!r}: scores overflow "
+                         f"(rmse={scores[0]!r}, mae={scores[1]!r})")
+    return ScorePair(*scores)
+
+
+def reference_forecast_experiments(series: TimeSeries, n_runs: int, seed: int,
+                                   train_fraction: float = 0.9) -> list[ExperimentReport]:
+    """The per-run harness; same arguments and reports as the library's."""
+    if n_runs < 1:
+        raise ValueError("n_runs must be >= 1")
+    reports: list[ExperimentReport] = []
+    for run, run_seed in enumerate(_run_seeds(seed, n_runs)):
+        try:
+            train, test = split_train_test(series, train_fraction, run_seed)
+        except ValueError as exc:
+            for model in (FORECAST_MODEL, PERSISTENCE_MODEL):
+                reports.append(ExperimentReport(run, model, None, train_fraction,
+                                                run_seed, error=str(exc)))
+            continue
+        actual = test.values
+        persistence = np.full(len(test), train.values[-1])
+        scores = _score(persistence, actual, run, PERSISTENCE_MODEL)
+        reports.append(ExperimentReport(run, PERSISTENCE_MODEL, scores,
+                                        train_fraction, run_seed))
+        try:
+            model = fit_arima(train)
+            predicted = forecast(model, len(test))
+        except ValueError as exc:
+            reports.append(ExperimentReport(run, FORECAST_MODEL, None,
+                                            train_fraction, run_seed, error=str(exc)))
+        else:
+            scores = _score(predicted, actual, run, FORECAST_MODEL)
+            reports.append(ExperimentReport(run, FORECAST_MODEL, scores,
+                                            train_fraction, run_seed))
+    return reports

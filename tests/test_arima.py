@@ -404,6 +404,24 @@ class TestFitArimaWindows:
         assert all(str(e) == "need at least 10 differenced observations, got 4"
                    for e in errors)
 
+    @given(st.one_of(
+        window_cases().map(lambda case: case[0].values),
+        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12),
+        st.lists(st.floats(-1.7e308, 1.7e308), min_size=11, max_size=40)))
+    def test_fit_arima_is_the_whole_series_window(self, values):
+        # Walks, ramps, alternations and near-unit roots; series too short to
+        # fit; and values whose differences or sums overflow.
+        series = TimeSeries(values)
+        phi, c, variance, [error] = fit_arima_windows(series, len(series), [0])
+        try:
+            model = fit_arima(series)
+        except FitError as exc:
+            assert error is not None and str(exc) == str(error)
+            return
+        assert error is None
+        assert model.phi == phi[0] and model.c == c[0]
+        assert model.residual_variance == variance[0]
+
     def test_bad_arguments_raise_at_call(self):
         series = TimeSeries(np.arange(30.0))
         for window, starts in ((20, [11]), (20, [-1]), (0, [0]), (31, [0])):

@@ -1,10 +1,12 @@
 import json
+import struct
 import subprocess
 import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proadapt import (Phase, TimeSeries, WorkflowConfig, cli, fit_arima, forecast,
                       generate_trace, price_tactics, reanchor, workflow, workflow_tick,
@@ -152,6 +154,38 @@ class TestReplicate:
         assert captured.err == (f"error: {flag} must be finite and >= 0, "
                                 f"got {float(value)!r}\n")
         assert not out_dir.exists()
+
+    @settings(max_examples=20)
+    @given(st.sampled_from(["spread", "ties", "huge"]), st.integers(-3, 3),
+           st.integers(0, 2**32 - 1))
+    def test_p99_is_numpy_percentile_bit_for_bit(self, kind, shift, seed):
+        # Every size from 1 to 500, so both interpolation branches are taken;
+        # values that tie, are negative, or are so large that their
+        # differences overflow.
+        rng = np.random.default_rng(seed)
+        for n in range(1, 501):
+            costs = rng.normal(shift, 10.0 ** rng.integers(-3, 4), n)
+            if kind == "ties":
+                costs = np.round(costs, 1)
+            elif kind == "huge":
+                costs = np.clip(costs, -17.9, 17.9) * 1e307
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = float(np.percentile(costs, 99))
+                got = cli._percentile_99(costs)
+            # Sorting does not order 0.0 and -0.0: a zero may take either sign.
+            assert (struct.pack("<d", got) == struct.pack("<d", want)
+                    or got == want == 0.0), (n, list(costs))
+
+    def test_replicate_does_not_import_numpy_ma(self, tmp_path):
+        # np.percentile would import numpy.ma through np.unique.
+        code = ("import sys\n"
+                "from proadapt import cli\n"
+                "rc = cli.main(['replicate', '--emulate', '--runs', '3', '--minutes', '360',"
+                " '--out-dir', sys.argv[1]])\n"
+                "print(rc, 'numpy.ma' in sys.modules, file=sys.stderr)\n")
+        result = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                                capture_output=True, text=True)
+        assert result.stderr == "0 False\n"
 
     def test_zero_static_values_accepted(self, tmp_path):
         result = run_cli("replicate", "--emulate", "--minutes", "120", "--runs", "2",

@@ -162,3 +162,26 @@ def test_history_file(workdir, history):
 @example("\n".join(VALID_TRACE[:5] + ["2" * 200_000]))
 def test_trace_file(workdir, trace):
     assert_clean(*monitor(workdir, tactics=TACTICS, trace=trace))
+
+
+static_values = st.floats(0.0, 1e4) | st.sampled_from(
+    [0.0, -0.0, -1.0, -1e-300, 1e308, math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(1, 6), st.integers(30, 300), static_values, static_values)
+def test_replicate_flags(workdir, runs, minutes, static_latency, static_cost):
+    """``replicate`` under drawn flags exits 0, 1 or 2 without a traceback,
+    and with one ``error:`` line (``warning:`` lines allowed) unless 0."""
+    argv = ["replicate", "--emulate", "--runs", str(runs), "--minutes", str(minutes),
+            "--out-dir", str(workdir / "reports"), f"--static-latency={static_latency!r}",
+            f"--static-cost={static_cost!r}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    lines = err.getvalue().splitlines()
+    assert all(line.startswith(("error:", "warning:")) for line in lines), lines
+    errors = [line for line in lines if line.startswith("error:")]
+    assert rc in (0, 1, 2)
+    assert len(errors) == (rc != 0), lines

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from forecast_oracle import split_train_test
 from proadapt import (DesignMatrix, ExperimentReport, ResponseVector, ScorePair,
                       TimeSeries, mae, reports_to_csv_text, rmse,
-                      run_forecast_experiments, run_predictor_experiments,
-                      split_train_test, summarize)
+                      run_forecast_experiments, run_predictor_experiments, summarize)
 
 vectors = st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,3 +215,50 @@ def test_refits_fit_one_block_per_call_without_models(workdir, monkeypatch, refi
         assert all(block * size <= start < (block + 1) * size for start in starts)
     assert sum(fitted, []) == list(range(0, ticks, refit_every))
     assert ([] in fitted) == (refit_every == 300)
+
+
+def long_window_run(workdir, monkeypatch, window, cells):
+    """(stdout, stderr, peak traced bytes, starts per fit call) of
+    ``monitor --refit-every 1`` over 300 ticks with ``BLOCK_CELLS = cells``."""
+    values = np.cumsum(np.random.default_rng(3).normal(0.0, 0.3, window + 299)).tolist()
+    (workdir / "history.csv").write_text(
+        "value\n" + "".join(f"{v!r}\n" for v in values), encoding="utf-8")
+    (workdir / "specs.json").write_text(json.dumps([{"name": "hot", "threshold": 1.0}]),
+                                        encoding="utf-8")
+    calls = []
+    fit = cli.fit_arima_windows
+
+    def spy_fit(history, window, starts):
+        calls.append(len(starts))
+        return fit(history, window, starts)
+
+    monkeypatch.setattr(cli, "BLOCK_CELLS", cells)
+    monkeypatch.setattr(cli, "fit_arima_windows", spy_fit)
+    out, err = io.StringIO(), io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["monitor", "--spec", str(workdir / "specs.json"),
+                           "--history", str(workdir / "history.csv"),
+                           "--window", str(window), "--refit-every", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    return out.getvalue(), err.getvalue(), peak, calls
+
+
+def test_long_windows_fit_within_the_cell_budget(workdir, monkeypatch):
+    # 256 windows of 4,000 points in one fit call peak at about 39 MiB;
+    # BLOCK_CELLS caps a call at 65 of them, about 10 MiB.
+    out, err, peak, calls = long_window_run(workdir, monkeypatch, 4000, cli.BLOCK_CELLS)
+    assert peak < 16 * 2**20
+    assert calls == [65, 65, 65, 61, 44]
+    with monkeypatch.context() as patch:  # no cap: one call per block, same bytes
+        uncapped = long_window_run(workdir, patch, 4000, 1 << 40)
+    assert uncapped[3] == [256, 44]
+    assert (out, err) == uncapped[:2]
+
+
+def test_default_window_fits_each_block_in_one_call(workdir, monkeypatch):
+    assert long_window_run(workdir, monkeypatch, 60, cli.BLOCK_CELLS)[3] == [256, 44]
