@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import forecast_oracle
 from forecast_oracle import reference_forecast_experiments
 from proadapt import metrics
 from proadapt.arima import ArimaModel, FitError
@@ -136,8 +137,6 @@ def test_long_test_windows_pass_one_run_at_a_time(monkeypatch):
 def test_nonfinite_steps_match(monkeypatch):
     # A model whose drift carries the forecast past the largest float within
     # a few steps of a 20-point test window; persistence still scores.
-    import forecast_oracle
-
     def steep_fit(train):
         if len(train) % 3 == 0:
             raise FitError("drawn to fail")
