@@ -11,10 +11,12 @@ fully deterministic. One vectorised kernel solves it for a stack of
 windows at once: ``fit_arima_windows`` returns the coefficient arrays and
 fit errors of any windows of a series, and ``fit_arima`` is its one-window
 case and the one fit that builds an ``ArimaModel``. A monitor run that
-refits on every window fits a block of windows per call, so refitting
-costs little more than re-anchoring one model.
+refits on every window fits a block of windows per call.
 
-``fit_arima`` and ``forecast`` are pure functions of their inputs and
+``forecast`` iterates one model; ``forecast_paths``, the forecast of the
+monitor and the replication harness, iterates n models as arrays.
+
+The fits and forecasts are pure functions of their inputs and
 ``ArimaModel`` is immutable, so models can be shared across threads.
 """
 
@@ -38,9 +40,9 @@ __all__ = [
     "fit_arima",
     "fit_arima_windows",
     "forecast",
+    "forecast_paths",
     "forecast_error",
     "check_residuals",
-    "reanchor",
 ]
 
 MIN_FIT_LENGTH = 10  # differenced observations needed before fitting
@@ -261,6 +263,34 @@ def forecast(model: ArimaModel, horizon: int) -> list[float]:
     return out
 
 
+def forecast_paths(last: Sequence[float], previous: Sequence[float],
+                   phi: Sequence[float], c: Sequence[float], horizon: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """``forecast`` of n models, each given by its last two observations
+    (``previous``, ``last``) and its coefficients ``phi`` and ``c``.
+
+    Returns the (horizon, n) paths, whose column i is model i's ``forecast``
+    bit for bit (the same float operations in the same order), and each
+    path's first 1-based step that is not finite, or 0 (not a raise).
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    last, previous, phi, c = (np.asarray(a, dtype=float) for a in (last, previous, phi, c))
+    paths = np.empty((horizon, last.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = last - previous
+        running = last
+        # In place, since per-step call overhead dominates when a long
+        # horizon leaves few models per call.
+        for row in paths:
+            np.multiply(phi, z, out=z)
+            np.add(c, z, out=z)
+            np.add(running, z, out=row)
+            running = row
+    bad = ~np.isfinite(paths)
+    return paths, np.where(bad.any(axis=0), bad.argmax(axis=0) + 1, 0)
+
+
 def check_residuals(model: ArimaModel, series: TimeSeries) -> ResidualDiagnostics:
     """Recompute in-sample residuals for ``series`` (the fitting series)
     and flag suspected leftover structure when the lag-1 residual
@@ -283,15 +313,3 @@ def check_residuals(model: ArimaModel, series: TimeSeries) -> ResidualDiagnostic
         threshold=threshold,
         suspect=abs(lag1) > threshold,
     )
-
-
-def reanchor(model: ArimaModel, series: TimeSeries) -> ArimaModel:
-    """Reuse fitted parameters but forecast from the tail of ``series``.
-
-    Supports the fit-once deployment style: parameters are estimated on
-    historical data and the forecast origin follows the live window.
-    """
-    if len(series) < 2:
-        raise ValueError("series must hold at least 2 observations")
-    return ArimaModel(phi=model.phi, c=model.c, last_observations=series.tail(2).tolist(),
-                      residual_variance=model.residual_variance)

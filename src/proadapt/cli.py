@@ -38,19 +38,15 @@ from .metrics import (BRR_MODEL, FORECAST_MODEL, MEAN_BASELINE, MRA_MODEL,
                       run_forecast_experiments, run_predictor_experiments, summarize,
                       write_reports_csv)
 from .regression import fit_mra
-from .types import Direction, SlaSpec, Tactic, TimeSeries, order_specs_by_reward
-from .workflow import (STATUSES, SpecAnalysis, SpecStatus, TacticEstimate, TacticModels,
-                       WorkflowConfig, price_tactics, rank_tactics, workflow_block)
+from .types import Direction, SlaSpec, Tactic, TimeSeries, order_specs_by_reward, subseed
+from .workflow import (STATUSES, SpecStatus, TacticEstimate, TacticModels, WorkflowConfig,
+                       price_tactics, rank_tactics, workflow_block)
 
 DEFAULT_SEED = 42
 BLOCK_TICKS = 256  # monitor ticks per block, and so refits per fit call, at most
 # Values per array pass: forecast values (ticks x horizon) per block of
 # monitor ticks, and window values (refits x window) per fit call.
 BLOCK_CELLS = 1 << 18
-
-
-def _subseed(seed: int, key: int) -> int:
-    return int(np.random.SeedSequence([seed, key]).generate_state(1)[0])
 
 
 def _print_model_table(summary: Summary, names: Sequence[str]) -> None:
@@ -99,21 +95,21 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     if args.trace:
         records = ingest_trace_csv(args.trace)
     else:
-        records = generate_trace(args.minutes, _subseed(args.seed, 0), config)
+        records = generate_trace(args.minutes, subseed(args.seed, 0), config)
 
     # Every report is computed before any file is written, so a failing
     # experiment leaves no partial report set behind.
     impact = run_cost_impact_simulation(SAMPLE_TACTIC_A, SAMPLE_TACTIC_B,
-                                        args.runs, _subseed(args.seed, 1))
+                                        args.runs, subseed(args.seed, 1))
     idle = to_idle_series(records)
-    forecast_reports = run_forecast_experiments(idle, args.runs, _subseed(args.seed, 2))
+    forecast_reports = run_forecast_experiments(idle, args.runs, subseed(args.seed, 2))
     X, latency, cost = to_regression_dataset(records)
     predictor_reports = []
     for response, t, key, static in (("latency", latency, 3, args.static_latency),
                                      ("cost", cost, 4, args.static_cost)):
         try:
             predictor_reports.append(run_predictor_experiments(
-                X, t, args.runs, _subseed(args.seed, key), static_value=static))
+                X, t, args.runs, subseed(args.seed, key), static_value=static))
         except ValueError as exc:
             raise ValueError(f"{response} response: {exc}") from None
     latency_reports, cost_reports = predictor_reports
@@ -314,18 +310,17 @@ class _TickLines:
         lines = []
         for name, key in zip(self._names, zip(codes, steps)):
             if key not in parts:
-                parts[key] = self._part(*key, forecast)
+                parts[key] = self._part(*key)
             head, tail = parts[key]
             lines.append(f'{{"tick": {tick}, "name": {name}, {head}{text}{tail}')
         return "".join(lines)
 
-    def _part(self, code: int, step: int, forecast: list[float]) -> tuple[str, str]:
+    def _part(self, code: int, step: int) -> tuple[str, str]:
         status = STATUSES[code]
         head = json.dumps({"status": status.value, "first_violation_step": step or None})
         ranked = []
         if self._estimates and status is not SpecStatus.HEALTHY:
-            analysis = SpecAnalysis("", forecast, status, step or None)
-            ranked = rank_tactics(self._estimates, analysis, self._tick_seconds)
+            ranked = rank_tactics(self._estimates, status, step or None, self._tick_seconds)
         tactics = json.dumps([
             {"name": e.tactic_name, "latency": e.predicted_latency,
              "cost": e.predicted_cost, "utility": e.utility_score, "rank": rank}

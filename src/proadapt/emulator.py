@@ -32,7 +32,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .regression import DesignMatrix, ResponseVector
-from .types import TimeSeries
+from .types import TimeSeries, subseed
 
 __all__ = [
     "Mirror",
@@ -303,10 +303,8 @@ def run_cost_impact_simulation(a: TacticProfile, b: TacticProfile,
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    seeds = [int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
-             for i in range(2)]
-    costs_a = sample_latency(a, seeds[0], n_runs) * a.cost_per_unit_latency
-    costs_b = sample_latency(b, seeds[1], n_runs) * b.cost_per_unit_latency
+    costs_a = sample_latency(a, subseed(seed, 0), n_runs) * a.cost_per_unit_latency
+    costs_b = sample_latency(b, subseed(seed, 1), n_runs) * b.cost_per_unit_latency
     top = float(max(costs_a.max(), costs_b.max()))
     n_bins = max(1, math.ceil(top / HISTOGRAM_BIN_WIDTH))
     edges = np.arange(n_bins + 1) * HISTOGRAM_BIN_WIDTH

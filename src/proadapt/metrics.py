@@ -10,18 +10,21 @@ Forecast splits use a contiguous test window because scattering test
 points through a time series would leak future values into training;
 regression rows carry no such ordering, so predictor splits sample rows
 uniformly. Each run draws its own seed from the master seed through
-``numpy.random.SeedSequence``, so runs are reorder-independent and the
-whole harness is byte-deterministic. A failed run is recorded on its
-report instead of aborting the batch; a score that overflows raises
-``ValueError`` naming the run and model.
+``types.subseed``, so runs are reorder-independent and the whole harness
+is byte-deterministic. A failed run is recorded on its report instead of
+aborting the batch; a score that overflows raises ``ValueError`` naming
+the run and model.
 
-Forecast runs keep one seeded split and one ``fit_arima`` per run; the
-rest is array passes over up to ``FORECAST_CELLS`` forecast values. The
-held-out windows are gathered as one (runs, test length) array, every
-run's forecast comes from one ``z = c + phi * z`` recursion over arrays
-(the float operations ``arima.forecast`` does, in its order), and the
-scores are row reductions. Each score is the one a per-run harness
-computes with ``rmse`` and ``mae``, bit for bit.
+Forecast runs keep one seeded split per run and one ``fit_arima`` per
+distinct split start in a pass; the rest is array passes over up to
+``FORECAST_CELLS`` forecast values. The held-out windows are gathered as
+one (runs, test length) array and every run's forecast comes from
+``arima.forecast_paths``.
+
+Both harnesses score through ``_reports``: a pass's residuals form one
+contiguous (models, runs, n) array, and each rmse and mae is a row
+reduction of it, the score a per-run harness computes with ``rmse`` and
+``mae``, bit for bit.
 
 Predictor runs are processed ``PREDICTOR_CHUNK`` at a time from downdated
 sufficient statistics (Golub & Van Loan, Matrix Computations 6.5, 12.5).
@@ -32,9 +35,8 @@ and Bayesian-ridge weights then come from ``regression.fit_gram_batch``,
 which flags every run the statistics cannot be trusted with (cond(X'X)
 above ``GRAM_CONDITION_LIMIT``, a residual sum below
 ``CANCELLATION_LIMIT`` of t't, anything non-finite); those runs are refitted
-with ``fit_mra``/``fit_bayesian_ridge`` on their rows. Scores are row
-reductions over (chunk, n_test) arrays. The baselines' scores are the ones
-a per-run harness computes, bit for bit; no array grows with runs x N.
+with ``fit_mra``/``fit_bayesian_ridge`` on their rows. No array grows
+with runs x N.
 
 Report CSV format: header ``run,model,rmse,mae,train_fraction,seed``, one
 row per scored run/model pair, reals at 17 significant digits, UTF-8, LF
@@ -50,10 +52,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .arima import fit_arima, forecast_error
+from .arima import fit_arima, forecast_error, forecast_paths
 from .regression import (DesignMatrix, ResponseVector, baseline_mean, fit_bayesian_ridge,
                          fit_gram_batch, fit_mra)
-from .types import TimeSeries
+from .types import TimeSeries, subseed
 
 __all__ = [
     "ScorePair",
@@ -139,20 +141,32 @@ class ExperimentReport:
             raise ValueError("exactly one of scores and error must be set")
 
 
-def _score_pair(rmse_value: float, mae_value: float, run: int, model: str) -> ScorePair:
-    """Scores of one run of ``model``; raises ``ValueError`` naming the run
-    and model when a score overflowed."""
-    if not (math.isfinite(rmse_value) and math.isfinite(mae_value)):
-        raise ValueError(f"run {run}, model {model!r}: scores overflow "
-                         f"(rmse={rmse_value!r}, mae={mae_value!r})")
-    return ScorePair(rmse_value, mae_value)
-
-
-def _run_seeds(master_seed: int, n_runs: int) -> list[int]:
-    # Splittable counter scheme: each run keys its own SeedSequence, so the
-    # draw for run i never depends on how many runs precede it.
-    return [int(np.random.SeedSequence([master_seed, i]).generate_state(1)[0])
-            for i in range(n_runs)]
+def _reports(runs: range, models: Sequence[str], residuals: np.ndarray,
+             errors: Mapping[tuple[str, int], str], seeds: Sequence[int],
+             train_fraction: float) -> list[ExperimentReport]:
+    """Reports of ``runs`` in run order and, within a run, in ``models``
+    order, scored from (and overwriting) their contiguous (models, runs, n)
+    ``residuals``; ``errors[model, i]`` replaces the scores of ``model`` on
+    run ``runs[i]``. Each score reduces one contiguous row, so it sums
+    exactly as ``rmse``/``mae`` on that run alone. A score that overflowed
+    raises ``ValueError`` naming the run and model."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        # In place, since |e|^2 == e^2 bit for bit.
+        maes = np.mean(np.abs(residuals, out=residuals), axis=-1).tolist()
+        rmses = np.sqrt(np.mean(np.square(residuals, out=residuals), axis=-1)).tolist()
+    reports: list[ExperimentReport] = []
+    for i, run in enumerate(runs):
+        for k, model in enumerate(models):
+            error, scores = errors.get((model, i)), None
+            if error is None:
+                rmse_value, mae_value = rmses[k][i], maes[k][i]
+                if not (math.isfinite(rmse_value) and math.isfinite(mae_value)):
+                    raise ValueError(f"run {run}, model {model!r}: scores overflow "
+                                     f"(rmse={rmse_value!r}, mae={mae_value!r})")
+                scores = ScorePair(rmse_value, mae_value)
+            reports.append(ExperimentReport(run, model, scores, train_fraction,
+                                            seeds[run], error=error))
+    return reports
 
 
 def _test_length(n: int, train_fraction: float) -> int:
@@ -182,7 +196,7 @@ def run_forecast_experiments(series: TimeSeries, n_runs: int, seed: int,
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    seeds = _run_seeds(seed, n_runs)
+    seeds = [subseed(seed, run) for run in range(n_runs)]
     try:
         test_len = _test_length(len(series), train_fraction)
     except ValueError as exc:
@@ -206,49 +220,30 @@ def _forecast_pass(series: TimeSeries, starts: Sequence[int], runs: range,
                    train_fraction: float) -> list[ExperimentReport]:
     """Reports of the forecast ``runs``, whose test windows begin at
     ``starts``, in run order and, within a run, persistence before arima."""
-    # A run whose fit fails keeps phi = c = 0, a finite (flat) forecast.
-    phi, c = np.zeros(len(runs)), np.zeros(len(runs))
-    errors: dict[int, str] = {}  # the arima error of a run, by its index in the pass
-    for i, start in enumerate(starts):
+    fits = {}  # (phi, c, error) by start, so runs that draw one start share its fit
+    for start in dict.fromkeys(starts):
         try:
             model = fit_arima(series.window(0, start))
         except ValueError as exc:
-            errors[i] = str(exc)
+            fits[start] = 0.0, 0.0, str(exc)  # phi = c = 0: a finite (flat) forecast
         else:
-            phi[i], c[i] = model.phi, model.c
+            fits[start] = model.phi, model.c, None
+    phi, c, fit_errors = zip(*(fits[start] for start in starts))
+    errors = {(FORECAST_MODEL, i): error for i, error in enumerate(fit_errors)
+              if error is not None}
     values = series.values
     first = np.array(starts)
     actual = values[first[:, None] + np.arange(test_len)]
     last = values[first - 1]
-    predicted = np.empty((test_len, len(runs)))
+    predicted, nonfinite_step = forecast_paths(last, values[first - 2], phi, c, test_len)
+    for i in np.flatnonzero(nonfinite_step).tolist():
+        errors[FORECAST_MODEL, i] = forecast_error(int(nonfinite_step[i]))
+    residuals = np.empty((2, len(runs), test_len))
     with np.errstate(over="ignore", invalid="ignore"):
-        # arima.forecast's recursion, every run at once.
-        z = last - values[first - 2]
-        running = last
-        for row in predicted:
-            np.multiply(phi, z, out=z)
-            np.add(c, z, out=z)
-            np.add(running, z, out=row)
-            running = row
-        bad = ~np.isfinite(predicted)
-        for i in np.flatnonzero(bad.any(axis=0)).tolist():
-            errors[i] = forecast_error(int(bad[:, i].argmax()) + 1)
-        # Contiguous rows, so each score sums exactly as np.mean on one run;
-        # in place, since |e|^2 == e^2 bit for bit.
-        residuals = np.empty((2, len(runs), test_len))
         np.subtract(last[:, None], actual, out=residuals[0])
         np.subtract(predicted.T, actual, out=residuals[1])
-        maes = np.mean(np.abs(residuals, out=residuals), axis=-1).tolist()
-        rmses = np.sqrt(np.mean(np.square(residuals, out=residuals), axis=-1)).tolist()
-    reports: list[ExperimentReport] = []
-    for i, run in enumerate(runs):
-        for k, (model, error) in enumerate(((PERSISTENCE_MODEL, None),
-                                            (FORECAST_MODEL, errors.get(i)))):
-            scores = None if error is not None else _score_pair(rmses[k][i], maes[k][i],
-                                                                run, model)
-            reports.append(ExperimentReport(run, model, scores, train_fraction,
-                                            seeds[run], error=error))
-    return reports
+    return _reports(runs, (PERSISTENCE_MODEL, FORECAST_MODEL), residuals, errors, seeds,
+                    train_fraction)
 
 
 def run_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: int,
@@ -271,7 +266,7 @@ def run_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: int,
     augmented = np.column_stack([X.rows, t.t])
     with np.errstate(over="ignore", invalid="ignore"):
         totals = augmented.T @ augmented
-    seeds = _run_seeds(seed, n_runs)
+    seeds = [subseed(seed, run) for run in range(n_runs)]
     reports: list[ExperimentReport] = []
     for start in range(0, n_runs, PREDICTOR_CHUNK):
         runs = range(start, min(start + PREDICTOR_CHUNK, n_runs))
@@ -323,17 +318,7 @@ def _predictor_chunk(X: DesignMatrix, t: ResponseVector, augmented: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         predicted = np.maximum(0.0, np.matmul(test_rows, weights[..., None])[..., 0])
         residuals = np.concatenate([constants[..., None] - actual, predicted - actual])
-        rmses = np.sqrt(np.mean(residuals**2, axis=-1)).tolist()
-        maes = np.mean(np.abs(residuals), axis=-1).tolist()
-    reports: list[ExperimentReport] = []
-    for i, run in enumerate(runs):
-        for k, name in enumerate(PREDICTOR_MODELS):
-            error = errors.get((name, i))
-            scores = None if error is not None else _score_pair(rmses[k][i], maes[k][i],
-                                                                run, name)
-            reports.append(ExperimentReport(run, name, scores, train_fraction,
-                                            seeds[run], error=error))
-    return reports
+    return _reports(runs, PREDICTOR_MODELS, residuals, errors, seeds, train_fraction)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Shared domain types: monitored time series, SLA specifications, tactics,
-and the utility function used by the decision loop.
+the utility function used by the decision loop, and the seed derivation
+of the seeded commands and harnesses.
 
 All types are immutable value objects after construction and safe to share
 between threads.
@@ -22,6 +23,7 @@ __all__ = [
     "UtilityParams",
     "utility",
     "order_specs_by_reward",
+    "subseed",
 ]
 
 
@@ -215,3 +217,8 @@ def utility(p: UtilityParams) -> float:
 def order_specs_by_reward(specs: Sequence[SlaSpec]) -> list[SlaSpec]:
     """Specs sorted by descending reward; ties keep their input order."""
     return sorted(specs, key=lambda s: s.reward, reverse=True)
+
+
+def subseed(seed: int, key: int) -> int:
+    """The seed of ``key`` under ``seed``, independent of any other key's."""
+    return int(np.random.SeedSequence([seed, key]).generate_state(1)[0])

@@ -9,12 +9,10 @@ estimates, ranked against its own deadline; a healthy one gets none.
 
 ``workflow_block`` is the kernel: for a block of consecutive ticks, given
 each tick's last two observations and model coefficients, it forecasts
-every tick in one array recursion (the same float operations in the same
-order as ``arima.forecast``, so the values are bit-identical), finds each
-tick's first non-finite step, and classifies every specification of every
-tick with array comparisons. ``workflow_tick`` is its one-tick case and
-returns per-spec ``TickEntry`` objects; ``monitor`` calls the kernel once
-per block of ticks.
+every tick with ``arima.forecast_paths`` and classifies every
+specification of every tick with array comparisons. ``workflow_tick`` is
+its one-tick case and returns per-spec ``TickEntry`` objects; ``monitor``
+calls the kernel once per block of ticks.
 
 Both are pure functions of their inputs, so ticks for disjoint systems can
 run concurrently.
@@ -29,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .arima import ArimaModel, fit_arima, forecast_error, reanchor
+from .arima import ArimaModel, fit_arima, forecast_error, forecast_paths
 from .regression import RegressionModel, predict
 from .types import (Direction, SlaSpec, Tactic, TimeSeries, UtilityParams,
                     order_specs_by_reward, utility)
@@ -79,11 +77,15 @@ class SpecAnalysis:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "forecast_values", tuple(self.forecast_values))
-        if (self.status is SpecStatus.AT_RISK) != (self.first_violation_step is not None):
-            raise ValueError("first_violation_step must be set exactly for AT_RISK")
+        _check_first_step(self.status, self.first_violation_step)
         if self.first_violation_step is not None and not (
                 1 <= self.first_violation_step <= len(self.forecast_values)):
             raise ValueError("first_violation_step must lie in [1, horizon]")
+
+
+def _check_first_step(status: SpecStatus, first_violation_step: int | None) -> None:
+    if (status is SpecStatus.AT_RISK) != (first_violation_step is not None):
+        raise ValueError("first_violation_step must be set exactly for AT_RISK")
 
 
 @dataclass(frozen=True)
@@ -175,39 +177,25 @@ def workflow_block(specs: Sequence[SlaSpec], last: Sequence[float],
     """Forecast and classify n ticks, each from its last two observations
     (``previous``, ``last``) under its model coefficients ``phi`` and ``c``.
 
-    The forecast iterates z = c + phi * z from z = last - previous and adds
-    each z onto the running last value, as ``arima.forecast`` does. A spec
-    is broken when the tick's last value violates it, at risk from the
-    first forecast step inside its risk band (strict on the approach side,
-    so a zero margin means "a step violates"), healthy otherwise. ``specs``
-    are taken in the given order.
+    The forecasts and their first non-finite steps are
+    ``arima.forecast_paths``'s. A spec is broken when the tick's last
+    value violates it, at risk from the first forecast step inside its risk
+    band (strict on the approach side, so a zero margin means "a step
+    violates"), healthy otherwise. ``specs`` are taken in the given order.
     """
-    last, previous, phi, c = (np.asarray(a, dtype=float)
-                              for a in (last, previous, phi, c))
-    steps = np.empty((config.horizon, last.size))
+    last = np.asarray(last, dtype=float)
+    steps, nonfinite_step = forecast_paths(last, previous, phi, c, config.horizon)
     status = np.empty((last.size, len(specs)), dtype=np.int8)
     first_step = np.zeros((last.size, len(specs)), dtype=np.intp)
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = last - previous
-        running = last
-        # In place, since per-step call overhead dominates when a long
-        # horizon makes the block short.
-        for row in steps:
-            np.multiply(phi, z, out=z)
-            np.add(c, z, out=z)
-            np.add(running, z, out=row)
-            running = row
-        bad = ~np.isfinite(steps)
-        nonfinite_step = np.where(bad.any(axis=0), bad.argmax(axis=0) + 1, 0)
-        for j, spec in enumerate(specs):
-            margin_width = config.risk_margin * abs(spec.threshold)
-            if spec.direction is Direction.UPPER_BOUND:
-                now, band = last > spec.threshold, steps > spec.threshold - margin_width
-            else:
-                now, band = last < spec.threshold, steps < spec.threshold + margin_width
-            at_risk = band.any(axis=0) & ~now
-            status[:, j] = np.where(now, _BROKEN, np.where(at_risk, _AT_RISK, _HEALTHY))
-            first_step[at_risk, j] = band.argmax(axis=0)[at_risk] + 1
+    for j, spec in enumerate(specs):
+        margin_width = config.risk_margin * abs(spec.threshold)
+        if spec.direction is Direction.UPPER_BOUND:
+            now, band = last > spec.threshold, steps > spec.threshold - margin_width
+        else:
+            now, band = last < spec.threshold, steps < spec.threshold + margin_width
+        at_risk = band.any(axis=0) & ~now
+        status[:, j] = np.where(now, _BROKEN, np.where(at_risk, _AT_RISK, _HEALTHY))
+        first_step[at_risk, j] = band.argmax(axis=0)[at_risk] + 1
     return TickBlock(steps.T, nonfinite_step, status, first_step)
 
 
@@ -244,22 +232,25 @@ def price_tactics(tactics: Sequence[Tactic], registry: Mapping[str, TacticModels
     return tuple(estimates)
 
 
-def rank_tactics(estimates: Sequence[TacticEstimate], analysis: SpecAnalysis,
-                 tick_seconds: float) -> list[TacticEstimate]:
+def rank_tactics(estimates: Sequence[TacticEstimate], status: SpecStatus,
+                 first_violation_step: int | None, tick_seconds: float
+                 ) -> list[TacticEstimate]:
     """Order tactics: ready-in-time first, then by descending utility,
     then ascending cost, then input order.
 
     "Ready in time" means the predicted latency fits before the first
-    anticipated violation; a broken specification leaves no lead time at
-    all, and a healthy one imposes no deadline.
+    anticipated violation, ``first_violation_step`` ticks ahead (given
+    exactly for AT_RISK); a spec of ``status`` BROKEN leaves no lead time
+    at all, and a HEALTHY one imposes no deadline.
     """
     if not estimates:
         raise ValueError("estimates must be non-empty")
     _check_tick_seconds(tick_seconds)
-    if analysis.status is SpecStatus.BROKEN:
+    _check_first_step(status, first_violation_step)
+    if status is SpecStatus.BROKEN:
         deadline = 0.0
-    elif analysis.status is SpecStatus.AT_RISK:
-        deadline = analysis.first_violation_step * tick_seconds
+    elif status is SpecStatus.AT_RISK:
+        deadline = first_violation_step * tick_seconds
     else:
         deadline = math.inf
     return sorted(estimates,
@@ -274,10 +265,11 @@ def workflow_tick(specs: Sequence[SlaSpec], history: TimeSeries,
     """One pass over all specifications in descending-reward order: the
     one-tick case of ``workflow_block``.
 
-    ``history`` is forecast once, by re-anchoring ``model`` on its tail or,
-    without a model, by fitting ARIMA(1, 1, 0) on it; a forecast failure
-    becomes the error of every entry. Each potentially broken (at-risk or
-    broken) specification ranks ``estimates`` against its own deadline.
+    ``history`` is forecast once from its last two observations, under
+    ``model``'s coefficients or, without a model, those of ARIMA(1, 1, 0)
+    fitted on it; a fit or forecast failure becomes the error of every
+    entry. Each potentially broken (at-risk or broken) specification ranks
+    ``estimates`` against its own deadline.
     """
     cfg = config or WorkflowConfig()
     names = [s.name for s in specs]
@@ -285,11 +277,14 @@ def workflow_tick(specs: Sequence[SlaSpec], history: TimeSeries,
         raise ValueError("spec names must be unique")
     ordered = order_specs_by_reward(specs)
     try:
-        fitted = fit_arima(history) if model is None else reanchor(model, history)
+        if model is None:
+            model = fit_arima(history)
+        elif len(history) < 2:
+            raise ValueError("series must hold at least 2 observations")
     except ValueError as exc:
         return [TickEntry(spec.name, None, error=str(exc)) for spec in ordered]
-    previous, last = fitted.last_observations
-    block = workflow_block(ordered, [last], [previous], [fitted.phi], [fitted.c], cfg)
+    previous, last = history.tail(2)
+    block = workflow_block(ordered, [last], [previous], [model.phi], [model.c], cfg)
     step = int(block.nonfinite_step[0])
     if step:
         error = forecast_error(step)
@@ -302,6 +297,7 @@ def workflow_tick(specs: Sequence[SlaSpec], history: TimeSeries,
         if analysis.status is SpecStatus.HEALTHY or not estimates:
             entries.append(TickEntry(spec.name, analysis))
         else:
-            ranked = rank_tactics(estimates, analysis, cfg.tick_seconds)
+            ranked = rank_tactics(estimates, analysis.status,
+                                  analysis.first_violation_step, cfg.tick_seconds)
             entries.append(TickEntry(spec.name, analysis, tuple(ranked)))
     return entries

@@ -15,9 +15,8 @@ import numpy as np
 
 from proadapt.arima import fit_arima, forecast
 from proadapt.metrics import (FORECAST_MODEL, MIN_TEST_POINTS, MIN_TRAIN_POINTS,
-                              PERSISTENCE_MODEL, ExperimentReport, ScorePair, _run_seeds,
-                              mae, rmse)
-from proadapt.types import TimeSeries
+                              PERSISTENCE_MODEL, ExperimentReport, ScorePair, mae, rmse)
+from proadapt.types import TimeSeries, subseed
 
 
 def split_train_test(series: TimeSeries, train_fraction: float,
@@ -58,7 +57,8 @@ def reference_forecast_experiments(series: TimeSeries, n_runs: int, seed: int,
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     reports: list[ExperimentReport] = []
-    for run, run_seed in enumerate(_run_seeds(seed, n_runs)):
+    for run in range(n_runs):
+        run_seed = subseed(seed, run)
         try:
             train, test = split_train_test(series, train_fraction, run_seed)
         except ValueError as exc:

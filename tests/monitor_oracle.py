@@ -1,13 +1,14 @@
 """Reference per-tick monitor loop, kept as an oracle for ``cmd_monitor``.
 
 This is the loop ``monitor`` ran before it processed ticks in blocks:
-each tick re-anchors the current model on its window, forecasts with the
-scalar ``arima.forecast``, classifies each specification step by step,
-ranks the tactics with ``rank_tactics`` and serialises each entry with
-``tick_entry_to_dict`` and ``json.dumps``. Each refit fits its own window
-with ``fit_arima``. It never calls the block kernel or
-``fit_arima_windows``, so comparing its bytes with ``cli.main`` checks the
-kernel, the block fits and the line templates against independent code.
+each tick moves the current model's forecast origin to the tail of its
+window, forecasts with the scalar ``arima.forecast``, classifies each
+specification step by step, ranks the tactics with ``rank_tactics`` and
+serialises each entry with ``tick_entry_to_dict`` and ``json.dumps``.
+Each refit fits its own window with ``fit_arima``. It never calls the
+block kernel or ``fit_arima_windows``, so comparing its bytes with
+``cli.main`` checks the kernel, the block fits and the line templates
+against independent code.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import json
 from typing import Sequence
 
-from proadapt.arima import FitError, fit_arima, forecast, reanchor
+from proadapt.arima import ArimaModel, FitError, fit_arima, forecast
 from proadapt.types import Direction, SlaSpec, TimeSeries, order_specs_by_reward
 from proadapt.workflow import (SpecAnalysis, SpecStatus, TacticEstimate, TickEntry,
                                WorkflowConfig, rank_tactics)
@@ -61,7 +62,8 @@ def reference_tick(ordered: Sequence[SlaSpec], history: TimeSeries,
                    estimates: Sequence[TacticEstimate], config: WorkflowConfig,
                    model) -> list[TickEntry]:
     try:
-        predicted = tuple(forecast(reanchor(model, history), config.horizon))
+        moved = ArimaModel(model.phi, model.c, history.tail(2), model.residual_variance)
+        predicted = tuple(forecast(moved, config.horizon))
     except ValueError as exc:
         return [TickEntry(spec.name, None, error=str(exc)) for spec in ordered]
     entries = []
@@ -70,7 +72,8 @@ def reference_tick(ordered: Sequence[SlaSpec], history: TimeSeries,
         if analysis.status is SpecStatus.HEALTHY or not estimates:
             entries.append(TickEntry(spec.name, analysis))
         else:
-            ranked = rank_tactics(estimates, analysis, config.tick_seconds)
+            ranked = rank_tactics(estimates, analysis.status,
+                                  analysis.first_violation_step, config.tick_seconds)
             entries.append(TickEntry(spec.name, analysis, tuple(ranked)))
     return entries
 

@@ -16,9 +16,10 @@ import math
 import numpy as np
 
 from proadapt.metrics import (BRR_MODEL, MEAN_BASELINE, MRA_MODEL, STATIC_BASELINE,
-                              ExperimentReport, ScorePair, _run_seeds, mae, rmse)
+                              ExperimentReport, ScorePair, mae, rmse)
 from proadapt.regression import (DesignMatrix, RegressionModel, ResponseVector,
                                  baseline_mean, error_function, fit_mra)
+from proadapt.types import subseed
 
 
 def reference_bayesian_ridge(X: DesignMatrix, t: ResponseVector, alpha0: float = 1.0,
@@ -65,7 +66,8 @@ def reference_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: 
     if X.n != len(t):
         raise ValueError("design matrix and responses disagree on length")
     reports: list[ExperimentReport] = []
-    for run, run_seed in enumerate(_run_seeds(seed, n_runs)):
+    for run in range(n_runs):
+        run_seed = subseed(seed, run)
         rng = np.random.default_rng(run_seed)
         n_test = max(1, int(round((1.0 - train_fraction) * X.n)))
         order = rng.permutation(X.n)

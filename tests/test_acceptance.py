@@ -14,10 +14,11 @@ import numpy as np
 from proadapt import (DesignMatrix, ResponseVector, SAMPLE_TACTIC_A,
                       SAMPLE_TACTIC_B, SlaSpec, SpecStatus, RegressionModel,
                       TacticModels, Tactic, TimeSeries, difference, fit_arima, fit_mra,
-                      generate_trace, ingest_trace_csv, mae, price_tactics, rmse,
+                      generate_trace, ingest_trace_csv, price_tactics, rmse,
                       run_cost_impact_simulation, run_forecast_experiments,
                       run_predictor_experiments, summarize, to_idle_series,
                       to_regression_dataset, workflow_tick, write_trace_csv)
+from proadapt.metrics import mae
 
 TRACE_SEED = 42
 MASTER_SEED = 42

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from proadapt import (ArimaModel, FitError, TimeSeries, acf,
                       check_residuals, difference, fit_arima, fit_arima_windows,
-                      forecast, pacf, reanchor)
+                      forecast, pacf)
 from proadapt import arima
 
 
@@ -264,22 +264,6 @@ class TestCheckResiduals:
             check_residuals(model, TimeSeries([1.0, 2.0, 3.0]))
 
 
-class TestReanchor:
-    def test_forecast_origin_follows_new_tail(self):
-        model = fit_arima(arima_110_series(0.4, 300, seed=15))
-        fresh = TimeSeries([4.0, 6.0])
-        moved = reanchor(model, fresh)
-        assert moved.phi == model.phi and moved.c == model.c
-        assert moved.last_observations == (4.0, 6.0)
-        expected = 6.0 + model.c + model.phi * 2.0
-        assert forecast(moved, 1)[0] == pytest.approx(expected)
-
-    def test_requires_enough_history(self):
-        model = fit_arima(arima_110_series(0.4, 300, seed=16))
-        with pytest.raises(ValueError):
-            reanchor(model, TimeSeries([1.0]))
-
-
 EPS = np.finfo(float).eps
 
 
@@ -450,13 +434,39 @@ def numpy_ladder_forecast(model, horizon):
 
 @st.composite
 def arima_models(draw):
+    """Models whose drift c reaches up to the largest float, so that some
+    forecasts overflow within the horizon."""
     finite = st.floats(-1e6, 1e6)
     phi = draw(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
     last = draw(st.lists(finite, min_size=2, max_size=2))
-    return ArimaModel(phi=phi, c=draw(finite), last_observations=last,
-                      residual_variance=0.0)
+    c = draw(st.one_of(finite, st.floats(-1.7e308, 1.7e308)))
+    return ArimaModel(phi=phi, c=c, last_observations=last, residual_variance=0.0)
 
 
-@given(arima_models(), st.integers(1, 12))
-def test_forecast_matches_numpy_ladder_bitwise(model, horizon):
-    assert forecast(model, horizon) == numpy_ladder_forecast(model, horizon)
+def bits(values):
+    """The bytes of ``values`` as float64, with every NaN as one pattern."""
+    values = np.array(values, dtype=float)
+    values[np.isnan(values)] = np.nan
+    return values.tobytes()
+
+
+@given(st.lists(arima_models(), min_size=1, max_size=5), st.integers(1, 12))
+def test_forecast_matches_numpy_ladder_bitwise(models, horizon):
+    paths, nonfinite_step = arima.forecast_paths(
+        [m.last_observations[1] for m in models], [m.last_observations[0] for m in models],
+        [m.phi for m in models], [m.c for m in models], horizon)
+    assert paths.shape == (horizon, len(models))
+    for model, path, step in zip(models, paths.T, nonfinite_step.tolist()):
+        assert bits(path) == bits(numpy_ladder_forecast(model, horizon))
+        try:
+            values = forecast(model, horizon)
+        except ValueError as exc:
+            assert str(exc) == f"forecast step {step} is not finite"
+        else:
+            assert step == 0
+            assert bits(values) == bits(path)
+
+
+def test_forecast_paths_rejects_an_empty_horizon():
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        arima.forecast_paths([1.0], [0.0], [0.5], [0.0], 0)

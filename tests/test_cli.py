@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proadapt import (Phase, TimeSeries, WorkflowConfig, cli, fit_arima, forecast,
-                      generate_trace, price_tactics, reanchor, workflow, workflow_tick,
+from proadapt import (ArimaModel, Phase, TimeSeries, WorkflowConfig, cli, fit_arima,
+                      forecast, generate_trace, price_tactics, workflow, workflow_tick,
                       write_trace_csv)
 from proadapt.cli import main
 from monitor_oracle import tick_entry_to_dict
@@ -408,7 +408,8 @@ class TestMonitorRefit:
         # The first failing tick forecasts from the previous tick's model.
         first = int(warnings[0].split()[2].rstrip(":"))
         last_good = fit_arima(TimeSeries(values[first - 1:first + 59]))
-        moved = reanchor(last_good, TimeSeries(values[first:first + 60]))
+        moved = ArimaModel(last_good.phi, last_good.c, values[first + 58:first + 60],
+                           last_good.residual_variance)
         line = next(line for line in lines if line["tick"] == first)
         assert line["forecast"] == forecast(moved, 5)
 

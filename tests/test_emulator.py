@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proadapt import (EmulatorConfig, LatencyShape, Mirror, MirrorSettings, Phase,
-                      SAMPLE_TACTIC_A, SAMPLE_TACTIC_B, TacticProfile, TraceFormatError,
-                      TraceRecord, fit_mra, generate_trace, ingest_trace_csv,
-                      run_cost_impact_simulation, sample_latency, to_idle_series,
+from proadapt import (EmulatorConfig, Mirror, Phase, SAMPLE_TACTIC_A, SAMPLE_TACTIC_B,
+                      TraceFormatError, TraceRecord, fit_mra, generate_trace,
+                      ingest_trace_csv, run_cost_impact_simulation, to_idle_series,
                       to_regression_dataset, write_trace_csv)
-from proadapt.emulator import LAG_WINDOW, _downloads_in_order, _hour_of_day, diurnal_multiplier
+from proadapt.emulator import (LAG_WINDOW, LatencyShape, MirrorSettings, TacticProfile,
+                               _downloads_in_order, _hour_of_day, diurnal_multiplier,
+                               sample_latency)
 from proadapt.regression import DesignMatrix, ResponseVector
 
 

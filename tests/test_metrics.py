@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from forecast_oracle import split_train_test
-from proadapt import (DesignMatrix, ExperimentReport, ResponseVector, ScorePair,
-                      TimeSeries, mae, reports_to_csv_text, rmse,
+from proadapt import (DesignMatrix, ExperimentReport, ResponseVector, TimeSeries, rmse,
                       run_forecast_experiments, run_predictor_experiments, summarize)
+from proadapt.metrics import ScorePair, mae, reports_to_csv_text
 
 vectors = st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40)
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from proadapt import (DesignMatrix, RegressionModel, ResponseVector, baseline_mean,
-                      error_function, fit_bayesian_ridge, fit_mra, predict)
-from proadapt.regression import CONDITION_LIMIT
+from proadapt import DesignMatrix, RegressionModel, ResponseVector, fit_mra
+from proadapt.regression import (CONDITION_LIMIT, baseline_mean, error_function,
+                                 fit_bayesian_ridge, predict)
 
 
 def design(rows, names=()):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from proadapt import (Direction, SlaSpec, Tactic, TimeSeries, UtilityParams,
-                      order_specs_by_reward, utility)
+                      order_specs_by_reward)
+from proadapt.types import utility
 
 
 def params(**overrides):

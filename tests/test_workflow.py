@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from proadapt import (Direction, RegressionModel, SlaSpec, SpecAnalysis, SpecStatus,
+from proadapt import (ArimaModel, Direction, RegressionModel, SlaSpec, SpecStatus,
                       TacticEstimate, TacticModels, Tactic, TimeSeries, UtilityParams,
-                      WorkflowConfig, fit_arima, generate_trace, price_tactics,
+                      WorkflowConfig, fit_arima, forecast, generate_trace, price_tactics,
                       rank_tactics, to_regression_dataset, workflow_tick, fit_mra)
 from proadapt import workflow
 
@@ -88,6 +88,8 @@ class TestAnalyzeSpecification:
         # parameters came from the old fit, origin from the new tail
         assert analysis.forecast_values[0] == pytest.approx(
             later.values[-1] + model.c + model.phi * 0.002, abs=1e-9)
+        moved = ArimaModel(model.phi, model.c, later.tail(2), model.residual_variance)
+        assert analysis.forecast_values == tuple(forecast(moved, 5))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -163,9 +165,7 @@ def estimate(name, latency, cost, score):
     return TacticEstimate(name, latency, cost, score)
 
 
-def at_risk_analysis(step=2, horizon=5):
-    forecast = tuple(0.8 for _ in range(horizon))
-    return SpecAnalysis("s", forecast, SpecStatus.AT_RISK, first_violation_step=step)
+AT_RISK = (SpecStatus.AT_RISK, 2)  # the status and first violation step of an at-risk spec
 
 
 class TestRankTactics:
@@ -173,25 +173,25 @@ class TestRankTactics:
         # deadline is 2 ticks * 6 s = 12 s
         slow = estimate("slow", 60.0, 1.0, 100.0)
         fast = estimate("fast", 5.0, 9.0, 1.0)
-        ranked = rank_tactics([slow, fast], at_risk_analysis(), tick_seconds=6.0)
+        ranked = rank_tactics([slow, fast], *AT_RISK, tick_seconds=6.0)
         assert [e.tactic_name for e in ranked] == ["fast", "slow"]
 
     def test_utility_orders_within_group(self):
         a = estimate("a", 1.0, 5.0, 10.0)
         b = estimate("b", 1.0, 5.0, 7.0)
-        ranked = rank_tactics([b, a], at_risk_analysis(), tick_seconds=6.0)
+        ranked = rank_tactics([b, a], *AT_RISK, tick_seconds=6.0)
         assert [e.tactic_name for e in ranked] == ["a", "b"]
 
     def test_cost_breaks_utility_ties(self):
         cheap = estimate("cheap", 1.0, 5.0, 3.0)
         dear = estimate("dear", 1.0, 7.0, 3.0)
-        ranked = rank_tactics([dear, cheap], at_risk_analysis(), tick_seconds=6.0)
+        ranked = rank_tactics([dear, cheap], *AT_RISK, tick_seconds=6.0)
         assert [e.tactic_name for e in ranked] == ["cheap", "dear"]
 
     def test_input_order_breaks_remaining_ties(self):
         first = estimate("first", 1.0, 5.0, 3.0)
         second = estimate("second", 1.0, 5.0, 3.0)
-        ranked = rank_tactics([first, second], at_risk_analysis(), tick_seconds=6.0)
+        ranked = rank_tactics([first, second], *AT_RISK, tick_seconds=6.0)
         assert [e.tactic_name for e in ranked] == ["first", "second"]
 
     def test_permutation_and_rescale_invariance(self):
@@ -199,29 +199,41 @@ class TestRankTactics:
         estimates = [estimate(f"t{i}", float(rng.uniform(0, 30)),
                               float(rng.uniform(0, 10)), float(rng.uniform(-5, 5)))
                      for i in range(8)]
-        ranked = rank_tactics(estimates, at_risk_analysis(), tick_seconds=6.0)
+        ranked = rank_tactics(estimates, *AT_RISK, tick_seconds=6.0)
         assert sorted(e.tactic_name for e in ranked) == sorted(e.tactic_name
                                                                for e in estimates)
         scaled = [estimate(e.tactic_name, e.predicted_latency, e.predicted_cost,
                            e.utility_score * 3.5) for e in estimates]
-        rescaled = rank_tactics(scaled, at_risk_analysis(), tick_seconds=6.0)
+        rescaled = rank_tactics(scaled, *AT_RISK, tick_seconds=6.0)
         assert [e.tactic_name for e in rescaled] == [e.tactic_name for e in ranked]
 
     def test_broken_spec_leaves_no_lead_time(self):
-        broken = SpecAnalysis("s", (0.9,), SpecStatus.BROKEN)
         instant = estimate("instant", 0.0, 1.0, 0.0)
         slow = estimate("slow", 0.5, 1.0, 10.0)
-        ranked = rank_tactics([slow, instant], broken, tick_seconds=6.0)
+        ranked = rank_tactics([slow, instant], SpecStatus.BROKEN, None, tick_seconds=6.0)
         assert ranked[0].tactic_name == "instant"
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            rank_tactics([], at_risk_analysis(), tick_seconds=6.0)
+            rank_tactics([], *AT_RISK, tick_seconds=6.0)
+
+    @pytest.mark.parametrize("status, step", [(SpecStatus.AT_RISK, None),
+                                              (SpecStatus.HEALTHY, 2),
+                                              (SpecStatus.BROKEN, 1)])
+    def test_first_step_is_given_exactly_for_at_risk(self, status, step):
+        with pytest.raises(ValueError, match="exactly for AT_RISK"):
+            rank_tactics([estimate("t", 1.0, 1.0, 0.0)], status, step, tick_seconds=6.0)
+
+    def test_healthy_spec_imposes_no_deadline(self):
+        slow = estimate("slow", 1e9, 1.0, 10.0)
+        fast = estimate("fast", 0.0, 1.0, 0.0)
+        ranked = rank_tactics([fast, slow], SpecStatus.HEALTHY, None, tick_seconds=6.0)
+        assert [e.tactic_name for e in ranked] == ["slow", "fast"]
 
     @pytest.mark.parametrize("tick_seconds", [float("nan"), float("inf"), 0.0])
     def test_tick_seconds_must_be_finite_and_positive(self, tick_seconds):
         with pytest.raises(ValueError, match="finite and > 0"):
-            rank_tactics([estimate("t", 1.0, 1.0, 0.0)], at_risk_analysis(),
+            rank_tactics([estimate("t", 1.0, 1.0, 0.0)], *AT_RISK,
                          tick_seconds=tick_seconds)
         with pytest.raises(ValueError, match="finite and > 0"):
             WorkflowConfig(tick_seconds=tick_seconds)
