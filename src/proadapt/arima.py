@@ -232,7 +232,12 @@ def fit_arima_windows(series: TimeSeries, window: int, starts: Sequence[int]
         differenced = np.diff(series.values[lo:hi])
     # Row i gathers the window - 1 differences of the window at starts[i].
     c, phi, variance = _fit_cls(differenced[(starts - lo)[:, None] + np.arange(window - 1)])
-    errors = [_fit_error(*fit) for fit in zip(c.tolist(), phi.tolist(), variance.tolist())]
+    # _fit_error's test as one array pass (|phi| < 1 fails a phi that is not
+    # finite); _fit_error builds the FitErrors of the windows that fail it.
+    good = np.isfinite(c) & np.isfinite(variance) & (np.abs(phi) < 1.0)
+    errors: list[FitError | None] = [None] * starts.size
+    for i in np.flatnonzero(~good).tolist():
+        errors[i] = _fit_error(float(c[i]), float(phi[i]), float(variance[i]))
     return phi, c, variance, errors
 
 

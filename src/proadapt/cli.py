@@ -21,9 +21,11 @@ import argparse
 import csv
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -39,8 +41,8 @@ from .metrics import (BRR_MODEL, FORECAST_MODEL, MEAN_BASELINE, MRA_MODEL,
                       write_reports_csv)
 from .regression import fit_mra
 from .types import Direction, SlaSpec, Tactic, TimeSeries, order_specs_by_reward, subseed
-from .workflow import (STATUSES, SpecStatus, TacticEstimate, TacticModels, WorkflowConfig,
-                       price_tactics, rank_tactics, workflow_block)
+from .workflow import (STATUSES, SpecStatus, TacticEstimate, TacticModels, TickBlock,
+                       WorkflowConfig, price_tactics, rank_tactics, workflow_block)
 
 DEFAULT_SEED = 42
 BLOCK_TICKS = 256  # monitor ticks per block, and so refits per fit call, at most
@@ -199,6 +201,8 @@ def _check_entry(entry, i: int, what: str, required: Sequence[str],
 def _load_specs(path: str) -> list[SlaSpec]:
     raw = _read_json(path, "spec file")
     entries = raw if isinstance(raw, list) else [raw]
+    if not entries:
+        raise ValueError("spec file holds no specs")
     specs = []
     for i, entry in enumerate(entries):
         _check_entry(entry, i, "spec file", ("name", "threshold"),
@@ -288,7 +292,10 @@ class _TickLines:
     Each spec name is serialised once per run. The estimates and the tick
     length are fixed for the run, so the status and ranked tactics parts of
     a line depend only on (status, first step): each distinct pair is
-    serialised once, by ``rank_tactics`` and ``json.dumps``.
+    serialised once, by ``rank_tactics`` and ``json.dumps``. A tick's lines
+    then differ only in the tick, the forecast and the pairs of its specs:
+    each distinct tuple of pairs in a block gets one ``%``-template of all
+    the tick's lines, so a tick is one ``repr`` and one format.
     """
 
     def __init__(self, ordered: Sequence[SlaSpec], estimates: Sequence[TacticEstimate],
@@ -296,23 +303,37 @@ class _TickLines:
         self._names = [json.dumps(spec.name) for spec in ordered]
         self._estimates = estimates
         self._tick_seconds = tick_seconds
-        self._parts: dict[tuple[int, int], tuple[str, str]] = {}
+        self._parts: dict[int, tuple[str, str]] = {}  # %-escaped, by pair key
+        self._templates: dict[tuple[int, ...], str] = {}
 
     def errors(self, tick: int, error: str) -> str:
         text = json.dumps(error)
         return "".join(f'{{"tick": {tick}, "name": {name}, "error": {text}}}\n'
                        for name in self._names)
 
-    def entries(self, tick: int, forecast: list[float], codes: list[int],
-                steps: list[int]) -> str:
-        text = repr(forecast)  # a list of finite floats reprs as its JSON text
-        parts = self._parts
+    def keys(self, block: TickBlock) -> list[tuple[int, ...]]:
+        """Start ``block``: clear the templates, so that they never outnumber
+        a block's ticks, and return each tick's template key, which holds
+        status code + 3 * first step per spec."""
+        self._templates.clear()
+        return list(map(tuple, (block.status + 3 * block.first_step).tolist()))
+
+    def entries(self, tick: int, forecast: list[float], key: tuple[int, ...]) -> str:
+        template = self._templates.get(key)
+        if template is None:
+            template = self._templates[key] = self._template(key)
+        # A list of finite floats reprs as its JSON text.
+        return template % ((tick, repr(forecast)) * len(key))
+
+    def _template(self, key: tuple[int, ...]) -> str:
         lines = []
-        for name, key in zip(self._names, zip(codes, steps)):
-            if key not in parts:
-                parts[key] = self._part(*key)
-            head, tail = parts[key]
-            lines.append(f'{{"tick": {tick}, "name": {name}, {head}{text}{tail}')
+        for name, pair in zip(self._names, key):
+            if pair not in self._parts:
+                step, code = divmod(pair, 3)
+                self._parts[pair] = tuple(part.replace("%", "%%")
+                                          for part in self._part(code, step))
+            head, tail = self._parts[pair]
+            lines.append(f'{{"tick": %d, "name": {name.replace("%", "%%")}, {head}%s{tail}')
         return "".join(lines)
 
     def _part(self, code: int, step: int) -> tuple[str, str]:
@@ -335,38 +356,36 @@ def _block_models(history: TimeSeries, window: int, ticks: int, every: int, size
     call, or in calls of at most ``BLOCK_CELLS`` window values each when
     the windows are long. ``fit_errors`` holds the fit error of each tick
     of the block before the first good fit (such ticks open the run);
-    ``phi`` and ``c`` hold the model coefficients of the block's later
-    ticks. A failed refit keeps the last good model and prints a warning.
+    the arrays ``phi`` and ``c`` hold the model coefficients of the
+    block's later ticks. A failed refit keeps the last good model and
+    prints a warning.
     """
     per_call = max(1, BLOCK_CELLS // window)
-    model, fit_error = None, ""
+    # Entry 0 of a block's model arrays is the model carried into the
+    # block, the last good fit before it: NaN while there is none.
+    carried_phi, carried_c, fit_error = np.full(1, np.nan), np.full(1, np.nan), ""
     for lo in range(0, ticks, size):
         hi = min(lo + size, ticks)
         refits = range(lo + -lo % every, hi, every)  # the refit ticks from lo on
-        fits = []
-        for i in range(0, len(refits) or 1, per_call):
-            fitted_phi, fitted_c, _, errors = fit_arima_windows(history, window,
-                                                                refits[i:i + per_call])
-            fits += zip(fitted_phi.tolist(), fitted_c.tolist(), errors)
-        fits = iter(fits)
-        fit_errors, phi, c = [], [], []
-        # The refit ticks whose model holds for some tick of the block.
-        for refit in range(lo - lo % every, hi, every):
-            if refit >= lo:
-                *coefficients, error = next(fits)
-                if error is None:
-                    model = coefficients
-                else:
-                    fit_error = str(error)
-                    print(f"warning: tick {refit}: refit failed: {fit_error}",
-                          file=sys.stderr)
-            n = min(refit + every, hi) - max(refit, lo)
-            if model is None:
-                fit_errors += [fit_error] * n
-            else:
-                phi += [model[0]] * n
-                c += [model[1]] * n
-        yield lo, hi, fit_errors, phi, c
+        fits = [fit_arima_windows(history, window, refits[i:i + per_call])
+                for i in range(0, len(refits) or 1, per_call)]
+        phi = np.concatenate([carried_phi, *(fit[0] for fit in fits)])
+        c = np.concatenate([carried_c, *(fit[1] for fit in fits)])
+        errors = [None, *chain.from_iterable(fit[3] for fit in fits)]
+        good = np.fromiter(map(operator.not_, errors), bool, len(errors))  # errors are truthy
+        messages = {0: fit_error}
+        for i in np.flatnonzero(~good).tolist():
+            messages[i] = fit_error = str(errors[i])
+            print(f"warning: tick {refits[i - 1]}: refit failed: {fit_error}",
+                  file=sys.stderr)
+        # Each tick's last refit (0: the carried model), then its model:
+        # the last good one up to that refit.
+        last_refit = (np.arange(lo, hi) - refits.start) // every + 1
+        model = np.maximum.accumulate(np.where(good, np.arange(good.size), 0))[last_refit]
+        opening = int(np.count_nonzero(model == 0)) if np.isnan(carried_phi[0]) else 0
+        fit_errors = [messages[i] for i in last_refit[:opening].tolist()]
+        carried_phi, carried_c = phi[model[-1:]], c[model[-1:]]
+        yield lo, hi, fit_errors, phi[model[opening:]], c[model[opening:]]
 
 
 def cmd_monitor(args: argparse.Namespace) -> int:
@@ -379,6 +398,8 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         raise ValueError(f"--refit-every must be >= 0, got {args.refit_every}")
     if len(history) < window:
         raise ValueError(f"history has {len(history)} points but the window needs {window}")
+    if args.horizon > BLOCK_CELLS:  # a block of one tick would not fit in BLOCK_CELLS
+        raise ValueError(f"--horizon must be <= {BLOCK_CELLS}, got {args.horizon}")
     config = WorkflowConfig(horizon=args.horizon, risk_margin=args.risk_margin,
                             tick_seconds=args.tick_seconds)
     # The tactics' models and features are fixed for the run, so are their prices.
@@ -389,11 +410,12 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     lines = _TickLines(ordered, estimates, config.tick_seconds)
     values = history.values
     ticks = len(history) - window + 1
-    every = args.refit_every or ticks  # 0 fits once, on the first window
+    # 0, or a K of at least the ticks, fits once, on the first window.
+    every = min(args.refit_every or ticks, ticks)
     # One model per refit tick, shared by every spec: all specs watch the
     # one history. Ticks go through the kernel a block at a time, and each
     # is written as soon as it is serialised.
-    size = max(1, min(BLOCK_TICKS, BLOCK_CELLS // config.horizon))
+    size = min(BLOCK_TICKS, BLOCK_CELLS // config.horizon)
     for lo, hi, fit_errors, phi, c in _block_models(history, window, ticks, every, size):
         for tick, error in enumerate(fit_errors, start=lo):
             sys.stdout.write(lines.errors(tick, error))
@@ -403,11 +425,11 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         end = hi + window - 1  # one past the last value of the block's last window
         block = workflow_block(ordered, values[start + window - 1:end],
                                values[start + window - 2:end - 1], phi, c, config)
-        for tick, forecast, step, codes, steps in zip(
+        for tick, forecast, step, key in zip(
                 range(start, hi), block.forecasts.tolist(), block.nonfinite_step.tolist(),
-                block.status.tolist(), block.first_step.tolist()):
+                lines.keys(block)):
             sys.stdout.write(lines.errors(tick, forecast_error(step)) if step
-                             else lines.entries(tick, forecast, codes, steps))
+                             else lines.entries(tick, forecast, key))
     return 0
 
 

@@ -348,6 +348,35 @@ class TestFitArimaWindows:
             assert phi[i] == expected.phi and c[i] == expected.c
             assert variance[i] == expected.residual_variance
 
+    def test_fit_error_is_built_only_for_failing_windows(self, monkeypatch):
+        # A walk, then an exact alternation (phi = -1), then a ramp near the
+        # float maximum whose fits overflow.
+        walk = np.cumsum(np.random.default_rng(2).normal(size=80))
+        alternation = walk[-1] + np.arange(40) % 2
+        values = np.concatenate([walk, alternation, 1.6e308 + 1e306 * np.arange(20)])
+        calls, fit_error = [], arima._fit_error
+
+        def spy(c, phi, variance):
+            calls.append(phi)
+            return fit_error(c, phi, variance)
+
+        monkeypatch.setattr(arima, "_fit_error", spy)
+        starts = range(0, values.size - 12 + 1)
+        phi, c, variance, errors = fit_arima_windows(TimeSeries(values), 12, starts)
+        failed = [i for i, error in enumerate(errors) if error is not None]
+        assert len(calls) == len(failed) and 0 < len(failed) < len(starts)
+        assert np.array_equal(calls, phi[failed], equal_nan=True)
+        monkeypatch.undo()
+        for start, error in zip(starts, errors):
+            try:
+                fit_arima(TimeSeries(values[start:start + 12]))
+            except FitError as exc:
+                assert str(error) == str(exc)
+            else:
+                assert error is None
+        assert any("not stationary" in str(e) for e in errors)
+        assert any("fit overflows" in str(e) for e in errors)
+
     def test_ramp_keeps_lstsq_minimum_norm_answer(self):
         # Constant differences make the lag design rank-deficient.
         values = 0.30 + 0.004 * np.arange(200.0)

@@ -431,6 +431,16 @@ class TestMonitorRefit:
             else:
                 assert "error" not in line
 
+    def test_refit_every_beyond_the_run_fits_once(self, tmp_path, capsys):
+        # 341 ticks span two blocks; a K past the last tick, even one too
+        # large for an array index, refits nowhere after tick 0.
+        values = random_walk(400, 4)
+        spec, history = write_monitor_inputs(tmp_path, values, quantile_specs(values))
+        runs = [run_main(capsys, "monitor", "--spec", spec, "--history", history,
+                         "--refit-every", every) for every in ("0", "341", str(10**30))]
+        assert runs[0][0] == 0 and len(runs[0][1].splitlines()) == 3 * 341
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
 
 class TestMonitorInputErrors:
     def assert_one_error(self, capsys, *args):
@@ -444,6 +454,37 @@ class TestMonitorInputErrors:
         err = self.assert_one_error(capsys, "monitor", "--spec", str(spec), "--history",
                                     str(history), "--refit-every", "-3")
         assert "--refit-every" in err
+
+    @pytest.mark.parametrize("horizon", [cli.BLOCK_CELLS + 1, 10**9])
+    def test_horizon_over_block_cells_rejected_before_any_fit(self, tmp_path, capsys,
+                                                              monkeypatch, horizon):
+        # A block of one tick holds horizon forecast values, so a longer
+        # horizon cannot fit in BLOCK_CELLS: it is rejected up front, not
+        # forecast.
+        calls = []
+        for name in ("fit_arima_windows", "fit_mra", "workflow_block"):
+            def spy(*args, name=name, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} ran")
+            monkeypatch.setattr(cli, name, spy)
+        spec, history = write_ramp_fixture(tmp_path, n=200)
+        trace = tmp_path / "trace.csv"
+        write_trace_csv(generate_trace(30, 4), trace)
+        tactics = tmp_path / "tactics.json"
+        tactics.write_text(json.dumps([{"name": "t", "static_latency": 1.0,
+                                        "static_cost": 1.0}]))
+        err = self.assert_one_error(capsys, "monitor", "--spec", str(spec), "--history",
+                                    str(history), "--horizon", str(horizon),
+                                    "--tactics", str(tactics), "--trace", str(trace))
+        assert err == f"error: --horizon must be <= {cli.BLOCK_CELLS}, got {horizon}\n"
+        assert calls == []
+
+    def test_empty_spec_list_rejected(self, tmp_path, capsys):
+        spec, history = write_ramp_fixture(tmp_path)
+        spec.write_text("[]")
+        err = self.assert_one_error(capsys, "monitor", "--spec", str(spec), "--history",
+                                    str(history))
+        assert err == "error: spec file holds no specs\n"
 
     def test_nonpositive_window_rejected(self, tmp_path, capsys):
         spec, history = write_ramp_fixture(tmp_path)

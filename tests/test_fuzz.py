@@ -14,6 +14,7 @@ import contextlib
 import io
 import json
 import math
+import re
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -185,3 +186,64 @@ def test_replicate_flags(workdir, runs, minutes, static_latency, static_cost):
     errors = [line for line in lines if line.startswith("error:")]
     assert rc in (0, 1, 2)
     assert len(errors) == (rc != 0), lines
+
+
+
+# Each monitor flag's small in-range values, and the invalid values one of
+# them may take instead.
+MONITOR_FLAGS = {"window": st.integers(1, 14), "horizon": st.integers(1, 6),
+                 "risk-margin": st.sampled_from([0.0, 0.1, 0.5, 0.99]),
+                 "tick-seconds": st.sampled_from([0.5, 6.0]),
+                 "refit-every": st.integers(0, 6)}
+INVALID_FLAG_VALUES = ["0", "-1", "nan", "inf", str(cli.BLOCK_CELLS + 1)]
+history_values = st.floats(-10.0, 10.0) | st.sampled_from([1.6e308, -1.7e308])
+LINE_KEYS = (["tick", "name", "status", "first_violation_step", "forecast", "tactics"],
+             ["tick", "name", "error"])
+# An error line of the CLI, or argparse's for a flag that does not parse.
+ERROR_LINE = re.compile(r"(proadapt monitor: )?error: ")
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(flags=st.fixed_dictionaries(MONITOR_FLAGS),
+       invalid=st.sampled_from([None] * len(MONITOR_FLAGS) + list(MONITOR_FLAGS)),
+       invalid_value=st.sampled_from(INVALID_FLAG_VALUES),
+       values=st.integers(0, 30).flatmap(
+           lambda n: st.lists(history_values, min_size=n, max_size=n)),
+       spec=st.lists(st.fixed_dictionaries({
+           "threshold": st.floats(-10.0, 10.0),
+           "direction": st.sampled_from(["upper", "lower"])}), min_size=1, max_size=3)
+       .map(lambda entries: [{"name": f"spec {i}", **e} for i, e in enumerate(entries)]),
+       tactics=st.booleans())
+def test_monitor_flags(workdir, flags, invalid, invalid_value, values, spec, tactics):
+    """``monitor`` under drawn flags, at most one of them invalid, and small
+    files exits 0, 1 or 2 without a traceback; unless 0, with one
+    ``error:`` line (``warning:`` lines allowed). Its stdout ends at a line
+    boundary, each line a JSON object with the documented keys."""
+    if invalid is not None:
+        flags[invalid] = invalid_value
+    history = "value\n" + "".join(f"{v!r}\n" for v in values)
+    files = {"spec.json": json.dumps(spec), "history.csv": history,
+             "tactics.json": json.dumps(TACTICS), "trace.csv": TRACE}
+    for name, content in files.items():
+        (workdir / name).write_text(content, encoding="utf-8")
+    argv = ["monitor", "--spec", str(workdir / "spec.json"),
+            "--history", str(workdir / "history.csv")]
+    argv += [f"--{flag}={value}" for flag, value in flags.items()]
+    if tactics:
+        argv += ["--tactics", str(workdir / "tactics.json"),
+                 "--trace", str(workdir / "trace.csv")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects a flag that does not parse
+            rc = exc.code
+    out, lines = out.getvalue(), err.getvalue().splitlines()
+    errors = [line for line in lines if ERROR_LINE.match(line)]
+    assert rc in (0, 1, 2)
+    assert len(errors) == (rc != 0), lines
+    assert all(line.startswith(("warning:", "usage:", " ")) for line in lines
+               if line not in errors), lines
+    assert out.endswith("\n") or out == ""
+    for line in out.splitlines():
+        assert list(strict_json(line)) in LINE_KEYS

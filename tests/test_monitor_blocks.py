@@ -26,7 +26,7 @@ from proadapt.workflow import WorkflowConfig, price_tactics
 
 TACTICS = [{"name": "mirror_g", "mirror": "germany", "static_latency": 2.5,
             "static_cost": 30.0},
-           {"name": "plain", "static_latency": 1.0, "static_cost": 3.0},
+           {"name": "plain %s 5%", "static_latency": 1.0, "static_cost": 3.0},
            {"name": "mirror_o", "mirror": "ontario", "static_latency": 2.5,
             "static_cost": 30.0}]
 
@@ -129,6 +129,25 @@ def test_blocks_match_reference_loop(workdir, data, values, window, horizon,
     assert err == want_err
 
 
+@settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), values=histories(), window=st.integers(11, 14),
+       refit_every=st.integers(0, 9), block_ticks=st.integers(1, 7))
+def test_small_blocks_match_reference_loop(workdir, data, values, window, refit_every,
+                                           block_ticks):
+    # Blocks of a few ticks put refits, failed refits and the run's opening
+    # fit errors on either side of many block boundaries, and make refit
+    # intervals that span blocks without a refit.
+    specs = data.draw(specs_lists(values))
+    if len(values) < window:
+        values = values + [values[-1]] * (window - len(values))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "BLOCK_TICKS", block_ticks)
+        out, err, want_out, want_err = run_both(workdir, values, specs, window, 3, 0.1,
+                                                6.0, refit_every, False)
+    assert out == want_out
+    assert err == want_err
+
+
 @pytest.mark.parametrize("refit_every", [0, 1, 3])
 def test_many_blocks_match_reference_loop(workdir, refit_every):
     # 660 ticks cross two block boundaries; the alternation at 250-300
@@ -159,6 +178,33 @@ def test_ties_on_the_threshold_match_reference_loop(workdir, risk_margin):
                                             6.0, 0, True)
     assert out == want_out and err == want_err
     assert '"status": "healthy"' in out and '"status": "broken"' in out
+
+
+def test_line_templates_are_cleared_per_block(workdir, monkeypatch):
+    # Eight specs between the troughs and crests of a noisy wave, and a
+    # 60-step horizon: the ticks' (status, first step) tuples are mostly
+    # distinct, more of them than a block has ticks. Names with '%' must
+    # survive the %-templates.
+    built, template = [], cli._TickLines._template
+
+    def spy(lines, key):
+        built.append(len(lines._templates) + 1)  # the cache size once key is added
+        return template(lines, key)
+
+    monkeypatch.setattr(cli._TickLines, "_template", spy)
+    rng = np.random.default_rng(11)
+    t = np.arange(700)
+    values = (10.0 * np.sin(t / 25.0) + 0.04 * np.cumsum(rng.normal(0.0, 0.2, t.size))
+              + rng.normal(0.0, 0.2, t.size)).tolist()
+    specs = [{"name": f"spec {i} %d%%s 100%", "threshold": float(threshold),
+              "direction": "upper" if i % 2 else "lower", "reward": float(i)}
+             for i, threshold in enumerate(np.linspace(-9.0, 9.0, 8))]
+    out, err, want_out, want_err = run_both(workdir, values, specs, 20, 60, 0.0, 6.0, 1,
+                                            True)
+    assert out == want_out and err == want_err
+    assert len(out.splitlines()) == 8 * 681
+    assert len(built) > 681 // 2 and len(built) > cli.BLOCK_TICKS
+    assert max(built) <= cli.BLOCK_TICKS
 
 
 def test_blocks_stay_within_the_cell_budget(workdir, monkeypatch):
