@@ -29,7 +29,7 @@ print("the partial autocorrelation cuts off after lag 1: one AR term on the "
 
 # estimation and checking on the first 90% of the data
 cut = int(len(series) * 0.9)
-train = TimeSeries(series.values[:cut], interval=series.interval)
+train = TimeSeries(series.values[:cut])
 test = series.values[cut:]
 model = fit_arima(train)
 print(f"\nfitted: phi={model.phi:.4f}, drift constant={model.c:.6f}, "

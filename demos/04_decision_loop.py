@@ -39,7 +39,7 @@ values = 0.40 + 0.0035 * np.arange(120)
 window = 60
 previous_status = None
 for tick in range(len(values) - window + 1):
-    history = TimeSeries(values[tick:tick + window], interval=6.0)
+    history = TimeSeries(values[tick:tick + window])
     entry = workflow_tick([spec], history, estimates, config)[0]
     status = entry.analysis.status.value
     if status == previous_status:

@@ -91,7 +91,7 @@ def difference(series: TimeSeries) -> TimeSeries:
     if len(series) <= 1:
         raise ValueError(f"series of length {len(series)} is too short to difference "
                          f"1 time(s)")
-    return TimeSeries(np.diff(series.values), interval=series.interval)
+    return TimeSeries(np.diff(series.values))
 
 
 def acf(series: TimeSeries, max_lag: int) -> list[float]:

@@ -21,11 +21,9 @@ import argparse
 import csv
 import json
 import math
-import operator
 import os
 import sys
 from dataclasses import replace
-from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -45,9 +43,9 @@ from .workflow import (STATUSES, SpecStatus, TacticEstimate, TacticModels, TickB
                        WorkflowConfig, price_tactics, rank_tactics, workflow_block)
 
 DEFAULT_SEED = 42
-BLOCK_TICKS = 256  # monitor ticks per block, and so refits per fit call, at most
-# Values per array pass: forecast values (ticks x horizon) per block of
-# monitor ticks, and window values (refits x window) per fit call.
+BLOCK_TICKS = 256  # monitor ticks per block, and so refits per block, at most
+# Values per array pass: forecast values (ticks x horizon) and window
+# values (refits x window) per block of monitor ticks.
 BLOCK_CELLS = 1 << 18
 
 
@@ -61,8 +59,7 @@ def _print_model_table(summary: Summary, names: Sequence[str]) -> None:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    config = EmulatorConfig()
-    records = generate_trace(args.minutes, args.seed, config)
+    records = generate_trace(args.minutes, args.seed)
     write_trace_csv(records, args.out)
     downloads = sum(1 for r in records if r.phase is Phase.DOWNLOAD)
     print(f"{len(records)} records ({downloads} downloads) written to {args.out}")
@@ -93,11 +90,10 @@ def cmd_replicate(args: argparse.Namespace) -> int:
                         ("--static-cost", args.static_cost)):
         if not (math.isfinite(value) and value >= 0):
             raise ValueError(f"{flag} must be finite and >= 0, got {value!r}")
-    config = EmulatorConfig()
     if args.trace:
         records = ingest_trace_csv(args.trace)
     else:
-        records = generate_trace(args.minutes, subseed(args.seed, 0), config)
+        records = generate_trace(args.minutes, subseed(args.seed, 0))
 
     # Every report is computed before any file is written, so a failing
     # experiment leaves no partial report set behind.
@@ -186,12 +182,16 @@ def _read_json(path: str, what: str):
 def _check_entry(entry, i: int, what: str, required: Sequence[str],
                  numbers: Sequence[str]) -> None:
     """Entry ``i`` of a JSON list must be an object with the ``required``
-    fields, and none of its ``numbers`` fields may be a JSON boolean."""
+    fields and a string ``name``, and none of its ``numbers`` fields may be
+    a JSON boolean."""
     if not isinstance(entry, dict):
         raise ValueError(f"{what} entry {i}: expected a JSON object")
     for field in required:
         if field not in entry:
             raise ValueError(f"{what} entry {i}: missing field '{field}'")
+    if not isinstance(entry["name"], str):
+        raise ValueError(f"{what} entry {i}: field 'name' must be a string, "
+                         f"got {json.dumps(entry['name'])}")
     for field in numbers:
         if isinstance(entry.get(field), bool):
             raise ValueError(f"{what} entry {i}: field '{field}' must be a number, "
@@ -214,7 +214,7 @@ def _load_specs(path: str) -> list[SlaSpec]:
             raise ValueError(f"spec file entry {i}: field 'direction' must be "
                              f"'upper' or 'lower', got {direction_text!r}") from None
         try:
-            specs.append(SlaSpec(name=str(entry["name"]),
+            specs.append(SlaSpec(name=entry["name"],
                                  threshold=float(entry["threshold"]),
                                  direction=direction,
                                  penalty=float(entry.get("penalty", 0.0)),
@@ -234,6 +234,10 @@ def _load_history(path: str) -> TimeSeries:
             raise ValueError(f"history file: {exc}") from None
     if not rows or rows[0] != ["value"]:
         raise ValueError("history file must start with a 'value' header")
+    if max(map(len, rows)) > 1:
+        line, row = next((line, row) for line, row in enumerate(rows, 1) if len(row) > 1)
+        raise ValueError(f"history file line {line}: expected one value, "
+                         f"got {len(row)} fields")
     try:
         values = [float(row[0]) for row in rows[1:] if row]
     except ValueError as exc:
@@ -265,7 +269,7 @@ def _load_tactic_context(tactics_path: str, trace_path: str | None):
                       if r.phase is not Phase.DOWNLOAD or r.mirror is mirror]
         X, latency, cost = to_regression_dataset(subset)
         try:
-            tactic = Tactic(name=str(entry["name"]),
+            tactic = Tactic(name=entry["name"],
                             static_latency=float(entry["static_latency"]),
                             static_cost=float(entry["static_cost"]),
                             feature_names=X.column_names)
@@ -353,26 +357,21 @@ def _block_models(history: TimeSeries, window: int, ticks: int, every: int, size
     """Per block of at most ``size`` ticks, yield (lo, hi, fit_errors, phi, c).
 
     The block's refit ticks, every ``every``-th tick, are fitted in one
-    call, or in calls of at most ``BLOCK_CELLS`` window values each when
-    the windows are long. ``fit_errors`` holds the fit error of each tick
-    of the block before the first good fit (such ticks open the run);
-    the arrays ``phi`` and ``c`` hold the model coefficients of the
-    block's later ticks. A failed refit keeps the last good model and
-    prints a warning.
+    call. ``fit_errors`` holds the fit error of each tick of the block
+    before the first good fit (such ticks open the run); the arrays ``phi``
+    and ``c`` hold the model coefficients of the block's later ticks. A
+    failed refit keeps the last good model and prints a warning.
     """
-    per_call = max(1, BLOCK_CELLS // window)
     # Entry 0 of a block's model arrays is the model carried into the
     # block, the last good fit before it: NaN while there is none.
     carried_phi, carried_c, fit_error = np.full(1, np.nan), np.full(1, np.nan), ""
     for lo in range(0, ticks, size):
         hi = min(lo + size, ticks)
         refits = range(lo + -lo % every, hi, every)  # the refit ticks from lo on
-        fits = [fit_arima_windows(history, window, refits[i:i + per_call])
-                for i in range(0, len(refits) or 1, per_call)]
-        phi = np.concatenate([carried_phi, *(fit[0] for fit in fits)])
-        c = np.concatenate([carried_c, *(fit[1] for fit in fits)])
-        errors = [None, *chain.from_iterable(fit[3] for fit in fits)]
-        good = np.fromiter(map(operator.not_, errors), bool, len(errors))  # errors are truthy
+        refit_phi, refit_c, _, refit_errors = fit_arima_windows(history, window, refits)
+        phi, c = np.concatenate([carried_phi, refit_phi]), np.concatenate([carried_c, refit_c])
+        errors = [None, *refit_errors]
+        good = np.array([error is None for error in errors])
         messages = {0: fit_error}
         for i in np.flatnonzero(~good).tolist():
             messages[i] = fit_error = str(errors[i])
@@ -414,8 +413,10 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     every = min(args.refit_every or ticks, ticks)
     # One model per refit tick, shared by every spec: all specs watch the
     # one history. Ticks go through the kernel a block at a time, and each
-    # is written as soon as it is serialised.
-    size = min(BLOCK_TICKS, BLOCK_CELLS // config.horizon)
+    # is written as soon as it is serialised. A block refits at most
+    # BLOCK_CELLS // window times (once when a window is longer).
+    size = min(BLOCK_TICKS, BLOCK_CELLS // config.horizon,
+               every * max(1, BLOCK_CELLS // window))
     for lo, hi, fit_errors, phi, c in _block_models(history, window, ticks, every, size):
         for tick, error in enumerate(fit_errors, start=lo):
             sys.stdout.write(lines.errors(tick, error))
@@ -459,11 +460,12 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--seed", type=int, default=DEFAULT_SEED)
     rep.add_argument("--out-dir", default=".",
                      help="directory for rq1.csv..rq4.csv (default .)")
+    emulator = EmulatorConfig()
     rep.add_argument("--static-latency", type=float,
-                     default=EmulatorConfig().nominal_latency_seconds,
+                     default=emulator.nominal_latency_seconds,
                      help="design-time latency constant for the static baseline")
     rep.add_argument("--static-cost", type=float,
-                     default=EmulatorConfig().nominal_energy_joules,
+                     default=emulator.nominal_energy_joules,
                      help="design-time cost constant for the static baseline")
     rep.set_defaults(func=cmd_replicate)
 

@@ -428,12 +428,10 @@ def to_regression_dataset(records: Sequence[TraceRecord]
             ResponseVector(np.array([r.energy_joules for r in kept])))
 
 
-def to_idle_series(records: Sequence[TraceRecord],
-                   interval_seconds: float = 60.0) -> TimeSeries:
+def to_idle_series(records: Sequence[TraceRecord]) -> TimeSeries:
     """Idle-phase energy readings in timestamp order as a uniform series."""
     idle = sorted((r for r in records if r.phase is Phase.IDLE),
                   key=lambda r: r.timestamp)
     if not idle:
         raise ValueError("trace contains no idle records")
-    return TimeSeries(np.array([r.energy_joules for r in idle]),
-                      interval=interval_seconds)
+    return TimeSeries(np.array([r.energy_joules for r in idle]))

@@ -15,11 +15,11 @@ is byte-deterministic. A failed run is recorded on its report instead of
 aborting the batch; a score that overflows raises ``ValueError`` naming
 the run and model.
 
-Forecast runs keep one seeded split per run and one ``fit_arima`` per
-distinct split start in a pass; the rest is array passes over up to
-``FORECAST_CELLS`` forecast values. The held-out windows are gathered as
-one (runs, test length) array and every run's forecast comes from
-``arima.forecast_paths``.
+Forecast runs keep one seeded split per run and one ``fit_arima_windows``
+call per distinct split start in a pass, on the one window before that
+start; the rest is array passes over up to ``FORECAST_CELLS`` forecast
+values. The held-out windows are gathered as one (runs, test length)
+array and every run's forecast comes from ``arima.forecast_paths``.
 
 Both harnesses score through ``_reports``: a pass's residuals form one
 contiguous (models, runs, n) array, and each rmse and mae is a row
@@ -52,7 +52,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .arima import fit_arima, forecast_error, forecast_paths
+from .arima import fit_arima_windows, forecast_error, forecast_paths
 from .regression import (DesignMatrix, ResponseVector, baseline_mean, fit_bayesian_ridge,
                          fit_gram_batch, fit_mra)
 from .types import TimeSeries, subseed
@@ -222,12 +222,9 @@ def _forecast_pass(series: TimeSeries, starts: Sequence[int], runs: range,
     ``starts``, in run order and, within a run, persistence before arima."""
     fits = {}  # (phi, c, error) by start, so runs that draw one start share its fit
     for start in dict.fromkeys(starts):
-        try:
-            model = fit_arima(series.window(0, start))
-        except ValueError as exc:
-            fits[start] = 0.0, 0.0, str(exc)  # phi = c = 0: a finite (flat) forecast
-        else:
-            fits[start] = model.phi, model.c, None
+        phi, c, _, (error,) = fit_arima_windows(series, start, [0])
+        # phi = c = 0 on a failed fit: a finite (flat) forecast.
+        fits[start] = (0.0, 0.0, str(error)) if error else (phi[0], c[0], None)
     phi, c, fit_errors = zip(*(fits[start] for start in starts))
     errors = {(FORECAST_MODEL, i): error for i, error in enumerate(fit_errors)
               if error is not None}

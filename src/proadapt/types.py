@@ -44,34 +44,17 @@ class TimeSeries:
     """Uniformly sampled observations of one monitored quantity.
 
     ``values`` are in whatever unit the monitored specification uses
-    (seconds, joules, ...); ``interval`` is the sampling period in seconds.
+    (seconds, joules, ...). The series does not store its sampling period:
+    the decision loop's is ``WorkflowConfig.tick_seconds``.
     """
 
     values: np.ndarray
-    interval: float = 1.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _as_readonly_array(self.values, "values"))
-        if not (math.isfinite(self.interval) and self.interval > 0):
-            raise ValueError("interval must be a positive, finite number of seconds")
 
     def __len__(self) -> int:
         return int(self.values.size)
-
-    def window(self, start: int, stop: int) -> "TimeSeries":
-        """Observations ``start:stop`` as a series with the same interval.
-
-        A view, not a copy: the slice of this series' checked, read-only
-        buffer needs no new check, and a view of a read-only array cannot
-        be made writeable.
-        """
-        if not 0 <= start <= stop <= len(self):
-            raise ValueError(f"cannot take observations [{start}, {stop}) "
-                             f"of {len(self)}")
-        view = object.__new__(TimeSeries)
-        object.__setattr__(view, "values", self.values[start:stop])
-        object.__setattr__(view, "interval", self.interval)
-        return view
 
     def tail(self, n: int) -> np.ndarray:
         """The last ``n`` observations (``n`` may be 0)."""
@@ -113,11 +96,6 @@ class SlaSpec:
             raise ValueError("penalty and reward must be finite")
         if self.penalty < 0 or self.reward < 0:
             raise ValueError("penalty and reward must be >= 0")
-
-    def violates(self, value: float) -> bool:
-        if self.direction is Direction.UPPER_BOUND:
-            return value > self.threshold
-        return value < self.threshold
 
 
 @dataclass(frozen=True)

@@ -179,9 +179,10 @@ def workflow_block(specs: Sequence[SlaSpec], last: Sequence[float],
 
     The forecasts and their first non-finite steps are
     ``arima.forecast_paths``'s. A spec is broken when the tick's last
-    value violates it, at risk from the first forecast step inside its risk
-    band (strict on the approach side, so a zero margin means "a step
-    violates"), healthy otherwise. ``specs`` are taken in the given order.
+    value violates it (lies strictly above an upper bound or below a lower
+    one), at risk from the first forecast step inside its risk band (strict
+    on the approach side, so a zero margin means "a step violates"),
+    healthy otherwise. ``specs`` are taken in the given order.
     """
     last = np.asarray(last, dtype=float)
     steps, nonfinite_step = forecast_paths(last, previous, phi, c, config.horizon)

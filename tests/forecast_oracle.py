@@ -39,7 +39,8 @@ def split_train_test(series: TimeSeries, train_fraction: float,
         raise ValueError(f"series too short to leave {MIN_TRAIN_POINTS} training points")
     rng = np.random.default_rng(seed)
     start = int(rng.integers(MIN_TRAIN_POINTS, last_start + 1))
-    return series.window(0, start), series.window(start, start + test_len)
+    values = series.values
+    return TimeSeries(values[:start]), TimeSeries(values[start:start + test_len])
 
 
 def _score(predicted, actual, run: int, model: str) -> ScorePair:

@@ -44,7 +44,9 @@ def classify(spec: SlaSpec, history: TimeSeries, predicted: tuple[float, ...],
              risk_margin: float) -> SpecAnalysis:
     """Broken when the current value violates, at risk from the first
     forecast step inside the risk band, healthy otherwise."""
-    if spec.violates(float(history.values[-1])):
+    last = float(history.values[-1])
+    if (last > spec.threshold if spec.direction is Direction.UPPER_BOUND
+            else last < spec.threshold):
         return SpecAnalysis(spec.name, predicted, SpecStatus.BROKEN)
     margin_width = risk_margin * abs(spec.threshold)
     for step, value in enumerate(predicted, start=1):

@@ -166,7 +166,7 @@ def test_criterion_6_prediction_beats_baselines():
 def random_tick_scenario(rng):
     length = int(rng.integers(15, 60))
     values = 1.0 + rng.uniform(-0.3, 0.3) + np.cumsum(rng.normal(0.0, 0.05, length))
-    history = TimeSeries(np.abs(values) + 0.01, interval=6.0)
+    history = TimeSeries(np.abs(values) + 0.01)
     spec = SlaSpec("s", 1.0, reward=float(rng.uniform(0, 10)))
     n_tactics = int(rng.integers(1, 5))
     tactics = [Tactic(f"t{i}", float(rng.uniform(0, 5)), float(rng.uniform(0, 5)),

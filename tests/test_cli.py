@@ -593,3 +593,27 @@ class TestMonitorInputErrors:
                                   "--out-dir", str(tmp_path))
         assert code == 1 and "field larger than field limit" in err
         assert len(err.splitlines()) == 1 and err.startswith("error: line 122: ")
+
+    @pytest.mark.parametrize("name", ["null", "7", "[1, 2]", '{"x": 1}'])
+    @pytest.mark.parametrize("which", ["spec", "tactics"])
+    def test_name_must_be_a_string(self, tmp_path, capsys, which, name):
+        if which == "tactics":
+            err = self.run_tactics(tmp_path, capsys, '[{"name": ' + name
+                                   + ', "static_latency": 1.0, "static_cost": 1.0}]')
+        else:
+            spec, history = write_ramp_fixture(tmp_path)
+            spec.write_text('[{"name": ' + name + ', "threshold": 0.7}]')
+            err = self.assert_one_error(capsys, "monitor", "--spec", str(spec),
+                                        "--history", str(history))
+        assert err == (f"error: {which} file entry 0: field 'name' must be a string, "
+                       f"got {name}\n")
+
+    @pytest.mark.parametrize("row", ["0.5,50.0", "0.5,", ",0.5", '"0.5",""'])
+    def test_history_row_with_more_than_one_field_rejected(self, tmp_path, capsys, row):
+        spec, history = write_ramp_fixture(tmp_path)
+        lines = history.read_text().splitlines()
+        lines[3] = row
+        history.write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n")  # a blank row
+        err = self.assert_one_error(capsys, "monitor", "--spec", str(spec),
+                                    "--history", str(history))
+        assert err == "error: history file line 5: expected one value, got 2 fields\n"

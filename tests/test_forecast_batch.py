@@ -137,13 +137,24 @@ def test_long_test_windows_pass_one_run_at_a_time(monkeypatch):
 def test_nonfinite_steps_match(monkeypatch):
     # A model whose drift carries the forecast past the largest float within
     # a few steps of a 20-point test window; persistence still scores.
+    trained = []  # the oracle's training lengths, one per run
+
     def steep_fit(train):
+        trained.append(len(train))
         if len(train) % 3 == 0:
             raise FitError("drawn to fail")
         return ArimaModel(phi=0.5, c=3e307 * (1 + len(train) % 3),
                           last_observations=train.tail(2), residual_variance=1.0)
 
-    monkeypatch.setattr(metrics, "fit_arima", steep_fit)
+    calls = []
+
+    def steep_windows(series, window, starts):
+        calls.append((window, list(starts)))
+        if window % 3 == 0:  # NaN coefficients, as a failed window gets
+            return *np.full((3, 1), np.nan), [FitError("drawn to fail")]
+        return np.array([0.5]), np.array([3e307 * (1 + window % 3)]), np.ones(1), [None]
+
+    monkeypatch.setattr(metrics, "fit_arima_windows", steep_windows)
     monkeypatch.setattr(forecast_oracle, "fit_arima", steep_fit)
     series = TimeSeries(np.cumsum(np.random.default_rng(4).normal(size=200)))
     got = run_forecast_experiments(series, 30, seed=5)
@@ -152,3 +163,6 @@ def test_nonfinite_steps_match(monkeypatch):
     assert errors == {"drawn to fail", "forecast step 2 is not finite",
                       "forecast step 3 is not finite"}
     assert all(r.scores is not None for r in got if r.model_name != FORECAST_MODEL)
+    # One fit per distinct split start, of the one window before it.
+    assert len(trained) == 30 > len(calls)
+    assert calls == [(start, [0]) for start in dict.fromkeys(trained)]

@@ -296,11 +296,14 @@ def long_window_run(workdir, monkeypatch, window, cells):
 
 def test_long_windows_fit_within_the_cell_budget(workdir, monkeypatch):
     # 256 windows of 4,000 points in one fit call peak at about 39 MiB;
-    # BLOCK_CELLS caps a call at 65 of them, about 10 MiB.
+    # BLOCK_CELLS cuts the blocks to BLOCK_CELLS // 4000 = 65 ticks, each
+    # a refit tick, so one fit call per block takes at most 65 windows,
+    # about 10 MiB.
     out, err, peak, calls = long_window_run(workdir, monkeypatch, 4000, cli.BLOCK_CELLS)
     assert peak < 16 * 2**20
-    assert calls == [65, 65, 65, 61, 44]
-    with monkeypatch.context() as patch:  # no cap: one call per block, same bytes
+    per_block = cli.BLOCK_CELLS // 4000
+    assert calls == [per_block] * 4 + [300 - 4 * per_block]
+    with monkeypatch.context() as patch:  # no cap: blocks of 256 ticks, same bytes
         uncapped = long_window_run(workdir, patch, 4000, 1 << 40)
     assert uncapped[3] == [256, 44]
     assert (out, err) == uncapped[:2]

@@ -15,8 +15,8 @@ UPPER = SlaSpec("response_time", 0.7, direction=Direction.UPPER_BOUND,
                 penalty=3.0, reward=10.0)
 
 
-def ramp(start, step, n, interval=6.0):
-    return TimeSeries(start + step * np.arange(n), interval=interval)
+def ramp(start, step, n):
+    return TimeSeries(start + step * np.arange(n))
 
 
 def analyze(spec, history, horizon, risk_margin, model=None):
@@ -28,7 +28,7 @@ def analyze(spec, history, horizon, risk_margin, model=None):
 
 class TestAnalyzeSpecification:
     def test_flat_history_is_healthy(self):
-        history = TimeSeries(np.full(60, 0.3), interval=6.0)
+        history = TimeSeries(np.full(60, 0.3))
         analysis = analyze(UPPER, history, horizon=5, risk_margin=0.1)
         assert analysis.status is SpecStatus.HEALTHY
         assert analysis.first_violation_step is None
@@ -37,22 +37,33 @@ class TestAnalyzeSpecification:
         # climbing 0.05 per six-second tick, currently at 0.65: the drift
         # forecast reaches the 0.63 risk band immediately
         history = ramp(0.50, 0.05, 4)
-        padded = TimeSeries(np.concatenate([np.full(20, 0.50), history.values]),
-                            interval=6.0)
+        padded = TimeSeries(np.concatenate([np.full(20, 0.50), history.values]))
         analysis = analyze(UPPER, padded, horizon=3, risk_margin=0.1)
         assert analysis.status is SpecStatus.AT_RISK
         assert analysis.first_violation_step in (1, 2)
 
     def test_current_violation_dominates(self):
         values = np.concatenate([np.full(30, 0.4), [0.9]])
-        analysis = analyze(UPPER, TimeSeries(values, interval=6.0),
-                           horizon=5, risk_margin=0.1)
+        analysis = analyze(UPPER, TimeSeries(values), horizon=5, risk_margin=0.1)
         assert analysis.status is SpecStatus.BROKEN
         assert analysis.first_violation_step is None
 
+    def test_spec_violation_directions(self):
+        # A last value exactly at the threshold is not broken; the next
+        # float past it, on the violating side, is. Flat forecasts at a
+        # zero margin stay out of the risk band.
+        for direction, past in ((Direction.UPPER_BOUND, np.inf),
+                                (Direction.LOWER_BOUND, -np.inf)):
+            spec = SlaSpec("s", 0.7, direction=direction)
+            last = [0.7, np.nextafter(0.7, past)]
+            block = workflow.workflow_block([spec], last, last, [0.0, 0.0], [0.0, 0.0],
+                                            WorkflowConfig(risk_margin=0.0))
+            assert [workflow.STATUSES[code] for code in block.status[:, 0]] == [
+                SpecStatus.HEALTHY, SpecStatus.BROKEN]
+
     def test_zero_margin_single_step_equals_forecast_violation(self):
         steep = TimeSeries(np.concatenate([np.full(15, 0.40),
-                                           0.40 + 0.04 * np.arange(1, 8)]), interval=6.0)
+                                           0.40 + 0.04 * np.arange(1, 8)]))
         analysis = analyze(UPPER, steep, horizon=1, risk_margin=0.0)
         assert analysis.status is SpecStatus.AT_RISK  # next value forecast > 0.7
         gentle = ramp(0.10, 0.001, 60)
@@ -69,7 +80,8 @@ class TestAnalyzeSpecification:
         for margin in (0.0, 0.5, 0.99):
             analysis = analyze(spec, history, horizon=5, risk_margin=margin)
             assert analysis.status is SpecStatus.AT_RISK
-            violating = [spec.violates(v) for v in analysis.forecast_values]
+            # A step violates when it lies past 0 on the side the ramp climbs toward.
+            violating = [v * step > 0 for v in analysis.forecast_values]
             assert analysis.first_violation_step == violating.index(True) + 1 == 3
 
     def test_lower_bound_direction(self):
@@ -83,7 +95,7 @@ class TestAnalyzeSpecification:
     def test_prefit_model_reused(self):
         history = ramp(0.30, 0.002, 80)
         model = fit_arima(history)
-        later = TimeSeries(history.values + 0.2, interval=6.0)
+        later = TimeSeries(history.values + 0.2)
         analysis = analyze(UPPER, later, horizon=5, risk_margin=0.1, model=model)
         # parameters came from the old fit, origin from the new tail
         assert analysis.forecast_values[0] == pytest.approx(
