@@ -182,8 +182,9 @@ def _read_json(path: str, what: str):
 def _check_entry(entry, i: int, what: str, required: Sequence[str],
                  numbers: Sequence[str]) -> None:
     """Entry ``i`` of a JSON list must be an object with the ``required``
-    fields and a string ``name``, and none of its ``numbers`` fields may be
-    a JSON boolean."""
+    fields and a string ``name``, and each of its ``numbers`` fields that is
+    present must be a JSON number (not a boolean, string, null, list or
+    object)."""
     if not isinstance(entry, dict):
         raise ValueError(f"{what} entry {i}: expected a JSON object")
     for field in required:
@@ -193,9 +194,10 @@ def _check_entry(entry, i: int, what: str, required: Sequence[str],
         raise ValueError(f"{what} entry {i}: field 'name' must be a string, "
                          f"got {json.dumps(entry['name'])}")
     for field in numbers:
-        if isinstance(entry.get(field), bool):
+        value = entry.get(field, 0.0)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{what} entry {i}: field '{field}' must be a number, "
-                             f"got {json.dumps(entry[field])}")
+                             f"got {json.dumps(value)}")
 
 
 def _load_specs(path: str) -> list[SlaSpec]:
@@ -219,7 +221,7 @@ def _load_specs(path: str) -> list[SlaSpec]:
                                  direction=direction,
                                  penalty=float(entry.get("penalty", 0.0)),
                                  reward=float(entry.get("reward", 0.0))))
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"spec file entry {i}: {exc}") from None
         if specs[-1].name in (spec.name for spec in specs[:-1]):
             raise ValueError(f"spec file entry {i}: duplicate name {specs[-1].name!r}")
@@ -273,7 +275,7 @@ def _load_tactic_context(tactics_path: str, trace_path: str | None):
                             static_latency=float(entry["static_latency"]),
                             static_cost=float(entry["static_cost"]),
                             feature_names=X.column_names)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"tactics file entry {i}: {exc}") from None
         if tactic.name in registry:
             raise ValueError(f"tactics file entry {i}: duplicate name {tactic.name!r}")

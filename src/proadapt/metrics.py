@@ -26,17 +26,22 @@ contiguous (models, runs, n) array, and each rmse and mae is a row
 reduction of it, the score a per-run harness computes with ``rmse`` and
 ``mae``, bit for bit.
 
-Predictor runs are processed ``PREDICTOR_CHUNK`` at a time from downdated
-sufficient statistics (Golub & Van Loan, Matrix Computations 6.5, 12.5).
-G = X'X, X't and t't of the whole design are computed once; a run's
-training statistics are those minus its held-out rows' share, one batched
-product over the chunk's (chunk, n_test, M + 1) gather. The least-squares
-and Bayesian-ridge weights then come from ``regression.fit_gram_batch``,
-which flags every run the statistics cannot be trusted with (cond(X'X)
-above ``GRAM_CONDITION_LIMIT``, a residual sum below
-``CANCELLATION_LIMIT`` of t't, anything non-finite); those runs are refitted
-with ``fit_mra``/``fit_bayesian_ridge`` on their rows. No array grows
-with runs x N.
+Predictor runs are fitted from downdated sufficient statistics (Golub &
+Van Loan, Matrix Computations 6.5, 12.5). G = X'X, X't and t't of the
+whole design are computed once; a run's training statistics are those minus
+its held-out rows' share. One ``PREDICTOR_CELLS`` budget sets two sizes: a
+fit batch holds at most that many held-out row indices, and a gather pass
+at most that many gathered values (runs x n_test x (M + 1)). Each fit
+batch draws its runs' splits and downdates their statistics one gather
+pass at a time, then takes the least-squares and Bayesian-ridge weights of
+every run from one ``regression.fit_gram_batch`` call, which flags every
+run the statistics cannot be trusted with (cond(X'X) above
+``GRAM_CONDITION_LIMIT``, a residual sum below ``CANCELLATION_LIMIT`` of
+t't, anything non-finite); those runs are refitted with
+``fit_mra``/``fit_bayesian_ridge`` on their rows. A second round of gather
+passes regathers the held-out rows and scores the predictions. Each run's
+arithmetic is independent of the runs that share its batch or pass, so the
+budget changes no bit of the reports, and no array grows with runs x N.
 
 Report CSV format: header ``run,model,rmse,mae,train_fraction,seed``, one
 row per scored run/model pair, reals at 17 significant digits, UTF-8, LF
@@ -81,7 +86,7 @@ BRR_MODEL = "brr"
 MEAN_BASELINE = "baseline_mean"
 STATIC_BASELINE = "baseline_static"
 PREDICTOR_MODELS = (MEAN_BASELINE, STATIC_BASELINE, MRA_MODEL, BRR_MODEL)
-PREDICTOR_CHUNK = 16  # runs per batched pass: bounds the (chunk, n_test, M + 1) gather
+PREDICTOR_CELLS = 1 << 16  # held-out indices per fit batch, gathered values per pass
 FORECAST_CELLS = 1 << 16  # forecast values (runs x test length) per forecast pass
 
 
@@ -146,8 +151,8 @@ def _reports(runs: range, models: Sequence[str], residuals: np.ndarray,
              train_fraction: float) -> list[ExperimentReport]:
     """Reports of ``runs`` in run order and, within a run, in ``models``
     order, scored from (and overwriting) their contiguous (models, runs, n)
-    ``residuals``; ``errors[model, i]`` replaces the scores of ``model`` on
-    run ``runs[i]``. Each score reduces one contiguous row, so it sums
+    ``residuals``; ``errors[model, run]`` replaces the scores of ``model`` on
+    ``run``. Each score reduces one contiguous row, so it sums
     exactly as ``rmse``/``mae`` on that run alone. A score that overflowed
     raises ``ValueError`` naming the run and model."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -157,7 +162,7 @@ def _reports(runs: range, models: Sequence[str], residuals: np.ndarray,
     reports: list[ExperimentReport] = []
     for i, run in enumerate(runs):
         for k, model in enumerate(models):
-            error, scores = errors.get((model, i)), None
+            error, scores = errors.get((model, run)), None
             if error is None:
                 rmse_value, mae_value = rmses[k][i], maes[k][i]
                 if not (math.isfinite(rmse_value) and math.isfinite(mae_value)):
@@ -226,7 +231,7 @@ def _forecast_pass(series: TimeSeries, starts: Sequence[int], runs: range,
         # phi = c = 0 on a failed fit: a finite (flat) forecast.
         fits[start] = (0.0, 0.0, str(error)) if error else (phi[0], c[0], None)
     phi, c, fit_errors = zip(*(fits[start] for start in starts))
-    errors = {(FORECAST_MODEL, i): error for i, error in enumerate(fit_errors)
+    errors = {(FORECAST_MODEL, run): error for run, error in zip(runs, fit_errors)
               if error is not None}
     values = series.values
     first = np.array(starts)
@@ -234,7 +239,7 @@ def _forecast_pass(series: TimeSeries, starts: Sequence[int], runs: range,
     last = values[first - 1]
     predicted, nonfinite_step = forecast_paths(last, values[first - 2], phi, c, test_len)
     for i in np.flatnonzero(nonfinite_step).tolist():
-        errors[FORECAST_MODEL, i] = forecast_error(int(nonfinite_step[i]))
+        errors[FORECAST_MODEL, runs[i]] = forecast_error(int(nonfinite_step[i]))
     residuals = np.empty((2, len(runs), test_len))
     with np.errstate(over="ignore", invalid="ignore"):
         np.subtract(last[:, None], actual, out=residuals[0])
@@ -250,8 +255,9 @@ def run_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: int,
 
     Scores the least-squares fit, the Bayesian ridge, the running mean of
     the training responses, and the caller's design-time ``static_value``
-    on each held-out row set. Runs are processed ``PREDICTOR_CHUNK`` at a
-    time from downdated statistics (see the module docstring).
+    on each held-out row set. Runs are fitted from downdated statistics in
+    batches of up to ``PREDICTOR_CELLS`` held-out rows (see the module
+    docstring).
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -264,10 +270,12 @@ def run_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: int,
     with np.errstate(over="ignore", invalid="ignore"):
         totals = augmented.T @ augmented
     seeds = [subseed(seed, run) for run in range(n_runs)]
+    n_test = max(1, int(round((1.0 - train_fraction) * X.n)))
+    size = max(1, PREDICTOR_CELLS // n_test)
     reports: list[ExperimentReport] = []
-    for start in range(0, n_runs, PREDICTOR_CHUNK):
-        runs = range(start, min(start + PREDICTOR_CHUNK, n_runs))
-        reports += _predictor_chunk(X, t, augmented, totals, runs, seeds,
+    for start in range(0, n_runs, size):
+        runs = range(start, min(start + size, n_runs))
+        reports += _predictor_batch(X, t, augmented, totals, runs, seeds, n_test,
                                     static_value, train_fraction)
     return reports
 
@@ -277,23 +285,26 @@ def _permutation(run_seed: int, n: int) -> np.ndarray:
     return np.random.default_rng(run_seed).permutation(n)
 
 
-def _predictor_chunk(X: DesignMatrix, t: ResponseVector, augmented: np.ndarray,
-                     totals: np.ndarray, runs: range, seeds: Sequence[int],
+def _predictor_batch(X: DesignMatrix, t: ResponseVector, augmented: np.ndarray,
+                     totals: np.ndarray, runs: range, seeds: Sequence[int], n_test: int,
                      static_value: float, train_fraction: float) -> list[ExperimentReport]:
-    """Reports of a chunk of predictor runs, in run order and, within a run,
-    in the order baseline_mean, baseline_static, mra, brr."""
-    n_test = max(1, int(round((1.0 - train_fraction) * X.n)))
+    """Reports of a fit batch of predictor runs, in run order and, within a
+    run, in the order baseline_mean, baseline_static, mra, brr."""
+    step = max(1, PREDICTOR_CELLS // (n_test * augmented.shape[1]))
+    passes = [slice(lo, min(lo + step, len(runs))) for lo in range(0, len(runs), step)]
     test_idx = np.empty((len(runs), n_test), dtype=np.intp)
-    means = []
-    for i, run in enumerate(runs):
-        order = _permutation(seeds[run], X.n)
-        test_idx[i] = order[:n_test]
+    stats = np.empty((len(runs),) + totals.shape)
+    means = np.empty(len(runs))
+    # Splits, training means and downdated statistics, one gather pass at a time.
+    for span in passes:
         with np.errstate(over="ignore", invalid="ignore"):
-            means.append(baseline_mean(t.t[order[n_test:]]))
-    held_out = augmented[test_idx]
-    test_rows, actual = held_out[..., :-1], held_out[..., -1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        stats = totals - np.matmul(held_out.transpose(0, 2, 1), held_out)
+            for i in range(span.start, span.stop):
+                order = _permutation(seeds[runs[i]], X.n)
+                test_idx[i] = order[:n_test]
+                means[i] = baseline_mean(t.t[order[n_test:]])
+            held_out = augmented[test_idx[span]]
+            np.subtract(totals, np.matmul(held_out.transpose(0, 2, 1), held_out),
+                        out=stats[span])
     mra, mra_ok, brr, brr_ok = fit_gram_batch(stats[:, :-1, :-1], stats[:, :-1, -1],
                                               stats[:, -1, -1], X.n - n_test)
     weights = np.stack([mra, brr])
@@ -306,16 +317,26 @@ def _predictor_chunk(X: DesignMatrix, t: ResponseVector, augmented: np.ndarray,
                 model = fit(DesignMatrix(X.rows[train_idx], X.column_names),
                             ResponseVector(t.t[train_idx]))
             except ValueError as exc:
-                errors[name, i] = str(exc)
+                errors[name, runs[i]] = str(exc)
                 weights[k, i] = 0.0
             else:
                 weights[k, i] = model.weights
 
-    constants = np.array([means, [float(static_value)] * len(runs)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        predicted = np.maximum(0.0, np.matmul(test_rows, weights[..., None])[..., 0])
-        residuals = np.concatenate([constants[..., None] - actual, predicted - actual])
-    return _reports(runs, PREDICTOR_MODELS, residuals, errors, seeds, train_fraction)
+    # Regather each pass's held-out rows and score every model on them.
+    reports: list[ExperimentReport] = []
+    for span in passes:
+        held_out = augmented[test_idx[span]]
+        test_rows, actual = held_out[..., :-1], held_out[..., -1]
+        residuals = np.empty((4,) + actual.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(means[span, None], actual, out=residuals[0])
+            np.subtract(float(static_value), actual, out=residuals[1])
+            predicted = residuals[2:]
+            np.matmul(test_rows, weights[:, span, :, None], out=predicted[..., None])
+            np.subtract(np.maximum(0.0, predicted, out=predicted), actual, out=predicted)
+        reports += _reports(runs[span], PREDICTOR_MODELS, residuals, errors, seeds,
+                            train_fraction)
+    return reports
 
 
 @dataclass(frozen=True)

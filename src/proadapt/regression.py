@@ -8,7 +8,7 @@ to the normal equations w* = (X'X)^{-1} X't; near-singular designs fall
 back to a minimal ridge term instead of failing.
 
 ``fit_gram_batch`` fits a stack of training sets from their statistics
-X'X, X't and t't alone, as the replication harness needs for its chunks
+X'X, X't and t't alone, as the replication harness needs for its batches
 of runs. It solves the normal equations only where that is safe:
 cond(X'X) <= ``GRAM_CONDITION_LIMIT`` = 1e6, far below the
 ``CONDITION_LIMIT`` = 1e12 at which ``fit_mra`` adds its ridge, and a
@@ -262,15 +262,34 @@ def fit_bayesian_ridge(X: DesignMatrix, t: ResponseVector,
                            training_error=training_error)
 
 
+def _flagged_lapack(func, ok: np.ndarray, *stacks: np.ndarray) -> list[tuple[object, object]]:
+    """``func`` over the entries of ``stacks`` whose flag in ``ok`` is set,
+    as ``(selector, result)`` pairs to store. One batched call serves them
+    all; since LAPACK refuses a whole stack for one bad system, a
+    ``LinAlgError`` redoes the flagged entries one at a time (each as a
+    stack of one, so with the same bits), and only those it refuses lose
+    their flag."""
+    try:
+        return [(ok, func(*(stack[ok] for stack in stacks)))]
+    except np.linalg.LinAlgError:
+        pass
+    results = []
+    for i in np.flatnonzero(ok).tolist():
+        try:
+            results.append((slice(i, i + 1), func(*(stack[i:i + 1] for stack in stacks))))
+        except np.linalg.LinAlgError:
+            ok[i] = False
+    return results
+
+
 def _solve_flagged(systems: np.ndarray, rhs: np.ndarray, ok: np.ndarray) -> np.ndarray:
     """Solutions of the systems whose flag is set (zeros elsewhere); an
-    exactly singular system clears every flag, sending the whole stack to
-    the explicit fits."""
+    exactly singular system clears its own flag, sending that fit to the
+    explicit fits."""
     out = np.zeros(rhs.shape)
-    try:
-        out[ok] = np.linalg.solve(systems[ok], rhs[ok][..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        ok[:] = False
+    for at, solution in _flagged_lapack(
+            lambda a, b: np.linalg.solve(a, b[..., None])[..., 0], ok, systems, rhs):
+        out[at] = solution
     return out
 
 
@@ -295,7 +314,10 @@ def fit_gram_batch(gram: np.ndarray, xt: np.ndarray, tt: np.ndarray,
       finite and at least ``CANCELLATION_LIMIT`` * t't (for the ridge, at
       every iteration), since it loses digits to cancellation as the fit
       nears exact;
-    - both need finite weights.
+    - both need finite weights;
+    - a system LAPACK refuses (an ``eigh`` that does not converge, an
+      exactly singular solve) clears the flags of its own fit only, so a
+      fit's weights and flags do not depend on the other fits in the stack.
 
     The ridge runs the evidence updates of ``fit_bayesian_ridge`` with its
     defaults, taking residual sums from the statistics instead of the rows.
@@ -306,10 +328,8 @@ def fit_gram_batch(gram: np.ndarray, xt: np.ndarray, tt: np.ndarray,
                   & np.isfinite(tt))
         eigenvalues = np.ones((k, m))
         vectors = np.broadcast_to(np.eye(m), (k, m, m)).copy()
-        try:
-            eigenvalues[finite], vectors[finite] = np.linalg.eigh(gram[finite])
-        except np.linalg.LinAlgError:
-            finite[:] = False
+        for at, (values, basis) in _flagged_lapack(np.linalg.eigh, finite, gram):
+            eigenvalues[at], vectors[at] = values, basis
         q = np.einsum("kji,kj->ki", vectors, xt)
         floor = CANCELLATION_LIMIT * tt
 

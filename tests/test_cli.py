@@ -523,6 +523,28 @@ class TestMonitorInputErrors:
                                     "--history", str(history))
         assert "spec file entry 0" in err
 
+    @pytest.mark.parametrize("fields, field, got", [
+        ('"threshold": "1e3"', "threshold", '"1e3"'),
+        ('"threshold": 0.7, "penalty": "3"', "penalty", '"3"'),
+        ('"threshold": null', "threshold", "null"),
+        ('"threshold": 0.7, "reward": [1]', "reward", "[1]"),
+        ('"threshold": 0.7, "penalty": {"a": 1}', "penalty", '{"a": 1}')])
+    def test_spec_numbers_must_be_json_numbers(self, tmp_path, capsys, fields, field, got):
+        spec, history = write_ramp_fixture(tmp_path)
+        spec.write_text('{"name": "x", ' + fields + '}')
+        err = self.assert_one_error(capsys, "monitor", "--spec", str(spec),
+                                    "--history", str(history))
+        assert err == f"error: spec file entry 0: field '{field}' must be a number, got {got}\n"
+
+    @pytest.mark.parametrize("field, got", [
+        ('"static_latency": "2.5"', '"2.5"'), ('"static_latency": null', "null"),
+        ('"static_latency": []', "[]"), ('"static_latency": {}', "{}")])
+    def test_tactic_numbers_must_be_json_numbers(self, tmp_path, capsys, field, got):
+        err = self.run_tactics(tmp_path, capsys,
+                               '[{"name": "t", "static_cost": 1.0, ' + field + '}]')
+        assert err == ("error: tactics file entry 0: field 'static_latency' must be a "
+                       f"number, got {got}\n")
+
     def test_duplicate_spec_names_rejected(self, tmp_path, capsys):
         spec, history = write_ramp_fixture(tmp_path)
         spec.write_text(json.dumps([{"name": "x", "threshold": 1.0},

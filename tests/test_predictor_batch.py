@@ -1,6 +1,6 @@
-"""The chunked predictor harness against the per-run reference harness.
+"""The batched predictor harness against the per-run reference harness.
 
-``metrics.run_predictor_experiments`` fits each chunk of runs from
+``metrics.run_predictor_experiments`` fits each batch of runs from
 downdated Gram statistics and falls back to ``fit_mra`` or
 ``fit_bayesian_ridge`` on a run's rows when the statistics cannot be
 trusted; ``predictor_oracle.reference_predictor_experiments`` fits every
@@ -17,6 +17,7 @@ off) or for an exact fit, whose scores are rounding noise.
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,8 +25,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from predictor_oracle import reference_predictor_experiments
-from proadapt import metrics
-from proadapt.metrics import (BRR_MODEL, MEAN_BASELINE, MRA_MODEL, PREDICTOR_CHUNK,
+from proadapt import metrics, regression
+from proadapt.emulator import generate_trace, to_regression_dataset
+from proadapt.metrics import (BRR_MODEL, MEAN_BASELINE, MRA_MODEL, PREDICTOR_CELLS,
                               STATIC_BASELINE, run_predictor_experiments)
 from proadapt.regression import (BRR_OVERFLOW, CONDITION_LIMIT, DesignMatrix, ResponseVector,
                                  fit_bayesian_ridge, fit_gram_batch)
@@ -113,6 +115,10 @@ def assert_reports_agree(got, want, X: DesignMatrix, t: ResponseVector) -> None:
                 assert abs(a - b) <= SCORE_RTOL * abs(b) + atol, (new, old)
 
 
+def held_out_rows(n: int, train_fraction: float) -> int:
+    return max(1, int(round((1.0 - train_fraction) * n)))
+
+
 @st.composite
 def experiments(draw):
     kind = draw(st.sampled_from(KINDS))
@@ -120,11 +126,19 @@ def experiments(draw):
     m = draw(st.integers(2, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X, t = build_design(kind, n, m, rng, noise=draw(st.sampled_from([1e-3, 0.1, 1.0])))
-    return {"kind": kind, "X": X, "t": t,
-            "n_runs": draw(st.integers(1, 2 * PREDICTOR_CHUNK + 3)),
+    train_fraction = draw(st.sampled_from([0.5, 0.75, 0.9]))
+    n_test = held_out_rows(n, train_fraction)
+    # One-run batches, three-run batches of one-run passes, three-run
+    # passes in batches of 3 (M + 1) runs, or the default budget (one
+    # batch at these sizes): the small budgets cross batch and pass
+    # boundaries within the 35 runs.
+    cells = draw(st.sampled_from([n_test, 3 * n_test, 3 * n_test * (m + 1),
+                                  PREDICTOR_CELLS]))
+    return {"kind": kind, "X": X, "t": t, "cells": cells,
+            "n_runs": draw(st.integers(1, 35)),
             "seed": draw(st.integers(0, 2**31)),
             "static_value": draw(st.sampled_from([0.0, 2.5, 1e3])),
-            "train_fraction": draw(st.sampled_from([0.5, 0.75, 0.9]))}
+            "train_fraction": train_fraction}
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -133,7 +147,9 @@ def test_chunked_harness_matches_per_run_reference(case):
     args = (case["X"], case["t"], case["n_runs"], case["seed"])
     kwargs = {"static_value": case["static_value"],
               "train_fraction": case["train_fraction"]}
-    got, got_error = outcome(run_predictor_experiments, *args, **kwargs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "PREDICTOR_CELLS", case["cells"])
+        got, got_error = outcome(run_predictor_experiments, *args, **kwargs)
     want, want_error = reference(*args, **kwargs)
     assert got_error == want_error
     if want is not None:
@@ -141,11 +157,13 @@ def test_chunked_harness_matches_per_run_reference(case):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_each_design_kind_matches_reference(kind):
+def test_each_design_kind_matches_reference(kind, monkeypatch):
+    # 10 held-out rows of width 7: two-run passes in 14-run batches, so
+    # the 21 runs cross a batch and several pass boundaries.
+    monkeypatch.setattr(metrics, "PREDICTOR_CELLS", 140)
     X, t = build_design(kind, 97, 6, np.random.default_rng(7))
-    got, got_error = outcome(run_predictor_experiments, X, t, PREDICTOR_CHUNK + 5, 3,
-                             static_value=1.0)
-    want, want_error = reference(X, t, PREDICTOR_CHUNK + 5, 3, static_value=1.0)
+    got, got_error = outcome(run_predictor_experiments, X, t, 21, 3, static_value=1.0)
+    want, want_error = reference(X, t, 21, 3, static_value=1.0)
     assert got_error == want_error
     if kind == "huge_responses":
         assert got_error.startswith("run 0, model 'baseline_mean': scores overflow")
@@ -217,9 +235,9 @@ def test_explicit_least_squares_only_where_the_gram_path_is_refused(kind, explic
     assert all(r.error is None for r in reports)
 
 
-def test_runs_are_fitted_in_chunks(monkeypatch):
-    """Runs reach the batched fit PREDICTOR_CHUNK at a time, so its arrays
-    never grow with the number of runs."""
+def test_runs_are_fitted_in_batches_of_the_cell_budget(monkeypatch):
+    """Each batch of PREDICTOR_CELLS // n_test runs reaches the batched fit
+    in one call, so its arrays never grow with the number of runs."""
     shapes = []
     original = metrics.fit_gram_batch
 
@@ -228,9 +246,84 @@ def test_runs_are_fitted_in_chunks(monkeypatch):
         return original(gram, xt, tt, n)
 
     monkeypatch.setattr(metrics, "fit_gram_batch", recording)
-    X, t = build_design("well", 60, 4, np.random.default_rng(5))
-    run_predictor_experiments(X, t, 2 * PREDICTOR_CHUNK + 1, 9, static_value=1.0)
-    assert shapes == [(PREDICTOR_CHUNK, 4, 4)] * 2 + [(1, 4, 4)]
+    X, t = build_design("well", 4300, 4, np.random.default_rng(5))
+    size = max(1, PREDICTOR_CELLS // held_out_rows(X.n, 0.9))
+    assert size == 152
+    run_predictor_experiments(X, t, 2 * size + 1, 9, static_value=1.0)
+    assert shapes == [(size, 4, 4)] * 2 + [(1, 4, 4)]
+
+
+def emulated_design(minutes: int = 1440, seed: int = 11):
+    X, latency, _ = to_regression_dataset(generate_trace(minutes, seed))
+    return X, latency
+
+
+def test_a_question_peaks_under_three_mib_traced():
+    """400 runs on an emulated 1,440-minute design (430 held-out rows of
+    width 9): a 152-run fit batch's (152, 430) indices and statistics and a
+    16-run pass's (16, 430, 9) gather, about 2.4 MiB at peak."""
+    X, t = emulated_design()
+    tracemalloc.start()
+    try:
+        run_predictor_experiments(X, t, 400, 5, static_value=3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+
+
+@pytest.mark.parametrize("design", ["emulated", "collinear", "huge_rows"])
+def test_reports_are_bit_identical_for_every_cell_budget(design, monkeypatch):
+    """One-run batches, one-run passes, the default budget and one batch for
+    all runs give equal reports, down to the last bit of every score."""
+    if design == "emulated":
+        X, t = emulated_design()
+    else:
+        X, t = build_design(design, 300, 6, np.random.default_rng(8))
+    n_runs, n_test = 40, held_out_rows(X.n, 0.9)
+    budgets = [n_test, n_test * (X.m + 1), PREDICTOR_CELLS, n_runs * n_test * (X.m + 1)]
+    results = []
+    for cells in budgets:
+        monkeypatch.setattr(metrics, "PREDICTOR_CELLS", cells)
+        results.append(run_predictor_experiments(X, t, n_runs, 4, static_value=2.0))
+    assert all(reports == results[0] for reports in results[1:])
+    assert all(r.error is None for r in results[0]) == (design != "huge_rows")
+
+
+def test_a_singular_system_clears_only_its_own_flag():
+    rng = np.random.default_rng(12)
+    systems = rng.normal(size=(3, 5, 5)) + 5.0 * np.eye(5)
+    systems[1] = 0.0
+    rhs = rng.normal(size=(3, 5))
+    ok = np.ones(3, dtype=bool)
+    solutions = regression._solve_flagged(systems, rhs, ok)
+    assert ok.tolist() == [True, False, True]
+    for i in (0, 2):
+        alone = regression._solve_flagged(systems[i:i + 1], rhs[i:i + 1], np.ones(1, bool))
+        assert np.array_equal(solutions[i], alone[0])
+    assert not solutions[1].any()
+
+
+def test_an_unconverged_eigh_clears_only_its_own_fit(monkeypatch):
+    """LAPACK refuses a whole stack when one eigendecomposition does not
+    converge; the other fits keep their flags and their bits."""
+    designs, _ = stacked_fits("well", 3, 60, 4, 13)
+    gram, xt, tt = (np.array(column) for column in
+                    zip(*(training_statistics(X.rows, t.t) for X, t in designs)))
+    eigh = np.linalg.eigh
+    poisoned = gram[1, -1, -1]
+
+    def failing(a):
+        if (a[:, -1, -1] == poisoned).any():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    mra, mra_ok, brr, brr_ok = fit_gram_batch(gram, xt, tt, 60)
+    assert mra_ok.tolist() == brr_ok.tolist() == [True, False, True]
+    for i in (0, 2):
+        alone = fit_gram_batch(gram[i:i + 1], xt[i:i + 1], tt[i:i + 1], 60)
+        assert np.array_equal(mra[i], alone[0][0]) and np.array_equal(brr[i], alone[2][0])
 
 
 def extended_precision_ridge(X: DesignMatrix, t: ResponseVector, digits: int = 60):
