@@ -140,8 +140,7 @@ class ExperimentReport:
     def __post_init__(self) -> None:
         if self.run_index < 0:
             raise ValueError("run_index must be >= 0")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must lie in (0, 1)")
+        _check_train_fraction(self.train_fraction)
         if (self.scores is None) == (self.error is None):
             raise ValueError("exactly one of scores and error must be set")
 
@@ -174,11 +173,15 @@ def _reports(runs: range, models: Sequence[str], residuals: np.ndarray,
     return reports
 
 
+def _check_train_fraction(train_fraction: float) -> None:
+    if not 0.0 < train_fraction < 1.0:  # False for NaN
+        raise ValueError("train_fraction must lie in (0, 1)")
+
+
 def _test_length(n: int, train_fraction: float) -> int:
     """The held-out window length of an n-point series; raises ``ValueError``
     when the split leaves too few test or training points."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must lie in (0, 1)")
+    _check_train_fraction(train_fraction)
     test_len = int(round((1.0 - train_fraction) * n))
     if test_len < MIN_TEST_POINTS:
         raise ValueError(f"test window of {test_len} points is below the "
@@ -259,6 +262,7 @@ def run_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: int,
     batches of up to ``PREDICTOR_CELLS`` held-out rows (see the module
     docstring).
     """
+    _check_train_fraction(train_fraction)
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     if X.n < 40:

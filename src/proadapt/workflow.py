@@ -23,14 +23,16 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .arima import ArimaModel, fit_arima, forecast_error, forecast_paths
-from .regression import RegressionModel, predict
 from .types import (Direction, SlaSpec, Tactic, TimeSeries, UtilityParams,
                     order_specs_by_reward, utility)
+
+if TYPE_CHECKING:  # regression loads only when tactics are priced
+    from .regression import RegressionModel
 
 __all__ = [
     "SpecStatus",
@@ -108,6 +110,8 @@ class TacticModels:
     cost_model: RegressionModel
 
     def __post_init__(self) -> None:
+        from .regression import RegressionModel
+
         for name in ("latency_model", "cost_model"):
             model = getattr(self, name)
             if not isinstance(model, RegressionModel):
@@ -214,6 +218,8 @@ def price_tactics(tactics: Sequence[Tactic], registry: Mapping[str, TacticModels
     the tactic when it has no models, or no feature vector of its models'
     width.
     """
+    from .regression import predict
+
     estimates = []
     for tactic in tactics:
         models = registry.get(tactic.name)

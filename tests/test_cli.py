@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proadapt import (ArimaModel, Phase, TimeSeries, WorkflowConfig, cli, fit_arima,
-                      forecast, generate_trace, price_tactics, workflow, workflow_tick,
-                      write_trace_csv)
+from proadapt import (ArimaModel, Phase, TimeSeries, WorkflowConfig, cli, emulator,
+                      fit_arima, forecast, generate_trace, price_tactics, regression,
+                      workflow_tick, write_trace_csv)
 from proadapt.cli import main
 from monitor_oracle import tick_entry_to_dict
 
@@ -144,7 +144,7 @@ class TestReplicate:
         def no_work(*args, **kwargs):
             raise AssertionError("replicate did work before checking its flags")
 
-        monkeypatch.setattr(cli, "generate_trace", no_work)
+        monkeypatch.setattr(emulator, "generate_trace", no_work)
         out_dir = tmp_path / "reports"
         rc = main(["replicate", "--emulate", "--runs", "2", "--out-dir", str(out_dir),
                    f"{flag}={value}"])
@@ -253,8 +253,8 @@ class TestMonitor:
             for m in ("germany", "ontario", "massachusetts")]))
         spec, history = write_ramp_fixture(tmp_path, start=0.60, step=0.004, n=80)
         calls = []
-        original = workflow.predict
-        monkeypatch.setattr(workflow, "predict",
+        original = regression.predict
+        monkeypatch.setattr(regression, "predict",
                             lambda model, x: calls.append(model) or original(model, x))
         code, out, err = run_main(capsys, "monitor", "--spec", str(spec), "--history",
                                   str(history), "--tactics", str(tactics),
@@ -462,11 +462,12 @@ class TestMonitorInputErrors:
         # horizon cannot fit in BLOCK_CELLS: it is rejected up front, not
         # forecast.
         calls = []
-        for name in ("fit_arima_windows", "fit_mra", "workflow_block"):
+        for module, name in ((cli, "fit_arima_windows"), (regression, "fit_mra"),
+                             (cli, "workflow_block")):
             def spy(*args, name=name, **kwargs):
                 calls.append(name)
                 raise AssertionError(f"{name} ran")
-            monkeypatch.setattr(cli, name, spy)
+            monkeypatch.setattr(module, name, spy)
         spec, history = write_ramp_fixture(tmp_path, n=200)
         trace = tmp_path / "trace.csv"
         write_trace_csv(generate_trace(30, 4), trace)

@@ -2,9 +2,8 @@
 module-level private name is read somewhere in the package.
 
 A deletion can leave an import or a private helper behind that nothing
-uses any more; these checks parse each module (``__init__``, whose imports
-are the package's re-exports, excepted from the import check) and name
-each such import or helper.
+uses any more; these checks parse each module and name each such
+import or helper.
 """
 
 from __future__ import annotations
@@ -16,8 +15,7 @@ import pytest
 
 import proadapt
 
-MODULES = sorted(path for path in Path(proadapt.__file__).parent.glob("*.py")
-                 if path.name != "__init__.py")
+MODULES = sorted(Path(proadapt.__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

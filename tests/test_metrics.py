@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from forecast_oracle import split_train_test
-from proadapt import (DesignMatrix, ExperimentReport, ResponseVector, TimeSeries, rmse,
-                      run_forecast_experiments, run_predictor_experiments, summarize)
+from proadapt import (DesignMatrix, ExperimentReport, ResponseVector, TimeSeries, metrics,
+                      rmse, run_forecast_experiments, run_predictor_experiments, summarize)
 from proadapt.metrics import ScorePair, mae, reports_to_csv_text
 
 vectors = st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40)
@@ -173,6 +173,17 @@ class TestPredictorExperiments:
         reports = run_predictor_experiments(X, t, 3, seed=5, static_value=2.0)
         names = {r.model_name for r in reports}
         assert names == {"mra", "brr", "baseline_mean", "baseline_static"}
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.2, math.nan, 1.0, 1.5])
+    def test_train_fraction_checked_before_any_fit(self, monkeypatch, fraction):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_gram_batch ran before train_fraction was checked")
+
+        monkeypatch.setattr(metrics, "fit_gram_batch", no_fit)
+        X, t = self.make_linear(n=60, noise=0.1)
+        with pytest.raises(ValueError, match=r"^train_fraction must lie in \(0, 1\)$"):
+            run_predictor_experiments(X, t, 3, seed=5, static_value=2.0,
+                                      train_fraction=fraction)
 
 
 def report(run, model, rmse_value, mae_value=None):

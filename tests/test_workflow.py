@@ -7,7 +7,7 @@ from proadapt import (ArimaModel, Direction, RegressionModel, SlaSpec, SpecStatu
                       TacticEstimate, TacticModels, Tactic, TimeSeries, UtilityParams,
                       WorkflowConfig, fit_arima, forecast, generate_trace, price_tactics,
                       rank_tactics, to_regression_dataset, workflow_tick, fit_mra)
-from proadapt import workflow
+from proadapt import regression, workflow
 
 from monitor_oracle import tick_entry_to_dict
 
@@ -372,8 +372,8 @@ class PricingFixture:
 
 def count_predictions(monkeypatch):
     calls = []
-    original = workflow.predict
-    monkeypatch.setattr(workflow, "predict",
+    original = regression.predict
+    monkeypatch.setattr(regression, "predict",
                         lambda model, x: calls.append(model) or original(model, x))
     return calls
 
