@@ -19,8 +19,7 @@ tactics, registry, features = [], {}, {}
 for mirror, static_latency in ((Mirror.MASSACHUSETTS, 2.6), (Mirror.GERMANY, 3.4)):
     subset = [r for r in trace if r.phase is not Phase.DOWNLOAD or r.mirror is mirror]
     X, latency, energy = to_regression_dataset(subset)
-    tactic = Tactic(f"reroute_{mirror.value}", static_latency, static_latency * 12.0,
-                    feature_names=X.column_names)
+    tactic = Tactic(f"reroute_{mirror.value}", static_latency, static_latency * 12.0)
     tactics.append(tactic)
     registry[tactic.name] = TacticModels(fit_mra(X, latency), fit_mra(X, energy))
     features[tactic.name] = tuple(X.rows[-1])

@@ -18,8 +18,8 @@ import importlib
 _EXPORTS = {
     "arima": ("ArimaModel", "FitError", "ResidualDiagnostics", "acf", "check_residuals",
               "difference", "fit_arima", "fit_arima_windows", "forecast", "pacf"),
-    "emulator": ("EmulatorConfig", "Mirror", "Phase", "SAMPLE_TACTIC_A", "SAMPLE_TACTIC_B",
-                 "TraceFormatError", "TraceRecord", "generate_trace", "ingest_trace_csv",
+    "emulator": ("Mirror", "Phase", "SAMPLE_TACTIC_A", "SAMPLE_TACTIC_B", "TraceFormatError",
+                 "TraceRecord", "generate_trace", "ingest_trace_csv",
                  "run_cost_impact_simulation", "to_idle_series", "to_regression_dataset",
                  "write_trace_csv"),
     "metrics": ("ExperimentReport", "Summary", "rmse", "run_forecast_experiments",

@@ -14,15 +14,17 @@ Every command is deterministic under fixed flags and seed. Exit codes:
 0 success, 1 validation/domain error, 2 IO/usage error. stdout carries
 only data and summaries; diagnostics go to stderr.
 
-This module imports only ``types``, ``arima`` and ``workflow``, the
-monitor loop; each command imports the other modules it runs when it
-starts, so ``monitor`` without ``--tactics`` loads nothing more.
+This module imports only ``types`` at module level; each command imports
+the other modules it runs when it starts, so ``generate`` loads only the
+emulator's modules and ``monitor`` without ``--tactics`` only ``arima``
+and ``workflow``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
 import os
@@ -33,13 +35,11 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .arima import fit_arima_windows, forecast_error
 from .types import Direction, SlaSpec, Tactic, TimeSeries, order_specs_by_reward, subseed
-from .workflow import (STATUSES, SpecStatus, TacticEstimate, TacticModels, TickBlock,
-                       WorkflowConfig, price_tactics, rank_tactics, workflow_block)
 
 if TYPE_CHECKING:
     from .metrics import ExperimentReport, Summary
+    from .workflow import TacticEstimate, TickBlock
 
 DEFAULT_SEED = 42
 BLOCK_TICKS = 256  # monitor ticks per block, and so refits per block, at most
@@ -101,12 +101,36 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _write_report_set(out_dir: Path, texts: dict[str, str]) -> None:
+    """Write each text of ``texts`` to the file of its name in ``out_dir``,
+    all or none: every text goes to a temporary file in ``out_dir`` first,
+    and the files are replaced only once all of them are written and no
+    target is a directory. The temporaries never outlive the call."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    temporaries = []
+    try:
+        for name, text in texts.items():
+            temporary = out_dir / f".{name}.{os.getpid()}.tmp"
+            with open(temporary, "x", encoding="utf-8", newline="\n") as handle:
+                temporaries.append(temporary)
+                handle.write(text)
+        for name in texts:
+            if (out_dir / name).is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                        str(out_dir / name))
+        for temporary, name in zip(temporaries, texts):
+            os.replace(temporary, out_dir / name)
+    finally:
+        for temporary in temporaries:
+            temporary.unlink(missing_ok=True)
+
+
 def cmd_replicate(args: argparse.Namespace) -> int:
     from .emulator import (SAMPLE_TACTIC_A, SAMPLE_TACTIC_B, generate_trace,
                            ingest_trace_csv, run_cost_impact_simulation, to_idle_series,
                            to_regression_dataset)
     from .metrics import (BRR_MODEL, FORECAST_MODEL, MEAN_BASELINE, MRA_MODEL,
-                          PERSISTENCE_MODEL, STATIC_BASELINE, summarize, write_reports_csv)
+                          PERSISTENCE_MODEL, STATIC_BASELINE, reports_to_csv_text, summarize)
 
     harness = sys.modules[__name__]
     # The rule Tactic applies to its static values, checked before any work.
@@ -119,8 +143,8 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     else:
         records = generate_trace(args.minutes, subseed(args.seed, 0))
 
-    # Every report is computed before any file is written, so a failing
-    # experiment leaves no partial report set behind.
+    # Every report is computed before any file is written, and the set is
+    # written all or nothing, so a failure leaves no partial report set.
     impact = run_cost_impact_simulation(SAMPLE_TACTIC_A, SAMPLE_TACTIC_B,
                                         args.runs, subseed(args.seed, 1))
     idle = to_idle_series(records)
@@ -136,21 +160,20 @@ def cmd_replicate(args: argparse.Namespace) -> int:
             raise ValueError(f"{response} response: {exc}") from None
     latency_reports, cost_reports = predictor_reports
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rq1_lines = ["sample,tactic,overall_cost"]
     for tactic, costs in ((SAMPLE_TACTIC_A, impact.overall_costs_a),
                           (SAMPLE_TACTIC_B, impact.overall_costs_b)):
         rq1_lines += [f"{i},{tactic.name},{c:.17g}" for i, c in enumerate(costs)]
-    (out_dir / "rq1.csv").write_text("\n".join(rq1_lines) + "\n",
-                                     encoding="utf-8", newline="\n")
-    write_reports_csv(forecast_reports, out_dir / "rq2.csv")
     rq3 = (_rename(latency_reports, {MRA_MODEL: "mra_latency", BRR_MODEL: "brr_latency"})
            + _rename(cost_reports, {MRA_MODEL: "mra_cost", BRR_MODEL: "brr_cost"}))
-    write_reports_csv(rq3, out_dir / "rq3.csv")
     rq4 = [r for r in latency_reports
            if r.model_name in (MRA_MODEL, MEAN_BASELINE, STATIC_BASELINE)]
-    write_reports_csv(rq4, out_dir / "rq4.csv")
+    _write_report_set(Path(args.out_dir), {
+        "rq1.csv": "\n".join(rq1_lines) + "\n",
+        "rq2.csv": reports_to_csv_text(forecast_reports),
+        "rq3.csv": reports_to_csv_text(rq3),
+        "rq4.csv": reports_to_csv_text(rq4),
+    })
 
     print(f"experiment 1: overall cost of {args.runs} executions per tactic")
     for tactic, costs in ((SAMPLE_TACTIC_A, impact.overall_costs_a),
@@ -276,6 +299,7 @@ def _load_tactic_context(tactics_path: str, trace_path: str | None):
     tactics JSON file plus the trace that supplies training data."""
     from .emulator import Mirror, Phase, ingest_trace_csv, to_regression_dataset
     from .regression import fit_mra
+    from .workflow import TacticModels
 
     if not trace_path:
         raise ValueError("--tactics requires --trace for training data")
@@ -300,8 +324,7 @@ def _load_tactic_context(tactics_path: str, trace_path: str | None):
         try:
             tactic = Tactic(name=entry["name"],
                             static_latency=float(entry["static_latency"]),
-                            static_cost=float(entry["static_cost"]),
-                            feature_names=X.column_names)
+                            static_cost=float(entry["static_cost"]))
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"tactics file entry {i}: {exc}") from None
         if tactic.name in registry:
@@ -370,6 +393,8 @@ class _TickLines:
         return "".join(lines)
 
     def _part(self, code: int, step: int) -> tuple[str, str]:
+        from .workflow import STATUSES, SpecStatus, rank_tactics
+
         status = STATUSES[code]
         head = json.dumps({"status": status.value, "first_violation_step": step or None})
         ranked = []
@@ -391,6 +416,8 @@ def _block_models(history: TimeSeries, window: int, ticks: int, every: int, size
     and ``c`` hold the model coefficients of the block's later ticks. A
     failed refit keeps the last good model and prints a warning.
     """
+    from .arima import fit_arima_windows
+
     # Entry 0 of a block's model arrays is the model carried into the
     # block, the last good fit before it: NaN while there is none.
     carried_phi, carried_c, fit_error = np.full(1, np.nan), np.full(1, np.nan), ""
@@ -417,6 +444,9 @@ def _block_models(history: TimeSeries, window: int, ticks: int, every: int, size
 
 
 def cmd_monitor(args: argparse.Namespace) -> int:
+    from .arima import forecast_error
+    from .workflow import WorkflowConfig, price_tactics, workflow_block
+
     specs = _load_specs(args.spec)
     history = _load_history(args.history)
     window = args.window
@@ -489,8 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--seed", type=int, default=DEFAULT_SEED)
     rep.add_argument("--out-dir", default=".",
                      help="directory for rq1.csv..rq4.csv (default .)")
-    # EmulatorConfig's nominal latency and energy, as literals so that
-    # building the parser loads no emulator.
+    # The design-time values a volatility-unaware operator would have
+    # written down for the download tactic, not derived from any trace.
     rep.add_argument("--static-latency", type=float, default=2.5,
                      help="design-time latency constant for the static baseline")
     rep.add_argument("--static-cost", type=float, default=30.0,

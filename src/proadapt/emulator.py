@@ -8,11 +8,12 @@ the same CSV format can be ingested instead of emulated.
 Generated volatility is invented but shaped plausibly: per-mirror base
 latency scaled by an hourly diurnal multiplier and multiplicative
 lognormal noise, with occasional additive spikes (the Germany mirror is
-most spike-prone by default); download energy tracks latency; idle energy
-drifts slowly with an autoregressive wobble. All draws come from one
-seeded generator, so a (duration, seed, config) triple reproduces a trace
-bit-for-bit. Latency/energy values are quantized to six decimals at
-generation time, which makes the CSV round-trip exact.
+most spike-prone); download energy tracks latency; idle energy drifts
+slowly with an autoregressive wobble. The mechanisms' parameters are
+module constants. All draws come from one seeded generator, so a
+(duration, seed) pair reproduces a trace bit-for-bit. Latency/energy
+values are quantized to six decimals at generation time, which makes the
+CSV round-trip exact.
 
 Trace CSV format: header ``timestamp,mirror,phase,latency_seconds,energy_joules``;
 mirror in {germany, massachusetts, ontario}; phase in {download, idle, grep};
@@ -24,9 +25,9 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -42,8 +43,6 @@ __all__ = [
     "TacticProfile",
     "SAMPLE_TACTIC_A",
     "SAMPLE_TACTIC_B",
-    "MirrorSettings",
-    "EmulatorConfig",
     "CostHistogram",
     "CostImpactResult",
     "TraceFormatError",
@@ -60,7 +59,7 @@ __all__ = [
 TRACE_HEADER = "timestamp,mirror,phase,latency_seconds,energy_joules"
 LAG_WINDOW = 5          # prior same-mirror observations needed per feature row
 HISTOGRAM_BIN_WIDTH = 5.0
-DEFAULT_START_EPOCH = 1_600_041_600.0  # a midnight, so hour-of-day starts at 0
+START_EPOCH = 1_600_041_600.0  # a midnight, so hour-of-day starts at 0
 
 
 class Mirror(enum.Enum):
@@ -134,68 +133,21 @@ SAMPLE_TACTIC_B = TacticProfile("tactic_b", cost_per_unit_latency=7.0,
                                 shape=LatencyShape.NORMAL, mean=3.0, sd=0.5)
 
 
-@dataclass(frozen=True)
-class MirrorSettings:
-    base_latency_seconds: float
-    spike_probability: float
-    spike_scale_seconds: float
-
-    def __post_init__(self) -> None:
-        if self.base_latency_seconds <= 0:
-            raise ValueError("base_latency_seconds must be > 0")
-        if not 0.0 <= self.spike_probability <= 1.0:
-            raise ValueError("spike_probability must lie in [0, 1]")
-        if self.spike_scale_seconds < 0:
-            raise ValueError("spike_scale_seconds must be >= 0")
-
-
-def _default_mirrors() -> dict[Mirror, MirrorSettings]:
-    return {
-        Mirror.GERMANY: MirrorSettings(3.4, 0.06, 2.5),
-        Mirror.MASSACHUSETTS: MirrorSettings(2.6, 0.015, 1.5),
-        Mirror.ONTARIO: MirrorSettings(3.0, 0.02, 1.5),
-    }
-
-
-@dataclass(frozen=True)
-class EmulatorConfig:
-    """Knobs for the invented volatility mechanisms.
-
-    ``nominal_latency_seconds`` / ``nominal_energy_joules`` are the
-    design-time constants a volatility-unaware operator would have written
-    down for the download tactic; they feed the static-value baseline and
-    are deliberately not derived from the observed trace.
-    """
-
-    mirrors: Mapping[Mirror, MirrorSettings] = field(default_factory=_default_mirrors)
-    diurnal_amplitude: float = 0.3
-    diurnal_peak_hour: int = 20
-    latency_noise_sigma: float = 0.12
-    energy_per_latency_joules: float = 12.0
-    energy_noise_sd: float = 0.8
-    idle_base_joules: float = 5.0
-    idle_drift_per_minute: float = 0.002
-    idle_phi: float = 0.8
-    idle_noise_sd: float = 0.02
-    nominal_latency_seconds: float = 2.5
-    nominal_energy_joules: float = 30.0
-    start_epoch: float = DEFAULT_START_EPOCH
-
-    def __post_init__(self) -> None:
-        if not self.mirrors:
-            raise ValueError("at least one mirror must be configured")
-        if not 0.0 <= self.diurnal_amplitude < 1.0:
-            raise ValueError("diurnal_amplitude must lie in [0, 1)")
-        if self.latency_noise_sigma < 0 or self.energy_noise_sd < 0:
-            raise ValueError("noise scales must be >= 0")
-        if self.energy_per_latency_joules <= 0 or self.idle_base_joules <= 0:
-            raise ValueError("energy parameters must be > 0")
-        if not abs(self.idle_phi) < 1:
-            raise ValueError("idle_phi must satisfy |phi| < 1")
-        if self.idle_noise_sd < 0:
-            raise ValueError("idle_noise_sd must be >= 0")
-        if self.nominal_latency_seconds <= 0 or self.nominal_energy_joules <= 0:
-            raise ValueError("nominal values must be > 0")
+# The invented volatility mechanisms. Per mirror, in trace order: base
+# latency (s), spike probability and spike scale (s); the Germany mirror is
+# the most spike-prone.
+MIRRORS = (
+    (Mirror.GERMANY, 3.4, 0.06, 2.5),
+    (Mirror.MASSACHUSETTS, 2.6, 0.015, 1.5),
+    (Mirror.ONTARIO, 3.0, 0.02, 1.5),
+)
+LATENCY_NOISE_SIGMA = 0.12
+ENERGY_PER_LATENCY_JOULES = 12.0
+ENERGY_NOISE_SD = 0.8
+IDLE_BASE_JOULES = 5.0
+IDLE_DRIFT_PER_MINUTE = 0.002
+IDLE_PHI = 0.8
+IDLE_NOISE_SD = 0.02
 
 
 def _hour_of_day(timestamp: float) -> int:
@@ -208,34 +160,29 @@ _HOUR_SIN = np.array([math.sin(2.0 * math.pi * hour / 24.0) for hour in range(24
 _HOUR_COS = np.array([math.cos(2.0 * math.pi * hour / 24.0) for hour in range(24)])
 
 
-def diurnal_multiplier(hour: int, amplitude: float, peak_hour: int) -> float:
-    """Hourly network-load multiplier: 1 + amplitude at the peak hour."""
-    return 1.0 + amplitude * math.cos(2.0 * math.pi * (hour - peak_hour) / 24.0)
+# Hourly network-load multiplier, 1.3 at the peak hour 20.
+_DIURNAL = tuple(1.0 + 0.3 * math.cos(2.0 * math.pi * (hour - 20) / 24.0)
+                 for hour in range(24))
 
 
-def generate_trace(duration_minutes: int, seed: int,
-                   config: EmulatorConfig | None = None) -> list[TraceRecord]:
+def generate_trace(duration_minutes: int, seed: int) -> list[TraceRecord]:
     """Emulate ``duration_minutes`` of operation: one download per mirror
     per minute plus an interleaved idle reading, deterministic per seed."""
     if duration_minutes < 1:
         raise ValueError("duration_minutes must be >= 1")
-    cfg = config or EmulatorConfig()
     rng = np.random.default_rng(seed)
-    mirrors = sorted(cfg.mirrors, key=lambda m: m.value)
     records: list[TraceRecord] = []
     idle_level = 0.0
     for minute in range(duration_minutes):
-        t0 = cfg.start_epoch + 60.0 * minute
-        hour = _hour_of_day(t0)
-        diurnal = diurnal_multiplier(hour, cfg.diurnal_amplitude, cfg.diurnal_peak_hour)
-        for slot, mirror in enumerate(mirrors):
-            settings = cfg.mirrors[mirror]
-            noise = math.exp(rng.normal(0.0, cfg.latency_noise_sigma))
-            latency = settings.base_latency_seconds * diurnal * noise
-            if rng.random() < settings.spike_probability:
-                latency += rng.exponential(settings.spike_scale_seconds)
-            energy = max(0.0, cfg.energy_per_latency_joules * latency
-                         + rng.normal(0.0, cfg.energy_noise_sd))
+        t0 = START_EPOCH + 60.0 * minute
+        diurnal = _DIURNAL[_hour_of_day(t0)]
+        for slot, (mirror, base, spike_probability, spike_scale) in enumerate(MIRRORS):
+            noise = math.exp(rng.normal(0.0, LATENCY_NOISE_SIGMA))
+            latency = base * diurnal * noise
+            if rng.random() < spike_probability:
+                latency += rng.exponential(spike_scale)
+            energy = max(0.0, ENERGY_PER_LATENCY_JOULES * latency
+                         + rng.normal(0.0, ENERGY_NOISE_SD))
             records.append(TraceRecord(
                 timestamp=round(t0 + 5.0 + 15.0 * slot, 6),
                 mirror=mirror,
@@ -243,12 +190,12 @@ def generate_trace(duration_minutes: int, seed: int,
                 latency_seconds=round(latency, 6),
                 energy_joules=round(energy, 6),
             ))
-        idle_level = cfg.idle_phi * idle_level + rng.normal(0.0, cfg.idle_noise_sd)
-        idle_energy = max(0.0, cfg.idle_base_joules
-                          + cfg.idle_drift_per_minute * minute + idle_level)
+        idle_level = IDLE_PHI * idle_level + rng.normal(0.0, IDLE_NOISE_SD)
+        idle_energy = max(0.0, IDLE_BASE_JOULES + IDLE_DRIFT_PER_MINUTE * minute
+                          + idle_level)
         records.append(TraceRecord(
             timestamp=round(t0 + 50.0, 6),
-            mirror=mirrors[0],
+            mirror=MIRRORS[0][0],
             phase=Phase.IDLE,
             latency_seconds=0.0,
             energy_joules=round(idle_energy, 6),

@@ -213,9 +213,7 @@ def _evidence_step(eigenvalues: np.ndarray, q: np.ndarray, z: np.ndarray,
     return alpha, beta, _posterior_coordinates(eigenvalues, q, alpha, beta)
 
 
-def fit_bayesian_ridge(X: DesignMatrix, t: ResponseVector,
-                       alpha0: float = 1.0, beta0: float = 1.0,
-                       iters: int = EVIDENCE_ITERATIONS) -> RegressionModel:
+def fit_bayesian_ridge(X: DesignMatrix, t: ResponseVector) -> RegressionModel:
     """Bayesian ridge baseline via the evidence fixed-point iterations.
 
     The posterior mean is m = (alpha*I + beta*X'X)^{-1} beta*X't. One
@@ -226,16 +224,13 @@ def fit_bayesian_ridge(X: DesignMatrix, t: ResponseVector,
     (alpha + beta lambda_i), then updates alpha = gamma/||m||^2 and
     beta = (N - gamma)/sum of squared residuals. The returned mean solves
     the posterior system under the final hyperparameters, which keeps
-    badly scaled designs as accurate as a solve per iteration would.
-    ``iters`` = 0 returns the posterior mean under the initial
-    hyperparameters. Raises ``ValueError`` when X'X, the weights or the
-    training error are not finite.
+    badly scaled designs as accurate as a solve per iteration would. The
+    iterations start from alpha = beta = 1 and run
+    ``EVIDENCE_ITERATIONS`` times, as in ``fit_gram_batch``. Raises
+    ``ValueError`` when X'X, the weights or the training error are not
+    finite.
     """
     _check_dimensions(X, t)
-    if alpha0 <= 0 or beta0 <= 0:
-        raise ValueError("alpha0 and beta0 must be > 0")
-    if iters < 0:
-        raise ValueError("iters must be >= 0")
     if X.n < 1:
         raise ValueError("need at least one observation")
     # Data near the float maximum overflow below; the checks say so.
@@ -247,9 +242,9 @@ def fit_bayesian_ridge(X: DesignMatrix, t: ResponseVector,
         eigenvalues, vectors = np.linalg.eigh(gram)
         eigenvalues = np.clip(eigenvalues, 0.0, None)
         q = vectors.T @ xt
-        alpha, beta = np.asarray(float(alpha0)), np.asarray(float(beta0))
+        alpha, beta = np.asarray(1.0), np.asarray(1.0)
         z = _posterior_coordinates(eigenvalues, q, alpha, beta)
-        for _ in range(iters):
+        for _ in range(EVIDENCE_ITERATIONS):
             residuals = t.t - X.rows @ (vectors @ z)
             alpha, beta, z = _evidence_step(eigenvalues, q, z, alpha, beta, X.n,
                                             residuals @ residuals)
@@ -319,8 +314,9 @@ def fit_gram_batch(gram: np.ndarray, xt: np.ndarray, tt: np.ndarray,
       exactly singular solve) clears the flags of its own fit only, so a
       fit's weights and flags do not depend on the other fits in the stack.
 
-    The ridge runs the evidence updates of ``fit_bayesian_ridge`` with its
-    defaults, taking residual sums from the statistics instead of the rows.
+    The ridge runs the evidence updates of ``fit_bayesian_ridge`` from the
+    same start and for as many iterations, taking residual sums from the
+    statistics instead of the rows.
     """
     k, m = xt.shape
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

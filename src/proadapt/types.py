@@ -103,28 +103,20 @@ class Tactic:
     """An adaptation action with its legacy assumed-constant attributes.
 
     ``static_latency``/``static_cost`` are the predefined values a
-    volatility-unaware process would plug into its decision making;
-    ``feature_names`` lists the predictors its regression models expect
-    (leading intercept included).
+    volatility-unaware process would plug into its decision making.
     """
 
     name: str
     static_latency: float
     static_cost: float
-    feature_names: tuple[str, ...] = ("intercept",)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
         if not self.name:
             raise ValueError("tactic name must be non-empty")
         if not (math.isfinite(self.static_latency) and math.isfinite(self.static_cost)):
             raise ValueError("static latency and cost must be finite")
         if self.static_latency < 0 or self.static_cost < 0:
             raise ValueError("static latency and cost must be >= 0")
-        if not self.feature_names:
-            raise ValueError("feature_names must be non-empty")
-        if len(set(self.feature_names)) != len(self.feature_names):
-            raise ValueError("feature_names must be duplicate-free")
 
 
 @dataclass(frozen=True)

@@ -169,8 +169,8 @@ def random_tick_scenario(rng):
     history = TimeSeries(np.abs(values) + 0.01)
     spec = SlaSpec("s", 1.0, reward=float(rng.uniform(0, 10)))
     n_tactics = int(rng.integers(1, 5))
-    tactics = [Tactic(f"t{i}", float(rng.uniform(0, 5)), float(rng.uniform(0, 5)),
-                      feature_names=("intercept",)) for i in range(n_tactics)]
+    tactics = [Tactic(f"t{i}", float(rng.uniform(0, 5)), float(rng.uniform(0, 5)))
+               for i in range(n_tactics)]
     registry = {t.name: TacticModels(RegressionModel(weights=(float(rng.uniform(0, 5)),)),
                                      RegressionModel(weights=(float(rng.uniform(0, 5)),)))
                 for t in tactics}

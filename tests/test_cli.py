@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proadapt import (ArimaModel, Phase, TimeSeries, WorkflowConfig, cli, emulator,
+from proadapt import (ArimaModel, Phase, TimeSeries, WorkflowConfig, arima, cli, emulator,
                       fit_arima, forecast, generate_trace, price_tactics, regression,
-                      workflow_tick, write_trace_csv)
+                      workflow, workflow_tick, write_trace_csv)
 from proadapt.cli import main
 from monitor_oracle import tick_entry_to_dict
 
@@ -136,6 +136,24 @@ class TestReplicate:
         assert code == 0
         assert err == "warning: 3 of 30 run/model scores failed\n"
         assert (out_dir / "rq2.csv").read_text().count(",persistence,") == 3
+
+    def test_report_set_is_written_all_or_nothing(self, tmp_path, capsys):
+        # A directory where rq3.csv belongs fails the run before any report
+        # is replaced: an earlier run's files stay as they were.
+        out_dir = tmp_path / "reports"
+        args = ("replicate", "--emulate", "--minutes", "120", "--runs", "2",
+                "--out-dir", str(out_dir))
+        assert run_main(capsys, *args)[0] == 0
+        earlier = {name: (out_dir / name).read_bytes()
+                   for name in ("rq1.csv", "rq2.csv", "rq4.csv")}
+        (out_dir / "rq3.csv").unlink()
+        (out_dir / "rq3.csv").mkdir()
+        code, _, err = run_main(capsys, *args, "--seed", "3")
+        assert code == 2
+        assert err == f"error: [Errno 21] Is a directory: '{out_dir / 'rq3.csv'}'\n"
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "rq1.csv", "rq2.csv", "rq3.csv", "rq4.csv"]
+        assert {name: (out_dir / name).read_bytes() for name in earlier} == earlier
 
     @pytest.mark.parametrize("flag", ["--static-latency", "--static-cost"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300"])
@@ -462,8 +480,8 @@ class TestMonitorInputErrors:
         # horizon cannot fit in BLOCK_CELLS: it is rejected up front, not
         # forecast.
         calls = []
-        for module, name in ((cli, "fit_arima_windows"), (regression, "fit_mra"),
-                             (cli, "workflow_block")):
+        for module, name in ((arima, "fit_arima_windows"), (regression, "fit_mra"),
+                             (workflow, "workflow_block")):
             def spy(*args, name=name, **kwargs):
                 calls.append(name)
                 raise AssertionError(f"{name} ran")

@@ -4,23 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proadapt import (EmulatorConfig, Mirror, Phase, SAMPLE_TACTIC_A, SAMPLE_TACTIC_B,
-                      TraceFormatError, TraceRecord, fit_mra, generate_trace,
-                      ingest_trace_csv, run_cost_impact_simulation, to_idle_series,
-                      to_regression_dataset, write_trace_csv)
-from proadapt.emulator import (LAG_WINDOW, LatencyShape, MirrorSettings, TacticProfile,
-                               _downloads_in_order, _hour_of_day, diurnal_multiplier,
-                               sample_latency)
+from proadapt import (Mirror, Phase, SAMPLE_TACTIC_A, SAMPLE_TACTIC_B, TraceFormatError,
+                      TraceRecord, emulator, fit_mra, generate_trace, ingest_trace_csv,
+                      run_cost_impact_simulation, to_idle_series, to_regression_dataset,
+                      write_trace_csv)
+from proadapt.emulator import (LAG_WINDOW, LatencyShape, TacticProfile, _downloads_in_order,
+                               _hour_of_day, sample_latency)
 from proadapt.regression import DesignMatrix, ResponseVector
-
-
-def quiet_config(**overrides):
-    mirrors = {m: MirrorSettings(s.base_latency_seconds, 0.0, 0.0)
-               for m, s in EmulatorConfig().mirrors.items()}
-    settings = dict(mirrors=mirrors, latency_noise_sigma=0.0, energy_noise_sd=0.0,
-                    idle_noise_sd=0.0)
-    settings.update(overrides)
-    return EmulatorConfig(**settings)
 
 
 class TestGenerateTrace:
@@ -35,16 +25,21 @@ class TestGenerateTrace:
         assert generate_trace(120, seed=7) == generate_trace(120, seed=7)
         assert generate_trace(120, seed=7) != generate_trace(120, seed=8)
 
-    def test_degenerate_config_is_exactly_diurnal(self):
-        config = quiet_config()
-        for record in generate_trace(180, seed=1, config=config):
-            if record.phase is not Phase.DOWNLOAD:
-                continue
+    def test_degenerate_config_is_exactly_diurnal(self, monkeypatch):
+        # Without noise and spikes a download's latency is its mirror's base
+        # latency times 1 + 0.3 cos(2 pi (hour - 20) / 24), peaking at 20:00.
+        base = {Mirror.GERMANY: 3.4, Mirror.MASSACHUSETTS: 2.6, Mirror.ONTARIO: 3.0}
+        monkeypatch.setattr(emulator, "MIRRORS",
+                            tuple((mirror, b, 0.0, 0.0) for mirror, b in base.items()))
+        monkeypatch.setattr(emulator, "LATENCY_NOISE_SIGMA", 0.0)
+        downloads = [r for r in generate_trace(1440, seed=1) if r.phase is Phase.DOWNLOAD]
+        assert len(downloads) == 3 * 1440
+        for record in downloads:
             hour = int((record.timestamp % 86400) // 3600)
-            expected = (config.mirrors[record.mirror].base_latency_seconds
-                        * diurnal_multiplier(hour, config.diurnal_amplitude,
-                                             config.diurnal_peak_hour))
-            assert record.latency_seconds == round(expected, 6)
+            expected = base[record.mirror] * (1.0 + 0.3 * np.cos(np.pi * (hour - 20) / 12))
+            assert record.latency_seconds == pytest.approx(expected, abs=5e-7)
+            if hour == 20:
+                assert record.latency_seconds == round(1.3 * base[record.mirror], 6)
 
     def test_timestamps_strictly_increase(self):
         records = generate_trace(90, seed=3)
@@ -58,12 +53,6 @@ class TestGenerateTrace:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             generate_trace(0, seed=1)
-        with pytest.raises(ValueError):
-            MirrorSettings(-1.0, 0.1, 1.0)
-        with pytest.raises(ValueError):
-            MirrorSettings(1.0, 1.5, 1.0)
-        with pytest.raises(ValueError):
-            EmulatorConfig(diurnal_amplitude=1.0)
 
 
 class TestSampleLatency:

@@ -15,14 +15,13 @@ import pytest
 
 import proadapt
 from proadapt import cli, metrics
-from proadapt.emulator import EmulatorConfig
 
 # Every name proadapt re-exports, by the module that defines it.
 REEXPORTS = {
     "arima": ["ArimaModel", "FitError", "ResidualDiagnostics", "acf", "check_residuals",
               "difference", "fit_arima", "fit_arima_windows", "forecast", "pacf"],
-    "emulator": ["EmulatorConfig", "Mirror", "Phase", "SAMPLE_TACTIC_A", "SAMPLE_TACTIC_B",
-                 "TraceFormatError", "TraceRecord", "generate_trace", "ingest_trace_csv",
+    "emulator": ["Mirror", "Phase", "SAMPLE_TACTIC_A", "SAMPLE_TACTIC_B", "TraceFormatError",
+                 "TraceRecord", "generate_trace", "ingest_trace_csv",
                  "run_cost_impact_simulation", "to_idle_series", "to_regression_dataset",
                  "write_trace_csv"],
     "metrics": ["ExperimentReport", "Summary", "rmse", "run_forecast_experiments",
@@ -74,13 +73,11 @@ def test_monitor_without_tactics_loads_only_the_loop(tmp_path):
 def test_generate_loads_the_emulator_and_no_harness(tmp_path):
     loaded = module_snapshots(
         "from proadapt import cli\n"
-        "snapshot('cli')\n"
         "assert cli.main(['generate', '--minutes', '30', '--out', sys.argv[1]]) == 0\n",
-        str(tmp_path / "trace.csv"))
-    # cli itself holds the monitor loop's modules; generate adds only its own.
-    assert loaded["cli"] == {"proadapt.types", "proadapt.arima", "proadapt.workflow",
-                             "proadapt.cli"}
-    assert loaded["end"] - loaded["cli"] == {"proadapt.emulator", "proadapt.regression"}
+        str(tmp_path / "trace.csv"))["end"]
+    # Not arima, workflow nor metrics.
+    assert loaded == {"proadapt.types", "proadapt.emulator", "proadapt.regression",
+                      "proadapt.cli"}
 
 
 @pytest.mark.parametrize("module, name", [(module, name) for module, names in REEXPORTS.items()
@@ -108,13 +105,6 @@ def test_unknown_names_are_not_attributes():
         exec("from proadapt import no_such_name", {})
     with pytest.raises(AttributeError, match="no_such_name"):
         cli.no_such_name
-
-
-def test_replicate_static_defaults_are_the_emulators_nominal_values():
-    args = cli.build_parser().parse_args(["replicate", "--emulate"])
-    config = EmulatorConfig()
-    assert args.static_latency == config.nominal_latency_seconds
-    assert args.static_cost == config.nominal_energy_joules
 
 
 def test_replicate_calls_the_harness_through_rebound_names(tmp_path, capsys):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from monitor_oracle import reference_monitor
-from proadapt import cli
+from proadapt import arima, cli, workflow
 from proadapt.arima import ArimaModel
 from proadapt.emulator import generate_trace, write_trace_csv
 from proadapt.types import TimeSeries
@@ -209,13 +209,13 @@ def test_line_templates_are_cleared_per_block(workdir, monkeypatch):
 
 def test_blocks_stay_within_the_cell_budget(workdir, monkeypatch):
     sizes = []
-    kernel = cli.workflow_block
+    kernel = workflow.workflow_block
 
     def spy(specs, last, previous, phi, c, config):
         sizes.append((len(last), config.horizon))
         return kernel(specs, last, previous, phi, c, config)
 
-    monkeypatch.setattr(cli, "workflow_block", spy)
+    monkeypatch.setattr(workflow, "workflow_block", spy)
     values = (0.01 * np.arange(80) + np.sin(np.arange(80))).tolist()
     specs = [{"name": "cap", "threshold": 1e6}]
     out, err, want_out, want_err = run_both(workdir, values, specs, 12, 5000, 0.1, 6.0,
@@ -231,7 +231,7 @@ def test_refits_fit_one_block_per_call_without_models(workdir, monkeypatch, refi
     # 1,900 ticks make 8 blocks; refitting every 300 ticks leaves the block
     # [1536, 1792) without a refit, so its fit call gets no starts.
     fitted, built, built_by_cli = [], [], []
-    fit, post_init, main = cli.fit_arima_windows, ArimaModel.__post_init__, cli.main
+    fit, post_init, main = arima.fit_arima_windows, ArimaModel.__post_init__, cli.main
 
     def spy_fit(history, window, starts):
         fitted.append(list(starts))
@@ -246,7 +246,7 @@ def test_refits_fit_one_block_per_call_without_models(workdir, monkeypatch, refi
         built_by_cli.append(len(built))  # the reference loop builds models after
         return code
 
-    monkeypatch.setattr(cli, "fit_arima_windows", spy_fit)
+    monkeypatch.setattr(arima, "fit_arima_windows", spy_fit)
     monkeypatch.setattr(ArimaModel, "__post_init__", spy_post_init)
     monkeypatch.setattr(cli, "main", spy_main)
     values = np.cumsum(np.random.default_rng(7).normal(0.0, 0.3, 1940)).tolist()
@@ -272,14 +272,14 @@ def long_window_run(workdir, monkeypatch, window, cells):
     (workdir / "specs.json").write_text(json.dumps([{"name": "hot", "threshold": 1.0}]),
                                         encoding="utf-8")
     calls = []
-    fit = cli.fit_arima_windows
+    fit = arima.fit_arima_windows
 
     def spy_fit(history, window, starts):
         calls.append(len(starts))
         return fit(history, window, starts)
 
     monkeypatch.setattr(cli, "BLOCK_CELLS", cells)
-    monkeypatch.setattr(cli, "fit_arima_windows", spy_fit)
+    monkeypatch.setattr(arima, "fit_arima_windows", spy_fit)
     out, err = io.StringIO(), io.StringIO()
     tracemalloc.start()
     try:

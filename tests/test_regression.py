@@ -167,30 +167,10 @@ class TestBayesianRidge:
         truth = np.array([1.5, -2.0, 0.7])
         return X, truth, ResponseVector(X.rows @ truth)
 
-    def test_vanishing_prior_matches_least_squares(self):
-        rng = np.random.default_rng(26)
-        X = design(np.column_stack([np.ones(80), rng.normal(size=(80, 3))]))
-        t = ResponseVector(rng.normal(size=80))
-        ridge = fit_bayesian_ridge(X, t, alpha0=1e-12, beta0=1.0, iters=0)
-        mra = fit_mra(X, t)
-        np.testing.assert_allclose(ridge.weights, mra.weights, atol=1e-6)
-
-    def test_dominant_prior_shrinks_to_zero(self):
-        X, _, t = self.make_data()
-        model = fit_bayesian_ridge(X, t, alpha0=1e12, beta0=1.0, iters=0)
-        np.testing.assert_allclose(model.weights, 0.0, atol=1e-6)
-
     def test_noiseless_data_converges_to_truth(self):
         X, truth, t = self.make_data()
-        model = fit_bayesian_ridge(X, t, iters=5)
+        model = fit_bayesian_ridge(X, t)
         np.testing.assert_allclose(model.weights, truth, atol=1e-4)
-
-    def test_invalid_hyperparameters(self):
-        X, _, t = self.make_data()
-        with pytest.raises(ValueError):
-            fit_bayesian_ridge(X, t, alpha0=0.0)
-        with pytest.raises(ValueError):
-            fit_bayesian_ridge(X, t, beta0=-1.0)
 
 
 class TestBaselines:

@@ -135,7 +135,3 @@ class TestSpecAndTactic:
     def test_tactic_validation(self):
         with pytest.raises(ValueError):
             Tactic("t", -1.0, 0.0)
-        with pytest.raises(ValueError):
-            Tactic("t", 1.0, 1.0, feature_names=())
-        with pytest.raises(ValueError):
-            Tactic("t", 1.0, 1.0, feature_names=("a", "a"))

@@ -122,13 +122,13 @@ class TestEstimates:
         rows = np.column_stack([np.ones(50), np.random.default_rng(1).normal(size=50)])
         from proadapt import DesignMatrix, ResponseVector
         model = fit_mra(DesignMatrix(rows), ResponseVector(np.full(50, 4.2)))
-        tactic = Tactic("t", 1.0, 1.0, feature_names=("intercept", "x1"))
+        tactic = Tactic("t", 1.0, 1.0)
         priced = price(tactic, [1.0, 0.3], model, model)
         assert priced.predicted_latency == pytest.approx(4.2)
         assert priced.predicted_cost == pytest.approx(4.2)
 
     def test_zero_weight_model(self):
-        tactic = Tactic("t", 1.0, 1.0, feature_names=("intercept",))
+        tactic = Tactic("t", 1.0, 1.0)
         model = RegressionModel(weights=(0.0,))
         priced = price(tactic, [1.0], model, model)
         assert (priced.predicted_latency, priced.predicted_cost) == (0.0, 0.0)
@@ -138,7 +138,7 @@ class TestEstimates:
         X, latency, energy = to_regression_dataset(records)
         latency_model = fit_mra(X, latency)
         cost_model = fit_mra(X, energy)
-        tactic = Tactic("download", 3.0, 30.0, feature_names=X.column_names)
+        tactic = Tactic("download", 3.0, 30.0)
         base = list(X.rows[-1])
         sin_col = X.column_names.index("hour_sin")
         cos_col = X.column_names.index("hour_cos")
@@ -160,12 +160,12 @@ class TestEstimates:
             TacticModels(None, model)
         with pytest.raises(ValueError, match="cost_model must be a RegressionModel"):
             TacticModels(model, None)
-        tactic = Tactic("t", 1.0, 1.0, feature_names=("intercept",))
+        tactic = Tactic("t", 1.0, 1.0)
         with pytest.raises(ValueError, match="tactic 't': no trained models"):
             price_tactics([tactic], {}, {"t": (1.0,)})
 
     def test_feature_width_mismatch_names_the_tactic(self):
-        tactic = Tactic("t", 1.0, 1.0, feature_names=("intercept",))
+        tactic = Tactic("t", 1.0, 1.0)
         registry = {"t": TacticModels(RegressionModel(weights=(1.0,)),
                                       RegressionModel(weights=(2.0,)))}
         for features in ({"t": (1.0, 2.0)}, {}):
@@ -261,8 +261,7 @@ class TickFixture:
         self.spec_warm = SlaSpec("warm", 0.7, reward=7.0)
         self.spec_cool = SlaSpec("cool", 10.0, reward=1.0)
         self.history = ramp(0.50, 0.01, 40)
-        self.tactics = [Tactic(f"t{i}", 1.0, 1.0, feature_names=("intercept",))
-                        for i in range(n_tactics)]
+        self.tactics = [Tactic(f"t{i}", 1.0, 1.0) for i in range(n_tactics)]
         self.registry = {t.name: TacticModels(RegressionModel(weights=(float(i + 1),)),
                                               RegressionModel(weights=(float(i + 2),)))
                          for i, t in enumerate(self.tactics)}
