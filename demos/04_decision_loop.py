@@ -17,7 +17,7 @@ from proadapt import (Mirror, Phase, SlaSpec, TacticModels, Tactic, TimeSeries,
 trace = generate_trace(duration_minutes=720, seed=42)
 tactics, registry, features = [], {}, {}
 for mirror, static_latency in ((Mirror.MASSACHUSETTS, 2.6), (Mirror.GERMANY, 3.4)):
-    subset = [r for r in trace if r.phase is not Phase.DOWNLOAD or r.mirror is mirror]
+    subset = trace.select(~trace.phase_is(Phase.DOWNLOAD) | trace.mirror_is(mirror))
     X, latency, energy = to_regression_dataset(subset)
     tactic = Tactic(f"reroute_{mirror.value}", static_latency, static_latency * 12.0)
     tactics.append(tactic)

@@ -19,11 +19,11 @@ _EXPORTS = {
     "arima": ("ArimaModel", "FitError", "ResidualDiagnostics", "acf", "check_residuals",
               "difference", "fit_arima", "fit_arima_windows", "forecast", "pacf"),
     "emulator": ("Mirror", "Phase", "SAMPLE_TACTIC_A", "SAMPLE_TACTIC_B", "TraceFormatError",
-                 "TraceRecord", "generate_trace", "ingest_trace_csv",
+                 "Trace", "generate_trace", "ingest_trace_csv",
                  "run_cost_impact_simulation", "to_idle_series", "to_regression_dataset",
                  "write_trace_csv"),
     "metrics": ("ExperimentReport", "Summary", "rmse", "run_forecast_experiments",
-                "run_predictor_experiments", "summarize", "write_reports_csv"),
+                "run_predictor_experiments", "summarize"),
     "regression": ("DesignMatrix", "RegressionModel", "ResponseVector", "fit_mra"),
     "types": ("Direction", "SlaSpec", "Tactic", "TimeSeries", "UtilityParams",
               "order_specs_by_reward"),

@@ -57,13 +57,19 @@ def _print_model_table(summary: Summary, names: Sequence[str]) -> None:
               f"{agg.max_rmse:>9.4f}{agg.mean_mae:>12.4f}")
 
 
+def _check_minutes(minutes: int) -> None:
+    if minutes < 1:
+        raise ValueError(f"--minutes must be >= 1, got {minutes}")
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     from .emulator import Phase, generate_trace, write_trace_csv
 
-    records = generate_trace(args.minutes, args.seed)
-    write_trace_csv(records, args.out)
-    downloads = sum(1 for r in records if r.phase is Phase.DOWNLOAD)
-    print(f"{len(records)} records ({downloads} downloads) written to {args.out}")
+    _check_minutes(args.minutes)
+    trace = generate_trace(args.minutes, args.seed)
+    write_trace_csv(trace, args.out)
+    downloads = int(np.count_nonzero(trace.phase_is(Phase.DOWNLOAD)))
+    print(f"{len(trace)} records ({downloads} downloads) written to {args.out}")
     return 0
 
 
@@ -133,23 +139,24 @@ def cmd_replicate(args: argparse.Namespace) -> int:
                           PERSISTENCE_MODEL, STATIC_BASELINE, reports_to_csv_text, summarize)
 
     harness = sys.modules[__name__]
+    _check_minutes(args.minutes)
     # The rule Tactic applies to its static values, checked before any work.
     for flag, value in (("--static-latency", args.static_latency),
                         ("--static-cost", args.static_cost)):
         if not (math.isfinite(value) and value >= 0):
             raise ValueError(f"{flag} must be finite and >= 0, got {value!r}")
     if args.trace:
-        records = ingest_trace_csv(args.trace)
+        trace = ingest_trace_csv(args.trace)
     else:
-        records = generate_trace(args.minutes, subseed(args.seed, 0))
+        trace = generate_trace(args.minutes, subseed(args.seed, 0))
 
     # Every report is computed before any file is written, and the set is
     # written all or nothing, so a failure leaves no partial report set.
     impact = run_cost_impact_simulation(SAMPLE_TACTIC_A, SAMPLE_TACTIC_B,
                                         args.runs, subseed(args.seed, 1))
-    idle = to_idle_series(records)
+    idle = to_idle_series(trace)
     forecast_reports = harness.run_forecast_experiments(idle, args.runs, subseed(args.seed, 2))
-    X, latency, cost = to_regression_dataset(records)
+    X, latency, cost = to_regression_dataset(trace)
     predictor_reports = []
     for response, t, key, static in (("latency", latency, 3, args.static_latency),
                                      ("cost", cost, 4, args.static_cost)):
@@ -306,20 +313,20 @@ def _load_tactic_context(tactics_path: str, trace_path: str | None):
     raw = _read_json(tactics_path, "tactics file")
     if not isinstance(raw, list):
         raise ValueError("tactics file must hold a JSON list")
-    records = ingest_trace_csv(trace_path)
+    trace = ingest_trace_csv(trace_path)
+    others = ~trace.phase_is(Phase.DOWNLOAD)
     tactics, registry, features = [], {}, {}
     for i, entry in enumerate(raw):
         _check_entry(entry, i, "tactics file", ("name", "static_latency", "static_cost"),
                      ("static_latency", "static_cost"))
-        subset = records
+        subset = trace
         if "mirror" in entry:
             try:
                 mirror = Mirror(entry["mirror"])
             except ValueError:
                 raise ValueError(f"tactics file entry {i}: unknown mirror "
                                  f"{entry['mirror']!r}") from None
-            subset = [r for r in records
-                      if r.phase is not Phase.DOWNLOAD or r.mirror is mirror]
+            subset = trace.select(others | trace.mirror_is(mirror))
         X, latency, cost = to_regression_dataset(subset)
         try:
             tactic = Tactic(name=entry["name"],

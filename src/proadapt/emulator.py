@@ -15,6 +15,14 @@ module constants. All draws come from one seeded generator, so a
 values are quantized to six decimals at generation time, which makes the
 CSV round-trip exact.
 
+A trace is a :class:`Trace`: five equal-length columns, one entry per
+record. ``timestamp``, ``latency_seconds`` and ``energy_joules`` are
+floats; ``mirror`` and ``phase`` are integer codes, a member's index in
+:class:`Mirror` or :class:`Phase` declaration order (germany 0,
+massachusetts 1, ontario 2; download 0, idle 1, grep 2). A ``Trace`` may
+hold its records in any order; consumers read them in stable timestamp
+order, and the CSV ingester requires strictly increasing timestamps.
+
 Trace CSV format: header ``timestamp,mirror,phase,latency_seconds,energy_joules``;
 mirror in {germany, massachusetts, ontario}; phase in {download, idle, grep};
 reals with six decimal places; UTF-8; LF emitted, CRLF accepted.
@@ -26,8 +34,9 @@ import csv
 import enum
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -38,7 +47,7 @@ from .types import TimeSeries, subseed
 __all__ = [
     "Mirror",
     "Phase",
-    "TraceRecord",
+    "Trace",
     "LatencyShape",
     "TacticProfile",
     "SAMPLE_TACTIC_A",
@@ -74,25 +83,92 @@ class Phase(enum.Enum):
     GREP = "grep"
 
 
+# Each member's code in a trace column, by member and by CSV text.
+_MIRROR_CODES = {mirror: code for code, mirror in enumerate(Mirror)}
+_PHASE_CODES = {phase: code for code, phase in enumerate(Phase)}
+_CODES_BY_TEXT = {"mirror": {mirror.value: code for mirror, code in _MIRROR_CODES.items()},
+                  "phase": {phase.value: code for phase, code in _PHASE_CODES.items()}}
+
+
 class TraceFormatError(ValueError):
     """Malformed or invariant-violating trace CSV content."""
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    timestamp: float
-    mirror: Mirror
-    phase: Phase
-    latency_seconds: float
-    energy_joules: float
+def _first(bad: np.ndarray) -> int:
+    """The index of the first true entry of ``bad``, or its length if none is."""
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if hits.size else bad.size
+
+
+def _first_failure(checks, limit: int, error: str | None = None) -> tuple[int, str | None]:
+    """The first of the first ``limit`` records that fails one of ``checks``
+    ((bad-record mask, message) pairs, in check order), and the message of
+    its first failing check; ``(limit, error)`` if none of them fails."""
+    for bad, message in checks:
+        row = _first(bad[:limit])
+        if row < limit:
+            limit, error = row, message
+    return limit, error
+
+
+def _record_checks(timestamp: np.ndarray, latency: np.ndarray, energy: np.ndarray):
+    """Each record's value checks, in check order, as (bad-record mask, message)."""
+    return ((~(np.isfinite(latency) & (latency >= 0)), "latency_seconds must be finite and >= 0"),
+            (~(np.isfinite(energy) & (energy >= 0)), "energy_joules must be finite and >= 0"),
+            (~np.isfinite(timestamp), "timestamp must be finite"))
+
+
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """Trace records as five equal-length, read-only columns (see the module
+    docstring for the codes). Latencies and energies are finite and >= 0,
+    timestamps finite; a violation names the first failing record's first
+    failing check, in that order."""
+
+    timestamp: np.ndarray
+    mirror: np.ndarray
+    phase: np.ndarray
+    latency_seconds: np.ndarray
+    energy_joules: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.latency_seconds) and self.latency_seconds >= 0):
-            raise ValueError("latency_seconds must be finite and >= 0")
-        if not (math.isfinite(self.energy_joules) and self.energy_joules >= 0):
-            raise ValueError("energy_joules must be finite and >= 0")
-        if not math.isfinite(self.timestamp):
-            raise ValueError("timestamp must be finite")
+        timestamp, latency, energy = (np.array(values, dtype=float) for values in
+                                      (self.timestamp, self.latency_seconds,
+                                       self.energy_joules))
+        mirror, phase = np.array(self.mirror), np.array(self.phase)
+        columns = {"timestamp": timestamp, "mirror": mirror, "phase": phase,
+                   "latency_seconds": latency, "energy_joules": energy}
+        if (any(column.ndim != 1 for column in columns.values())
+                or len({column.size for column in columns.values()}) > 1):
+            raise ValueError("trace columns must be one-dimensional and of equal length")
+        for name, members in (("mirror", Mirror), ("phase", Phase)):
+            codes = columns[name]
+            if codes.size and (codes.dtype.kind not in "iu" or codes.min() < 0
+                               or codes.max() >= len(members)):
+                raise ValueError(f"{name} codes must be integers in 0..{len(members) - 1}")
+            columns[name] = codes.astype(np.int8, copy=False)
+        _, error = _first_failure(_record_checks(timestamp, latency, energy), timestamp.size)
+        if error is not None:
+            raise ValueError(error)
+        for name, column in columns.items():
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return int(self.timestamp.size)
+
+    def phase_is(self, phase: Phase) -> np.ndarray:
+        """The mask of the records in ``phase``."""
+        return self.phase == _PHASE_CODES[phase]
+
+    def mirror_is(self, mirror: Mirror) -> np.ndarray:
+        """The mask of the records of ``mirror``."""
+        return self.mirror == _MIRROR_CODES[mirror]
+
+    def select(self, keep: np.ndarray) -> Trace:
+        """The records that the boolean mask ``keep`` marks, in their order."""
+        return Trace(self.timestamp[keep], self.mirror[keep], self.phase[keep],
+                     self.latency_seconds[keep], self.energy_joules[keep])
 
 
 class LatencyShape(enum.Enum):
@@ -119,12 +195,13 @@ class TacticProfile:
     sd: float
 
     def __post_init__(self) -> None:
-        if self.mean <= 0:
-            raise ValueError("mean must be > 0")
-        if self.sd <= 0:
-            raise ValueError("sd must be > 0")
-        if self.cost_per_unit_latency < 0:
-            raise ValueError("cost_per_unit_latency must be >= 0")
+        if not (math.isfinite(self.mean) and self.mean > 0):
+            raise ValueError(f"mean must be finite and > 0, got {self.mean!r}")
+        if not (math.isfinite(self.sd) and self.sd > 0):
+            raise ValueError(f"sd must be finite and > 0, got {self.sd!r}")
+        if not (math.isfinite(self.cost_per_unit_latency) and self.cost_per_unit_latency >= 0):
+            raise ValueError(f"cost_per_unit_latency must be finite and >= 0, "
+                             f"got {self.cost_per_unit_latency!r}")
 
 
 SAMPLE_TACTIC_A = TacticProfile("tactic_a", cost_per_unit_latency=5.0,
@@ -150,9 +227,9 @@ IDLE_PHI = 0.8
 IDLE_NOISE_SD = 0.02
 
 
-def _hour_of_day(timestamp: float) -> int:
+def _hours_of_day(timestamps: np.ndarray) -> np.ndarray:
     # A tiny negative timestamp's remainder rounds up to 86400.0: hour 24 is 0.
-    return int((timestamp % 86400.0) // 3600.0) % 24
+    return ((timestamps % 86400.0) // 3600.0).astype(np.intp) % 24
 
 
 # Hour-of-day coordinates from the scalar math functions, one per hour.
@@ -161,46 +238,43 @@ _HOUR_COS = np.array([math.cos(2.0 * math.pi * hour / 24.0) for hour in range(24
 
 
 # Hourly network-load multiplier, 1.3 at the peak hour 20.
-_DIURNAL = tuple(1.0 + 0.3 * math.cos(2.0 * math.pi * (hour - 20) / 24.0)
-                 for hour in range(24))
+_DIURNAL = np.array([1.0 + 0.3 * math.cos(2.0 * math.pi * (hour - 20) / 24.0)
+                     for hour in range(24)])
 
 
-def generate_trace(duration_minutes: int, seed: int) -> list[TraceRecord]:
+def generate_trace(duration_minutes: int, seed: int) -> Trace:
     """Emulate ``duration_minutes`` of operation: one download per mirror
     per minute plus an interleaved idle reading, deterministic per seed."""
     if duration_minutes < 1:
         raise ValueError("duration_minutes must be >= 1")
     rng = np.random.default_rng(seed)
-    records: list[TraceRecord] = []
+    normal, uniform, exponential = rng.standard_normal, rng.random, rng.exponential
+    starts = START_EPOCH + 60.0 * np.arange(duration_minutes)
+    # Each minute's records: one download per mirror in MIRRORS order, then
+    # the idle reading (latency 0, mirror code of the first mirror).
+    latency, energy = [], []
     idle_level = 0.0
-    for minute in range(duration_minutes):
-        t0 = START_EPOCH + 60.0 * minute
-        diurnal = _DIURNAL[_hour_of_day(t0)]
-        for slot, (mirror, base, spike_probability, spike_scale) in enumerate(MIRRORS):
-            noise = math.exp(rng.normal(0.0, LATENCY_NOISE_SIGMA))
-            latency = base * diurnal * noise
-            if rng.random() < spike_probability:
-                latency += rng.exponential(spike_scale)
-            energy = max(0.0, ENERGY_PER_LATENCY_JOULES * latency
-                         + rng.normal(0.0, ENERGY_NOISE_SD))
-            records.append(TraceRecord(
-                timestamp=round(t0 + 5.0 + 15.0 * slot, 6),
-                mirror=mirror,
-                phase=Phase.DOWNLOAD,
-                latency_seconds=round(latency, 6),
-                energy_joules=round(energy, 6),
-            ))
-        idle_level = IDLE_PHI * idle_level + rng.normal(0.0, IDLE_NOISE_SD)
-        idle_energy = max(0.0, IDLE_BASE_JOULES + IDLE_DRIFT_PER_MINUTE * minute
-                          + idle_level)
-        records.append(TraceRecord(
-            timestamp=round(t0 + 50.0, 6),
-            mirror=MIRRORS[0][0],
-            phase=Phase.IDLE,
-            latency_seconds=0.0,
-            energy_joules=round(idle_energy, 6),
-        ))
-    return records
+    for minute, diurnal in enumerate(_DIURNAL[_hours_of_day(starts)].tolist()):
+        for _, base, spike_probability, spike_scale in MIRRORS:
+            value = base * diurnal * math.exp(LATENCY_NOISE_SIGMA * normal())
+            if uniform() < spike_probability:
+                value += exponential(spike_scale)
+            latency.append(value)
+            energy.append(max(0.0, ENERGY_PER_LATENCY_JOULES * value
+                              + ENERGY_NOISE_SD * normal()))
+        idle_level = IDLE_PHI * idle_level + IDLE_NOISE_SD * normal()
+        latency.append(0.0)
+        energy.append(max(0.0, IDLE_BASE_JOULES + IDLE_DRIFT_PER_MINUTE * minute
+                          + idle_level))
+    # Whole seconds, which six-decimal quantisation leaves as they are.
+    offsets = np.array([5.0 + 15.0 * slot for slot in range(len(MIRRORS))] + [50.0])
+    mirror = [_MIRROR_CODES[m] for m, *_ in MIRRORS] + [_MIRROR_CODES[MIRRORS[0][0]]]
+    phase = [_PHASE_CODES[Phase.DOWNLOAD]] * len(MIRRORS) + [_PHASE_CODES[Phase.IDLE]]
+    return Trace(timestamp=(starts[:, None] + offsets).ravel(),
+                 mirror=np.tile(mirror, duration_minutes),
+                 phase=np.tile(phase, duration_minutes),
+                 latency_seconds=list(map(round, latency, repeat(6))),
+                 energy_joules=list(map(round, energy, repeat(6))))
 
 
 def sample_latency(profile: TacticProfile, seed: int, n: int) -> np.ndarray:
@@ -263,74 +337,95 @@ def run_cost_impact_simulation(a: TacticProfile, b: TacticProfile,
     return CostImpactResult(costs_a, costs_b, hist)
 
 
-def trace_csv_text(records: Sequence[TraceRecord]) -> str:
-    lines = [TRACE_HEADER]
-    for r in records:
-        lines.append(f"{r.timestamp:.6f},{r.mirror.value},{r.phase.value},"
-                     f"{r.latency_seconds:.6f},{r.energy_joules:.6f}")
-    return "\n".join(lines) + "\n"
+def trace_csv_text(trace: Trace) -> str:
+    mirrors, phases = [m.value for m in Mirror], [p.value for p in Phase]
+    rows = zip(trace.timestamp.tolist(), map(mirrors.__getitem__, trace.mirror.tolist()),
+               map(phases.__getitem__, trace.phase.tolist()),
+               trace.latency_seconds.tolist(), trace.energy_joules.tolist())
+    return "\n".join([TRACE_HEADER, *map("%.6f,%s,%s,%.6f,%.6f".__mod__, rows)]) + "\n"
 
 
-def write_trace_csv(records: Sequence[TraceRecord], path: str | Path) -> None:
-    Path(path).write_text(trace_csv_text(records), encoding="utf-8", newline="\n")
+def write_trace_csv(trace: Trace, path: str | Path) -> None:
+    Path(path).write_text(trace_csv_text(trace), encoding="utf-8", newline="\n")
 
 
-def _csv_rows(handle) -> Iterator[list[str]]:
-    """The CSV rows of ``handle``; the reader's own errors (an over-long
-    field, say) become :class:`TraceFormatError`."""
-    reader = csv.reader(handle)
+def _floats(texts: Sequence[str]) -> tuple[np.ndarray, int, str | None]:
+    """``float`` of each of ``texts`` up to the first that does not parse,
+    that text's index and ``float``'s message (``len(texts)`` and None if
+    all parse)."""
     try:
-        yield from reader
-    except csv.Error as exc:
-        raise TraceFormatError(f"line {reader.line_num}: {exc}") from None
+        return np.fromiter(map(float, texts), float, len(texts)), len(texts), None
+    except ValueError:
+        values = []
+        for text in texts:
+            try:
+                values.append(float(text))
+            except ValueError as exc:
+                return np.array(values), len(values), str(exc)
+        raise
 
 
-def ingest_trace_csv(path: str | Path) -> list[TraceRecord]:
-    """Parse and validate a trace CSV; errors name the offending line."""
-    mirrors = {m.value: m for m in Mirror}
-    phases = {p.value: p for p in Phase}
-    records: list[TraceRecord] = []
-    last_timestamp = -math.inf
+def ingest_trace_csv(path: str | Path) -> Trace:
+    """Parse and validate a trace CSV; errors name the first failing line.
+
+    A line's checks run in this order, and the error is its first failing
+    one: field count, numbers, mirror, phase, latency, energy, timestamp,
+    then strictly increasing timestamps. Blank lines are skipped.
+    """
+    # The rows up to the first one the file cannot be read at: that error
+    # is raised only if no line before it fails a check.
+    rows: list[list[str]] = []
+    unread: Exception | None = None
     with open(path, newline="", encoding="utf-8") as handle:
-        for line_no, row in enumerate(_csv_rows(handle), start=1):
-            if line_no == 1:
-                if ",".join(row) != TRACE_HEADER:
-                    raise TraceFormatError(f"line 1: expected header '{TRACE_HEADER}'")
-                continue
-            if not row:
-                continue
-            if len(row) != 5:
-                raise TraceFormatError(f"line {line_no}: expected 5 fields, got {len(row)}")
-            ts_text, mirror_text, phase_text, latency_text, energy_text = row
-            try:
-                timestamp = float(ts_text)
-                latency = float(latency_text)
-                energy = float(energy_text)
-            except ValueError as exc:
-                raise TraceFormatError(f"line {line_no}: {exc}") from None
-            if mirror_text not in mirrors:
-                raise TraceFormatError(f"line {line_no}: unknown mirror '{mirror_text}'")
-            if phase_text not in phases:
-                raise TraceFormatError(f"line {line_no}: unknown phase '{phase_text}'")
-            try:
-                record = TraceRecord(timestamp, mirrors[mirror_text],
-                                     phases[phase_text], latency, energy)
-            except ValueError as exc:
-                raise TraceFormatError(f"line {line_no}: {exc}") from None
-            if record.timestamp <= last_timestamp:
-                raise TraceFormatError(f"line {line_no}: timestamps must be "
-                                       f"strictly increasing")
-            last_timestamp = record.timestamp
-            records.append(record)
-    return records
+        reader = csv.reader(handle)
+        try:
+            for row in reader:
+                rows.append(row)
+        except csv.Error as exc:  # an over-long field, say
+            unread = TraceFormatError(f"line {reader.line_num}: {exc}")
+        except (OSError, ValueError) as exc:  # a read or decoding error
+            unread = exc
+    if rows and ",".join(rows[0]) != TRACE_HEADER:
+        raise TraceFormatError(f"line 1: expected header '{TRACE_HEADER}'")
+    body = list(filter(None, rows[1:]))
+    # Each check reads only the lines before the first failure found so
+    # far, so the failure left is the first failing line's first check.
+    limit, error = len(body), None
+    lengths = np.fromiter(map(len, body), np.intp, len(body))
+    if (row := _first(lengths != 5)) < limit:
+        limit, error = row, f"expected 5 fields, got {lengths[row]}"
+    fields = list(zip(*body[:limit])) or [()] * 5
+    numbers = {}
+    for j in (0, 3, 4):
+        numbers[j], row, message = _floats(fields[j][:limit])
+        if row < limit:
+            limit, error = row, message
+    codes = {}
+    for j, name in ((1, "mirror"), (2, "phase")):
+        codes[j] = np.fromiter(map(_CODES_BY_TEXT[name].get, fields[j][:limit], repeat(-1)),
+                               np.intp, limit)
+        if (row := _first(codes[j] < 0)) < limit:
+            limit, error = row, f"unknown {name} '{fields[j][row]}'"
+    timestamp, latency, energy = (numbers[j][:limit] for j in (0, 3, 4))
+    ordered = np.concatenate([[True], timestamp[1:] > timestamp[:-1]])
+    limit, error = _first_failure(
+        (*_record_checks(timestamp, latency, energy),
+         (~ordered, "timestamps must be strictly increasing")), limit, error)
+    if error is not None:
+        line = [line for line, row in enumerate(rows[1:], start=2) if row][limit]
+        raise TraceFormatError(f"line {line}: {error}")
+    if unread is not None:
+        raise unread
+    return Trace(timestamp, codes[1], codes[2], latency, energy)
 
 
-def _downloads_in_order(records: Iterable[TraceRecord]) -> list[TraceRecord]:
-    return sorted((r for r in records if r.phase is Phase.DOWNLOAD),
-                  key=lambda r: r.timestamp)
+def _in_time_order(trace: Trace, phase: Phase) -> np.ndarray:
+    """The indices of ``trace``'s records in ``phase``, in stable timestamp order."""
+    rows = np.flatnonzero(trace.phase_is(phase))
+    return rows[np.argsort(trace.timestamp[rows], kind="stable")]
 
 
-def to_regression_dataset(records: Sequence[TraceRecord]
+def to_regression_dataset(trace: Trace
                           ) -> tuple[DesignMatrix, ResponseVector, ResponseVector]:
     """Turn download rows into (features, latency responses, energy responses).
 
@@ -341,17 +436,21 @@ def to_regression_dataset(records: Sequence[TraceRecord]
     rank). Rows whose mirror lacks five prior observations are dropped.
     Each mirror's lags come from one sliding window over its latencies.
     """
-    downloads = _downloads_in_order(records)
-    if len(downloads) < 8:
-        raise ValueError(f"need at least 8 download records, got {len(downloads)}")
-    present = sorted({r.mirror for r in downloads}, key=lambda m: m.value)
-    code_of = {mirror: code for code, mirror in enumerate(present)}
+    downloads = _in_time_order(trace, Phase.DOWNLOAD)
+    if downloads.size < 8:
+        raise ValueError(f"need at least 8 download records, got {downloads.size}")
+    mirror_codes = trace.mirror[downloads]
+    present = sorted((mirror for mirror, count in
+                      zip(Mirror, np.bincount(mirror_codes, minlength=len(Mirror)).tolist())
+                      if count), key=lambda m: m.value)
     names = ["intercept", "latency_lag1", "latency_lag2", "latency_mean5",
              "hour_sin", "hour_cos"] + [f"mirror_{m.value}" for m in present[1:]]
-    codes = np.array([code_of[r.mirror] for r in downloads])
-    latencies = np.array([r.latency_seconds for r in downloads])
-    lags = np.empty((len(downloads), 3))  # lag 1, lag 2, mean of the previous five
-    complete = np.zeros(len(downloads), dtype=bool)
+    code_of = np.zeros(len(Mirror), dtype=np.intp)
+    code_of[[_MIRROR_CODES[m] for m in present]] = np.arange(len(present))
+    codes = code_of[mirror_codes]
+    latencies = trace.latency_seconds[downloads]
+    lags = np.empty((downloads.size, 3))  # lag 1, lag 2, mean of the previous five
+    complete = np.zeros(downloads.size, dtype=bool)
     for code in range(len(present)):
         rows = np.flatnonzero(codes == code)
         if rows.size <= LAG_WINDOW:
@@ -364,21 +463,20 @@ def to_regression_dataset(records: Sequence[TraceRecord]
         lags[rows, 2] = sliding_window_view(past[:-1], LAG_WINDOW).mean(axis=1)
     if not complete.any():
         raise ValueError("no download row has a complete lag window")
-    kept = [r for r, keep in zip(downloads, complete.tolist()) if keep]
-    hours = np.array([_hour_of_day(r.timestamp) for r in kept])
+    kept = downloads[complete]
+    hours = _hours_of_day(trace.timestamp[kept])
     codes = codes[complete]
-    rows = np.column_stack([np.ones(len(kept)), lags[complete], _HOUR_SIN[hours],
+    rows = np.column_stack([np.ones(kept.size), lags[complete], _HOUR_SIN[hours],
                             _HOUR_COS[hours],
                             codes[:, None] == np.arange(1, len(present))])
     return (DesignMatrix(rows, tuple(names)),
             ResponseVector(latencies[complete]),
-            ResponseVector(np.array([r.energy_joules for r in kept])))
+            ResponseVector(trace.energy_joules[kept]))
 
 
-def to_idle_series(records: Sequence[TraceRecord]) -> TimeSeries:
+def to_idle_series(trace: Trace) -> TimeSeries:
     """Idle-phase energy readings in timestamp order as a uniform series."""
-    idle = sorted((r for r in records if r.phase is Phase.IDLE),
-                  key=lambda r: r.timestamp)
-    if not idle:
+    idle = _in_time_order(trace, Phase.IDLE)
+    if not idle.size:
         raise ValueError("trace contains no idle records")
-    return TimeSeries(np.array([r.energy_joules for r in idle]))
+    return TimeSeries(trace.energy_joules[idle])

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -73,7 +72,6 @@ __all__ = [
     "run_predictor_experiments",
     "summarize",
     "reports_to_csv_text",
-    "write_reports_csv",
 ]
 
 MIN_TEST_POINTS = 10   # admits the canonical 90/10 split of a 100-point series
@@ -417,7 +415,3 @@ def reports_to_csv_text(reports: Sequence[ExperimentReport]) -> str:
         lines.append(f"{r.run_index},{r.model_name},{r.scores.rmse:.17g},"
                      f"{r.scores.mae:.17g},{r.train_fraction:.17g},{r.seed}")
     return "\n".join(lines) + "\n"
-
-
-def write_reports_csv(reports: Sequence[ExperimentReport], path: str | Path) -> None:
-    Path(path).write_text(reports_to_csv_text(reports), encoding="utf-8", newline="\n")

@@ -47,6 +47,13 @@ class TestGenerate:
         run_cli("generate", "--minutes", "90", "--seed", "3", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("minutes", ["0", "-3"])
+    def test_minutes_below_1_name_the_flag(self, tmp_path, capsys, minutes):
+        out = tmp_path / "trace.csv"
+        assert run_main(capsys, "generate", "--minutes", minutes, "--out", str(out)) == (
+            1, "", f"error: --minutes must be >= 1, got {minutes}\n")
+        assert not out.exists()
+
     def test_unwritable_path_exits_2(self, tmp_path):
         result = run_cli("generate", "--minutes", "5", "--out", str(tmp_path))
         assert result.returncode == 2
@@ -91,6 +98,20 @@ class TestReplicate:
                          "--seed", "5", "--out-dir", str(tmp_path))
         assert result.returncode == 0
 
+    @pytest.mark.parametrize("source", ["--emulate", "--trace"])
+    def test_minutes_below_1_name_the_flag_before_any_work(self, tmp_path, capsys,
+                                                           monkeypatch, source):
+        def no_work(*args):
+            raise AssertionError("the trace was read or generated")
+        monkeypatch.setattr(emulator, "generate_trace", no_work)
+        monkeypatch.setattr(emulator, "ingest_trace_csv", no_work)
+        argv = [source] + ([str(tmp_path / "trace.csv")] if source == "--trace" else [])
+        out_dir = tmp_path / "reports"
+        assert run_main(capsys, "replicate", *argv, "--minutes", "0", "--runs", "2",
+                        "--out-dir", str(out_dir)) == (
+            1, "", "error: --minutes must be >= 1, got 0\n")
+        assert not out_dir.exists()
+
     def test_requires_a_source(self, tmp_path):
         result = run_cli("replicate", "--runs", "2", "--out-dir", str(tmp_path))
         assert result.returncode == 2
@@ -98,9 +119,10 @@ class TestReplicate:
     def test_overflowing_scores_name_the_model_and_write_no_report(self, tmp_path):
         # Download energies of 1e200 square to inf in the cost scores.
         trace = tmp_path / "trace.csv"
-        write_trace_csv([replace(r, energy_joules=r.energy_joules * 1e200)
-                         if r.phase is Phase.DOWNLOAD else r
-                         for r in generate_trace(120, 4)], trace)
+        records = generate_trace(120, 4)
+        write_trace_csv(replace(records, energy_joules=np.where(
+            records.phase_is(Phase.DOWNLOAD), records.energy_joules * 1e200,
+            records.energy_joules)), trace)
         out_dir = tmp_path / "reports"
         result = run_cli("replicate", "--trace", str(trace), "--runs", "3",
                          "--out-dir", str(out_dir))
@@ -125,11 +147,11 @@ class TestReplicate:
         # Idle energies that alternate exactly fit phi = -1, so the ARIMA
         # forecast fails in every run and persistence does not: 1 score in 10.
         records = generate_trace(360, 4)
-        idle = [i for i, r in enumerate(records) if r.phase is Phase.IDLE]
-        for k, i in enumerate(idle):
-            records[i] = replace(records[i], energy_joules=1.0 + k % 2)
+        idle = np.flatnonzero(records.phase_is(Phase.IDLE))
+        energy = records.energy_joules.copy()
+        energy[idle] = 1.0 + np.arange(idle.size) % 2
         trace = tmp_path / "trace.csv"
-        write_trace_csv(records, trace)
+        write_trace_csv(replace(records, energy_joules=energy), trace)
         out_dir = tmp_path / "reports"
         code, out, err = run_main(capsys, "replicate", "--trace", str(trace), "--runs", "3",
                                   "--out-dir", str(out_dir))
@@ -194,16 +216,6 @@ class TestReplicate:
             assert (struct.pack("<d", got) == struct.pack("<d", want)
                     or got == want == 0.0), (n, list(costs))
 
-    def test_replicate_does_not_import_numpy_ma(self, tmp_path):
-        # np.percentile would import numpy.ma through np.unique.
-        code = ("import sys\n"
-                "from proadapt import cli\n"
-                "rc = cli.main(['replicate', '--emulate', '--runs', '3', '--minutes', '360',"
-                " '--out-dir', sys.argv[1]])\n"
-                "print(rc, 'numpy.ma' in sys.modules, file=sys.stderr)\n")
-        result = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
-                                capture_output=True, text=True)
-        assert result.stderr == "0 False\n"
 
     def test_zero_static_values_accepted(self, tmp_path):
         result = run_cli("replicate", "--emulate", "--minutes", "120", "--runs", "2",
@@ -314,6 +326,28 @@ class TestContracts:
     @pytest.mark.parametrize("args", [("frobnicate",), ("generate",)])
     def test_usage_errors_exit_2(self, args):
         assert run_cli(*args).returncode == 2
+
+    @pytest.mark.parametrize("command", ["generate", "replicate", "monitor --tactics"])
+    def test_command_does_not_import_numpy_ma(self, tmp_path, command):
+        # np.percentile and np.unique would import numpy.ma, a start-up cost.
+        spec, history = write_ramp_fixture(tmp_path)
+        trace, tactics = tmp_path / "trace.csv", tmp_path / "tactics.json"
+        write_trace_csv(generate_trace(120, 4), trace)
+        tactics.write_text(json.dumps([{"name": "t", "mirror": "ontario",
+                                        "static_latency": 3.0, "static_cost": 36.0}]))
+        argv = {"generate": ["generate", "--minutes", "360", "--out", str(tmp_path / "g.csv")],
+                "replicate": ["replicate", "--emulate", "--runs", "3", "--minutes", "360",
+                              "--out-dir", str(tmp_path)],
+                "monitor --tactics": ["monitor", "--spec", str(spec), "--history",
+                                      str(history), "--tactics", str(tactics),
+                                      "--trace", str(trace)]}[command]
+        code = ("import sys\n"
+                "from proadapt import cli\n"
+                "rc = cli.main(sys.argv[1:])\n"
+                "print(rc, 'numpy.ma' in sys.modules, file=sys.stderr)\n")
+        result = subprocess.run([sys.executable, "-c", code, *argv],
+                                capture_output=True, text=True)
+        assert result.stderr == "0 False\n"
 
     def test_closed_stdout_exits_2_quietly(self, tmp_path):
         # About 250 kB of lines, more than a pipe buffers, so the CLI is
@@ -586,9 +620,11 @@ class TestMonitorInputErrors:
         # overflow the ridge solve's weights.
         spec, history = write_ramp_fixture(tmp_path)
         trace = tmp_path / "trace.csv"
-        write_trace_csv([replace(r, energy_joules=energy * (1.0 - 0.001 * (i % 7)))
-                         if r.phase is Phase.DOWNLOAD else r
-                         for i, r in enumerate(generate_trace(120, 4))], trace)
+        records = generate_trace(120, 4)
+        write_trace_csv(replace(records, energy_joules=np.where(
+            records.phase_is(Phase.DOWNLOAD),
+            energy * (1.0 - 0.001 * (np.arange(len(records)) % 7)), records.energy_joules)),
+            trace)
         tactics = tmp_path / "tactics.json"
         tactics.write_text(json.dumps([{"name": "t", "static_latency": 3.0,
                                         "static_cost": 36.0}]))

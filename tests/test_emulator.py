@@ -4,26 +4,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proadapt import (Mirror, Phase, SAMPLE_TACTIC_A, SAMPLE_TACTIC_B, TraceFormatError,
-                      TraceRecord, emulator, fit_mra, generate_trace, ingest_trace_csv,
+from proadapt import (Mirror, Phase, SAMPLE_TACTIC_A, SAMPLE_TACTIC_B, Trace,
+                      TraceFormatError, emulator, fit_mra, generate_trace, ingest_trace_csv,
                       run_cost_impact_simulation, to_idle_series, to_regression_dataset,
                       write_trace_csv)
-from proadapt.emulator import (LAG_WINDOW, LatencyShape, TacticProfile, _downloads_in_order,
-                               _hour_of_day, sample_latency)
-from proadapt.regression import DesignMatrix, ResponseVector
+from proadapt.emulator import LAG_WINDOW, LatencyShape, TacticProfile, sample_latency
+from trace_oracle import (TraceRecord, hour_of_day, records_to_trace,
+                          reference_regression_dataset, same_columns, trace_records)
 
 
 class TestGenerateTrace:
     def test_full_day_record_counts(self):
-        records = generate_trace(1440, seed=42)
-        downloads = [r for r in records if r.phase is Phase.DOWNLOAD]
-        assert len(downloads) >= 1400
-        assert len(downloads) == 3 * 1440
-        assert sum(1 for r in records if r.phase is Phase.IDLE) == 1440
+        trace = generate_trace(1440, seed=42)
+        downloads = np.count_nonzero(trace.phase_is(Phase.DOWNLOAD))
+        assert downloads >= 1400
+        assert downloads == 3 * 1440
+        assert np.count_nonzero(trace.phase_is(Phase.IDLE)) == 1440
+        assert len(trace) == 4 * 1440
 
     def test_deterministic(self):
-        assert generate_trace(120, seed=7) == generate_trace(120, seed=7)
-        assert generate_trace(120, seed=7) != generate_trace(120, seed=8)
+        assert same_columns(generate_trace(120, seed=7), generate_trace(120, seed=7))
+        assert not same_columns(generate_trace(120, seed=7), generate_trace(120, seed=8))
 
     def test_degenerate_config_is_exactly_diurnal(self, monkeypatch):
         # Without noise and spikes a download's latency is its mirror's base
@@ -32,7 +33,8 @@ class TestGenerateTrace:
         monkeypatch.setattr(emulator, "MIRRORS",
                             tuple((mirror, b, 0.0, 0.0) for mirror, b in base.items()))
         monkeypatch.setattr(emulator, "LATENCY_NOISE_SIGMA", 0.0)
-        downloads = [r for r in generate_trace(1440, seed=1) if r.phase is Phase.DOWNLOAD]
+        downloads = [r for r in trace_records(generate_trace(1440, seed=1))
+                     if r.phase is Phase.DOWNLOAD]
         assert len(downloads) == 3 * 1440
         for record in downloads:
             hour = int((record.timestamp % 86400) // 3600)
@@ -42,17 +44,66 @@ class TestGenerateTrace:
                 assert record.latency_seconds == round(1.3 * base[record.mirror], 6)
 
     def test_timestamps_strictly_increase(self):
-        records = generate_trace(90, seed=3)
-        stamps = [r.timestamp for r in records]
+        stamps = generate_trace(90, seed=3).timestamp.tolist()
         assert all(b > a for a, b in zip(stamps, stamps[1:]))
 
     def test_nonnegative_values(self):
-        records = generate_trace(240, seed=9)
-        assert all(r.latency_seconds >= 0 and r.energy_joules >= 0 for r in records)
+        trace = generate_trace(240, seed=9)
+        assert np.all(trace.latency_seconds >= 0) and np.all(trace.energy_joules >= 0)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             generate_trace(0, seed=1)
+
+
+class TestTrace:
+    def columns(self, n=3):
+        return ([1.0 * i for i in range(n)], [0] * n, [1] * n, [0.0] * n, [5.0] * n)
+
+    def test_columns_are_read_only_copies(self):
+        latency = np.array([1.0, 2.0])
+        trace = Trace([0.0, 1.0], [0, 2], [0, 0], latency, [3.0, 4.0])
+        latency[0] = 9.0
+        assert trace.latency_seconds.tolist() == [1.0, 2.0]
+        assert trace.mirror.dtype == trace.phase.dtype == np.int8
+        with pytest.raises(ValueError):
+            trace.latency_seconds[0] = 0.0
+        assert len(trace) == 2
+
+    @pytest.mark.parametrize("index, value, message", [
+        (0, [[0.0, 1.0, 2.0]], "one-dimensional and of equal length"),
+        (3, [0.0, 0.0], "one-dimensional and of equal length"),
+        (1, [0, 3, 0], r"mirror codes must be integers in 0\.\.2"),
+        (2, [0, -1, 0], r"phase codes must be integers in 0\.\.2"),
+        (1, [0.0, 1.0, 0.0], "mirror codes must be integers"),
+        (3, [0.0, -1.0, 0.0], "latency_seconds must be finite and >= 0"),
+        (4, [0.0, np.inf, 0.0], "energy_joules must be finite and >= 0"),
+        (0, [0.0, np.nan, 1.0], "timestamp must be finite")])
+    def test_invalid_columns(self, index, value, message):
+        columns = list(self.columns())
+        columns[index] = value
+        with pytest.raises(ValueError, match=message):
+            Trace(*columns)
+
+    def test_first_failing_record_names_the_error(self):
+        # Record 1 fails its timestamp check, record 2 its latency check.
+        with pytest.raises(ValueError, match="^timestamp must be finite$"):
+            Trace([0.0, np.inf, 2.0], [0] * 3, [0] * 3, [1.0, 1.0, -1.0], [1.0] * 3)
+
+    def test_empty_and_unsorted_traces_are_accepted(self):
+        assert len(Trace([], [], [], [], [])) == 0
+        trace = Trace([5.0, 1.0, 1.0], [2, 1, 0], [0, 1, 2], [1.0, 0.0, 0.5], [1.0] * 3)
+        assert trace.timestamp.tolist() == [5.0, 1.0, 1.0]
+
+    def test_masks_and_select(self):
+        trace = Trace([0.0, 1.0, 2.0, 3.0], [0, 1, 2, 1], [0, 0, 1, 2],
+                      [1.0, 2.0, 0.0, 4.0], [5.0, 6.0, 7.0, 8.0])
+        assert trace.phase_is(Phase.DOWNLOAD).tolist() == [True, True, False, False]
+        assert trace.mirror_is(Mirror.MASSACHUSETTS).tolist() == [False, True, False, True]
+        kept = trace.select(~trace.phase_is(Phase.DOWNLOAD) | trace.mirror_is(Mirror.GERMANY))
+        assert kept.timestamp.tolist() == [0.0, 2.0, 3.0]
+        assert kept.energy_joules.tolist() == [5.0, 7.0, 8.0]
+        assert kept.mirror.tolist() == [0, 2, 1] and kept.phase.tolist() == [0, 1, 2]
 
 
 class TestSampleLatency:
@@ -73,6 +124,19 @@ class TestSampleLatency:
     def test_zero_spread_rejected_at_construction(self):
         with pytest.raises(ValueError):
             TacticProfile("a", 5.0, LatencyShape.NORMAL, 3.0, 0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("mean", math.nan), ("mean", math.inf), ("mean", 0.0), ("mean", -1.0),
+        ("sd", math.nan), ("sd", math.inf), ("sd", 0.0),
+        ("cost_per_unit_latency", math.nan), ("cost_per_unit_latency", math.inf),
+        ("cost_per_unit_latency", -1.0)])
+    def test_non_finite_or_out_of_range_fields_rejected(self, field, value):
+        fields = {"cost_per_unit_latency": 5.0, "mean": 3.0, "sd": 0.5, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            TacticProfile("a", shape=LatencyShape.NORMAL, **fields)
+
+    def test_zero_cost_accepted(self):
+        assert TacticProfile("a", 0.0, LatencyShape.NORMAL, 3.0, 0.5).cost_per_unit_latency == 0
 
     def test_means_converge(self):
         n = 100000
@@ -124,10 +188,10 @@ class TestCostImpactSimulation:
 
 class TestTraceCsv:
     def test_round_trip_is_exact(self, tmp_path):
-        records = generate_trace(30, seed=11)
+        trace = generate_trace(30, seed=11)
         path = tmp_path / "trace.csv"
-        write_trace_csv(records, path)
-        assert ingest_trace_csv(path) == records
+        write_trace_csv(trace, path)
+        assert same_columns(ingest_trace_csv(path), trace)
 
     def test_small_well_formed_file(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -135,9 +199,10 @@ class TestTraceCsv:
                         "1.000000,germany,download,2.000000,24.000000\n"
                         "2.000000,ontario,idle,0.000000,5.000000\n"
                         "3.000000,germany,grep,0.100000,1.000000\n")
-        records = ingest_trace_csv(path)
-        assert len(records) == 3
-        assert records[2].phase is Phase.GREP
+        trace = ingest_trace_csv(path)
+        assert len(trace) == 3
+        assert trace_records(trace)[2].phase is Phase.GREP
+        assert trace.phase.tolist() == [0, 1, 2] and trace.mirror.tolist() == [0, 2, 0]
 
     def test_negative_latency_names_line(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -147,11 +212,11 @@ class TestTraceCsv:
             ingest_trace_csv(path)
 
     def test_crlf_parses_identically(self, tmp_path):
-        records = generate_trace(10, seed=12)
+        trace = generate_trace(10, seed=12)
         lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
-        write_trace_csv(records, lf)
+        write_trace_csv(trace, lf)
         crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
-        assert ingest_trace_csv(crlf) == ingest_trace_csv(lf)
+        assert same_columns(ingest_trace_csv(crlf), ingest_trace_csv(lf))
 
     def test_header_and_field_validation(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -181,9 +246,13 @@ def single_mirror_records(n, latency=lambda i: 2.0 + 0.01 * i):
                         latency(i), 10.0 + 0.1 * i) for i in range(n)]
 
 
+def single_mirror_trace(n, latency=lambda i: 2.0 + 0.01 * i):
+    return records_to_trace(single_mirror_records(n, latency))
+
+
 class TestRegressionDataset:
     def test_single_mirror_row_count_and_intercept(self):
-        X, latency, cost = to_regression_dataset(single_mirror_records(100))
+        X, latency, cost = to_regression_dataset(single_mirror_trace(100))
         assert X.n == 100 - 5
         assert np.all(X.rows[:, 0] == 1.0)
         assert len(latency) == len(cost) == X.n
@@ -197,14 +266,14 @@ class TestRegressionDataset:
         assert X.n == 3 * (60 - 5)
 
     def test_identical_records_degrade_to_ridge_fallback(self):
-        X, latency, _ = to_regression_dataset(single_mirror_records(40, lambda i: 2.0))
+        X, latency, _ = to_regression_dataset(single_mirror_trace(40, lambda i: 2.0))
         model = fit_mra(X, latency)
         assert model.ridge_lambda > 0.0
 
     def test_hour_coordinates_invert_to_timestamp_hour(self):
-        records = generate_trace(600, seed=14)
-        X, _, _ = to_regression_dataset(records)
-        downloads = [r for r in records if r.phase is Phase.DOWNLOAD]
+        trace = generate_trace(600, seed=14)
+        X, _, _ = to_regression_dataset(trace)
+        downloads = [r for r in trace_records(trace) if r.phase is Phase.DOWNLOAD]
         # rows drop the first LAG_WINDOW downloads of each of the 3 mirrors
         kept = [r for r in downloads
                 if sum(1 for q in downloads
@@ -218,36 +287,7 @@ class TestRegressionDataset:
 
     def test_too_few_downloads(self):
         with pytest.raises(ValueError):
-            to_regression_dataset(single_mirror_records(7))
-
-
-def reference_regression_dataset(records):
-    """``to_regression_dataset`` as a per-record loop with a running
-    history per mirror, kept as the oracle of the vectorised version."""
-    downloads = _downloads_in_order(records)
-    if len(downloads) < 8:
-        raise ValueError(f"need at least 8 download records, got {len(downloads)}")
-    present = sorted({r.mirror for r in downloads}, key=lambda m: m.value)
-    dummy_mirrors = present[1:]
-    names = ["intercept", "latency_lag1", "latency_lag2", "latency_mean5",
-             "hour_sin", "hour_cos"] + [f"mirror_{m.value}" for m in dummy_mirrors]
-    history = {m: [] for m in present}
-    rows, latencies, energies = [], [], []
-    for record in downloads:
-        past = history[record.mirror]
-        if len(past) >= LAG_WINDOW:
-            angle = 2.0 * math.pi * _hour_of_day(record.timestamp) / 24.0
-            feature_row = [1.0, past[-1], past[-2], float(np.mean(past[-LAG_WINDOW:])),
-                           math.sin(angle), math.cos(angle)]
-            feature_row += [1.0 if record.mirror is m else 0.0 for m in dummy_mirrors]
-            rows.append(feature_row)
-            latencies.append(record.latency_seconds)
-            energies.append(record.energy_joules)
-        past.append(record.latency_seconds)
-    if not rows:
-        raise ValueError("no download row has a complete lag window")
-    return (DesignMatrix(np.array(rows), tuple(names)), ResponseVector(np.array(latencies)),
-            ResponseVector(np.array(energies)))
+            to_regression_dataset(single_mirror_trace(7))
 
 
 def dataset_outcome(build, records):
@@ -258,9 +298,9 @@ def dataset_outcome(build, records):
     return X.column_names, X.rows, latency.t, energy.t
 
 
-def assert_same_dataset(records):
-    got = dataset_outcome(to_regression_dataset, records)
-    want = dataset_outcome(reference_regression_dataset, records)
+def assert_same_dataset(trace):
+    got = dataset_outcome(to_regression_dataset, trace)
+    want = dataset_outcome(reference_regression_dataset, trace)
     if isinstance(want, str):
         assert got == want
         return
@@ -279,16 +319,17 @@ def download_traces(draw):
     stamps = draw(st.lists(st.sampled_from([-86400.0 * 3 - 1.5, 0.0, 59.9, 3600.0])
                            | st.floats(-1e6, 1e6), min_size=n, max_size=n))
     values = st.floats(0.0, 1e3)
-    return [TraceRecord(stamp, draw(st.sampled_from(mirrors)),
-                        draw(st.sampled_from([Phase.DOWNLOAD] * 4 + [Phase.IDLE])),
-                        draw(values), draw(values)) for stamp in stamps]
+    return records_to_trace([
+        TraceRecord(stamp, draw(st.sampled_from(mirrors)),
+                    draw(st.sampled_from([Phase.DOWNLOAD] * 4 + [Phase.IDLE])),
+                    draw(values), draw(values)) for stamp in stamps])
 
 
 class TestVectorisedRegressionDataset:
     @settings(max_examples=200, deadline=None)
     @given(download_traces())
-    def test_matches_per_record_loop(self, records):
-        assert_same_dataset(records)
+    def test_matches_per_record_loop(self, trace):
+        assert_same_dataset(trace)
 
     @pytest.mark.parametrize("minutes, seed", [(1440, 1), (1440, 2), (97, 3), (300, 4)])
     def test_emulated_traces_match_per_record_loop(self, minutes, seed):
@@ -297,13 +338,13 @@ class TestVectorisedRegressionDataset:
     def test_single_mirror_and_short_mirrors(self):
         rng = np.random.default_rng(8)
         records = single_mirror_records(30, lambda i: float(rng.uniform(0.5, 4.0)))
-        assert_same_dataset(records)
+        assert_same_dataset(records_to_trace(records))
         # Ontario has 3 downloads and Massachusetts exactly LAG_WINDOW: no rows.
         extra = [TraceRecord(5.0 + 60.0 * i, mirror, Phase.DOWNLOAD, 1.0 + i, 2.0)
                  for mirror, count in ((Mirror.ONTARIO, 3), (Mirror.MASSACHUSETTS, 5))
                  for i in range(count)]
-        assert_same_dataset(records + extra)
-        X, _, _ = to_regression_dataset(records + extra)
+        assert_same_dataset(records_to_trace(records + extra))
+        X, _, _ = to_regression_dataset(records_to_trace(records + extra))
         assert X.n == 30 - LAG_WINDOW
         assert X.column_names[-2:] == ("mirror_massachusetts", "mirror_ontario")
         assert not X.rows[:, -2:].any()
@@ -314,28 +355,28 @@ class TestVectorisedRegressionDataset:
         stamps = [-60.0 * k for k in range(8, 0, -1)] + [-1e-300]
         records = [TraceRecord(t, Mirror.GERMANY, Phase.DOWNLOAD, 2.0 + 0.01 * i, 10.0)
                    for i, t in enumerate(stamps)][::-1]
-        assert _hour_of_day(-1e-300) == 0
-        assert_same_dataset(records)
-        X, _, _ = to_regression_dataset(records)
+        assert hour_of_day(-1e-300) == 0
+        assert_same_dataset(records_to_trace(records))
+        X, _, _ = to_regression_dataset(records_to_trace(records))
         hour = [X.column_names.index("hour_sin"), X.column_names.index("hour_cos")]
         assert tuple(X.rows[-1, hour].tolist()) == (0.0, 1.0)
 
 
 class TestIdleSeries:
     def test_filters_to_idle_rows(self):
-        records = generate_trace(45, seed=15)
-        series = to_idle_series(records)
+        trace = generate_trace(45, seed=15)
+        series = to_idle_series(trace)
         assert len(series) == 45
-        idle_energy = [r.energy_joules for r in records if r.phase is Phase.IDLE]
+        idle_energy = [r.energy_joules for r in trace_records(trace) if r.phase is Phase.IDLE]
         np.testing.assert_array_equal(series.values, idle_energy)
 
     def test_no_idle_rows_rejected(self):
         with pytest.raises(ValueError):
-            to_idle_series(single_mirror_records(10))
+            to_idle_series(single_mirror_trace(10))
 
     def test_partition_of_non_grep_records(self):
-        records = generate_trace(30, seed=16)
+        records = trace_records(generate_trace(30, seed=16))
         downloads = sum(1 for r in records if r.phase is Phase.DOWNLOAD)
-        idle = len(to_idle_series(records))
+        idle = len(to_idle_series(records_to_trace(records)))
         non_grep = sum(1 for r in records if r.phase is not Phase.GREP)
         assert downloads + idle == non_grep

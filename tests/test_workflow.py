@@ -134,8 +134,8 @@ class TestEstimates:
         assert (priced.predicted_latency, priced.predicted_cost) == (0.0, 0.0)
 
     def test_peak_hour_beats_off_peak_for_same_lags(self):
-        records = generate_trace(1440, seed=20)
-        X, latency, energy = to_regression_dataset(records)
+        trace = generate_trace(1440, seed=20)
+        X, latency, energy = to_regression_dataset(trace)
         latency_model = fit_mra(X, latency)
         cost_model = fit_mra(X, energy)
         tactic = Tactic("download", 3.0, 30.0)
