@@ -2,7 +2,9 @@
 
 Trains the least-squares model on emulated download records, inspects
 what it learned, and runs the randomized 90/10 comparison against the
-Bayesian ridge and the two volatility-unaware baselines.
+Bayesian ridge and the two volatility-unaware baselines. The comparison
+returns one (runs, models) grid of rmse and mae scores; ``summarize``
+reduces its columns and counts the runs where one model beat another.
 """
 
 from proadapt import (generate_trace, run_predictor_experiments, summarize,
@@ -16,9 +18,9 @@ print(f"features: {', '.join(X.column_names)}")
 for label, response, static in (("latency (s)", latency, 2.5),
                                 ("energy (J)", energy, 30.0)):
     print(f"\n=== {label}, 50 randomized 90/10 experiments ===")
-    reports = run_predictor_experiments(X, response, n_runs=50, seed=42,
-                                        static_value=static)
-    summary = summarize(reports)
+    grid = run_predictor_experiments(X, response, n_runs=50, seed=42,
+                                     static_value=static)
+    summary = summarize(grid)
     for name in ("mra", "brr", "baseline_mean", "baseline_static"):
         agg = summary.models[name]
         print(f"  {name:<16} mean rmse {agg.mean_rmse:8.4f}   "

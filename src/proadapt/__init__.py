@@ -22,7 +22,7 @@ _EXPORTS = {
                  "Trace", "generate_trace", "ingest_trace_csv",
                  "run_cost_impact_simulation", "to_idle_series", "to_regression_dataset",
                  "write_trace_csv"),
-    "metrics": ("ExperimentReport", "Summary", "rmse", "run_forecast_experiments",
+    "metrics": ("Reports", "Summary", "rmse", "run_forecast_experiments",
                 "run_predictor_experiments", "summarize"),
     "regression": ("DesignMatrix", "RegressionModel", "ResponseVector", "fit_mra"),
     "types": ("Direction", "SlaSpec", "Tactic", "TimeSeries", "UtilityParams",

@@ -29,7 +29,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -38,7 +37,7 @@ import numpy as np
 from .types import Direction, SlaSpec, Tactic, TimeSeries, order_specs_by_reward, subseed
 
 if TYPE_CHECKING:
-    from .metrics import ExperimentReport, Summary
+    from .metrics import Summary
     from .workflow import TacticEstimate, TickBlock
 
 DEFAULT_SEED = 42
@@ -83,12 +82,6 @@ def _percentile_99(values: np.ndarray) -> float:
     a, b = float(ordered[below]), float(ordered[min(below + 1, ordered.size - 1)])
     t = index - below
     return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
-
-
-def _rename(reports: Sequence[ExperimentReport], mapping: dict[str, str]
-            ) -> list[ExperimentReport]:
-    return [replace(r, model_name=mapping[r.model_name])
-            for r in reports if r.model_name in mapping]
 
 
 def __getattr__(name: str):
@@ -171,14 +164,14 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     for tactic, costs in ((SAMPLE_TACTIC_A, impact.overall_costs_a),
                           (SAMPLE_TACTIC_B, impact.overall_costs_b)):
         rq1_lines += [f"{i},{tactic.name},{c:.17g}" for i, c in enumerate(costs)]
-    rq3 = (_rename(latency_reports, {MRA_MODEL: "mra_latency", BRR_MODEL: "brr_latency"})
-           + _rename(cost_reports, {MRA_MODEL: "mra_cost", BRR_MODEL: "brr_cost"}))
-    rq4 = [r for r in latency_reports
-           if r.model_name in (MRA_MODEL, MEAN_BASELINE, STATIC_BASELINE)]
+    rq3 = (latency_reports.select({MRA_MODEL: "mra_latency", BRR_MODEL: "brr_latency"}),
+           cost_reports.select({MRA_MODEL: "mra_cost", BRR_MODEL: "brr_cost"}))
+    rq4 = latency_reports.select({name: name for name in
+                                  (MRA_MODEL, MEAN_BASELINE, STATIC_BASELINE)})
     _write_report_set(Path(args.out_dir), {
         "rq1.csv": "\n".join(rq1_lines) + "\n",
         "rq2.csv": reports_to_csv_text(forecast_reports),
-        "rq3.csv": reports_to_csv_text(rq3),
+        "rq3.csv": reports_to_csv_text(*rq3),
         "rq4.csv": reports_to_csv_text(rq4),
     })
 
@@ -214,15 +207,15 @@ def cmd_replicate(args: argparse.Namespace) -> int:
               f"{s_lat.comparisons[(MRA_MODEL, baseline)]} runs")
 
     # More than 10% failed scores fail the command; the reports stay written.
-    all_reports = forecast_reports + latency_reports + cost_reports
-    failed = sum(1 for r in all_reports if r.error is not None)
-    if failed > 0.1 * len(all_reports):
-        print(f"error: {failed} of {len(all_reports)} run/model scores failed, "
-              f"more than 10%", file=sys.stderr)
+    grids = (forecast_reports, latency_reports, cost_reports)
+    failed = sum(len(grid.errors) for grid in grids)
+    cells = sum(grid.rmse.size for grid in grids)
+    if failed > 0.1 * cells:
+        print(f"error: {failed} of {cells} run/model scores failed, more than 10%",
+              file=sys.stderr)
         return 1
     if failed:
-        print(f"warning: {failed} of {len(all_reports)} run/model scores failed",
-              file=sys.stderr)
+        print(f"warning: {failed} of {cells} run/model scores failed", file=sys.stderr)
     return 0
 
 

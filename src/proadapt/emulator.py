@@ -33,6 +33,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -195,6 +196,12 @@ class TacticProfile:
     sd: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.shape, LatencyShape):
+            raise TypeError(f"shape must be a LatencyShape, got {self.shape!r}")
+        for name in ("mean", "sd", "cost_per_unit_latency"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
         if not (math.isfinite(self.mean) and self.mean > 0):
             raise ValueError(f"mean must be finite and > 0, got {self.mean!r}")
         if not (math.isfinite(self.sd) and self.sd > 0):

@@ -11,8 +11,10 @@ points through a time series would leak future values into training;
 regression rows carry no such ordering, so predictor splits sample rows
 uniformly. Each run draws its own seed from the master seed through
 ``types.subseed``, so runs are reorder-independent and the whole harness
-is byte-deterministic. A failed run is recorded on its report instead of
-aborting the batch; a score that overflows raises ``ValueError`` naming
+is byte-deterministic. Each harness call returns one ``Reports`` grid:
+read-only (runs, models) rmse and mae arrays, with the message of each
+failed run and model in ``errors`` and NaN in its cell, so a failure does
+not abort the batch; a score that overflows raises ``ValueError`` naming
 the run and model.
 
 Forecast runs keep one seeded split per run and one ``fit_arima_windows``
@@ -24,7 +26,10 @@ array and every run's forecast comes from ``arima.forecast_paths``.
 Both harnesses score through ``_reports``: a pass's residuals form one
 contiguous (models, runs, n) array, and each rmse and mae is a row
 reduction of it, the score a per-run harness computes with ``rmse`` and
-``mae``, bit for bit.
+``mae``, bit for bit. The passes' rows are stacked into the grid, whose
+constructor checks every cell at once. ``Reports.select`` keeps and renames
+columns, ``summarize`` reduces columns and counts wins from masks, and
+``reports_to_csv_text`` writes the scored cells.
 
 Predictor runs are fitted from downdated sufficient statistics (Golub &
 Van Loan, Matrix Computations 6.5, 12.5). G = X'X, X't and t't of the
@@ -43,16 +48,19 @@ passes regathers the held-out rows and scores the predictions. Each run's
 arithmetic is independent of the runs that share its batch or pass, so the
 budget changes no bit of the reports, and no array grows with runs x N.
 
-Report CSV format: header ``run,model,rmse,mae,train_fraction,seed``, one
-row per scored run/model pair, reals at 17 significant digits, UTF-8, LF
-line endings. Errored runs carry no scores and are omitted from the CSV.
+Report CSV format: header ``run,model,rmse,mae,train_fraction,seed``, then
+one row per scored cell of each grid in turn, run by run and, within a
+run, in the grid's model order; reals at 17 significant digits, UTF-8, LF
+line endings. Errored cells carry no scores and are omitted from the CSV.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+import numbers
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,8 +70,8 @@ from .regression import (DesignMatrix, ResponseVector, baseline_mean, fit_bayesi
 from .types import TimeSeries, subseed
 
 __all__ = [
-    "ScorePair",
-    "ExperimentReport",
+    "Cell",
+    "Reports",
     "ModelAggregate",
     "Summary",
     "rmse",
@@ -111,69 +119,120 @@ def mae(predicted: Sequence[float], actual: Sequence[float]) -> float:
     return float(np.mean(np.abs(errors)))
 
 
-@dataclass(frozen=True)
-class ScorePair:
-    rmse: float
-    mae: float
+class Cell(NamedTuple):
+    """One model's scores on one run, as ``Reports`` yields them; an errored
+    cell has no scores (``rmse`` and ``mae`` are None) and its ``error``."""
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.rmse) and math.isfinite(self.mae)):
-            raise ValueError("scores must be finite")
-        if self.mae < 0 or self.rmse < self.mae - 1e-12 * max(1.0, self.mae):
-            raise ValueError("expected rmse >= mae >= 0")
-
-
-@dataclass(frozen=True)
-class ExperimentReport:
-    """One model's scores for one randomized run; ``error`` is set (and
-    ``scores`` is None) when the run failed for this model."""
-
-    run_index: int
-    model_name: str
-    scores: ScorePair | None
+    run: int
+    model: str
+    rmse: float | None
+    mae: float | None
     train_fraction: float
     seed: int
-    error: str | None = None
+    error: str | None
+
+
+@dataclass(frozen=True, eq=False)
+class Reports:
+    """The scores of one harness call as a (runs, models) grid.
+
+    ``models`` names the columns in their within-run order and ``seeds``
+    holds each run's seed. ``rmse`` and ``mae`` are read-only float arrays of
+    shape (runs, models), NaN exactly at the cells that ``errors`` maps
+    (model, run) to the message of their failure; every other cell is
+    finite with rmse >= mae >= 0. Iterating a grid yields one ``Cell`` per
+    cell, in run order and, within a run, in ``models`` order.
+    """
+
+    models: tuple[str, ...]
+    seeds: tuple[int, ...]
+    rmse: np.ndarray
+    mae: np.ndarray
+    train_fraction: float
+    errors: Mapping[tuple[str, int], str]
 
     def __post_init__(self) -> None:
-        if self.run_index < 0:
-            raise ValueError("run_index must be >= 0")
         _check_train_fraction(self.train_fraction)
-        if (self.scores is None) == (self.error is None):
-            raise ValueError("exactly one of scores and error must be set")
+        models, seeds = tuple(self.models), tuple(self.seeds)
+        if len(set(models)) != len(models):
+            raise ValueError(f"model names must be distinct, got {models}")
+        shape = (len(seeds), len(models))
+        rmse, mae = (np.array(scores, dtype=float) for scores in (self.rmse, self.mae))
+        if rmse.shape != shape or mae.shape != shape:
+            raise ValueError(f"rmse and mae must have shape (runs, models) = {shape}, "
+                             f"got {rmse.shape} and {mae.shape}")
+        failed = np.zeros(shape, dtype=bool)
+        column = {model: k for k, model in enumerate(models)}
+        for model, run in self.errors:
+            if model not in column or not 0 <= run < len(seeds):
+                raise ValueError(f"error of model {model!r} on run {run} is outside the grid")
+            failed[run, column[model]] = True
+        if not np.isnan(rmse[failed]).all() or not np.isnan(mae[failed]).all():
+            raise ValueError("an errored cell must have NaN scores")
+        scored_rmse, scored_mae = rmse[~failed], mae[~failed]
+        if not (np.isfinite(scored_rmse).all() and np.isfinite(scored_mae).all()):
+            raise ValueError("scores must be finite")
+        if (scored_mae < 0).any() or (
+                scored_rmse < scored_mae - 1e-12 * np.maximum(1.0, scored_mae)).any():
+            raise ValueError("expected rmse >= mae >= 0")
+        rmse.flags.writeable = mae.flags.writeable = False
+        for name, value in (("models", models), ("seeds", seeds), ("rmse", rmse),
+                            ("mae", mae), ("errors", MappingProxyType(dict(self.errors)))):
+            object.__setattr__(self, name, value)
+
+    def __iter__(self) -> Iterator[Cell]:
+        for run, seed in enumerate(self.seeds):
+            for k, model in enumerate(self.models):
+                error = self.errors.get((model, run))
+                scores = (None, None) if error is not None else \
+                    (float(self.rmse[run, k]), float(self.mae[run, k]))
+                yield Cell(run, model, *scores, self.train_fraction, seed, error)
+
+    def select(self, names: Mapping[str, str]) -> Reports:
+        """The columns of the models that ``names`` maps, renamed to their
+        values and kept in their order here."""
+        keep = [k for k, model in enumerate(self.models) if model in names]
+        return Reports(tuple(names[self.models[k]] for k in keep), self.seeds,
+                       self.rmse[:, keep], self.mae[:, keep], self.train_fraction,
+                       {(names[model], run): error
+                        for (model, run), error in self.errors.items() if model in names})
 
 
 def _reports(runs: range, models: Sequence[str], residuals: np.ndarray,
-             errors: Mapping[tuple[str, int], str], seeds: Sequence[int],
-             train_fraction: float) -> list[ExperimentReport]:
-    """Reports of ``runs`` in run order and, within a run, in ``models``
-    order, scored from (and overwriting) their contiguous (models, runs, n)
-    ``residuals``; ``errors[model, run]`` replaces the scores of ``model`` on
-    ``run``. Each score reduces one contiguous row, so it sums
-    exactly as ``rmse``/``mae`` on that run alone. A score that overflowed
-    raises ``ValueError`` naming the run and model."""
+             errors: Mapping[tuple[str, int], str]) -> tuple[np.ndarray, np.ndarray]:
+    """The (runs, models) rmse and mae rows of ``runs``, scored from (and
+    overwriting) their contiguous (models, runs, n) ``residuals``; a cell
+    that ``errors`` maps (model, run) is NaN. Each score reduces one
+    contiguous row, so it sums exactly as ``rmse``/``mae`` on that run
+    alone. A score that overflowed raises ``ValueError`` naming the first
+    such run and, within it, model."""
     with np.errstate(over="ignore", invalid="ignore"):
         # In place, since |e|^2 == e^2 bit for bit.
-        maes = np.mean(np.abs(residuals, out=residuals), axis=-1).tolist()
-        rmses = np.sqrt(np.mean(np.square(residuals, out=residuals), axis=-1)).tolist()
-    reports: list[ExperimentReport] = []
-    for i, run in enumerate(runs):
-        for k, model in enumerate(models):
-            error, scores = errors.get((model, run)), None
-            if error is None:
-                rmse_value, mae_value = rmses[k][i], maes[k][i]
-                if not (math.isfinite(rmse_value) and math.isfinite(mae_value)):
-                    raise ValueError(f"run {run}, model {model!r}: scores overflow "
-                                     f"(rmse={rmse_value!r}, mae={mae_value!r})")
-                scores = ScorePair(rmse_value, mae_value)
-            reports.append(ExperimentReport(run, model, scores, train_fraction,
-                                            seeds[run], error=error))
-    return reports
+        maes = np.mean(np.abs(residuals, out=residuals), axis=-1).T
+        rmses = np.sqrt(np.mean(np.square(residuals, out=residuals), axis=-1)).T
+    failed = np.zeros(rmses.shape, dtype=bool)
+    for model, run in errors:
+        if run in runs:
+            failed[run - runs.start, models.index(model)] = True
+    maes[failed] = rmses[failed] = np.nan
+    overflow = ~failed & ~(np.isfinite(rmses) & np.isfinite(maes))
+    if overflow.any():
+        i, k = np.argwhere(overflow)[0].tolist()
+        raise ValueError(f"run {runs[i]}, model {models[k]!r}: scores overflow "
+                         f"(rmse={float(rmses[i, k])!r}, mae={float(maes[i, k])!r})")
+    return rmses, maes
 
 
 def _check_train_fraction(train_fraction: float) -> None:
     if not 0.0 < train_fraction < 1.0:  # False for NaN
         raise ValueError("train_fraction must lie in (0, 1)")
+
+
+def _check_runs(n_runs: int) -> None:
+    if isinstance(n_runs, bool) or not isinstance(n_runs, numbers.Integral):
+        raise TypeError(f"n_runs must be an integer, got {n_runs!r}")
+    if n_runs < 1:
+        raise ValueError("n_runs must be >= 1")
 
 
 def _test_length(n: int, train_fraction: float) -> int:
@@ -190,7 +249,7 @@ def _test_length(n: int, train_fraction: float) -> int:
 
 
 def run_forecast_experiments(series: TimeSeries, n_runs: int, seed: int,
-                             train_fraction: float = 0.9) -> list[ExperimentReport]:
+                             train_fraction: float = 0.9) -> Reports:
     """Seeded forecast comparison: ARIMA(1,1,0) vs the persistence reference.
 
     Each run cuts a contiguous test window of round((1 - train_fraction) * n)
@@ -200,40 +259,42 @@ def run_forecast_experiments(series: TimeSeries, n_runs: int, seed: int,
     it. Failures are recorded per run and model. Runs go through the
     forecast and the scores ``FORECAST_CELLS`` forecast values at a time.
     """
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
+    _check_runs(n_runs)
+    _check_train_fraction(train_fraction)
     seeds = [subseed(seed, run) for run in range(n_runs)]
+    models = (PERSISTENCE_MODEL, FORECAST_MODEL)
     try:
         test_len = _test_length(len(series), train_fraction)
     except ValueError as exc:
-        return [ExperimentReport(run, model, None, train_fraction, run_seed, error=str(exc))
-                for run, run_seed in enumerate(seeds)
-                for model in (FORECAST_MODEL, PERSISTENCE_MODEL)]
+        failed = np.full((n_runs, len(models)), np.nan)
+        return Reports(models, seeds, failed, failed, train_fraction,
+                       {(model, run): str(exc) for run in range(n_runs) for model in models})
     last_start = len(series) - test_len
     starts = [int(np.random.default_rng(run_seed).integers(MIN_TRAIN_POINTS, last_start + 1))
               for run_seed in seeds]
     size = max(1, FORECAST_CELLS // test_len)
-    reports: list[ExperimentReport] = []
-    for lo in range(0, n_runs, size):
-        runs = range(lo, min(lo + size, n_runs))
-        reports += _forecast_pass(series, starts[lo:runs.stop], runs, seeds, test_len,
-                                  train_fraction)
-    return reports
+    errors: dict[tuple[str, int], str] = {}
+    rows = [_forecast_pass(series, starts[lo:lo + size], range(lo, min(lo + size, n_runs)),
+                           test_len, errors)
+            for lo in range(0, n_runs, size)]
+    rmse_rows, mae_rows = zip(*rows)
+    return Reports(models, seeds, np.concatenate(rmse_rows), np.concatenate(mae_rows),
+                   train_fraction, errors)
 
 
-def _forecast_pass(series: TimeSeries, starts: Sequence[int], runs: range,
-                   seeds: Sequence[int], test_len: int,
-                   train_fraction: float) -> list[ExperimentReport]:
-    """Reports of the forecast ``runs``, whose test windows begin at
-    ``starts``, in run order and, within a run, persistence before arima."""
+def _forecast_pass(series: TimeSeries, starts: Sequence[int], runs: range, test_len: int,
+                   errors: dict[tuple[str, int], str]) -> tuple[np.ndarray, np.ndarray]:
+    """The rmse and mae rows of the forecast ``runs``, whose test windows
+    begin at ``starts``, persistence before arima; adds the runs' failures
+    to ``errors``."""
     fits = {}  # (phi, c, error) by start, so runs that draw one start share its fit
     for start in dict.fromkeys(starts):
         phi, c, _, (error,) = fit_arima_windows(series, start, [0])
         # phi = c = 0 on a failed fit: a finite (flat) forecast.
         fits[start] = (0.0, 0.0, str(error)) if error else (phi[0], c[0], None)
     phi, c, fit_errors = zip(*(fits[start] for start in starts))
-    errors = {(FORECAST_MODEL, run): error for run, error in zip(runs, fit_errors)
-              if error is not None}
+    errors.update(((FORECAST_MODEL, run), error) for run, error in zip(runs, fit_errors)
+                  if error is not None)
     values = series.values
     first = np.array(starts)
     actual = values[first[:, None] + np.arange(test_len)]
@@ -245,24 +306,26 @@ def _forecast_pass(series: TimeSeries, starts: Sequence[int], runs: range,
     with np.errstate(over="ignore", invalid="ignore"):
         np.subtract(last[:, None], actual, out=residuals[0])
         np.subtract(predicted.T, actual, out=residuals[1])
-    return _reports(runs, (PERSISTENCE_MODEL, FORECAST_MODEL), residuals, errors, seeds,
-                    train_fraction)
+    return _reports(runs, (PERSISTENCE_MODEL, FORECAST_MODEL), residuals, errors)
 
 
 def run_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: int,
                               seed: int, static_value: float,
-                              train_fraction: float = 0.9) -> list[ExperimentReport]:
+                              train_fraction: float = 0.9) -> Reports:
     """Seeded predictor comparison on random 90/10 row splits.
 
     Scores the least-squares fit, the Bayesian ridge, the running mean of
     the training responses, and the caller's design-time ``static_value``
-    on each held-out row set. Runs are fitted from downdated statistics in
-    batches of up to ``PREDICTOR_CELLS`` held-out rows (see the module
-    docstring).
+    (a finite real) on each held-out row set. Runs are fitted from
+    downdated statistics in batches of up to ``PREDICTOR_CELLS`` held-out
+    rows (see the module docstring).
     """
     _check_train_fraction(train_fraction)
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
+    _check_runs(n_runs)
+    if isinstance(static_value, bool) or not isinstance(static_value, numbers.Real):
+        raise TypeError(f"static_value must be a real number, got {static_value!r}")
+    if not math.isfinite(static_value):
+        raise ValueError(f"static_value must be finite, got {static_value!r}")
     if X.n < 40:
         raise ValueError(f"need at least 40 observations, got {X.n}")
     if X.n != len(t):
@@ -274,12 +337,15 @@ def run_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: int,
     seeds = [subseed(seed, run) for run in range(n_runs)]
     n_test = max(1, int(round((1.0 - train_fraction) * X.n)))
     size = max(1, PREDICTOR_CELLS // n_test)
-    reports: list[ExperimentReport] = []
+    errors: dict[tuple[str, int], str] = {}
+    rows: list[tuple[np.ndarray, np.ndarray]] = []
     for start in range(0, n_runs, size):
         runs = range(start, min(start + size, n_runs))
-        reports += _predictor_batch(X, t, augmented, totals, runs, seeds, n_test,
-                                    static_value, train_fraction)
-    return reports
+        rows += _predictor_batch(X, t, augmented, totals, runs, seeds, n_test,
+                                 float(static_value), errors)
+    rmse_rows, mae_rows = zip(*rows)
+    return Reports(PREDICTOR_MODELS, seeds, np.concatenate(rmse_rows),
+                   np.concatenate(mae_rows), train_fraction, errors)
 
 
 def _permutation(run_seed: int, n: int) -> np.ndarray:
@@ -289,9 +355,11 @@ def _permutation(run_seed: int, n: int) -> np.ndarray:
 
 def _predictor_batch(X: DesignMatrix, t: ResponseVector, augmented: np.ndarray,
                      totals: np.ndarray, runs: range, seeds: Sequence[int], n_test: int,
-                     static_value: float, train_fraction: float) -> list[ExperimentReport]:
-    """Reports of a fit batch of predictor runs, in run order and, within a
-    run, in the order baseline_mean, baseline_static, mra, brr."""
+                     static_value: float, errors: dict[tuple[str, int], str]
+                     ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The rmse and mae rows of a fit batch of predictor runs, one pair per
+    gather pass, in the order of ``PREDICTOR_MODELS``; adds the runs'
+    failures to ``errors``."""
     step = max(1, PREDICTOR_CELLS // (n_test * augmented.shape[1]))
     passes = [slice(lo, min(lo + step, len(runs))) for lo in range(0, len(runs), step)]
     test_idx = np.empty((len(runs), n_test), dtype=np.intp)
@@ -310,7 +378,6 @@ def _predictor_batch(X: DesignMatrix, t: ResponseVector, augmented: np.ndarray,
     mra, mra_ok, brr, brr_ok = fit_gram_batch(stats[:, :-1, :-1], stats[:, :-1, -1],
                                               stats[:, -1, -1], X.n - n_test)
     weights = np.stack([mra, brr])
-    errors: dict[tuple[str, int], str] = {}
     for k, (name, trusted, fit) in enumerate(((MRA_MODEL, mra_ok, fit_mra),
                                               (BRR_MODEL, brr_ok, fit_bayesian_ridge))):
         for i in np.flatnonzero(~trusted).tolist():
@@ -325,24 +392,22 @@ def _predictor_batch(X: DesignMatrix, t: ResponseVector, augmented: np.ndarray,
                 weights[k, i] = model.weights
 
     # Regather each pass's held-out rows and score every model on them.
-    reports: list[ExperimentReport] = []
+    rows = []
     for span in passes:
         held_out = augmented[test_idx[span]]
         test_rows, actual = held_out[..., :-1], held_out[..., -1]
         residuals = np.empty((4,) + actual.shape)
         with np.errstate(over="ignore", invalid="ignore"):
             np.subtract(means[span, None], actual, out=residuals[0])
-            np.subtract(float(static_value), actual, out=residuals[1])
+            np.subtract(static_value, actual, out=residuals[1])
             predicted = residuals[2:]
             np.matmul(test_rows, weights[:, span, :, None], out=predicted[..., None])
             np.subtract(np.maximum(0.0, predicted, out=predicted), actual, out=predicted)
-        reports += _reports(runs[span], PREDICTOR_MODELS, residuals, errors, seeds,
-                            train_fraction)
-    return reports
+        rows.append(_reports(runs[span], PREDICTOR_MODELS, residuals, errors))
+    return rows
 
 
-@dataclass(frozen=True)
-class ModelAggregate:
+class ModelAggregate(NamedTuple):
     runs: int
     errors: int
     mean_rmse: float
@@ -353,8 +418,7 @@ class ModelAggregate:
     max_mae: float
 
 
-@dataclass(frozen=True)
-class Summary:
+class Summary(NamedTuple):
     """Per-model aggregates plus pairwise win counts.
 
     ``wins[(a, b)]`` counts the runs where both models scored and model
@@ -362,56 +426,54 @@ class Summary:
     is the number of runs where both scored.
     """
 
-    models: Mapping[str, ModelAggregate] = field(default_factory=dict)
-    wins: Mapping[tuple[str, str], int] = field(default_factory=dict)
-    comparisons: Mapping[tuple[str, str], int] = field(default_factory=dict)
+    models: Mapping[str, ModelAggregate]
+    wins: Mapping[tuple[str, str], int]
+    comparisons: Mapping[tuple[str, str], int]
 
 
-def summarize(reports: Sequence[ExperimentReport]) -> Summary:
-    """Aggregate scores by model name and count pairwise rmse wins."""
-    if not reports:
+def summarize(reports: Reports) -> Summary:
+    """Aggregate each model's scored runs, in run order, and count pairwise
+    rmse wins; models are keyed in name order."""
+    if not reports.rmse.size:
         raise ValueError("no reports to summarize")
-    names = sorted({r.model_name for r in reports})
-    scored: dict[str, dict[int, ScorePair]] = {name: {} for name in names}
-    errors = {name: 0 for name in names}
-    for report in reports:
-        if report.scores is None:
-            errors[report.model_name] += 1
-        else:
-            scored[report.model_name][report.run_index] = report.scores
+    scored = ~np.isnan(reports.rmse)
+    # (runs, a, b): both scored, and a's rmse strictly below b's.
+    both = scored[:, :, None] & scored[:, None, :]
+    comparisons = np.count_nonzero(both, axis=0).tolist()
+    wins = np.count_nonzero(both & (reports.rmse[:, :, None] < reports.rmse[:, None, :]),
+                            axis=0).tolist()
+    column = {name: k for k, name in enumerate(reports.models)}
+    names = sorted(column)
     models = {}
     for name in names:
-        pairs = scored[name]
-        if pairs:
-            rmses = [p.rmse for p in pairs.values()]
-            maes = [p.mae for p in pairs.values()]
+        k = column[name]
+        keep = scored[:, k]
+        rmses, maes = reports.rmse[keep, k], reports.mae[keep, k]
+        if rmses.size:
             models[name] = ModelAggregate(
-                runs=len(pairs), errors=errors[name],
-                mean_rmse=float(np.mean(rmses)), min_rmse=min(rmses), max_rmse=max(rmses),
-                mean_mae=float(np.mean(maes)), min_mae=min(maes), max_mae=max(maes),
+                runs=rmses.size, errors=keep.size - rmses.size,
+                mean_rmse=float(np.mean(rmses)), min_rmse=float(rmses.min()),
+                max_rmse=float(rmses.max()), mean_mae=float(np.mean(maes)),
+                min_mae=float(maes.min()), max_mae=float(maes.max()),
             )
         else:
             nan = float("nan")
-            models[name] = ModelAggregate(0, errors[name], nan, nan, nan, nan, nan, nan)
-    wins: dict[tuple[str, str], int] = {}
-    comparisons: dict[tuple[str, str], int] = {}
-    for a in names:
-        for b in names:
-            if a == b:
-                continue
-            shared = scored[a].keys() & scored[b].keys()
-            comparisons[(a, b)] = len(shared)
-            wins[(a, b)] = sum(1 for run in shared
-                               if scored[a][run].rmse < scored[b][run].rmse)
-    return Summary(models=models, wins=wins, comparisons=comparisons)
+            models[name] = ModelAggregate(0, keep.size, nan, nan, nan, nan, nan, nan)
+    pairs = [(a, b) for a in names for b in names if a != b]
+    return Summary(models=models,
+                   wins={(a, b): wins[column[a]][column[b]] for a, b in pairs},
+                   comparisons={(a, b): comparisons[column[a]][column[b]] for a, b in pairs})
 
 
-def reports_to_csv_text(reports: Sequence[ExperimentReport]) -> str:
-    """Render scored reports in the fixed CSV format (LF, 17 significant digits)."""
+def reports_to_csv_text(*grids: Reports) -> str:
+    """Render the scored cells of ``grids``, one grid after another and each
+    in run order, in the fixed CSV format (LF, 17 significant digits)."""
     lines = ["run,model,rmse,mae,train_fraction,seed"]
-    for r in reports:
-        if r.scores is None:
-            continue
-        lines.append(f"{r.run_index},{r.model_name},{r.scores.rmse:.17g},"
-                     f"{r.scores.mae:.17g},{r.train_fraction:.17g},{r.seed}")
+    for grid in grids:
+        runs, columns = (cells.tolist() for cells in np.nonzero(~np.isnan(grid.rmse)))
+        row = f"%d,%s,%.17g,%.17g,{grid.train_fraction:.17g},%d"
+        lines += [row % cell for cell in zip(runs, [grid.models[k] for k in columns],
+                                             grid.rmse[runs, columns].tolist(),
+                                             grid.mae[runs, columns].tolist(),
+                                             [grid.seeds[run] for run in runs])]
     return "\n".join(lines) + "\n"

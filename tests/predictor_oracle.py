@@ -6,7 +6,8 @@ downdated Gram statistics: every run builds its training rows, fits the
 least-squares model with ``fit_mra`` on them, fits the Bayesian ridge with
 one linear solve per evidence iteration (the iteration below is the one
 ``fit_bayesian_ridge`` ran then) and scores each model with ``rmse`` and
-``mae`` on its own held-out rows.
+``mae`` on its own held-out rows. It builds one ``report_oracle.Row`` per
+run and model.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ import math
 
 import numpy as np
 
-from proadapt.metrics import (BRR_MODEL, MEAN_BASELINE, MRA_MODEL, STATIC_BASELINE,
-                              ExperimentReport, ScorePair, mae, rmse)
+from proadapt.metrics import BRR_MODEL, MEAN_BASELINE, MRA_MODEL, STATIC_BASELINE, mae, rmse
 from proadapt.regression import (DesignMatrix, RegressionModel, ResponseVector,
                                  baseline_mean, error_function, fit_mra)
 from proadapt.types import subseed
+from report_oracle import Row
 
 
 def reference_bayesian_ridge(X: DesignMatrix, t: ResponseVector, alpha0: float = 1.0,
@@ -46,26 +47,29 @@ def reference_bayesian_ridge(X: DesignMatrix, t: ResponseVector, alpha0: float =
                            training_error=error_function(X, t, tuple(mean)))
 
 
-def _score(predicted, actual, run: int, model: str) -> ScorePair:
+def _score(predicted, actual, run: int, model: str) -> tuple[float, float]:
     with np.errstate(over="ignore", invalid="ignore"):
         scores = rmse(predicted, actual), mae(predicted, actual)
     if not all(math.isfinite(score) for score in scores):
         raise ValueError(f"run {run}, model {model!r}: scores overflow "
                          f"(rmse={scores[0]!r}, mae={scores[1]!r})")
-    return ScorePair(*scores)
+    return scores
 
 
 def reference_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: int,
                                     seed: int, static_value: float,
-                                    train_fraction: float = 0.9) -> list[ExperimentReport]:
-    """The per-run harness; same arguments and reports as the library's."""
+                                    train_fraction: float = 0.9) -> list[Row]:
+    """The per-run harness; same arguments as the library's, and its
+    reports as rows."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError("train_fraction must lie in (0, 1)")
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     if X.n < 40:
         raise ValueError(f"need at least 40 observations, got {X.n}")
     if X.n != len(t):
         raise ValueError("design matrix and responses disagree on length")
-    reports: list[ExperimentReport] = []
+    rows: list[Row] = []
     for run in range(n_runs):
         run_seed = subseed(seed, run)
         rng = np.random.default_rng(run_seed)
@@ -83,7 +87,7 @@ def reference_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: 
         }
         for name, value in constants.items():
             scores = _score(np.full(n_test, value), actual, run, name)
-            reports.append(ExperimentReport(run, name, scores, train_fraction, run_seed))
+            rows.append(Row(run, name, *scores, train_fraction, run_seed))
         fits = {
             MRA_MODEL: lambda: fit_mra(train_X, train_t),
             BRR_MODEL: lambda: reference_bayesian_ridge(train_X, train_t),
@@ -92,10 +96,9 @@ def reference_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: 
             try:
                 weights = np.asarray(fit().weights)
             except ValueError as exc:
-                reports.append(ExperimentReport(run, name, None, train_fraction,
-                                                run_seed, error=str(exc)))
+                rows.append(Row(run, name, None, None, train_fraction, run_seed, str(exc)))
                 continue
             predicted = np.maximum(0.0, test_rows @ weights)
             scores = _score(predicted, actual, run, name)
-            reports.append(ExperimentReport(run, name, scores, train_fraction, run_seed))
-    return reports
+            rows.append(Row(run, name, *scores, train_fraction, run_seed))
+    return rows

@@ -135,6 +135,25 @@ class TestSampleLatency:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             TacticProfile("a", shape=LatencyShape.NORMAL, **fields)
 
+    @pytest.mark.parametrize("field, value", [
+        ("mean", True), ("mean", "3.0"), ("mean", None), ("mean", 3 + 0j),
+        ("sd", False), ("sd", "0.5"),
+        ("cost_per_unit_latency", True), ("cost_per_unit_latency", [5.0])])
+    def test_bool_or_non_real_fields_rejected(self, field, value):
+        fields = {"cost_per_unit_latency": 5.0, "mean": 3.0, "sd": 0.5, field: value}
+        with pytest.raises(TypeError, match=f"^{field} must be a real number, got "):
+            TacticProfile("a", shape=LatencyShape.NORMAL, **fields)
+
+    @pytest.mark.parametrize("shape", ["normal", "positive_skew", None, 0])
+    def test_shape_must_be_a_latency_shape(self, shape):
+        # A string used to pass and draw lognormal values.
+        with pytest.raises(TypeError, match="^shape must be a LatencyShape, got "):
+            TacticProfile("a", 1.0, shape, 3.0, 0.5)
+
+    def test_integer_and_numpy_fields_accepted(self):
+        profile = TacticProfile("a", 5, LatencyShape.NORMAL, np.float64(3.0), np.int64(1))
+        assert sample_latency(profile, seed=0, n=3).shape == (3,)
+
     def test_zero_cost_accepted(self):
         assert TacticProfile("a", 0.0, LatencyShape.NORMAL, 3.0, 0.5).cost_per_unit_latency == 0
 

@@ -2,8 +2,9 @@
 
 The library forecasts and scores passes of runs at once;
 ``forecast_oracle.reference_forecast_experiments`` splits, fits, forecasts
-with the scalar ``forecast`` and scores each run on its own. Their reports
-must be equal, and so must the text of any error either raises.
+with the scalar ``forecast`` and scores each run on its own. The library's
+grid, flattened into rows, must equal the reference rows, and the text of
+any error either raises must be equal too.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from proadapt import metrics
 from proadapt.arima import ArimaModel, FitError
 from proadapt.metrics import FORECAST_MODEL, run_forecast_experiments
 from proadapt.types import TimeSeries
+from report_oracle import grid_rows
 
 TOP = 1.7976931348623157e308  # the largest float
 
@@ -60,11 +62,12 @@ def forecast_series(draw):
 
 
 def outcome(harness, *args):
-    """The reports of ``harness(*args)``, or the text of its ValueError."""
+    """The reports of ``harness(*args)`` as rows, or the text of its ValueError."""
     try:
-        return harness(*args)
+        reports = harness(*args)
     except ValueError as exc:
         return f"raised: {exc}"
+    return reports if isinstance(reports, list) else grid_rows(reports)
 
 
 @settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
@@ -94,8 +97,8 @@ def test_cases_reach_every_outcome():
             seen.add("overflow" if "scores overflow" in result else result)
             return
         for report in result:
-            if report.scores is not None:
-                seen.add(f"scored {report.model_name}")
+            if report.error is None:
+                seen.add(f"scored {report.model}")
             elif "not stationary" in report.error:
                 seen.add("not stationary")
             elif "point floor" in report.error or "too short" in report.error:
@@ -118,10 +121,10 @@ def test_passes_split_the_runs(monkeypatch):
         passes.append(runs)
         return forecast_pass(series, starts, runs, *args)
 
-    whole = run_forecast_experiments(series, 13, seed=4)
+    whole = grid_rows(run_forecast_experiments(series, 13, seed=4))
     monkeypatch.setattr(metrics, "_forecast_pass", spy)
     monkeypatch.setattr(metrics, "FORECAST_CELLS", 50)
-    assert run_forecast_experiments(series, 13, seed=4) == whole
+    assert grid_rows(run_forecast_experiments(series, 13, seed=4)) == whole
     assert passes == [range(lo, min(lo + 2, 13)) for lo in range(0, 13, 2)]
 
 
@@ -129,9 +132,9 @@ def test_long_test_windows_pass_one_run_at_a_time(monkeypatch):
     rng = np.random.default_rng(9)
     series = TimeSeries(np.cumsum(rng.normal(size=3000)) + 50.0)  # windows of 300
     monkeypatch.setattr(metrics, "FORECAST_CELLS", 100)
-    got = run_forecast_experiments(series, 4, seed=2)
+    got = grid_rows(run_forecast_experiments(series, 4, seed=2))
     assert got == reference_forecast_experiments(series, 4, seed=2)
-    assert all(r.scores is not None for r in got if r.model_name == FORECAST_MODEL)
+    assert all(r.error is None for r in got if r.model == FORECAST_MODEL)
 
 
 def test_nonfinite_steps_match(monkeypatch):
@@ -157,12 +160,12 @@ def test_nonfinite_steps_match(monkeypatch):
     monkeypatch.setattr(metrics, "fit_arima_windows", steep_windows)
     monkeypatch.setattr(forecast_oracle, "fit_arima", steep_fit)
     series = TimeSeries(np.cumsum(np.random.default_rng(4).normal(size=200)))
-    got = run_forecast_experiments(series, 30, seed=5)
+    got = grid_rows(run_forecast_experiments(series, 30, seed=5))
     assert got == reference_forecast_experiments(series, 30, seed=5)
-    errors = {r.error for r in got if r.model_name == FORECAST_MODEL}
+    errors = {r.error for r in got if r.model == FORECAST_MODEL}
     assert errors == {"drawn to fail", "forecast step 2 is not finite",
                       "forecast step 3 is not finite"}
-    assert all(r.scores is not None for r in got if r.model_name != FORECAST_MODEL)
+    assert all(r.error is None for r in got if r.model != FORECAST_MODEL)
     # One fit per distinct split start, of the one window before it.
     assert len(trained) == 30 > len(calls)
     assert calls == [(start, [0]) for start in dict.fromkeys(trained)]

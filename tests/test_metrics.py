@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from forecast_oracle import split_train_test
-from proadapt import (DesignMatrix, ExperimentReport, ResponseVector, TimeSeries, metrics,
-                      rmse, run_forecast_experiments, run_predictor_experiments, summarize)
-from proadapt.metrics import ScorePair, mae, reports_to_csv_text
+from proadapt import (DesignMatrix, Reports, ResponseVector, TimeSeries, metrics, rmse,
+                      run_forecast_experiments, run_predictor_experiments, summarize)
+from proadapt.metrics import mae, reports_to_csv_text
+from report_oracle import grid_rows
 
 vectors = st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40)
 
@@ -49,9 +50,9 @@ class TestScores:
         assert rmse(shifted_p, shifted_a) == pytest.approx(rmse(predicted, clipped),
                                                            abs=1e-9)
 
-    def test_score_pair_rejects_rmse_below_mae(self):
-        with pytest.raises(ValueError):
-            ScorePair(rmse=1.0, mae=2.0)
+    def test_reports_reject_rmse_below_mae(self):
+        with pytest.raises(ValueError, match="expected rmse >= mae >= 0"):
+            grid({"m": [1.0]}, maes={"m": [2.0]})
 
 
 class TestSplit:
@@ -96,9 +97,9 @@ class TestForecastExperiments:
     def test_drift_model_is_perfect_on_ramp(self):
         series = TimeSeries(np.arange(0.0, 100.0, 0.5))
         reports = run_forecast_experiments(series, 10, seed=3)
-        arima = [r for r in reports if r.model_name == "arima"]
+        arima = reports.rmse[:, reports.models.index("arima")]
         assert len(arima) == 10
-        assert all(r.scores.rmse < 1e-9 for r in arima)
+        assert (arima < 1e-9).all()
 
     def test_same_master_seed_is_reproducible(self):
         rng = np.random.default_rng(31)
@@ -111,8 +112,8 @@ class TestForecastExperiments:
         # splittable per-run seeds: a longer batch starts with the same runs
         rng = np.random.default_rng(34)
         series = TimeSeries(np.cumsum(rng.normal(size=300)) + 50.0)
-        short = run_forecast_experiments(series, 3, seed=9)
-        long = run_forecast_experiments(series, 8, seed=9)
+        short = grid_rows(run_forecast_experiments(series, 3, seed=9))
+        long = grid_rows(run_forecast_experiments(series, 8, seed=9))
         assert short == long[:len(short)]
 
     def test_ar_structure_beats_persistence(self):
@@ -132,12 +133,12 @@ class TestForecastExperiments:
         tail = walk[-1] * 1.6 ** np.arange(1, 101)
         series = TimeSeries(np.concatenate([walk, tail]))
         reports = run_forecast_experiments(series, 40, seed=6)
-        arima = [r for r in reports if r.model_name == "arima"]
-        failed = [r for r in arima if r.error is not None]
-        scored = [r for r in arima if r.scores is not None]
-        assert failed and scored
-        assert len(failed) + len(scored) == 40
-        assert all(math.isfinite(r.scores.rmse) for r in scored)
+        arima = reports.rmse[:, reports.models.index("arima")]
+        failed = [run for model, run in reports.errors if model == "arima"]
+        scored = np.isfinite(arima)
+        assert failed and scored.any()
+        assert sorted(failed) == np.flatnonzero(~scored).tolist()
+        assert not any(model == "persistence" for model, _ in reports.errors)
 
 
 class TestPredictorExperiments:
@@ -153,9 +154,9 @@ class TestPredictorExperiments:
     def test_noiseless_linear_data_is_exact(self):
         X, t = self.make_linear()
         reports = run_predictor_experiments(X, t, 10, seed=2, static_value=2.0)
-        mra = [r for r in reports if r.model_name == "mra"]
+        mra = reports.rmse[:, reports.models.index("mra")]
         assert len(mra) == 10
-        assert all(r.scores.rmse < 1e-8 for r in mra)
+        assert (mra < 1e-8).all()
 
     def test_reproducible(self):
         X, t = self.make_linear(noise=0.3)
@@ -171,8 +172,8 @@ class TestPredictorExperiments:
     def test_all_four_models_reported(self):
         X, t = self.make_linear(noise=0.1)
         reports = run_predictor_experiments(X, t, 3, seed=5, static_value=2.0)
-        names = {r.model_name for r in reports}
-        assert names == {"mra", "brr", "baseline_mean", "baseline_static"}
+        assert reports.models == ("baseline_mean", "baseline_static", "mra", "brr")
+        assert reports.rmse.shape == reports.mae.shape == (3, 4)
 
     @pytest.mark.parametrize("fraction", [0.0, -0.2, math.nan, 1.0, 1.5])
     def test_train_fraction_checked_before_any_fit(self, monkeypatch, fraction):
@@ -185,49 +186,112 @@ class TestPredictorExperiments:
             run_predictor_experiments(X, t, 3, seed=5, static_value=2.0,
                                       train_fraction=fraction)
 
+    @pytest.mark.parametrize("static_value, error", [
+        (math.nan, ValueError), (math.inf, ValueError), (-math.inf, ValueError),
+        (True, TypeError), ("2.5", TypeError), (None, TypeError)])
+    def test_static_value_checked_before_any_work(self, monkeypatch, static_value, error):
+        # A NaN or infinite value used to run every fit, then fail as a
+        # "scores overflow" of run 0.
+        monkeypatch.setattr(metrics, "subseed", no_work)
+        monkeypatch.setattr(metrics, "fit_gram_batch", no_work)
+        X, t = self.make_linear(n=60, noise=0.1)
+        with pytest.raises(error, match=f"^static_value must be .*, got {static_value!r}$"):
+            run_predictor_experiments(X, t, 3, seed=5, static_value=static_value)
 
-def report(run, model, rmse_value, mae_value=None):
-    mae_value = rmse_value if mae_value is None else mae_value
-    return ExperimentReport(run, model, ScorePair(rmse_value, mae_value), 0.9, seed=0)
+
+def no_work(*args, **kwargs):
+    raise AssertionError("the harness did work before checking its arguments")
+
+
+@pytest.mark.parametrize("n_runs, error, message", [
+    (True, TypeError, "n_runs must be an integer, got True"),
+    (2.5, TypeError, "n_runs must be an integer, got 2.5"),
+    (3.0, TypeError, "n_runs must be an integer, got 3.0"),
+    ("3", TypeError, "n_runs must be an integer, got '3'"),
+    (0, ValueError, "n_runs must be >= 1"),
+    (-2, ValueError, "n_runs must be >= 1")])
+def test_harnesses_check_n_runs_before_any_work(monkeypatch, n_runs, error, message):
+    # n_runs=True used to run one run, and 2.5 failed inside range().
+    monkeypatch.setattr(metrics, "subseed", no_work)
+    monkeypatch.setattr(metrics, "fit_arima_windows", no_work)
+    monkeypatch.setattr(metrics, "fit_gram_batch", no_work)
+    X = DesignMatrix(np.column_stack([np.ones(60), np.arange(60.0)]))
+    t = ResponseVector(np.arange(60.0) + 1.0)
+    with pytest.raises(error, match=f"^{message}$"):
+        run_forecast_experiments(TimeSeries(np.arange(100.0)), n_runs, seed=1)
+    with pytest.raises(error, match=f"^{message}$"):
+        run_predictor_experiments(X, t, n_runs, seed=1, static_value=1.0)
+
+
+def test_harnesses_accept_numpy_integer_runs():
+    reports = run_forecast_experiments(TimeSeries(np.arange(100.0)), np.int64(2), seed=1)
+    assert reports.rmse.shape == (2, 2)
+
+
+def grid(rmses: dict[str, list], maes: dict[str, list] | None = None) -> Reports:
+    """The grid of the models of ``rmses``, each a list of per-run rmse
+    (None: the run errored with "boom"); mae is rmse unless ``maes`` is given."""
+    models = tuple(rmses)
+    n_runs = len(rmses[models[0]])
+
+    def cells(scores):
+        return np.array([[math.nan if scores[m][run] is None else scores[m][run]
+                          for m in models] for run in range(n_runs)])
+
+    errors = {(m, run): "boom" for m in models for run in range(n_runs)
+              if rmses[m][run] is None}
+    return Reports(models, range(n_runs), cells(rmses), cells(maes or rmses), 0.9, errors)
 
 
 class TestSummarize:
     def test_single_model_aggregates(self):
-        summary = summarize([report(0, "m", 0.1), report(1, "m", 0.3)])
+        summary = summarize(grid({"m": [0.1, 0.3]}))
         agg = summary.models["m"]
         assert (agg.mean_rmse, agg.min_rmse, agg.max_rmse) == pytest.approx((0.2, 0.1, 0.3))
 
     def test_identical_scores_have_no_wins(self):
-        reports = [report(0, "a", 0.2), report(0, "b", 0.2)]
-        summary = summarize(reports)
+        summary = summarize(grid({"a": [0.2], "b": [0.2]}))
         assert summary.wins[("a", "b")] == 0
         assert summary.wins[("b", "a")] == 0
 
     def test_win_counting(self):
-        reports = []
-        for run, (a, b) in enumerate([(0.1, 0.2), (0.2, 0.3), (0.5, 0.4)]):
-            reports += [report(run, "a", a), report(run, "b", b)]
-        summary = summarize(reports)
+        summary = summarize(grid({"a": [0.1, 0.2, 0.5], "b": [0.2, 0.3, 0.4]}))
         assert summary.wins[("a", "b")] == 2
         assert summary.wins[("b", "a")] == 1
         assert summary.comparisons[("a", "b")] == 3
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
+        empty = np.empty((0, 0))
+        with pytest.raises(ValueError, match="no reports to summarize"):
+            summarize(Reports((), (), empty, empty, 0.9, {}))
 
     def test_errored_runs_counted_separately(self):
-        reports = [report(0, "a", 0.1),
-                   ExperimentReport(1, "a", None, 0.9, seed=0, error="boom")]
-        summary = summarize(reports)
+        summary = summarize(grid({"a": [0.1, None]}))
         assert summary.models["a"].runs == 1
         assert summary.models["a"].errors == 1
+
+    def test_a_model_with_every_run_errored_has_no_aggregates(self):
+        summary = summarize(grid({"a": [0.1, 0.2], "b": [None, None]}))
+        agg = summary.models["b"]
+        assert (agg.runs, agg.errors) == (0, 2)
+        assert all(math.isnan(value) for value in
+                   (agg.mean_rmse, agg.min_rmse, agg.max_rmse,
+                    agg.mean_mae, agg.min_mae, agg.max_mae))
+        assert summary.comparisons[("a", "b")] == summary.comparisons[("b", "a")] == 0
+        assert summary.wins[("a", "b")] == summary.wins[("b", "a")] == 0
+
+    def test_wins_count_only_runs_both_models_scored(self):
+        # Runs 1 and 2 have one score each; only runs 0 and 3 compare.
+        summary = summarize(grid({"a": [0.1, None, 0.5, 0.2], "b": [0.2, 0.1, None, 0.3]}))
+        assert summary.comparisons[("a", "b")] == summary.comparisons[("b", "a")] == 2
+        assert summary.wins[("a", "b")] == 2
+        assert summary.wins[("b", "a")] == 0
+        assert (summary.models["a"].runs, summary.models["b"].runs) == (3, 3)
 
 
 class TestCsv:
     def test_format_and_precision(self):
-        reports = [report(0, "m", 1.0 / 3.0, 0.25)]
-        text = reports_to_csv_text(reports)
+        text = reports_to_csv_text(grid({"m": [1.0 / 3.0]}, maes={"m": [0.25]}))
         lines = text.splitlines()
         assert lines[0] == "run,model,rmse,mae,train_fraction,seed"
         fields = lines[1].split(",")
@@ -236,6 +300,11 @@ class TestCsv:
         assert "\r" not in text and text.endswith("\n")
 
     def test_errored_rows_omitted(self):
-        reports = [report(0, "m", 0.5),
-                   ExperimentReport(1, "m", None, 0.9, seed=0, error="boom")]
-        assert len(reports_to_csv_text(reports).splitlines()) == 2
+        assert len(reports_to_csv_text(grid({"m": [0.5, None]})).splitlines()) == 2
+
+    def test_grids_follow_one_header_in_turn(self):
+        first, second = grid({"a": [0.5, 0.25]}), grid({"b": [0.125]})
+        assert reports_to_csv_text(first, second).splitlines() == [
+            "run,model,rmse,mae,train_fraction,seed",
+            "0,a,0.5,0.5,0.90000000000000002,0", "1,a,0.25,0.25,0.90000000000000002,1",
+            "0,b,0.125,0.125,0.90000000000000002,0"]

@@ -31,6 +31,7 @@ from proadapt.metrics import (BRR_MODEL, MEAN_BASELINE, MRA_MODEL, PREDICTOR_CEL
                               STATIC_BASELINE, run_predictor_experiments)
 from proadapt.regression import (BRR_OVERFLOW, CONDITION_LIMIT, DesignMatrix, ResponseVector,
                                  fit_bayesian_ridge, fit_gram_batch)
+from report_oracle import grid_rows
 
 SCORE_RTOL = 1e-9
 WEIGHT_RTOL = 1e-9
@@ -87,7 +88,7 @@ def reference(*args, **kwargs):
         return outcome(reference_predictor_experiments, *args, **kwargs)
 
 
-def assert_reports_agree(got, want, X: DesignMatrix, t: ResponseVector) -> None:
+def assert_reports_agree(grid, want, X: DesignMatrix, t: ResponseVector) -> None:
     with np.errstate(over="ignore", invalid="ignore"):
         gram = X.rows.T @ X.rows
         atol = np.inf
@@ -96,22 +97,23 @@ def assert_reports_agree(got, want, X: DesignMatrix, t: ResponseVector) -> None:
             top = spectrum[-1]
             cond = top / spectrum[spectrum > top / CONDITION_LIMIT][0]
             atol = np.finfo(float).eps * cond * float(np.sqrt(np.mean(t.t**2)))
+    got = grid_rows(grid)
     assert len(got) == len(want)
     for new, old in zip(got, want):
-        assert (new.run_index, new.model_name, new.seed, new.train_fraction) == \
-            (old.run_index, old.model_name, old.seed, old.train_fraction)
-        if new.model_name == BRR_MODEL and old.error is not None:
+        assert (new.run, new.model, new.seed, new.train_fraction) == \
+            (old.run, old.model, old.seed, old.train_fraction)
+        if new.model == BRR_MODEL and old.error is not None:
             # The per-run ridge failed with whatever LAPACK or the weight
             # check said about a non-finite X'X; the library names it.
             assert new.error == BRR_OVERFLOW
             continue
         assert new.error == old.error
-        if old.scores is None:
+        if old.error is not None:
             continue
-        if new.model_name in (MEAN_BASELINE, STATIC_BASELINE):
-            assert (new.scores.rmse, new.scores.mae) == (old.scores.rmse, old.scores.mae)
+        if new.model in (MEAN_BASELINE, STATIC_BASELINE):
+            assert (new.rmse, new.mae) == (old.rmse, old.mae)
         else:
-            for a, b in ((new.scores.rmse, old.scores.rmse), (new.scores.mae, old.scores.mae)):
+            for a, b in ((new.rmse, old.rmse), (new.mae, old.mae)):
                 assert abs(a - b) <= SCORE_RTOL * abs(b) + atol, (new, old)
 
 
@@ -170,9 +172,9 @@ def test_each_design_kind_matches_reference(kind, monkeypatch):
         return
     assert_reports_agree(got, want, X, t)
     if kind == "huge_rows":
-        assert {r.error for r in got if r.model_name == MRA_MODEL} == {
+        assert {r.error for r in grid_rows(got) if r.model == MRA_MODEL} == {
             "least-squares fit overflows: the weights or the training error are not finite"}
-        assert {r.error for r in got if r.model_name == BRR_MODEL} == {BRR_OVERFLOW}
+        assert {r.error for r in grid_rows(got) if r.model == BRR_MODEL} == {BRR_OVERFLOW}
 
 
 def training_statistics(rows: np.ndarray, t: np.ndarray):
@@ -232,7 +234,7 @@ def test_explicit_least_squares_only_where_the_gram_path_is_refused(kind, explic
     X, t = build_design(kind, 80, 5, np.random.default_rng(4))
     reports = run_predictor_experiments(X, t, 23, 6, static_value=1.0)
     assert len(calls) == explicit_fits
-    assert all(r.error is None for r in reports)
+    assert not reports.errors
 
 
 def test_runs_are_fitted_in_batches_of_the_cell_budget(monkeypatch):
@@ -285,8 +287,8 @@ def test_reports_are_bit_identical_for_every_cell_budget(design, monkeypatch):
     results = []
     for cells in budgets:
         monkeypatch.setattr(metrics, "PREDICTOR_CELLS", cells)
-        results.append(run_predictor_experiments(X, t, n_runs, 4, static_value=2.0))
-    assert all(reports == results[0] for reports in results[1:])
+        results.append(grid_rows(run_predictor_experiments(X, t, n_runs, 4, static_value=2.0)))
+    assert all(rows == results[0] for rows in results[1:])
     assert all(r.error is None for r in results[0]) == (design != "huge_rows")
 
 
