@@ -38,7 +38,7 @@ from .types import Direction, SlaSpec, Tactic, TimeSeries, order_specs_by_reward
 
 if TYPE_CHECKING:
     from .metrics import Summary
-    from .workflow import TacticEstimate, TickBlock
+    from .workflow import TacticEstimate
 
 DEFAULT_SEED = 42
 BLOCK_TICKS = 256  # monitor ticks per block, and so refits per block, at most
@@ -56,15 +56,17 @@ def _print_model_table(summary: Summary, names: Sequence[str]) -> None:
               f"{agg.max_rmse:>9.4f}{agg.mean_mae:>12.4f}")
 
 
-def _check_minutes(minutes: int) -> None:
-    if minutes < 1:
-        raise ValueError(f"--minutes must be >= 1, got {minutes}")
+def _check_trace_flags(args: argparse.Namespace) -> None:
+    if args.minutes < 1:
+        raise ValueError(f"--minutes must be >= 1, got {args.minutes}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     from .emulator import Phase, generate_trace, write_trace_csv
 
-    _check_minutes(args.minutes)
+    _check_trace_flags(args)
     trace = generate_trace(args.minutes, args.seed)
     write_trace_csv(trace, args.out)
     downloads = int(np.count_nonzero(trace.phase_is(Phase.DOWNLOAD)))
@@ -132,7 +134,7 @@ def cmd_replicate(args: argparse.Namespace) -> int:
                           PERSISTENCE_MODEL, STATIC_BASELINE, reports_to_csv_text, summarize)
 
     harness = sys.modules[__name__]
-    _check_minutes(args.minutes)
+    _check_trace_flags(args)
     # The rule Tactic applies to its static values, checked before any work.
     for flag, value in (("--static-latency", args.static_latency),
                         ("--static-cost", args.static_cost)):
@@ -346,55 +348,38 @@ class _TickLines:
     "error"}``.
 
     Each spec name is serialised once per run. The estimates and the tick
-    length are fixed for the run, so the status and ranked tactics parts of
-    a line depend only on (status, first step): each distinct pair is
-    serialised once, by ``rank_tactics`` and ``json.dumps``. A tick's lines
-    then differ only in the tick, the forecast and the pairs of its specs:
-    each distinct tuple of pairs in a block gets one ``%``-template of all
-    the tick's lines, so a tick is one ``repr`` and one format.
+    length are fixed for the run, so the text of a line around its forecast
+    depends only on (status, first step): each distinct pair is serialised
+    once, by ``rank_tactics`` and ``json.dumps``. A tick is then one
+    ``repr`` of its forecast (finite floats, so its JSON text) and one
+    concatenation per spec.
     """
 
     def __init__(self, ordered: Sequence[SlaSpec], estimates: Sequence[TacticEstimate],
                  tick_seconds: float) -> None:
-        self._names = [json.dumps(spec.name) for spec in ordered]
+        self._names = [f', "name": {json.dumps(spec.name)}, ' for spec in ordered]
         self._estimates = estimates
         self._tick_seconds = tick_seconds
-        self._parts: dict[int, tuple[str, str]] = {}  # %-escaped, by pair key
-        self._templates: dict[tuple[int, ...], str] = {}
+        self._parts: dict[int, tuple[str, str]] = {}  # by status code + 3 * first step
 
     def errors(self, tick: int, error: str) -> str:
         text = json.dumps(error)
-        return "".join(f'{{"tick": {tick}, "name": {name}, "error": {text}}}\n'
-                       for name in self._names)
+        return "".join(f'{{"tick": {tick}{name}"error": {text}}}\n' for name in self._names)
 
-    def keys(self, block: TickBlock) -> list[tuple[int, ...]]:
-        """Start ``block``: clear the templates, so that they never outnumber
-        a block's ticks, and return each tick's template key, which holds
-        status code + 3 * first step per spec."""
-        self._templates.clear()
-        return list(map(tuple, (block.status + 3 * block.first_step).tolist()))
-
-    def entries(self, tick: int, forecast: list[float], key: tuple[int, ...]) -> str:
-        template = self._templates.get(key)
-        if template is None:
-            template = self._templates[key] = self._template(key)
-        # A list of finite floats reprs as its JSON text.
-        return template % ((tick, repr(forecast)) * len(key))
-
-    def _template(self, key: tuple[int, ...]) -> str:
+    def entries(self, tick: int, forecast: list[float], pairs: Sequence[int]) -> str:
+        start, values = f'{{"tick": {tick}', repr(forecast)
         lines = []
-        for name, pair in zip(self._names, key):
+        for name, pair in zip(self._names, pairs):
             if pair not in self._parts:
-                step, code = divmod(pair, 3)
-                self._parts[pair] = tuple(part.replace("%", "%%")
-                                          for part in self._part(code, step))
+                self._parts[pair] = self._part(pair)
             head, tail = self._parts[pair]
-            lines.append(f'{{"tick": %d, "name": {name.replace("%", "%%")}, {head}%s{tail}')
+            lines.append(start + name + head + values + tail)
         return "".join(lines)
 
-    def _part(self, code: int, step: int) -> tuple[str, str]:
+    def _part(self, pair: int) -> tuple[str, str]:
         from .workflow import STATUSES, SpecStatus, rank_tactics
 
+        step, code = divmod(pair, 3)
         status = STATUSES[code]
         head = json.dumps({"status": status.value, "first_violation_step": step or None})
         ranked = []
@@ -485,11 +470,11 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         end = hi + window - 1  # one past the last value of the block's last window
         block = workflow_block(ordered, values[start + window - 1:end],
                                values[start + window - 2:end - 1], phi, c, config)
-        for tick, forecast, step, key in zip(
+        for tick, forecast, step, pairs in zip(
                 range(start, hi), block.forecasts.tolist(), block.nonfinite_step.tolist(),
-                lines.keys(block)):
+                (block.status + 3 * block.first_step).tolist()):
             sys.stdout.write(lines.errors(tick, forecast_error(step)) if step
-                             else lines.entries(tick, forecast, key))
+                             else lines.entries(tick, forecast, pairs))
     return 0
 
 

@@ -50,8 +50,9 @@ budget changes no bit of the reports, and no array grows with runs x N.
 
 Report CSV format: header ``run,model,rmse,mae,train_fraction,seed``, then
 one row per scored cell of each grid in turn, run by run and, within a
-run, in the grid's model order; reals at 17 significant digits, UTF-8, LF
-line endings. Errored cells carry no scores and are omitted from the CSV.
+run, in the grid's model order; ``train_fraction`` is always
+``TRAIN_FRACTION``. Reals at 17 significant digits, UTF-8, LF line endings.
+Errored cells carry no scores and are omitted from the CSV.
 """
 
 from __future__ import annotations
@@ -82,6 +83,7 @@ __all__ = [
     "reports_to_csv_text",
 ]
 
+TRAIN_FRACTION = 0.9  # every split trains on 90% of the points or rows
 MIN_TEST_POINTS = 10   # admits the canonical 90/10 split of a 100-point series
 MIN_TRAIN_POINTS = 12  # ARIMA(1,1,0) needs 11 raw points; one extra for headroom
 
@@ -127,7 +129,6 @@ class Cell(NamedTuple):
     model: str
     rmse: float | None
     mae: float | None
-    train_fraction: float
     seed: int
     error: str | None
 
@@ -148,11 +149,9 @@ class Reports:
     seeds: tuple[int, ...]
     rmse: np.ndarray
     mae: np.ndarray
-    train_fraction: float
     errors: Mapping[tuple[str, int], str]
 
     def __post_init__(self) -> None:
-        _check_train_fraction(self.train_fraction)
         models, seeds = tuple(self.models), tuple(self.seeds)
         if len(set(models)) != len(models):
             raise ValueError(f"model names must be distinct, got {models}")
@@ -186,14 +185,14 @@ class Reports:
                 error = self.errors.get((model, run))
                 scores = (None, None) if error is not None else \
                     (float(self.rmse[run, k]), float(self.mae[run, k]))
-                yield Cell(run, model, *scores, self.train_fraction, seed, error)
+                yield Cell(run, model, *scores, seed, error)
 
     def select(self, names: Mapping[str, str]) -> Reports:
         """The columns of the models that ``names`` maps, renamed to their
         values and kept in their order here."""
         keep = [k for k, model in enumerate(self.models) if model in names]
         return Reports(tuple(names[self.models[k]] for k in keep), self.seeds,
-                       self.rmse[:, keep], self.mae[:, keep], self.train_fraction,
+                       self.rmse[:, keep], self.mae[:, keep],
                        {(names[model], run): error
                         for (model, run), error in self.errors.items() if model in names})
 
@@ -223,23 +222,18 @@ def _reports(runs: range, models: Sequence[str], residuals: np.ndarray,
     return rmses, maes
 
 
-def _check_train_fraction(train_fraction: float) -> None:
-    if not 0.0 < train_fraction < 1.0:  # False for NaN
-        raise ValueError("train_fraction must lie in (0, 1)")
+def _check_runs_and_seed(n_runs: int, seed: int) -> None:
+    for name, value, least in (("n_runs", n_runs, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}")
 
 
-def _check_runs(n_runs: int) -> None:
-    if isinstance(n_runs, bool) or not isinstance(n_runs, numbers.Integral):
-        raise TypeError(f"n_runs must be an integer, got {n_runs!r}")
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
-
-
-def _test_length(n: int, train_fraction: float) -> int:
+def _test_length(n: int) -> int:
     """The held-out window length of an n-point series; raises ``ValueError``
     when the split leaves too few test or training points."""
-    _check_train_fraction(train_fraction)
-    test_len = int(round((1.0 - train_fraction) * n))
+    test_len = int(round((1.0 - TRAIN_FRACTION) * n))
     if test_len < MIN_TEST_POINTS:
         raise ValueError(f"test window of {test_len} points is below the "
                          f"{MIN_TEST_POINTS}-point floor")
@@ -248,26 +242,24 @@ def _test_length(n: int, train_fraction: float) -> int:
     return test_len
 
 
-def run_forecast_experiments(series: TimeSeries, n_runs: int, seed: int,
-                             train_fraction: float = 0.9) -> Reports:
+def run_forecast_experiments(series: TimeSeries, n_runs: int, seed: int) -> Reports:
     """Seeded forecast comparison: ARIMA(1,1,0) vs the persistence reference.
 
-    Each run cuts a contiguous test window of round((1 - train_fraction) * n)
+    Each run cuts a contiguous test window of round((1 - TRAIN_FRACTION) * n)
     points at a seeded uniform-random position, fits on everything before
     it (later points are discarded, so no future observation leaks into the
     fit), forecasts the whole window, and scores both forecasters against
     it. Failures are recorded per run and model. Runs go through the
     forecast and the scores ``FORECAST_CELLS`` forecast values at a time.
     """
-    _check_runs(n_runs)
-    _check_train_fraction(train_fraction)
+    _check_runs_and_seed(n_runs, seed)
     seeds = [subseed(seed, run) for run in range(n_runs)]
     models = (PERSISTENCE_MODEL, FORECAST_MODEL)
     try:
-        test_len = _test_length(len(series), train_fraction)
+        test_len = _test_length(len(series))
     except ValueError as exc:
         failed = np.full((n_runs, len(models)), np.nan)
-        return Reports(models, seeds, failed, failed, train_fraction,
+        return Reports(models, seeds, failed, failed,
                        {(model, run): str(exc) for run in range(n_runs) for model in models})
     last_start = len(series) - test_len
     starts = [int(np.random.default_rng(run_seed).integers(MIN_TRAIN_POINTS, last_start + 1))
@@ -279,7 +271,7 @@ def run_forecast_experiments(series: TimeSeries, n_runs: int, seed: int,
             for lo in range(0, n_runs, size)]
     rmse_rows, mae_rows = zip(*rows)
     return Reports(models, seeds, np.concatenate(rmse_rows), np.concatenate(mae_rows),
-                   train_fraction, errors)
+                   errors)
 
 
 def _forecast_pass(series: TimeSeries, starts: Sequence[int], runs: range, test_len: int,
@@ -310,8 +302,7 @@ def _forecast_pass(series: TimeSeries, starts: Sequence[int], runs: range, test_
 
 
 def run_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: int,
-                              seed: int, static_value: float,
-                              train_fraction: float = 0.9) -> Reports:
+                              seed: int, static_value: float) -> Reports:
     """Seeded predictor comparison on random 90/10 row splits.
 
     Scores the least-squares fit, the Bayesian ridge, the running mean of
@@ -320,8 +311,7 @@ def run_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: int,
     downdated statistics in batches of up to ``PREDICTOR_CELLS`` held-out
     rows (see the module docstring).
     """
-    _check_train_fraction(train_fraction)
-    _check_runs(n_runs)
+    _check_runs_and_seed(n_runs, seed)
     if isinstance(static_value, bool) or not isinstance(static_value, numbers.Real):
         raise TypeError(f"static_value must be a real number, got {static_value!r}")
     if not math.isfinite(static_value):
@@ -335,7 +325,7 @@ def run_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: int,
     with np.errstate(over="ignore", invalid="ignore"):
         totals = augmented.T @ augmented
     seeds = [subseed(seed, run) for run in range(n_runs)]
-    n_test = max(1, int(round((1.0 - train_fraction) * X.n)))
+    n_test = max(1, int(round((1.0 - TRAIN_FRACTION) * X.n)))
     size = max(1, PREDICTOR_CELLS // n_test)
     errors: dict[tuple[str, int], str] = {}
     rows: list[tuple[np.ndarray, np.ndarray]] = []
@@ -345,7 +335,7 @@ def run_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: int,
                                  float(static_value), errors)
     rmse_rows, mae_rows = zip(*rows)
     return Reports(PREDICTOR_MODELS, seeds, np.concatenate(rmse_rows),
-                   np.concatenate(mae_rows), train_fraction, errors)
+                   np.concatenate(mae_rows), errors)
 
 
 def _permutation(run_seed: int, n: int) -> np.ndarray:
@@ -469,9 +459,9 @@ def reports_to_csv_text(*grids: Reports) -> str:
     """Render the scored cells of ``grids``, one grid after another and each
     in run order, in the fixed CSV format (LF, 17 significant digits)."""
     lines = ["run,model,rmse,mae,train_fraction,seed"]
+    row = f"%d,%s,%.17g,%.17g,{TRAIN_FRACTION:.17g},%d"
     for grid in grids:
         runs, columns = (cells.tolist() for cells in np.nonzero(~np.isnan(grid.rmse)))
-        row = f"%d,%s,%.17g,%.17g,{grid.train_fraction:.17g},%d"
         lines += [row % cell for cell in zip(runs, [grid.models[k] for k in columns],
                                              grid.rmse[runs, columns].tolist(),
                                              grid.mae[runs, columns].tolist(),

@@ -11,8 +11,8 @@ estimates, ranked against its own deadline; a healthy one gets none.
 each tick's last two observations and model coefficients, it forecasts
 every tick with ``arima.forecast_paths`` and classifies every
 specification of every tick with array comparisons. ``workflow_tick`` is
-its one-tick case and returns per-spec ``TickEntry`` objects; ``monitor``
-calls the kernel once per block of ticks.
+its one-tick case: it fits its history and returns per-spec ``TickEntry``
+objects. ``monitor`` calls the kernel once per block of ticks.
 
 Both are pure functions of their inputs, so ticks for disjoint systems can
 run concurrently.
@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .arima import ArimaModel, fit_arima, forecast_error, forecast_paths
+from .arima import fit_arima, forecast_error, forecast_paths
 from .types import (Direction, SlaSpec, Tactic, TimeSeries, UtilityParams,
                     order_specs_by_reward, utility)
 
@@ -267,16 +267,14 @@ def rank_tactics(estimates: Sequence[TacticEstimate], status: SpecStatus,
 
 def workflow_tick(specs: Sequence[SlaSpec], history: TimeSeries,
                   estimates: Sequence[TacticEstimate] = (),
-                  config: WorkflowConfig | None = None,
-                  model: ArimaModel | None = None) -> list[TickEntry]:
+                  config: WorkflowConfig | None = None) -> list[TickEntry]:
     """One pass over all specifications in descending-reward order: the
     one-tick case of ``workflow_block``.
 
-    ``history`` is forecast once from its last two observations, under
-    ``model``'s coefficients or, without a model, those of ARIMA(1, 1, 0)
-    fitted on it; a fit or forecast failure becomes the error of every
-    entry. Each potentially broken (at-risk or broken) specification ranks
-    ``estimates`` against its own deadline.
+    ARIMA(1, 1, 0) is fitted on ``history``, which is forecast once from its
+    last two observations; a fit or forecast failure becomes the error of
+    every entry. Each potentially broken (at-risk or broken) specification
+    ranks ``estimates`` against its own deadline.
     """
     cfg = config or WorkflowConfig()
     names = [s.name for s in specs]
@@ -284,10 +282,7 @@ def workflow_tick(specs: Sequence[SlaSpec], history: TimeSeries,
         raise ValueError("spec names must be unique")
     ordered = order_specs_by_reward(specs)
     try:
-        if model is None:
-            model = fit_arima(history)
-        elif len(history) < 2:
-            raise ValueError("series must hold at least 2 observations")
+        model = fit_arima(history)
     except ValueError as exc:
         return [TickEntry(spec.name, None, error=str(exc)) for spec in ordered]
     previous, last = history.tail(2)

@@ -17,7 +17,7 @@ import numpy as np
 
 from proadapt.arima import fit_arima, forecast
 from proadapt.metrics import (FORECAST_MODEL, MIN_TEST_POINTS, MIN_TRAIN_POINTS,
-                              PERSISTENCE_MODEL, mae, rmse)
+                              PERSISTENCE_MODEL, TRAIN_FRACTION, mae, rmse)
 from proadapt.types import TimeSeries, subseed
 from report_oracle import Row
 
@@ -55,34 +55,31 @@ def _score(predicted, actual, run: int, model: str) -> tuple[float, float]:
     return scores
 
 
-def reference_forecast_experiments(series: TimeSeries, n_runs: int, seed: int,
-                                   train_fraction: float = 0.9) -> list[Row]:
+def reference_forecast_experiments(series: TimeSeries, n_runs: int,
+                                   seed: int) -> list[Row]:
     """The per-run harness; same arguments as the library's, and its
     reports as rows."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must lie in (0, 1)")
     rows: list[Row] = []
     for run in range(n_runs):
         run_seed = subseed(seed, run)
         try:
-            train, test = split_train_test(series, train_fraction, run_seed)
+            train, test = split_train_test(series, TRAIN_FRACTION, run_seed)
         except ValueError as exc:
             for model in (PERSISTENCE_MODEL, FORECAST_MODEL):
-                rows.append(Row(run, model, None, None, train_fraction, run_seed, str(exc)))
+                rows.append(Row(run, model, None, None, run_seed, str(exc)))
             continue
         actual = test.values
         persistence = np.full(len(test), train.values[-1])
         scores = _score(persistence, actual, run, PERSISTENCE_MODEL)
-        rows.append(Row(run, PERSISTENCE_MODEL, *scores, train_fraction, run_seed))
+        rows.append(Row(run, PERSISTENCE_MODEL, *scores, run_seed))
         try:
             model = fit_arima(train)
             predicted = forecast(model, len(test))
         except ValueError as exc:
-            rows.append(Row(run, FORECAST_MODEL, None, None, train_fraction, run_seed,
-                            str(exc)))
+            rows.append(Row(run, FORECAST_MODEL, None, None, run_seed, str(exc)))
         else:
             scores = _score(predicted, actual, run, FORECAST_MODEL)
-            rows.append(Row(run, FORECAST_MODEL, *scores, train_fraction, run_seed))
+            rows.append(Row(run, FORECAST_MODEL, *scores, run_seed))
     return rows

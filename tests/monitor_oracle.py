@@ -7,7 +7,7 @@ specification step by step, ranks the tactics with ``rank_tactics`` and
 serialises each entry with ``tick_entry_to_dict`` and ``json.dumps``.
 Each refit fits its own window with ``fit_arima``. It never calls the
 block kernel or ``fit_arima_windows``, so comparing its bytes with
-``cli.main`` checks the kernel, the block fits and the line templates
+``cli.main`` checks the kernel, the block fits and the tick lines
 against independent code.
 """
 

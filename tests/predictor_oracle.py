@@ -16,7 +16,8 @@ import math
 
 import numpy as np
 
-from proadapt.metrics import BRR_MODEL, MEAN_BASELINE, MRA_MODEL, STATIC_BASELINE, mae, rmse
+from proadapt.metrics import (BRR_MODEL, MEAN_BASELINE, MRA_MODEL, STATIC_BASELINE,
+                              TRAIN_FRACTION, mae, rmse)
 from proadapt.regression import (DesignMatrix, RegressionModel, ResponseVector,
                                  baseline_mean, error_function, fit_mra)
 from proadapt.types import subseed
@@ -57,12 +58,9 @@ def _score(predicted, actual, run: int, model: str) -> tuple[float, float]:
 
 
 def reference_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: int,
-                                    seed: int, static_value: float,
-                                    train_fraction: float = 0.9) -> list[Row]:
+                                    seed: int, static_value: float) -> list[Row]:
     """The per-run harness; same arguments as the library's, and its
     reports as rows."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must lie in (0, 1)")
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     if X.n < 40:
@@ -73,7 +71,7 @@ def reference_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: 
     for run in range(n_runs):
         run_seed = subseed(seed, run)
         rng = np.random.default_rng(run_seed)
-        n_test = max(1, int(round((1.0 - train_fraction) * X.n)))
+        n_test = max(1, int(round((1.0 - TRAIN_FRACTION) * X.n)))
         order = rng.permutation(X.n)
         test_idx, train_idx = order[:n_test], order[n_test:]
         train_X = DesignMatrix(X.rows[train_idx], X.column_names)
@@ -87,7 +85,7 @@ def reference_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: 
         }
         for name, value in constants.items():
             scores = _score(np.full(n_test, value), actual, run, name)
-            rows.append(Row(run, name, *scores, train_fraction, run_seed))
+            rows.append(Row(run, name, *scores, run_seed))
         fits = {
             MRA_MODEL: lambda: fit_mra(train_X, train_t),
             BRR_MODEL: lambda: reference_bayesian_ridge(train_X, train_t),
@@ -96,9 +94,9 @@ def reference_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: 
             try:
                 weights = np.asarray(fit().weights)
             except ValueError as exc:
-                rows.append(Row(run, name, None, None, train_fraction, run_seed, str(exc)))
+                rows.append(Row(run, name, None, None, run_seed, str(exc)))
                 continue
             predicted = np.maximum(0.0, test_rows @ weights)
             scores = _score(predicted, actual, run, name)
-            rows.append(Row(run, name, *scores, train_fraction, run_seed))
+            rows.append(Row(run, name, *scores, run_seed))
     return rows

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from proadapt.metrics import ModelAggregate, Reports, Summary
+from proadapt.metrics import TRAIN_FRACTION, ModelAggregate, Reports, Summary
 
 
 class Row(NamedTuple):
@@ -25,7 +25,6 @@ class Row(NamedTuple):
     model: str
     rmse: float | None
     mae: float | None
-    train_fraction: float
     seed: int
     error: str | None = None
 
@@ -39,8 +38,7 @@ def grid_rows(grid: Reports) -> list[Row]:
             error = grid.errors.get((model, run))
             rmse, mae = (None, None) if error is not None else \
                 (float(grid.rmse[run, k]), float(grid.mae[run, k]))
-            rows.append(Row(run, model, rmse, mae, grid.train_fraction, grid.seeds[run],
-                            error))
+            rows.append(Row(run, model, rmse, mae, grid.seeds[run], error))
     return rows
 
 
@@ -50,7 +48,7 @@ def rows_to_csv_text(rows: list[Row]) -> str:
         if r.error is not None:
             continue
         lines.append(f"{r.run},{r.model},{r.rmse:.17g},{r.mae:.17g},"
-                     f"{r.train_fraction:.17g},{r.seed}")
+                     f"{TRAIN_FRACTION:.17g},{r.seed}")
     return "\n".join(lines) + "\n"
 
 

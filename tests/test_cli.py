@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from proadapt import (ArimaModel, Phase, TimeSeries, WorkflowConfig, arima, cli, emulator,
                       fit_arima, forecast, generate_trace, price_tactics, regression,
-                      workflow, workflow_tick, write_trace_csv)
+                      workflow, write_trace_csv)
 from proadapt.cli import main
-from monitor_oracle import tick_entry_to_dict
+from monitor_oracle import reference_tick, tick_entry_to_dict
 
 
 def run_cli(*args, cwd=None):
@@ -52,6 +52,15 @@ class TestGenerate:
         out = tmp_path / "trace.csv"
         assert run_main(capsys, "generate", "--minutes", minutes, "--out", str(out)) == (
             1, "", f"error: --minutes must be >= 1, got {minutes}\n")
+        assert not out.exists()
+
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the trace was generated")
+        monkeypatch.setattr(emulator, "generate_trace", no_work)
+        out = tmp_path / "trace.csv"
+        assert run_main(capsys, "generate", "--seed", "-1", "--out", str(out)) == (
+            1, "", "error: --seed must be >= 0, got -1\n")
         assert not out.exists()
 
     def test_unwritable_path_exits_2(self, tmp_path):
@@ -110,6 +119,20 @@ class TestReplicate:
         assert run_main(capsys, "replicate", *argv, "--minutes", "0", "--runs", "2",
                         "--out-dir", str(out_dir)) == (
             1, "", "error: --minutes must be >= 1, got 0\n")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("source", ["--emulate", "--trace"])
+    def test_negative_seed_names_the_flag_before_any_work(self, tmp_path, capsys,
+                                                          monkeypatch, source):
+        def no_work(*args):
+            raise AssertionError("the trace was read or generated")
+        monkeypatch.setattr(emulator, "generate_trace", no_work)
+        monkeypatch.setattr(emulator, "ingest_trace_csv", no_work)
+        argv = [source] + ([str(tmp_path / "trace.csv")] if source == "--trace" else [])
+        out_dir = tmp_path / "reports"
+        assert run_main(capsys, "replicate", *argv, "--seed", "-1", "--runs", "2",
+                        "--out-dir", str(out_dir)) == (
+            1, "", "error: --seed must be >= 0, got -1\n")
         assert not out_dir.exists()
 
     def test_requires_a_source(self, tmp_path):
@@ -413,8 +436,7 @@ class TestMonitorRefit:
             if tick == 0 or (refit_every > 0 and tick % refit_every == 0):
                 models = {s.name: fit_arima(series) for s in specs}
             for spec in specs:
-                entry, = workflow_tick([spec], series, estimates, config,
-                                       models[spec.name])
+                entry, = reference_tick([spec], series, estimates, config, models[spec.name])
                 lines[(tick, spec.name)] = tick_entry_to_dict(entry)
         return lines
 

@@ -175,17 +175,6 @@ class TestPredictorExperiments:
         assert reports.models == ("baseline_mean", "baseline_static", "mra", "brr")
         assert reports.rmse.shape == reports.mae.shape == (3, 4)
 
-    @pytest.mark.parametrize("fraction", [0.0, -0.2, math.nan, 1.0, 1.5])
-    def test_train_fraction_checked_before_any_fit(self, monkeypatch, fraction):
-        def no_fit(*args, **kwargs):
-            raise AssertionError("fit_gram_batch ran before train_fraction was checked")
-
-        monkeypatch.setattr(metrics, "fit_gram_batch", no_fit)
-        X, t = self.make_linear(n=60, noise=0.1)
-        with pytest.raises(ValueError, match=r"^train_fraction must lie in \(0, 1\)$"):
-            run_predictor_experiments(X, t, 3, seed=5, static_value=2.0,
-                                      train_fraction=fraction)
-
     @pytest.mark.parametrize("static_value, error", [
         (math.nan, ValueError), (math.inf, ValueError), (-math.inf, ValueError),
         (True, TypeError), ("2.5", TypeError), (None, TypeError)])
@@ -223,9 +212,35 @@ def test_harnesses_check_n_runs_before_any_work(monkeypatch, n_runs, error, mess
         run_predictor_experiments(X, t, n_runs, seed=1, static_value=1.0)
 
 
+@pytest.mark.parametrize("seed, error, message", [
+    (True, TypeError, "seed must be an integer, got True"),
+    (None, TypeError, "seed must be an integer, got None"),
+    (2.5, TypeError, "seed must be an integer, got 2.5"),
+    ("3", TypeError, "seed must be an integer, got '3'"),
+    (-1, ValueError, "seed must be >= 0")])
+def test_harnesses_check_seed_before_any_work(monkeypatch, seed, error, message):
+    # seed=True used to run as seed 1, None failed inside len() and -1
+    # inside NumPy, neither naming the argument.
+    monkeypatch.setattr(metrics, "subseed", no_work)
+    monkeypatch.setattr(metrics, "fit_arima_windows", no_work)
+    monkeypatch.setattr(metrics, "fit_gram_batch", no_work)
+    X = DesignMatrix(np.column_stack([np.ones(60), np.arange(60.0)]))
+    t = ResponseVector(np.arange(60.0) + 1.0)
+    with pytest.raises(error, match=f"^{message}$"):
+        run_forecast_experiments(TimeSeries(np.arange(100.0)), 2, seed=seed)
+    with pytest.raises(error, match=f"^{message}$"):
+        run_predictor_experiments(X, t, 2, seed=seed, static_value=1.0)
+
+
 def test_harnesses_accept_numpy_integer_runs():
     reports = run_forecast_experiments(TimeSeries(np.arange(100.0)), np.int64(2), seed=1)
     assert reports.rmse.shape == (2, 2)
+
+
+def test_harnesses_accept_numpy_integer_seeds():
+    series = TimeSeries(np.arange(100.0))
+    assert grid_rows(run_forecast_experiments(series, 2, seed=np.uint32(7))) == \
+        grid_rows(run_forecast_experiments(series, 2, seed=7))
 
 
 def grid(rmses: dict[str, list], maes: dict[str, list] | None = None) -> Reports:
@@ -240,7 +255,7 @@ def grid(rmses: dict[str, list], maes: dict[str, list] | None = None) -> Reports
 
     errors = {(m, run): "boom" for m in models for run in range(n_runs)
               if rmses[m][run] is None}
-    return Reports(models, range(n_runs), cells(rmses), cells(maes or rmses), 0.9, errors)
+    return Reports(models, range(n_runs), cells(rmses), cells(maes or rmses), errors)
 
 
 class TestSummarize:
@@ -263,7 +278,7 @@ class TestSummarize:
     def test_empty_rejected(self):
         empty = np.empty((0, 0))
         with pytest.raises(ValueError, match="no reports to summarize"):
-            summarize(Reports((), (), empty, empty, 0.9, {}))
+            summarize(Reports((), (), empty, empty, {}))
 
     def test_errored_runs_counted_separately(self):
         summary = summarize(grid({"a": [0.1, None]}))

@@ -17,12 +17,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from monitor_oracle import reference_monitor
+from monitor_oracle import reference_monitor, tick_entry_to_dict
 from proadapt import arima, cli, workflow
 from proadapt.arima import ArimaModel
 from proadapt.emulator import generate_trace, write_trace_csv
-from proadapt.types import TimeSeries
-from proadapt.workflow import WorkflowConfig, price_tactics
+from proadapt.types import SlaSpec, TimeSeries
+from proadapt.workflow import (SpecAnalysis, TacticEstimate, TickEntry, WorkflowConfig,
+                               price_tactics)
 
 TACTICS = [{"name": "mirror_g", "mirror": "germany", "static_latency": 2.5,
             "static_cost": 30.0},
@@ -180,18 +181,20 @@ def test_ties_on_the_threshold_match_reference_loop(workdir, risk_margin):
     assert '"status": "healthy"' in out and '"status": "broken"' in out
 
 
-def test_line_templates_are_cleared_per_block(workdir, monkeypatch):
+def test_many_distinct_lines_match_reference_loop(workdir, monkeypatch):
     # Eight specs between the troughs and crests of a noisy wave, and a
     # 60-step horizon: the ticks' (status, first step) tuples are mostly
-    # distinct, more of them than a block has ticks. Names with '%' must
-    # survive the %-templates.
-    built, template = [], cli._TickLines._template
+    # distinct, more of them than a block has ticks, yet the serialised
+    # parts stay one per status and first step, at most horizon + 2.
+    keys, sizes, entries = set(), [], cli._TickLines.entries
 
-    def spy(lines, key):
-        built.append(len(lines._templates) + 1)  # the cache size once key is added
-        return template(lines, key)
+    def spy(lines, tick, forecast, pairs):
+        text = entries(lines, tick, forecast, pairs)
+        keys.add(tuple(pairs))
+        sizes.append(len(lines._parts))
+        return text
 
-    monkeypatch.setattr(cli._TickLines, "_template", spy)
+    monkeypatch.setattr(cli._TickLines, "entries", spy)
     rng = np.random.default_rng(11)
     t = np.arange(700)
     values = (10.0 * np.sin(t / 25.0) + 0.04 * np.cumsum(rng.normal(0.0, 0.2, t.size))
@@ -203,8 +206,59 @@ def test_line_templates_are_cleared_per_block(workdir, monkeypatch):
                                             True)
     assert out == want_out and err == want_err
     assert len(out.splitlines()) == 8 * 681
-    assert len(built) > 681 // 2 and len(built) > cli.BLOCK_TICKS
-    assert max(built) <= cli.BLOCK_TICKS
+    assert len(keys) > cli.BLOCK_TICKS
+    assert len(sizes) == 681 and max(sizes) <= 60 + 2
+
+
+# Names and error texts with format characters, quotes, escapes and
+# characters outside ASCII.
+TEXTS = st.text(st.sampled_from('%{}"\\\'/\n\t\x00\u00e9\u20ac\U0001f600 ab')
+                | st.characters(), max_size=10)
+SCALARS = st.floats(0.0, 1e6) | st.sampled_from([0.0, 1e-300, 1e300])
+
+
+@st.composite
+def tick_line_cases(draw):
+    """Specs, estimates (none or some), a horizon and ticks, each with a
+    finite forecast and a drawn status and first step per spec."""
+    horizon = draw(st.integers(1, 6))
+    names = draw(st.lists(TEXTS.filter(bool), min_size=1, max_size=4, unique=True))
+    estimates = tuple(draw(st.lists(st.builds(
+        TacticEstimate, TEXTS, SCALARS, SCALARS, st.floats(-1e6, 1e6)), max_size=3)))
+    ticks = []
+    for tick in draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=6)):
+        forecast = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                 min_size=horizon, max_size=horizon))
+        codes = draw(st.lists(st.integers(0, 2), min_size=len(names),
+                              max_size=len(names)))
+        steps = [draw(st.integers(1, horizon)) if workflow.STATUSES[code] is
+                 workflow.SpecStatus.AT_RISK else 0 for code in codes]
+        ticks.append((tick, forecast, codes, steps, draw(TEXTS)))
+    return names, estimates, draw(st.sampled_from([0.5, 6.0])), ticks
+
+
+@settings(max_examples=200, deadline=None)
+@given(tick_line_cases())
+def test_tick_lines_equal_json_dumps(case):
+    names, estimates, tick_seconds, ticks = case
+    specs = [SlaSpec(name, 1.0) for name in names]
+    lines = cli._TickLines(specs, estimates, tick_seconds)
+    for tick, forecast, codes, steps, error in ticks:
+        want = []
+        for name, code, step in zip(names, codes, steps):
+            status = workflow.STATUSES[code]
+            ranked = ()
+            if estimates and status is not workflow.SpecStatus.HEALTHY:
+                ranked = tuple(workflow.rank_tactics(estimates, status, step or None,
+                                                     tick_seconds))
+            entry = TickEntry(name, SpecAnalysis(name, forecast, status, step or None),
+                              ranked)
+            want.append(json.dumps({"tick": tick, **tick_entry_to_dict(entry)}) + "\n")
+        pairs = [code + 3 * step for code, step in zip(codes, steps)]
+        assert lines.entries(tick, forecast, pairs) == "".join(want)
+        assert lines.errors(tick, error) == "".join(
+            json.dumps({"tick": tick, "name": name, "error": error}) + "\n"
+            for name in names)
 
 
 def test_blocks_stay_within_the_cell_budget(workdir, monkeypatch):

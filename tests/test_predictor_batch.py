@@ -100,8 +100,7 @@ def assert_reports_agree(grid, want, X: DesignMatrix, t: ResponseVector) -> None
     got = grid_rows(grid)
     assert len(got) == len(want)
     for new, old in zip(got, want):
-        assert (new.run, new.model, new.seed, new.train_fraction) == \
-            (old.run, old.model, old.seed, old.train_fraction)
+        assert (new.run, new.model, new.seed) == (old.run, old.model, old.seed)
         if new.model == BRR_MODEL and old.error is not None:
             # The per-run ridge failed with whatever LAPACK or the weight
             # check said about a non-finite X'X; the library names it.
@@ -117,19 +116,18 @@ def assert_reports_agree(grid, want, X: DesignMatrix, t: ResponseVector) -> None
                 assert abs(a - b) <= SCORE_RTOL * abs(b) + atol, (new, old)
 
 
-def held_out_rows(n: int, train_fraction: float) -> int:
-    return max(1, int(round((1.0 - train_fraction) * n)))
+def held_out_rows(n: int) -> int:
+    return max(1, int(round((1.0 - metrics.TRAIN_FRACTION) * n)))
 
 
 @st.composite
 def experiments(draw):
     kind = draw(st.sampled_from(KINDS))
-    n = draw(st.integers(40, 150))
+    n = draw(st.integers(40, 400))  # 4 to 40 held-out rows
     m = draw(st.integers(2, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X, t = build_design(kind, n, m, rng, noise=draw(st.sampled_from([1e-3, 0.1, 1.0])))
-    train_fraction = draw(st.sampled_from([0.5, 0.75, 0.9]))
-    n_test = held_out_rows(n, train_fraction)
+    n_test = held_out_rows(n)
     # One-run batches, three-run batches of one-run passes, three-run
     # passes in batches of 3 (M + 1) runs, or the default budget (one
     # batch at these sizes): the small budgets cross batch and pass
@@ -139,16 +137,14 @@ def experiments(draw):
     return {"kind": kind, "X": X, "t": t, "cells": cells,
             "n_runs": draw(st.integers(1, 35)),
             "seed": draw(st.integers(0, 2**31)),
-            "static_value": draw(st.sampled_from([0.0, 2.5, 1e3])),
-            "train_fraction": train_fraction}
+            "static_value": draw(st.sampled_from([0.0, 2.5, 1e3]))}
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(experiments())
 def test_chunked_harness_matches_per_run_reference(case):
     args = (case["X"], case["t"], case["n_runs"], case["seed"])
-    kwargs = {"static_value": case["static_value"],
-              "train_fraction": case["train_fraction"]}
+    kwargs = {"static_value": case["static_value"]}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(metrics, "PREDICTOR_CELLS", case["cells"])
         got, got_error = outcome(run_predictor_experiments, *args, **kwargs)
@@ -249,7 +245,7 @@ def test_runs_are_fitted_in_batches_of_the_cell_budget(monkeypatch):
 
     monkeypatch.setattr(metrics, "fit_gram_batch", recording)
     X, t = build_design("well", 4300, 4, np.random.default_rng(5))
-    size = max(1, PREDICTOR_CELLS // held_out_rows(X.n, 0.9))
+    size = max(1, PREDICTOR_CELLS // held_out_rows(X.n))
     assert size == 152
     run_predictor_experiments(X, t, 2 * size + 1, 9, static_value=1.0)
     assert shapes == [(size, 4, 4)] * 2 + [(1, 4, 4)]
@@ -282,7 +278,7 @@ def test_reports_are_bit_identical_for_every_cell_budget(design, monkeypatch):
         X, t = emulated_design()
     else:
         X, t = build_design(design, 300, 6, np.random.default_rng(8))
-    n_runs, n_test = 40, held_out_rows(X.n, 0.9)
+    n_runs, n_test = 40, held_out_rows(X.n)
     budgets = [n_test, n_test * (X.m + 1), PREDICTOR_CELLS, n_runs * n_test * (X.m + 1)]
     results = []
     for cells in budgets:

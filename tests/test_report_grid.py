@@ -40,8 +40,7 @@ def grid_fields(draw, min_runs: int = 1):
     errors = {(models[k], run): f"run {run} failed"
               for run, k in zip(*np.nonzero(failed))}
     seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=n_runs, max_size=n_runs))
-    fraction = draw(st.sampled_from([0.9, 0.5, 0.75, 1e-9, 1 - 1e-9]))
-    return models, seeds, rmse, mae, fraction, errors
+    return models, seeds, rmse, mae, errors
 
 
 @settings(max_examples=300, deadline=None)
@@ -59,7 +58,7 @@ def test_csv_and_summary_equal_the_row_wise_ones(fields, other_fields):
 @settings(max_examples=200, deadline=None)
 @given(grid_fields(), st.data())
 def test_a_nan_without_an_error_is_rejected(fields, data):
-    models, seeds, rmse, mae, fraction, errors = fields
+    models, seeds, rmse, mae, errors = fields
     scored = np.argwhere(~np.isnan(rmse))
     if not scored.size:
         return
@@ -67,13 +66,13 @@ def test_a_nan_without_an_error_is_rejected(fields, data):
     scores = data.draw(st.sampled_from([rmse, mae]))
     scores[run, k] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
     with pytest.raises(ValueError, match="^scores must be finite$"):
-        Reports(models, seeds, rmse, mae, fraction, errors)
+        Reports(models, seeds, rmse, mae, errors)
 
 
 @settings(max_examples=200, deadline=None)
 @given(grid_fields(), st.data())
 def test_an_error_with_a_score_is_rejected(fields, data):
-    models, seeds, rmse, mae, fraction, errors = fields
+    models, seeds, rmse, mae, errors = fields
     run = data.draw(st.integers(0, len(seeds) - 1))
     k = data.draw(st.integers(0, len(models) - 1))
     errors = {**errors, (models[k], run): "boom"}
@@ -81,18 +80,19 @@ def test_an_error_with_a_score_is_rejected(fields, data):
     if data.draw(st.booleans()):  # only one of the two scores is set
         data.draw(st.sampled_from([rmse, mae]))[run, k] = math.nan
     with pytest.raises(ValueError, match="^an errored cell must have NaN scores$"):
-        Reports(models, seeds, rmse, mae, fraction, errors)
+        Reports(models, seeds, rmse, mae, errors)
 
 
 def small(rmse=((0.5, 0.25), (0.75, math.nan)), mae=((0.25, 0.25), (0.5, math.nan)),
-          fraction=0.9, errors=None, models=("a", "b"), seeds=(11, 12)) -> Reports:
+          errors=None, models=("a", "b"), seeds=(11, 12)) -> Reports:
     errors = {("b", 1): "boom"} if errors is None else errors
-    return Reports(models, seeds, np.array(rmse), np.array(mae), fraction, errors)
+    return Reports(models, seeds, np.array(rmse), np.array(mae), errors)
 
 
 @pytest.mark.parametrize("change, message", [
-    ({"fraction": 1.0}, r"^train_fraction must lie in \(0, 1\)$"),
-    ({"fraction": math.nan}, r"^train_fraction must lie in \(0, 1\)$"),
+    ({"errors": {("b", 1): "boom", ("a", 0): "boom"}},
+     "^an errored cell must have NaN scores$"),
+    ({"rmse": ((0.5, math.inf), (0.75, math.nan))}, "^scores must be finite$"),
     ({"models": ("a", "a")}, "^model names must be distinct"),
     ({"seeds": (11,)}, r"^rmse and mae must have shape \(runs, models\) = \(1, 2\)"),
     ({"mae": ((0.25, 0.25),)}, r"got \(2, 2\) and \(1, 2\)$"),
@@ -127,25 +127,25 @@ def test_arrays_are_read_only_copies():
 
 
 def test_iteration_yields_cells_in_run_order():
-    assert list(small()) == [Cell(0, "a", 0.5, 0.25, 0.9, 11, None),
-                             Cell(0, "b", 0.25, 0.25, 0.9, 11, None),
-                             Cell(1, "a", 0.75, 0.5, 0.9, 12, None),
-                             Cell(1, "b", None, None, 0.9, 12, "boom")]
+    assert list(small()) == [Cell(0, "a", 0.5, 0.25, 11, None),
+                             Cell(0, "b", 0.25, 0.25, 11, None),
+                             Cell(1, "a", 0.75, 0.5, 12, None),
+                             Cell(1, "b", None, None, 12, "boom")]
 
 
 def test_select_keeps_and_renames_columns_in_their_order():
     grid = Reports(("m", "s", "x", "y"), (5, 6),
                    np.array([[1.0, 2.0, 3.0, math.nan], [4.0, math.nan, 6.0, 7.0]]),
                    np.array([[1.0, 2.0, 3.0, math.nan], [4.0, math.nan, 6.0, 7.0]]),
-                   0.9, {("y", 0): "y failed", ("s", 1): "s failed"})
+                   {("y", 0): "y failed", ("s", 1): "s failed"})
     # The mapping's order does not matter; the grid's does.
     kept = grid.select({"y": "why", "m": "em", "s": "s"})
     assert kept.models == ("em", "s", "why")
-    assert kept.seeds == grid.seeds and kept.train_fraction == grid.train_fraction
+    assert kept.seeds == grid.seeds
     assert dict(kept.errors) == {("why", 0): "y failed", ("s", 1): "s failed"}
     assert grid_rows(kept) == [
-        Row(r.run, {"m": "em", "y": "why"}.get(r.model, r.model), r.rmse, r.mae,
-            r.train_fraction, r.seed, r.error)
+        Row(r.run, {"m": "em", "y": "why"}.get(r.model, r.model), r.rmse, r.mae, r.seed,
+            r.error)
         for r in grid_rows(grid) if r.model != "x"]
     assert kept.select({}).rmse.shape == (2, 0)
     with pytest.raises(ValueError, match="^model names must be distinct"):

@@ -5,7 +5,7 @@ import pytest
 
 from proadapt import (ArimaModel, Direction, RegressionModel, SlaSpec, SpecStatus,
                       TacticEstimate, TacticModels, Tactic, TimeSeries, UtilityParams,
-                      WorkflowConfig, fit_arima, forecast, generate_trace, price_tactics,
+                      WorkflowConfig, fit_arima, generate_trace, price_tactics,
                       rank_tactics, to_regression_dataset, workflow_tick, fit_mra)
 from proadapt import regression, workflow
 
@@ -19,10 +19,10 @@ def ramp(start, step, n):
     return TimeSeries(start + step * np.arange(n))
 
 
-def analyze(spec, history, horizon, risk_margin, model=None):
+def analyze(spec, history, horizon, risk_margin):
     """The one spec's analysis from a tick without tactics."""
     config = WorkflowConfig(horizon=horizon, risk_margin=risk_margin)
-    [entry] = workflow_tick([spec], history, config=config, model=model)
+    [entry] = workflow_tick([spec], history, config=config)
     return entry.analysis
 
 
@@ -91,17 +91,6 @@ class TestAnalyzeSpecification:
         assert analysis.status is SpecStatus.AT_RISK
         # forecasts 105, 104, ...: the first value strictly below 100 is step 7
         assert analysis.first_violation_step == 7
-
-    def test_prefit_model_reused(self):
-        history = ramp(0.30, 0.002, 80)
-        model = fit_arima(history)
-        later = TimeSeries(history.values + 0.2)
-        analysis = analyze(UPPER, later, horizon=5, risk_margin=0.1, model=model)
-        # parameters came from the old fit, origin from the new tail
-        assert analysis.forecast_values[0] == pytest.approx(
-            later.values[-1] + model.c + model.phi * 0.002, abs=1e-9)
-        moved = ArimaModel(model.phi, model.c, later.tail(2), model.residual_variance)
-        assert analysis.forecast_values == tuple(forecast(moved, 5))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -326,27 +315,36 @@ class TestWorkflowTick:
 
     def test_shared_series_and_model_forecast_once(self, monkeypatch):
         series = ramp(0.50, 0.01, 40)
-        model = fit_arima(ramp(0.40, 0.012, 40))
         specs = [SlaSpec("a", 0.7, reward=3.0), SlaSpec("b", 0.9, reward=2.0),
                  SlaSpec("c", 2.0, reward=1.0)]
-        calls = []
-        original = workflow.workflow_block
+        fits, calls = [], []
+        fit, original = workflow.fit_arima, workflow.workflow_block
+        monkeypatch.setattr(workflow, "fit_arima",
+                            lambda history: fits.append(len(history)) or fit(history))
         monkeypatch.setattr(workflow, "workflow_block",
                             lambda s, last, *rest: calls.append(len(last))
                             or original(s, last, *rest))
-        entries = workflow_tick(specs, series, model=model)
-        assert calls == [1]
+        entries = workflow_tick(specs, series)
+        assert fits == [40] and calls == [1]
         for spec, entry in zip(specs, entries):
-            assert entry.analysis == analyze(spec, series, 5, 0.10, model=model)
+            assert entry.analysis == analyze(spec, series, 5, 0.10)
         assert {e.analysis.status for e in entries} == {
             SpecStatus.BROKEN, SpecStatus.AT_RISK, SpecStatus.HEALTHY}
 
-    def test_shared_forecast_failure_lands_on_each_spec(self):
-        model = fit_arima(ramp(0.40, 0.012, 40))
+    def test_shared_forecast_failure_lands_on_each_spec(self, monkeypatch):
         specs = [SlaSpec("a", 0.7, reward=2.0), SlaSpec("b", 0.9, reward=1.0)]
-        entries = workflow_tick(specs, TimeSeries([0.5]), model=model)
+        with pytest.raises(ValueError) as failure:
+            fit_arima(TimeSeries([0.5]))
+        entries = workflow_tick(specs, TimeSeries([0.5]))
         assert [e.spec_name for e in entries] == ["a", "b"]
-        assert all(e.analysis is None and "at least 2" in e.error for e in entries)
+        assert all(e.analysis is None and e.error == str(failure.value) for e in entries)
+        # A drift of 1e308 per step leaves the float range at step 2.
+        monkeypatch.setattr(workflow, "fit_arima", lambda history: ArimaModel(
+            0.5, 1e308, history.tail(2), 1.0))
+        entries = workflow_tick(specs, ramp(0.40, 0.012, 40))
+        assert [e.spec_name for e in entries] == ["a", "b"]
+        assert all(e.analysis is None and e.error == "forecast step 2 is not finite"
+                   for e in entries)
 
 
 class PricingFixture:
