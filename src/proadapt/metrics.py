@@ -232,13 +232,12 @@ def _check_runs_and_seed(n_runs: int, seed: int) -> None:
 
 def _test_length(n: int) -> int:
     """The held-out window length of an n-point series; raises ``ValueError``
-    when the split leaves too few test or training points."""
+    when it is below ``MIN_TEST_POINTS``. A series long enough for that
+    leaves far more than ``MIN_TRAIN_POINTS`` before the last window."""
     test_len = int(round((1.0 - TRAIN_FRACTION) * n))
     if test_len < MIN_TEST_POINTS:
         raise ValueError(f"test window of {test_len} points is below the "
                          f"{MIN_TEST_POINTS}-point floor")
-    if n - test_len < MIN_TRAIN_POINTS:
-        raise ValueError(f"series too short to leave {MIN_TRAIN_POINTS} training points")
     return test_len
 
 
