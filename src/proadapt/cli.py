@@ -367,13 +367,14 @@ class _TickLines:
         return "".join(f'{{"tick": {tick}{name}"error": {text}}}\n' for name in self._names)
 
     def entries(self, tick: int, forecast: list[float], pairs: Sequence[int]) -> str:
+        parts = self._parts
         start, values = f'{{"tick": {tick}', repr(forecast)
         lines = []
         for name, pair in zip(self._names, pairs):
-            if pair not in self._parts:
-                self._parts[pair] = self._part(pair)
-            head, tail = self._parts[pair]
-            lines.append(start + name + head + values + tail)
+            if pair not in parts:
+                parts[pair] = self._part(pair)
+            head, tail = parts[pair]
+            lines.append(f"{start}{name}{head}{values}{tail}")
         return "".join(lines)
 
     def _part(self, pair: int) -> tuple[str, str]:
