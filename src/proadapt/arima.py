@@ -216,9 +216,13 @@ def fit_arima_windows(series: TimeSeries, window: int, starts: Sequence[int]
     and a list of errors: the :class:`FitError` ``fit_arima`` raises on that
     window, or None where it fits and the arrays hold its coefficients.
     Only the span the starts cover is differenced. Raises ``ValueError``
-    for a window that does not lie inside ``series``.
+    for a window that does not lie inside ``series`` and ``TypeError`` for a
+    start that is not an integer.
     """
-    starts = np.asarray(starts, dtype=np.intp).reshape(-1)
+    starts = np.asarray(starts).reshape(-1)
+    if starts.size and starts.dtype.kind not in "iu":
+        raise TypeError(f"starts must be integers, got an array of {starts.dtype}")
+    starts = starts.astype(np.intp, copy=False)
     # The span [lo, hi) of the series that the windows cover.
     lo, hi = (int(starts.min()), int(starts.max()) + window) if starts.size else (0, 0)
     if window < 1 or lo < 0 or hi > len(series):

@@ -43,7 +43,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .regression import DesignMatrix, ResponseVector
-from .types import TimeSeries, subseed
+from .types import TimeSeries, check_integer, subseed
 
 __all__ = [
     "Mirror",
@@ -252,8 +252,8 @@ _DIURNAL = np.array([1.0 + 0.3 * math.cos(2.0 * math.pi * (hour - 20) / 24.0)
 def generate_trace(duration_minutes: int, seed: int) -> Trace:
     """Emulate ``duration_minutes`` of operation: one download per mirror
     per minute plus an interleaved idle reading, deterministic per seed."""
-    if duration_minutes < 1:
-        raise ValueError("duration_minutes must be >= 1")
+    check_integer("duration_minutes", duration_minutes, 1)
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     normal, uniform, exponential = rng.standard_normal, rng.random, rng.exponential
     starts = START_EPOCH + 60.0 * np.arange(duration_minutes)
@@ -280,8 +280,28 @@ def generate_trace(duration_minutes: int, seed: int) -> Trace:
     return Trace(timestamp=(starts[:, None] + offsets).ravel(),
                  mirror=np.tile(mirror, duration_minutes),
                  phase=np.tile(phase, duration_minutes),
-                 latency_seconds=list(map(round, latency, repeat(6))),
-                 energy_joules=list(map(round, energy, repeat(6))))
+                 latency_seconds=_round6(latency), energy_joules=_round6(energy))
+
+
+def _round6(values: list[float]) -> np.ndarray:
+    """``round(v, 6)`` of each of ``values``, bit for bit, in one array pass.
+
+    round(v, 6) is k / 10^6 correctly rounded, k the integer nearest the
+    exact v * 10^6 (ties to even). The float product is within 0.5 ulp of
+    the exact one, so its ``rint`` is k unless a half-integer lies within
+    that distance, and for |k| < 2**52 the float quotient k / 1e6 is
+    correctly rounded. The few values within 4 ulps of a half-integer, not
+    finite, or at least 2**52 once scaled go to ``round`` itself.
+    """
+    scaled = np.array(values, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled *= 1e6
+        unsure = ~(np.abs(scaled) < 2.0**52) | (
+            np.abs(scaled - np.floor(scaled) - 0.5) <= 4 * np.spacing(np.abs(scaled)))
+        rounded = np.rint(scaled) / 1e6
+    for i in np.flatnonzero(unsure).tolist():
+        rounded[i] = round(values[i], 6)
+    return rounded
 
 
 def sample_latency(profile: TacticProfile, seed: int, n: int) -> np.ndarray:
@@ -290,8 +310,8 @@ def sample_latency(profile: TacticProfile, seed: int, n: int) -> np.ndarray:
     Gaussian draws are truncated at zero by resampling (negligible at the
     default profiles); skewed draws are lognormal with mean matched exactly.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_integer("n", n, 1)
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     if profile.shape is LatencyShape.NORMAL:
         draws = rng.normal(profile.mean, profile.sd, n)
@@ -329,8 +349,8 @@ def run_cost_impact_simulation(a: TacticProfile, b: TacticProfile,
     shows what ignoring volatility costs: each sample is one execution's
     overall cost = sampled latency * cost per unit latency.
     """
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
+    check_integer("n_runs", n_runs, 1)
+    check_integer("seed", seed, 0)
     costs_a = sample_latency(a, subseed(seed, 0), n_runs) * a.cost_per_unit_latency
     costs_b = sample_latency(b, subseed(seed, 1), n_runs) * b.cost_per_unit_latency
     top = float(max(costs_a.max(), costs_b.max()))

@@ -9,13 +9,15 @@ random held-out rows.
 Forecast splits use a contiguous test window because scattering test
 points through a time series would leak future values into training;
 regression rows carry no such ordering, so predictor splits sample rows
-uniformly. Each run draws its own seed from the master seed through
-``types.subseed``, so runs are reorder-independent and the whole harness
-is byte-deterministic. Each harness call returns one ``Reports`` grid:
-read-only (runs, models) rmse and mae arrays, with the message of each
-failed run and model in ``errors`` and NaN in its cell, so a failure does
-not abort the batch; a score that overflows raises ``ValueError`` naming
-the run and model.
+uniformly: a run holds out a seeded sample of n_test rows, drawn without
+replacement by ``Generator.choice`` in O(n_test) steps rather than by
+shuffling all n rows, and trains on the rest, in row order. Each run
+draws its own seed from the master seed through ``types.subseed``, so
+runs are reorder-independent and the whole harness is byte-deterministic.
+Each harness call returns one ``Reports`` grid: read-only (runs, models)
+rmse and mae arrays, with the message of each failed run and model in
+``errors`` and NaN in its cell, so a failure does not abort the batch; a
+score that overflows raises ``ValueError`` naming the run and model.
 
 Forecast runs keep one seeded split per run and one ``fit_arima_windows``
 call per distinct split start in a pass, on the one window before that
@@ -68,7 +70,7 @@ import numpy as np
 from .arima import fit_arima_windows, forecast_error, forecast_paths
 from .regression import (DesignMatrix, ResponseVector, baseline_mean, fit_bayesian_ridge,
                          fit_gram_batch, fit_mra)
-from .types import TimeSeries, subseed
+from .types import TimeSeries, check_integer, subseed
 
 __all__ = [
     "Cell",
@@ -110,13 +112,18 @@ def _paired(predicted: Sequence[float], actual: Sequence[float]) -> np.ndarray:
 
 
 def rmse(predicted: Sequence[float], actual: Sequence[float]) -> float:
-    """Root mean square error: [sum (y_i - t_i)^2 / N]^(1/2)."""
+    """Root mean square error: [sum (y_i - t_i)^2 / N]^(1/2).
+
+    A NaN among the inputs gives a NaN score, and an overflowing sum an
+    infinite one: such a score is the caller's to handle, as the harnesses
+    do when they record it as a failed cell or raise."""
     errors = _paired(predicted, actual)
     return math.sqrt(float(np.mean(errors**2)))
 
 
 def mae(predicted: Sequence[float], actual: Sequence[float]) -> float:
-    """Mean absolute error: sum |y_i - t_i| / n."""
+    """Mean absolute error: sum |y_i - t_i| / n. A NaN or overflowing score
+    is the caller's to handle, as with ``rmse``."""
     errors = _paired(predicted, actual)
     return float(np.mean(np.abs(errors)))
 
@@ -222,14 +229,6 @@ def _reports(runs: range, models: Sequence[str], residuals: np.ndarray,
     return rmses, maes
 
 
-def _check_runs_and_seed(n_runs: int, seed: int) -> None:
-    for name, value, least in (("n_runs", n_runs, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}")
-
-
 def _test_length(n: int) -> int:
     """The held-out window length of an n-point series; raises ``ValueError``
     when it is below ``MIN_TEST_POINTS``. A series long enough for that
@@ -251,7 +250,8 @@ def run_forecast_experiments(series: TimeSeries, n_runs: int, seed: int) -> Repo
     it. Failures are recorded per run and model. Runs go through the
     forecast and the scores ``FORECAST_CELLS`` forecast values at a time.
     """
-    _check_runs_and_seed(n_runs, seed)
+    check_integer("n_runs", n_runs, 1)
+    check_integer("seed", seed, 0)
     seeds = [subseed(seed, run) for run in range(n_runs)]
     models = (PERSISTENCE_MODEL, FORECAST_MODEL)
     try:
@@ -310,7 +310,8 @@ def run_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: int,
     downdated statistics in batches of up to ``PREDICTOR_CELLS`` held-out
     rows (see the module docstring).
     """
-    _check_runs_and_seed(n_runs, seed)
+    check_integer("n_runs", n_runs, 1)
+    check_integer("seed", seed, 0)
     if isinstance(static_value, bool) or not isinstance(static_value, numbers.Real):
         raise TypeError(f"static_value must be a real number, got {static_value!r}")
     if not math.isfinite(static_value):
@@ -337,9 +338,12 @@ def run_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: int,
                    np.concatenate(mae_rows), errors)
 
 
-def _permutation(run_seed: int, n: int) -> np.ndarray:
-    """A run's row order: its first n_test rows are held out, the rest train."""
-    return np.random.default_rng(run_seed).permutation(n)
+def _training_rows(test_idx: np.ndarray, n: int) -> np.ndarray:
+    """The mask of the rows of an n-row design that a run holding out
+    ``test_idx`` trains on: all the others, in row order."""
+    train = np.ones(n, dtype=bool)
+    train[test_idx] = False
+    return train
 
 
 def _predictor_batch(X: DesignMatrix, t: ResponseVector, augmented: np.ndarray,
@@ -358,9 +362,9 @@ def _predictor_batch(X: DesignMatrix, t: ResponseVector, augmented: np.ndarray,
     for span in passes:
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(span.start, span.stop):
-                order = _permutation(seeds[runs[i]], X.n)
-                test_idx[i] = order[:n_test]
-                means[i] = baseline_mean(t.t[order[n_test:]])
+                test_idx[i] = np.random.default_rng(seeds[runs[i]]).choice(
+                    X.n, n_test, replace=False)
+                means[i] = baseline_mean(t.t[_training_rows(test_idx[i], X.n)])
             held_out = augmented[test_idx[span]]
             np.subtract(totals, np.matmul(held_out.transpose(0, 2, 1), held_out),
                         out=stats[span])
@@ -370,10 +374,10 @@ def _predictor_batch(X: DesignMatrix, t: ResponseVector, augmented: np.ndarray,
     for k, (name, trusted, fit) in enumerate(((MRA_MODEL, mra_ok, fit_mra),
                                               (BRR_MODEL, brr_ok, fit_bayesian_ridge))):
         for i in np.flatnonzero(~trusted).tolist():
-            train_idx = _permutation(seeds[runs[i]], X.n)[n_test:]
+            train = _training_rows(test_idx[i], X.n)
             try:
-                model = fit(DesignMatrix(X.rows[train_idx], X.column_names),
-                            ResponseVector(t.t[train_idx]))
+                model = fit(DesignMatrix(X.rows[train], X.column_names),
+                            ResponseVector(t.t[train]))
             except ValueError as exc:
                 errors[name, runs[i]] = str(exc)
                 weights[k, i] = 0.0

@@ -1,6 +1,6 @@
 """Shared domain types: monitored time series, SLA specifications, tactics,
-the utility function used by the decision loop, and the seed derivation
-of the seeded commands and harnesses.
+the utility function used by the decision loop, the seed derivation of
+the seeded commands and harnesses, and the rule for integer arguments.
 
 All types are immutable value objects after construction and safe to share
 between threads.
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -24,6 +25,7 @@ __all__ = [
     "utility",
     "order_specs_by_reward",
     "subseed",
+    "check_integer",
 ]
 
 
@@ -192,3 +194,13 @@ def order_specs_by_reward(specs: Sequence[SlaSpec]) -> list[SlaSpec]:
 def subseed(seed: int, key: int) -> int:
     """The seed of ``key`` under ``seed``, independent of any other key's."""
     return int(np.random.SeedSequence([seed, key]).generate_state(1)[0])
+
+
+def check_integer(name: str, value: object, least: int) -> None:
+    """The rule for an integer argument: ``value`` must be an ``Integral``
+    that is not a bool (else ``TypeError``) and at least ``least`` (else
+    ``ValueError``); either error names the argument ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")

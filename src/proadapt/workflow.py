@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .arima import fit_arima, forecast_error, forecast_paths
-from .types import (Direction, SlaSpec, Tactic, TimeSeries, UtilityParams,
+from .types import (Direction, SlaSpec, Tactic, TimeSeries, UtilityParams, check_integer,
                     order_specs_by_reward, utility)
 
 if TYPE_CHECKING:  # regression loads only when tactics are priced
@@ -134,8 +134,7 @@ class WorkflowConfig:
     tick_seconds: float = 6.0
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        check_integer("horizon", self.horizon, 1)
         if not 0.0 <= self.risk_margin < 1.0:
             raise ValueError("risk_margin must lie in [0, 1)")
         _check_tick_seconds(self.tick_seconds)

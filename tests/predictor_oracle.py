@@ -6,8 +6,10 @@ downdated Gram statistics: every run builds its training rows, fits the
 least-squares model with ``fit_mra`` on them, fits the Bayesian ridge with
 one linear solve per evidence iteration (the iteration below is the one
 ``fit_bayesian_ridge`` ran then) and scores each model with ``rmse`` and
-``mae`` on its own held-out rows. It builds one ``report_oracle.Row`` per
-run and model.
+``mae`` on its own held-out rows. Its split rule is the library's, stated
+on its own: a run holds out the n_test rows its seeded generator's
+``choice`` draws without replacement, and trains on the others in row
+order. It builds one ``report_oracle.Row`` per run and model.
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ def reference_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: 
         run_seed = subseed(seed, run)
         rng = np.random.default_rng(run_seed)
         n_test = max(1, int(round((1.0 - TRAIN_FRACTION) * X.n)))
-        order = rng.permutation(X.n)
-        test_idx, train_idx = order[:n_test], order[n_test:]
+        test_idx = rng.choice(X.n, n_test, replace=False)
+        train_idx = np.setdiff1d(np.arange(X.n), test_idx)
         train_X = DesignMatrix(X.rows[train_idx], X.column_names)
         train_t = ResponseVector(t.t[train_idx])
         test_rows = X.rows[test_idx]

@@ -409,6 +409,22 @@ class TestFitArimaWindows:
                                                          window, [])
             assert phi.size == c.size == variance.size == 0 and errors == []
 
+    @pytest.mark.parametrize("starts", [[0.5], [np.nan], [0, 1.0], [True], np.array([2.0]),
+                                        [None]])
+    def test_starts_must_be_integers(self, starts):
+        # [0.5] used to fit the window at 0, and [nan] failed with "cannot
+        # convert float NaN to integer".
+        with pytest.raises(TypeError, match="^starts must be integers, got an array of "):
+            fit_arima_windows(TimeSeries(np.arange(70.0)), 20, starts)
+
+    def test_integer_starts_of_any_width_accepted(self):
+        series = TimeSeries(np.arange(70.0) ** 1.5)
+        want = fit_arima_windows(series, 20, [0, 7])
+        for starts in (np.array([0, 7], dtype=np.uint8), np.array([0, 7], dtype=np.int32),
+                       range(0, 8, 7), (np.int64(0), 7)):
+            got = fit_arima_windows(series, 20, starts)
+            assert all(np.array_equal(a, b) for a, b in zip(got[:3], want[:3]))
+
     def test_short_window_yields_fit_error_per_start(self):
         series = TimeSeries(np.arange(30.0))
         phi, c, variance, errors = fit_arima_windows(series, 5, [0, 3, 25])

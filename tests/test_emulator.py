@@ -55,6 +55,65 @@ class TestGenerateTrace:
         with pytest.raises(ValueError):
             generate_trace(0, seed=1)
 
+    @pytest.mark.parametrize("minutes, seed, error, message", [
+        # None drew a fresh trace from OS entropy on every call.
+        (5, None, TypeError, "seed must be an integer, got None"),
+        # True ran as one minute.
+        (True, 1, TypeError, "duration_minutes must be an integer, got True"),
+        # 2.5 and seed -1 failed with messages that named no argument.
+        (2.5, 1, TypeError, "duration_minutes must be an integer, got 2.5"),
+        (5, -1, ValueError, "seed must be >= 0"),
+        (5, 1.0, TypeError, "seed must be an integer, got 1.0")])
+    def test_arguments_checked_before_any_work(self, monkeypatch, minutes, seed, error,
+                                               message):
+        monkeypatch.setattr(emulator.np.random, "default_rng", no_work)
+        with pytest.raises(error, match=f"^{message}$"):
+            generate_trace(minutes, seed)
+
+    def test_numpy_integer_arguments_accepted(self):
+        assert same_columns(generate_trace(np.int64(30), np.uint32(4)), generate_trace(30, 4))
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("the function did work before checking its arguments")
+
+
+def same_bits(got: np.ndarray, values: list[float]) -> bool:
+    want = np.array([round(v, 6) for v in values])
+    return np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestRoundToSixDecimals:
+    """``emulator._round6`` is ``round(v, 6)`` on each value, bit for bit."""
+
+    @settings(max_examples=2000)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                    max_size=8))
+    def test_matches_round_on_any_finite_floats(self, values):
+        assert same_bits(emulator._round6(values), values)
+
+    @settings(max_examples=500)
+    @given(st.integers(-2**52, 2**52), st.integers(-6, 6))
+    def test_matches_round_near_half_integers(self, k, steps):
+        # (k + 0.5) / 10^6 and its neighbours a few ulps away: the scaled
+        # value lies on or beside a half-integer, where rint alone can be off.
+        values = [(k + 0.5) / 1e6]
+        for _ in range(abs(steps)):
+            values.append(float(np.nextafter(values[-1], math.copysign(math.inf, steps))))
+        assert same_bits(emulator._round6(values), values)
+
+    def test_ties_zeros_and_non_finite_values(self):
+        values = [0.0, -0.0, 5e-7, -5e-7, 1.5e-6, 2.5e-6, 0.0000025, 1e-320, -1e-320,
+                  2.0**52 / 1e6, 2.0**53, 1e300, -1e300, math.inf, -math.inf]
+        assert same_bits(emulator._round6(values), values)
+        assert np.isnan(emulator._round6([math.nan])).all()
+
+    def test_emulated_values_match_round(self):
+        rng = np.random.default_rng(0)
+        values = np.concatenate([rng.uniform(0.0, 60.0, 20000),
+                                 rng.lognormal(0.0, 4.0, 20000)]).tolist()
+        assert same_bits(emulator._round6(values), values)
+
 
 class TestTrace:
     def columns(self, n=3):
@@ -174,6 +233,18 @@ class TestSampleLatency:
         with pytest.raises(ValueError):
             sample_latency(SAMPLE_TACTIC_A, seed=1, n=0)
 
+    @pytest.mark.parametrize("seed, n, error, message", [
+        # None drew fresh OS entropy on every call; True and 2.5 failed in
+        # NumPy with messages that named no argument.
+        (None, 3, TypeError, "seed must be an integer, got None"),
+        (-1, 3, ValueError, "seed must be >= 0"),
+        (1, True, TypeError, "n must be an integer, got True"),
+        (1, 2.5, TypeError, "n must be an integer, got 2.5")])
+    def test_arguments_checked_before_any_work(self, monkeypatch, seed, n, error, message):
+        monkeypatch.setattr(emulator.np.random, "default_rng", no_work)
+        with pytest.raises(error, match=f"^{message}$"):
+            sample_latency(SAMPLE_TACTIC_A, seed, n)
+
 
 class TestCostImpactSimulation:
     def test_sample_counts(self):
@@ -194,6 +265,21 @@ class TestCostImpactSimulation:
         result = run_cost_impact_simulation(SAMPLE_TACTIC_A, SAMPLE_TACTIC_B,
                                             10000, seed=3)
         assert result.overall_costs_a.std(ddof=1) > result.overall_costs_b.std(ddof=1)
+
+    @pytest.mark.parametrize("n_runs, seed, error, message", [
+        # seed was not checked; 2.5 runs failed with a NumPy message.
+        (10, None, TypeError, "seed must be an integer, got None"),
+        (10, -1, ValueError, "seed must be >= 0"),
+        (10, True, TypeError, "seed must be an integer, got True"),
+        (2.5, 1, TypeError, "n_runs must be an integer, got 2.5"),
+        (True, 1, TypeError, "n_runs must be an integer, got True"),
+        (0, 1, ValueError, "n_runs must be >= 1")])
+    def test_arguments_checked_before_any_work(self, monkeypatch, n_runs, seed, error,
+                                               message):
+        monkeypatch.setattr(emulator, "subseed", no_work)
+        monkeypatch.setattr(emulator, "sample_latency", no_work)
+        with pytest.raises(error, match=f"^{message}$"):
+            run_cost_impact_simulation(SAMPLE_TACTIC_A, SAMPLE_TACTIC_B, n_runs, seed)
 
     def test_histogram_shares_bins(self):
         result = run_cost_impact_simulation(SAMPLE_TACTIC_A, SAMPLE_TACTIC_B, 500, seed=4)

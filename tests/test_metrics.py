@@ -32,6 +32,13 @@ class TestScores:
         with pytest.raises(ValueError):
             mae([], [])
 
+    def test_nan_inputs_give_nan_scores_for_the_caller(self):
+        # The docstrings leave a NaN score to the caller, as the harnesses'
+        # scoring does; neither score raises or drops the NaN.
+        assert math.isnan(rmse([math.nan], [1.0])) and math.isnan(mae([math.nan], [1.0]))
+        assert math.isnan(rmse([1.0, 2.0], [1.0, math.nan]))
+        assert math.isnan(mae([1.0, 2.0], [1.0, math.nan]))
+
     @given(vectors, st.data())
     def test_rmse_dominates_mae(self, actual, data):
         predicted = data.draw(st.lists(st.floats(-1e6, 1e6),

@@ -98,6 +98,19 @@ class TestAnalyzeSpecification:
         with pytest.raises(ValueError):
             WorkflowConfig(risk_margin=1.0)
 
+    @pytest.mark.parametrize("horizon, error, message", [
+        (2.5, TypeError, "horizon must be an integer, got 2.5"),
+        (True, TypeError, "horizon must be an integer, got True"),
+        (3.0, TypeError, "horizon must be an integer, got 3.0"),
+        (0, ValueError, "horizon must be >= 1")])
+    def test_horizon_must_be_an_integer_of_at_least_1(self, horizon, error, message):
+        # 2.5 used to be accepted and fail later inside forecast_paths.
+        with pytest.raises(error, match=f"^{message}$"):
+            WorkflowConfig(horizon=horizon)
+
+    def test_numpy_integer_horizon_accepted(self):
+        assert WorkflowConfig(horizon=np.int64(3)).horizon == 3
+
 
 def price(tactic, x, latency_model, cost_model):
     """The one tactic's estimate from ``price_tactics``."""
