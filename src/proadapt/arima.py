@@ -7,14 +7,12 @@ captures drift in the differenced data.
 Estimation is conditional least squares on the differenced series: the
 regression of z_t on z_{t-1} plus a constant coincides with the Gaussian
 maximum-likelihood estimate up to edge effects, has a closed form, and is
-fully deterministic. One vectorised kernel solves it for a stack of
-windows at once: ``fit_arima_windows`` returns the coefficient arrays and
-fit errors of any windows of a series, and ``fit_arima`` is its one-window
-case and the one fit that builds an ``ArimaModel``. A monitor run that
-refits on every window fits a block of windows per call.
-
-``forecast`` iterates one model; ``forecast_paths``, the forecast of the
-monitor and the replication harness, iterates n models as arrays.
+fully deterministic. One vectorised kernel, ``fit_arima_windows``, fits
+any windows of a series at once (a monitor run that refits on every window
+fits a block of windows per call), and one, ``forecast_paths``, forecasts
+n models as arrays. ``fit_arima`` (the whole series as one window, built
+into an ``ArimaModel``) and ``forecast`` (one model) are their one-case
+calls.
 
 The fits and forecasts are pure functions of their inputs and
 ``ArimaModel`` is immutable, so models can be shared across threads.
@@ -28,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .types import TimeSeries
+from .types import TimeSeries, check_integer
 
 __all__ = [
     "ArimaModel",
@@ -100,8 +98,7 @@ def acf(series: TimeSeries, max_lag: int) -> list[float]:
     Uses the standard biased estimator: mean-centred lag-k covariance over
     the lag-0 covariance. Each value lies in [-1, 1].
     """
-    if max_lag < 1:
-        raise ValueError("max_lag must be >= 1")
+    check_integer("max_lag", max_lag, 1)
     x = series.values
     n = x.size
     if n < max_lag + 2:
@@ -188,24 +185,20 @@ def _fit_error(c: float, phi: float, variance: float) -> FitError | None:
 
 def fit_arima(series: TimeSeries) -> ArimaModel:
     """Difference ``series`` once and fit the AR(1) part by conditional
-    least squares: the one-window case of ``fit_arima_windows``, bit for bit.
+    least squares: ``fit_arima_windows`` on the one window that is the
+    whole series.
 
     Raises :class:`FitError` when the differenced series is shorter than
     ``MIN_FIT_LENGTH``, the fitted coefficient is non-stationary
     (|phi| >= 1), or the fit overflows.
     """
-    error = _length_error(len(series))
+    if len(series) == 0:  # the kernel takes no empty window; keep the length error
+        raise _length_error(0)
+    (phi,), (c,), (variance,), (error,) = fit_arima_windows(series, len(series), [0])
     if error is not None:
         raise error
-    # A difference that overflows is inf, which _fit_error rejects.
-    with np.errstate(over="ignore", invalid="ignore"):
-        differenced = np.diff(series.values)
-    c, phi, variance = (float(a[0]) for a in _fit_cls(differenced[None]))
-    error = _fit_error(c, phi, variance)
-    if error is not None:
-        raise error
-    return ArimaModel(phi=phi, c=c, last_observations=series.tail(2),
-                      residual_variance=variance)
+    return ArimaModel(phi=float(phi), c=float(c), last_observations=series.tail(2),
+                      residual_variance=float(variance))
 
 
 def fit_arima_windows(series: TimeSeries, window: int, starts: Sequence[int]
@@ -213,21 +206,23 @@ def fit_arima_windows(series: TimeSeries, window: int, starts: Sequence[int]
     """Fit each window ``series.values[s:s + window]`` of ``starts``.
 
     Returns, per start and in order, the arrays (phi, c, residual variance)
-    and a list of errors: the :class:`FitError` ``fit_arima`` raises on that
-    window, or None where it fits and the arrays hold its coefficients.
-    Only the span the starts cover is differenced. Raises ``ValueError``
-    for a window that does not lie inside ``series`` and ``TypeError`` for a
-    start that is not an integer.
+    and a list of errors: the window's :class:`FitError` (too short, not
+    stationary, or overflowing), or None where it fits and the arrays hold
+    its coefficients. Only the span the starts cover is differenced.
+    ``window`` follows ``types.check_integer`` with least value 1. Raises
+    ``TypeError`` for a start that is not an integer and ``ValueError``
+    for one whose window does not lie inside ``series``.
     """
+    check_integer("window", window, 1)
     starts = np.asarray(starts).reshape(-1)
     if starts.size and starts.dtype.kind not in "iu":
         raise TypeError(f"starts must be integers, got an array of {starts.dtype}")
     starts = starts.astype(np.intp, copy=False)
     # The span [lo, hi) of the series that the windows cover.
     lo, hi = (int(starts.min()), int(starts.max()) + window) if starts.size else (0, 0)
-    if window < 1 or lo < 0 or hi > len(series):
-        raise ValueError(f"windows of {window} observations at the given starts "
-                         f"do not lie inside a series of {len(series)}")
+    if lo < 0 or hi > len(series):
+        raise ValueError(f"starts must lie in [0, {len(series) - window}] for windows "
+                         f"of {window} observations in a series of {len(series)}")
     error = _length_error(window)
     if error is not None:
         return (*np.full((3, starts.size), np.nan), [error] * starts.size)
@@ -251,39 +246,31 @@ def forecast_error(step: int) -> str:
 
 
 def forecast(model: ArimaModel, horizon: int) -> list[float]:
-    """Iterate the AR recursion on the differenced scale and integrate back.
-
-    z_hat_{t+h} = c + phi * z_hat_{t+h-1}, seeded from the last observed
-    difference; each step adds z_hat onto the running last value. Raises
-    ``ValueError`` when a step overflows to a non-finite value.
+    """The ``horizon`` forecast steps of ``model``: ``forecast_paths`` on the
+    one model. Raises ``ValueError`` with the ``forecast_error`` of the
+    first step that overflows to a non-finite value.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    c, phi = float(model.c), float(model.phi)
-    previous, last = (float(v) for v in model.last_observations)
-    z = last - previous
-    out = []
-    for step in range(1, horizon + 1):
-        z = c + phi * z
-        last += z
-        if not math.isfinite(last):
-            raise ValueError(forecast_error(step))
-        out.append(last)
-    return out
+    previous, last = model.last_observations
+    paths, (step,) = forecast_paths([last], [previous], [model.phi], [model.c], horizon)
+    if step:
+        raise ValueError(forecast_error(int(step)))
+    return paths[:, 0].tolist()
 
 
 def forecast_paths(last: Sequence[float], previous: Sequence[float],
                    phi: Sequence[float], c: Sequence[float], horizon: int
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """``forecast`` of n models, each given by its last two observations
+    """The forecasts of n models, each given by its last two observations
     (``previous``, ``last``) and its coefficients ``phi`` and ``c``.
 
-    Returns the (horizon, n) paths, whose column i is model i's ``forecast``
-    bit for bit (the same float operations in the same order), and each
-    path's first 1-based step that is not finite, or 0 (not a raise).
+    Iterates the AR recursion on the differenced scale and integrates back:
+    z_hat_{t+h} = c + phi * z_hat_{t+h-1}, seeded from the last observed
+    difference, and each step adds z_hat onto the running last value.
+    Returns the (horizon, n) paths, column i model i's, and each path's
+    first 1-based step that is not finite, or 0 (not a raise). ``horizon``
+    follows ``types.check_integer`` with least value 1.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    check_integer("horizon", horizon, 1)
     last, previous, phi, c = (np.asarray(a, dtype=float) for a in (last, previous, phi, c))
     paths = np.empty((horizon, last.size))
     with np.errstate(over="ignore", invalid="ignore"):

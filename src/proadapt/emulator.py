@@ -33,7 +33,6 @@ from __future__ import annotations
 import csv
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -43,7 +42,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .regression import DesignMatrix, ResponseVector
-from .types import TimeSeries, check_integer, subseed
+from .types import TimeSeries, check_integer, check_real, subseed
 
 __all__ = [
     "Mirror",
@@ -199,14 +198,12 @@ class TacticProfile:
         if not isinstance(self.shape, LatencyShape):
             raise TypeError(f"shape must be a LatencyShape, got {self.shape!r}")
         for name in ("mean", "sd", "cost_per_unit_latency"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise TypeError(f"{name} must be a real number, got {value!r}")
-        if not (math.isfinite(self.mean) and self.mean > 0):
+            check_real(name, getattr(self, name))
+        if not self.mean > 0:
             raise ValueError(f"mean must be finite and > 0, got {self.mean!r}")
-        if not (math.isfinite(self.sd) and self.sd > 0):
+        if not self.sd > 0:
             raise ValueError(f"sd must be finite and > 0, got {self.sd!r}")
-        if not (math.isfinite(self.cost_per_unit_latency) and self.cost_per_unit_latency >= 0):
+        if not self.cost_per_unit_latency >= 0:
             raise ValueError(f"cost_per_unit_latency must be finite and >= 0, "
                              f"got {self.cost_per_unit_latency!r}")
 

@@ -60,7 +60,6 @@ Errored cells carry no scores and are omitted from the CSV.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -68,9 +67,9 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .arima import fit_arima_windows, forecast_error, forecast_paths
-from .regression import (DesignMatrix, ResponseVector, baseline_mean, fit_bayesian_ridge,
-                         fit_gram_batch, fit_mra)
-from .types import TimeSeries, check_integer, subseed
+from .regression import (DesignMatrix, ResponseVector, fit_bayesian_ridge, fit_gram_batch,
+                         fit_mra)
+from .types import TimeSeries, check_integer, check_real, subseed
 
 __all__ = [
     "Cell",
@@ -312,10 +311,7 @@ def run_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: int,
     """
     check_integer("n_runs", n_runs, 1)
     check_integer("seed", seed, 0)
-    if isinstance(static_value, bool) or not isinstance(static_value, numbers.Real):
-        raise TypeError(f"static_value must be a real number, got {static_value!r}")
-    if not math.isfinite(static_value):
-        raise ValueError(f"static_value must be finite, got {static_value!r}")
+    check_real("static_value", static_value)
     if X.n < 40:
         raise ValueError(f"need at least 40 observations, got {X.n}")
     if X.n != len(t):
@@ -364,7 +360,7 @@ def _predictor_batch(X: DesignMatrix, t: ResponseVector, augmented: np.ndarray,
             for i in range(span.start, span.stop):
                 test_idx[i] = np.random.default_rng(seeds[runs[i]]).choice(
                     X.n, n_test, replace=False)
-                means[i] = baseline_mean(t.t[_training_rows(test_idx[i], X.n)])
+                means[i] = t.t[_training_rows(test_idx[i], X.n)].mean()
             held_out = augmented[test_idx[span]]
             np.subtract(totals, np.matmul(held_out.transpose(0, 2, 1), held_out),
                         out=stats[span])

@@ -1,5 +1,7 @@
 """Run-time tactic latency/cost prediction via multiple regression, plus
-the comparison baselines (running mean, Bayesian ridge).
+the Bayesian ridge it is compared against. The replication harness's
+running-mean and static-value baselines need no fit and live in
+``metrics``.
 
 The workhorse is the least-squares solution of the linear model
 y(x, w) = w'x over a design matrix whose rows carry a leading intercept
@@ -34,12 +36,10 @@ __all__ = [
     "ResponseVector",
     "RegressionModel",
     "Prediction",
-    "error_function",
     "fit_mra",
     "predict",
     "fit_bayesian_ridge",
     "fit_gram_batch",
-    "baseline_mean",
 ]
 
 CONDITION_LIMIT = 1e12  # beyond this the normal equations get a ridge term
@@ -139,13 +139,10 @@ def _check_dimensions(X: DesignMatrix, t: ResponseVector) -> None:
         raise ValueError(f"design matrix has {X.n} rows but {len(t)} responses given")
 
 
-def error_function(X: DesignMatrix, t: ResponseVector, weights: Sequence[float]) -> float:
-    """Half the sum of squared residuals of w over the training data."""
-    w = np.asarray(weights, dtype=float)
-    _check_dimensions(X, t)
-    if w.shape != (X.m,):
-        raise ValueError(f"expected {X.m} weights, got {w.shape}")
-    residuals = X.rows @ w - t.t
+def _training_error(X: DesignMatrix, t: ResponseVector, weights: np.ndarray) -> float:
+    """Half the sum of squared residuals of the M ``weights`` over the
+    training data."""
+    residuals = X.rows @ weights - t.t
     return 0.5 * float(residuals @ residuals)
 
 
@@ -172,7 +169,7 @@ def fit_mra(X: DesignMatrix, t: ResponseVector) -> RegressionModel:
             gram = X.rows.T @ X.rows
             ridge = RIDGE_SCALE * float(np.trace(gram)) / X.m
             weights = np.linalg.solve(gram + ridge * np.eye(X.m), X.rows.T @ t.t)
-        training_error = error_function(X, t, weights)
+        training_error = _training_error(X, t, weights)
     if not (np.isfinite(weights).all() and math.isfinite(training_error)):
         raise ValueError("least-squares fit overflows: the weights or the training "
                          "error are not finite")
@@ -250,7 +247,7 @@ def fit_bayesian_ridge(X: DesignMatrix, t: ResponseVector) -> RegressionModel:
                                             residuals @ residuals)
         mean = np.linalg.solve(alpha * np.eye(X.m) + beta * gram, beta * xt)
         ridge = float(alpha / beta)
-        training_error = error_function(X, t, mean)
+        training_error = _training_error(X, t, mean)
     if not (np.isfinite(mean).all() and math.isfinite(training_error)):
         raise ValueError(BRR_OVERFLOW)
     return RegressionModel(weights=tuple(mean), ridge_lambda=ridge,
@@ -356,11 +353,3 @@ def fit_gram_batch(gram: np.ndarray, xt: np.ndarray, tt: np.ndarray,
     mra_ok &= np.isfinite(mra).all(axis=1)
     brr_ok &= np.isfinite(brr).all(axis=1)
     return mra, mra_ok, brr, brr_ok
-
-
-def baseline_mean(history: Sequence[float]) -> float:
-    """Simple average of previously observed values."""
-    values = np.asarray(history, dtype=float)
-    if values.size == 0:
-        raise ValueError("history must be non-empty")
-    return float(values.mean())

@@ -1,6 +1,7 @@
 """Shared domain types: monitored time series, SLA specifications, tactics,
 the utility function used by the decision loop, the seed derivation of
-the seeded commands and harnesses, and the rule for integer arguments.
+the seeded commands and harnesses, and the rules for integer and real
+arguments.
 
 All types are immutable value objects after construction and safe to share
 between threads.
@@ -26,6 +27,7 @@ __all__ = [
     "order_specs_by_reward",
     "subseed",
     "check_integer",
+    "check_real",
 ]
 
 
@@ -204,3 +206,13 @@ def check_integer(name: str, value: object, least: int) -> None:
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}")
+
+
+def check_real(name: str, value: object) -> None:
+    """The rule for a real argument: ``value`` must be a ``Real`` that is
+    not a bool (else ``TypeError``) and finite (else ``ValueError``);
+    either error names the argument ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")

@@ -3,8 +3,9 @@
 
 This is the harness as it ran before forecast runs went through array
 passes: every run splits the series with ``split_train_test``, fits on the
-training part with ``fit_arima``, forecasts the test window with the scalar
-``forecast`` and scores each model with ``rmse`` and ``mae``. It builds one
+training part with ``arima_oracle.fit_arima``, forecasts the test window
+with the scalar ``arima_oracle.forecast`` and scores each model with
+``rmse`` and ``mae``. It builds one
 ``report_oracle.Row`` per run and model, persistence before arima, as the
 library's grid orders them.
 """
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-from proadapt.arima import fit_arima, forecast
+from arima_oracle import fit_arima, forecast
 from proadapt.metrics import (FORECAST_MODEL, MIN_TEST_POINTS, MIN_TRAIN_POINTS,
                               PERSISTENCE_MODEL, TRAIN_FRACTION, mae, rmse)
 from proadapt.types import TimeSeries, subseed

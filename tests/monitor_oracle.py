@@ -2,13 +2,13 @@
 
 This is the loop ``monitor`` ran before it processed ticks in blocks:
 each tick moves the current model's forecast origin to the tail of its
-window, forecasts with the scalar ``arima.forecast``, classifies each
-specification step by step, ranks the tactics with ``rank_tactics`` and
-serialises each entry with ``tick_entry_to_dict`` and ``json.dumps``.
-Each refit fits its own window with ``fit_arima``. It never calls the
-block kernel or ``fit_arima_windows``, so comparing its bytes with
-``cli.main`` checks the kernel, the block fits and the tick lines
-against independent code.
+window, forecasts with the scalar ``arima_oracle.forecast``, classifies
+each specification step by step, ranks the tactics with ``rank_tactics``
+and serialises each entry with ``tick_entry_to_dict`` and ``json.dumps``.
+Each refit fits its own window with ``arima_oracle.fit_arima``. It never
+calls the block kernel, ``fit_arima_windows`` or ``forecast_paths``, so
+comparing its bytes with ``cli.main`` checks the kernel, the block fits
+and the tick lines against independent code.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 from typing import Sequence
 
-from proadapt.arima import ArimaModel, FitError, fit_arima, forecast
+from arima_oracle import fit_arima, forecast
+from proadapt.arima import ArimaModel, FitError
 from proadapt.types import Direction, SlaSpec, TimeSeries, order_specs_by_reward
 from proadapt.workflow import (SpecAnalysis, SpecStatus, TacticEstimate, TickEntry,
                                WorkflowConfig, rank_tactics)

@@ -6,10 +6,12 @@ downdated Gram statistics: every run builds its training rows, fits the
 least-squares model with ``fit_mra`` on them, fits the Bayesian ridge with
 one linear solve per evidence iteration (the iteration below is the one
 ``fit_bayesian_ridge`` ran then) and scores each model with ``rmse`` and
-``mae`` on its own held-out rows. Its split rule is the library's, stated
-on its own: a run holds out the n_test rows its seeded generator's
-``choice`` draws without replacement, and trains on the others in row
-order. It builds one ``report_oracle.Row`` per run and model.
+``mae`` on its own held-out rows. It takes the running-mean baseline and
+each ridge fit's training error (half the sum of squared residuals) itself.
+Its split rule is the library's, stated on its own: a run holds out the
+n_test rows its seeded generator's ``choice`` draws without replacement,
+and trains on the others in row order. It builds one ``report_oracle.Row``
+per run and model.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ import numpy as np
 
 from proadapt.metrics import (BRR_MODEL, MEAN_BASELINE, MRA_MODEL, STATIC_BASELINE,
                               TRAIN_FRACTION, mae, rmse)
-from proadapt.regression import (DesignMatrix, RegressionModel, ResponseVector,
-                                 baseline_mean, error_function, fit_mra)
+from proadapt.regression import DesignMatrix, RegressionModel, ResponseVector, fit_mra
 from proadapt.types import subseed
 from report_oracle import Row
 
@@ -46,8 +47,9 @@ def reference_bayesian_ridge(X: DesignMatrix, t: ResponseVector, alpha0: float =
         alpha = min(gamma / max(float(mean @ mean), tiny), cap)
         beta = min(max(X.n - gamma, tiny) / max(float(residuals @ residuals), tiny), cap)
         mean = posterior_mean(alpha, beta)
+    residuals = X.rows @ mean - t.t
     return RegressionModel(weights=tuple(mean), ridge_lambda=alpha / beta,
-                           training_error=error_function(X, t, tuple(mean)))
+                           training_error=0.5 * float(residuals @ residuals))
 
 
 def _score(predicted, actual, run: int, model: str) -> tuple[float, float]:
@@ -82,7 +84,7 @@ def reference_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: 
         actual = t.t[test_idx]
 
         constants = {
-            MEAN_BASELINE: baseline_mean(train_t.t),
+            MEAN_BASELINE: float(np.mean(train_t.t)),
             STATIC_BASELINE: float(static_value),
         }
         for name, value in constants.items():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import arima_oracle
 from proadapt import (ArimaModel, FitError, TimeSeries, acf,
                       check_residuals, difference, fit_arima, fit_arima_windows,
                       forecast, pacf)
@@ -100,6 +101,17 @@ class TestAcf:
         rng = np.random.default_rng(4)
         x = rng.normal(size=150)
         np.testing.assert_allclose(acf(TimeSeries(x), 6), brute_acf(x, 6), atol=1e-12)
+
+    def test_max_lag_must_be_an_integer(self):
+        # True used to give one lag, and 2.5 failed with "'float' object
+        # cannot be interpreted as an integer".
+        series = TimeSeries(np.random.default_rng(4).normal(size=50))
+        for lags in (acf, pacf):
+            for max_lag in (True, 2.5):
+                with pytest.raises(TypeError, match=f"^max_lag must be an integer, got {max_lag}$"):
+                    lags(series, max_lag)
+            with pytest.raises(ValueError, match="^max_lag must be >= 1$"):
+                lags(series, 0)
 
 
 class TestPacf:
@@ -215,6 +227,16 @@ class TestForecast:
         model = ArimaModel(0.0, 0.0, (1.0, 1.0), 0.0)
         with pytest.raises(ValueError):
             forecast(model, 0)
+
+    def test_horizon_must_be_an_integer(self):
+        # True used to give one step, and 2.5 failed with "'float' object
+        # cannot be interpreted as an integer".
+        model = ArimaModel(0.5, 0.0, (1.0, 2.0), 0.0)
+        for horizon in (True, 2.5):
+            with pytest.raises(TypeError, match=f"^horizon must be an integer, got {horizon}$"):
+                forecast(model, horizon)
+            with pytest.raises(TypeError, match=f"^horizon must be an integer, got {horizon}$"):
+                arima.forecast_paths([2.0], [1.0], [0.5], [0.0], horizon)
 
     def test_overflowing_step_raises(self):
         model = ArimaModel(phi=0.5, c=1e307, last_observations=(1.5e308, 1.7e308),
@@ -340,7 +362,7 @@ class TestFitArimaWindows:
         assert len(phi) == len(c) == len(variance) == len(errors) == len(starts)
         for i, start in enumerate(starts):
             try:
-                expected = fit_arima(TimeSeries(series.values[start:start + window]))
+                expected = arima_oracle.fit_arima(TimeSeries(series.values[start:start + window]))
             except FitError as exc:
                 assert isinstance(errors[i], FitError) and str(errors[i]) == str(exc)
                 continue
@@ -369,7 +391,7 @@ class TestFitArimaWindows:
         monkeypatch.undo()
         for start, error in zip(starts, errors):
             try:
-                fit_arima(TimeSeries(values[start:start + 12]))
+                arima_oracle.fit_arima(TimeSeries(values[start:start + 12]))
             except FitError as exc:
                 assert str(error) == str(exc)
             else:
@@ -401,7 +423,7 @@ class TestFitArimaWindows:
         monkeypatch.undo()
         for start, phi, error in zip([4000, 4100, 4003], fits[0], fits[3]):
             assert error is None
-            assert phi == fit_arima(TimeSeries(series.values[start:start + 60])).phi
+            assert phi == arima_oracle.fit_arima(TimeSeries(series.values[start:start + 60])).phi
 
     def test_no_starts_give_empty_fits(self):
         for window in (5, 60):
@@ -435,27 +457,47 @@ class TestFitArimaWindows:
 
     @given(st.one_of(
         window_cases().map(lambda case: case[0].values),
-        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12),
+        st.lists(st.floats(-1e3, 1e3), max_size=12),
         st.lists(st.floats(-1.7e308, 1.7e308), min_size=11, max_size=40)))
+    @example([])
     def test_fit_arima_is_the_whole_series_window(self, values):
         # Walks, ramps, alternations and near-unit roots; series too short to
-        # fit; and values whose differences or sums overflow.
-        series = TimeSeries(values)
-        phi, c, variance, [error] = fit_arima_windows(series, len(series), [0])
-        try:
-            model = fit_arima(series)
-        except FitError as exc:
-            assert error is not None and str(exc) == str(error)
-            return
-        assert error is None
-        assert model.phi == phi[0] and model.c == c[0]
-        assert model.residual_variance == variance[0]
+        # fit, down to the empty one; and values whose differences or sums
+        # overflow. The oracle is the one-window fit as it ran before it
+        # called fit_arima_windows.
+        assert_fit_arima_matches_oracle(TimeSeries(values))
 
     def test_bad_arguments_raise_at_call(self):
         series = TimeSeries(np.arange(30.0))
         for window, starts in ((20, [11]), (20, [-1]), (0, [0]), (31, [0])):
             with pytest.raises(ValueError):
                 fit_arima_windows(series, window, starts)
+
+    def test_window_must_be_an_integer(self):
+        # True used to fit 1-point windows, and 20.5 failed with "slice
+        # indices must be integers".
+        series = TimeSeries(np.arange(30.0))
+        for window in (True, 20.5):
+            with pytest.raises(TypeError, match=f"^window must be an integer, got {window}$"):
+                fit_arima_windows(series, window, [0])
+        with pytest.raises(ValueError, match="^window must be >= 1$"):
+            fit_arima_windows(series, 0, [0])
+
+
+def assert_fit_arima_matches_oracle(series):
+    """``fit_arima`` on ``series`` gives the oracle's coefficients bit for
+    bit, or raises a ``FitError`` with the oracle's text."""
+    try:
+        want = arima_oracle.fit_arima(series)
+    except FitError as exc:
+        with pytest.raises(FitError) as raised:
+            fit_arima(series)
+        assert str(raised.value) == str(exc)
+        return
+    got = fit_arima(series)
+    assert bits([got.phi, got.c, got.residual_variance]) == bits(
+        [want.phi, want.c, want.residual_variance])
+    assert got.last_observations == want.last_observations
 
 
 def numpy_ladder_forecast(model, horizon):
@@ -503,13 +545,17 @@ def test_forecast_matches_numpy_ladder_bitwise(models, horizon):
     assert paths.shape == (horizon, len(models))
     for model, path, step in zip(models, paths.T, nonfinite_step.tolist()):
         assert bits(path) == bits(numpy_ladder_forecast(model, horizon))
+        # forecast against the scalar recursion it replaced.
         try:
-            values = forecast(model, horizon)
+            want = arima_oracle.forecast(model, horizon)
         except ValueError as exc:
             assert str(exc) == f"forecast step {step} is not finite"
+            with pytest.raises(ValueError) as raised:
+                forecast(model, horizon)
+            assert str(raised.value) == str(exc)
         else:
             assert step == 0
-            assert bits(values) == bits(path)
+            assert bits(forecast(model, horizon)) == bits(want) == bits(path)
 
 
 def test_forecast_paths_rejects_an_empty_horizon():

@@ -2,7 +2,7 @@
 
 The library forecasts and scores passes of runs at once;
 ``forecast_oracle.reference_forecast_experiments`` splits, fits, forecasts
-with the scalar ``forecast`` and scores each run on its own. The library's
+with the scalar ``arima_oracle.forecast`` and scores each run on its own. The library's
 grid, flattened into rows, must equal the reference rows, and the text of
 any error either raises must be equal too.
 """

@@ -1,14 +1,18 @@
-"""Every name a proadapt module imports is used in that module, and every
-module-level private name is read somewhere in the package.
+"""Every name a proadapt module imports is used in that module, every
+module-level private name is read somewhere in the package, and every
+name in a module's ``__all__`` is bound in it.
 
 A deletion can leave an import or a private helper behind that nothing
-uses any more; these checks parse each module and name each such
-import or helper.
+uses any more, or a stale ``__all__`` entry that breaks any code that
+reads every exported name (perfbench's tracer does); these checks name
+each such import, helper or entry.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -78,3 +82,21 @@ def test_every_private_name_is_read():
     package = Path(proadapt.__file__).parent
     assert unread_private_names({path.name: path.read_text(encoding="utf-8")
                                  for path in sorted(package.glob("*.py"))}) == []
+
+
+def unbound_exports(module) -> list[str]:
+    """The names in ``module.__all__`` that reading from ``module`` fails on."""
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+def test_the_check_finds_a_stale_export():
+    module = types.ModuleType("planted")
+    module.__all__ = ["kept", "deleted"]
+    module.kept = 1
+    assert unbound_exports(module) == ["deleted"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_exported_name_is_bound(path):
+    name = "proadapt" if path.stem == "__init__" else f"proadapt.{path.stem}"
+    assert unbound_exports(importlib.import_module(name)) == []

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from proadapt import DesignMatrix, RegressionModel, ResponseVector, fit_mra
-from proadapt.regression import (CONDITION_LIMIT, baseline_mean, error_function,
-                                 fit_bayesian_ridge, predict)
+from proadapt.regression import CONDITION_LIMIT, fit_bayesian_ridge, predict
 
 
 def design(rows, names=()):
@@ -27,26 +26,35 @@ class TestDesignMatrix:
             design([[1.0, 2.0]], names=("only",))
 
 
+def half_sum_of_squares(X, t, weights):
+    residuals = X.rows @ np.asarray(weights) - t.t
+    return 0.5 * float(residuals @ residuals)
+
+
 class TestErrorFunction:
+    """A fit's ``training_error``: half the sum of its squared residuals."""
+
     def test_symmetric_residuals(self):
-        X = design([[1.0], [1.0]])
-        assert error_function(X, ResponseVector([3.0, 5.0]), [4.0]) == pytest.approx(1.0)
+        # The mean 4 of 3 and 5 leaves residuals -1 and 1.
+        model = fit_mra(design([[1.0], [1.0]]), ResponseVector([3.0, 5.0]))
+        assert model.weights == pytest.approx((4.0,))
+        assert model.training_error == pytest.approx(1.0)
 
     def test_exact_fit_is_zero(self):
         X = design([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
-        t = ResponseVector([1.0, 3.0, 5.0])
-        assert error_function(X, t, [1.0, 2.0]) == 0.0
+        model = fit_mra(X, ResponseVector([1.0, 3.0, 5.0]))
+        assert model.training_error == pytest.approx(0.0, abs=1e-24)
 
     def test_hand_arithmetic(self):
-        X = design([[1.0, 2.0], [1.0, 3.0]])
-        assert error_function(X, ResponseVector([5.0, 7.0]), [1.0, 2.0]) == 0.0
-
-    def test_dimension_mismatch(self):
-        X = design([[1.0, 2.0]])
-        with pytest.raises(ValueError):
-            error_function(X, ResponseVector([1.0]), [1.0])
-        with pytest.raises(ValueError):
-            error_function(X, ResponseVector([1.0, 2.0]), [1.0, 2.0])
+        # The line 5/6 + 1.5 x through (0, 1), (1, 2), (2, 4) leaves residuals
+        # 1/6, -1/3 and 1/6: half their sum of squares is 1/12.
+        X = design([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
+        t = ResponseVector([1.0, 2.0, 4.0])
+        model = fit_mra(X, t)
+        assert model.weights == pytest.approx((5.0 / 6.0, 1.5))
+        assert model.training_error == pytest.approx(1.0 / 12.0)
+        ridge = fit_bayesian_ridge(X, t)
+        assert ridge.training_error == half_sum_of_squares(X, t, ridge.weights)
 
 
 class TestFitMra:
@@ -55,6 +63,12 @@ class TestFitMra:
         model = fit_mra(X, ResponseVector([1.0, 3.0, 5.0]))
         np.testing.assert_allclose(model.weights, [1.0, 2.0], atol=1e-10)
         assert model.ridge_lambda == 0.0
+
+    def test_rows_and_responses_must_agree(self):
+        X = design([[1.0, 2.0], [1.0, 3.0]])
+        for fit in (fit_mra, fit_bayesian_ridge):
+            with pytest.raises(ValueError, match="^design matrix has 2 rows but 1 responses given$"):
+                fit(X, ResponseVector([1.0]))
 
     def test_collinear_design_takes_ridge_fallback(self):
         X = design([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
@@ -105,11 +119,11 @@ class TestFitMra:
         X = design(np.column_stack([np.ones(50), rng.normal(size=(50, 2))]))
         t = ResponseVector(rng.normal(size=50))
         model = fit_mra(X, t)
-        best = error_function(X, t, model.weights)
+        best = half_sum_of_squares(X, t, model.weights)
         assert best == pytest.approx(model.training_error)
         for _ in range(100):
             perturbed = np.array(model.weights) + rng.normal(0.0, 0.1, 3)
-            assert error_function(X, t, perturbed) >= best
+            assert half_sum_of_squares(X, t, perturbed) >= best
 
     @given(st.integers(8, 60), st.integers(2, 5), st.floats(-8.0, -4.0),
            st.integers(0, 2**32 - 1))
@@ -171,14 +185,3 @@ class TestBayesianRidge:
         X, truth, t = self.make_data()
         model = fit_bayesian_ridge(X, t)
         np.testing.assert_allclose(model.weights, truth, atol=1e-4)
-
-
-class TestBaselines:
-    def test_mean(self):
-        assert baseline_mean([3.0, 5.0]) == 4.0
-        assert baseline_mean([7.0]) == 7.0
-        assert baseline_mean([2.0, 4.0, 6.0, 8.0]) == 5.0
-
-    def test_mean_rejects_empty(self):
-        with pytest.raises(ValueError):
-            baseline_mean([])
