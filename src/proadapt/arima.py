@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .types import TimeSeries, check_integer
+from .types import TimeSeries, check_integer, check_real
 
 __all__ = [
     "ArimaModel",
@@ -69,8 +69,9 @@ class ArimaModel:
         object.__setattr__(self, "last_observations", tuple(self.last_observations))
         if len(self.last_observations) != 2:
             raise ValueError("last_observations must hold exactly 2 values")
-        if self.residual_variance < 0:
-            raise ValueError("residual_variance must be >= 0")
+        check_real("phi", self.phi)
+        check_real("c", self.c)
+        check_real("residual_variance", self.residual_variance, 0)
 
 
 @dataclass(frozen=True)
@@ -209,11 +210,15 @@ def fit_arima_windows(series: TimeSeries, window: int, starts: Sequence[int]
     and a list of errors: the window's :class:`FitError` (too short, not
     stationary, or overflowing), or None where it fits and the arrays hold
     its coefficients. Only the span the starts cover is differenced.
-    ``window`` follows ``types.check_integer`` with least value 1. Raises
-    ``TypeError`` for a start that is not an integer and ``ValueError``
-    for one whose window does not lie inside ``series``.
+    ``window`` follows ``types.check_integer`` with least value 1, and
+    raises ``ValueError`` when longer than ``series``, with or without
+    starts. Raises ``TypeError`` for a start that is not an integer and
+    ``ValueError`` for one whose window does not lie inside ``series``.
     """
     check_integer("window", window, 1)
+    if window > len(series):
+        raise ValueError(f"window {window} is longer than the series of {len(series)} "
+                         f"observations")
     starts = np.asarray(starts).reshape(-1)
     if starts.size and starts.dtype.kind not in "iu":
         raise TypeError(f"starts must be integers, got an array of {starts.dtype}")

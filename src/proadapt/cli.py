@@ -34,7 +34,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .types import Direction, SlaSpec, Tactic, TimeSeries, order_specs_by_reward, subseed
+from .types import (Direction, SlaSpec, Tactic, TimeSeries, check_real, order_specs_by_reward,
+                    subseed)
 
 if TYPE_CHECKING:
     from .metrics import Summary
@@ -138,8 +139,7 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     # The rule Tactic applies to its static values, checked before any work.
     for flag, value in (("--static-latency", args.static_latency),
                         ("--static-cost", args.static_cost)):
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"{flag} must be finite and >= 0, got {value!r}")
+        check_real(flag, value, 0)
     if args.trace:
         trace = ingest_trace_csv(args.trace)
     else:
@@ -293,7 +293,15 @@ def _load_history(path: str) -> TimeSeries:
         values = [float(row[0]) for row in rows[1:] if row]
     except ValueError as exc:
         raise ValueError(f"history file: {exc}") from None
-    return TimeSeries(np.array(values))
+    try:
+        return TimeSeries(values)
+    except ValueError:  # a value is not finite: name the line of the first
+        for line, row in enumerate(rows[1:], 2):
+            try:
+                check_real("value", float(row[0]) if row else 0.0)
+            except ValueError as exc:
+                raise ValueError(f"history file line {line}: {exc}") from None
+        raise
 
 
 def _load_tactic_context(tactics_path: str, trace_path: str | None):

@@ -197,15 +197,9 @@ class TacticProfile:
     def __post_init__(self) -> None:
         if not isinstance(self.shape, LatencyShape):
             raise TypeError(f"shape must be a LatencyShape, got {self.shape!r}")
-        for name in ("mean", "sd", "cost_per_unit_latency"):
-            check_real(name, getattr(self, name))
-        if not self.mean > 0:
-            raise ValueError(f"mean must be finite and > 0, got {self.mean!r}")
-        if not self.sd > 0:
-            raise ValueError(f"sd must be finite and > 0, got {self.sd!r}")
-        if not self.cost_per_unit_latency >= 0:
-            raise ValueError(f"cost_per_unit_latency must be finite and >= 0, "
-                             f"got {self.cost_per_unit_latency!r}")
+        check_real("cost_per_unit_latency", self.cost_per_unit_latency, 0)
+        check_real("mean", self.mean, 0, strict=True)
+        check_real("sd", self.sd, 0, strict=True)
 
 
 SAMPLE_TACTIC_A = TacticProfile("tactic_a", cost_per_unit_latency=5.0,

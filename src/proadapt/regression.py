@@ -31,6 +31,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .types import check_array, check_real
+
 __all__ = [
     "DesignMatrix",
     "ResponseVector",
@@ -61,19 +63,15 @@ class DesignMatrix:
     column_names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] < 1:
-            raise ValueError("design matrix must be 2-D with at least one column")
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("design matrix contains NaN or infinite entries")
+        rows = check_array("rows", self.rows, ndim=2)
+        if rows.shape[1] < 1:
+            raise ValueError("rows must have at least one column")
         if not np.all(rows[:, 0] == 1.0):
             raise ValueError("first design-matrix column must be the intercept (all ones)")
         names = tuple(self.column_names) if self.column_names else tuple(
             f"x{j}" for j in range(rows.shape[1]))
         if len(names) != rows.shape[1]:
             raise ValueError("column_names length must match the matrix width")
-        rows = rows.copy()
-        rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "column_names", names)
 
@@ -93,14 +91,7 @@ class ResponseVector:
     t: np.ndarray
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.t, dtype=float)
-        if t.ndim != 1:
-            raise ValueError("responses must be one-dimensional")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("responses contain NaN or infinite entries")
-        t = t.copy()
-        t.flags.writeable = False
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "t", check_array("t", self.t))
 
     def __len__(self) -> int:
         return int(self.t.size)
@@ -116,11 +107,9 @@ class RegressionModel:
     training_error: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if not all(math.isfinite(w) for w in self.weights):
-            raise ValueError("weights must be finite")
-        if self.training_error < 0 or self.ridge_lambda < 0:
-            raise ValueError("training_error and ridge_lambda must be >= 0")
+        object.__setattr__(self, "weights", tuple(check_array("weights", self.weights).tolist()))
+        check_real("ridge_lambda", self.ridge_lambda, 0)
+        check_real("training_error", self.training_error, 0)
 
     @property
     def m(self) -> int:

@@ -1,7 +1,10 @@
 """Shared domain types: monitored time series, SLA specifications, tactics,
 the utility function used by the decision loop, the seed derivation of
-the seeded commands and harnesses, and the rules for integer and real
-arguments.
+the seeded commands and harnesses, and the argument rules:
+``check_integer``, ``check_real`` (finite, optionally bounded below) and
+``check_array`` (finite entries, a stated number of axes) are the only
+code that writes the rule for an integer, real or array argument, and
+each error they raise starts with the argument's name.
 
 All types are immutable value objects after construction and safe to share
 between threads.
@@ -28,19 +31,8 @@ __all__ = [
     "subseed",
     "check_integer",
     "check_real",
+    "check_array",
 ]
-
-
-def _as_readonly_array(values: Iterable[float], name: str) -> np.ndarray:
-    arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
-                     dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains NaN or infinite entries")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +47,7 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _as_readonly_array(self.values, "values"))
+        object.__setattr__(self, "values", check_array("values", self.values))
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -94,12 +86,9 @@ class SlaSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("spec name must be non-empty")
-        if not math.isfinite(self.threshold):
-            raise ValueError("threshold must be finite")
-        if not (math.isfinite(self.penalty) and math.isfinite(self.reward)):
-            raise ValueError("penalty and reward must be finite")
-        if self.penalty < 0 or self.reward < 0:
-            raise ValueError("penalty and reward must be >= 0")
+        check_real("threshold", self.threshold)
+        check_real("penalty", self.penalty, 0)
+        check_real("reward", self.reward, 0)
 
 
 @dataclass(frozen=True)
@@ -117,10 +106,8 @@ class Tactic:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("tactic name must be non-empty")
-        if not (math.isfinite(self.static_latency) and math.isfinite(self.static_cost)):
-            raise ValueError("static latency and cost must be finite")
-        if self.static_latency < 0 or self.static_cost < 0:
-            raise ValueError("static latency and cost must be >= 0")
+        check_real("static_latency", self.static_latency, 0)
+        check_real("static_cost", self.static_cost, 0)
 
 
 @dataclass(frozen=True)
@@ -148,27 +135,14 @@ class UtilityParams:
     cost: float
 
     def __post_init__(self) -> None:
-        for label, value in (
-            ("tau", self.tau),
-            ("rate", self.rate),
-            ("response_time", self.response_time),
-            ("target", self.target),
-            ("max_rate", self.max_rate),
-            ("dimmer", self.dimmer),
-            ("reward_optional", self.reward_optional),
-            ("reward_mandatory", self.reward_mandatory),
-            ("cost", self.cost),
-        ):
-            if not math.isfinite(value):
-                raise ValueError(f"{label} must be finite")
-        if not 0.0 <= self.dimmer <= 1.0:
+        for name, least, strict in (
+                ("tau", 0, True), ("rate", 0, False), ("response_time", None, False),
+                ("target", None, False), ("max_rate", 0, False), ("dimmer", 0, False),
+                ("reward_optional", None, False), ("reward_mandatory", None, False),
+                ("cost", 0, True)):  # utility divides by cost
+            check_real(name, getattr(self, name), least, strict)
+        if self.dimmer > 1:
             raise ValueError("dimmer must lie in [0, 1]")
-        if self.cost <= 0:
-            raise ValueError("cost must be > 0 (utility divides by it)")
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
-        if self.rate < 0 or self.max_rate < 0:
-            raise ValueError("rate and max_rate must be >= 0")
 
     def with_cost(self, cost: float) -> "UtilityParams":
         return replace(self, cost=cost)
@@ -208,11 +182,36 @@ def check_integer(name: str, value: object, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}")
 
 
-def check_real(name: str, value: object) -> None:
+def check_real(name: str, value: object, least: float | None = None,
+               strict: bool = False) -> None:
     """The rule for a real argument: ``value`` must be a ``Real`` that is
-    not a bool (else ``TypeError``) and finite (else ``ValueError``);
-    either error names the argument ``name``."""
+    not a bool (else ``TypeError``) and finite (else ``ValueError``). With a
+    bound ``least``, it must also be >= ``least`` (> when ``strict``), and a
+    NaN, an infinity or a value out of bounds gets one ``ValueError``.
+    Either error names the argument ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+    if least is None:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    elif not (math.isfinite(value) and (value > least if strict else value >= least)):
+        raise ValueError(f"{name} must be finite and {'>' if strict else '>='} {least}, "
+                         f"got {value!r}")
+
+
+def check_array(name: str, values: Iterable, ndim: int = 1) -> np.ndarray:
+    """The rule for an array argument: ``values``, an ndarray or any
+    iterable (a generator too), must convert to floats with ``ndim`` axes
+    and finite entries, else ``ValueError`` naming the argument ``name``.
+    Returns a read-only float copy."""
+    try:
+        arr = np.array(values if isinstance(values, np.ndarray) else list(values),
+                       dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must be an array of real numbers: {exc}") from None
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got {arr.ndim}-D")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains NaN or infinite entries")
+    arr.flags.writeable = False
+    return arr

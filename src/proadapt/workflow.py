@@ -29,7 +29,7 @@ import numpy as np
 
 from .arima import fit_arima, forecast_error, forecast_paths
 from .types import (Direction, SlaSpec, Tactic, TimeSeries, UtilityParams, check_integer,
-                    order_specs_by_reward, utility)
+                    check_real, order_specs_by_reward, utility)
 
 if TYPE_CHECKING:  # regression loads only when tactics are priced
     from .regression import RegressionModel
@@ -98,8 +98,9 @@ class TacticEstimate:
     utility_score: float
 
     def __post_init__(self) -> None:
-        if self.predicted_latency < 0 or self.predicted_cost < 0:
-            raise ValueError("predicted latency and cost must be >= 0 (post-clamp)")
+        check_real("predicted_latency", self.predicted_latency, 0)
+        check_real("predicted_cost", self.predicted_cost, 0)
+        check_real("utility_score", self.utility_score)
 
 
 @dataclass(frozen=True)
@@ -135,16 +136,10 @@ class WorkflowConfig:
 
     def __post_init__(self) -> None:
         check_integer("horizon", self.horizon, 1)
-        if not 0.0 <= self.risk_margin < 1.0:
+        check_real("risk_margin", self.risk_margin, 0)
+        if self.risk_margin >= 1:
             raise ValueError("risk_margin must lie in [0, 1)")
-        _check_tick_seconds(self.tick_seconds)
-
-
-def _check_tick_seconds(tick_seconds: float) -> None:
-    # A NaN or infinite tick length would make every deadline NaN or
-    # infinite, so every tactic would count as ready in time.
-    if not (math.isfinite(tick_seconds) and tick_seconds > 0):
-        raise ValueError(f"tick_seconds must be finite and > 0, got {tick_seconds!r}")
+        check_real("tick_seconds", self.tick_seconds, 0, strict=True)
 
 
 @dataclass(frozen=True)
@@ -214,8 +209,8 @@ def price_tactics(tactics: Sequence[Tactic], registry: Mapping[str, TacticModels
     utility using its predicted cost (floored at ``COST_FLOOR`` since the
     utility divides by cost); without them every utility score is 0 and
     ranking falls through to predicted cost. Raises ``ValueError`` naming
-    the tactic when it has no models, or no feature vector of its models'
-    width.
+    the tactic when it has no models, no feature vector of its models'
+    width, or an estimate that is not finite.
     """
     from .regression import predict
 
@@ -228,13 +223,13 @@ def price_tactics(tactics: Sequence[Tactic], registry: Mapping[str, TacticModels
         try:
             latency = predict(models.latency_model, x).value
             cost = predict(models.cost_model, x).value
+            if utility_params is not None:
+                score = utility(utility_params.with_cost(max(cost, COST_FLOOR)))
+            else:
+                score = 0.0
+            estimates.append(TacticEstimate(tactic.name, latency, cost, score))
         except ValueError as exc:
             raise ValueError(f"tactic {tactic.name!r}: {exc}") from None
-        if utility_params is not None:
-            score = utility(utility_params.with_cost(max(cost, COST_FLOOR)))
-        else:
-            score = 0.0
-        estimates.append(TacticEstimate(tactic.name, latency, cost, score))
     return tuple(estimates)
 
 
@@ -251,7 +246,9 @@ def rank_tactics(estimates: Sequence[TacticEstimate], status: SpecStatus,
     """
     if not estimates:
         raise ValueError("estimates must be non-empty")
-    _check_tick_seconds(tick_seconds)
+    # A NaN or infinite tick length would make every deadline NaN or
+    # infinite, so every tactic would count as ready in time.
+    check_real("tick_seconds", tick_seconds, 0, strict=True)
     _check_first_step(status, first_violation_step)
     if status is SpecStatus.BROKEN:
         deadline = 0.0

@@ -1,25 +1,41 @@
-"""One rule for integer arguments across the public API.
+"""One rule each for integer, real and array arguments across the public API.
 
 Every integer argument rejects a bool and a float with ``TypeError`` and a
-value below its least value with ``ValueError``, and the message starts
-with the argument's name. ``types.check_real`` is the matching rule for
-real arguments.
+value below its least value with ``ValueError``. Every real argument
+(``types.check_real``) rejects a bool, a string and a complex number with
+``TypeError``, and NaN, the infinities and a value below its bound with
+``ValueError``. Every array argument (``types.check_array``) rejects a
+non-finite entry and a wrong number of axes with ``ValueError``. Each
+message starts with the argument's name.
+
+The real fields are found, not listed: each public dataclass that
+validates itself has one valid instance in ``VALID``, and every field of
+it annotated ``float`` is drawn out of its domain.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import math
+import pkgutil
+import typing
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import proadapt
 from proadapt import (SAMPLE_TACTIC_A, SAMPLE_TACTIC_B, ArimaModel, DesignMatrix,
-                      ResponseVector, TimeSeries, WorkflowConfig, acf, fit_arima_windows,
-                      forecast, generate_trace, pacf, run_cost_impact_simulation,
+                      RegressionModel, ResponseVector, SlaSpec, Tactic, TimeSeries,
+                      UtilityParams, WorkflowConfig, acf, fit_arima_windows, forecast,
+                      generate_trace, pacf, run_cost_impact_simulation,
                       run_forecast_experiments, run_predictor_experiments)
 from proadapt.arima import forecast_paths
 from proadapt.emulator import sample_latency
-from proadapt.types import check_real
+from proadapt.types import check_array, check_real
+from proadapt.workflow import TacticEstimate
 
 SERIES = TimeSeries(np.sin(np.arange(40.0)))
 MODEL = ArimaModel(0.5, 0.0, (1.0, 2.0), 0.0)
@@ -85,3 +101,157 @@ def test_check_real_rejects(value, error, message):
 @pytest.mark.parametrize("value", [0, -3, 2.5, np.float32(1.5), np.int64(7), -1e308])
 def test_check_real_accepts_finite_reals(value):
     check_real("x", value)
+
+
+@pytest.mark.parametrize("value, least, strict, message", [
+    (-1.0, 0, False, "x must be finite and >= 0, got -1.0"),
+    (0.0, 0, True, "x must be finite and > 0, got 0.0"),
+    (math.nan, 0, False, "x must be finite and >= 0, got nan"),
+    (math.inf, 0, True, "x must be finite and > 0, got inf"),
+    (-math.inf, -1.5, False, "x must be finite and >= -1.5, got -inf")])
+def test_bounded_check_real_rejects(value, least, strict, message):
+    with pytest.raises(ValueError) as raised:
+        check_real("x", value, least, strict)
+    assert str(raised.value) == message
+
+
+def test_bounded_check_real_accepts_the_bound_unless_strict():
+    check_real("x", 0.0, 0)
+    check_real("x", 1e-300, 0, strict=True)
+    with pytest.raises(TypeError, match=r"^x must be a real number, got True$"):
+        check_real("x", True, 0)
+
+
+MODULES = [importlib.import_module(f"proadapt.{info.name}")
+           for info in pkgutil.iter_modules(proadapt.__path__)]
+# Names a module imports only for type checking resolve from the others.
+NAMESPACE = {name: value for module in MODULES for name, value in vars(module).items()}
+
+# One valid instance of each public dataclass that validates a real field.
+VALID = [
+    SlaSpec("s", 1.0, penalty=1.0, reward=1.0),
+    Tactic("t", 1.0, 1.0),
+    UtilityParams(tau=1.0, rate=1.0, response_time=0.5, target=1.0, max_rate=2.0,
+                  dimmer=0.5, reward_optional=2.0, reward_mandatory=1.0, cost=1.0),
+    WorkflowConfig(),
+    TacticEstimate("t", 1.0, 1.0, 0.5),
+    SAMPLE_TACTIC_A,
+    MODEL,
+    RegressionModel((1.0, 2.0), 0.0, 0.0),
+]
+# (least, strict) of each bounded real field; the other real fields need
+# only be finite.
+BOUNDS = {
+    "SlaSpec.penalty": (0, False), "SlaSpec.reward": (0, False),
+    "Tactic.static_latency": (0, False), "Tactic.static_cost": (0, False),
+    "UtilityParams.tau": (0, True), "UtilityParams.rate": (0, False),
+    "UtilityParams.max_rate": (0, False), "UtilityParams.dimmer": (0, False),
+    "UtilityParams.cost": (0, True),
+    "WorkflowConfig.risk_margin": (0, False), "WorkflowConfig.tick_seconds": (0, True),
+    "TacticEstimate.predicted_latency": (0, False),
+    "TacticEstimate.predicted_cost": (0, False),
+    "TacticProfile.cost_per_unit_latency": (0, False), "TacticProfile.mean": (0, True),
+    "TacticProfile.sd": (0, True),
+    "ArimaModel.residual_variance": (0, False),
+    "RegressionModel.ridge_lambda": (0, False), "RegressionModel.training_error": (0, False),
+}
+
+
+def real_fields(cls: type) -> list[str]:
+    hints = typing.get_type_hints(cls, localns=NAMESPACE)
+    return [field.name for field in dataclasses.fields(cls) if hints[field.name] is float]
+
+
+REAL_FIELDS = [pytest.param(instance, name, BOUNDS.get(f"{type(instance).__name__}.{name}"),
+                            id=f"{type(instance).__name__}.{name}")
+               for instance in VALID for name in real_fields(type(instance))]
+
+
+def test_valid_covers_every_validated_dataclass_with_a_real_field():
+    validated = {obj for module in MODULES for obj in map(module.__dict__.get,
+                                                          getattr(module, "__all__", ()))
+                 if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                 and "__post_init__" in vars(obj) and real_fields(obj)}
+    assert validated == {type(instance) for instance in VALID}
+    assert set(BOUNDS) <= {param.id for param in REAL_FIELDS}
+
+
+def out_of_domain(bound):
+    """NaN, the infinities, bools, strings, complex numbers and, for a
+    bounded field, values below (or, strictly, at) its bound."""
+    cases = [st.sampled_from([math.nan, math.inf, -math.inf, True, False]),
+             st.text(max_size=5), st.complex_numbers(allow_nan=False)]
+    if bound is not None:
+        least, strict = bound
+        cases.append(st.floats(max_value=least, allow_nan=False).filter(
+            lambda value: strict or value < least))
+    return st.one_of(cases)
+
+
+@pytest.mark.parametrize("instance, name, bound", REAL_FIELDS)
+@given(data=st.data())
+def test_real_fields_follow_one_rule(instance, name, bound, data):
+    value = data.draw(out_of_domain(bound))
+    with pytest.raises((TypeError, ValueError)) as raised:
+        dataclasses.replace(instance, **{name: value})
+    assert str(raised.value).startswith(f"{name} must ")
+
+
+@pytest.mark.parametrize("instance, name, bound", [
+    param for param in REAL_FIELDS if param.values[2] is not None])
+def test_bounded_real_fields_accept_the_bound_unless_strict(instance, name, bound):
+    least, strict = bound
+    if strict:
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > {least}, got "):
+            dataclasses.replace(instance, **{name: least})
+    else:
+        assert getattr(dataclasses.replace(instance, **{name: least}), name) == least
+
+
+@given(out_of_domain(None))
+def test_static_value_follows_the_real_rule(value):
+    with pytest.raises((TypeError, ValueError)) as raised:
+        run_predictor_experiments(X, T, 1, 0, value)
+    assert str(raised.value).startswith("static_value must ")
+
+
+# (argument name, axes, the constructor)
+ARRAY_ARGUMENTS = [pytest.param("values", 1, TimeSeries, id="TimeSeries.values"),
+                   pytest.param("t", 1, ResponseVector, id="ResponseVector.t"),
+                   pytest.param("rows", 2, DesignMatrix, id="DesignMatrix.rows")]
+
+
+@pytest.mark.parametrize("name, ndim, build", ARRAY_ARGUMENTS)
+@given(data=st.data())
+def test_array_arguments_follow_one_rule(name, ndim, build, data):
+    shape = data.draw(st.tuples(*[st.integers(1, 4)] * ndim))
+    values = np.ones(shape)
+    if data.draw(st.booleans()):  # a non-finite entry
+        index = tuple(data.draw(st.integers(0, n - 1)) for n in shape)
+        values[index] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    else:  # no axes, one axis too many or, for a matrix, one too few
+        values = data.draw(st.sampled_from(
+            [np.ones(()), values[..., None]] + ([values[0]] if ndim > 1 else [])))
+    with pytest.raises((TypeError, ValueError)) as raised:
+        build(values)
+    assert str(raised.value).startswith(f"{name} ")
+
+
+@pytest.mark.parametrize("name, ndim, build", ARRAY_ARGUMENTS)
+def test_array_arguments_are_read_only_float_copies(name, ndim, build):
+    values = np.ones((3,) * ndim, dtype=int)
+    stored = getattr(build(values), name)
+    assert stored.dtype == float and not stored.flags.writeable
+    values[0] = 7
+    assert (stored == 1).all()
+
+
+def test_time_series_accepts_any_iterable():
+    assert TimeSeries(float(v) for v in range(3)).values.tolist() == [0.0, 1.0, 2.0]
+    assert TimeSeries(range(3)).values.tolist() == [0.0, 1.0, 2.0]
+
+
+def test_check_array_names_values_that_are_not_reals():
+    for values in (5.0, ["a"], [[1.0], [2.0, 3.0]], [10**400]):
+        with pytest.raises(ValueError, match="^x must be an array of real numbers: "):
+            check_array("x", values)

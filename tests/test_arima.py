@@ -431,6 +431,12 @@ class TestFitArimaWindows:
                                                          window, [])
             assert phi.size == c.size == variance.size == 0 and errors == []
 
+    @pytest.mark.parametrize("starts", [[], [0]])
+    def test_window_longer_than_the_series_raises_with_or_without_starts(self, starts):
+        # With no starts, a window of 31 on 30 points used to return empty fits.
+        with pytest.raises(ValueError, match="^window 31 is longer than the series of 30 "):
+            fit_arima_windows(TimeSeries(np.arange(30.0)), 31, starts)
+
     @pytest.mark.parametrize("starts", [[0.5], [np.nan], [0, 1.0], [True], np.array([2.0]),
                                         [None]])
     def test_starts_must_be_integers(self, starts):

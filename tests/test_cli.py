@@ -716,3 +716,16 @@ class TestMonitorInputErrors:
         err = self.assert_one_error(capsys, "monitor", "--spec", str(spec),
                                     "--history", str(history))
         assert err == "error: history file line 5: expected one value, got 2 fields\n"
+
+    @pytest.mark.parametrize("row", ["nan", "inf", "-Infinity", "1e999"])
+    def test_history_value_that_is_not_finite_names_its_line(self, tmp_path, capsys, row):
+        # It used to read "error: values contains NaN or infinite entries",
+        # naming neither the file nor the line.
+        spec, history = write_ramp_fixture(tmp_path)
+        lines = history.read_text().splitlines()
+        lines[3] = row
+        history.write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n")  # a blank row
+        err = self.assert_one_error(capsys, "monitor", "--spec", str(spec),
+                                    "--history", str(history))
+        assert err == (f"error: history file line 5: value must be finite, "
+                       f"got {float(row)!r}\n")
