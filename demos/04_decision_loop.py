@@ -9,26 +9,23 @@ one per mirror, and priced once) by readiness, utility, and cost.
 
 import numpy as np
 
-from proadapt import (Mirror, Phase, SlaSpec, TacticModels, Tactic, TimeSeries,
-                      UtilityParams, WorkflowConfig, fit_mra, generate_trace,
-                      price_tactics, to_regression_dataset, workflow_tick)
+from proadapt import (Mirror, Phase, SlaSpec, TacticModels, TimeSeries, UtilityParams,
+                      WorkflowConfig, fit_mra, generate_trace, price_tactics,
+                      to_regression_dataset, workflow_tick)
 
 # train one latency/cost model pair per mirror-bound tactic
 trace = generate_trace(duration_minutes=720, seed=42)
-tactics, registry, features = [], {}, {}
-for mirror, static_latency in ((Mirror.MASSACHUSETTS, 2.6), (Mirror.GERMANY, 3.4)):
+tactics = {}
+for mirror in (Mirror.MASSACHUSETTS, Mirror.GERMANY):
     subset = trace.select(~trace.phase_is(Phase.DOWNLOAD) | trace.mirror_is(mirror))
     X, latency, energy = to_regression_dataset(subset)
-    tactic = Tactic(f"reroute_{mirror.value}", static_latency, static_latency * 12.0)
-    tactics.append(tactic)
-    registry[tactic.name] = TacticModels(fit_mra(X, latency), fit_mra(X, energy))
-    features[tactic.name] = tuple(X.rows[-1])
+    tactics[f"reroute_{mirror.value}"] = TacticModels(fit_mra(X, latency), fit_mra(X, energy),
+                                                      X.rows[-1])
 
 # the models and features are fixed, so the tactics are priced once
-estimates = price_tactics(
-    tactics, registry, features,
-    UtilityParams(tau=60.0, rate=10.0, response_time=0.5, target=0.7, max_rate=25.0,
-                  dimmer=0.6, reward_optional=2.0, reward_mandatory=1.0, cost=1.0))
+estimates = price_tactics(tactics, UtilityParams(
+    tau=60.0, rate=10.0, response_time=0.5, target=0.7, max_rate=25.0, dimmer=0.6,
+    reward_optional=2.0, reward_mandatory=1.0, cost=1.0))
 
 spec = SlaSpec("response_time", 0.7, penalty=3.0, reward=10.0)
 config = WorkflowConfig(horizon=5, risk_margin=0.10, tick_seconds=6.0)

@@ -25,8 +25,7 @@ _EXPORTS = {
     "metrics": ("Reports", "Summary", "rmse", "run_forecast_experiments",
                 "run_predictor_experiments", "summarize"),
     "regression": ("DesignMatrix", "RegressionModel", "ResponseVector", "fit_mra"),
-    "types": ("Direction", "SlaSpec", "Tactic", "TimeSeries", "UtilityParams",
-              "order_specs_by_reward"),
+    "types": ("Direction", "SlaSpec", "TimeSeries", "UtilityParams", "order_specs_by_reward"),
     "workflow": ("SpecStatus", "TacticEstimate", "TacticModels", "TickEntry",
                  "WorkflowConfig", "price_tactics", "rank_tactics", "workflow_tick"),
 }

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .types import TimeSeries, check_integer, check_real
+from .types import TimeSeries, check_array, check_integer, check_real
 
 __all__ = [
     "ArimaModel",
@@ -273,10 +273,16 @@ def forecast_paths(last: Sequence[float], previous: Sequence[float],
     difference, and each step adds z_hat onto the running last value.
     Returns the (horizon, n) paths, column i model i's, and each path's
     first 1-based step that is not finite, or 0 (not a raise). ``horizon``
-    follows ``types.check_integer`` with least value 1.
+    follows ``types.check_integer`` with least value 1, and ``last``,
+    ``previous``, ``phi`` and ``c`` follow ``types.check_array`` and must
+    have one length.
     """
     check_integer("horizon", horizon, 1)
-    last, previous, phi, c = (np.asarray(a, dtype=float) for a in (last, previous, phi, c))
+    last, previous, phi, c = (check_array(name, a) for name, a in
+                              (("last", last), ("previous", previous), ("phi", phi), ("c", c)))
+    if not last.size == previous.size == phi.size == c.size:
+        raise ValueError(f"last, previous, phi and c must have one length, got "
+                         f"{last.size}, {previous.size}, {phi.size} and {c.size}")
     paths = np.empty((horizon, last.size))
     with np.errstate(over="ignore", invalid="ignore"):
         z = last - previous

@@ -34,12 +34,11 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .types import (Direction, SlaSpec, Tactic, TimeSeries, check_real, order_specs_by_reward,
-                    subseed)
+from .types import Direction, SlaSpec, TimeSeries, check_real, order_specs_by_reward, subseed
 
 if TYPE_CHECKING:
     from .metrics import Summary
-    from .workflow import TacticEstimate
+    from .workflow import TacticEstimate, TacticModels
 
 DEFAULT_SEED = 42
 BLOCK_TICKS = 256  # monitor ticks per block, and so refits per block, at most
@@ -136,7 +135,9 @@ def cmd_replicate(args: argparse.Namespace) -> int:
 
     harness = sys.modules[__name__]
     _check_trace_flags(args)
-    # The rule Tactic applies to its static values, checked before any work.
+    if args.runs < 1:
+        raise ValueError(f"--runs must be >= 1, got {args.runs}")
+    # The rule a tactics file applies to its static values, checked before any work.
     for flag, value in (("--static-latency", args.static_latency),
                         ("--static-cost", args.static_cost)):
         check_real(flag, value, 0)
@@ -290,12 +291,8 @@ def _load_history(path: str) -> TimeSeries:
         raise ValueError(f"history file line {line}: expected one value, "
                          f"got {len(row)} fields")
     try:
-        values = [float(row[0]) for row in rows[1:] if row]
-    except ValueError as exc:
-        raise ValueError(f"history file: {exc}") from None
-    try:
-        return TimeSeries(values)
-    except ValueError:  # a value is not finite: name the line of the first
+        return TimeSeries([float(row[0]) for row in rows[1:] if row])
+    except ValueError:  # a value is not a number or not finite: name the line of the first
         for line, row in enumerate(rows[1:], 2):
             try:
                 check_real("value", float(row[0]) if row else 0.0)
@@ -304,9 +301,10 @@ def _load_history(path: str) -> TimeSeries:
         raise
 
 
-def _load_tactic_context(tactics_path: str, trace_path: str | None):
-    """Build tactics, trained models, and current feature vectors from a
-    tactics JSON file plus the trace that supplies training data."""
+def _load_tactic_context(tactics_path: str, trace_path: str | None) -> dict[str, TacticModels]:
+    """Each tactic's trained models and current feature vector, by name in
+    file order, from a tactics JSON file plus the trace that supplies the
+    training data."""
     from .emulator import Mirror, Phase, ingest_trace_csv, to_regression_dataset
     from .regression import fit_mra
     from .workflow import TacticModels
@@ -318,10 +316,10 @@ def _load_tactic_context(tactics_path: str, trace_path: str | None):
         raise ValueError("tactics file must hold a JSON list")
     trace = ingest_trace_csv(trace_path)
     others = ~trace.phase_is(Phase.DOWNLOAD)
-    tactics, registry, features = [], {}, {}
+    static = ("static_latency", "static_cost")
+    tactics = {}
     for i, entry in enumerate(raw):
-        _check_entry(entry, i, "tactics file", ("name", "static_latency", "static_cost"),
-                     ("static_latency", "static_cost"))
+        _check_entry(entry, i, "tactics file", ("name", *static), static)
         subset = trace
         if "mirror" in entry:
             try:
@@ -331,22 +329,22 @@ def _load_tactic_context(tactics_path: str, trace_path: str | None):
                                  f"{entry['mirror']!r}") from None
             subset = trace.select(others | trace.mirror_is(mirror))
         X, latency, cost = to_regression_dataset(subset)
+        name = entry["name"]
         try:
-            tactic = Tactic(name=entry["name"],
-                            static_latency=float(entry["static_latency"]),
-                            static_cost=float(entry["static_cost"]))
+            values = [float(entry[field]) for field in static]
+            if not name:
+                raise ValueError("tactic name must be non-empty")
+            for field, value in zip(static, values):
+                check_real(field, value, 0)
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"tactics file entry {i}: {exc}") from None
-        if tactic.name in registry:
-            raise ValueError(f"tactics file entry {i}: duplicate name {tactic.name!r}")
-        tactics.append(tactic)
+        if name in tactics:
+            raise ValueError(f"tactics file entry {i}: duplicate name {name!r}")
         try:
-            registry[tactic.name] = TacticModels(latency_model=fit_mra(X, latency),
-                                                 cost_model=fit_mra(X, cost))
+            tactics[name] = TacticModels(fit_mra(X, latency), fit_mra(X, cost), X.rows[-1])
         except ValueError as exc:
             raise ValueError(f"tactics file entry {i}: {exc}") from None
-        features[tactic.name] = tuple(X.rows[-1])
-    return tactics, registry, features
+    return tactics
 
 
 class _TickLines:
@@ -450,12 +448,14 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         raise ValueError(f"--refit-every must be >= 0, got {args.refit_every}")
     if len(history) < window:
         raise ValueError(f"history has {len(history)} points but the window needs {window}")
+    if args.horizon < 1:
+        raise ValueError(f"--horizon must be >= 1, got {args.horizon}")
     if args.horizon > BLOCK_CELLS:  # a block of one tick would not fit in BLOCK_CELLS
         raise ValueError(f"--horizon must be <= {BLOCK_CELLS}, got {args.horizon}")
     config = WorkflowConfig(horizon=args.horizon, risk_margin=args.risk_margin,
                             tick_seconds=args.tick_seconds)
     # The tactics' models and features are fixed for the run, so are their prices.
-    estimates = (price_tactics(*_load_tactic_context(args.tactics, args.trace))
+    estimates = (price_tactics(_load_tactic_context(args.tactics, args.trace))
                  if args.tactics else ())
 
     ordered = order_specs_by_reward(specs)

@@ -69,7 +69,7 @@ import numpy as np
 from .arima import fit_arima_windows, forecast_error, forecast_paths
 from .regression import (DesignMatrix, ResponseVector, fit_bayesian_ridge, fit_gram_batch,
                          fit_mra)
-from .types import TimeSeries, check_integer, check_real, subseed
+from .types import TimeSeries, check_integer, check_real, real_array, subseed
 
 __all__ = [
     "Cell",
@@ -100,22 +100,22 @@ FORECAST_CELLS = 1 << 16  # forecast values (runs x test length) per forecast pa
 
 
 def _paired(predicted: Sequence[float], actual: Sequence[float]) -> np.ndarray:
-    p = np.asarray(predicted, dtype=float)
-    a = np.asarray(actual, dtype=float)
-    if p.shape != a.shape or p.ndim != 1:
+    p, a = real_array("predicted", predicted), real_array("actual", actual)
+    if p.shape != a.shape:
         raise ValueError(f"predicted and actual must be equal-length vectors, "
                          f"got {p.shape} and {a.shape}")
     if p.size == 0:
-        raise ValueError("cannot score empty vectors")
+        raise ValueError("predicted and actual must be non-empty")
     return p - a
 
 
 def rmse(predicted: Sequence[float], actual: Sequence[float]) -> float:
     """Root mean square error: [sum (y_i - t_i)^2 / N]^(1/2).
 
-    A NaN among the inputs gives a NaN score, and an overflowing sum an
-    infinite one: such a score is the caller's to handle, as the harnesses
-    do when they record it as a failed cell or raise."""
+    The two vectors, of one non-zero length, follow ``types.real_array``:
+    a NaN among them gives a NaN score, and an infinite entry or an
+    overflowing sum a non-finite one, the caller's to handle, as the
+    harnesses do when they record it as a failed cell or raise."""
     errors = _paired(predicted, actual)
     return math.sqrt(float(np.mean(errors**2)))
 

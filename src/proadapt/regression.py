@@ -168,8 +168,9 @@ def fit_mra(X: DesignMatrix, t: ResponseVector) -> RegressionModel:
 
 def predict(model: RegressionModel, x: Sequence[float]) -> Prediction:
     """w*'x, clamped at 0 from below (negative latency or cost is
-    physically meaningless); the raw value rides along."""
-    features = np.asarray(x, dtype=float)
+    physically meaningless); the raw value rides along. ``x`` follows
+    ``types.check_array``."""
+    features = check_array("x", x)
     if features.shape != (model.m,):
         raise ValueError(f"expected a feature vector of width {model.m}, "
                          f"got shape {features.shape}")

@@ -1,10 +1,11 @@
-"""Shared domain types: monitored time series, SLA specifications, tactics,
-the utility function used by the decision loop, the seed derivation of
-the seeded commands and harnesses, and the argument rules:
+"""Shared domain types: monitored time series, SLA specifications, the
+utility function used by the decision loop, the seed derivation of the
+seeded commands and harnesses, and the argument rules:
 ``check_integer``, ``check_real`` (finite, optionally bounded below) and
-``check_array`` (finite entries, a stated number of axes) are the only
-code that writes the rule for an integer, real or array argument, and
-each error they raise starts with the argument's name.
+``check_array`` (finite integer or real float entries in a stated number
+of axes; ``real_array`` lets non-finite ones pass) are the only code that
+writes the rule for an integer, real or array argument, and each error
+they raise starts with the argument's name.
 
 All types are immutable value objects after construction and safe to share
 between threads.
@@ -15,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,13 +25,13 @@ __all__ = [
     "TimeSeries",
     "Direction",
     "SlaSpec",
-    "Tactic",
     "UtilityParams",
     "utility",
     "order_specs_by_reward",
     "subseed",
     "check_integer",
     "check_real",
+    "real_array",
     "check_array",
 ]
 
@@ -92,25 +93,6 @@ class SlaSpec:
 
 
 @dataclass(frozen=True)
-class Tactic:
-    """An adaptation action with its legacy assumed-constant attributes.
-
-    ``static_latency``/``static_cost`` are the predefined values a
-    volatility-unaware process would plug into its decision making.
-    """
-
-    name: str
-    static_latency: float
-    static_cost: float
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("tactic name must be non-empty")
-        check_real("static_latency", self.static_latency, 0)
-        check_real("static_cost", self.static_cost, 0)
-
-
-@dataclass(frozen=True)
 class UtilityParams:
     """Inputs to the reward/penalty utility of the hosting-service scenario.
 
@@ -143,9 +125,6 @@ class UtilityParams:
             check_real(name, getattr(self, name), least, strict)
         if self.dimmer > 1:
             raise ValueError("dimmer must lie in [0, 1]")
-
-    def with_cost(self, cost: float) -> "UtilityParams":
-        return replace(self, cost=cost)
 
 
 def utility(p: UtilityParams) -> float:
@@ -199,18 +178,30 @@ def check_real(name: str, value: object, least: float | None = None,
                          f"got {value!r}")
 
 
-def check_array(name: str, values: Iterable, ndim: int = 1) -> np.ndarray:
-    """The rule for an array argument: ``values``, an ndarray or any
-    iterable (a generator too), must convert to floats with ``ndim`` axes
-    and finite entries, else ``ValueError`` naming the argument ``name``.
-    Returns a read-only float copy."""
+def real_array(name: str, values: Iterable, ndim: int = 1) -> np.ndarray:
+    """``check_array``'s rule without its finite half: a float copy of
+    ``values`` that may hold NaN and infinite entries."""
     try:
-        arr = np.array(values if isinstance(values, np.ndarray) else list(values),
-                       dtype=float)
+        arr = np.array(values if isinstance(values, np.ndarray) else list(values))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} must be an array of real numbers: {exc}") from None
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be an array of real numbers: got dtype {arr.dtype}")
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D, got {arr.ndim}-D")
+    return arr.astype(float, copy=False)
+
+
+def check_array(name: str, values: Iterable, ndim: int = 1) -> np.ndarray:
+    """The rule for an array argument: ``values``, an ndarray or any
+    iterable (a generator too), must hold integers or real floats in
+    ``ndim`` axes, all finite, else ``ValueError`` naming the argument
+    ``name``. The dtype of an ndarray, or the one NumPy infers for
+    ``list(values)``, decides: bool, complex, string, bytes and object
+    entries (an integer beyond 64 bits infers object) fail, but NumPy
+    infers floats for a list that mixes floats and bools, so each such
+    bool reads as 0.0 or 1.0. Returns a read-only float copy."""
+    arr = real_array(name, values, ndim)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or infinite entries")
     arr.flags.writeable = False

@@ -1,7 +1,8 @@
 """The monitoring/decision loop body.
 
-``price_tactics`` turns each tactic's trained models and feature vector
-into latency, cost and utility estimates. The loop then forecasts the
+``price_tactics`` turns each tactic's ``TacticModels`` (trained models
+and current feature vector), keyed by the tactic's name, into latency,
+cost and utility estimates. The loop then forecasts the
 monitored series and walks the SLA specifications in descending-reward
 order, classifying each as healthy, at risk, or broken. Only a
 potentially broken specification (at risk or already violated) gets the
@@ -22,14 +23,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .arima import fit_arima, forecast_error, forecast_paths
-from .types import (Direction, SlaSpec, Tactic, TimeSeries, UtilityParams, check_integer,
-                    check_real, order_specs_by_reward, utility)
+from .types import (Direction, SlaSpec, TimeSeries, UtilityParams, check_array,
+                    check_integer, check_real, order_specs_by_reward, utility)
 
 if TYPE_CHECKING:  # regression loads only when tactics are priced
     from .regression import RegressionModel
@@ -103,12 +104,15 @@ class TacticEstimate:
         check_real("utility_score", self.utility_score)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TacticModels:
-    """Trained regression models for one tactic's latency and cost."""
+    """One tactic's trained latency and cost models and the feature vector
+    that prices it, stored as a read-only 1-D float copy. The vector's
+    width is checked against the models when the tactic is priced."""
 
     latency_model: RegressionModel
     cost_model: RegressionModel
+    features: np.ndarray
 
     def __post_init__(self) -> None:
         from .regression import RegressionModel
@@ -118,6 +122,7 @@ class TacticModels:
             if not isinstance(model, RegressionModel):
                 raise ValueError(f"{name} must be a RegressionModel, "
                                  f"got {type(model).__name__}")
+        object.__setattr__(self, "features", check_array("features", self.features))
 
 
 @dataclass(frozen=True)
@@ -180,10 +185,11 @@ def workflow_block(specs: Sequence[SlaSpec], last: Sequence[float],
     value violates it (lies strictly above an upper bound or below a lower
     one), at risk from the first forecast step inside its risk band (strict
     on the approach side, so a zero margin means "a step violates"),
-    healthy otherwise. ``specs`` are taken in the given order.
+    healthy otherwise. ``specs`` are taken in the given order. The four
+    per-tick sequences follow ``forecast_paths``' rule.
     """
-    last = np.asarray(last, dtype=float)
     steps, nonfinite_step = forecast_paths(last, previous, phi, c, config.horizon)
+    last = np.asarray(last, dtype=float)  # forecast_paths has checked it
     status = np.empty((last.size, len(specs)), dtype=np.int8)
     first_step = np.zeros((last.size, len(specs)), dtype=np.intp)
     for j, spec in enumerate(specs):
@@ -198,38 +204,31 @@ def workflow_block(specs: Sequence[SlaSpec], last: Sequence[float],
     return TickBlock(steps.T, nonfinite_step, status, first_step)
 
 
-def price_tactics(tactics: Sequence[Tactic], registry: Mapping[str, TacticModels],
-                  features: Mapping[str, Sequence[float]],
+def price_tactics(tactics: Mapping[str, TacticModels],
                   utility_params: UtilityParams | None = None,
                   ) -> tuple[TacticEstimate, ...]:
-    """Unranked estimates of every tactic, in input order: predicted
+    """Unranked estimates of every tactic, in mapping order: predicted
     latency (seconds) and cost (units), each clamped at 0.
 
     ``utility_params``, when given, scores each tactic with the interval
     utility using its predicted cost (floored at ``COST_FLOOR`` since the
     utility divides by cost); without them every utility score is 0 and
     ranking falls through to predicted cost. Raises ``ValueError`` naming
-    the tactic when it has no models, no feature vector of its models'
-    width, or an estimate that is not finite.
+    the tactic when its feature vector is not of its models' width or an
+    estimate is not finite.
     """
     from .regression import predict
 
     estimates = []
-    for tactic in tactics:
-        models = registry.get(tactic.name)
-        if models is None:
-            raise ValueError(f"tactic {tactic.name!r}: no trained models")
-        x = features.get(tactic.name, ())
+    for name, models in tactics.items():
         try:
-            latency = predict(models.latency_model, x).value
-            cost = predict(models.cost_model, x).value
-            if utility_params is not None:
-                score = utility(utility_params.with_cost(max(cost, COST_FLOOR)))
-            else:
-                score = 0.0
-            estimates.append(TacticEstimate(tactic.name, latency, cost, score))
+            latency = predict(models.latency_model, models.features).value
+            cost = predict(models.cost_model, models.features).value
+            score = (0.0 if utility_params is None
+                     else utility(replace(utility_params, cost=max(cost, COST_FLOOR))))
+            estimates.append(TacticEstimate(name, latency, cost, score))
         except ValueError as exc:
-            raise ValueError(f"tactic {tactic.name!r}: {exc}") from None
+            raise ValueError(f"tactic {name!r}: {exc}") from None
     return tuple(estimates)
 
 

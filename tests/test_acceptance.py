@@ -13,7 +13,7 @@ import numpy as np
 
 from proadapt import (DesignMatrix, ResponseVector, SAMPLE_TACTIC_A,
                       SAMPLE_TACTIC_B, SlaSpec, SpecStatus, RegressionModel,
-                      TacticModels, Tactic, TimeSeries, difference, fit_arima, fit_mra,
+                      TacticModels, TimeSeries, difference, fit_arima, fit_mra,
                       generate_trace, ingest_trace_csv, price_tactics, rmse,
                       run_cost_impact_simulation, run_forecast_experiments,
                       run_predictor_experiments, summarize, to_idle_series,
@@ -170,13 +170,10 @@ def random_tick_scenario(rng):
     history = TimeSeries(np.abs(values) + 0.01)
     spec = SlaSpec("s", 1.0, reward=float(rng.uniform(0, 10)))
     n_tactics = int(rng.integers(1, 5))
-    tactics = [Tactic(f"t{i}", float(rng.uniform(0, 5)), float(rng.uniform(0, 5)))
-               for i in range(n_tactics)]
-    registry = {t.name: TacticModels(RegressionModel(weights=(float(rng.uniform(0, 5)),)),
-                                     RegressionModel(weights=(float(rng.uniform(0, 5)),)))
-                for t in tactics}
-    features = {t.name: (1.0,) for t in tactics}
-    return spec, history, tactics, registry, features
+    tactics = {f"t{i}": TacticModels(RegressionModel(weights=(float(rng.uniform(0, 5)),)),
+                                     RegressionModel(weights=(float(rng.uniform(0, 5)),)), (1.0,))
+               for i in range(n_tactics)}
+    return spec, history, tactics
 
 
 def test_criterion_7_estimates_iff_potentially_broken(tmp_path):
@@ -184,9 +181,8 @@ def test_criterion_7_estimates_iff_potentially_broken(tmp_path):
     rng = np.random.default_rng(777)
     seen = {status: 0 for status in SpecStatus}
     for _ in range(500):
-        spec, history, tactics, registry, features = random_tick_scenario(rng)
-        entries = workflow_tick([spec], history,
-                                price_tactics(tactics, registry, features))
+        spec, history, tactics = random_tick_scenario(rng)
+        entries = workflow_tick([spec], history, price_tactics(tactics))
         entry = entries[0]
         if entry.error is not None:
             assert entry.estimates == ()

@@ -4,9 +4,10 @@ Every integer argument rejects a bool and a float with ``TypeError`` and a
 value below its least value with ``ValueError``. Every real argument
 (``types.check_real``) rejects a bool, a string and a complex number with
 ``TypeError``, and NaN, the infinities and a value below its bound with
-``ValueError``. Every array argument (``types.check_array``) rejects a
-non-finite entry and a wrong number of axes with ``ValueError``. Each
-message starts with the argument's name.
+``ValueError``. Every array argument (``types.check_array``) rejects bool,
+complex and string entries, a non-finite entry and a wrong number of axes
+with ``ValueError``, and so does every sequence argument of the public
+functions. Each message starts with the argument's name.
 
 The real fields are found, not listed: each public dataclass that
 validates itself has one valid instance in ``VALID``, and every field of
@@ -20,6 +21,7 @@ import importlib
 import math
 import pkgutil
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -28,14 +30,16 @@ from hypothesis import strategies as st
 
 import proadapt
 from proadapt import (SAMPLE_TACTIC_A, SAMPLE_TACTIC_B, ArimaModel, DesignMatrix,
-                      RegressionModel, ResponseVector, SlaSpec, Tactic, TimeSeries,
+                      RegressionModel, ResponseVector, SlaSpec, TimeSeries,
                       UtilityParams, WorkflowConfig, acf, fit_arima_windows, forecast,
                       generate_trace, pacf, run_cost_impact_simulation,
                       run_forecast_experiments, run_predictor_experiments)
 from proadapt.arima import forecast_paths
 from proadapt.emulator import sample_latency
+from proadapt.metrics import mae, rmse
+from proadapt.regression import predict
 from proadapt.types import check_array, check_real
-from proadapt.workflow import TacticEstimate
+from proadapt.workflow import TacticEstimate, TacticModels, workflow_block
 
 SERIES = TimeSeries(np.sin(np.arange(40.0)))
 MODEL = ArimaModel(0.5, 0.0, (1.0, 2.0), 0.0)
@@ -123,7 +127,6 @@ NAMESPACE = {name: value for module in MODULES for name, value in vars(module).i
 # One valid instance of each public dataclass that validates a real field.
 VALID = [
     SlaSpec("s", 1.0, penalty=1.0, reward=1.0),
-    Tactic("t", 1.0, 1.0),
     UtilityParams(tau=1.0, rate=1.0, response_time=0.5, target=1.0, max_rate=2.0,
                   dimmer=0.5, reward_optional=2.0, reward_mandatory=1.0, cost=1.0),
     WorkflowConfig(),
@@ -136,7 +139,6 @@ VALID = [
 # only be finite.
 BOUNDS = {
     "SlaSpec.penalty": (0, False), "SlaSpec.reward": (0, False),
-    "Tactic.static_latency": (0, False), "Tactic.static_cost": (0, False),
     "UtilityParams.tau": (0, True), "UtilityParams.rate": (0, False),
     "UtilityParams.max_rate": (0, False), "UtilityParams.dimmer": (0, False),
     "UtilityParams.cost": (0, True),
@@ -245,6 +247,93 @@ def test_time_series_accepts_any_iterable():
 
 
 def test_check_array_names_values_that_are_not_reals():
-    for values in (5.0, ["a"], [[1.0], [2.0, 3.0]], [10**400]):
-        with pytest.raises(ValueError, match="^x must be an array of real numbers: "):
-            check_array("x", values)
+    # A complex ndarray used to lose its imaginary part with only a
+    # ComplexWarning, and strings and bools in a list were read as floats.
+    for values in (5.0, ["a"], [[1.0], [2.0, 3.0]], [10**400], np.array([1 + 2j]), [1 + 2j],
+                   ["1.5", True], [True], np.array([True, False]), np.array(["1.5"]), [b"1"],
+                   np.array([1.0], dtype=object), [None]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^x must be an array of real numbers: "):
+                check_array("x", values)
+
+
+def test_check_array_reads_bools_mixed_with_floats_as_floats():
+    # NumPy infers floats for such a list, so no dtype is left to reject.
+    assert check_array("x", [1.5, True]).tolist() == [1.5, 1.0]
+
+
+MODEL_2 = RegressionModel((1.0, 2.0))
+SPECS = [SlaSpec("s", 1.0)]
+PER_TICK = ("last", "previous", "phi", "c")
+
+# (argument names, the call given each argument's value, which corruptions
+# apply). "length" makes one argument empty or longer than the others;
+# "empty" makes every argument empty.
+SEQUENCE_ARGUMENTS = [
+    pytest.param(("x",), lambda x: predict(MODEL_2, x), ("entries",), id="predict-x"),
+    pytest.param(("features",), lambda features: TacticModels(MODEL_2, MODEL_2, features),
+                 ("entries",), id="TacticModels-features"),
+    pytest.param(PER_TICK, lambda *per_tick: forecast_paths(*per_tick, 3),
+                 ("entries", "length"), id="forecast_paths"),
+    pytest.param(PER_TICK, lambda *per_tick: workflow_block(SPECS, *per_tick, WorkflowConfig()),
+                 ("entries", "length"), id="workflow_block"),
+    pytest.param(("starts",), lambda starts: fit_arima_windows(SERIES, 20, starts),
+                 ("entries",), id="fit_arima_windows-starts"),
+    # The docstrings leave the non-finite score of a NaN or infinite entry
+    # to the caller, so only the entries' kind is drawn.
+    pytest.param(("predicted", "actual"), rmse, ("kind", "length", "empty"), id="rmse"),
+    pytest.param(("predicted", "actual"), mae, ("kind", "length", "empty"), id="mae"),
+]
+
+
+def corrupted(data, values, applies):
+    """The valid list ``values`` drawn out of the domain in one of the ways
+    that ``applies``: a non-finite entry, bool, complex or string entries,
+    empty or one entry longer."""
+    kinds = {"entries": ["nonfinite", "bool", "complex", "string"],
+             "kind": ["bool", "complex", "string"], "length": ["empty", "longer"]}
+    kind = data.draw(st.sampled_from(sorted({k for a in applies for k in kinds.get(a, ())})))
+    i = data.draw(st.integers(0, len(values) - 1))
+    if kind == "nonfinite":
+        return values[:i] + [data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))] \
+            + values[i + 1:]
+    if kind == "bool":
+        return data.draw(st.sampled_from([[True] * len(values), np.ones(len(values), bool)]))
+    if kind == "complex":
+        return data.draw(st.sampled_from([values[:i] + [1 + 2j] + values[i + 1:],
+                                          np.array(values, dtype=complex)]))
+    if kind == "string":
+        return values[:i] + [data.draw(st.sampled_from(["1.5", "a", ""]))] + values[i + 1:]
+    return [] if kind == "empty" else values + [1.0]
+
+
+def valid(names, n):
+    """In-domain values of the arguments ``names``: n of each (two, the
+    width of ``MODEL_2``, for a feature vector)."""
+    if names in (("x",), ("features",)):
+        n = 2
+    return {name: list(range(n)) if name == "starts" else [float(v) for v in range(n)]
+            for name in names}
+
+
+@pytest.mark.parametrize("names, call, applies", SEQUENCE_ARGUMENTS)
+def test_sequence_arguments_accept_valid_values(names, call, applies):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call(*valid(names, 3).values())
+
+
+@pytest.mark.parametrize("names, call, applies", SEQUENCE_ARGUMENTS)
+@given(data=st.data())
+def test_sequence_arguments_follow_one_rule(names, call, applies, data):
+    arguments = valid(names, data.draw(st.integers(1, 3)))
+    name = data.draw(st.sampled_from(names))
+    arguments[name] = corrupted(data, arguments[name], applies)
+    if "empty" in applies and data.draw(st.booleans()):
+        arguments = dict.fromkeys(names, [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((TypeError, ValueError)) as raised:
+            call(*arguments.values())
+    assert str(raised.value).startswith(names), str(raised.value)

@@ -135,6 +135,19 @@ class TestReplicate:
             1, "", "error: --seed must be >= 0, got -1\n")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_runs_below_1_name_the_flag_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                        runs):
+        # It used to read "error: n_runs must be >= 1", once the trace was generated.
+        def no_work(*args):
+            raise AssertionError("the trace was generated")
+        monkeypatch.setattr(emulator, "generate_trace", no_work)
+        out_dir = tmp_path / "reports"
+        assert run_main(capsys, "replicate", "--emulate", "--runs", runs,
+                        "--out-dir", str(out_dir)) == (
+            1, "", f"error: --runs must be >= 1, got {runs}\n")
+        assert not out_dir.exists()
+
     def test_requires_a_source(self, tmp_path):
         result = run_cli("replicate", "--runs", "2", "--out-dir", str(tmp_path))
         assert result.returncode == 2
@@ -426,7 +439,7 @@ class TestMonitorRefit:
         """Expected lines from a loop that fits every spec separately on each
         refit tick and runs one workflow tick per spec."""
         specs = cli._load_specs(specs_path)
-        estimates = (price_tactics(*cli._load_tactic_context(*tactics_args))
+        estimates = (price_tactics(cli._load_tactic_context(*tactics_args))
                      if tactics_args else ())
         config = WorkflowConfig(horizon=self.HORIZON)
         ticks = len(values) - self.WINDOW + 1
@@ -529,6 +542,14 @@ class TestMonitorInputErrors:
                                     str(history), "--refit-every", "-3")
         assert "--refit-every" in err
 
+    @pytest.mark.parametrize("horizon", ["0", "-2"])
+    def test_horizon_below_1_names_the_flag(self, tmp_path, capsys, horizon):
+        # It used to read "error: horizon must be >= 1", naming no flag.
+        spec, history = write_ramp_fixture(tmp_path)
+        err = self.assert_one_error(capsys, "monitor", "--spec", str(spec), "--history",
+                                    str(history), "--horizon", horizon)
+        assert err == f"error: --horizon must be >= 1, got {horizon}\n"
+
     @pytest.mark.parametrize("horizon", [cli.BLOCK_CELLS + 1, 10**9])
     def test_horizon_over_block_cells_rejected_before_any_fit(self, tmp_path, capsys,
                                                               monkeypatch, horizon):
@@ -630,7 +651,8 @@ class TestMonitorInputErrors:
 
     @pytest.mark.parametrize("field", [
         '"static_latency": true', '"static_latency": null', '"static_latency": []',
-        '"static_latency": NaN', '"static_latency": 1e400', '"static_latency": 1' + 400 * '0'])
+        '"static_latency": NaN', '"static_latency": 1e400', '"static_latency": 1' + 400 * '0',
+        '"static_latency": -1'])
     def test_tactic_static_fields_checked(self, tmp_path, capsys, field):
         err = self.run_tactics(tmp_path, capsys,
                                '[{"name": "t", "static_cost": 1.0, ' + field + '}]')
@@ -654,6 +676,42 @@ class TestMonitorInputErrors:
                                     str(history), "--tactics", str(tactics),
                                     "--trace", str(trace))
         assert err.startswith("error: tactics file entry 0: least-squares fit overflows")
+
+    @pytest.mark.parametrize("entries, message", [
+        ('{"name": "", "static_latency": 1.0, "static_cost": 1.0}',
+         "entry 0: tactic name must be non-empty"),
+        # Both static values are read as floats before the name is checked.
+        ('{"name": "", "static_latency": 1.0, "static_cost": 1' + 400 * "0" + "}",
+         "entry 0: int too large to convert to float"),
+        ('{"name": "", "static_latency": NaN, "static_cost": 1.0}',
+         "entry 0: tactic name must be non-empty"),
+        ('{"name": "t", "static_latency": NaN, "static_cost": 1.0}',
+         "entry 0: static_latency must be finite and >= 0, got nan"),
+        ('{"name": "t", "static_latency": 1.0, "static_cost": NaN}',
+         "entry 0: static_cost must be finite and >= 0, got nan"),
+        ('{"name": "t", "static_latency": 1.0, "static_cost": 1e400}',
+         "entry 0: static_cost must be finite and >= 0, got inf"),
+        ('{"name": "t", "static_latency": -1, "static_cost": 1.0}',
+         "entry 0: static_latency must be finite and >= 0, got -1.0"),
+        # The second entry's values are checked before its name is found a duplicate.
+        ('{"name": "t", "static_latency": 1.0, "static_cost": 1.0}, '
+         '{"name": "t", "static_latency": 1.0, "static_cost": -0.5}',
+         "entry 1: static_cost must be finite and >= 0, got -0.5"),
+        ('{"name": "t", "static_latency": 1.0, "static_cost": 1.0, "mirror": "mars"}',
+         "entry 0: unknown mirror 'mars'")])
+    def test_tactics_file_messages(self, tmp_path, capsys, entries, message):
+        err = self.run_tactics(tmp_path, capsys, f"[{entries}]")
+        assert err == f"error: tactics file {message}\n"
+
+    def test_zero_static_values_accepted(self, tmp_path, capsys):
+        spec, history = write_ramp_fixture(tmp_path)
+        trace = tmp_path / "trace.csv"
+        write_trace_csv(generate_trace(30, 4), trace)
+        tactics = tmp_path / "tactics.json"
+        tactics.write_text('[{"name": "t", "static_latency": 0, "static_cost": 0.0}]')
+        code, out, err = run_main(capsys, "monitor", "--spec", str(spec), "--history",
+                                  str(history), "--tactics", str(tactics), "--trace", str(trace))
+        assert code == 0 and err == "" and out
 
     def test_duplicate_tactic_names_rejected(self, tmp_path, capsys):
         entry = {"name": "t", "static_latency": 1.0, "static_cost": 1.0}
@@ -716,6 +774,18 @@ class TestMonitorInputErrors:
         err = self.assert_one_error(capsys, "monitor", "--spec", str(spec),
                                     "--history", str(history))
         assert err == "error: history file line 5: expected one value, got 2 fields\n"
+
+    @pytest.mark.parametrize("row", ["abc", "0x1p3", "1,5"])
+    def test_history_value_that_is_not_a_number_names_its_line(self, tmp_path, capsys, row):
+        # It used to read "error: history file: could not convert ...", naming no line.
+        spec, history = write_ramp_fixture(tmp_path)
+        lines = history.read_text().splitlines()
+        lines[3] = f'"{row}"'
+        history.write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n")  # a blank row
+        err = self.assert_one_error(capsys, "monitor", "--spec", str(spec),
+                                    "--history", str(history))
+        assert err == (f"error: history file line 5: could not convert string to float: "
+                       f"{row!r}\n")
 
     @pytest.mark.parametrize("row", ["nan", "inf", "-Infinity", "1e999"])
     def test_history_value_that_is_not_finite_names_its_line(self, tmp_path, capsys, row):

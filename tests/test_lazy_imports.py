@@ -27,8 +27,7 @@ REEXPORTS = {
     "metrics": ["Reports", "Summary", "rmse", "run_forecast_experiments",
                 "run_predictor_experiments", "summarize"],
     "regression": ["DesignMatrix", "RegressionModel", "ResponseVector", "fit_mra"],
-    "types": ["Direction", "SlaSpec", "Tactic", "TimeSeries", "UtilityParams",
-              "order_specs_by_reward"],
+    "types": ["Direction", "SlaSpec", "TimeSeries", "UtilityParams", "order_specs_by_reward"],
     "workflow": ["SpecStatus", "TacticEstimate", "TacticModels", "TickEntry",
                  "WorkflowConfig", "price_tactics", "rank_tactics", "workflow_tick"],
 }

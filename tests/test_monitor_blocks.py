@@ -54,7 +54,7 @@ def run_both(workdir, values, specs, window, horizon, risk_margin, tick_seconds,
     if tactics:
         tactics_args = (str(workdir / "tactics.json"), str(workdir / "trace.csv"))
         argv += ["--tactics", tactics_args[0], "--trace", tactics_args[1]]
-        estimates = price_tactics(*cli._load_tactic_context(*tactics_args))
+        estimates = price_tactics(cli._load_tactic_context(*tactics_args))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(argv)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from proadapt import SlaSpec, Tactic, TimeSeries, UtilityParams, order_specs_by_reward
+from proadapt import SlaSpec, TimeSeries, UtilityParams, order_specs_by_reward
 from proadapt.types import utility
 
 
@@ -111,13 +111,6 @@ class TestTimeSeries:
 
 
 class TestSpecAndTactic:
-    @pytest.mark.parametrize("field", ["static_latency", "static_cost"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_tactic_static_values_must_be_finite(self, field, value):
-        values = {"static_latency": 1.0, "static_cost": 1.0, field: value}
-        with pytest.raises(ValueError, match="finite"):
-            Tactic("t", **values)
-
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SlaSpec("bad", float("inf"))
@@ -131,7 +124,3 @@ class TestSpecAndTactic:
     def test_spec_penalty_and_reward_must_be_finite(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             SlaSpec("bad", 1.0, **{field: value})
-
-    def test_tactic_validation(self):
-        with pytest.raises(ValueError):
-            Tactic("t", -1.0, 0.0)

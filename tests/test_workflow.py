@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from proadapt import (ArimaModel, Direction, RegressionModel, SlaSpec, SpecStatus,
-                      TacticEstimate, TacticModels, Tactic, TimeSeries, UtilityParams,
+                      TacticEstimate, TacticModels, TimeSeries, UtilityParams,
                       WorkflowConfig, fit_arima, generate_trace, price_tactics,
                       rank_tactics, to_regression_dataset, workflow_tick, fit_mra)
 from proadapt import regression, workflow
@@ -112,10 +112,9 @@ class TestAnalyzeSpecification:
         assert WorkflowConfig(horizon=np.int64(3)).horizon == 3
 
 
-def price(tactic, x, latency_model, cost_model):
+def price(x, latency_model, cost_model):
     """The one tactic's estimate from ``price_tactics``."""
-    registry = {tactic.name: TacticModels(latency_model, cost_model)}
-    [priced] = price_tactics([tactic], registry, {tactic.name: x})
+    [priced] = price_tactics({"t": TacticModels(latency_model, cost_model, x)})
     return priced
 
 
@@ -124,15 +123,13 @@ class TestEstimates:
         rows = np.column_stack([np.ones(50), np.random.default_rng(1).normal(size=50)])
         from proadapt import DesignMatrix, ResponseVector
         model = fit_mra(DesignMatrix(rows), ResponseVector(np.full(50, 4.2)))
-        tactic = Tactic("t", 1.0, 1.0)
-        priced = price(tactic, [1.0, 0.3], model, model)
+        priced = price([1.0, 0.3], model, model)
         assert priced.predicted_latency == pytest.approx(4.2)
         assert priced.predicted_cost == pytest.approx(4.2)
 
     def test_zero_weight_model(self):
-        tactic = Tactic("t", 1.0, 1.0)
         model = RegressionModel(weights=(0.0,))
-        priced = price(tactic, [1.0], model, model)
+        priced = price([1.0], model, model)
         assert (priced.predicted_latency, priced.predicted_cost) == (0.0, 0.0)
 
     def test_peak_hour_beats_off_peak_for_same_lags(self):
@@ -140,7 +137,6 @@ class TestEstimates:
         X, latency, energy = to_regression_dataset(trace)
         latency_model = fit_mra(X, latency)
         cost_model = fit_mra(X, energy)
-        tactic = Tactic("download", 3.0, 30.0)
         base = list(X.rows[-1])
         sin_col = X.column_names.index("hour_sin")
         cos_col = X.column_names.index("hour_cos")
@@ -151,28 +147,38 @@ class TestEstimates:
             x[cos_col] = np.cos(2 * np.pi * hour / 24)
             return x
 
-        peak = price(tactic, at_hour(20), latency_model, cost_model)
-        trough = price(tactic, at_hour(8), latency_model, cost_model)
+        peak = price(at_hour(20), latency_model, cost_model)
+        trough = price(at_hour(8), latency_model, cost_model)
         assert peak.predicted_latency > trough.predicted_latency
         assert peak.predicted_cost > trough.predicted_cost
 
     def test_missing_model_rejected(self):
         model = RegressionModel(weights=(0.0,))
         with pytest.raises(ValueError, match="latency_model must be a RegressionModel"):
-            TacticModels(None, model)
+            TacticModels(None, model, (1.0,))
         with pytest.raises(ValueError, match="cost_model must be a RegressionModel"):
-            TacticModels(model, None)
-        tactic = Tactic("t", 1.0, 1.0)
-        with pytest.raises(ValueError, match="tactic 't': no trained models"):
-            price_tactics([tactic], {}, {"t": (1.0,)})
+            TacticModels(model, None, (1.0,))
 
     def test_feature_width_mismatch_names_the_tactic(self):
-        tactic = Tactic("t", 1.0, 1.0)
-        registry = {"t": TacticModels(RegressionModel(weights=(1.0,)),
-                                      RegressionModel(weights=(2.0,)))}
-        for features in ({"t": (1.0, 2.0)}, {}):
+        for features in ((1.0, 2.0), ()):
+            tactics = {"t": TacticModels(RegressionModel(weights=(1.0,)),
+                                         RegressionModel(weights=(2.0,)), features)}
             with pytest.raises(ValueError, match="tactic 't': expected a feature vector"):
-                price_tactics([tactic], registry, features)
+                price_tactics(tactics)
+
+    def test_features_are_a_read_only_float_copy(self):
+        x = np.array([1, 2])
+        model = RegressionModel(weights=(1.0, 1.0))
+        models = TacticModels(model, model, x)
+        x[0] = 7
+        assert models.features.dtype == float and models.features.tolist() == [1.0, 2.0]
+        assert not models.features.flags.writeable
+
+    def test_tactics_are_priced_in_mapping_order(self):
+        one, two = RegressionModel(weights=(1.0,)), RegressionModel(weights=(2.0,))
+        tactics = {"b": TacticModels(two, two, (1.0,)), "a": TacticModels(one, one, (1.0,))}
+        assert [(e.tactic_name, e.predicted_cost) for e in price_tactics(tactics)] == [
+            ("b", 2.0), ("a", 1.0)]
 
 
 def estimate(name, latency, cost, score):
@@ -263,15 +269,12 @@ class TickFixture:
         self.spec_warm = SlaSpec("warm", 0.7, reward=7.0)
         self.spec_cool = SlaSpec("cool", 10.0, reward=1.0)
         self.history = ramp(0.50, 0.01, 40)
-        self.tactics = [Tactic(f"t{i}", 1.0, 1.0) for i in range(n_tactics)]
-        self.registry = {t.name: TacticModels(RegressionModel(weights=(float(i + 1),)),
-                                              RegressionModel(weights=(float(i + 2),)))
-                         for i, t in enumerate(self.tactics)}
-        self.features = {t.name: (1.0,) for t in self.tactics}
+        self.tactics = {f"t{i}": TacticModels(RegressionModel(weights=(float(i + 1),)),
+                                              RegressionModel(weights=(float(i + 2),)), (1.0,))
+                        for i in range(n_tactics)}
 
     def run(self, specs, config=None, utility_params=None):
-        estimates = price_tactics(self.tactics, self.registry, self.features,
-                                  utility_params)
+        estimates = price_tactics(self.tactics, utility_params)
         return workflow_tick(specs, self.history, estimates, config)
 
 
@@ -367,14 +370,12 @@ class PricingFixture:
     def __init__(self, prices=None):
         prices = prices or {f"t{i}": (1.0 + i, 4.0 - i) for i in range(4)}
         self.series = ramp(0.50, 0.01, 40)
-        self.tactics = [Tactic(name, 1.0, 1.0) for name in prices]
-        self.registry = {name: TacticModels(RegressionModel(weights=(latency,)),
-                                            RegressionModel(weights=(cost,)))
-                         for name, (latency, cost) in prices.items()}
-        self.features = dict.fromkeys(prices, (1.0,))
+        self.tactics = {name: TacticModels(RegressionModel(weights=(latency,)),
+                                           RegressionModel(weights=(cost,)), (1.0,))
+                        for name, (latency, cost) in prices.items()}
 
     def price(self):
-        return price_tactics(self.tactics, self.registry, self.features)
+        return price_tactics(self.tactics)
 
     def run(self, specs, config=None):
         return workflow_tick(specs, self.series, self.price(), config)
