@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .types import Direction, SlaSpec, TimeSeries, check_real, order_specs_by_reward, subseed
+from .types import Direction, SlaSpec, TimeSeries, check_real, order_specs_by_reward, subseeds
 
 if TYPE_CHECKING:
     from .metrics import Summary
@@ -141,24 +141,26 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     for flag, value in (("--static-latency", args.static_latency),
                         ("--static-cost", args.static_cost)):
         check_real(flag, value, 0)
+    trace_seed, impact_seed, forecast_seed, latency_seed, cost_seed = \
+        subseeds(args.seed, range(5))
     if args.trace:
         trace = ingest_trace_csv(args.trace)
     else:
-        trace = generate_trace(args.minutes, subseed(args.seed, 0))
+        trace = generate_trace(args.minutes, trace_seed)
 
     # Every report is computed before any file is written, and the set is
     # written all or nothing, so a failure leaves no partial report set.
     impact = run_cost_impact_simulation(SAMPLE_TACTIC_A, SAMPLE_TACTIC_B,
-                                        args.runs, subseed(args.seed, 1))
+                                        args.runs, impact_seed)
     idle = to_idle_series(trace)
-    forecast_reports = harness.run_forecast_experiments(idle, args.runs, subseed(args.seed, 2))
+    forecast_reports = harness.run_forecast_experiments(idle, args.runs, forecast_seed)
     X, latency, cost = to_regression_dataset(trace)
     predictor_reports = []
-    for response, t, key, static in (("latency", latency, 3, args.static_latency),
-                                     ("cost", cost, 4, args.static_cost)):
+    for response, t, seed, static in (("latency", latency, latency_seed, args.static_latency),
+                                      ("cost", cost, cost_seed, args.static_cost)):
         try:
             predictor_reports.append(harness.run_predictor_experiments(
-                X, t, args.runs, subseed(args.seed, key), static_value=static))
+                X, t, args.runs, seed, static_value=static))
         except ValueError as exc:
             raise ValueError(f"{response} response: {exc}") from None
     latency_reports, cost_reports = predictor_reports
@@ -452,6 +454,11 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         raise ValueError(f"--horizon must be >= 1, got {args.horizon}")
     if args.horizon > BLOCK_CELLS:  # a block of one tick would not fit in BLOCK_CELLS
         raise ValueError(f"--horizon must be <= {BLOCK_CELLS}, got {args.horizon}")
+    # The rules of WorkflowConfig's fields, checked here to name the flags.
+    check_real("--risk-margin", args.risk_margin, 0)
+    if args.risk_margin >= 1:
+        raise ValueError(f"--risk-margin must lie in [0, 1), got {args.risk_margin}")
+    check_real("--tick-seconds", args.tick_seconds, 0, strict=True)
     config = WorkflowConfig(horizon=args.horizon, risk_margin=args.risk_margin,
                             tick_seconds=args.tick_seconds)
     # The tactics' models and features are fixed for the run, so are their prices.

@@ -42,7 +42,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .regression import DesignMatrix, ResponseVector
-from .types import TimeSeries, check_integer, check_real, subseed
+from .types import TimeSeries, check_integer, check_real, subseeds
 
 __all__ = [
     "Mirror",
@@ -342,8 +342,9 @@ def run_cost_impact_simulation(a: TacticProfile, b: TacticProfile,
     """
     check_integer("n_runs", n_runs, 1)
     check_integer("seed", seed, 0)
-    costs_a = sample_latency(a, subseed(seed, 0), n_runs) * a.cost_per_unit_latency
-    costs_b = sample_latency(b, subseed(seed, 1), n_runs) * b.cost_per_unit_latency
+    seed_a, seed_b = subseeds(seed, [0, 1])
+    costs_a = sample_latency(a, seed_a, n_runs) * a.cost_per_unit_latency
+    costs_b = sample_latency(b, seed_b, n_runs) * b.cost_per_unit_latency
     top = float(max(costs_a.max(), costs_b.max()))
     n_bins = max(1, math.ceil(top / HISTOGRAM_BIN_WIDTH))
     edges = np.arange(n_bins + 1) * HISTOGRAM_BIN_WIDTH

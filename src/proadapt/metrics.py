@@ -12,8 +12,9 @@ regression rows carry no such ordering, so predictor splits sample rows
 uniformly: a run holds out a seeded sample of n_test rows, drawn without
 replacement by ``Generator.choice`` in O(n_test) steps rather than by
 shuffling all n rows, and trains on the rest, in row order. Each run
-draws its own seed from the master seed through ``types.subseed``, so
-runs are reorder-independent and the whole harness is byte-deterministic.
+has its own seed, derived from the master seed and its run index by
+``types.subseeds`` in one array pass for all runs, so runs are
+reorder-independent and the whole harness is byte-deterministic.
 Each harness call returns one ``Reports`` grid: read-only (runs, models)
 rmse and mae arrays, with the message of each failed run and model in
 ``errors`` and NaN in its cell, so a failure does not abort the batch; a
@@ -36,7 +37,14 @@ columns, ``summarize`` reduces columns and counts wins from masks, and
 Predictor runs are fitted from downdated sufficient statistics (Golub &
 Van Loan, Matrix Computations 6.5, 12.5). G = X'X, X't and t't of the
 whole design are computed once; a run's training statistics are those minus
-its held-out rows' share. One ``PREDICTOR_CELLS`` budget sets two sizes: a
+its held-out rows' share. The running-mean baseline is downdated the same
+way: a run's training mean is (sum(t) - the sum of its held-out t) / (n -
+n_test), from the held-out rows the gather pass already holds, so no run
+builds a training mask for it; a run whose difference is not finite
+takes the mean of its training rows instead. Its last bits can differ
+from that mean's, within the pairwise-summation error bound of both sums
+(Higham, Accuracy and Stability of Numerical Algorithms, ch. 4).
+One ``PREDICTOR_CELLS`` budget sets two sizes: a
 fit batch holds at most that many held-out row indices, and a gather pass
 at most that many gathered values (runs x n_test x (M + 1)). Each fit
 batch draws its runs' splits and downdates their statistics one gather
@@ -69,7 +77,7 @@ import numpy as np
 from .arima import fit_arima_windows, forecast_error, forecast_paths
 from .regression import (DesignMatrix, ResponseVector, fit_bayesian_ridge, fit_gram_batch,
                          fit_mra)
-from .types import TimeSeries, check_integer, check_real, real_array, subseed
+from .types import TimeSeries, check_integer, check_real, real_array, subseeds
 
 __all__ = [
     "Cell",
@@ -115,16 +123,17 @@ def rmse(predicted: Sequence[float], actual: Sequence[float]) -> float:
     The two vectors, of one non-zero length, follow ``types.real_array``:
     a NaN among them gives a NaN score, and an infinite entry or an
     overflowing sum a non-finite one, the caller's to handle, as the
-    harnesses do when they record it as a failed cell or raise."""
-    errors = _paired(predicted, actual)
-    return math.sqrt(float(np.mean(errors**2)))
+    harnesses do when they record it as a failed cell or raise; neither
+    warns."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return math.sqrt(float(np.mean(_paired(predicted, actual)**2)))
 
 
 def mae(predicted: Sequence[float], actual: Sequence[float]) -> float:
     """Mean absolute error: sum |y_i - t_i| / n. A NaN or overflowing score
-    is the caller's to handle, as with ``rmse``."""
-    errors = _paired(predicted, actual)
-    return float(np.mean(np.abs(errors)))
+    is the caller's to handle, as with ``rmse``, and neither warns."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.mean(np.abs(_paired(predicted, actual))))
 
 
 class Cell(NamedTuple):
@@ -251,7 +260,7 @@ def run_forecast_experiments(series: TimeSeries, n_runs: int, seed: int) -> Repo
     """
     check_integer("n_runs", n_runs, 1)
     check_integer("seed", seed, 0)
-    seeds = [subseed(seed, run) for run in range(n_runs)]
+    seeds = subseeds(seed, np.arange(n_runs))
     models = (PERSISTENCE_MODEL, FORECAST_MODEL)
     try:
         test_len = _test_length(len(series))
@@ -320,7 +329,7 @@ def run_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: int,
     augmented = np.column_stack([X.rows, t.t])
     with np.errstate(over="ignore", invalid="ignore"):
         totals = augmented.T @ augmented
-    seeds = [subseed(seed, run) for run in range(n_runs)]
+    seeds = subseeds(seed, np.arange(n_runs))
     n_test = max(1, int(round((1.0 - TRAIN_FRACTION) * X.n)))
     size = max(1, PREDICTOR_CELLS // n_test)
     errors: dict[tuple[str, int], str] = {}
@@ -355,15 +364,19 @@ def _predictor_batch(X: DesignMatrix, t: ResponseVector, augmented: np.ndarray,
     stats = np.empty((len(runs),) + totals.shape)
     means = np.empty(len(runs))
     # Splits, training means and downdated statistics, one gather pass at a time.
-    for span in passes:
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = t.t.sum()
+        for span in passes:
             for i in range(span.start, span.stop):
                 test_idx[i] = np.random.default_rng(seeds[runs[i]]).choice(
                     X.n, n_test, replace=False)
-                means[i] = t.t[_training_rows(test_idx[i], X.n)].mean()
             held_out = augmented[test_idx[span]]
+            means[span] = (total - held_out[..., -1].sum(axis=1)) / (X.n - n_test)
             np.subtract(totals, np.matmul(held_out.transpose(0, 2, 1), held_out),
                         out=stats[span])
+        # Where a sum overflowed, the mean of the run's own training rows.
+        for i in np.flatnonzero(~np.isfinite(means)).tolist():
+            means[i] = t.t[_training_rows(test_idx[i], X.n)].mean()
     mra, mra_ok, brr, brr_ok = fit_gram_batch(stats[:, :-1, :-1], stats[:, :-1, -1],
                                               stats[:, -1, -1], X.n - n_test)
     weights = np.stack([mra, brr])

@@ -1,6 +1,13 @@
 """Shared domain types: monitored time series, SLA specifications, the
 utility function used by the decision loop, the seed derivation of the
-seeded commands and harnesses, and the argument rules:
+seeded commands and harnesses, and the argument rules.
+
+A seeded command or harness gives each of its parts (a run, a question) a
+seed of its own, the first word NumPy's ``SeedSequence([seed, key])``
+generates for the part's key. ``subseeds`` computes that hash for all the
+keys at once, as uint32 array arithmetic, and ``subseed`` is its one-key
+case.
+
 ``check_integer``, ``check_real`` (finite, optionally bounded below) and
 ``check_array`` (finite integer or real float entries in a stated number
 of axes; ``real_array`` lets non-finite ones pass) are the only code that
@@ -29,6 +36,7 @@ __all__ = [
     "utility",
     "order_specs_by_reward",
     "subseed",
+    "subseeds",
     "check_integer",
     "check_real",
     "real_array",
@@ -146,9 +154,62 @@ def order_specs_by_reward(specs: Sequence[SlaSpec]) -> list[SlaSpec]:
     return sorted(specs, key=lambda s: s.reward, reverse=True)
 
 
+# The constants of NumPy's SeedSequence hash (its mix_entropy and generate_state).
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_WORD = 0xFFFFFFFF
+
+
+def subseeds(seed: int, keys: Iterable[int]) -> list[int]:
+    """The seed of each of ``keys`` under ``seed``, each independent of any
+    other key's: NumPy's ``SeedSequence([seed, key]).generate_state(1)[0]``
+    bit for bit, for all keys in one pass of uint32 array arithmetic.
+    ``seed`` follows the integer rule, at least 0 and of any size; the keys
+    must be integers in [0, 2**32), else ``ValueError``."""
+    check_integer("seed", seed, 0)
+    key_words = np.asarray(keys if isinstance(keys, np.ndarray) else list(keys))
+    if key_words.ndim != 1 or (key_words.size and (
+            key_words.dtype.kind not in "iu" or key_words.min() < 0
+            or key_words.max() > _WORD)):
+        raise ValueError("keys must be a sequence of integers in [0, 2**32)")
+    seed = int(seed)
+    # The entropy: the seed's 32-bit words, least significant first, then
+    # the key's one word; every word is a uint32 array, one entry per key,
+    # and wraps as the C hash does. Only the hash constant is a Python int.
+    entropy = [np.full(key_words.shape, seed >> shift & _WORD, dtype=np.uint32)
+               for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy.append(key_words.astype(np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _WORD
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ result >> 16
+
+    zero = np.zeros(key_words.shape, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = (pool[0] ^ _INIT_B) * (_INIT_B * _MULT_B & _WORD)
+    return (state ^ state >> 16).tolist()
+
+
 def subseed(seed: int, key: int) -> int:
-    """The seed of ``key`` under ``seed``, independent of any other key's."""
-    return int(np.random.SeedSequence([seed, key]).generate_state(1)[0])
+    """The seed of ``key`` under ``seed``: ``subseeds`` of the one key."""
+    return subseeds(seed, [key])[0]
 
 
 def check_integer(name: str, value: object, least: int) -> None:

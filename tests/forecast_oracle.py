@@ -5,9 +5,9 @@ This is the harness as it ran before forecast runs went through array
 passes: every run splits the series with ``split_train_test``, fits on the
 training part with ``arima_oracle.fit_arima``, forecasts the test window
 with the scalar ``arima_oracle.forecast`` and scores each model with
-``rmse`` and ``mae``. It builds one
-``report_oracle.Row`` per run and model, persistence before arima, as the
-library's grid orders them.
+``rmse`` and ``mae``; each run's seed is ``seed_oracle.subseed``'s. It
+builds one ``report_oracle.Row`` per run and model, persistence before
+arima, as the library's grid orders them.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ import numpy as np
 from arima_oracle import fit_arima, forecast
 from proadapt.metrics import (FORECAST_MODEL, MIN_TEST_POINTS, MIN_TRAIN_POINTS,
                               PERSISTENCE_MODEL, TRAIN_FRACTION, mae, rmse)
-from proadapt.types import TimeSeries, subseed
+from proadapt.types import TimeSeries
 from report_oracle import Row
+from seed_oracle import subseed
 
 
 def split_train_test(series: TimeSeries, train_fraction: float,
@@ -48,8 +49,7 @@ def split_train_test(series: TimeSeries, train_fraction: float,
 
 
 def _score(predicted, actual, run: int, model: str) -> tuple[float, float]:
-    with np.errstate(over="ignore", invalid="ignore"):
-        scores = rmse(predicted, actual), mae(predicted, actual)
+    scores = rmse(predicted, actual), mae(predicted, actual)
     if not all(math.isfinite(score) for score in scores):
         raise ValueError(f"run {run}, model {model!r}: scores overflow "
                          f"(rmse={scores[0]!r}, mae={scores[1]!r})")

@@ -10,8 +10,9 @@ one linear solve per evidence iteration (the iteration below is the one
 each ridge fit's training error (half the sum of squared residuals) itself.
 Its split rule is the library's, stated on its own: a run holds out the
 n_test rows its seeded generator's ``choice`` draws without replacement,
-and trains on the others in row order. It builds one ``report_oracle.Row``
-per run and model.
+and trains on the others in row order; each run's seed is
+``seed_oracle.subseed``'s. It builds one ``report_oracle.Row`` per run and
+model.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import numpy as np
 from proadapt.metrics import (BRR_MODEL, MEAN_BASELINE, MRA_MODEL, STATIC_BASELINE,
                               TRAIN_FRACTION, mae, rmse)
 from proadapt.regression import DesignMatrix, RegressionModel, ResponseVector, fit_mra
-from proadapt.types import subseed
 from report_oracle import Row
+from seed_oracle import subseed
 
 
 def reference_bayesian_ridge(X: DesignMatrix, t: ResponseVector, alpha0: float = 1.0,
@@ -53,8 +54,7 @@ def reference_bayesian_ridge(X: DesignMatrix, t: ResponseVector, alpha0: float =
 
 
 def _score(predicted, actual, run: int, model: str) -> tuple[float, float]:
-    with np.errstate(over="ignore", invalid="ignore"):
-        scores = rmse(predicted, actual), mae(predicted, actual)
+    scores = rmse(predicted, actual), mae(predicted, actual)
     if not all(math.isfinite(score) for score in scores):
         raise ValueError(f"run {run}, model {model!r}: scores overflow "
                          f"(rmse={scores[0]!r}, mae={scores[1]!r})")

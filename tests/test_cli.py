@@ -593,7 +593,18 @@ class TestMonitorInputErrors:
         spec, history = write_ramp_fixture(tmp_path)
         err = self.assert_one_error(capsys, "monitor", "--spec", str(spec), "--history",
                                     str(history), f"--tick-seconds={value}")
-        assert "tick_seconds must be finite and > 0" in err
+        assert err == f"error: --tick-seconds must be finite and > 0, got {float(value)!r}\n"
+
+    @pytest.mark.parametrize("value, message", [
+        ("nan", "must be finite and >= 0, got nan"), ("-inf", "must be finite and >= 0, got -inf"),
+        ("-0.1", "must be finite and >= 0, got -0.1"), ("1", "must lie in [0, 1), got 1.0"),
+        ("inf", "must be finite and >= 0, got inf")])
+    def test_risk_margin_errors_name_the_flag(self, tmp_path, capsys, value, message):
+        # Both flags' errors used to name the WorkflowConfig field instead.
+        spec, history = write_ramp_fixture(tmp_path)
+        err = self.assert_one_error(capsys, "monitor", "--spec", str(spec), "--history",
+                                    str(history), f"--risk-margin={value}")
+        assert err == f"error: --risk-margin {message}\n"
 
     def run_tactics(self, tmp_path, capsys, text):
         spec, history = write_ramp_fixture(tmp_path)

@@ -276,7 +276,7 @@ class TestCostImpactSimulation:
         (0, 1, ValueError, "n_runs must be >= 1")])
     def test_arguments_checked_before_any_work(self, monkeypatch, n_runs, seed, error,
                                                message):
-        monkeypatch.setattr(emulator, "subseed", no_work)
+        monkeypatch.setattr(emulator, "subseeds", no_work)
         monkeypatch.setattr(emulator, "sample_latency", no_work)
         with pytest.raises(error, match=f"^{message}$"):
             run_cost_impact_simulation(SAMPLE_TACTIC_A, SAMPLE_TACTIC_B, n_runs, seed)

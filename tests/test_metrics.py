@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,15 @@ class TestScores:
         assert math.isnan(rmse([math.nan], [1.0])) and math.isnan(mae([math.nan], [1.0]))
         assert math.isnan(rmse([1.0, 2.0], [1.0, math.nan]))
         assert math.isnan(mae([1.0, 2.0], [1.0, math.nan]))
+
+    def test_overflow_and_infinite_inputs_give_scores_without_warnings(self):
+        # Both used to raise NumPy's overflow or invalid-value RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rmse([1e200], [0.0]) == math.inf and mae([1e200], [0.0]) == 1e200
+            assert rmse([1e308], [-1e308]) == mae([1e308], [-1e308]) == math.inf
+            assert math.isnan(rmse([math.inf], [math.inf]))
+            assert math.isnan(mae([math.inf], [math.inf]))
 
     @given(vectors, st.data())
     def test_rmse_dominates_mae(self, actual, data):
@@ -188,7 +198,7 @@ class TestPredictorExperiments:
     def test_static_value_checked_before_any_work(self, monkeypatch, static_value, error):
         # A NaN or infinite value used to run every fit, then fail as a
         # "scores overflow" of run 0.
-        monkeypatch.setattr(metrics, "subseed", no_work)
+        monkeypatch.setattr(metrics, "subseeds", no_work)
         monkeypatch.setattr(metrics, "fit_gram_batch", no_work)
         X, t = self.make_linear(n=60, noise=0.1)
         with pytest.raises(error, match=f"^static_value must be .*, got {static_value!r}$"):
@@ -208,7 +218,7 @@ def no_work(*args, **kwargs):
     (-2, ValueError, "n_runs must be >= 1")])
 def test_harnesses_check_n_runs_before_any_work(monkeypatch, n_runs, error, message):
     # n_runs=True used to run one run, and 2.5 failed inside range().
-    monkeypatch.setattr(metrics, "subseed", no_work)
+    monkeypatch.setattr(metrics, "subseeds", no_work)
     monkeypatch.setattr(metrics, "fit_arima_windows", no_work)
     monkeypatch.setattr(metrics, "fit_gram_batch", no_work)
     X = DesignMatrix(np.column_stack([np.ones(60), np.arange(60.0)]))
@@ -228,7 +238,7 @@ def test_harnesses_check_n_runs_before_any_work(monkeypatch, n_runs, error, mess
 def test_harnesses_check_seed_before_any_work(monkeypatch, seed, error, message):
     # seed=True used to run as seed 1, None failed inside len() and -1
     # inside NumPy, neither naming the argument.
-    monkeypatch.setattr(metrics, "subseed", no_work)
+    monkeypatch.setattr(metrics, "subseeds", no_work)
     monkeypatch.setattr(metrics, "fit_arima_windows", no_work)
     monkeypatch.setattr(metrics, "fit_gram_batch", no_work)
     X = DesignMatrix(np.column_stack([np.ones(60), np.arange(60.0)]))

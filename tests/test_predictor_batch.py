@@ -4,8 +4,10 @@
 downdated Gram statistics and falls back to ``fit_mra`` or
 ``fit_bayesian_ridge`` on a run's rows when the statistics cannot be
 trusted; ``predictor_oracle.reference_predictor_experiments`` fits every
-run on its rows. Report keys, errors and baseline scores must be equal;
-the least-squares and ridge scores must agree within ``SCORE_RTOL``
+run on its rows. Report keys, errors and static-baseline scores must be
+equal; the running-mean baseline takes its training mean from downdated
+sums, so its scores must agree within ``mean_baseline_tolerance``, and
+the least-squares and ridge scores within ``SCORE_RTOL``
 relative plus eps * cond * rms(t) absolute, cond being lambda_max over the
 smallest eigenvalue of X'X above lambda_max / ``CONDITION_LIMIT`` (both
 harnesses regularise the directions below it). The absolute part is the
@@ -17,6 +19,7 @@ off) or for an exact fit, whose scores are rounding noise.
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 import warnings
 
@@ -88,6 +91,69 @@ def reference(*args, **kwargs):
         return outcome(reference_predictor_experiments, *args, **kwargs)
 
 
+def pairwise_roundings(m: int) -> int:
+    """The most roundings one term takes in NumPy's pairwise sum of m
+    contiguous doubles: below 8 terms one running sum; up to 128, eight
+    running lanes, each started by a term, joined in three levels, and then
+    the last m % 8 terms added one at a time; above 128, one more rounding
+    for the join of two halves, the first a multiple of 8 terms long."""
+    if m < 8:
+        return max(m - 1, 0)
+    if m <= 128:
+        return m // 8 - 1 + 3 + m % 8
+    half = m // 2 - m // 2 % 8
+    return 1 + max(pairwise_roundings(half), pairwise_roundings(m - half))
+
+
+def sum_roundings(k: int) -> int:
+    """The most roundings one term takes in ``np.add.reduce`` of k
+    contiguous doubles, the first term plus the pairwise sum of the rest."""
+    return 1 + pairwise_roundings(k - 1) if k > 1 else 0
+
+
+def mean_baseline_tolerance(t: ResponseVector, score: float) -> float:
+    """How far a running-mean score may lie from the per-run oracle's.
+
+    The oracle's mean is sum(training t) / d, d = n - n_test; the library's
+    is (sum(t) - sum(held-out t)) / d. With u = eps / 2 and D(k) =
+    ``sum_roundings(k)``, pairwise summation (Higham, Accuracy and Stability
+    of Numerical Algorithms, ch. 4) puts the oracle's mean within
+    (D(d) + 1) u sum|t| / d of the exact one and the library's within
+    (D(n) + D(n_test) + 2) u sum|t| / d (the subtraction and the division
+    round once each), so the two means differ by at most
+    c u sum|t| / d, c = D(n) + D(n_test) + D(d) + 3. Both scores are
+    1-Lipschitz in that mean. Each score also carries its own rounding,
+    relative to the score: for mae, the residuals' (u), the pairwise sum's
+    of n_test non-negative terms (D(n_test) u) and the division's (u); for
+    rmse, half of the residuals' (2 u once squared), the squares', the
+    sum's and the division's, plus the square root's (u). Either is below
+    (D(n_test) + 6) u, once for each of the two scores compared.
+    First-order terms only; the factor 1 + 1e-9 covers the rest."""
+    n = len(t)
+    n_test = held_out_rows(n)
+    d = n - n_test
+    u = np.finfo(float).eps / 2
+    c = sum_roundings(n) + sum_roundings(n_test) + sum_roundings(d) + 3
+    rounding = 2 * (sum_roundings(n_test) + 6) * u * abs(score)
+    return (1 + 1e-9) * (c * u * float(np.abs(t.t).sum()) / d + rounding)
+
+
+MEAN_OVERFLOW = re.compile(r"(run \d+, model 'baseline_mean': scores overflow) "
+                           r"\(rmse=(\S+), mae=(\S+)\)")
+
+
+def assert_errors_agree(got: str | None, want: str | None, t: ResponseVector) -> None:
+    """Equal harness errors; a running-mean overflow names its scores, so
+    they agree as the scores do."""
+    got_mean, want_mean = (MEAN_OVERFLOW.fullmatch(error or "") for error in (got, want))
+    if got_mean is None or want_mean is None:
+        assert got == want
+        return
+    assert got_mean[1] == want_mean[1]
+    for a, b in zip(map(float, got_mean.groups()[1:]), map(float, want_mean.groups()[1:])):
+        assert a == b or abs(a - b) <= mean_baseline_tolerance(t, b), (got, want)
+
+
 def assert_reports_agree(grid, want, X: DesignMatrix, t: ResponseVector) -> None:
     with np.errstate(over="ignore", invalid="ignore"):
         gram = X.rows.T @ X.rows
@@ -109,8 +175,11 @@ def assert_reports_agree(grid, want, X: DesignMatrix, t: ResponseVector) -> None
         assert new.error == old.error
         if old.error is not None:
             continue
-        if new.model in (MEAN_BASELINE, STATIC_BASELINE):
+        if new.model == STATIC_BASELINE:
             assert (new.rmse, new.mae) == (old.rmse, old.mae)
+        elif new.model == MEAN_BASELINE:
+            for a, b in ((new.rmse, old.rmse), (new.mae, old.mae)):
+                assert abs(a - b) <= mean_baseline_tolerance(t, b), (new, old)
         else:
             for a, b in ((new.rmse, old.rmse), (new.mae, old.mae)):
                 assert abs(a - b) <= SCORE_RTOL * abs(b) + atol, (new, old)
@@ -149,7 +218,7 @@ def test_chunked_harness_matches_per_run_reference(case):
         patch.setattr(metrics, "PREDICTOR_CELLS", case["cells"])
         got, got_error = outcome(run_predictor_experiments, *args, **kwargs)
     want, want_error = reference(*args, **kwargs)
-    assert got_error == want_error
+    assert_errors_agree(got_error, want_error, case["t"])
     if want is not None:
         assert_reports_agree(got, want, case["X"], case["t"])
 
@@ -162,7 +231,7 @@ def test_each_design_kind_matches_reference(kind, monkeypatch):
     X, t = build_design(kind, 97, 6, np.random.default_rng(7))
     got, got_error = outcome(run_predictor_experiments, X, t, 21, 3, static_value=1.0)
     want, want_error = reference(X, t, 21, 3, static_value=1.0)
-    assert got_error == want_error
+    assert_errors_agree(got_error, want_error, t)
     if kind == "huge_responses":
         assert got_error.startswith("run 0, model 'baseline_mean': scores overflow")
         return
@@ -233,6 +302,63 @@ def test_explicit_least_squares_only_where_the_gram_path_is_refused(kind, explic
     assert not reports.errors
 
 
+def emulated_design(minutes: int = 1440, seed: int = 11):
+    X, latency, _ = to_regression_dataset(generate_trace(minutes, seed))
+    return X, latency
+
+
+@pytest.mark.parametrize("design, refits", [("emulated", 0), ("collinear", 23)])
+def test_rows_are_masked_only_for_untrusted_refits(design, refits, monkeypatch):
+    """The training means come from downdated sums, so a run's training
+    mask is built only to refit a fit the statistics are not trusted with:
+    none on a 1,440-minute emulated design (4,305 rows), 400 runs."""
+    masks, untrusted = [], []
+    training_rows, fit_gram = metrics._training_rows, metrics.fit_gram_batch
+
+    def counting_rows(test_idx, n):
+        masks.append(n)
+        return training_rows(test_idx, n)
+
+    def recording_trust(gram, xt, tt, n):
+        mra, mra_ok, brr, brr_ok = fit_gram(gram, xt, tt, n)
+        untrusted.append(int(np.count_nonzero(~mra_ok) + np.count_nonzero(~brr_ok)))
+        return mra, mra_ok, brr, brr_ok
+
+    monkeypatch.setattr(metrics, "_training_rows", counting_rows)
+    monkeypatch.setattr(metrics, "fit_gram_batch", recording_trust)
+    if design == "emulated":
+        X, t = emulated_design()
+        n_runs = 400
+    else:
+        X, t = build_design(design, 80, 5, np.random.default_rng(4))
+        n_runs = 23
+    run_predictor_experiments(X, t, n_runs, 6, static_value=1.0)
+    assert len(masks) == sum(untrusted) == refits
+
+
+def test_an_overflowing_sum_takes_the_mean_of_the_training_rows():
+    """Two responses of 1.5e308 overflow sum(t), so every run's downdated
+    mean is not finite; each run's mean is then that of its rows, finite,
+    and the scores overflow with the oracle's mae, to the last bit."""
+    X, t = build_design("well", 60, 3, np.random.default_rng(14))
+    responses = t.t.copy()
+    responses[[3, 10]] = 1.5e308
+    t = ResponseVector(responses)
+    got, got_error = outcome(run_predictor_experiments, X, t, 4, 2, static_value=1.0)
+    want, want_error = reference(X, t, 4, 2, static_value=1.0)
+    assert got is None and got_error == want_error
+    assert got_error.startswith("run 0, model 'baseline_mean': scores overflow (rmse=inf, mae=")
+    assert not got_error.endswith("mae=inf)")
+
+
+def test_mean_baseline_is_within_its_bound_on_an_emulated_design():
+    """4,305 rows, so every sum is pairwise over several levels."""
+    X, t = emulated_design()
+    got = run_predictor_experiments(X, t, 30, 7, static_value=2.5)
+    want, _ = reference(X, t, 30, 7, static_value=2.5)
+    assert_reports_agree(got, want, X, t)
+
+
 def test_runs_are_fitted_in_batches_of_the_cell_budget(monkeypatch):
     """Each batch of PREDICTOR_CELLS // n_test runs reaches the batched fit
     in one call, so its arrays never grow with the number of runs."""
@@ -249,11 +375,6 @@ def test_runs_are_fitted_in_batches_of_the_cell_budget(monkeypatch):
     assert size == 152
     run_predictor_experiments(X, t, 2 * size + 1, 9, static_value=1.0)
     assert shapes == [(size, 4, 4)] * 2 + [(1, 4, 4)]
-
-
-def emulated_design(minutes: int = 1440, seed: int = 11):
-    X, latency, _ = to_regression_dataset(generate_trace(minutes, seed))
-    return X, latency
 
 
 def test_a_question_peaks_under_three_mib_traced():

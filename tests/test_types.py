@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from proadapt import SlaSpec, TimeSeries, UtilityParams, order_specs_by_reward
-from proadapt.types import utility
+from proadapt.types import subseed, subseeds, utility
+from seed_oracle import subseed as reference_subseed
 
 
 def params(**overrides):
@@ -124,3 +125,33 @@ class TestSpecAndTactic:
     def test_spec_penalty_and_reward_must_be_finite(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             SlaSpec("bad", 1.0, **{field: value})
+
+
+class TestSubseeds:
+    # Up to 2**96 the seed and key fill at most NumPy's four-word entropy
+    # pool; a larger seed takes the path that mixes in the words past it.
+    @settings(max_examples=200)
+    @given(st.one_of(st.integers(0, 2**96 - 1), st.integers(2**96, 2**200)),
+           st.lists(st.integers(0, 2**32 - 1), max_size=16))
+    def test_matches_one_seed_sequence_per_key(self, seed, keys):
+        assert subseeds(seed, keys) == [reference_subseed(seed, key) for key in keys]
+
+    def test_subseed_is_the_one_key_case(self):
+        for seed, key in ((0, 0), (7, 2**32 - 1), (2**100, 3)):
+            assert subseed(seed, key) == reference_subseed(seed, key)
+
+    def test_accepts_arrays_and_ranges(self):
+        got = subseeds(5, np.arange(40))
+        assert got == subseeds(5, range(40)) == [reference_subseed(5, key) for key in range(40)]
+        assert all(type(value) is int for value in got)
+
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (True, TypeError),
+                                             (2.0, TypeError), (None, TypeError)])
+    def test_seed_follows_the_integer_rule(self, seed, error):
+        with pytest.raises(error, match="^seed must be"):
+            subseeds(seed, [0])
+
+    @pytest.mark.parametrize("keys", [[-1], [2**32], [2**70], [1.0], [True], [[0]], "ab"])
+    def test_keys_are_words(self, keys):
+        with pytest.raises(ValueError, match=r"^keys must be .* \[0, 2\*\*32\)$"):
+            subseeds(1, keys)
