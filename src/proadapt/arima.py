@@ -8,11 +8,14 @@ Estimation is conditional least squares on the differenced series: the
 regression of z_t on z_{t-1} plus a constant coincides with the Gaussian
 maximum-likelihood estimate up to edge effects, has a closed form, and is
 fully deterministic. One vectorised kernel, ``fit_arima_windows``, fits
-any windows of a series at once (a monitor run that refits on every window
-fits a block of windows per call), and one, ``forecast_paths``, forecasts
-n models as arrays. ``fit_arima`` (the whole series as one window, built
-into an ``ArimaModel``) and ``forecast`` (one model) are their one-case
-calls.
+any windows of a series at once, of one length or of one length each (a
+monitor run that refits on every window fits a block of equal windows per
+call; the replication harness fits the prefix before each of its split
+starts in one call), and one, ``forecast_paths``, forecasts n models as
+arrays. Each fit's sums reduce its own window only, so a window fits to
+the same bits whatever windows share its call. ``fit_arima`` (the whole
+series as one window, built into an ``ArimaModel``) and ``forecast`` (one
+model) are their one-case calls.
 
 The fits and forecasts are pure functions of their inputs and
 ``ArimaModel`` is immutable, so models can be shared across threads.
@@ -25,8 +28,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .types import TimeSeries, check_array, check_integer, check_real
+from .types import TimeSeries, check_array, check_integer, check_real, integer_array
 
 __all__ = [
     "ArimaModel",
@@ -45,6 +49,7 @@ __all__ = [
 
 MIN_FIT_LENGTH = 10  # differenced observations needed before fitting
 _RANK_TOL = 1e-8  # singular-value ratio below which a lag design counts as rank-deficient
+WINDOW_CELLS = 1 << 15  # window differences per gather of fit_arima_windows
 
 
 class FitError(ValueError):
@@ -134,9 +139,11 @@ def _fit_ar1_lstsq(z: np.ndarray) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), float(np.mean(residuals**2))
 
 
-def _fit_cls(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fit_cls(z: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Conditional least squares on each row of the 2-D stack ``z`` of
-    differenced windows; returns the arrays (c, phi, residual variance).
+    differenced windows, row i's the first ``sizes[i]`` entries (the rest
+    pad it), with ``sizes`` in ascending order; returns the arrays (c, phi,
+    residual variance).
 
     Regresses z_t on z_{t-1} plus a constant in closed form from centred
     sums, phi = Sxy / Sxx and c = ybar - phi * xbar. A finite row whose lag
@@ -144,23 +151,39 @@ def _fit_cls(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     e.g. the constant differences of a ramp) takes ``lstsq``'s minimum-norm
     answer instead. Sums that overflow give non-finite results, which
     ``_fit_error`` rejects.
+
+    Each sum is one ``np.add.reduce`` per run of rows of one size, over
+    that size only, so it is the pairwise sum the row alone would give:
+    a fit is the same to the last bit whatever rows share its stack.
     """
     x, y = z[:, :-1], z[:, 1:]
-    m = x.shape[1]
+    m = sizes - 1  # lag pairs per row
+    cuts = (np.flatnonzero(m[1:] != m[:-1]) + 1).tolist()
+    runs = list(zip([0, *cuts], [*cuts, m.size], m[[0, *cuts]].tolist()))
+
+    def total(values: np.ndarray) -> np.ndarray:
+        out = np.empty(m.size)
+        for lo, hi, pairs in runs:
+            np.add.reduce(values[lo:hi, :pairs], axis=1, out=out[lo:hi])
+        return out
+
     with np.errstate(over="ignore", invalid="ignore"):
-        xbar, ybar = x.mean(axis=1), y.mean(axis=1)
+        xbar, ybar = total(x) / m, total(y) / m
         xc, yc = x - xbar[:, None], y - ybar[:, None]
-        sxx = (xc * xc).sum(axis=1)
+        # Each product goes to one reused buffer: a stack can be large.
+        product = np.multiply(xc, xc)
+        sxx = total(product)
         # sqrt(m * Sxx) / (m + Sx^2) is within a factor 2 of the design's
         # smallest-to-largest singular value ratio.
-        deficient = ~(np.sqrt(m * sxx) > _RANK_TOL * (m + (x * x).sum(axis=1)))
-        phi = (xc * yc).sum(axis=1) / np.where(deficient, 1.0, sxx)
+        deficient = ~(np.sqrt(m * sxx) > _RANK_TOL * (m + total(np.multiply(x, x, out=product))))
+        phi = total(np.multiply(xc, yc, out=product)) / np.where(deficient, 1.0, sxx)
         c = ybar - phi * xbar
-        residuals = yc - phi[:, None] * xc
-        variance = (residuals * residuals).mean(axis=1)
-        for i in np.flatnonzero(deficient):
-            if np.isfinite(z[i]).all():  # LAPACK cannot take inf or NaN
-                c[i], phi[i], variance[i] = _fit_ar1_lstsq(z[i])
+        residuals = np.subtract(yc, np.multiply(phi[:, None], xc, out=product), out=product)
+        variance = total(np.multiply(residuals, residuals, out=product)) / m
+        for i in np.flatnonzero(deficient).tolist():
+            row = z[i, :sizes[i]]
+            if np.isfinite(row).all():  # LAPACK cannot take inf or NaN
+                c[i], phi[i], variance[i] = _fit_ar1_lstsq(row)
     return c, phi, variance
 
 
@@ -202,45 +225,87 @@ def fit_arima(series: TimeSeries) -> ArimaModel:
                       residual_variance=float(variance))
 
 
-def fit_arima_windows(series: TimeSeries, window: int, starts: Sequence[int]
+def _window_error(n: int, window: int) -> ValueError:
+    """The error of a window of ``window`` observations that does not lie
+    inside a series of ``n``."""
+    if window > n:
+        return ValueError(f"window {window} is longer than the series of {n} observations")
+    return ValueError(f"starts must lie in [0, {n - window}] for windows of {window} "
+                      f"observations in a series of {n}")
+
+
+def fit_arima_windows(series: TimeSeries, window: int | Sequence[int], starts: Sequence[int]
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[FitError | None]]:
-    """Fit each window ``series.values[s:s + window]`` of ``starts``.
+    """Fit each window of ``starts``: ``series.values[s:s + window]``, of
+    one length ``window`` for all starts or of one length per start.
 
     Returns, per start and in order, the arrays (phi, c, residual variance)
     and a list of errors: the window's :class:`FitError` (too short, not
     stationary, or overflowing), or None where it fits and the arrays hold
-    its coefficients. Only the span the starts cover is differenced.
+    its coefficients. Only the span the starts cover is differenced, once;
+    the windows are gathered from it in order of length, up to
+    ``WINDOW_CELLS`` differences at a time, each gather padded to its
+    longest window, and every fit is bit for bit the fit of its window
+    alone. ``starts`` follow ``types.integer_array`` with least value 0.
     ``window`` follows ``types.check_integer`` with least value 1, and
     raises ``ValueError`` when longer than ``series``, with or without
-    starts. Raises ``TypeError`` for a start that is not an integer and
-    ``ValueError`` for one whose window does not lie inside ``series``.
+    starts; per-start lengths follow ``types.integer_array`` with least
+    value 1 and must be as many as the starts. A window that does not lie
+    inside ``series`` raises ``ValueError``.
     """
-    check_integer("window", window, 1)
-    if window > len(series):
-        raise ValueError(f"window {window} is longer than the series of {len(series)} "
-                         f"observations")
-    starts = np.asarray(starts).reshape(-1)
-    if starts.size and starts.dtype.kind not in "iu":
-        raise TypeError(f"starts must be integers, got an array of {starts.dtype}")
-    starts = starts.astype(np.intp, copy=False)
-    # The span [lo, hi) of the series that the windows cover.
-    lo, hi = (int(starts.min()), int(starts.max()) + window) if starts.size else (0, 0)
-    if lo < 0 or hi > len(series):
-        raise ValueError(f"starts must lie in [0, {len(series) - window}] for windows "
-                         f"of {window} observations in a series of {len(series)}")
-    error = _length_error(window)
-    if error is not None:
-        return (*np.full((3, starts.size), np.nan), [error] * starts.size)
-    # A difference that overflows is inf, which _fit_error rejects.
-    with np.errstate(over="ignore", invalid="ignore"):
-        differenced = np.diff(series.values[lo:hi])
-    # Row i gathers the window - 1 differences of the window at starts[i].
-    c, phi, variance = _fit_cls(differenced[(starts - lo)[:, None] + np.arange(window - 1)])
+    n = len(series)
+    starts = integer_array("starts", starts, 0)
+    if np.ndim(window) == 0:
+        check_integer("window", window, 1)
+        if window > n:
+            raise _window_error(n, window)
+        lengths = np.full(starts.size, window, dtype=np.intp)
+    else:
+        lengths = integer_array("window", window, 1)
+        if lengths.size != starts.size:
+            raise ValueError(f"window and starts must have one length, got {lengths.size} "
+                             f"and {starts.size}")
+    outside = np.flatnonzero((lengths > n) | (starts > n - lengths))
+    if outside.size:
+        raise _window_error(n, int(lengths[outside[0]]))
+    phi, c, variance = np.full((3, starts.size), np.nan)
+    errors: list[FitError | None] = [None] * starts.size
+    fitted = lengths > MIN_FIT_LENGTH
+    for i in np.flatnonzero(~fitted).tolist():
+        errors[i] = _length_error(int(lengths[i]))
+    # The windows long enough to fit, shortest first.
+    rows = np.flatnonzero(fitted)
+    if np.ndim(window):
+        rows = rows[np.argsort(lengths[rows], kind="stable")]
+    if rows.size:
+        offsets, sizes = starts[rows], lengths[rows] - 1  # each window's differences
+        lo, hi = int(offsets.min()), int((offsets + sizes).max()) + 1
+        # A difference that overflows is inf, which _fit_error rejects.
+        with np.errstate(over="ignore", invalid="ignore"):
+            differenced = np.diff(series.values[lo:hi])
+        # Zeros after the span keep each window, padded to its gather's
+        # longest, inside the array.
+        differenced = np.concatenate([differenced, np.zeros(sizes[-1] - sizes[0])])
+        offsets -= lo
+        first = 0
+        while first < rows.size:
+            # The next gather: the most rows whose count times the longest's
+            # size stays within WINDOW_CELLS, and at least one.
+            cells = np.arange(1, rows.size - first + 1) * sizes[first:]
+            last = first + max(1, int(np.searchsorted(cells, WINDOW_CELLS, side="right")))
+            # Every window of the gather's width, as a read-only view; row k
+            # of the stack copies the one at offsets[k].
+            width = int(sizes[last - 1])
+            windows = as_strided(differenced, (differenced.size - width + 1, width),
+                                 differenced.strides * 2, writeable=False)
+            fits = _fit_cls(windows[offsets[first:last]], sizes[first:last])
+            gather = rows[first:last]
+            c[gather], phi[gather], variance[gather] = fits
+            first = last
     # _fit_error's test as one array pass (|phi| < 1 fails a phi that is not
     # finite); _fit_error builds the FitErrors of the windows that fail it.
     good = np.isfinite(c) & np.isfinite(variance) & (np.abs(phi) < 1.0)
-    errors: list[FitError | None] = [None] * starts.size
-    for i in np.flatnonzero(~good).tolist():
+    for i in np.flatnonzero(fitted & ~good).tolist():
         errors[i] = _fit_error(float(c[i]), float(phi[i]), float(variance[i]))
     return phi, c, variance, errors
 

@@ -14,17 +14,21 @@ replacement by ``Generator.choice`` in O(n_test) steps rather than by
 shuffling all n rows, and trains on the rest, in row order. Each run
 has its own seed, derived from the master seed and its run index by
 ``types.subseeds`` in one array pass for all runs, so runs are
-reorder-independent and the whole harness is byte-deterministic.
+reorder-independent and the whole harness is byte-deterministic. A run
+draws what ``np.random.default_rng(run_seed)`` would: one generator is
+set, run by run, to the states ``types.generator_states`` derives for all
+runs in one more array pass.
 Each harness call returns one ``Reports`` grid: read-only (runs, models)
 rmse and mae arrays, with the message of each failed run and model in
 ``errors`` and NaN in its cell, so a failure does not abort the batch; a
 score that overflows raises ``ValueError`` naming the run and model.
 
-Forecast runs keep one seeded split per run and one ``fit_arima_windows``
-call per distinct split start in a pass, on the one window before that
-start; the rest is array passes over up to ``FORECAST_CELLS`` forecast
-values. The held-out windows are gathered as one (runs, test length)
-array and every run's forecast comes from ``arima.forecast_paths``.
+Forecast runs keep one seeded split per run. A pass fits the one window
+before each of its distinct split starts in one ``fit_arima_windows``
+call, a window length per start; the rest is array passes over up to
+``FORECAST_CELLS`` forecast values. The held-out windows are gathered as
+one (runs, test length) array and every run's forecast comes from
+``arima.forecast_paths``.
 
 Both harnesses score through ``_reports``: a pass's residuals form one
 contiguous (models, runs, n) array, and each rmse and mae is a row
@@ -77,7 +81,8 @@ import numpy as np
 from .arima import fit_arima_windows, forecast_error, forecast_paths
 from .regression import (DesignMatrix, ResponseVector, fit_bayesian_ridge, fit_gram_batch,
                          fit_mra)
-from .types import TimeSeries, check_integer, check_real, real_array, subseeds
+from .types import (TimeSeries, check_integer, check_real, generator_states, real_array,
+                    subseeds)
 
 __all__ = [
     "Cell",
@@ -212,6 +217,16 @@ class Reports:
                         for (model, run), error in self.errors.items() if model in names})
 
 
+def _run_generators(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
+    """For each run seed in turn, a ``Generator`` in the state
+    ``np.random.default_rng(seed)`` starts in: one generator, whose state
+    is set before each yield, so each must be drawn from before the next."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    for state in generator_states(seeds):
+        rng.bit_generator.state = state
+        yield rng
+
+
 def _reports(runs: range, models: Sequence[str], residuals: np.ndarray,
              errors: Mapping[tuple[str, int], str]) -> tuple[np.ndarray, np.ndarray]:
     """The (runs, models) rmse and mae rows of ``runs``, scored from (and
@@ -269,8 +284,8 @@ def run_forecast_experiments(series: TimeSeries, n_runs: int, seed: int) -> Repo
         return Reports(models, seeds, failed, failed,
                        {(model, run): str(exc) for run in range(n_runs) for model in models})
     last_start = len(series) - test_len
-    starts = [int(np.random.default_rng(run_seed).integers(MIN_TRAIN_POINTS, last_start + 1))
-              for run_seed in seeds]
+    starts = [int(rng.integers(MIN_TRAIN_POINTS, last_start + 1))
+              for rng in _run_generators(seeds)]
     size = max(1, FORECAST_CELLS // test_len)
     errors: dict[tuple[str, int], str] = {}
     rows = [_forecast_pass(series, starts[lo:lo + size], range(lo, min(lo + size, n_runs)),
@@ -286,16 +301,16 @@ def _forecast_pass(series: TimeSeries, starts: Sequence[int], runs: range, test_
     """The rmse and mae rows of the forecast ``runs``, whose test windows
     begin at ``starts``, persistence before arima; adds the runs' failures
     to ``errors``."""
-    fits = {}  # (phi, c, error) by start, so runs that draw one start share its fit
-    for start in dict.fromkeys(starts):
-        phi, c, _, (error,) = fit_arima_windows(series, start, [0])
-        # phi = c = 0 on a failed fit: a finite (flat) forecast.
-        fits[start] = (0.0, 0.0, str(error)) if error else (phi[0], c[0], None)
-    phi, c, fit_errors = zip(*(fits[start] for start in starts))
-    errors.update(((FORECAST_MODEL, run), error) for run, error in zip(runs, fit_errors)
-                  if error is not None)
-    values = series.values
     first = np.array(starts)
+    # One fit per distinct start, of the one window before it, all in one call.
+    distinct, fit = np.unique(first, return_inverse=True)
+    phi, c, _, fit_errors = fit_arima_windows(series, distinct, np.zeros_like(distinct))
+    failed = np.array([error is not None for error in fit_errors])[fit]
+    errors.update(((FORECAST_MODEL, runs[i]), str(fit_errors[fit[i]]))
+                  for i in np.flatnonzero(failed).tolist())
+    # phi = c = 0 on a failed fit: a finite (flat) forecast.
+    phi, c = np.where(failed, 0.0, phi[fit]), np.where(failed, 0.0, c[fit])
+    values = series.values
     actual = values[first[:, None] + np.arange(test_len)]
     last = values[first - 1]
     predicted, nonfinite_step = forecast_paths(last, values[first - 2], phi, c, test_len)
@@ -331,12 +346,14 @@ def run_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: int,
         totals = augmented.T @ augmented
     seeds = subseeds(seed, np.arange(n_runs))
     n_test = max(1, int(round((1.0 - TRAIN_FRACTION) * X.n)))
+    # Each run's held-out rows, drawn as the batches reach the run.
+    draws = (rng.choice(X.n, n_test, replace=False) for rng in _run_generators(seeds))
     size = max(1, PREDICTOR_CELLS // n_test)
     errors: dict[tuple[str, int], str] = {}
     rows: list[tuple[np.ndarray, np.ndarray]] = []
     for start in range(0, n_runs, size):
         runs = range(start, min(start + size, n_runs))
-        rows += _predictor_batch(X, t, augmented, totals, runs, seeds, n_test,
+        rows += _predictor_batch(X, t, augmented, totals, runs, draws, n_test,
                                  float(static_value), errors)
     rmse_rows, mae_rows = zip(*rows)
     return Reports(PREDICTOR_MODELS, seeds, np.concatenate(rmse_rows),
@@ -352,12 +369,13 @@ def _training_rows(test_idx: np.ndarray, n: int) -> np.ndarray:
 
 
 def _predictor_batch(X: DesignMatrix, t: ResponseVector, augmented: np.ndarray,
-                     totals: np.ndarray, runs: range, seeds: Sequence[int], n_test: int,
-                     static_value: float, errors: dict[tuple[str, int], str]
+                     totals: np.ndarray, runs: range, draws: Iterator[np.ndarray],
+                     n_test: int, static_value: float, errors: dict[tuple[str, int], str]
                      ) -> list[tuple[np.ndarray, np.ndarray]]:
     """The rmse and mae rows of a fit batch of predictor runs, one pair per
-    gather pass, in the order of ``PREDICTOR_MODELS``; adds the runs'
-    failures to ``errors``."""
+    gather pass, in the order of ``PREDICTOR_MODELS``; ``draws`` yields the
+    held-out rows of each of ``runs`` in turn. Adds the runs' failures to
+    ``errors``."""
     step = max(1, PREDICTOR_CELLS // (n_test * augmented.shape[1]))
     passes = [slice(lo, min(lo + step, len(runs))) for lo in range(0, len(runs), step)]
     test_idx = np.empty((len(runs), n_test), dtype=np.intp)
@@ -368,8 +386,7 @@ def _predictor_batch(X: DesignMatrix, t: ResponseVector, augmented: np.ndarray,
         total = t.t.sum()
         for span in passes:
             for i in range(span.start, span.stop):
-                test_idx[i] = np.random.default_rng(seeds[runs[i]]).choice(
-                    X.n, n_test, replace=False)
+                test_idx[i] = next(draws)
             held_out = augmented[test_idx[span]]
             means[span] = (total - held_out[..., -1].sum(axis=1)) / (X.n - n_test)
             np.subtract(totals, np.matmul(held_out.transpose(0, 2, 1), held_out),

@@ -5,14 +5,17 @@ seeded commands and harnesses, and the argument rules.
 A seeded command or harness gives each of its parts (a run, a question) a
 seed of its own, the first word NumPy's ``SeedSequence([seed, key])``
 generates for the part's key. ``subseeds`` computes that hash for all the
-keys at once, as uint32 array arithmetic, and ``subseed`` is its one-key
-case.
+keys at once, as uint32 array arithmetic. ``generator_states`` takes the
+same hash to the PCG64 state that ``np.random.default_rng(run_seed)``
+starts in, for all run seeds at once, so a harness can draw each run's
+numbers from one reused generator set to its state.
 
-``check_integer``, ``check_real`` (finite, optionally bounded below) and
-``check_array`` (finite integer or real float entries in a stated number
-of axes; ``real_array`` lets non-finite ones pass) are the only code that
-writes the rule for an integer, real or array argument, and each error
-they raise starts with the argument's name.
+``check_integer`` (and ``integer_array``, its rule entry by entry),
+``check_real`` (finite, optionally bounded below) and ``check_array``
+(finite integer or real float entries in a stated number of axes;
+``real_array`` lets non-finite ones pass) are the only code that writes
+the rule for an integer, real or array argument, and each error they
+raise starts with the argument's name.
 
 All types are immutable value objects after construction and safe to share
 between threads.
@@ -35,10 +38,11 @@ __all__ = [
     "UtilityParams",
     "utility",
     "order_specs_by_reward",
-    "subseed",
     "subseeds",
+    "generator_states",
     "check_integer",
     "check_real",
+    "integer_array",
     "real_array",
     "check_array",
 ]
@@ -160,27 +164,26 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _WORD = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier (O'Neill, HMC-CS-2014-0905) and modulus mask.
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG64_MASK = (1 << 128) - 1
 
 
-def subseeds(seed: int, keys: Iterable[int]) -> list[int]:
-    """The seed of each of ``keys`` under ``seed``, each independent of any
-    other key's: NumPy's ``SeedSequence([seed, key]).generate_state(1)[0]``
-    bit for bit, for all keys in one pass of uint32 array arithmetic.
-    ``seed`` follows the integer rule, at least 0 and of any size; the keys
-    must be integers in [0, 2**32), else ``ValueError``."""
-    check_integer("seed", seed, 0)
-    key_words = np.asarray(keys if isinstance(keys, np.ndarray) else list(keys))
-    if key_words.ndim != 1 or (key_words.size and (
-            key_words.dtype.kind not in "iu" or key_words.min() < 0
-            or key_words.max() > _WORD)):
-        raise ValueError("keys must be a sequence of integers in [0, 2**32)")
-    seed = int(seed)
-    # The entropy: the seed's 32-bit words, least significant first, then
-    # the key's one word; every word is a uint32 array, one entry per key,
-    # and wraps as the C hash does. Only the hash constant is a Python int.
-    entropy = [np.full(key_words.shape, seed >> shift & _WORD, dtype=np.uint32)
-               for shift in range(0, max(seed.bit_length(), 1), 32)]
-    entropy.append(key_words.astype(np.uint32))
+def _words(name: str, values: Iterable[int]) -> np.ndarray:
+    """``values`` as a uint32 array, else ``ValueError`` naming ``name``."""
+    words = np.asarray(values if isinstance(values, np.ndarray) else list(values))
+    if words.ndim != 1 or (words.size and (
+            words.dtype.kind not in "iu" or words.min() < 0 or words.max() > _WORD)):
+        raise ValueError(f"{name} must be a sequence of integers in [0, 2**32)")
+    return words.astype(np.uint32)
+
+
+def _seed_hash(entropy: list[np.ndarray], n_words: int) -> list[np.ndarray]:
+    """NumPy's ``SeedSequence(words).generate_state(n_words)`` for each
+    column of ``entropy``, the entropy's 32-bit words least significant
+    first: ``n_words`` uint32 arrays of the columns' shape, each array one
+    output word. Every word wraps as the C hash does; only the hash
+    constant is a Python int."""
     hash_const = _INIT_A
 
     def hashmix(value: np.ndarray) -> np.ndarray:
@@ -194,7 +197,7 @@ def subseeds(seed: int, keys: Iterable[int]) -> list[int]:
         result = _MIX_MULT_L * x - _MIX_MULT_R * y
         return result ^ result >> 16
 
-    zero = np.zeros(key_words.shape, dtype=np.uint32)
+    zero = np.zeros_like(entropy[0])
     pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_WORDS)]
     for src in range(_POOL_WORDS):
         for dst in range(_POOL_WORDS):
@@ -203,13 +206,52 @@ def subseeds(seed: int, keys: Iterable[int]) -> list[int]:
     for word in entropy[_POOL_WORDS:]:
         for dst in range(_POOL_WORDS):
             pool[dst] = mix(pool[dst], hashmix(word))
-    state = (pool[0] ^ _INIT_B) * (_INIT_B * _MULT_B & _WORD)
-    return (state ^ state >> 16).tolist()
+    out, hash_const = [], _INIT_B
+    for i in range(n_words):
+        value = pool[i % _POOL_WORDS] ^ hash_const
+        hash_const = hash_const * _MULT_B & _WORD
+        value = value * hash_const
+        out.append(value ^ value >> 16)
+    return out
 
 
-def subseed(seed: int, key: int) -> int:
-    """The seed of ``key`` under ``seed``: ``subseeds`` of the one key."""
-    return subseeds(seed, [key])[0]
+def subseeds(seed: int, keys: Iterable[int]) -> list[int]:
+    """The seed of each of ``keys`` under ``seed``, each independent of any
+    other key's: NumPy's ``SeedSequence([seed, key]).generate_state(1)[0]``
+    bit for bit, for all keys in one pass of uint32 array arithmetic.
+    ``seed`` follows the integer rule, at least 0 and of any size; the keys
+    must be integers in [0, 2**32), else ``ValueError``."""
+    check_integer("seed", seed, 0)
+    key_words = _words("keys", keys)
+    seed = int(seed)
+    # The entropy: the seed's 32-bit words, least significant first, then
+    # the key's one word.
+    entropy = [np.full(key_words.shape, seed >> shift & _WORD, dtype=np.uint32)
+               for shift in range(0, max(seed.bit_length(), 1), 32)]
+    return _seed_hash(entropy + [key_words], 1)[0].tolist()
+
+
+def generator_states(seeds: Iterable[int]) -> list[dict]:
+    """The ``bit_generator.state`` that ``np.random.default_rng(s)`` starts
+    in, for each seed ``s`` of ``seeds``: integers in [0, 2**32), else
+    ``ValueError``. A ``Generator`` whose PCG64 is set to one of them draws
+    what ``default_rng(s)`` draws, bit for bit.
+
+    ``SeedSequence(s).generate_state(4, uint64)``, all seeds in one pass of
+    the ``subseeds`` hash, gives the words (initstate_hi, initstate_lo,
+    initseq_hi, initseq_lo), and PCG64's seeding takes them to
+    inc = (initseq << 1) | 1 and
+    state = ((inc + initstate) * multiplier + inc) mod 2**128."""
+    words = [word.astype(np.uint64) for word in _seed_hash([_words("seeds", seeds)], 8)]
+    # The four uint64 words: each pair of uint32 words, the first the low half.
+    wide = [(words[k] | words[k + 1] << np.uint64(32)).tolist() for k in range(0, 8, 2)]
+    states = []
+    for state_hi, state_lo, seq_hi, seq_lo in zip(*wide):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _PCG64_MASK
+        state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _PCG64_MASK
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 def check_integer(name: str, value: object, least: int) -> None:
@@ -237,6 +279,41 @@ def check_real(name: str, value: object, least: float | None = None,
     elif not (math.isfinite(value) and (value > least if strict else value >= least)):
         raise ValueError(f"{name} must be finite and {'>' if strict else '>='} {least}, "
                          f"got {value!r}")
+
+
+def integer_array(name: str, values: Iterable, least: int) -> np.ndarray:
+    """``check_integer``'s rule for each entry of ``values``, an ndarray or
+    any iterable, in one axis: an entry must be an integer that is not a
+    bool (else ``TypeError``), at least ``least`` and below 2**63 (else
+    ``ValueError``). Each error names the argument ``name``. Returns an
+    intp copy."""
+    try:
+        # No entry of an ndarray or a range is a bool unless all are.
+        items = None if isinstance(values, (np.ndarray, range)) else list(values)
+        if isinstance(values, range) and max(map(abs, (values.start, values.stop,
+                                                           values.step))) < 2**63:
+            arr = np.arange(values.start, values.stop, values.step)
+        else:
+            arr = np.array(values if items is None else items)
+    except (TypeError, ValueError):
+        raise TypeError(f"{name} must be a sequence of integers") from None
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got {arr.ndim}-D")
+    if not arr.size:
+        return arr.astype(np.intp)
+    # NumPy holds an integer beyond 64 bits as an object; the bound below rejects it.
+    if arr.dtype.kind not in "iu" and not (
+            arr.dtype.kind == "O" and all(type(value) is int for value in arr.tolist())):
+        raise TypeError(f"{name} must be integers, got an array of {arr.dtype}")
+    # NumPy infers integers for a list that mixes ints and bools.
+    for value in items or ():
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError(f"{name} must be integers, got {value!r}")
+    if arr.min() < least:
+        raise ValueError(f"{name} must be >= {least}")
+    if arr.max() > np.iinfo(np.intp).max:
+        raise ValueError(f"{name} must be < 2**63")
+    return arr.astype(np.intp, copy=False)
 
 
 def real_array(name: str, values: Iterable, ndim: int = 1) -> np.ndarray:

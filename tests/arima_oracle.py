@@ -3,9 +3,10 @@
 
 These are the two functions as they ran before they became one-case calls
 of the array kernels: ``fit_arima`` differences the whole series itself and
-solves it as a stack of one row with the CLS kernel ``arima._fit_cls``, and
-``forecast`` iterates the recursion in Python floats, one step at a time.
-Neither calls ``fit_arima_windows`` or ``forecast_paths``.
+solves it as a stack of one row with ``fit_cls``, the CLS kernel as it ran
+when every row of a stack had one length, and ``forecast`` iterates the
+recursion in Python floats, one step at a time. None of them calls
+``arima._fit_cls``, ``fit_arima_windows`` or ``forecast_paths``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,36 @@ import math
 
 import numpy as np
 
-from proadapt.arima import ArimaModel, _fit_cls, _fit_error, _length_error, forecast_error
+from proadapt.arima import _RANK_TOL, ArimaModel, _fit_error, _length_error, forecast_error
 from proadapt.types import TimeSeries
+
+
+def fit_cls(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Conditional least squares on each row of the 2-D stack ``z`` of
+    equal-length differenced windows; returns the arrays (c, phi, residual
+    variance). Closed form from centred sums, phi = Sxy / Sxx and
+    c = ybar - phi * xbar, except that a finite row whose lag design is
+    rank-deficient up to ``_RANK_TOL`` takes ``lstsq``'s minimum-norm
+    answer. Sums that overflow give non-finite results."""
+    x, y = z[:, :-1], z[:, 1:]
+    m = x.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        xbar, ybar = x.mean(axis=1), y.mean(axis=1)
+        xc, yc = x - xbar[:, None], y - ybar[:, None]
+        sxx = (xc * xc).sum(axis=1)
+        deficient = ~(np.sqrt(m * sxx) > _RANK_TOL * (m + (x * x).sum(axis=1)))
+        phi = (xc * yc).sum(axis=1) / np.where(deficient, 1.0, sxx)
+        c = ybar - phi * xbar
+        residuals = yc - phi[:, None] * xc
+        variance = (residuals * residuals).mean(axis=1)
+        for i in np.flatnonzero(deficient):
+            if np.isfinite(z[i]).all():
+                design = np.column_stack([np.ones(z[i].size - 1), z[i, :-1]])
+                coef, *_ = np.linalg.lstsq(design, z[i, 1:], rcond=None)
+                lstsq_residuals = z[i, 1:] - design @ coef
+                c[i], phi[i] = coef
+                variance[i] = np.mean(lstsq_residuals**2)
+    return c, phi, variance
 
 
 def fit_arima(series: TimeSeries) -> ArimaModel:
@@ -28,7 +57,7 @@ def fit_arima(series: TimeSeries) -> ArimaModel:
     # A difference that overflows is inf, which _fit_error rejects.
     with np.errstate(over="ignore", invalid="ignore"):
         differenced = np.diff(series.values)
-    c, phi, variance = (float(a[0]) for a in _fit_cls(differenced[None]))
+    c, phi, variance = (float(a[0]) for a in fit_cls(differenced[None]))
     error = _fit_error(c, phi, variance)
     if error is not None:
         raise error

@@ -1,7 +1,10 @@
 """One rule each for integer, real and array arguments across the public API.
 
 Every integer argument rejects a bool and a float with ``TypeError`` and a
-value below its least value with ``ValueError``. Every real argument
+value below its least value with ``ValueError``, for tabled and for drawn
+values (bools, non-integral reals, values below the bound, and values
+beyond 64 bits, which a seed accepts); so does each entry of a per-entry
+integer argument (``types.integer_array``). Every real argument
 (``types.check_real``) rejects a bool, a string and a complex number with
 ``TypeError``, and NaN, the infinities and a value below its bound with
 ``ValueError``. Every array argument (``types.check_array``) rejects bool,
@@ -87,6 +90,44 @@ def test_integer_arguments_follow_one_rule(name, least, call, value):
     value = {"bool": True, "float": 2.5, "below": least - 1}[value]
     with pytest.raises((TypeError, ValueError)) as raised:
         call(value)
+    assert str(raised.value).startswith(f"{name} must ")
+
+
+# Integer arguments that follow the rule entry by entry
+# (``types.integer_array``): the call with one entry set to a value.
+INTEGER_ENTRIES = [
+    pytest.param("window", 1, lambda v: fit_arima_windows(SERIES, [20, v], [0, 1]),
+                 id="fit_arima_windows-window-entry"),
+    pytest.param("starts", 0, lambda v: fit_arima_windows(SERIES, [20, 20], [0, v]),
+                 id="fit_arima_windows-starts-entry"),
+]
+
+
+def not_integers():
+    """Bools and reals that are not integers, whatever their value."""
+    return st.one_of(st.booleans(), st.just(np.True_), st.floats(),
+                     st.floats(width=32).map(np.float32), st.fractions(),
+                     st.decimals(allow_nan=False, allow_infinity=False))
+
+
+@pytest.mark.parametrize("name, least, call", INTEGER_ARGUMENTS + INTEGER_ENTRIES)
+@given(data=st.data())
+def test_drawn_integer_arguments_follow_one_rule(name, least, call, data):
+    kind = data.draw(st.sampled_from(["not integer", "below", "beyond 64 bits"]))
+    if kind == "not integer":
+        with pytest.raises(TypeError) as raised:
+            call(data.draw(not_integers()))
+    elif kind == "below":
+        with pytest.raises(ValueError) as raised:
+            call(data.draw(st.integers(max_value=least - 1)))
+    else:
+        # A seed of any size is valid, and NumPy refuses a size beyond 64
+        # bits with a ValueError of its own; no other exception may escape.
+        try:
+            call(data.draw(st.integers(2**64, 2**200)))
+        except (TypeError, ValueError):
+            pass
+        return
     assert str(raised.value).startswith(f"{name} must ")
 
 
@@ -280,6 +321,8 @@ SEQUENCE_ARGUMENTS = [
                  ("entries", "length"), id="workflow_block"),
     pytest.param(("starts",), lambda starts: fit_arima_windows(SERIES, 20, starts),
                  ("entries",), id="fit_arima_windows-starts"),
+    pytest.param(("window", "starts"), lambda window, starts: fit_arima_windows(
+        SERIES, window, starts), ("entries", "length"), id="fit_arima_windows-per-start"),
     # The docstrings leave the non-finite score of a NaN or infinite entry
     # to the caller, so only the entries' kind is drawn.
     pytest.param(("predicted", "actual"), rmse, ("kind", "length", "empty"), id="rmse"),
@@ -310,11 +353,12 @@ def corrupted(data, values, applies):
 
 def valid(names, n):
     """In-domain values of the arguments ``names``: n of each (two, the
-    width of ``MODEL_2``, for a feature vector)."""
+    width of ``MODEL_2``, for a feature vector; integers for the starts and
+    window lengths of ``fit_arima_windows``)."""
     if names in (("x",), ("features",)):
         n = 2
-    return {name: list(range(n)) if name == "starts" else [float(v) for v in range(n)]
-            for name in names}
+    integers = {"starts": list(range(n)), "window": list(range(20, 20 + n))}
+    return {name: integers.get(name, [float(v) for v in range(n)]) for name in names}
 
 
 @pytest.mark.parametrize("names, call, applies", SEQUENCE_ARGUMENTS)

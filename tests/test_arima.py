@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import arima_oracle
 from proadapt import (ArimaModel, FitError, TimeSeries, acf,
@@ -488,6 +488,148 @@ class TestFitArimaWindows:
                 fit_arima_windows(series, window, [0])
         with pytest.raises(ValueError, match="^window must be >= 1$"):
             fit_arima_windows(series, 0, [0])
+
+
+@st.composite
+def mixed_window_cases(draw):
+    """A series of pieces (random walks; exact integer ramps, whose lag
+    design is rank-deficient; alternations; climbs of steps from 1e160 to
+    1e306, whose squares or differences overflow), then windows of
+    per-start lengths from 1 (too short to fit) to the whole series, in
+    drawn order and with repeats."""
+    n = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pieces, size = [], 0
+    while size < n:
+        kind = draw(st.sampled_from(["walk", "ramp", "alternating", "huge"]))
+        i = np.arange(draw(st.integers(1, n)))
+        if kind == "walk":
+            piece = np.cumsum(rng.normal(size=i.size))
+        elif kind == "ramp":
+            piece = draw(st.integers(-5, 5)) * i + 0.0
+        elif kind == "alternating":
+            piece = i % 2 + 0.0
+        else:
+            step = 10.0 ** draw(st.sampled_from([160, 250, 306]))
+            piece = np.where(i % 2, 1.0, -1.0) * step * rng.uniform(0.5, 1.0, i.size)
+        pieces.append(piece)
+        size += i.size
+    values = np.concatenate(pieces)[:n]
+    windows = draw(st.lists(st.integers(1, n).flatmap(
+        lambda length: st.tuples(st.integers(0, n - length), st.just(length))),
+        min_size=1, max_size=10))
+    windows += draw(st.lists(st.sampled_from(windows), max_size=4))
+    return TimeSeries(values), draw(st.permutations(windows))
+
+
+class TestWindowsOfManyLengths:
+    @settings(max_examples=200)
+    @given(mixed_window_cases(), st.sampled_from([1, 7, 64, 500, arima.WINDOW_CELLS]))
+    def test_each_window_fits_as_alone(self, case, cells):
+        # The oracle fits each window's slice on its own, with the CLS
+        # kernel as it ran when a stack's rows had one length.
+        series, windows = case
+        starts, lengths = (list(column) for column in zip(*windows))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(arima, "WINDOW_CELLS", cells)
+            phi, c, variance, errors = fit_arima_windows(series, lengths, starts)
+        for i, (start, length) in enumerate(windows):
+            try:
+                want = arima_oracle.fit_arima(TimeSeries(series.values[start:start + length]))
+            except FitError as exc:
+                assert isinstance(errors[i], FitError) and str(errors[i]) == str(exc)
+                continue
+            assert errors[i] is None
+            assert bits([phi[i], c[i], variance[i]]) == bits(
+                [want.phi, want.c, want.residual_variance])
+
+    def test_cases_reach_every_outcome(self, monkeypatch):
+        """The drawn windows fit, are too short, fail stationarity and
+        overflow, and some take the rank-deficient ``lstsq`` path."""
+        seen = set()
+        lstsq = arima._fit_ar1_lstsq
+
+        def spy(z):
+            seen.add("lstsq")
+            return lstsq(z)
+
+        monkeypatch.setattr(arima, "_fit_ar1_lstsq", spy)
+
+        @settings(max_examples=200, database=None)
+        @given(mixed_window_cases())
+        def collect(case):
+            series, windows = case
+            starts, lengths = (list(column) for column in zip(*windows))
+            for error in fit_arima_windows(series, lengths, starts)[3]:
+                seen.add("fits" if error is None else str(error).split(" ")[0])
+
+        collect()
+        assert {"lstsq", "fits", "need", "series", "fitted", "fit"} <= seen
+
+    def test_equal_windows_share_one_stack(self, monkeypatch):
+        # A monitor block: 256 windows of 60, one gather and one run of
+        # rows of one size, so each sum is one reduction.
+        calls = []
+        fit_cls = arima._fit_cls
+
+        def spy(z, sizes):
+            calls.append(sizes.tolist())
+            return fit_cls(z, sizes)
+
+        monkeypatch.setattr(arima, "_fit_cls", spy)
+        fit_arima_windows(arima_110_series(0.4, 5000, seed=3), 60, range(256))
+        assert calls == [[59] * 256]
+
+    def test_gathers_stay_within_the_cell_budget(self, monkeypatch):
+        calls = []
+        fit_cls = arima._fit_cls
+
+        def spy(z, sizes):
+            calls.append((z.shape, sizes.tolist()))
+            return fit_cls(z, sizes)
+
+        monkeypatch.setattr(arima, "_fit_cls", spy)
+        monkeypatch.setattr(arima, "WINDOW_CELLS", 100)
+        series = arima_110_series(0.4, 200, seed=4)
+        lengths = [40, 12, 12, 150, 5, 30, 20]
+        fit_arima_windows(series, lengths, [0, 3, 100, 50, 7, 170, 60])
+        # Shortest first, the too-short window left out, and each gather
+        # padded to its longest window; one window over the budget goes alone.
+        assert calls == [((3, 19), [11, 11, 19]), ((2, 39), [29, 39]), ((1, 149), [149])]
+
+    def test_differences_the_span_once(self, monkeypatch):
+        diffs = []
+        diff = np.diff
+
+        def spy(values):
+            diffs.append(len(values))
+            return diff(values)
+
+        monkeypatch.setattr(arima.np, "diff", spy)
+        monkeypatch.setattr(arima, "WINDOW_CELLS", 50)
+        fit_arima_windows(arima_110_series(0.4, 300, seed=5), [40, 12, 60], [100, 30, 200])
+        assert diffs == [260 - 30]
+
+    @pytest.mark.parametrize("window, starts, error, message", [
+        ([20, 20], [0], ValueError, "window and starts must have one length, got 2 and 1"),
+        ([], [0], ValueError, "window and starts must have one length, got 0 and 1"),
+        ([20, 41], [0, 0], ValueError, "window 41 is longer than the series of 40 observations"),
+        ([20, 30], [0, 11], ValueError,
+         "starts must lie in [0, 10] for windows of 30 observations in a series of 40"),
+        ([20, 0], [0, 0], ValueError, "window must be >= 1"),
+        ([20, True], [0, 0], TypeError, "window must be integers, got True"),
+        ([20, 2.0], [0, 0], TypeError, "window must be integers, got an array of float64"),
+        ([20, 2**64], [0, 0], ValueError, "window must be < 2**63"),
+        ([[20]], [0], ValueError, "window must be 1-D, got 2-D"),
+        ([20, 20], [0, -1], ValueError, "starts must be >= 0")])
+    def test_per_start_lengths_follow_the_integer_rule(self, window, starts, error, message):
+        with pytest.raises(error) as raised:
+            fit_arima_windows(TimeSeries(np.arange(40.0)), window, starts)
+        assert str(raised.value) == message
+
+    def test_no_windows_fit_nothing(self):
+        phi, c, variance, errors = fit_arima_windows(TimeSeries(np.arange(40.0)), [], [])
+        assert phi.size == c.size == variance.size == 0 and errors == []
 
 
 def assert_fit_arima_matches_oracle(series):

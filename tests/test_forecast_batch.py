@@ -152,10 +152,13 @@ def test_nonfinite_steps_match(monkeypatch):
     calls = []
 
     def steep_windows(series, window, starts):
-        calls.append((window, list(starts)))
-        if window % 3 == 0:  # NaN coefficients, as a failed window gets
-            return *np.full((3, 1), np.nan), [FitError("drawn to fail")]
-        return np.array([0.5]), np.array([3e307 * (1 + window % 3)]), np.ones(1), [None]
+        calls.append((list(window), list(starts)))
+        window = np.asarray(window)
+        fail = window % 3 == 0  # NaN coefficients, as a failed window gets
+        phi = np.where(fail, np.nan, 0.5)
+        c = np.where(fail, np.nan, 3e307 * (1 + window % 3))
+        variance = np.where(fail, np.nan, 1.0)
+        return phi, c, variance, [FitError("drawn to fail") if f else None for f in fail]
 
     monkeypatch.setattr(metrics, "fit_arima_windows", steep_windows)
     monkeypatch.setattr(forecast_oracle, "fit_arima", steep_fit)
@@ -166,6 +169,7 @@ def test_nonfinite_steps_match(monkeypatch):
     assert errors == {"drawn to fail", "forecast step 2 is not finite",
                       "forecast step 3 is not finite"}
     assert all(r.error is None for r in got if r.model != FORECAST_MODEL)
-    # One fit per distinct split start, of the one window before it.
-    assert len(trained) == 30 > len(calls)
-    assert calls == [(start, [0]) for start in dict.fromkeys(trained)]
+    # One fit per distinct split start, of the one window before it, all
+    # in one call.
+    assert len(trained) == 30 > len(set(trained))
+    assert calls == [(sorted(set(trained)), [0] * len(set(trained)))]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proadapt import SlaSpec, TimeSeries, UtilityParams, order_specs_by_reward
-from proadapt.types import subseed, subseeds, utility
+from proadapt.types import generator_states, subseeds, utility
 from seed_oracle import subseed as reference_subseed
 
 
@@ -136,9 +136,9 @@ class TestSubseeds:
     def test_matches_one_seed_sequence_per_key(self, seed, keys):
         assert subseeds(seed, keys) == [reference_subseed(seed, key) for key in keys]
 
-    def test_subseed_is_the_one_key_case(self):
+    def test_one_key_is_the_oracle_subseed(self):
         for seed, key in ((0, 0), (7, 2**32 - 1), (2**100, 3)):
-            assert subseed(seed, key) == reference_subseed(seed, key)
+            assert subseeds(seed, [key]) == [reference_subseed(seed, key)]
 
     def test_accepts_arrays_and_ranges(self):
         got = subseeds(5, np.arange(40))
@@ -155,3 +155,37 @@ class TestSubseeds:
     def test_keys_are_words(self, keys):
         with pytest.raises(ValueError, match=r"^keys must be .* \[0, 2\*\*32\)$"):
             subseeds(1, keys)
+
+
+RUN_SEEDS = st.one_of(st.sampled_from([0, 1, 2**31, 2**32 - 1]), st.integers(0, 2**32 - 1))
+
+
+class TestGeneratorStates:
+    # The PCG64 seeding the states reproduce is NumPy's; a NumPy release
+    # that seeds default_rng another way fails these.
+    @settings(max_examples=200)
+    @given(st.lists(RUN_SEEDS, min_size=1, max_size=8))
+    def test_each_state_is_default_rngs(self, seeds):
+        assert generator_states(seeds) == [np.random.default_rng(s).bit_generator.state
+                                           for s in seeds]
+
+    @given(RUN_SEEDS, st.integers(1, 5000), st.data())
+    def test_a_generator_set_to_the_state_draws_what_default_rng_draws(self, seed, n, data):
+        size = data.draw(st.integers(0, n))
+        high = data.draw(st.integers(1, 2**40))
+        (state,) = generator_states([seed])
+        rng = np.random.Generator(np.random.PCG64(99))
+        rng.bit_generator.state = state
+        got = rng.choice(n, size, replace=False), rng.integers(0, high, 3)
+        want = np.random.default_rng(seed)
+        assert np.array_equal(got[0], want.choice(n, size, replace=False))
+        assert np.array_equal(got[1], want.integers(0, high, 3))
+
+    def test_accepts_arrays_and_no_seeds(self):
+        assert generator_states(np.array([3, 4], dtype=np.uint32)) == generator_states([3, 4])
+        assert generator_states([]) == []
+
+    @pytest.mark.parametrize("seeds", [[-1], [2**32], [2**70], [1.0], [True], [[0]], "ab"])
+    def test_seeds_are_words(self, seeds):
+        with pytest.raises(ValueError, match=r"^seeds must be .* \[0, 2\*\*32\)$"):
+            generator_states(seeds)
