@@ -150,8 +150,8 @@ def cmd_replicate(args: argparse.Namespace) -> int:
 
     # Every report is computed before any file is written, and the set is
     # written all or nothing, so a failure leaves no partial report set.
-    impact = run_cost_impact_simulation(SAMPLE_TACTIC_A, SAMPLE_TACTIC_B,
-                                        args.runs, impact_seed)
+    impact = tuple(zip((SAMPLE_TACTIC_A, SAMPLE_TACTIC_B), run_cost_impact_simulation(
+        SAMPLE_TACTIC_A, SAMPLE_TACTIC_B, args.runs, impact_seed)))
     idle = to_idle_series(trace)
     forecast_reports = harness.run_forecast_experiments(idle, args.runs, forecast_seed)
     X, latency, cost = to_regression_dataset(trace)
@@ -166,8 +166,7 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     latency_reports, cost_reports = predictor_reports
 
     rq1_lines = ["sample,tactic,overall_cost"]
-    for tactic, costs in ((SAMPLE_TACTIC_A, impact.overall_costs_a),
-                          (SAMPLE_TACTIC_B, impact.overall_costs_b)):
+    for tactic, costs in impact:
         rq1_lines += [f"{i},{tactic.name},{c:.17g}" for i, c in enumerate(costs)]
     rq3 = (latency_reports.select({MRA_MODEL: "mra_latency", BRR_MODEL: "brr_latency"}),
            cost_reports.select({MRA_MODEL: "mra_cost", BRR_MODEL: "brr_cost"}))
@@ -181,8 +180,7 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     })
 
     print(f"experiment 1: overall cost of {args.runs} executions per tactic")
-    for tactic, costs in ((SAMPLE_TACTIC_A, impact.overall_costs_a),
-                          (SAMPLE_TACTIC_B, impact.overall_costs_b)):
+    for tactic, costs in impact:
         sd = float(np.std(costs, ddof=1)) if costs.size > 1 else 0.0
         print(f"  {tactic.name}: mean={float(np.mean(costs)):.3f} sd={sd:.3f} "
               f"p99={_percentile_99(costs):.3f}")
@@ -561,6 +559,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        return 2
+    except MemoryError as exc:
+        # A size the host cannot hold: one line, not NumPy's traceback.
+        print(f"error: out of memory: {exc}".rstrip(": "), file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -52,8 +52,6 @@ __all__ = [
     "TacticProfile",
     "SAMPLE_TACTIC_A",
     "SAMPLE_TACTIC_B",
-    "CostHistogram",
-    "CostImpactResult",
     "TraceFormatError",
     "generate_trace",
     "sample_latency",
@@ -67,7 +65,6 @@ __all__ = [
 
 TRACE_HEADER = "timestamp,mirror,phase,latency_seconds,energy_joules"
 LAG_WINDOW = 5          # prior same-mirror observations needed per feature row
-HISTOGRAM_BIN_WIDTH = 5.0
 START_EPOCH = 1_600_041_600.0  # a midnight, so hour-of-day starts at 0
 
 
@@ -315,45 +312,20 @@ def sample_latency(profile: TacticProfile, seed: int, n: int) -> np.ndarray:
     return rng.lognormal(mu, sigma, n)
 
 
-@dataclass(frozen=True)
-class CostHistogram:
-    """Shared-bin histogram of the two tactics' overall costs (bin width 5
-    from zero, one count list per tactic)."""
-
-    bin_edges: tuple[float, ...]
-    counts_a: tuple[int, ...]
-    counts_b: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CostImpactResult:
-    overall_costs_a: np.ndarray
-    overall_costs_b: np.ndarray
-    histogram: CostHistogram
-
-
-def run_cost_impact_simulation(a: TacticProfile, b: TacticProfile,
-                               n_runs: int, seed: int) -> CostImpactResult:
+def run_cost_impact_simulation(a: TacticProfile, b: TacticProfile, n_runs: int,
+                               seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Repeatedly sample each tactic's latency and multiply by its cost.
 
     Builds the simulated "tactic execution" distributions whose spread
     shows what ignoring volatility costs: each sample is one execution's
-    overall cost = sampled latency * cost per unit latency.
+    overall cost = sampled latency * cost per unit latency. Returns the
+    pair ``(costs_a, costs_b)``, ``n_runs`` overall costs per tactic.
     """
     check_integer("n_runs", n_runs, 1)
     check_integer("seed", seed, 0)
     seed_a, seed_b = subseeds(seed, [0, 1])
-    costs_a = sample_latency(a, seed_a, n_runs) * a.cost_per_unit_latency
-    costs_b = sample_latency(b, seed_b, n_runs) * b.cost_per_unit_latency
-    top = float(max(costs_a.max(), costs_b.max()))
-    n_bins = max(1, math.ceil(top / HISTOGRAM_BIN_WIDTH))
-    edges = np.arange(n_bins + 1) * HISTOGRAM_BIN_WIDTH
-    hist = CostHistogram(
-        bin_edges=tuple(edges),
-        counts_a=tuple(int(c) for c in np.histogram(costs_a, bins=edges)[0]),
-        counts_b=tuple(int(c) for c in np.histogram(costs_b, bins=edges)[0]),
-    )
-    return CostImpactResult(costs_a, costs_b, hist)
+    return (sample_latency(a, seed_a, n_runs) * a.cost_per_unit_latency,
+            sample_latency(b, seed_b, n_runs) * b.cost_per_unit_latency)
 
 
 def trace_csv_text(trace: Trace) -> str:

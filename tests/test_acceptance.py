@@ -121,12 +121,12 @@ def test_criterion_3_arima_parameter_recovery():
 
 def test_criterion_4_volatile_tactic_cost_spread():
     done = timed(2.0)
-    result = run_cost_impact_simulation(SAMPLE_TACTIC_A, SAMPLE_TACTIC_B,
-                                        10000, seed=MASTER_SEED)
-    sd_a = float(np.std(result.overall_costs_a, ddof=1))
-    sd_b = float(np.std(result.overall_costs_b, ddof=1))
-    p99_a = float(np.percentile(result.overall_costs_a, 99))
-    p99_b = float(np.percentile(result.overall_costs_b, 99))
+    costs_a, costs_b = run_cost_impact_simulation(SAMPLE_TACTIC_A, SAMPLE_TACTIC_B,
+                                                  10000, seed=MASTER_SEED)
+    sd_a = float(np.std(costs_a, ddof=1))
+    sd_b = float(np.std(costs_b, ddof=1))
+    p99_a = float(np.percentile(costs_a, 99))
+    p99_b = float(np.percentile(costs_b, 99))
     assert sd_a > sd_b, f"sd {sd_a:.3f} vs {sd_b:.3f}"
     assert p99_a > p99_b, f"p99 {p99_a:.3f} vs {p99_b:.3f}"
     report(4, f"skewed tactic is more dispersed (sd {sd_a:.2f}>{sd_b:.2f}, "

@@ -12,6 +12,7 @@ from proadapt import (ArimaModel, Phase, TimeSeries, WorkflowConfig, arima, cli,
                       fit_arima, forecast, generate_trace, price_tactics, regression,
                       workflow, write_trace_csv)
 from proadapt.cli import main
+from limited_child import run_limited
 from monitor_oracle import reference_tick, tick_entry_to_dict
 
 
@@ -384,6 +385,20 @@ class TestContracts:
         result = subprocess.run([sys.executable, "-c", code, *argv],
                                 capture_output=True, text=True)
         assert result.stderr == "0 False\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--minutes", "100000000", "--out"],
+        ["replicate", "--emulate", "--minutes", "60", "--runs", "1000000000", "--out-dir"]],
+        ids=["generate", "replicate"])
+    def test_out_of_memory_exits_2_with_one_line(self, tmp_path, argv):
+        # Sizes of gigabytes, asked for only under the child's lowered limit.
+        result = run_limited("-m", "proadapt.cli", *argv, str(tmp_path / "out"))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: out of memory")
+        assert len(result.stderr.splitlines()) == 1
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_closed_stdout_exits_2_quietly(self, tmp_path):
         # About 250 kB of lines, more than a pipe buffers, so the CLI is
