@@ -9,9 +9,9 @@ regression of z_t on z_{t-1} plus a constant coincides with the Gaussian
 maximum-likelihood estimate up to edge effects, has a closed form, and is
 fully deterministic. One vectorised kernel, ``fit_arima_windows``, fits
 any windows of a series at once, of one length or of one length each (a
-monitor run that refits on every window fits a block of equal windows per
-call; the replication harness fits the prefix before each of its split
-starts in one call), and one, ``forecast_paths``, forecasts n models as
+monitor run fits all its refit windows, of one length, in one call; the
+replication harness fits the prefix before each of its split starts in
+one call), and one, ``forecast_paths``, forecasts n models as
 arrays. Each fit's sums reduce its own window only, so a window fits to
 the same bits whatever windows share its call. ``fit_arima`` (the whole
 series as one window, built into an ``ArimaModel``) and ``forecast`` (one

@@ -7,8 +7,8 @@ Three subcommands:
   impact, idle-energy forecasting, download latency/cost prediction, and
   the volatility-aware vs baseline comparison) and write rq1.csv-rq4.csv
   plus a summary table on stdout.
-* ``monitor``   - slide a window over a recorded history, run the decision
-  workflow over blocks of ticks, and emit one JSON line per tick and spec.
+* ``monitor``   - fit a recorded history's refit windows in one call, run the
+  decision workflow over blocks of ticks, and emit one JSON line per tick and spec.
 
 Every command is deterministic under fixed flags and seed. Exit codes:
 0 success, 1 validation/domain error, 2 IO/usage error. stdout carries
@@ -23,6 +23,7 @@ and ``workflow``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import errno
 import json
@@ -41,10 +42,8 @@ if TYPE_CHECKING:
     from .workflow import TacticEstimate, TacticModels
 
 DEFAULT_SEED = 42
-BLOCK_TICKS = 256  # monitor ticks per block, and so refits per block, at most
-# Values per array pass: forecast values (ticks x horizon) and window
-# values (refits x window) per block of monitor ticks.
-BLOCK_CELLS = 1 << 18
+BLOCK_TICKS = 256  # monitor ticks per block at most
+BLOCK_CELLS = 1 << 18  # forecast values (ticks x horizon) per block of monitor ticks at most
 
 
 def _print_model_table(summary: Summary, names: Sequence[str]) -> None:
@@ -144,7 +143,8 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     trace_seed, impact_seed, forecast_seed, latency_seed, cost_seed = \
         subseeds(args.seed, range(5))
     if args.trace:
-        trace = ingest_trace_csv(args.trace)
+        with _input_file("trace file"):
+            trace = ingest_trace_csv(args.trace)
     else:
         trace = generate_trace(args.minutes, trace_seed)
 
@@ -222,11 +222,15 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_json(path: str, what: str):
+@contextlib.contextmanager
+def _input_file(what: str):
+    """Start each error about the content of the file read in the block with ``what``."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        yield
     except RecursionError:
         raise ValueError(f"{what}: JSON nested too deeply") from None
+    except (csv.Error, ValueError) as exc:  # malformed, or bytes that are not UTF-8
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def _check_entry(entry, i: int, what: str, required: Sequence[str],
@@ -251,7 +255,8 @@ def _check_entry(entry, i: int, what: str, required: Sequence[str],
 
 
 def _load_specs(path: str) -> list[SlaSpec]:
-    raw = _read_json(path, "spec file")
+    with _input_file("spec file"):
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     entries = raw if isinstance(raw, list) else [raw]
     if not entries:
         raise ValueError("spec file holds no specs")
@@ -279,11 +284,8 @@ def _load_specs(path: str) -> list[SlaSpec]:
 
 
 def _load_history(path: str) -> TimeSeries:
-    with open(path, newline="", encoding="utf-8") as handle:
-        try:
-            rows = list(csv.reader(handle))
-        except csv.Error as exc:
-            raise ValueError(f"history file: {exc}") from None
+    with open(path, newline="", encoding="utf-8") as handle, _input_file("history file"):
+        rows = list(csv.reader(handle))
     if not rows or rows[0] != ["value"]:
         raise ValueError("history file must start with a 'value' header")
     if max(map(len, rows)) > 1:
@@ -311,10 +313,12 @@ def _load_tactic_context(tactics_path: str, trace_path: str | None) -> dict[str,
 
     if not trace_path:
         raise ValueError("--tactics requires --trace for training data")
-    raw = _read_json(tactics_path, "tactics file")
+    with _input_file("tactics file"):
+        raw = json.loads(Path(tactics_path).read_text(encoding="utf-8"))
     if not isinstance(raw, list):
         raise ValueError("tactics file must hold a JSON list")
-    trace = ingest_trace_csv(trace_path)
+    with _input_file("trace file"):
+        trace = ingest_trace_csv(trace_path)
     others = ~trace.phase_is(Phase.DOWNLOAD)
     static = ("static_latency", "static_cost")
     tactics = {}
@@ -399,44 +403,8 @@ class _TickLines:
         return f'{head[1:-1]}, "forecast": ', f', "tactics": {tactics}}}\n'
 
 
-def _block_models(history: TimeSeries, window: int, ticks: int, every: int, size: int):
-    """Per block of at most ``size`` ticks, yield (lo, hi, fit_errors, phi, c).
-
-    The block's refit ticks, every ``every``-th tick, are fitted in one
-    call. ``fit_errors`` holds the fit error of each tick of the block
-    before the first good fit (such ticks open the run); the arrays ``phi``
-    and ``c`` hold the model coefficients of the block's later ticks. A
-    failed refit keeps the last good model and prints a warning.
-    """
-    from .arima import fit_arima_windows
-
-    # Entry 0 of a block's model arrays is the model carried into the
-    # block, the last good fit before it: NaN while there is none.
-    carried_phi, carried_c, fit_error = np.full(1, np.nan), np.full(1, np.nan), ""
-    for lo in range(0, ticks, size):
-        hi = min(lo + size, ticks)
-        refits = range(lo + -lo % every, hi, every)  # the refit ticks from lo on
-        refit_phi, refit_c, _, refit_errors = fit_arima_windows(history, window, refits)
-        phi, c = np.concatenate([carried_phi, refit_phi]), np.concatenate([carried_c, refit_c])
-        errors = [None, *refit_errors]
-        good = np.array([error is None for error in errors])
-        messages = {0: fit_error}
-        for i in np.flatnonzero(~good).tolist():
-            messages[i] = fit_error = str(errors[i])
-            print(f"warning: tick {refits[i - 1]}: refit failed: {fit_error}",
-                  file=sys.stderr)
-        # Each tick's last refit (0: the carried model), then its model:
-        # the last good one up to that refit.
-        last_refit = (np.arange(lo, hi) - refits.start) // every + 1
-        model = np.maximum.accumulate(np.where(good, np.arange(good.size), 0))[last_refit]
-        opening = int(np.count_nonzero(model == 0)) if np.isnan(carried_phi[0]) else 0
-        fit_errors = [messages[i] for i in last_refit[:opening].tolist()]
-        carried_phi, carried_c = phi[model[-1:]], c[model[-1:]]
-        yield lo, hi, fit_errors, phi[model[opening:]], c[model[opening:]]
-
-
 def cmd_monitor(args: argparse.Namespace) -> int:
-    from .arima import forecast_error
+    from .arima import fit_arima_windows, forecast_error
     from .workflow import WorkflowConfig, price_tactics, workflow_block
 
     specs = _load_specs(args.spec)
@@ -465,27 +433,35 @@ def cmd_monitor(args: argparse.Namespace) -> int:
 
     ordered = order_specs_by_reward(specs)
     lines = _TickLines(ordered, estimates, config.tick_seconds)
-    values = history.values
     ticks = len(history) - window + 1
     # 0, or a K of at least the ticks, fits once, on the first window.
     every = min(args.refit_every or ticks, ticks)
     # One model per refit tick, shared by every spec: all specs watch the
-    # one history. Ticks go through the kernel a block at a time, and each
-    # is written as soon as it is serialised. A block refits at most
-    # BLOCK_CELLS // window times (once when a window is longer).
-    size = min(BLOCK_TICKS, BLOCK_CELLS // config.horizon,
-               every * max(1, BLOCK_CELLS // window))
-    for lo, hi, fit_errors, phi, c in _block_models(history, window, ticks, every, size):
-        for tick, error in enumerate(fit_errors, start=lo):
-            sys.stdout.write(lines.errors(tick, error))
-        start = lo + len(fit_errors)
-        if start == hi:
-            continue
-        end = hi + window - 1  # one past the last value of the block's last window
-        block = workflow_block(ordered, values[start + window - 1:end],
-                               values[start + window - 2:end - 1], phi, c, config)
+    # one history. The run's refit windows are fitted in one call, and a
+    # failed refit keeps the last good model.
+    phi, c, _, errors = fit_arima_windows(history, window, range(0, ticks, every))
+    good = np.array([error is None for error in errors])
+    for i in np.flatnonzero(~good).tolist():
+        print(f"warning: tick {i * every}: refit failed: {errors[i]}", file=sys.stderr)
+    # Each tick's model: the last good refit at or before it, -1 for the
+    # ticks before the first good fit, which open the run with their last
+    # refit's error.
+    model = np.maximum.accumulate(np.where(good, np.arange(good.size), -1))[
+        np.arange(ticks) // every]
+    opening = int(np.count_nonzero(model < 0))
+    for tick in range(opening):
+        sys.stdout.write(lines.errors(tick, str(errors[tick // every])))
+    # The other ticks go through the kernel a block at a time, and each is
+    # written as soon as it is serialised. Each tick's window ends at
+    # last[tick] (previous is empty for a window of 1, which never fits).
+    last, previous = history.values[window - 1:], history.values[window - 2:-1]
+    size = min(BLOCK_TICKS, BLOCK_CELLS // config.horizon)
+    for lo in range(opening, ticks, size):
+        hi = min(lo + size, ticks)
+        block = workflow_block(ordered, last[lo:hi], previous[lo:hi], phi[model[lo:hi]],
+                               c[model[lo:hi]], config)
         for tick, forecast, step, pairs in zip(
-                range(start, hi), block.forecasts.tolist(), block.nonfinite_step.tolist(),
+                range(lo, hi), block.forecasts.tolist(), block.nonfinite_step.tolist(),
                 (block.status + 3 * block.first_step).tolist()):
             sys.stdout.write(lines.errors(tick, forecast_error(step)) if step
                              else lines.entries(tick, forecast, pairs))

@@ -170,11 +170,10 @@ _PCG64_MASK = (1 << 128) - 1
 
 
 def _words(name: str, values: Iterable[int]) -> np.ndarray:
-    """``values`` as a uint32 array, else ``ValueError`` naming ``name``."""
-    words = np.asarray(values if isinstance(values, np.ndarray) else list(values))
-    if words.ndim != 1 or (words.size and (
-            words.dtype.kind not in "iu" or words.min() < 0 or words.max() > _WORD)):
-        raise ValueError(f"{name} must be a sequence of integers in [0, 2**32)")
+    """``integer_array(name, values, 0)`` as uint32, each entry below 2**32."""
+    words = integer_array(name, values, 0)
+    if words.size and words.max() > _WORD:
+        raise ValueError(f"{name} must be < 2**32")
     return words.astype(np.uint32)
 
 
@@ -220,7 +219,7 @@ def subseeds(seed: int, keys: Iterable[int]) -> list[int]:
     other key's: NumPy's ``SeedSequence([seed, key]).generate_state(1)[0]``
     bit for bit, for all keys in one pass of uint32 array arithmetic.
     ``seed`` follows the integer rule, at least 0 and of any size; the keys
-    must be integers in [0, 2**32), else ``ValueError``."""
+    ``integer_array``'s, at least 0 and below 2**32."""
     check_integer("seed", seed, 0)
     key_words = _words("keys", keys)
     seed = int(seed)
@@ -233,9 +232,9 @@ def subseeds(seed: int, keys: Iterable[int]) -> list[int]:
 
 def generator_states(seeds: Iterable[int]) -> list[dict]:
     """The ``bit_generator.state`` that ``np.random.default_rng(s)`` starts
-    in, for each seed ``s`` of ``seeds``: integers in [0, 2**32), else
-    ``ValueError``. A ``Generator`` whose PCG64 is set to one of them draws
-    what ``default_rng(s)`` draws, bit for bit.
+    in, for each seed ``s`` of ``seeds``: ``integer_array``'s rule with
+    least value 0, each seed below 2**32. A ``Generator`` whose PCG64 is
+    set to one of them draws what ``default_rng(s)`` draws, bit for bit.
 
     ``SeedSequence(s).generate_state(4, uint64)``, all seeds in one pass of
     the ``subseeds`` hash, gives the words (initstate_hi, initstate_lo,

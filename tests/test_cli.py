@@ -775,7 +775,51 @@ class TestMonitorInputErrors:
         code, out, err = run_main(capsys, "replicate", "--trace", str(trace),
                                   "--out-dir", str(tmp_path))
         assert code == 1 and "field larger than field limit" in err
-        assert len(err.splitlines()) == 1 and err.startswith("error: line 122: ")
+        assert len(err.splitlines()) == 1 and err.startswith("error: trace file: line 122: ")
+
+    # Each input file's errors name the file: text that is not JSON, and
+    # bytes that are not UTF-8.
+    @pytest.mark.parametrize("content, message", [
+        (b"{bad", "Expecting property name enclosed in double quotes: line 1 column 2 "
+                  "(char 1)"),
+        (b'[{"name": "\xff"}]', "'utf-8' codec can't decode byte 0xff in position 11: "
+                               "invalid start byte")])
+    @pytest.mark.parametrize("which", ["spec", "tactics"])
+    def test_json_file_errors_name_the_file(self, tmp_path, capsys, which, content, message):
+        spec, history = write_ramp_fixture(tmp_path)
+        trace, tactics = tmp_path / "trace.csv", tmp_path / "tactics.json"
+        write_trace_csv(generate_trace(30, 4), trace)
+        tactics.write_text("[]")
+        (spec if which == "spec" else tactics).write_bytes(content)
+        err = self.assert_one_error(capsys, "monitor", "--spec", str(spec), "--history",
+                                    str(history), "--tactics", str(tactics),
+                                    "--trace", str(trace))
+        assert err == f"error: {which} file: {message}\n"
+
+    def test_history_errors_name_the_file(self, tmp_path, capsys):
+        spec, history = write_ramp_fixture(tmp_path)
+        history.write_bytes(b"value\n0.5\n\xff\n")
+        err = self.assert_one_error(capsys, "monitor", "--spec", str(spec),
+                                    "--history", str(history))
+        assert err == ("error: history file: 'utf-8' codec can't decode byte 0xff in "
+                       "position 10: invalid start byte\n")
+
+    @pytest.mark.parametrize("tail, message", [
+        (b"1,2,3\n", "line 122: expected 5 fields, got 3"),
+        (b"\xff\n", "'utf-8' codec can't decode byte 0xff in position ")])
+    def test_trace_errors_name_the_file(self, tmp_path, capsys, tail, message):
+        spec, history = write_ramp_fixture(tmp_path)
+        trace, tactics = tmp_path / "trace.csv", tmp_path / "tactics.json"
+        write_trace_csv(generate_trace(30, 4), trace)
+        trace.write_bytes(trace.read_bytes() + tail)
+        tactics.write_text("[]")
+        err = self.assert_one_error(capsys, "monitor", "--spec", str(spec), "--history",
+                                    str(history), "--tactics", str(tactics),
+                                    "--trace", str(trace))
+        assert err.startswith(f"error: trace file: {message}")
+        code, out, replicate_err = run_main(capsys, "replicate", "--trace", str(trace),
+                                            "--out-dir", str(tmp_path))
+        assert code == 1 and replicate_err == err
 
     @pytest.mark.parametrize("name", ["null", "7", "[1, 2]", '{"x": 1}'])
     @pytest.mark.parametrize("which", ["spec", "tactics"])

@@ -281,9 +281,9 @@ def test_blocks_stay_within_the_cell_budget(workdir, monkeypatch):
 
 
 @pytest.mark.parametrize("refit_every", [1, 300])
-def test_refits_fit_one_block_per_call_without_models(workdir, monkeypatch, refit_every):
-    # 1,900 ticks make 8 blocks; refitting every 300 ticks leaves the block
-    # [1536, 1792) without a refit, so its fit call gets no starts.
+def test_refits_fit_the_run_in_one_call_without_models(workdir, monkeypatch, refit_every):
+    # 1,900 ticks make 8 blocks; every refit window of the run goes to one
+    # fit call all the same.
     fitted, built, built_by_cli = [], [], []
     fit, post_init, main = arima.fit_arima_windows, ArimaModel.__post_init__, cli.main
 
@@ -309,17 +309,31 @@ def test_refits_fit_one_block_per_call_without_models(workdir, monkeypatch, refi
                                             refit_every, False)
     assert out == want_out and err == want_err
     assert built_by_cli == [0] and built  # the spy sees the reference loop's models
-    ticks, size = 1900, cli.BLOCK_TICKS
-    assert len(fitted) == -(-ticks // size)
-    for block, starts in enumerate(fitted):
-        assert all(block * size <= start < (block + 1) * size for start in starts)
-    assert sum(fitted, []) == list(range(0, ticks, refit_every))
-    assert ([] in fitted) == (refit_every == 300)
+    assert fitted == [list(range(0, 1900, refit_every))]
 
 
-def long_window_run(workdir, monkeypatch, window, cells):
+def test_refit_warnings_precede_stdout(workdir):
+    # The alternation at 250-300 fails refits after good ones, and the
+    # first ticks fail before any fit is good: each warning line comes
+    # before the first stdout line, stdout and stderr in one buffer.
+    walk = np.cumsum(np.random.default_rng(3).normal(0.0, 0.3, 700)).tolist()
+    values = ([walk[0] + (i % 2) for i in range(60)] + walk[60:250]
+              + [walk[249] + (i % 2) for i in range(50)] + walk[300:])
+    specs = [{"name": "hot", "threshold": float(np.quantile(values, 0.4))}]
+    *_, want_out, want_err = run_both(workdir, values, specs, 41, 5, 0.1, 6.0, 1, False)
+    assert "warning: tick 0: " in want_err and "warning: tick 259: " in want_err
+    assert '"error": ' in want_out
+    both = io.StringIO()
+    with contextlib.redirect_stdout(both), contextlib.redirect_stderr(both):
+        assert cli.main(["monitor", "--spec", str(workdir / "specs.json"), "--history",
+                         str(workdir / "history.csv"), "--window", "41",
+                         "--refit-every", "1"]) == 0
+    assert both.getvalue() == want_err + want_out
+
+
+def long_window_run(workdir, monkeypatch, window):
     """(stdout, stderr, peak traced bytes, starts per fit call) of
-    ``monitor --refit-every 1`` over 300 ticks with ``BLOCK_CELLS = cells``."""
+    ``monitor --refit-every 1`` over 300 ticks."""
     values = np.cumsum(np.random.default_rng(3).normal(0.0, 0.3, window + 299)).tolist()
     (workdir / "history.csv").write_text(
         "value\n" + "".join(f"{v!r}\n" for v in values), encoding="utf-8")
@@ -332,7 +346,6 @@ def long_window_run(workdir, monkeypatch, window, cells):
         calls.append(len(starts))
         return fit(history, window, starts)
 
-    monkeypatch.setattr(cli, "BLOCK_CELLS", cells)
     monkeypatch.setattr(arima, "fit_arima_windows", spy_fit)
     out, err = io.StringIO(), io.StringIO()
     tracemalloc.start()
@@ -348,20 +361,15 @@ def long_window_run(workdir, monkeypatch, window, cells):
     return out.getvalue(), err.getvalue(), peak, calls
 
 
-def test_long_windows_fit_within_the_cell_budget(workdir, monkeypatch):
-    # 256 windows of 4,000 points in one fit call peak at about 39 MiB;
-    # BLOCK_CELLS cuts the blocks to BLOCK_CELLS // 4000 = 65 ticks, each
-    # a refit tick, so one fit call per block takes at most 65 windows,
-    # about 10 MiB.
-    out, err, peak, calls = long_window_run(workdir, monkeypatch, 4000, cli.BLOCK_CELLS)
+def test_long_windows_fit_the_run_within_the_memory_bound(workdir, monkeypatch):
+    # 300 windows of 4,000 points in one fit call: fit_arima_windows
+    # gathers at most arima.WINDOW_CELLS differences at a time, so the
+    # run's fit temporaries stay small.
+    out, err, peak, calls = long_window_run(workdir, monkeypatch, 4000)
     assert peak < 16 * 2**20
-    per_block = cli.BLOCK_CELLS // 4000
-    assert calls == [per_block] * 4 + [300 - 4 * per_block]
-    with monkeypatch.context() as patch:  # no cap: blocks of 256 ticks, same bytes
-        uncapped = long_window_run(workdir, patch, 4000, 1 << 40)
-    assert uncapped[3] == [256, 44]
-    assert (out, err) == uncapped[:2]
+    assert calls == [300]
+    assert len(out.splitlines()) == 300 and not err
 
 
-def test_default_window_fits_each_block_in_one_call(workdir, monkeypatch):
-    assert long_window_run(workdir, monkeypatch, 60, cli.BLOCK_CELLS)[3] == [256, 44]
+def test_default_window_fits_the_run_in_one_call(workdir, monkeypatch):
+    assert long_window_run(workdir, monkeypatch, 60)[3] == [300]
