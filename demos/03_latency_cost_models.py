@@ -2,26 +2,30 @@
 
 Trains the least-squares model on emulated download records, inspects
 what it learned, and runs the randomized 90/10 comparison against the
-Bayesian ridge and the two volatility-unaware baselines. The comparison
-returns one (runs, models) grid of rmse and mae scores; ``summarize``
-reduces its columns and counts the runs where one model beat another.
+Bayesian ridge and the two volatility-unaware baselines. One harness call
+scores both responses on one held-out split per run and returns one
+(runs, models) grid of rmse and mae scores, its columns named
+``<model>_<response>``; ``select`` takes one response's columns and
+``summarize`` reduces them and counts the runs where one model beat
+another.
 """
 
 from proadapt import (generate_trace, run_predictor_experiments, summarize,
                       to_regression_dataset)
+
+MODELS = ("mra", "brr", "baseline_mean", "baseline_static")
 
 trace = generate_trace(duration_minutes=1440, seed=42)
 X, latency, energy = to_regression_dataset(trace)
 print(f"training data: {X.n} download observations, {X.m} features")
 print(f"features: {', '.join(X.column_names)}")
 
-for label, response, static in (("latency (s)", latency, 2.5),
-                                ("energy (J)", energy, 30.0)):
+grid = run_predictor_experiments(X, {"latency": (latency, 2.5), "energy": (energy, 30.0)},
+                                 n_runs=50, seed=42)
+for label, response in (("latency (s)", "latency"), ("energy (J)", "energy")):
     print(f"\n=== {label}, 50 randomized 90/10 experiments ===")
-    grid = run_predictor_experiments(X, response, n_runs=50, seed=42,
-                                     static_value=static)
-    summary = summarize(grid)
-    for name in ("mra", "brr", "baseline_mean", "baseline_static"):
+    summary = summarize(grid.select({f"{name}_{response}": name for name in MODELS}))
+    for name in MODELS:
         agg = summary.models[name]
         print(f"  {name:<16} mean rmse {agg.mean_rmse:8.4f}   "
               f"mean mae {agg.mean_mae:8.4f}")

@@ -38,7 +38,7 @@ import numpy as np
 from .types import Direction, SlaSpec, TimeSeries, check_real, order_specs_by_reward, subseeds
 
 if TYPE_CHECKING:
-    from .metrics import Summary
+    from .metrics import Reports, Summary
     from .workflow import TacticEstimate, TacticModels
 
 DEFAULT_SEED = 42
@@ -130,7 +130,8 @@ def cmd_replicate(args: argparse.Namespace) -> int:
                            ingest_trace_csv, run_cost_impact_simulation, to_idle_series,
                            to_regression_dataset)
     from .metrics import (BRR_MODEL, FORECAST_MODEL, MEAN_BASELINE, MRA_MODEL,
-                          PERSISTENCE_MODEL, STATIC_BASELINE, reports_to_csv_text, summarize)
+                          PERSISTENCE_MODEL, PREDICTOR_MODELS, STATIC_BASELINE,
+                          reports_to_csv_text, summarize)
 
     harness = sys.modules[__name__]
     _check_trace_flags(args)
@@ -140,10 +141,14 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     for flag, value in (("--static-latency", args.static_latency),
                         ("--static-cost", args.static_cost)):
         check_real(flag, value, 0)
-    trace_seed, impact_seed, forecast_seed, latency_seed, cost_seed = \
-        subseeds(args.seed, range(5))
+    trace_seed, impact_seed, forecast_seed, predictor_seed = subseeds(args.seed, range(4))
+
+    def trace_content():
+        """Errors about the content of a trace file name the file."""
+        return _input_file("trace file") if args.trace else contextlib.nullcontext()
+
     if args.trace:
-        with _input_file("trace file"):
+        with trace_content():
             trace = ingest_trace_csv(args.trace)
     else:
         trace = generate_trace(args.minutes, trace_seed)
@@ -152,26 +157,27 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     # written all or nothing, so a failure leaves no partial report set.
     impact = tuple(zip((SAMPLE_TACTIC_A, SAMPLE_TACTIC_B), run_cost_impact_simulation(
         SAMPLE_TACTIC_A, SAMPLE_TACTIC_B, args.runs, impact_seed)))
-    idle = to_idle_series(trace)
+    with trace_content():
+        idle = to_idle_series(trace)
     forecast_reports = harness.run_forecast_experiments(idle, args.runs, forecast_seed)
-    X, latency, cost = to_regression_dataset(trace)
-    predictor_reports = []
-    for response, t, seed, static in (("latency", latency, latency_seed, args.static_latency),
-                                      ("cost", cost, cost_seed, args.static_cost)):
-        try:
-            predictor_reports.append(harness.run_predictor_experiments(
-                X, t, args.runs, seed, static_value=static))
-        except ValueError as exc:
-            raise ValueError(f"{response} response: {exc}") from None
-    latency_reports, cost_reports = predictor_reports
+    with trace_content():
+        X, latency, cost = to_regression_dataset(trace)
+    # One split per run, shared by both responses.
+    predictor_reports = harness.run_predictor_experiments(
+        X, {"latency": (latency, args.static_latency), "cost": (cost, args.static_cost)},
+        args.runs, predictor_seed)
+
+    def response(name: str, models: Sequence[str], suffix: str = "") -> Reports:
+        """The ``models`` columns of response ``name``, each renamed to its
+        model's name plus ``suffix``."""
+        return predictor_reports.select({f"{model}_{name}": model + suffix
+                                         for model in models})
 
     rq1_lines = ["sample,tactic,overall_cost"]
     for tactic, costs in impact:
         rq1_lines += [f"{i},{tactic.name},{c:.17g}" for i, c in enumerate(costs)]
-    rq3 = (latency_reports.select({MRA_MODEL: "mra_latency", BRR_MODEL: "brr_latency"}),
-           cost_reports.select({MRA_MODEL: "mra_cost", BRR_MODEL: "brr_cost"}))
-    rq4 = latency_reports.select({name: name for name in
-                                  (MRA_MODEL, MEAN_BASELINE, STATIC_BASELINE)})
+    rq3 = [response(name, (MRA_MODEL, BRR_MODEL), f"_{name}") for name in ("latency", "cost")]
+    rq4 = response("latency", (MRA_MODEL, MEAN_BASELINE, STATIC_BASELINE))
     _write_report_set(Path(args.out_dir), {
         "rq1.csv": "\n".join(rq1_lines) + "\n",
         "rq2.csv": reports_to_csv_text(forecast_reports),
@@ -192,7 +198,8 @@ def cmd_replicate(args: argparse.Namespace) -> int:
           f"{s2.wins[(FORECAST_MODEL, PERSISTENCE_MODEL)]} of "
           f"{s2.comparisons[(FORECAST_MODEL, PERSISTENCE_MODEL)]} runs")
 
-    s_lat, s_cost = summarize(latency_reports), summarize(cost_reports)
+    s_lat, s_cost = (summarize(response(name, PREDICTOR_MODELS))
+                     for name in ("latency", "cost"))
     print(f"experiment 3: download latency/cost prediction over {args.runs} runs")
     print("  latency response:")
     _print_model_table(s_lat, [MRA_MODEL, BRR_MODEL])
@@ -210,7 +217,7 @@ def cmd_replicate(args: argparse.Namespace) -> int:
               f"{s_lat.comparisons[(MRA_MODEL, baseline)]} runs")
 
     # More than 10% failed scores fail the command; the reports stay written.
-    grids = (forecast_reports, latency_reports, cost_reports)
+    grids = (forecast_reports, predictor_reports)
     failed = sum(len(grid.errors) for grid in grids)
     cells = sum(grid.rmse.size for grid in grids)
     if failed > 0.1 * cells:
@@ -324,7 +331,7 @@ def _load_tactic_context(tactics_path: str, trace_path: str | None) -> dict[str,
     tactics = {}
     for i, entry in enumerate(raw):
         _check_entry(entry, i, "tactics file", ("name", *static), static)
-        subset = trace
+        subset, source = trace, "trace file"
         if "mirror" in entry:
             try:
                 mirror = Mirror(entry["mirror"])
@@ -332,7 +339,9 @@ def _load_tactic_context(tactics_path: str, trace_path: str | None) -> dict[str,
                 raise ValueError(f"tactics file entry {i}: unknown mirror "
                                  f"{entry['mirror']!r}") from None
             subset = trace.select(others | trace.mirror_is(mirror))
-        X, latency, cost = to_regression_dataset(subset)
+            source += f": tactics file entry {i} (mirror {mirror.value!r})"
+        with _input_file(source):
+            X, latency, cost = to_regression_dataset(subset)
         name = entry["name"]
         try:
             values = [float(entry[field]) for field in static]

@@ -4,7 +4,7 @@ The harness repeats seeded 90/10 experiments: forecasting runs compare the
 fitted ARIMA(1, 1, 0) against a persistence (last-value) reference on a
 contiguous held-out window; predictor runs compare the least-squares model
 against the Bayesian ridge, running-mean, and static-value baselines on
-random held-out rows.
+random held-out rows, for each of one or more responses of one design.
 
 Forecast splits use a contiguous test window because scattering test
 points through a time series would leak future values into training;
@@ -21,7 +21,8 @@ runs in one more array pass.
 Each harness call returns one ``Reports`` grid: read-only (runs, models)
 rmse and mae arrays, with the message of each failed run and model in
 ``errors`` and NaN in its cell, so a failure does not abort the batch; a
-score that overflows raises ``ValueError`` naming the run and model.
+score that overflows raises ``ValueError`` naming the run and model (and
+the response), once every pass is scored.
 
 Forecast runs keep one seeded split per run. A pass fits the one window
 before each of its distinct split starts in one ``fit_arima_windows``
@@ -38,29 +39,39 @@ constructor checks every cell at once. ``Reports.select`` keeps and renames
 columns, ``summarize`` reduces columns and counts wins from masks, and
 ``reports_to_csv_text`` writes the scored cells.
 
-Predictor runs are fitted from downdated sufficient statistics (Golub &
-Van Loan, Matrix Computations 6.5, 12.5). G = X'X, X't and t't of the
-whole design are computed once; a run's training statistics are those minus
-its held-out rows' share. The running-mean baseline is downdated the same
-way: a run's training mean is (sum(t) - the sum of its held-out t) / (n -
-n_test), from the held-out rows the gather pass already holds, so no run
-builds a training mask for it; a run whose difference is not finite
-takes the mean of its training rows instead. Its last bits can differ
-from that mean's, within the pairwise-summation error bound of both sums
-(Higham, Accuracy and Stability of Numerical Algorithms, ch. 4).
-One ``PREDICTOR_CELLS`` budget sets two sizes: a
-fit batch holds at most that many held-out row indices, and a gather pass
-at most that many gathered values (runs x n_test x (M + 1)). Each fit
-batch draws its runs' splits and downdates their statistics one gather
-pass at a time, then takes the least-squares and Bayesian-ridge weights of
-every run from one ``regression.fit_gram_batch`` call, which flags every
+Predictor runs draw one split per run for all of their responses, so each
+run's scores of the responses are paired (common random numbers: Law &
+Kelton, Simulation Modeling and Analysis, ch. 11), and the draws, the index
+bookkeeping and the gathers of the held-out design rows are paid once. Runs
+are fitted from downdated sufficient statistics (Golub & Van Loan, Matrix
+Computations 6.5, 12.5). G = X'X, X't and t't of the whole design are
+computed once per response; a run's training statistics are those minus its
+held-out rows' share. The running-mean baseline is downdated the same way:
+a run's training mean is (sum(t) - the sum of its held-out t) /
+(n - n_test), from the held-out rows the gather pass already holds, so no
+run builds a training mask for it; a run whose difference is not finite
+takes the mean of its training rows instead. Its last bits can differ from
+that mean's, within the pairwise-summation error bound of both sums
+(Higham, Accuracy and Stability of Numerical Algorithms, ch. 4). One
+``PREDICTOR_CELLS`` budget sets two sizes: a fit batch holds at most that
+many held-out row indices, and a gather pass at most that many gathered
+values (runs x n_test x (M + 1)). Each fit batch draws its runs' splits and
+downdates their statistics one gather pass at a time: a pass gathers
+[X | t] of the first response once, and each other response in turn
+overwrites the gathered last column with its own held-out t. So every
+response's downdate is the (M + 1)-wide product that a one-response call
+computes, bit for bit, whatever other responses it is scored with. The
+batch then takes each response's least-squares and Bayesian-ridge weights
+of every run from one ``regression.fit_gram_batch`` call, which flags every
 run the statistics cannot be trusted with (cond(X'X) above
 ``GRAM_CONDITION_LIMIT``, a residual sum below ``CANCELLATION_LIMIT`` of
 t't, anything non-finite); those runs are refitted with
 ``fit_mra``/``fit_bayesian_ridge`` on their rows. A second round of gather
-passes regathers the held-out rows and scores the predictions. Each run's
-arithmetic is independent of the runs that share its batch or pass, so the
-budget changes no bit of the reports, and no array grows with runs x N.
+passes regathers the held-out rows, predicts every response's held-out
+values in one ``matmul`` and scores all responses' models in one
+``_reports`` call per pass. Each run's arithmetic is independent of the
+runs that share its batch or pass, so the budget changes no bit of the
+reports, and no array grows with runs x N.
 
 Report CSV format: header ``run,model,rmse,mae,train_fraction,seed``, then
 one row per scored cell of each grid in turn, run by run and, within a
@@ -228,13 +239,13 @@ def _run_generators(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
 
 
 def _reports(runs: range, models: Sequence[str], residuals: np.ndarray,
-             errors: Mapping[tuple[str, int], str]) -> tuple[np.ndarray, np.ndarray]:
+             errors: Mapping[tuple[str, int], str]
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (runs, models) rmse and mae rows of ``runs``, scored from (and
-    overwriting) their contiguous (models, runs, n) ``residuals``; a cell
-    that ``errors`` maps (model, run) is NaN. Each score reduces one
-    contiguous row, so it sums exactly as ``rmse``/``mae`` on that run
-    alone. A score that overflowed raises ``ValueError`` naming the first
-    such run and, within it, model."""
+    overwriting) their contiguous (models, runs, n) ``residuals``, and the
+    mask of their cells whose scores overflowed; a cell that ``errors``
+    maps (model, run) is NaN. Each score reduces one contiguous row, so it
+    sums exactly as ``rmse``/``mae`` on that run alone."""
     with np.errstate(over="ignore", invalid="ignore"):
         # In place, since |e|^2 == e^2 bit for bit.
         maes = np.mean(np.abs(residuals, out=residuals), axis=-1).T
@@ -244,12 +255,16 @@ def _reports(runs: range, models: Sequence[str], residuals: np.ndarray,
         if run in runs:
             failed[run - runs.start, models.index(model)] = True
     maes[failed] = rmses[failed] = np.nan
-    overflow = ~failed & ~(np.isfinite(rmses) & np.isfinite(maes))
-    if overflow.any():
-        i, k = np.argwhere(overflow)[0].tolist()
-        raise ValueError(f"run {runs[i]}, model {models[k]!r}: scores overflow "
-                         f"(rmse={float(rmses[i, k])!r}, mae={float(maes[i, k])!r})")
-    return rmses, maes
+    return rmses, maes, ~failed & ~(np.isfinite(rmses) & np.isfinite(maes))
+
+
+def _overflow(models: Sequence[str], rmse: np.ndarray, mae: np.ndarray,
+              overflow: np.ndarray) -> str:
+    """The message naming the first run of a (runs, models) grid whose
+    scores overflowed and, within it, the first such model."""
+    i, k = np.argwhere(overflow)[0].tolist()
+    return (f"run {i}, model {models[k]!r}: scores overflow "
+            f"(rmse={float(rmse[i, k])!r}, mae={float(mae[i, k])!r})")
 
 
 def _test_length(n: int) -> int:
@@ -291,16 +306,18 @@ def run_forecast_experiments(series: TimeSeries, n_runs: int, seed: int) -> Repo
     rows = [_forecast_pass(series, starts[lo:lo + size], range(lo, min(lo + size, n_runs)),
                            test_len, errors)
             for lo in range(0, n_runs, size)]
-    rmse_rows, mae_rows = zip(*rows)
-    return Reports(models, seeds, np.concatenate(rmse_rows), np.concatenate(mae_rows),
-                   errors)
+    rmse, mae, overflow = (np.concatenate(part) for part in zip(*rows))
+    if overflow.any():
+        raise ValueError(_overflow(models, rmse, mae, overflow))
+    return Reports(models, seeds, rmse, mae, errors)
 
 
 def _forecast_pass(series: TimeSeries, starts: Sequence[int], runs: range, test_len: int,
-                   errors: dict[tuple[str, int], str]) -> tuple[np.ndarray, np.ndarray]:
-    """The rmse and mae rows of the forecast ``runs``, whose test windows
-    begin at ``starts``, persistence before arima; adds the runs' failures
-    to ``errors``."""
+                   errors: dict[tuple[str, int], str]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rmse, mae and overflow rows of the forecast ``runs``, whose test
+    windows begin at ``starts``, persistence before arima; adds the runs'
+    failures to ``errors``."""
     first = np.array(starts)
     # One fit per distinct start, of the one window before it, all in one call.
     distinct, fit = np.unique(first, return_inverse=True)
@@ -323,41 +340,71 @@ def _forecast_pass(series: TimeSeries, starts: Sequence[int], runs: range, test_
     return _reports(runs, (PERSISTENCE_MODEL, FORECAST_MODEL), residuals, errors)
 
 
-def run_predictor_experiments(X: DesignMatrix, t: ResponseVector, n_runs: int,
-                              seed: int, static_value: float) -> Reports:
-    """Seeded predictor comparison on random 90/10 row splits.
+def run_predictor_experiments(X: DesignMatrix,
+                              responses: Mapping[str, tuple[ResponseVector, float]],
+                              n_runs: int, seed: int) -> Reports:
+    """Seeded predictor comparison on random 90/10 row splits, one split
+    per run for every response.
 
-    Scores the least-squares fit, the Bayesian ridge, the running mean of
-    the training responses, and the caller's design-time ``static_value``
-    (a finite real) on each held-out row set. Runs are fitted from
-    downdated statistics in batches of up to ``PREDICTOR_CELLS`` held-out
-    rows (see the module docstring).
+    ``responses`` maps each response's name to its ``ResponseVector`` and
+    the caller's design-time static value for it (a finite real). On each
+    held-out row set, each response scores the least-squares fit, the
+    Bayesian ridge, the running mean of its training responses and its
+    static value. The grid's columns are named ``<model>_<name>``: one
+    response after another, in ``responses`` order, and the models in
+    ``PREDICTOR_MODELS`` order within each. A response's columns are, bit
+    for bit, those a one-entry mapping of it gives under the same seed. A
+    score that overflows raises ``ValueError`` naming the first response
+    whose scores overflow, then its first such run and model. Runs are
+    fitted from downdated statistics in batches of up to
+    ``PREDICTOR_CELLS`` held-out rows (see the module docstring).
     """
     check_integer("n_runs", n_runs, 1)
     check_integer("seed", seed, 0)
-    check_real("static_value", static_value)
+    if not isinstance(responses, Mapping) or not responses:
+        raise ValueError("responses must map at least one name to (t, static_value)")
+    names = list(responses)
+    for name, (_, static_value) in responses.items():
+        if not isinstance(name, str):
+            raise TypeError(f"response names must be strings, got {name!r}")
+        check_real("static_value", static_value)
     if X.n < 40:
         raise ValueError(f"need at least 40 observations, got {X.n}")
-    if X.n != len(t):
-        raise ValueError("design matrix and responses disagree on length")
-    # The response rides as the last column, so one product gives X'X, X't and t't.
-    augmented = np.column_stack([X.rows, t.t])
+    ts = [t.t for t, _ in responses.values()]
+    for name, t in zip(names, ts):
+        if len(t) != X.n:
+            raise ValueError(f"{name} response: design matrix and responses disagree "
+                             "on length")
+    statics = [float(static_value) for _, static_value in responses.values()]
+    # A response rides as the last column, so one product gives its X'X,
+    # X't and t't. Each response takes that column in turn, the first one
+    # last, so that the gathers start from it.
+    augmented = np.column_stack([X.rows, ts[0]])
+    totals = np.empty((len(ts), X.m + 1, X.m + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        totals = augmented.T @ augmented
+        for r in reversed(range(len(ts))):
+            augmented[:, -1] = ts[r]
+            totals[r] = augmented.T @ augmented
     seeds = subseeds(seed, np.arange(n_runs))
     n_test = max(1, int(round((1.0 - TRAIN_FRACTION) * X.n)))
     # Each run's held-out rows, drawn as the batches reach the run.
     draws = (rng.choice(X.n, n_test, replace=False) for rng in _run_generators(seeds))
     size = max(1, PREDICTOR_CELLS // n_test)
+    columns = tuple(f"{model}_{name}" for name in names for model in PREDICTOR_MODELS)
     errors: dict[tuple[str, int], str] = {}
-    rows: list[tuple[np.ndarray, np.ndarray]] = []
+    rows: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for start in range(0, n_runs, size):
         runs = range(start, min(start + size, n_runs))
-        rows += _predictor_batch(X, t, augmented, totals, runs, draws, n_test,
-                                 float(static_value), errors)
-    rmse_rows, mae_rows = zip(*rows)
-    return Reports(PREDICTOR_MODELS, seeds, np.concatenate(rmse_rows),
-                   np.concatenate(mae_rows), errors)
+        rows += _predictor_batch(X, ts, statics, augmented, totals, runs, draws, n_test,
+                                 columns, errors)
+    rmse, mae, overflow = (np.concatenate(part) for part in zip(*rows))
+    per_response = len(PREDICTOR_MODELS)
+    for r, name in enumerate(names):
+        cells = slice(r * per_response, (r + 1) * per_response)
+        if overflow[:, cells].any():
+            raise ValueError(f"{name} response: " + _overflow(
+                PREDICTOR_MODELS, rmse[:, cells], mae[:, cells], overflow[:, cells]))
+    return Reports(columns, seeds, rmse, mae, errors)
 
 
 def _training_rows(test_idx: np.ndarray, n: int) -> np.ndarray:
@@ -368,61 +415,81 @@ def _training_rows(test_idx: np.ndarray, n: int) -> np.ndarray:
     return train
 
 
-def _predictor_batch(X: DesignMatrix, t: ResponseVector, augmented: np.ndarray,
-                     totals: np.ndarray, runs: range, draws: Iterator[np.ndarray],
-                     n_test: int, static_value: float, errors: dict[tuple[str, int], str]
-                     ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The rmse and mae rows of a fit batch of predictor runs, one pair per
-    gather pass, in the order of ``PREDICTOR_MODELS``; ``draws`` yields the
-    held-out rows of each of ``runs`` in turn. Adds the runs' failures to
-    ``errors``."""
-    step = max(1, PREDICTOR_CELLS // (n_test * augmented.shape[1]))
+def _predictor_batch(X: DesignMatrix, ts: Sequence[np.ndarray], statics: Sequence[float],
+                     augmented: np.ndarray, totals: np.ndarray, runs: range,
+                     draws: Iterator[np.ndarray], n_test: int, columns: Sequence[str],
+                     errors: dict[tuple[str, int], str]
+                     ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The rmse, mae and overflow rows of a fit batch of predictor runs, one
+    triple per gather pass, in ``columns`` order. ``ts`` and ``statics``
+    hold each response's values and static value, ``totals`` its (M + 1)
+    square statistics, and ``augmented`` is [X | the first response];
+    ``draws`` yields the held-out rows of each of ``runs`` in turn. Adds
+    the runs' failures to ``errors``."""
+    width = X.m + 1
+    step = max(1, PREDICTOR_CELLS // (n_test * width))
     passes = [slice(lo, min(lo + step, len(runs))) for lo in range(0, len(runs), step)]
     test_idx = np.empty((len(runs), n_test), dtype=np.intp)
-    stats = np.empty((len(runs),) + totals.shape)
-    means = np.empty(len(runs))
-    # Splits, training means and downdated statistics, one gather pass at a time.
+    stats = np.empty((len(ts), len(runs), width, width))
+    means = np.empty((len(ts), len(runs)))
+    # Splits, training means and downdated statistics, one gather pass at a
+    # time. Each response in turn takes the gathered last column, so its
+    # downdate is the product a one-response call computes. One wider
+    # product of [X | t_1 | ... | t_R] would share X'X, but BLAS may round
+    # it differently at another width (with OpenBLAS 0.3.31, a 9-column
+    # X'X from a 10- and a 12-column product differed in the last bits).
     with np.errstate(over="ignore", invalid="ignore"):
-        total = t.t.sum()
+        sums = [t.sum() for t in ts]
         for span in passes:
             for i in range(span.start, span.stop):
                 test_idx[i] = next(draws)
-            held_out = augmented[test_idx[span]]
-            means[span] = (total - held_out[..., -1].sum(axis=1)) / (X.n - n_test)
-            np.subtract(totals, np.matmul(held_out.transpose(0, 2, 1), held_out),
-                        out=stats[span])
+            held_out = np.take(augmented, test_idx[span], axis=0)
+            for r, t in enumerate(ts):
+                if r:
+                    held_out[..., -1] = np.take(t, test_idx[span])
+                means[r, span] = (sums[r] - held_out[..., -1].sum(axis=1)) / (X.n - n_test)
+                np.subtract(totals[r], np.matmul(held_out.transpose(0, 2, 1), held_out),
+                            out=stats[r, span])
         # Where a sum overflowed, the mean of the run's own training rows.
-        for i in np.flatnonzero(~np.isfinite(means)).tolist():
-            means[i] = t.t[_training_rows(test_idx[i], X.n)].mean()
-    mra, mra_ok, brr, brr_ok = fit_gram_batch(stats[:, :-1, :-1], stats[:, :-1, -1],
-                                              stats[:, -1, -1], X.n - n_test)
-    weights = np.stack([mra, brr])
-    for k, (name, trusted, fit) in enumerate(((MRA_MODEL, mra_ok, fit_mra),
-                                              (BRR_MODEL, brr_ok, fit_bayesian_ridge))):
-        for i in np.flatnonzero(~trusted).tolist():
-            train = _training_rows(test_idx[i], X.n)
-            try:
-                model = fit(DesignMatrix(X.rows[train], X.column_names),
-                            ResponseVector(t.t[train]))
-            except ValueError as exc:
-                errors[name, runs[i]] = str(exc)
-                weights[k, i] = 0.0
-            else:
-                weights[k, i] = model.weights
+        for r, i in np.argwhere(~np.isfinite(means)).tolist():
+            means[r, i] = ts[r][_training_rows(test_idx[i], X.n)].mean()
+    weights = np.empty((len(ts), 2, len(runs), X.m))
+    for r, t in enumerate(ts):
+        mra, mra_ok, brr, brr_ok = fit_gram_batch(stats[r, :, :-1, :-1], stats[r, :, :-1, -1],
+                                                  stats[r, :, -1, -1], X.n - n_test)
+        weights[r] = mra, brr
+        # The least-squares and ridge fits, the response's last two columns.
+        for k, (trusted, fit) in enumerate(((mra_ok, fit_mra), (brr_ok, fit_bayesian_ridge))):
+            column = columns[4 * r + 2 + k]
+            for i in np.flatnonzero(~trusted).tolist():
+                train = _training_rows(test_idx[i], X.n)
+                try:
+                    fitted = fit(DesignMatrix(X.rows[train], X.column_names),
+                                 ResponseVector(t[train]))
+                except ValueError as exc:
+                    errors[column, runs[i]] = str(exc)
+                    weights[r, k, i] = 0.0
+                else:
+                    weights[r, k, i] = fitted.weights
 
-    # Regather each pass's held-out rows and score every model on them.
+    # Regather each pass's held-out rows and score every model of every
+    # response on them.
     rows = []
     for span in passes:
-        held_out = augmented[test_idx[span]]
-        test_rows, actual = held_out[..., :-1], held_out[..., -1]
-        residuals = np.empty((4,) + actual.shape)
+        held_out = np.take(augmented, test_idx[span], axis=0)
+        residuals = np.empty((len(ts), 4) + held_out.shape[:2])
         with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract(means[span, None], actual, out=residuals[0])
-            np.subtract(static_value, actual, out=residuals[1])
-            predicted = residuals[2:]
-            np.matmul(test_rows, weights[:, span, :, None], out=predicted[..., None])
-            np.subtract(np.maximum(0.0, predicted, out=predicted), actual, out=predicted)
-        rows.append(_reports(runs[span], PREDICTOR_MODELS, residuals, errors))
+            predicted = residuals[:, 2:]
+            np.matmul(held_out[..., :-1], weights[:, :, span, :, None],
+                      out=predicted[..., None])
+            np.maximum(0.0, predicted, out=predicted)
+            for r, t in enumerate(ts):
+                actual = np.take(t, test_idx[span]) if r else held_out[..., -1]
+                np.subtract(means[r, span, None], actual, out=residuals[r, 0])
+                np.subtract(statics[r], actual, out=residuals[r, 1])
+                np.subtract(predicted[r], actual, out=predicted[r])
+        rows.append(_reports(runs[span], columns,
+                             residuals.reshape((-1,) + held_out.shape[:2]), errors))
     return rows
 
 

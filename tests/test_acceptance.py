@@ -152,9 +152,9 @@ def test_criterion_6_prediction_beats_baselines():
     done = timed(60.0)
     trace = generate_trace(1440, seed=TRACE_SEED)
     X, latency, _ = to_regression_dataset(trace)
-    reports = run_predictor_experiments(X, latency, 50, seed=MASTER_SEED,
-                                        static_value=2.5)
-    summary = summarize(reports)
+    reports = run_predictor_experiments(X, {"latency": (latency, 2.5)}, 50, seed=MASTER_SEED)
+    summary = summarize(reports.select({f"{model}_latency": model for model in
+                                        ("mra", "brr", "baseline_mean", "baseline_static")}))
     vs_mean = summary.wins[("mra", "baseline_mean")]
     vs_static = summary.wins[("mra", "baseline_static")]
     assert summary.models["mra"].errors == 0

@@ -66,9 +66,9 @@ INTEGER_ARGUMENTS = [
                  id="run_forecast_experiments-n_runs"),
     pytest.param("seed", 0, lambda v: run_forecast_experiments(SERIES, 3, v),
                  id="run_forecast_experiments-seed"),
-    pytest.param("n_runs", 1, lambda v: run_predictor_experiments(X, T, v, 0, 1.0),
+    pytest.param("n_runs", 1, lambda v: run_predictor_experiments(X, {"t": (T, 1.0)}, v, 0),
                  id="run_predictor_experiments-n_runs"),
-    pytest.param("seed", 0, lambda v: run_predictor_experiments(X, T, 3, v, 1.0),
+    pytest.param("seed", 0, lambda v: run_predictor_experiments(X, {"t": (T, 1.0)}, 3, v),
                  id="run_predictor_experiments-seed"),
     pytest.param("horizon", 1, lambda v: WorkflowConfig(horizon=v),
                  id="WorkflowConfig-horizon"),
@@ -247,7 +247,7 @@ def test_bounded_real_fields_accept_the_bound_unless_strict(instance, name, boun
 @given(out_of_domain(None))
 def test_static_value_follows_the_real_rule(value):
     with pytest.raises((TypeError, ValueError)) as raised:
-        run_predictor_experiments(X, T, 1, 0, value)
+        run_predictor_experiments(X, {"t": (T, value)}, 1, 0)
     assert str(raised.value).startswith("static_value must ")
 
 

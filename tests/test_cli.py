@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proadapt import (ArimaModel, Phase, TimeSeries, WorkflowConfig, arima, cli, emulator,
-                      fit_arima, forecast, generate_trace, price_tactics, regression,
-                      workflow, write_trace_csv)
+from proadapt import (ArimaModel, Mirror, Phase, TimeSeries, WorkflowConfig, arima, cli,
+                      emulator, fit_arima, forecast, generate_trace, price_tactics,
+                      regression, workflow, write_trace_csv)
 from proadapt.cli import main
 from limited_child import run_limited
 from monitor_oracle import reference_tick, tick_entry_to_dict
@@ -820,6 +820,43 @@ class TestMonitorInputErrors:
         code, out, replicate_err = run_main(capsys, "replicate", "--trace", str(trace),
                                             "--out-dir", str(tmp_path))
         assert code == 1 and replicate_err == err
+
+    def test_trace_content_errors_name_the_file(self, tmp_path, capsys):
+        # They used to print the dataset's message alone, such as "error:
+        # need at least 8 download records, got 3", naming neither the file
+        # nor the tactic whose mirror the trace lacks.
+        records = generate_trace(240, 4)
+        download = records.phase_is(Phase.DOWNLOAD)
+        ontario = download & records.mirror_is(Mirror.ONTARIO)
+        cases = [  # (records, first tactic's mirror or None, the message)
+            (generate_trace(1, 3), None, "need at least 8 download records, got 3"),
+            (generate_trace(1, 3), "germany",
+             "tactics file entry 0 (mirror 'germany'): need at least 8 download records, "
+             "got 1"),
+            (records.select(~ontario | (np.cumsum(ontario) <= 2)), "germany",
+             "tactics file entry 1 (mirror 'ontario'): need at least 8 download records, "
+             "got 2"),
+            (records.select(download), None, "trace contains no idle records")]
+        spec, history = write_ramp_fixture(tmp_path)
+        trace, tactics = tmp_path / "trace.csv", tmp_path / "tactics.json"
+        for trace_records, mirror, message in cases:
+            write_trace_csv(trace_records, trace)
+            entries = [{"name": "a", "static_latency": 1.0, "static_cost": 1.0},
+                       {"name": "b", "mirror": "ontario", "static_latency": 1.0,
+                        "static_cost": 1.0}]
+            if mirror:
+                entries[0]["mirror"] = mirror
+            tactics.write_text(json.dumps(entries))
+            if "tactics file" not in message:
+                code, out, err = run_main(capsys, "replicate", "--trace", str(trace),
+                                          "--runs", "3", "--out-dir", str(tmp_path / "reports"))
+                assert (code, err) == (1, f"error: trace file: {message}\n")
+            if "idle" not in message:
+                err = self.assert_one_error(capsys, "monitor", "--spec", str(spec),
+                                            "--history", str(history), "--tactics",
+                                            str(tactics), "--trace", str(trace))
+                assert err == f"error: trace file: {message}\n"
+        assert not (tmp_path / "reports").exists()
 
     @pytest.mark.parametrize("name", ["null", "7", "[1, 2]", '{"x": 1}'])
     @pytest.mark.parametrize("which", ["spec", "tactics"])

@@ -15,6 +15,8 @@ recorded with; under any other version the test is skipped.
 Re-record (after a declared output change) with:
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints each digest whose value changed, as ``key: old -> new``.
 """
 
 from __future__ import annotations
@@ -189,7 +191,23 @@ def test_demo_stdout_matches_golden_digest(demo):
     assert demo_digest(demo) == golden["demos"][demo.name]
 
 
+def changed_digests(old: dict, new: dict, prefix: str = "") -> list[str]:
+    """One ``key: old -> new`` line for each leaf of two digest records
+    whose value differs (a missing leaf reads as None), keys joined by
+    dots, in key order."""
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        a, b, name = old.get(key), new.get(key), f"{prefix}{key}"
+        if isinstance(a, dict) or isinstance(b, dict):
+            lines += changed_digests(a if isinstance(a, dict) else {},
+                                     b if isinstance(b, dict) else {}, f"{name}.")
+        elif a != b:
+            lines.append(f"{name}: {a} -> {b}")
+    return lines
+
+
 if __name__ == "__main__":
+    previous = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         record = {"numpy": np.__version__,
                   "digests": {str(seed): compute_digests(seed, Path(tmp) / str(seed))
@@ -198,4 +216,6 @@ if __name__ == "__main__":
                   "demos": {path.name: demo_digest(path) for path in DEMOS}}
     DIGESTS.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n",
                        encoding="utf-8")
-    sys.stdout.write(f"wrote {DIGESTS}\n")
+    changes = changed_digests(previous, record)
+    sys.stdout.write("".join(f"{line}\n" for line in changes))
+    sys.stdout.write(f"wrote {DIGESTS}: {len(changes)} changed\n")

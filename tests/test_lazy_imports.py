@@ -127,6 +127,7 @@ def test_replicate_calls_the_harness_through_rebound_names(tmp_path, capsys):
             delattr(cli, name)
     capsys.readouterr()
     assert rc == 0
-    assert calls == {"run_forecast_experiments": 1, "run_predictor_experiments": 2}
+    # One predictor call scores both responses on one split per run.
+    assert calls == {"run_forecast_experiments": 1, "run_predictor_experiments": 1}
     assert [getattr(cli, name) for name in HARNESS] == [getattr(metrics, name)
                                                         for name in HARNESS]

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -170,26 +171,26 @@ class TestPredictorExperiments:
 
     def test_noiseless_linear_data_is_exact(self):
         X, t = self.make_linear()
-        reports = run_predictor_experiments(X, t, 10, seed=2, static_value=2.0)
-        mra = reports.rmse[:, reports.models.index("mra")]
+        reports = run_predictor_experiments(X, {"t": (t, 2.0)}, 10, seed=2)
+        mra = reports.rmse[:, reports.models.index("mra_t")]
         assert len(mra) == 10
         assert (mra < 1e-8).all()
 
     def test_reproducible(self):
         X, t = self.make_linear(noise=0.3)
-        a = run_predictor_experiments(X, t, 6, seed=8, static_value=2.0)
-        b = run_predictor_experiments(X, t, 6, seed=8, static_value=2.0)
+        a = run_predictor_experiments(X, {"t": (t, 2.0)}, 6, seed=8)
+        b = run_predictor_experiments(X, {"t": (t, 2.0)}, 6, seed=8)
         assert reports_to_csv_text(a) == reports_to_csv_text(b)
 
     def test_minimum_size_enforced(self):
         X, t = self.make_linear(n=30)
         with pytest.raises(ValueError):
-            run_predictor_experiments(X, t, 5, seed=1, static_value=2.0)
+            run_predictor_experiments(X, {"t": (t, 2.0)}, 5, seed=1)
 
     def test_all_four_models_reported(self):
         X, t = self.make_linear(noise=0.1)
-        reports = run_predictor_experiments(X, t, 3, seed=5, static_value=2.0)
-        assert reports.models == ("baseline_mean", "baseline_static", "mra", "brr")
+        reports = run_predictor_experiments(X, {"t": (t, 2.0)}, 3, seed=5)
+        assert reports.models == ("baseline_mean_t", "baseline_static_t", "mra_t", "brr_t")
         assert reports.rmse.shape == reports.mae.shape == (3, 4)
 
     @pytest.mark.parametrize("static_value, error", [
@@ -202,7 +203,34 @@ class TestPredictorExperiments:
         monkeypatch.setattr(metrics, "fit_gram_batch", no_work)
         X, t = self.make_linear(n=60, noise=0.1)
         with pytest.raises(error, match=f"^static_value must be .*, got {static_value!r}$"):
-            run_predictor_experiments(X, t, 3, seed=5, static_value=static_value)
+            run_predictor_experiments(X, {"t": (t, static_value)}, 3, seed=5)
+
+
+    @pytest.mark.parametrize("responses, error, message", [
+        (lambda t: {}, ValueError, "responses must map at least one name to (t, static_value)"),
+        (lambda t: [("t", (t, 1.0))], ValueError,
+         "responses must map at least one name to (t, static_value)"),
+        (lambda t: {3: (t, 1.0)}, TypeError, "response names must be strings, got 3")])
+    def test_responses_checked_before_any_work(self, monkeypatch, responses, error, message):
+        monkeypatch.setattr(metrics, "subseeds", no_work)
+        monkeypatch.setattr(metrics, "fit_gram_batch", no_work)
+        X, t = self.make_linear(n=60, noise=0.1)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            run_predictor_experiments(X, responses(t), 3, seed=5)
+
+    def test_a_short_response_is_named(self):
+        X, t = self.make_linear(n=60, noise=0.1)
+        short = ResponseVector(t.t[:-1])
+        with pytest.raises(ValueError, match="^cost response: design matrix and responses "
+                                             "disagree on length$"):
+            run_predictor_experiments(X, {"latency": (t, 1.0), "cost": (short, 1.0)}, 3, 5)
+
+    def test_each_response_has_its_columns_in_order(self):
+        X, t = self.make_linear(noise=0.1)
+        u = ResponseVector(2.0 * t.t)
+        reports = run_predictor_experiments(X, {"b": (t, 1.0), "a": (u, 2.0)}, 3, seed=5)
+        assert reports.models == tuple(f"{model}_{name}" for name in "ba" for model in
+                                       ("baseline_mean", "baseline_static", "mra", "brr"))
 
 
 def no_work(*args, **kwargs):
@@ -226,7 +254,7 @@ def test_harnesses_check_n_runs_before_any_work(monkeypatch, n_runs, error, mess
     with pytest.raises(error, match=f"^{message}$"):
         run_forecast_experiments(TimeSeries(np.arange(100.0)), n_runs, seed=1)
     with pytest.raises(error, match=f"^{message}$"):
-        run_predictor_experiments(X, t, n_runs, seed=1, static_value=1.0)
+        run_predictor_experiments(X, {"t": (t, 1.0)}, n_runs, seed=1)
 
 
 @pytest.mark.parametrize("seed, error, message", [
@@ -246,7 +274,7 @@ def test_harnesses_check_seed_before_any_work(monkeypatch, seed, error, message)
     with pytest.raises(error, match=f"^{message}$"):
         run_forecast_experiments(TimeSeries(np.arange(100.0)), 2, seed=seed)
     with pytest.raises(error, match=f"^{message}$"):
-        run_predictor_experiments(X, t, 2, seed=seed, static_value=1.0)
+        run_predictor_experiments(X, {"t": (t, 1.0)}, 2, seed=seed)
 
 
 def test_harnesses_accept_numpy_integer_runs():

@@ -61,7 +61,8 @@ def test_traced_runs_record_harness_calls_spans_and_counters(tmp_path):
     assert result.returncode == 0, result.stderr
     got = json.loads(result.stdout)
     assert got["codes"] == [0, 0]
-    assert got["calls"] == {"run_forecast_experiments": 1, "run_predictor_experiments": 2}
+    # One predictor call scores both responses on one split per run.
+    assert got["calls"] == {"run_forecast_experiments": 1, "run_predictor_experiments": 1}
     assert {"arima.fit_arima_windows", "workflow.workflow_block"} <= set(got["spans"])
     assert {"metrics.failed_reports", "regression.predict.clamped",
             "regression.fit_mra.ridge_fallbacks"} <= set(got["counters"])

@@ -1,4 +1,5 @@
-"""The batched predictor harness against the per-run reference harness.
+"""The batched predictor harness against the per-run reference harness,
+and each response of a shared split against its one-response call.
 
 ``metrics.run_predictor_experiments`` fits each batch of runs from
 downdated Gram statistics and falls back to ``fit_mra`` or
@@ -15,6 +16,11 @@ textbook forward-error bound of a prediction, which is all either harness
 can promise on an ill-conditioned design (against a 60-digit reference,
 both ridge scores of one design with cond(X'X) = 2.6e8 were 2e-9 to 4e-9
 off) or for an exact fit, whose scores are rounding noise.
+
+The harness scores all of its responses on one split per run. Each
+response's columns must equal, bit for bit, those of a call given that
+response alone under the same seed, and its scores must agree with the
+reference on that response as above.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from predictor_oracle import reference_predictor_experiments
 from proadapt import metrics, regression
 from proadapt.emulator import generate_trace, to_regression_dataset
 from proadapt.metrics import (BRR_MODEL, MEAN_BASELINE, MRA_MODEL, PREDICTOR_CELLS,
-                              STATIC_BASELINE, run_predictor_experiments)
+                              PREDICTOR_MODELS, STATIC_BASELINE, run_predictor_experiments)
 from proadapt.regression import (BRR_OVERFLOW, CONDITION_LIMIT, DesignMatrix, ResponseVector,
                                  fit_bayesian_ridge, fit_gram_batch)
 from report_oracle import grid_rows
@@ -82,6 +88,19 @@ def outcome(harness, *args, **kwargs):
         return harness(*args, **kwargs), None
     except ValueError as exc:
         return None, str(exc)
+
+
+def columns(grid, name: str):
+    """Response ``name``'s columns of a harness grid, named by model alone
+    as the reference names them."""
+    return grid.select({f"{model}_{name}": model for model in PREDICTOR_MODELS})
+
+
+def one_response(X: DesignMatrix, t: ResponseVector, n_runs: int, seed: int,
+                 static_value: float, name: str = "t"):
+    """The harness on the one response ``t``, named ``name``, with its
+    columns named by model alone."""
+    return columns(run_predictor_experiments(X, {name: (t, static_value)}, n_runs, seed), name)
 
 
 def reference(*args, **kwargs):
@@ -138,13 +157,17 @@ def mean_baseline_tolerance(t: ResponseVector, score: float) -> float:
     return (1 + 1e-9) * (c * u * float(np.abs(t.t).sum()) / d + rounding)
 
 
-MEAN_OVERFLOW = re.compile(r"(run \d+, model 'baseline_mean': scores overflow) "
+MEAN_OVERFLOW = re.compile(r"(.*run \d+, model 'baseline_mean': scores overflow) "
                            r"\(rmse=(\S+), mae=(\S+)\)")
 
 
-def assert_errors_agree(got: str | None, want: str | None, t: ResponseVector) -> None:
-    """Equal harness errors; a running-mean overflow names its scores, so
-    they agree as the scores do."""
+def assert_errors_agree(got: str | None, want: str | None, t: ResponseVector,
+                        name: str = "t") -> None:
+    """Equal harness errors, where the library names the overflowing
+    response ``name`` before the reference's text; a running-mean overflow
+    names its scores, so they agree as the scores do."""
+    if want is not None and "scores overflow" in want:
+        want = f"{name} response: {want}"
     got_mean, want_mean = (MEAN_OVERFLOW.fullmatch(error or "") for error in (got, want))
     if got_mean is None or want_mean is None:
         assert got == want
@@ -189,13 +212,34 @@ def held_out_rows(n: int) -> int:
     return max(1, int(round((1.0 - metrics.TRAIN_FRACTION) * n)))
 
 
+def extra_response(X: DesignMatrix, rng: np.random.Generator, noise: float,
+                   huge: bool) -> ResponseVector:
+    """Another response on the design ``X``: linear in its columns, each
+    scaled to a largest magnitude of 1, plus noise; if ``huge``, that times
+    1e200, so that its scores overflow."""
+    rows = X.rows / np.abs(X.rows).max(axis=0)
+    t = rows @ rng.normal(size=X.m)
+    t = t + rng.normal(0.0, noise * (1.0 + np.std(t)), size=X.n)
+    return ResponseVector(t * 1e200 if huge else t)
+
+
+STATIC_VALUES = st.sampled_from([0.0, 2.5, 1e3])
+
+
 @st.composite
 def experiments(draw):
     kind = draw(st.sampled_from(KINDS))
     n = draw(st.integers(40, 400))  # 4 to 40 held-out rows
     m = draw(st.integers(2, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    X, t = build_design(kind, n, m, rng, noise=draw(st.sampled_from([1e-3, 0.1, 1.0])))
+    noise = draw(st.sampled_from([1e-3, 0.1, 1.0]))
+    X, t = build_design(kind, n, m, rng, noise=noise)
+    # One to three responses: the design's own, then others on its rows,
+    # about one in eight of them overflowing.
+    responses = {"t": (t, draw(STATIC_VALUES))}
+    for name in draw(st.sampled_from([(), ("u",), ("u", "v")])):
+        huge = draw(st.integers(0, 7)) == 0
+        responses[name] = (extra_response(X, rng, noise, huge), draw(STATIC_VALUES))
     n_test = held_out_rows(n)
     # One-run batches, three-run batches of one-run passes, three-run
     # passes in batches of 3 (M + 1) runs, or the default budget (one
@@ -203,24 +247,51 @@ def experiments(draw):
     # boundaries within the 35 runs.
     cells = draw(st.sampled_from([n_test, 3 * n_test, 3 * n_test * (m + 1),
                                   PREDICTOR_CELLS]))
-    return {"kind": kind, "X": X, "t": t, "cells": cells,
+    return {"kind": kind, "X": X, "responses": responses, "cells": cells,
             "n_runs": draw(st.integers(1, 35)),
-            "seed": draw(st.integers(0, 2**31)),
-            "static_value": draw(st.sampled_from([0.0, 2.5, 1e3]))}
+            "seed": draw(st.integers(0, 2**31))}
+
+
+def assert_same_grid(got, want) -> None:
+    """Equal grids, to the last bit of every score."""
+    assert (got.models, got.seeds) == (want.models, want.seeds)
+    assert got.rmse.tobytes() == want.rmse.tobytes()
+    assert got.mae.tobytes() == want.mae.tobytes()
+    assert dict(got.errors) == dict(want.errors)
+
+
+def assert_shared_split_matches(X: DesignMatrix, responses, n_runs: int, seed: int):
+    """The harness on all of ``responses`` against one call per response:
+    each response's columns equal, bit for bit, and the error, if any, is
+    the first erring response's. Returns each response's own grid and
+    error, by name."""
+    got, got_error = outcome(run_predictor_experiments, X, responses, n_runs, seed)
+    alone = {name: outcome(run_predictor_experiments, X, {name: pair}, n_runs, seed)
+             for name, pair in responses.items()}
+    assert got_error == next((error for _, error in alone.values() if error is not None),
+                             None)
+    if got is not None:
+        assert got.models == tuple(f"{model}_{name}" for name in responses
+                                   for model in PREDICTOR_MODELS)
+        for name, (grid, _) in alone.items():
+            names = {f"{model}_{name}": f"{model}_{name}" for model in PREDICTOR_MODELS}
+            assert_same_grid(got.select(names), grid)
+    return alone
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(experiments())
 def test_chunked_harness_matches_per_run_reference(case):
-    args = (case["X"], case["t"], case["n_runs"], case["seed"])
-    kwargs = {"static_value": case["static_value"]}
+    X, responses, n_runs, seed = case["X"], case["responses"], case["n_runs"], case["seed"]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(metrics, "PREDICTOR_CELLS", case["cells"])
-        got, got_error = outcome(run_predictor_experiments, *args, **kwargs)
-    want, want_error = reference(*args, **kwargs)
-    assert_errors_agree(got_error, want_error, case["t"])
-    if want is not None:
-        assert_reports_agree(got, want, case["X"], case["t"])
+        alone = assert_shared_split_matches(X, responses, n_runs, seed)
+    for name, (t, static_value) in responses.items():
+        got, got_error = alone[name]
+        want, want_error = reference(X, t, n_runs, seed, static_value=static_value)
+        assert_errors_agree(got_error, want_error, t, name)
+        if want is not None:
+            assert_reports_agree(columns(got, name), want, X, t)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -229,17 +300,57 @@ def test_each_design_kind_matches_reference(kind, monkeypatch):
     # the 21 runs cross a batch and several pass boundaries.
     monkeypatch.setattr(metrics, "PREDICTOR_CELLS", 140)
     X, t = build_design(kind, 97, 6, np.random.default_rng(7))
-    got, got_error = outcome(run_predictor_experiments, X, t, 21, 3, static_value=1.0)
+    got, got_error = outcome(one_response, X, t, 21, 3, static_value=1.0)
     want, want_error = reference(X, t, 21, 3, static_value=1.0)
     assert_errors_agree(got_error, want_error, t)
     if kind == "huge_responses":
-        assert got_error.startswith("run 0, model 'baseline_mean': scores overflow")
+        assert got_error.startswith("t response: run 0, model 'baseline_mean': scores overflow")
         return
     assert_reports_agree(got, want, X, t)
     if kind == "huge_rows":
         assert {r.error for r in grid_rows(got) if r.model == MRA_MODEL} == {
             "least-squares fit overflows: the weights or the training error are not finite"}
         assert {r.error for r in grid_rows(got) if r.model == BRR_MODEL} == {BRR_OVERFLOW}
+
+
+def test_shared_split_refits_each_response_on_a_collinear_design(monkeypatch):
+    """On a collinear design every least-squares fit is refitted from its
+    rows, once per response; an overflowing response fails the call with
+    its own error, and each other response keeps its one-response bits in
+    every fit batch and gather pass."""
+    monkeypatch.setattr(metrics, "PREDICTOR_CELLS", 3 * 8)  # 8 held-out rows of width 6
+    rng = np.random.default_rng(21)
+    X, t = build_design("collinear", 80, 5, rng)
+    u, huge = extra_response(X, rng, 0.3, False), extra_response(X, rng, 0.3, True)
+    calls = []
+    original = metrics.fit_mra
+
+    def counting(X, t):
+        calls.append(X.n)
+        return original(X, t)
+
+    monkeypatch.setattr(metrics, "fit_mra", counting)
+    grid = run_predictor_experiments(X, {"t": (t, 1.0), "u": (u, 2.0)}, 23, 6)
+    assert len(calls) == 2 * 23 and not grid.errors
+    alone = assert_shared_split_matches(
+        X, {"t": (t, 1.0), "huge": (huge, 0.0), "u": (u, 2.0)}, 23, 6)
+    assert alone["huge"][1].startswith("huge response: run 0, model 'baseline_mean': "
+                                       "scores overflow (rmse=inf")
+    for name, response, static_value in (("t", t, 1.0), ("u", u, 2.0)):
+        want, _ = reference(X, response, 23, 6, static_value=static_value)
+        assert_reports_agree(columns(grid, name), want, X, response)
+
+
+def test_the_first_overflowing_response_is_named():
+    """Two responses whose scores overflow from run 0: the error names the
+    first in the mapping's order, not in name order."""
+    rng = np.random.default_rng(22)
+    X, _ = build_design("well", 60, 3, rng)
+    b, a = (extra_response(X, rng, 0.3, True) for _ in range(2))
+    _, error = outcome(run_predictor_experiments, X, {"b": (b, 1.0), "a": (a, 1.0)}, 4, 2)
+    _, alone = outcome(run_predictor_experiments, X, {"b": (b, 1.0)}, 4, 2)
+    assert error == alone
+    assert error.startswith("b response: run 0, model 'baseline_mean': scores overflow")
 
 
 def training_statistics(rows: np.ndarray, t: np.ndarray):
@@ -297,7 +408,7 @@ def test_explicit_least_squares_only_where_the_gram_path_is_refused(kind, explic
 
     monkeypatch.setattr(metrics, "fit_mra", counting)
     X, t = build_design(kind, 80, 5, np.random.default_rng(4))
-    reports = run_predictor_experiments(X, t, 23, 6, static_value=1.0)
+    reports = one_response(X, t, 23, 6, static_value=1.0)
     assert len(calls) == explicit_fits
     assert not reports.errors
 
@@ -332,7 +443,7 @@ def test_rows_are_masked_only_for_untrusted_refits(design, refits, monkeypatch):
     else:
         X, t = build_design(design, 80, 5, np.random.default_rng(4))
         n_runs = 23
-    run_predictor_experiments(X, t, n_runs, 6, static_value=1.0)
+    one_response(X, t, n_runs, 6, static_value=1.0)
     assert len(masks) == sum(untrusted) == refits
 
 
@@ -344,17 +455,18 @@ def test_an_overflowing_sum_takes_the_mean_of_the_training_rows():
     responses = t.t.copy()
     responses[[3, 10]] = 1.5e308
     t = ResponseVector(responses)
-    got, got_error = outcome(run_predictor_experiments, X, t, 4, 2, static_value=1.0)
+    got, got_error = outcome(one_response, X, t, 4, 2, static_value=1.0)
     want, want_error = reference(X, t, 4, 2, static_value=1.0)
-    assert got is None and got_error == want_error
-    assert got_error.startswith("run 0, model 'baseline_mean': scores overflow (rmse=inf, mae=")
+    assert got is None and got_error == f"t response: {want_error}"
+    assert got_error.startswith("t response: run 0, model 'baseline_mean': scores overflow "
+                                "(rmse=inf, mae=")
     assert not got_error.endswith("mae=inf)")
 
 
 def test_mean_baseline_is_within_its_bound_on_an_emulated_design():
     """4,305 rows, so every sum is pairwise over several levels."""
     X, t = emulated_design()
-    got = run_predictor_experiments(X, t, 30, 7, static_value=2.5)
+    got = one_response(X, t, 30, 7, static_value=2.5)
     want, _ = reference(X, t, 30, 7, static_value=2.5)
     assert_reports_agree(got, want, X, t)
 
@@ -373,7 +485,7 @@ def test_runs_are_fitted_in_batches_of_the_cell_budget(monkeypatch):
     X, t = build_design("well", 4300, 4, np.random.default_rng(5))
     size = max(1, PREDICTOR_CELLS // held_out_rows(X.n))
     assert size == 152
-    run_predictor_experiments(X, t, 2 * size + 1, 9, static_value=1.0)
+    one_response(X, t, 2 * size + 1, 9, static_value=1.0)
     assert shapes == [(size, 4, 4)] * 2 + [(1, 4, 4)]
 
 
@@ -384,7 +496,7 @@ def test_a_question_peaks_under_three_mib_traced():
     X, t = emulated_design()
     tracemalloc.start()
     try:
-        run_predictor_experiments(X, t, 400, 5, static_value=3.0)
+        one_response(X, t, 400, 5, static_value=3.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -404,7 +516,7 @@ def test_reports_are_bit_identical_for_every_cell_budget(design, monkeypatch):
     results = []
     for cells in budgets:
         monkeypatch.setattr(metrics, "PREDICTOR_CELLS", cells)
-        results.append(grid_rows(run_predictor_experiments(X, t, n_runs, 4, static_value=2.0)))
+        results.append(grid_rows(one_response(X, t, n_runs, 4, static_value=2.0)))
     assert all(rows == results[0] for rows in results[1:])
     assert all(r.error is None for r in results[0]) == (design != "huge_rows")
 
