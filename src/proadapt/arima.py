@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .types import TimeSeries, check_array, check_integer, check_real, integer_array
+from .types import TimeSeries, check_array, check_real, check_size, integer_array
 
 __all__ = [
     "ArimaModel",
@@ -104,7 +104,7 @@ def acf(series: TimeSeries, max_lag: int) -> list[float]:
     Uses the standard biased estimator: mean-centred lag-k covariance over
     the lag-0 covariance. Each value lies in [-1, 1].
     """
-    check_integer("max_lag", max_lag, 1)
+    check_size("max_lag", max_lag)
     x = series.values
     n = x.size
     if n < max_lag + 2:
@@ -247,7 +247,7 @@ def fit_arima_windows(series: TimeSeries, window: int | Sequence[int], starts: S
     ``WINDOW_CELLS`` differences at a time, each gather padded to its
     longest window, and every fit is bit for bit the fit of its window
     alone. ``starts`` follow ``types.integer_array`` with least value 0.
-    ``window`` follows ``types.check_integer`` with least value 1, and
+    ``window`` follows ``types.check_size``, and
     raises ``ValueError`` when longer than ``series``, with or without
     starts; per-start lengths follow ``types.integer_array`` with least
     value 1 and must be as many as the starts. A window that does not lie
@@ -256,7 +256,7 @@ def fit_arima_windows(series: TimeSeries, window: int | Sequence[int], starts: S
     n = len(series)
     starts = integer_array("starts", starts, 0)
     if np.ndim(window) == 0:
-        check_integer("window", window, 1)
+        check_size("window", window)
         if window > n:
             raise _window_error(n, window)
         lengths = np.full(starts.size, window, dtype=np.intp)
@@ -338,11 +338,11 @@ def forecast_paths(last: Sequence[float], previous: Sequence[float],
     difference, and each step adds z_hat onto the running last value.
     Returns the (horizon, n) paths, column i model i's, and each path's
     first 1-based step that is not finite, or 0 (not a raise). ``horizon``
-    follows ``types.check_integer`` with least value 1, and ``last``,
+    follows ``types.check_size``, and ``last``,
     ``previous``, ``phi`` and ``c`` follow ``types.check_array`` and must
     have one length.
     """
-    check_integer("horizon", horizon, 1)
+    check_size("horizon", horizon)
     last, previous, phi, c = (check_array(name, a) for name, a in
                               (("last", last), ("previous", previous), ("phi", phi), ("c", c)))
     if not last.size == previous.size == phi.size == c.size:

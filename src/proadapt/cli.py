@@ -63,11 +63,12 @@ def _check_trace_flags(args: argparse.Namespace) -> None:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    from .emulator import Phase, generate_trace, write_trace_csv
+    from .emulator import Phase, generate_trace, trace_csv_text
 
     _check_trace_flags(args)
     trace = generate_trace(args.minutes, args.seed)
-    write_trace_csv(trace, args.out)
+    out = Path(args.out).resolve()  # the file a symlink names, not the link
+    _write_report_set(out.parent, {out.name: trace_csv_text(trace)})
     downloads = int(np.count_nonzero(trace.phase_is(Phase.DOWNLOAD)))
     print(f"{len(trace)} records ({downloads} downloads) written to {args.out}")
     return 0
@@ -102,11 +103,14 @@ def __getattr__(name: str):
 
 
 def _write_report_set(out_dir: Path, texts: dict[str, str]) -> None:
-    """Write each text of ``texts`` to the file of its name in ``out_dir``,
-    all or none: every text goes to a temporary file in ``out_dir`` first,
-    and the files are replaced only once all of them are written and no
-    target is a directory. The temporaries never outlive the call."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Write each text of ``texts`` to the file of its name in the existing
+    directory ``out_dir``, all or none: every text goes to a temporary file
+    in ``out_dir`` first, and the files are replaced only once all of them
+    are written and every target that exists is a regular file (a
+    directory, a device or a pipe would be replaced, not written). The
+    temporaries never outlive the call."""
+    if not out_dir.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(out_dir))
     temporaries = []
     try:
         for name, text in texts.items():
@@ -115,9 +119,11 @@ def _write_report_set(out_dir: Path, texts: dict[str, str]) -> None:
                 temporaries.append(temporary)
                 handle.write(text)
         for name in texts:
-            if (out_dir / name).is_dir():
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
-                                        str(out_dir / name))
+            target = out_dir / name
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+            if target.exists() and not target.is_file():
+                raise OSError(f"{target} is not a regular file")
         for temporary, name in zip(temporaries, texts):
             os.replace(temporary, out_dir / name)
     finally:
@@ -178,7 +184,9 @@ def cmd_replicate(args: argparse.Namespace) -> int:
         rq1_lines += [f"{i},{tactic.name},{c:.17g}" for i, c in enumerate(costs)]
     rq3 = [response(name, (MRA_MODEL, BRR_MODEL), f"_{name}") for name in ("latency", "cost")]
     rq4 = response("latency", (MRA_MODEL, MEAN_BASELINE, STATIC_BASELINE))
-    _write_report_set(Path(args.out_dir), {
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_report_set(out_dir, {
         "rq1.csv": "\n".join(rq1_lines) + "\n",
         "rq2.csv": reports_to_csv_text(forecast_reports),
         "rq3.csv": reports_to_csv_text(*rq3),

@@ -42,7 +42,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .regression import DesignMatrix, ResponseVector
-from .types import TimeSeries, check_integer, check_real, subseeds
+from .types import TimeSeries, check_integer, check_real, check_size, subseeds
 
 __all__ = [
     "Mirror",
@@ -240,7 +240,7 @@ _DIURNAL = np.array([1.0 + 0.3 * math.cos(2.0 * math.pi * (hour - 20) / 24.0)
 def generate_trace(duration_minutes: int, seed: int) -> Trace:
     """Emulate ``duration_minutes`` of operation: one download per mirror
     per minute plus an interleaved idle reading, deterministic per seed."""
-    check_integer("duration_minutes", duration_minutes, 1)
+    check_size("duration_minutes", duration_minutes)
     check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     normal, uniform, exponential = rng.standard_normal, rng.random, rng.exponential
@@ -298,7 +298,7 @@ def sample_latency(profile: TacticProfile, seed: int, n: int) -> np.ndarray:
     Gaussian draws are truncated at zero by resampling (negligible at the
     default profiles); skewed draws are lognormal with mean matched exactly.
     """
-    check_integer("n", n, 1)
+    check_size("n", n)
     check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     if profile.shape is LatencyShape.NORMAL:
@@ -321,7 +321,7 @@ def run_cost_impact_simulation(a: TacticProfile, b: TacticProfile, n_runs: int,
     overall cost = sampled latency * cost per unit latency. Returns the
     pair ``(costs_a, costs_b)``, ``n_runs`` overall costs per tactic.
     """
-    check_integer("n_runs", n_runs, 1)
+    check_size("n_runs", n_runs)
     check_integer("seed", seed, 0)
     seed_a, seed_b = subseeds(seed, [0, 1])
     return (sample_latency(a, seed_a, n_runs) * a.cost_per_unit_latency,

@@ -20,14 +20,15 @@ set, run by run, to the states ``types.generator_states`` derives for all
 runs in one more array pass.
 Each harness call returns one ``Reports`` grid: read-only (runs, models)
 rmse and mae arrays, with the message of each failed run and model in
-``errors`` and NaN in its cell, so a failure does not abort the batch; a
-score that overflows raises ``ValueError`` naming the run and model (and
-the response), once every pass is scored.
+``errors``, so a failure does not abort the batch. Only the grid's
+constructor applies the failed-cell rule: it writes NaN at the errors,
+and a scored cell that is not finite raises ``ValueError`` naming the
+first such run and column, once every pass is scored.
 
 Forecast runs keep one seeded split per run. A pass fits the one window
 before each of its distinct split starts in one ``fit_arima_windows``
 call, a window length per start; the rest is array passes over up to
-``FORECAST_CELLS`` forecast values. The held-out windows are gathered as
+``PASS_CELLS`` forecast values. The held-out windows are gathered as
 one (runs, test length) array and every run's forecast comes from
 ``arima.forecast_paths``.
 
@@ -35,9 +36,10 @@ Both harnesses score through ``_reports``: a pass's residuals form one
 contiguous (models, runs, n) array, and each rmse and mae is a row
 reduction of it, the score a per-run harness computes with ``rmse`` and
 ``mae``, bit for bit. The passes' rows are stacked into the grid, whose
-constructor checks every cell at once. ``Reports.select`` keeps and renames
-columns, ``summarize`` reduces columns and counts wins from masks, and
-``reports_to_csv_text`` writes the scored cells.
+constructor writes NaN at the errors and checks every other cell at once.
+``Reports.select`` keeps and renames columns, ``summarize`` reduces
+columns and counts wins from masks, and ``reports_to_csv_text`` writes
+the scored cells.
 
 Predictor runs draw one split per run for all of their responses, so each
 run's scores of the responses are paired (common random numbers: Law &
@@ -53,7 +55,7 @@ run builds a training mask for it; a run whose difference is not finite
 takes the mean of its training rows instead. Its last bits can differ from
 that mean's, within the pairwise-summation error bound of both sums
 (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4). One
-``PREDICTOR_CELLS`` budget sets two sizes: a fit batch holds at most that
+``PASS_CELLS`` budget sets two sizes: a fit batch holds at most that
 many held-out row indices, and a gather pass at most that many gathered
 values (runs x n_test x (M + 1)). Each fit batch draws its runs' splits and
 downdates their statistics one gather pass at a time: a pass gathers
@@ -92,8 +94,8 @@ import numpy as np
 from .arima import fit_arima_windows, forecast_error, forecast_paths
 from .regression import (DesignMatrix, ResponseVector, fit_bayesian_ridge, fit_gram_batch,
                          fit_mra)
-from .types import (TimeSeries, check_integer, check_real, generator_states, real_array,
-                    subseeds)
+from .types import (TimeSeries, check_integer, check_real, check_size, generator_states,
+                    real_array, subseeds)
 
 __all__ = [
     "Cell",
@@ -119,8 +121,7 @@ BRR_MODEL = "brr"
 MEAN_BASELINE = "baseline_mean"
 STATIC_BASELINE = "baseline_static"
 PREDICTOR_MODELS = (MEAN_BASELINE, STATIC_BASELINE, MRA_MODEL, BRR_MODEL)
-PREDICTOR_CELLS = 1 << 16  # held-out indices per fit batch, gathered values per pass
-FORECAST_CELLS = 1 << 16  # forecast values (runs x test length) per forecast pass
+PASS_CELLS = 1 << 16  # forecast values, held-out indices or gathered values per pass
 
 
 def _paired(predicted: Sequence[float], actual: Sequence[float]) -> np.ndarray:
@@ -171,9 +172,11 @@ class Reports:
     ``models`` names the columns in their within-run order and ``seeds``
     holds each run's seed. ``rmse`` and ``mae`` are read-only float arrays of
     shape (runs, models), NaN exactly at the cells that ``errors`` maps
-    (model, run) to the message of their failure; every other cell is
-    finite with rmse >= mae >= 0. Iterating a grid yields one ``Cell`` per
-    cell, in run order and, within a run, in ``models`` order.
+    (model, run) to the message of their failure, whatever scores were
+    given there; every other cell must be finite (else ``ValueError`` names
+    the first that is not, in run-then-column order) with rmse >= mae >= 0.
+    Iterating a grid yields one ``Cell`` per cell, in run order and, within
+    a run, in ``models`` order.
     """
 
     models: tuple[str, ...]
@@ -197,11 +200,13 @@ class Reports:
             if model not in column or not 0 <= run < len(seeds):
                 raise ValueError(f"error of model {model!r} on run {run} is outside the grid")
             failed[run, column[model]] = True
-        if not np.isnan(rmse[failed]).all() or not np.isnan(mae[failed]).all():
-            raise ValueError("an errored cell must have NaN scores")
+        rmse[failed] = mae[failed] = np.nan
+        overflow = np.argwhere(~failed & ~(np.isfinite(rmse) & np.isfinite(mae)))
+        if overflow.size:
+            i, k = overflow[0].tolist()
+            raise ValueError(f"run {i}, model {models[k]!r}: scores overflow "
+                             f"(rmse={float(rmse[i, k])!r}, mae={float(mae[i, k])!r})")
         scored_rmse, scored_mae = rmse[~failed], mae[~failed]
-        if not (np.isfinite(scored_rmse).all() and np.isfinite(scored_mae).all()):
-            raise ValueError("scores must be finite")
         if (scored_mae < 0).any() or (
                 scored_rmse < scored_mae - 1e-12 * np.maximum(1.0, scored_mae)).any():
             raise ValueError("expected rmse >= mae >= 0")
@@ -238,33 +243,16 @@ def _run_generators(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
         yield rng
 
 
-def _reports(runs: range, models: Sequence[str], residuals: np.ndarray,
-             errors: Mapping[tuple[str, int], str]
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (runs, models) rmse and mae rows of ``runs``, scored from (and
-    overwriting) their contiguous (models, runs, n) ``residuals``, and the
-    mask of their cells whose scores overflowed; a cell that ``errors``
-    maps (model, run) is NaN. Each score reduces one contiguous row, so it
-    sums exactly as ``rmse``/``mae`` on that run alone."""
+def _reports(residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (runs, models) rmse and mae rows of a pass, scored from (and
+    overwriting) its contiguous (models, runs, n) ``residuals``. Each score
+    reduces one contiguous row, so it sums exactly as ``rmse``/``mae`` on
+    that run alone."""
     with np.errstate(over="ignore", invalid="ignore"):
         # In place, since |e|^2 == e^2 bit for bit.
         maes = np.mean(np.abs(residuals, out=residuals), axis=-1).T
         rmses = np.sqrt(np.mean(np.square(residuals, out=residuals), axis=-1)).T
-    failed = np.zeros(rmses.shape, dtype=bool)
-    for model, run in errors:
-        if run in runs:
-            failed[run - runs.start, models.index(model)] = True
-    maes[failed] = rmses[failed] = np.nan
-    return rmses, maes, ~failed & ~(np.isfinite(rmses) & np.isfinite(maes))
-
-
-def _overflow(models: Sequence[str], rmse: np.ndarray, mae: np.ndarray,
-              overflow: np.ndarray) -> str:
-    """The message naming the first run of a (runs, models) grid whose
-    scores overflowed and, within it, the first such model."""
-    i, k = np.argwhere(overflow)[0].tolist()
-    return (f"run {i}, model {models[k]!r}: scores overflow "
-            f"(rmse={float(rmse[i, k])!r}, mae={float(mae[i, k])!r})")
+    return rmses, maes
 
 
 def _test_length(n: int) -> int:
@@ -286,38 +274,35 @@ def run_forecast_experiments(series: TimeSeries, n_runs: int, seed: int) -> Repo
     it (later points are discarded, so no future observation leaks into the
     fit), forecasts the whole window, and scores both forecasters against
     it. Failures are recorded per run and model. Runs go through the
-    forecast and the scores ``FORECAST_CELLS`` forecast values at a time.
+    forecast and the scores ``PASS_CELLS`` forecast values at a time.
     """
-    check_integer("n_runs", n_runs, 1)
+    check_size("n_runs", n_runs)
     check_integer("seed", seed, 0)
     seeds = subseeds(seed, np.arange(n_runs))
     models = (PERSISTENCE_MODEL, FORECAST_MODEL)
     try:
         test_len = _test_length(len(series))
     except ValueError as exc:
-        failed = np.full((n_runs, len(models)), np.nan)
-        return Reports(models, seeds, failed, failed,
+        unscored = np.zeros((n_runs, len(models)))
+        return Reports(models, seeds, unscored, unscored,
                        {(model, run): str(exc) for run in range(n_runs) for model in models})
     last_start = len(series) - test_len
     starts = [int(rng.integers(MIN_TRAIN_POINTS, last_start + 1))
               for rng in _run_generators(seeds)]
-    size = max(1, FORECAST_CELLS // test_len)
+    size = max(1, PASS_CELLS // test_len)
     errors: dict[tuple[str, int], str] = {}
     rows = [_forecast_pass(series, starts[lo:lo + size], range(lo, min(lo + size, n_runs)),
                            test_len, errors)
             for lo in range(0, n_runs, size)]
-    rmse, mae, overflow = (np.concatenate(part) for part in zip(*rows))
-    if overflow.any():
-        raise ValueError(_overflow(models, rmse, mae, overflow))
+    rmse, mae = (np.concatenate(part) for part in zip(*rows))
     return Reports(models, seeds, rmse, mae, errors)
 
 
 def _forecast_pass(series: TimeSeries, starts: Sequence[int], runs: range, test_len: int,
-                   errors: dict[tuple[str, int], str]
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rmse, mae and overflow rows of the forecast ``runs``, whose test
-    windows begin at ``starts``, persistence before arima; adds the runs'
-    failures to ``errors``."""
+                   errors: dict[tuple[str, int], str]) -> tuple[np.ndarray, np.ndarray]:
+    """The rmse and mae rows of the forecast ``runs``, whose test windows
+    begin at ``starts``, persistence before arima; adds the runs' failures
+    to ``errors``."""
     first = np.array(starts)
     # One fit per distinct start, of the one window before it, all in one call.
     distinct, fit = np.unique(first, return_inverse=True)
@@ -337,7 +322,7 @@ def _forecast_pass(series: TimeSeries, starts: Sequence[int], runs: range, test_
     with np.errstate(over="ignore", invalid="ignore"):
         np.subtract(last[:, None], actual, out=residuals[0])
         np.subtract(predicted.T, actual, out=residuals[1])
-    return _reports(runs, (PERSISTENCE_MODEL, FORECAST_MODEL), residuals, errors)
+    return _reports(residuals)
 
 
 def run_predictor_experiments(X: DesignMatrix,
@@ -354,12 +339,12 @@ def run_predictor_experiments(X: DesignMatrix,
     response after another, in ``responses`` order, and the models in
     ``PREDICTOR_MODELS`` order within each. A response's columns are, bit
     for bit, those a one-entry mapping of it gives under the same seed. A
-    score that overflows raises ``ValueError`` naming the first response
-    whose scores overflow, then its first such run and model. Runs are
-    fitted from downdated statistics in batches of up to
-    ``PREDICTOR_CELLS`` held-out rows (see the module docstring).
+    score that overflows raises the grid's ``ValueError``, naming the
+    first such run and, on it, column. Runs are fitted from downdated
+    statistics in batches of up to ``PASS_CELLS`` held-out rows (see the
+    module docstring).
     """
-    check_integer("n_runs", n_runs, 1)
+    check_size("n_runs", n_runs)
     check_integer("seed", seed, 0)
     if not isinstance(responses, Mapping) or not responses:
         raise ValueError("responses must map at least one name to (t, static_value)")
@@ -389,21 +374,15 @@ def run_predictor_experiments(X: DesignMatrix,
     n_test = max(1, int(round((1.0 - TRAIN_FRACTION) * X.n)))
     # Each run's held-out rows, drawn as the batches reach the run.
     draws = (rng.choice(X.n, n_test, replace=False) for rng in _run_generators(seeds))
-    size = max(1, PREDICTOR_CELLS // n_test)
+    size = max(1, PASS_CELLS // n_test)
     columns = tuple(f"{model}_{name}" for name in names for model in PREDICTOR_MODELS)
     errors: dict[tuple[str, int], str] = {}
-    rows: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    rows: list[tuple[np.ndarray, np.ndarray]] = []
     for start in range(0, n_runs, size):
         runs = range(start, min(start + size, n_runs))
         rows += _predictor_batch(X, ts, statics, augmented, totals, runs, draws, n_test,
                                  columns, errors)
-    rmse, mae, overflow = (np.concatenate(part) for part in zip(*rows))
-    per_response = len(PREDICTOR_MODELS)
-    for r, name in enumerate(names):
-        cells = slice(r * per_response, (r + 1) * per_response)
-        if overflow[:, cells].any():
-            raise ValueError(f"{name} response: " + _overflow(
-                PREDICTOR_MODELS, rmse[:, cells], mae[:, cells], overflow[:, cells]))
+    rmse, mae = (np.concatenate(part) for part in zip(*rows))
     return Reports(columns, seeds, rmse, mae, errors)
 
 
@@ -419,15 +398,15 @@ def _predictor_batch(X: DesignMatrix, ts: Sequence[np.ndarray], statics: Sequenc
                      augmented: np.ndarray, totals: np.ndarray, runs: range,
                      draws: Iterator[np.ndarray], n_test: int, columns: Sequence[str],
                      errors: dict[tuple[str, int], str]
-                     ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The rmse, mae and overflow rows of a fit batch of predictor runs, one
-    triple per gather pass, in ``columns`` order. ``ts`` and ``statics``
-    hold each response's values and static value, ``totals`` its (M + 1)
-    square statistics, and ``augmented`` is [X | the first response];
-    ``draws`` yields the held-out rows of each of ``runs`` in turn. Adds
-    the runs' failures to ``errors``."""
+                     ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The rmse and mae rows of a fit batch of predictor runs, one pair per
+    gather pass, in ``columns`` order. ``ts`` and ``statics`` hold each
+    response's values and static value, ``totals`` its (M + 1) square
+    statistics, and ``augmented`` is [X | the first response]; ``draws``
+    yields the held-out rows of each of ``runs`` in turn. Adds the runs'
+    failures to ``errors``."""
     width = X.m + 1
-    step = max(1, PREDICTOR_CELLS // (n_test * width))
+    step = max(1, PASS_CELLS // (n_test * width))
     passes = [slice(lo, min(lo + step, len(runs))) for lo in range(0, len(runs), step)]
     test_idx = np.empty((len(runs), n_test), dtype=np.intp)
     stats = np.empty((len(ts), len(runs), width, width))
@@ -488,8 +467,7 @@ def _predictor_batch(X: DesignMatrix, ts: Sequence[np.ndarray], statics: Sequenc
                 np.subtract(means[r, span, None], actual, out=residuals[r, 0])
                 np.subtract(statics[r], actual, out=residuals[r, 1])
                 np.subtract(predicted[r], actual, out=predicted[r])
-        rows.append(_reports(runs[span], columns,
-                             residuals.reshape((-1,) + held_out.shape[:2]), errors))
+        rows.append(_reports(residuals.reshape((-1,) + held_out.shape[:2])))
     return rows
 
 

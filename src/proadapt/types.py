@@ -10,12 +10,12 @@ same hash to the PCG64 state that ``np.random.default_rng(run_seed)``
 starts in, for all run seeds at once, so a harness can draw each run's
 numbers from one reused generator set to its state.
 
-``check_integer`` (and ``integer_array``, its rule entry by entry),
-``check_real`` (finite, optionally bounded below) and ``check_array``
-(finite integer or real float entries in a stated number of axes;
-``real_array`` lets non-finite ones pass) are the only code that writes
-the rule for an integer, real or array argument, and each error they
-raise starts with the argument's name.
+``check_integer`` (with ``check_size``, its rule for a size, and
+``integer_array``, its rule entry by entry), ``check_real`` (finite,
+optionally bounded below) and ``check_array`` (finite integer or real
+float entries in a stated number of axes; ``real_array`` lets non-finite
+ones pass) are the only code that writes the rule for an integer, real or
+array argument, and each error they raise starts with the argument's name.
 
 All types are immutable value objects after construction and safe to share
 between threads.
@@ -41,6 +41,7 @@ __all__ = [
     "subseeds",
     "generator_states",
     "check_integer",
+    "check_size",
     "check_real",
     "integer_array",
     "real_array",
@@ -261,6 +262,15 @@ def check_integer(name: str, value: object, least: int) -> None:
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}")
+
+
+def check_size(name: str, value: object) -> None:
+    """``check_integer``'s rule with least value 1 for a size, which must
+    also be below 2**63, as an ``integer_array`` entry (else ``ValueError``
+    naming the argument ``name``)."""
+    check_integer(name, value, 1)
+    if value >= 2**63:
+        raise ValueError(f"{name} must be < 2**63")
 
 
 def check_real(name: str, value: object, least: float | None = None,

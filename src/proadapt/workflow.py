@@ -30,7 +30,7 @@ import numpy as np
 
 from .arima import fit_arima, forecast_error, forecast_paths
 from .types import (Direction, SlaSpec, TimeSeries, UtilityParams, check_array,
-                    check_integer, check_real, order_specs_by_reward, utility)
+                    check_real, check_size, order_specs_by_reward, utility)
 
 if TYPE_CHECKING:  # regression loads only when tactics are priced
     from .regression import RegressionModel
@@ -140,7 +140,7 @@ class WorkflowConfig:
     tick_seconds: float = 6.0
 
     def __post_init__(self) -> None:
-        check_integer("horizon", self.horizon, 1)
+        check_size("horizon", self.horizon)
         check_real("risk_margin", self.risk_margin, 0)
         if self.risk_margin >= 1:
             raise ValueError("risk_margin must lie in [0, 1)")

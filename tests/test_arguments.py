@@ -2,15 +2,17 @@
 
 Every integer argument rejects a bool and a float with ``TypeError`` and a
 value below its least value with ``ValueError``, for tabled and for drawn
-values (bools, non-integral reals, values below the bound, and values
-beyond 64 bits, which a seed accepts); so does each entry of a per-entry
-integer argument (``types.integer_array``). Every real argument
-(``types.check_real``) rejects a bool, a string and a complex number with
-``TypeError``, and NaN, the infinities and a value below its bound with
-``ValueError``. Every array argument (``types.check_array``) rejects bool,
-complex and string entries, a non-finite entry and a wrong number of axes
-with ``ValueError``, and so does every sequence argument of the public
-functions. Each message starts with the argument's name.
+values (bools, non-integral reals and values below the bound); so does
+each entry of a per-entry integer argument (``types.integer_array``). A
+drawn value beyond 64 bits is a valid seed, and every other integer
+argument rejects it with ``ValueError``: ``<name> must be < 2**63``.
+Every real argument (``types.check_real``) rejects a bool, a string and a
+complex number with ``TypeError``, and NaN, the infinities and a value
+below its bound with ``ValueError``. Every array argument
+(``types.check_array``) rejects bool, complex and string entries, a
+non-finite entry and a wrong number of axes with ``ValueError``, and so
+does every sequence argument of the public functions. Each message starts
+with the argument's name.
 
 The real fields are found, not listed: each public dataclass that
 validates itself has one valid instance in ``VALID``, and every field of
@@ -120,14 +122,14 @@ def test_drawn_integer_arguments_follow_one_rule(name, least, call, data):
     elif kind == "below":
         with pytest.raises(ValueError) as raised:
             call(data.draw(st.integers(max_value=least - 1)))
-    else:
-        # A seed of any size is valid, and NumPy refuses a size beyond 64
-        # bits with a ValueError of its own; no other exception may escape.
-        try:
-            call(data.draw(st.integers(2**64, 2**200)))
-        except (TypeError, ValueError):
-            pass
+    elif name == "seed":
+        # A seed of any size is valid.
+        call(data.draw(st.integers(2**64, 2**200)))
         return
+    else:
+        with pytest.raises(ValueError) as raised:
+            call(data.draw(st.integers(2**64, 2**200)))
+        assert str(raised.value) == f"{name} must be < 2**63"
     assert str(raised.value).startswith(f"{name} must ")
 
 

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import struct
 import subprocess
 import sys
@@ -16,9 +18,9 @@ from limited_child import run_limited
 from monitor_oracle import reference_tick, tick_entry_to_dict
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     return subprocess.run([sys.executable, "-m", "proadapt.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, timeout=timeout)
 
 
 def write_ramp_fixture(tmp_path, start=0.30, step=0.004, n=160):
@@ -63,6 +65,49 @@ class TestGenerate:
         assert run_main(capsys, "generate", "--seed", "-1", "--out", str(out)) == (
             1, "", "error: --seed must be >= 0, got -1\n")
         assert not out.exists()
+
+    def test_a_failed_write_leaves_the_earlier_file(self, tmp_path):
+        # The new trace (about 290 kB) passes the child's 64 KiB file-size
+        # limit, so its write fails: the earlier trace stays byte for byte.
+        out = tmp_path / "trace.csv"
+        write_trace_csv(generate_trace(5, 1), out)
+        earlier = out.read_bytes()
+        result = run_limited("-m", "proadapt.cli", "generate", "--minutes", "1440",
+                             "--out", str(out), file_size=1 << 16)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stdout == ""
+        assert out.read_bytes() == earlier
+        assert list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize("target", ["missing directory", "fifo"])
+    def test_an_out_that_cannot_be_replaced_exits_2(self, tmp_path, target):
+        # The trace would be written in place of the fifo, not into it
+        # (and a write into it would wait for a reader, hence the timeout).
+        out = tmp_path / "missing" / "trace.csv"
+        if target == "fifo":
+            out = tmp_path / "trace.csv"
+            os.mkfifo(out)
+        before = sorted(tmp_path.iterdir())
+        result = run_cli("generate", "--minutes", "5", "--out", str(out), timeout=60)
+        assert result.returncode == 2
+        assert result.stderr == {
+            "missing directory": f"error: [Errno 2] No such file or directory: "
+                                 f"'{out.parent}'\n",
+            "fifo": f"error: {out} is not a regular file\n"}[target]
+        assert result.stdout == ""
+        assert sorted(tmp_path.iterdir()) == before
+        assert target != "fifo" or stat.S_ISFIFO(out.stat().st_mode)
+
+    def test_a_symlinked_out_is_written_through(self, tmp_path):
+        trace, link = tmp_path / "trace.csv", tmp_path / "link.csv"
+        trace.write_text("old\n")
+        link.symlink_to(trace)
+        result = run_cli("generate", "--minutes", "5", "--seed", "3", "--out", str(link))
+        assert result.returncode == 0
+        assert link.is_symlink()
+        assert trace.read_text() == emulator.trace_csv_text(generate_trace(5, 3))
 
     def test_unwritable_path_exits_2(self, tmp_path):
         result = run_cli("generate", "--minutes", "5", "--out", str(tmp_path))
@@ -164,8 +209,8 @@ class TestReplicate:
         result = run_cli("replicate", "--trace", str(trace), "--runs", "3",
                          "--out-dir", str(out_dir))
         assert result.returncode == 1
-        assert result.stderr.startswith("error: cost response: run 0, model "
-                                        "'baseline_mean': scores overflow (rmse=inf")
+        assert result.stderr.startswith("error: run 0, model 'baseline_mean_cost': "
+                                        "scores overflow (rmse=inf")
         assert len(result.stderr.splitlines()) == 1
         assert not out_dir.exists()
 

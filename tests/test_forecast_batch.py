@@ -30,7 +30,7 @@ def forecast_series(draw):
     alternations (a non-stationary fit), climbs up to the largest float
     (overflowing fits and scores), and series too short for the test and
     training floors. Lengths up to 480 make test windows of up to 48 points,
-    so up to 40 runs straddle the drawn ``FORECAST_CELLS``."""
+    so up to 40 runs straddle the drawn ``PASS_CELLS``."""
     kind = draw(st.sampled_from(["walk", "ramp", "alternating", "constant", "huge",
                                  "short"]))
     n = draw(st.integers(1, 94)) if kind == "short" else draw(st.integers(95, 480))
@@ -73,10 +73,10 @@ def outcome(harness, *args):
 
 @settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
 @given(forecast_series(), st.integers(1, 40), st.integers(0, 2**32 - 1),
-       st.sampled_from([1, 7, 60, 500, metrics.FORECAST_CELLS]))
+       st.sampled_from([1, 7, 60, 500, metrics.PASS_CELLS]))
 def test_passes_match_the_per_run_harness(series, n_runs, seed, cells):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(metrics, "FORECAST_CELLS", cells)
+        patch.setattr(metrics, "PASS_CELLS", cells)
         got = outcome(run_forecast_experiments, series, n_runs, seed)
     want = outcome(reference_forecast_experiments, series, n_runs, seed)
     assert got == want
@@ -123,7 +123,7 @@ def test_passes_split_the_runs(monkeypatch):
 
     whole = grid_rows(run_forecast_experiments(series, 13, seed=4))
     monkeypatch.setattr(metrics, "_forecast_pass", spy)
-    monkeypatch.setattr(metrics, "FORECAST_CELLS", 50)
+    monkeypatch.setattr(metrics, "PASS_CELLS", 50)
     assert grid_rows(run_forecast_experiments(series, 13, seed=4)) == whole
     assert passes == [range(lo, min(lo + 2, 13)) for lo in range(0, 13, 2)]
 
@@ -131,7 +131,7 @@ def test_passes_split_the_runs(monkeypatch):
 def test_long_test_windows_pass_one_run_at_a_time(monkeypatch):
     rng = np.random.default_rng(9)
     series = TimeSeries(np.cumsum(rng.normal(size=3000)) + 50.0)  # windows of 300
-    monkeypatch.setattr(metrics, "FORECAST_CELLS", 100)
+    monkeypatch.setattr(metrics, "PASS_CELLS", 100)
     got = grid_rows(run_forecast_experiments(series, 4, seed=2))
     assert got == reference_forecast_experiments(series, 4, seed=2)
     assert all(r.error is None for r in got if r.model == FORECAST_MODEL)

@@ -20,7 +20,10 @@ off) or for an exact fit, whose scores are rounding noise.
 The harness scores all of its responses on one split per run. Each
 response's columns must equal, bit for bit, those of a call given that
 response alone under the same seed, and its scores must agree with the
-reference on that response as above.
+reference on that response as above. A call whose scores overflow names
+the first such cell in run-then-column order, by its column
+``<model>_<response>``: of the cells the one-response calls name, the
+lowest run's, and on that run the first response's.
 """
 
 from __future__ import annotations
@@ -36,10 +39,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from predictor_oracle import reference_predictor_experiments
 from proadapt import metrics, regression
 from proadapt.emulator import generate_trace, to_regression_dataset
-from proadapt.metrics import (BRR_MODEL, MEAN_BASELINE, MRA_MODEL, PREDICTOR_CELLS,
+from proadapt.metrics import (BRR_MODEL, MEAN_BASELINE, MRA_MODEL, PASS_CELLS,
                               PREDICTOR_MODELS, STATIC_BASELINE, run_predictor_experiments)
 from proadapt.regression import (BRR_OVERFLOW, CONDITION_LIMIT, DesignMatrix, ResponseVector,
                                  fit_bayesian_ridge, fit_gram_batch)
+from proadapt.types import subseeds
 from report_oracle import grid_rows
 
 SCORE_RTOL = 1e-9
@@ -157,17 +161,18 @@ def mean_baseline_tolerance(t: ResponseVector, score: float) -> float:
     return (1 + 1e-9) * (c * u * float(np.abs(t.t).sum()) / d + rounding)
 
 
-MEAN_OVERFLOW = re.compile(r"(.*run \d+, model 'baseline_mean': scores overflow) "
+MEAN_OVERFLOW = re.compile(r"(run \d+, model 'baseline_mean_\w+': scores overflow) "
                            r"\(rmse=(\S+), mae=(\S+)\)")
 
 
 def assert_errors_agree(got: str | None, want: str | None, t: ResponseVector,
                         name: str = "t") -> None:
-    """Equal harness errors, where the library names the overflowing
-    response ``name`` before the reference's text; a running-mean overflow
-    names its scores, so they agree as the scores do."""
+    """Equal harness errors, where the library names an overflowing cell by
+    its grid column, ``<model>_<name>``, and the reference by its model; a
+    running-mean overflow names its scores, so they agree as the scores
+    do."""
     if want is not None and "scores overflow" in want:
-        want = f"{name} response: {want}"
+        want = re.sub(r"model '(\w+)'", rf"model '\1_{name}'", want, count=1)
     got_mean, want_mean = (MEAN_OVERFLOW.fullmatch(error or "") for error in (got, want))
     if got_mean is None or want_mean is None:
         assert got == want
@@ -246,7 +251,7 @@ def experiments(draw):
     # batch at these sizes): the small budgets cross batch and pass
     # boundaries within the 35 runs.
     cells = draw(st.sampled_from([n_test, 3 * n_test, 3 * n_test * (m + 1),
-                                  PREDICTOR_CELLS]))
+                                  PASS_CELLS]))
     return {"kind": kind, "X": X, "responses": responses, "cells": cells,
             "n_runs": draw(st.integers(1, 35)),
             "seed": draw(st.integers(0, 2**31))}
@@ -260,16 +265,25 @@ def assert_same_grid(got, want) -> None:
     assert dict(got.errors) == dict(want.errors)
 
 
+def first_overflow(errors) -> str | None:
+    """The error of a call on several responses, from each response's own
+    error in the call's order: the first cell in run-then-column order whose
+    scores overflow, so the lowest run's and, on that run, the first
+    response's."""
+    overflows = [(int(re.match(r"run (\d+), ", error)[1]), i, error)
+                 for i, error in enumerate(errors) if error is not None]
+    return min(overflows)[2] if overflows else None
+
+
 def assert_shared_split_matches(X: DesignMatrix, responses, n_runs: int, seed: int):
     """The harness on all of ``responses`` against one call per response:
     each response's columns equal, bit for bit, and the error, if any, is
-    the first erring response's. Returns each response's own grid and
+    ``first_overflow`` of theirs. Returns each response's own grid and
     error, by name."""
     got, got_error = outcome(run_predictor_experiments, X, responses, n_runs, seed)
     alone = {name: outcome(run_predictor_experiments, X, {name: pair}, n_runs, seed)
              for name, pair in responses.items()}
-    assert got_error == next((error for _, error in alone.values() if error is not None),
-                             None)
+    assert got_error == first_overflow(error for _, error in alone.values())
     if got is not None:
         assert got.models == tuple(f"{model}_{name}" for name in responses
                                    for model in PREDICTOR_MODELS)
@@ -284,7 +298,7 @@ def assert_shared_split_matches(X: DesignMatrix, responses, n_runs: int, seed: i
 def test_chunked_harness_matches_per_run_reference(case):
     X, responses, n_runs, seed = case["X"], case["responses"], case["n_runs"], case["seed"]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(metrics, "PREDICTOR_CELLS", case["cells"])
+        patch.setattr(metrics, "PASS_CELLS", case["cells"])
         alone = assert_shared_split_matches(X, responses, n_runs, seed)
     for name, (t, static_value) in responses.items():
         got, got_error = alone[name]
@@ -298,13 +312,13 @@ def test_chunked_harness_matches_per_run_reference(case):
 def test_each_design_kind_matches_reference(kind, monkeypatch):
     # 10 held-out rows of width 7: two-run passes in 14-run batches, so
     # the 21 runs cross a batch and several pass boundaries.
-    monkeypatch.setattr(metrics, "PREDICTOR_CELLS", 140)
+    monkeypatch.setattr(metrics, "PASS_CELLS", 140)
     X, t = build_design(kind, 97, 6, np.random.default_rng(7))
     got, got_error = outcome(one_response, X, t, 21, 3, static_value=1.0)
     want, want_error = reference(X, t, 21, 3, static_value=1.0)
     assert_errors_agree(got_error, want_error, t)
     if kind == "huge_responses":
-        assert got_error.startswith("t response: run 0, model 'baseline_mean': scores overflow")
+        assert got_error.startswith("run 0, model 'baseline_mean_t': scores overflow")
         return
     assert_reports_agree(got, want, X, t)
     if kind == "huge_rows":
@@ -316,9 +330,9 @@ def test_each_design_kind_matches_reference(kind, monkeypatch):
 def test_shared_split_refits_each_response_on_a_collinear_design(monkeypatch):
     """On a collinear design every least-squares fit is refitted from its
     rows, once per response; an overflowing response fails the call with
-    its own error, and each other response keeps its one-response bits in
-    every fit batch and gather pass."""
-    monkeypatch.setattr(metrics, "PREDICTOR_CELLS", 3 * 8)  # 8 held-out rows of width 6
+    its first overflowing cell, and each other response keeps its
+    one-response bits in every fit batch and gather pass."""
+    monkeypatch.setattr(metrics, "PASS_CELLS", 3 * 8)  # 8 held-out rows of width 6
     rng = np.random.default_rng(21)
     X, t = build_design("collinear", 80, 5, rng)
     u, huge = extra_response(X, rng, 0.3, False), extra_response(X, rng, 0.3, True)
@@ -334,7 +348,7 @@ def test_shared_split_refits_each_response_on_a_collinear_design(monkeypatch):
     assert len(calls) == 2 * 23 and not grid.errors
     alone = assert_shared_split_matches(
         X, {"t": (t, 1.0), "huge": (huge, 0.0), "u": (u, 2.0)}, 23, 6)
-    assert alone["huge"][1].startswith("huge response: run 0, model 'baseline_mean': "
+    assert alone["huge"][1].startswith("run 0, model 'baseline_mean_huge': "
                                        "scores overflow (rmse=inf")
     for name, response, static_value in (("t", t, 1.0), ("u", u, 2.0)):
         want, _ = reference(X, response, 23, 6, static_value=static_value)
@@ -342,15 +356,29 @@ def test_shared_split_refits_each_response_on_a_collinear_design(monkeypatch):
 
 
 def test_the_first_overflowing_response_is_named():
-    """Two responses whose scores overflow from run 0: the error names the
-    first in the mapping's order, not in name order."""
+    """The error names the first overflowing cell in run-then-column order.
+    Two responses whose scores overflow from run 0: the first in the
+    mapping's order, not in name order. A response that overflows only
+    from run 2 (one response of 1e155, held out in run 2 but not in runs 0
+    and 1) before one that overflows from run 0: the later response."""
     rng = np.random.default_rng(22)
     X, _ = build_design("well", 60, 3, rng)
     b, a = (extra_response(X, rng, 0.3, True) for _ in range(2))
     _, error = outcome(run_predictor_experiments, X, {"b": (b, 1.0), "a": (a, 1.0)}, 4, 2)
     _, alone = outcome(run_predictor_experiments, X, {"b": (b, 1.0)}, 4, 2)
     assert error == alone
-    assert error.startswith("b response: run 0, model 'baseline_mean': scores overflow")
+    assert error.startswith("run 0, model 'baseline_mean_b': scores overflow")
+    held_out = [set(np.random.default_rng(run_seed).choice(X.n, held_out_rows(X.n),
+                                                           replace=False).tolist())
+                for run_seed in subseeds(2, range(4))]
+    late = extra_response(X, rng, 0.3, False).t.copy()
+    late[min(held_out[2] - held_out[0] - held_out[1])] = 1e155
+    late = ResponseVector(late)
+    _, alone = outcome(run_predictor_experiments, X, {"late": (late, 1.0)}, 4, 2)
+    assert alone.startswith("run 2, model 'baseline_mean_late': scores overflow (rmse=inf")
+    _, error = outcome(run_predictor_experiments, X, {"late": (late, 1.0), "a": (a, 1.0)},
+                       4, 2)
+    assert error.startswith("run 0, model 'baseline_mean_a': scores overflow")
 
 
 def training_statistics(rows: np.ndarray, t: np.ndarray):
@@ -457,8 +485,9 @@ def test_an_overflowing_sum_takes_the_mean_of_the_training_rows():
     t = ResponseVector(responses)
     got, got_error = outcome(one_response, X, t, 4, 2, static_value=1.0)
     want, want_error = reference(X, t, 4, 2, static_value=1.0)
-    assert got is None and got_error == f"t response: {want_error}"
-    assert got_error.startswith("t response: run 0, model 'baseline_mean': scores overflow "
+    assert got is None
+    assert got_error == want_error.replace("'baseline_mean'", "'baseline_mean_t'")
+    assert got_error.startswith("run 0, model 'baseline_mean_t': scores overflow "
                                 "(rmse=inf, mae=")
     assert not got_error.endswith("mae=inf)")
 
@@ -472,7 +501,7 @@ def test_mean_baseline_is_within_its_bound_on_an_emulated_design():
 
 
 def test_runs_are_fitted_in_batches_of_the_cell_budget(monkeypatch):
-    """Each batch of PREDICTOR_CELLS // n_test runs reaches the batched fit
+    """Each batch of PASS_CELLS // n_test runs reaches the batched fit
     in one call, so its arrays never grow with the number of runs."""
     shapes = []
     original = metrics.fit_gram_batch
@@ -483,7 +512,7 @@ def test_runs_are_fitted_in_batches_of_the_cell_budget(monkeypatch):
 
     monkeypatch.setattr(metrics, "fit_gram_batch", recording)
     X, t = build_design("well", 4300, 4, np.random.default_rng(5))
-    size = max(1, PREDICTOR_CELLS // held_out_rows(X.n))
+    size = max(1, PASS_CELLS // held_out_rows(X.n))
     assert size == 152
     one_response(X, t, 2 * size + 1, 9, static_value=1.0)
     assert shapes == [(size, 4, 4)] * 2 + [(1, 4, 4)]
@@ -512,10 +541,10 @@ def test_reports_are_bit_identical_for_every_cell_budget(design, monkeypatch):
     else:
         X, t = build_design(design, 300, 6, np.random.default_rng(8))
     n_runs, n_test = 40, held_out_rows(X.n)
-    budgets = [n_test, n_test * (X.m + 1), PREDICTOR_CELLS, n_runs * n_test * (X.m + 1)]
+    budgets = [n_test, n_test * (X.m + 1), PASS_CELLS, n_runs * n_test * (X.m + 1)]
     results = []
     for cells in budgets:
-        monkeypatch.setattr(metrics, "PREDICTOR_CELLS", cells)
+        monkeypatch.setattr(metrics, "PASS_CELLS", cells)
         results.append(grid_rows(one_response(X, t, n_runs, 4, static_value=2.0)))
     assert all(rows == results[0] for rows in results[1:])
     assert all(r.error is None for r in results[0]) == (design != "huge_rows")

@@ -1,8 +1,9 @@
 """``metrics.Reports`` against row-wise reports.
 
-A grid is checked cell by cell at construction; its CSV text and its
-``summarize`` must equal, bit for bit, what the row-wise writer and
-``summarize`` of ``report_oracle`` give on the grid's rows.
+A grid writes NaN at its errored cells and checks every other cell at
+construction, naming the first one whose scores are not finite. Its CSV
+text and its ``summarize`` must equal, bit for bit, what the row-wise
+writer and ``summarize`` of ``report_oracle`` give on the grid's rows.
 """
 
 from __future__ import annotations
@@ -58,29 +59,48 @@ def test_csv_and_summary_equal_the_row_wise_ones(fields, other_fields):
 @settings(max_examples=200, deadline=None)
 @given(grid_fields(), st.data())
 def test_a_nan_without_an_error_is_rejected(fields, data):
+    """NaN or an infinity in one to three scored cells raises, naming the
+    first of them in run-then-column order and its two scores."""
     models, seeds, rmse, mae, errors = fields
-    scored = np.argwhere(~np.isnan(rmse))
-    if not scored.size:
+    scored = np.argwhere(~np.isnan(rmse)).tolist()
+    if not scored:
         return
-    run, k = scored[data.draw(st.integers(0, len(scored) - 1))]
-    scores = data.draw(st.sampled_from([rmse, mae]))
-    scores[run, k] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
-    with pytest.raises(ValueError, match="^scores must be finite$"):
+    cells = data.draw(st.lists(st.sampled_from(scored), min_size=1, max_size=3))
+    for run, k in cells:
+        scores = data.draw(st.sampled_from([rmse, mae]))
+        scores[run, k] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    run, k = min(cells)
+    with pytest.raises(ValueError) as raised:
         Reports(models, seeds, rmse, mae, errors)
+    assert str(raised.value) == (f"run {run}, model {models[k]!r}: scores overflow "
+                                 f"(rmse={float(rmse[run, k])!r}, "
+                                 f"mae={float(mae[run, k])!r})")
 
 
 @settings(max_examples=200, deadline=None)
 @given(grid_fields(), st.data())
-def test_an_error_with_a_score_is_rejected(fields, data):
+def test_an_errored_cell_reads_nan_whatever_its_scores(fields, data):
+    """Whatever scores an errored cell is given, finite or not, the grid
+    reads NaN there and keeps every other cell's scores; a ``select`` of the
+    grid keeps both: NaN exactly at its errors, the grid's scores elsewhere."""
     models, seeds, rmse, mae, errors = fields
-    run = data.draw(st.integers(0, len(seeds) - 1))
-    k = data.draw(st.integers(0, len(models) - 1))
-    errors = {**errors, (models[k], run): "boom"}
-    rmse[run, k] = mae[run, k] = data.draw(st.sampled_from([0.0, 1.5]))
-    if data.draw(st.booleans()):  # only one of the two scores is set
-        data.draw(st.sampled_from([rmse, mae]))[run, k] = math.nan
-    with pytest.raises(ValueError, match="^an errored cell must have NaN scores$"):
-        Reports(models, seeds, rmse, mae, errors)
+    failed = np.isnan(rmse)
+    given_scores = st.sampled_from([0.0, 1.5, -2.0, math.nan, math.inf, -math.inf])
+    for run, k in np.argwhere(failed).tolist():
+        rmse[run, k], mae[run, k] = data.draw(given_scores), data.draw(given_scores)
+    grid = Reports(models, seeds, rmse, mae, errors)
+    for got, scores in ((grid.rmse, rmse), (grid.mae, mae)):
+        assert np.array_equal(np.isnan(got), failed)
+        assert np.array_equal(got[~failed], scores[~failed])
+    kept = data.draw(st.lists(st.sampled_from(models), unique=True))
+    kept_grid = grid.select({model: model.upper() for model in kept})
+    keep = [k for k, model in enumerate(models) if model in kept]
+    kept_failed = np.zeros((len(seeds), len(keep)), dtype=bool)
+    for model, run in kept_grid.errors:
+        kept_failed[run, kept_grid.models.index(model)] = True
+    assert np.array_equal(kept_failed, failed[:, keep])
+    for got, scores in ((kept_grid.rmse, grid.rmse), (kept_grid.mae, grid.mae)):
+        assert np.array_equal(got, scores[:, keep], equal_nan=True)
 
 
 def small(rmse=((0.5, 0.25), (0.75, math.nan)), mae=((0.25, 0.25), (0.5, math.nan)),
@@ -90,16 +110,19 @@ def small(rmse=((0.5, 0.25), (0.75, math.nan)), mae=((0.25, 0.25), (0.5, math.na
 
 
 @pytest.mark.parametrize("change, message", [
-    ({"errors": {("b", 1): "boom", ("a", 0): "boom"}},
-     "^an errored cell must have NaN scores$"),
-    ({"rmse": ((0.5, math.inf), (0.75, math.nan))}, "^scores must be finite$"),
+    # a's infinity on run 0 is errored, so b's is named.
+    ({"errors": {("b", 1): "boom", ("a", 0): "boom"},
+      "rmse": ((math.inf, math.inf), (0.75, math.nan))},
+     "^run 0, model 'b': scores overflow"),
+    ({"mae": ((0.25, 0.25), (-math.inf, math.nan))},
+     "^run 1, model 'a': scores overflow"),
     ({"models": ("a", "a")}, "^model names must be distinct"),
     ({"seeds": (11,)}, r"^rmse and mae must have shape \(runs, models\) = \(1, 2\)"),
     ({"mae": ((0.25, 0.25),)}, r"got \(2, 2\) and \(1, 2\)$"),
     ({"errors": {("c", 0): "boom"}}, "^error of model 'c' on run 0 is outside the grid$"),
     ({"errors": {("b", 1): "boom", ("a", 2): "boom"}}, "^error of model 'a' on run 2"),
     ({"errors": {("b", 1): "boom", ("a", -1): "boom"}}, "^error of model 'a' on run -1"),
-    ({"errors": {}}, "^scores must be finite$"),
+    ({"errors": {}}, "^run 1, model 'b': scores overflow"),
     ({"mae": ((-0.25, 0.25), (0.5, math.nan))}, "^expected rmse >= mae >= 0$"),
     ({"rmse": ((0.5, 0.2), (0.75, math.nan))}, "^expected rmse >= mae >= 0$"),
 ])
