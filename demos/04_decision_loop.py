@@ -9,9 +9,10 @@ one per mirror, and priced once) by readiness, utility, and cost.
 
 import numpy as np
 
-from proadapt import (Mirror, Phase, SlaSpec, TacticModels, TimeSeries, UtilityParams,
-                      WorkflowConfig, fit_mra, generate_trace, price_tactics,
-                      to_regression_dataset, workflow_tick)
+from proadapt import (Mirror, Phase, SlaSpec, SpecStatus, TacticModels, TimeSeries,
+                      UtilityParams, WorkflowConfig, fit_arima_windows, fit_mra,
+                      generate_trace, price_tactics, rank_tactics, to_regression_dataset)
+from proadapt.workflow import STATUSES, workflow_block
 
 # train one latency/cost model pair per mirror-bound tactic
 trace = generate_trace(duration_minutes=720, seed=42)
@@ -33,22 +34,26 @@ config = WorkflowConfig(horizon=5, risk_margin=0.10, tick_seconds=6.0)
 # response time ramps from comfortable to violating over 12 minutes
 values = 0.40 + 0.0035 * np.arange(120)
 window = 60
+ticks = len(values) - window + 1
+# refit on every tick's window in one call, then forecast and classify all ticks at once
+phi, c, _, errors = fit_arima_windows(TimeSeries(values), window, range(ticks))
+assert errors == [None] * ticks
+block = workflow_block([spec], values[window - 1:], values[window - 2:-1], phi, c, config)
 previous_status = None
-for tick in range(len(values) - window + 1):
-    history = TimeSeries(values[tick:tick + window])
-    entry = workflow_tick([spec], history, estimates, config)[0]
-    status = entry.analysis.status.value
-    if status == previous_status:
+for tick in range(ticks):
+    status = STATUSES[block.status[tick, 0]]
+    if status is previous_status:
         continue
     previous_status = status
-    current = history.values[-1]
-    print(f"tick {tick:3d}  response={current:.3f}s  -> {status.upper()}")
-    if entry.estimates:
-        step = entry.analysis.first_violation_step
+    print(f"tick {tick:3d}  response={values[tick + window - 1]:.3f}s  -> "
+          f"{status.value.upper()}")
+    if status is not SpecStatus.HEALTHY:
+        step = int(block.first_step[tick, 0]) or None
         if step is not None:
             print(f"          forecast crosses the risk band at step {step} "
                   f"({step * 6:.0f}s away)")
-        for rank, est in enumerate(entry.estimates, start=1):
+        ranked = rank_tactics(estimates, status, step, config.tick_seconds)
+        for rank, est in enumerate(ranked, start=1):
             print(f"          #{rank} {est.tactic_name}: "
                   f"latency {est.predicted_latency:.2f}s, "
                   f"cost {est.predicted_cost:.1f} J, "

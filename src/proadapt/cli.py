@@ -67,7 +67,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
     _check_trace_flags(args)
     trace = generate_trace(args.minutes, args.seed)
-    out = Path(args.out).resolve()  # the file a symlink names, not the link
+    out = Path(args.out)
     _write_report_set(out.parent, {out.name: trace_csv_text(trace)})
     downloads = int(np.count_nonzero(trace.phase_is(Phase.DOWNLOAD)))
     print(f"{len(trace)} records ({downloads} downloads) written to {args.out}")
@@ -104,28 +104,31 @@ def __getattr__(name: str):
 
 def _write_report_set(out_dir: Path, texts: dict[str, str]) -> None:
     """Write each text of ``texts`` to the file of its name in the existing
-    directory ``out_dir``, all or none: every text goes to a temporary file
-    in ``out_dir`` first, and the files are replaced only once all of them
-    are written and every target that exists is a regular file (a
-    directory, a device or a pipe would be replaced, not written). The
-    temporaries never outlive the call."""
+    directory ``out_dir``, all or none. A name is resolved first, so a
+    symlink is written through to the file it names. Every text goes to a
+    temporary file in its target's directory first, and the files are
+    replaced only once all of them are written and every target that
+    exists is a regular file (a directory, a device, a pipe or a symlink
+    loop would be replaced, not written). The temporaries never outlive
+    the call."""
     if not out_dir.is_dir():
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(out_dir))
+    targets = [Path(os.path.realpath(out_dir / name)) for name in texts]
     temporaries = []
     try:
-        for name, text in texts.items():
-            temporary = out_dir / f".{name}.{os.getpid()}.tmp"
+        for target, text in zip(targets, texts.values()):
+            temporary = target.parent / f".{target.name}.{os.getpid()}.tmp"
             with open(temporary, "x", encoding="utf-8", newline="\n") as handle:
                 temporaries.append(temporary)
                 handle.write(text)
-        for name in texts:
-            target = out_dir / name
+        for target in targets:
             if target.is_dir():
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
-            if target.exists() and not target.is_file():
+            # A resolved path that is still a symlink is a loop.
+            if target.is_symlink() or (target.exists() and not target.is_file()):
                 raise OSError(f"{target} is not a regular file")
-        for temporary, name in zip(temporaries, texts):
-            os.replace(temporary, out_dir / name)
+        for temporary, target in zip(temporaries, targets):
+            os.replace(temporary, target)
     finally:
         for temporary in temporaries:
             temporary.unlink(missing_ok=True)

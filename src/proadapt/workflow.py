@@ -11,12 +11,12 @@ estimates, ranked against its own deadline; a healthy one gets none.
 ``workflow_block`` is the kernel: for a block of consecutive ticks, given
 each tick's last two observations and model coefficients, it forecasts
 every tick with ``arima.forecast_paths`` and classifies every
-specification of every tick with array comparisons. ``workflow_tick`` is
-its one-tick case: it fits its history and returns per-spec ``TickEntry``
-objects. ``monitor`` calls the kernel once per block of ticks.
+specification of every tick with array comparisons. ``monitor`` calls
+it once per block of ticks, and ``rank_tactics`` ranks the estimates of
+each potentially broken specification.
 
-Both are pure functions of their inputs, so ticks for disjoint systems can
-run concurrently.
+The kernel is a pure function of its inputs, so ticks for disjoint
+systems can run concurrently.
 """
 
 from __future__ import annotations
@@ -28,26 +28,23 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .arima import fit_arima, forecast_error, forecast_paths
-from .types import (Direction, SlaSpec, TimeSeries, UtilityParams, check_array,
-                    check_real, check_size, order_specs_by_reward, utility)
+from .arima import forecast_paths
+from .types import (Direction, SlaSpec, UtilityParams, check_array, check_real,
+                    check_size, utility)
 
 if TYPE_CHECKING:  # regression loads only when tactics are priced
     from .regression import RegressionModel
 
 __all__ = [
     "SpecStatus",
-    "SpecAnalysis",
     "TacticEstimate",
     "TacticModels",
     "WorkflowConfig",
-    "TickEntry",
     "TickBlock",
     "STATUSES",
     "price_tactics",
     "rank_tactics",
     "workflow_block",
-    "workflow_tick",
 ]
 
 COST_FLOOR = 1e-6  # the utility divides by cost, so priced costs are floored here
@@ -62,33 +59,6 @@ class SpecStatus(enum.Enum):
 # A TickBlock's status code i stands for STATUSES[i].
 STATUSES = (SpecStatus.HEALTHY, SpecStatus.AT_RISK, SpecStatus.BROKEN)
 _HEALTHY, _AT_RISK, _BROKEN = range(3)
-
-
-@dataclass(frozen=True)
-class SpecAnalysis:
-    """Forecast and classification for one specification.
-
-    ``first_violation_step`` is the 1-based forecast step that first
-    violates or enters the risk margin; it is set only for AT_RISK (a
-    BROKEN spec is violated now, not at a future step).
-    """
-
-    spec_name: str
-    forecast_values: tuple[float, ...]
-    status: SpecStatus
-    first_violation_step: int | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "forecast_values", tuple(self.forecast_values))
-        _check_first_step(self.status, self.first_violation_step)
-        if self.first_violation_step is not None and not (
-                1 <= self.first_violation_step <= len(self.forecast_values)):
-            raise ValueError("first_violation_step must lie in [1, horizon]")
-
-
-def _check_first_step(status: SpecStatus, first_violation_step: int | None) -> None:
-    if (status is SpecStatus.AT_RISK) != (first_violation_step is not None):
-        raise ValueError("first_violation_step must be set exactly for AT_RISK")
 
 
 @dataclass(frozen=True)
@@ -145,16 +115,6 @@ class WorkflowConfig:
         if self.risk_margin >= 1:
             raise ValueError("risk_margin must lie in [0, 1)")
         check_real("tick_seconds", self.tick_seconds, 0, strict=True)
-
-
-@dataclass(frozen=True)
-class TickEntry:
-    """Per-spec tick outcome; ``error`` is set when analysis failed."""
-
-    spec_name: str
-    analysis: SpecAnalysis | None
-    estimates: tuple[TacticEstimate, ...] = ()
-    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -248,7 +208,8 @@ def rank_tactics(estimates: Sequence[TacticEstimate], status: SpecStatus,
     # A NaN or infinite tick length would make every deadline NaN or
     # infinite, so every tactic would count as ready in time.
     check_real("tick_seconds", tick_seconds, 0, strict=True)
-    _check_first_step(status, first_violation_step)
+    if (status is SpecStatus.AT_RISK) != (first_violation_step is not None):
+        raise ValueError("first_violation_step must be set exactly for AT_RISK")
     if status is SpecStatus.BROKEN:
         deadline = 0.0
     elif status is SpecStatus.AT_RISK:
@@ -259,42 +220,3 @@ def rank_tactics(estimates: Sequence[TacticEstimate], status: SpecStatus,
                   key=lambda e: (e.predicted_latency > deadline,
                                  -e.utility_score, e.predicted_cost))
 
-
-def workflow_tick(specs: Sequence[SlaSpec], history: TimeSeries,
-                  estimates: Sequence[TacticEstimate] = (),
-                  config: WorkflowConfig | None = None) -> list[TickEntry]:
-    """One pass over all specifications in descending-reward order: the
-    one-tick case of ``workflow_block``.
-
-    ARIMA(1, 1, 0) is fitted on ``history``, which is forecast once from its
-    last two observations; a fit or forecast failure becomes the error of
-    every entry. Each potentially broken (at-risk or broken) specification
-    ranks ``estimates`` against its own deadline.
-    """
-    cfg = config or WorkflowConfig()
-    names = [s.name for s in specs]
-    if len(set(names)) != len(names):
-        raise ValueError("spec names must be unique")
-    ordered = order_specs_by_reward(specs)
-    try:
-        model = fit_arima(history)
-    except ValueError as exc:
-        return [TickEntry(spec.name, None, error=str(exc)) for spec in ordered]
-    previous, last = history.tail(2)
-    block = workflow_block(ordered, [last], [previous], [model.phi], [model.c], cfg)
-    step = int(block.nonfinite_step[0])
-    if step:
-        error = forecast_error(step)
-        return [TickEntry(spec.name, None, error=error) for spec in ordered]
-    predicted = tuple(block.forecasts[0].tolist())
-    entries = []
-    for spec, code, first in zip(ordered, block.status[0].tolist(),
-                                 block.first_step[0].tolist()):
-        analysis = SpecAnalysis(spec.name, predicted, STATUSES[code], first or None)
-        if analysis.status is SpecStatus.HEALTHY or not estimates:
-            entries.append(TickEntry(spec.name, analysis))
-        else:
-            ranked = rank_tactics(estimates, analysis.status,
-                                  analysis.first_violation_step, cfg.tick_seconds)
-            entries.append(TickEntry(spec.name, analysis, tuple(ranked)))
-    return entries

@@ -3,8 +3,12 @@
 This is the loop ``monitor`` ran before it processed ticks in blocks:
 each tick moves the current model's forecast origin to the tail of its
 window, forecasts with the scalar ``arima_oracle.forecast``, classifies
-each specification step by step, ranks the tactics with ``rank_tactics``
-and serialises each entry with ``tick_entry_to_dict`` and ``json.dumps``.
+each specification step by step and ranks the tactics with
+``rank_tactics``. Each tick's entries are JSON-ready dicts, one per spec in
+the given order: ``{"name", "status", "first_violation_step", "forecast",
+"tactics"}``, where ``tactics`` lists each ranked estimate as ``{"name",
+"latency", "cost", "utility", "rank"}`` (empty for a healthy spec or
+without tactics), or ``{"name", "error"}`` when the forecast failed.
 Each refit fits its own window with ``arima_oracle.fit_arima``. It never
 calls the block kernel, ``fit_arima_windows`` or ``forecast_paths``, so
 comparing its bytes with ``cli.main`` checks the kernel, the block fits
@@ -19,36 +23,18 @@ from typing import Sequence
 from arima_oracle import fit_arima, forecast
 from proadapt.arima import ArimaModel, FitError
 from proadapt.types import Direction, SlaSpec, TimeSeries, order_specs_by_reward
-from proadapt.workflow import (SpecAnalysis, SpecStatus, TacticEstimate, TickEntry,
-                               WorkflowConfig, rank_tactics)
+from proadapt.workflow import SpecStatus, TacticEstimate, WorkflowConfig, rank_tactics
 
 
-def tick_entry_to_dict(entry: TickEntry) -> dict:
-    """JSON-ready view of one spec's tick outcome."""
-    if entry.error is not None:
-        return {"name": entry.spec_name, "error": entry.error}
-    analysis = entry.analysis
-    return {
-        "name": entry.spec_name,
-        "status": analysis.status.value,
-        "first_violation_step": analysis.first_violation_step,
-        "forecast": list(analysis.forecast_values),
-        "tactics": [
-            {"name": e.tactic_name, "latency": e.predicted_latency,
-             "cost": e.predicted_cost, "utility": e.utility_score, "rank": rank}
-            for rank, e in enumerate(entry.estimates, start=1)
-        ],
-    }
-
-
-def classify(spec: SlaSpec, history: TimeSeries, predicted: tuple[float, ...],
-             risk_margin: float) -> SpecAnalysis:
+def classify(spec: SlaSpec, history: TimeSeries, predicted: Sequence[float],
+             risk_margin: float) -> tuple[SpecStatus, int | None]:
     """Broken when the current value violates, at risk from the first
-    forecast step inside the risk band, healthy otherwise."""
+    forecast step inside the risk band (returned as the second item),
+    healthy otherwise."""
     last = float(history.values[-1])
     if (last > spec.threshold if spec.direction is Direction.UPPER_BOUND
             else last < spec.threshold):
-        return SpecAnalysis(spec.name, predicted, SpecStatus.BROKEN)
+        return SpecStatus.BROKEN, None
     margin_width = risk_margin * abs(spec.threshold)
     for step, value in enumerate(predicted, start=1):
         if spec.direction is Direction.UPPER_BOUND:
@@ -56,28 +42,31 @@ def classify(spec: SlaSpec, history: TimeSeries, predicted: tuple[float, ...],
         else:
             inside = value < spec.threshold + margin_width
         if inside:
-            return SpecAnalysis(spec.name, predicted, SpecStatus.AT_RISK,
-                                first_violation_step=step)
-    return SpecAnalysis(spec.name, predicted, SpecStatus.HEALTHY)
+            return SpecStatus.AT_RISK, step
+    return SpecStatus.HEALTHY, None
 
 
 def reference_tick(ordered: Sequence[SlaSpec], history: TimeSeries,
                    estimates: Sequence[TacticEstimate], config: WorkflowConfig,
-                   model) -> list[TickEntry]:
+                   model) -> list[dict]:
     try:
         moved = ArimaModel(model.phi, model.c, history.tail(2), model.residual_variance)
-        predicted = tuple(forecast(moved, config.horizon))
+        predicted = forecast(moved, config.horizon)
     except ValueError as exc:
-        return [TickEntry(spec.name, None, error=str(exc)) for spec in ordered]
+        return [{"name": spec.name, "error": str(exc)} for spec in ordered]
     entries = []
     for spec in ordered:
-        analysis = classify(spec, history, predicted, config.risk_margin)
-        if analysis.status is SpecStatus.HEALTHY or not estimates:
-            entries.append(TickEntry(spec.name, analysis))
-        else:
-            ranked = rank_tactics(estimates, analysis.status,
-                                  analysis.first_violation_step, config.tick_seconds)
-            entries.append(TickEntry(spec.name, analysis, tuple(ranked)))
+        status, step = classify(spec, history, predicted, config.risk_margin)
+        ranked = []
+        if status is not SpecStatus.HEALTHY and estimates:
+            ranked = rank_tactics(estimates, status, step, config.tick_seconds)
+        entries.append({
+            "name": spec.name, "status": status.value, "first_violation_step": step,
+            "forecast": list(predicted),
+            "tactics": [{"name": e.tactic_name, "latency": e.predicted_latency,
+                         "cost": e.predicted_cost, "utility": e.utility_score, "rank": rank}
+                        for rank, e in enumerate(ranked, start=1)],
+        })
     return entries
 
 
@@ -98,10 +87,9 @@ def reference_monitor(specs: Sequence[SlaSpec], history: TimeSeries, window: int
                 fit_error = str(exc)
                 err.append(f"warning: tick {tick}: refit failed: {fit_error}\n")
         if model is None:
-            entries = [TickEntry(spec.name, None, error=fit_error) for spec in ordered]
+            entries = [{"name": spec.name, "error": fit_error} for spec in ordered]
         else:
             window_series = TimeSeries(history.values[tick:tick + window])
             entries = reference_tick(ordered, window_series, estimates, config, model)
-        out += [json.dumps({"tick": tick, **tick_entry_to_dict(entry)}) + "\n"
-                for entry in entries]
+        out += [json.dumps({"tick": tick, **entry}) + "\n" for entry in entries]
     return "".join(out), "".join(err)

@@ -17,8 +17,9 @@ from proadapt import (DesignMatrix, ResponseVector, SAMPLE_TACTIC_A,
                       generate_trace, ingest_trace_csv, price_tactics, rmse,
                       run_cost_impact_simulation, run_forecast_experiments,
                       run_predictor_experiments, summarize, to_idle_series,
-                      to_regression_dataset, workflow_tick, write_trace_csv)
+                      to_regression_dataset, write_trace_csv)
 from proadapt.metrics import mae
+from test_workflow import monitor_tick
 from trace_oracle import same_columns
 
 TRACE_SEED = 42
@@ -182,18 +183,17 @@ def test_criterion_7_estimates_iff_potentially_broken(tmp_path):
     seen = {status: 0 for status in SpecStatus}
     for _ in range(500):
         spec, history, tactics = random_tick_scenario(rng)
-        entries = workflow_tick([spec], history, price_tactics(tactics))
-        entry = entries[0]
-        if entry.error is not None:
-            assert entry.estimates == ()
+        [entry] = monitor_tick([spec], history, price_tactics(tactics))
+        if "error" in entry:
+            assert "tactics" not in entry
             continue
-        status = entry.analysis.status
+        status = SpecStatus(entry["status"])
         seen[status] += 1
-        produced = len(entry.estimates) > 0
+        produced = len(entry["tactics"]) > 0
         assert produced == (status in (SpecStatus.AT_RISK, SpecStatus.BROKEN)), \
             f"estimates {produced} for status {status}"
         if produced:
-            assert len(entry.estimates) == len(tactics)
+            assert len(entry["tactics"]) == len(tactics)
     assert seen[SpecStatus.HEALTHY] > 0
     assert seen[SpecStatus.AT_RISK] + seen[SpecStatus.BROKEN] > 0
 

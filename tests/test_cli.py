@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from proadapt import (ArimaModel, Mirror, Phase, TimeSeries, WorkflowConfig, ari
                       regression, workflow, write_trace_csv)
 from proadapt.cli import main
 from limited_child import run_limited
-from monitor_oracle import reference_tick, tick_entry_to_dict
+from monitor_oracle import reference_tick
 
 
 def run_cli(*args, cwd=None, timeout=None):
@@ -81,24 +82,30 @@ class TestGenerate:
         assert out.read_bytes() == earlier
         assert list(tmp_path.iterdir()) == [out]
 
-    @pytest.mark.parametrize("target", ["missing directory", "fifo"])
+    @pytest.mark.parametrize("target", ["missing directory", "fifo", "symlink loop"])
     def test_an_out_that_cannot_be_replaced_exits_2(self, tmp_path, target):
-        # The trace would be written in place of the fifo, not into it
-        # (and a write into it would wait for a reader, hence the timeout).
+        # The trace would be written in place of the fifo or the looping
+        # link, not into it (and a write into the fifo would wait for a
+        # reader, hence the timeout).
         out = tmp_path / "missing" / "trace.csv"
         if target == "fifo":
             out = tmp_path / "trace.csv"
             os.mkfifo(out)
+        elif target == "symlink loop":
+            out = tmp_path / "trace.csv"
+            out.symlink_to(out)
         before = sorted(tmp_path.iterdir())
         result = run_cli("generate", "--minutes", "5", "--out", str(out), timeout=60)
         assert result.returncode == 2
         assert result.stderr == {
             "missing directory": f"error: [Errno 2] No such file or directory: "
                                  f"'{out.parent}'\n",
-            "fifo": f"error: {out} is not a regular file\n"}[target]
+            "fifo": f"error: {out} is not a regular file\n",
+            "symlink loop": f"error: {out} is not a regular file\n"}[target]
         assert result.stdout == ""
         assert sorted(tmp_path.iterdir()) == before
         assert target != "fifo" or stat.S_ISFIFO(out.stat().st_mode)
+        assert target != "symlink loop" or os.readlink(out) == str(out)
 
     def test_a_symlinked_out_is_written_through(self, tmp_path):
         trace, link = tmp_path / "trace.csv", tmp_path / "link.csv"
@@ -124,6 +131,23 @@ class TestReplicate:
         for name in ("rq1.csv", "rq2.csv", "rq3.csv", "rq4.csv"):
             assert (tmp_path / name).exists()
         assert "experiment 4" in result.stdout
+
+    def test_symlinked_reports_are_written_through(self, tmp_path, capsys):
+        # out/rq1.csv names keep/rq1.csv: the link stays, its target gets the
+        # report, and no temporary is left in either directory.
+        out, keep, plain = tmp_path / "out", tmp_path / "keep", tmp_path / "plain"
+        for directory in (out, keep, plain):
+            directory.mkdir()
+        (keep / "rq1.csv").write_text("old\n")
+        (out / "rq1.csv").symlink_to(Path("..") / "keep" / "rq1.csv")
+        flags = ("replicate", "--emulate", "--minutes", "120", "--runs", "2")
+        assert run_main(capsys, *flags, "--out-dir", str(out))[0] == 0
+        assert run_main(capsys, *flags, "--out-dir", str(plain))[0] == 0
+        assert (out / "rq1.csv").is_symlink()
+        assert (keep / "rq1.csv").read_bytes() == (plain / "rq1.csv").read_bytes()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "rq1.csv", "rq2.csv", "rq3.csv", "rq4.csv"]
+        assert [p.name for p in keep.iterdir()] == ["rq1.csv"]
 
     def test_single_run_reports(self, tmp_path):
         result = run_cli("replicate", "--emulate", "--minutes", "360",
@@ -509,8 +533,8 @@ class TestMonitorRefit:
             if tick == 0 or (refit_every > 0 and tick % refit_every == 0):
                 models = {s.name: fit_arima(series) for s in specs}
             for spec in specs:
-                entry, = reference_tick([spec], series, estimates, config, models[spec.name])
-                lines[(tick, spec.name)] = tick_entry_to_dict(entry)
+                lines[(tick, spec.name)], = reference_tick([spec], series, estimates, config,
+                                                           models[spec.name])
         return lines
 
     @pytest.mark.parametrize("refit_every", [0, 1, 3])

@@ -17,13 +17,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from monitor_oracle import reference_monitor, tick_entry_to_dict
+from monitor_oracle import reference_monitor
 from proadapt import arima, cli, workflow
 from proadapt.arima import ArimaModel
 from proadapt.emulator import generate_trace, write_trace_csv
 from proadapt.types import SlaSpec, TimeSeries
-from proadapt.workflow import (SpecAnalysis, TacticEstimate, TickEntry, WorkflowConfig,
-                               price_tactics)
+from proadapt.workflow import TacticEstimate, WorkflowConfig, price_tactics
 
 TACTICS = [{"name": "mirror_g", "mirror": "germany", "static_latency": 2.5,
             "static_cost": 30.0},
@@ -247,13 +246,16 @@ def test_tick_lines_equal_json_dumps(case):
         want = []
         for name, code, step in zip(names, codes, steps):
             status = workflow.STATUSES[code]
-            ranked = ()
+            ranked = []
             if estimates and status is not workflow.SpecStatus.HEALTHY:
-                ranked = tuple(workflow.rank_tactics(estimates, status, step or None,
-                                                     tick_seconds))
-            entry = TickEntry(name, SpecAnalysis(name, forecast, status, step or None),
-                              ranked)
-            want.append(json.dumps({"tick": tick, **tick_entry_to_dict(entry)}) + "\n")
+                ranked = workflow.rank_tactics(estimates, status, step or None, tick_seconds)
+            want.append(json.dumps({
+                "tick": tick, "name": name, "status": status.value,
+                "first_violation_step": step or None, "forecast": forecast,
+                "tactics": [{"name": e.tactic_name, "latency": e.predicted_latency,
+                             "cost": e.predicted_cost, "utility": e.utility_score,
+                             "rank": rank} for rank, e in enumerate(ranked, start=1)],
+            }) + "\n")
         pairs = [code + 3 * step for code, step in zip(codes, steps)]
         assert lines.entries(tick, forecast, pairs) == "".join(want)
         assert lines.errors(tick, error) == "".join(

@@ -5,11 +5,10 @@ import pytest
 
 from proadapt import (ArimaModel, Direction, RegressionModel, SlaSpec, SpecStatus,
                       TacticEstimate, TacticModels, TimeSeries, UtilityParams,
-                      WorkflowConfig, fit_arima, generate_trace, price_tactics,
-                      rank_tactics, to_regression_dataset, workflow_tick, fit_mra)
-from proadapt import regression, workflow
-
-from monitor_oracle import tick_entry_to_dict
+                      WorkflowConfig, fit_arima, generate_trace, order_specs_by_reward,
+                      price_tactics, rank_tactics, to_regression_dataset, fit_mra)
+from proadapt import cli, regression, workflow
+from proadapt.arima import forecast_error
 
 UPPER = SlaSpec("response_time", 0.7, direction=Direction.UPPER_BOUND,
                 penalty=3.0, reward=10.0)
@@ -19,19 +18,42 @@ def ramp(start, step, n):
     return TimeSeries(start + step * np.arange(n))
 
 
+def monitor_tick(specs, history, estimates=(), config=None, model=None):
+    """The decoded JSON lines of one ``monitor`` tick at the end of
+    ``history``, one per spec in descending-reward order, as ``monitor``
+    makes them: ``model`` (by default ``fit_arima(history)``) forecasts the
+    tick in a one-tick ``workflow_block``, and ``cli._TickLines`` ranks the
+    estimates and writes the lines."""
+    config = config or WorkflowConfig()
+    ordered = order_specs_by_reward(specs)
+    lines = cli._TickLines(ordered, estimates, config.tick_seconds)
+    try:
+        model = model or fit_arima(history)
+    except ValueError as exc:
+        text = lines.errors(0, str(exc))
+    else:
+        previous, last = history.tail(2)
+        block = workflow.workflow_block(ordered, [last], [previous], [model.phi],
+                                        [model.c], config)
+        step = int(block.nonfinite_step[0])
+        text = (lines.errors(0, forecast_error(step)) if step else lines.entries(
+            0, block.forecasts[0].tolist(), (block.status + 3 * block.first_step)[0].tolist()))
+    return [json.loads(line) for line in text.splitlines()]
+
+
 def analyze(spec, history, horizon, risk_margin):
-    """The one spec's analysis from a tick without tactics."""
+    """The one spec's line from a tick without tactics."""
     config = WorkflowConfig(horizon=horizon, risk_margin=risk_margin)
-    [entry] = workflow_tick([spec], history, config=config)
-    return entry.analysis
+    [entry] = monitor_tick([spec], history, config=config)
+    return entry
 
 
 class TestAnalyzeSpecification:
     def test_flat_history_is_healthy(self):
         history = TimeSeries(np.full(60, 0.3))
         analysis = analyze(UPPER, history, horizon=5, risk_margin=0.1)
-        assert analysis.status is SpecStatus.HEALTHY
-        assert analysis.first_violation_step is None
+        assert analysis["status"] == "healthy"
+        assert analysis["first_violation_step"] is None
 
     def test_ramp_toward_threshold_is_at_risk(self):
         # climbing 0.05 per six-second tick, currently at 0.65: the drift
@@ -39,14 +61,14 @@ class TestAnalyzeSpecification:
         history = ramp(0.50, 0.05, 4)
         padded = TimeSeries(np.concatenate([np.full(20, 0.50), history.values]))
         analysis = analyze(UPPER, padded, horizon=3, risk_margin=0.1)
-        assert analysis.status is SpecStatus.AT_RISK
-        assert analysis.first_violation_step in (1, 2)
+        assert analysis["status"] == "at_risk"
+        assert analysis["first_violation_step"] in (1, 2)
 
     def test_current_violation_dominates(self):
         values = np.concatenate([np.full(30, 0.4), [0.9]])
         analysis = analyze(UPPER, TimeSeries(values), horizon=5, risk_margin=0.1)
-        assert analysis.status is SpecStatus.BROKEN
-        assert analysis.first_violation_step is None
+        assert analysis["status"] == "broken"
+        assert analysis["first_violation_step"] is None
 
     def test_spec_violation_directions(self):
         # A last value exactly at the threshold is not broken; the next
@@ -65,10 +87,10 @@ class TestAnalyzeSpecification:
         steep = TimeSeries(np.concatenate([np.full(15, 0.40),
                                            0.40 + 0.04 * np.arange(1, 8)]))
         analysis = analyze(UPPER, steep, horizon=1, risk_margin=0.0)
-        assert analysis.status is SpecStatus.AT_RISK  # next value forecast > 0.7
+        assert analysis["status"] == "at_risk"  # next value forecast > 0.7
         gentle = ramp(0.10, 0.001, 60)
         analysis = analyze(UPPER, gentle, horizon=1, risk_margin=0.0)
-        assert analysis.status is SpecStatus.HEALTHY
+        assert analysis["status"] == "healthy"
 
     @pytest.mark.parametrize("direction, step", [(Direction.UPPER_BOUND, 0.2),
                                                   (Direction.LOWER_BOUND, -0.2)])
@@ -79,18 +101,18 @@ class TestAnalyzeSpecification:
         history = ramp(-21.5 * step, step, 20)
         for margin in (0.0, 0.5, 0.99):
             analysis = analyze(spec, history, horizon=5, risk_margin=margin)
-            assert analysis.status is SpecStatus.AT_RISK
+            assert analysis["status"] == "at_risk"
             # A step violates when it lies past 0 on the side the ramp climbs toward.
-            violating = [v * step > 0 for v in analysis.forecast_values]
-            assert analysis.first_violation_step == violating.index(True) + 1 == 3
+            violating = [v * step > 0 for v in analysis["forecast"]]
+            assert analysis["first_violation_step"] == violating.index(True) + 1 == 3
 
     def test_lower_bound_direction(self):
         spec = SlaSpec("throughput", 100.0, direction=Direction.LOWER_BOUND)
         falling = ramp(130.0, -1.0, 25)
         analysis = analyze(spec, falling, horizon=10, risk_margin=0.0)
-        assert analysis.status is SpecStatus.AT_RISK
+        assert analysis["status"] == "at_risk"
         # forecasts 105, 104, ...: the first value strictly below 100 is step 7
-        assert analysis.first_violation_step == 7
+        assert analysis["first_violation_step"] == 7
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -275,36 +297,31 @@ class TickFixture:
 
     def run(self, specs, config=None, utility_params=None):
         estimates = price_tactics(self.tactics, utility_params)
-        return workflow_tick(specs, self.history, estimates, config)
+        return monitor_tick(specs, self.history, estimates, config)
 
 
 class TestWorkflowTick:
     def test_healthy_specs_produce_no_estimates(self):
         fx = TickFixture()
         entries = fx.run([fx.spec_cool])
-        assert entries[0].analysis.status is SpecStatus.HEALTHY
-        assert entries[0].estimates == ()
+        assert entries[0]["status"] == "healthy"
+        assert entries[0]["tactics"] == []
 
     def test_at_risk_spec_estimates_every_tactic(self):
         fx = TickFixture(n_tactics=3)
         entries = fx.run([fx.spec_hot])
-        assert entries[0].analysis.status in (SpecStatus.AT_RISK, SpecStatus.BROKEN)
-        assert len(entries[0].estimates) == 3
+        assert entries[0]["status"] in ("at_risk", "broken")
+        assert len(entries[0]["tactics"]) == 3
 
     def test_specs_processed_in_reward_order(self):
         fx = TickFixture()
         entries = fx.run([fx.spec_warm, fx.spec_hot])
-        assert [e.spec_name for e in entries] == ["hot", "warm"]
+        assert [e["name"] for e in entries] == ["hot", "warm"]
 
     def test_pure_function_of_inputs(self):
         fx = TickFixture()
         specs = [fx.spec_hot, fx.spec_cool]
         assert fx.run(specs) == fx.run(specs)
-
-    def test_duplicate_spec_names_rejected(self):
-        fx = TickFixture()
-        with pytest.raises(ValueError):
-            fx.run([fx.spec_hot, SlaSpec("hot", 0.9, reward=2.0)])
 
     def test_utility_params_score_tactics(self):
         fx = TickFixture(n_tactics=2)
@@ -312,55 +329,70 @@ class TestWorkflowTick:
                                max_rate=20.0, dimmer=0.5, reward_optional=2.0,
                                reward_mandatory=1.0, cost=1.0)
         entries = fx.run([fx.spec_hot], utility_params=params)
-        scores = [e.utility_score for e in entries[0].estimates]
+        scores = [t["utility"] for t in entries[0]["tactics"]]
         assert all(s > 0 for s in scores)
         # cheaper predicted cost means higher utility, so ranking follows it
-        costs = [e.predicted_cost for e in entries[0].estimates]
+        costs = [t["cost"] for t in entries[0]["tactics"]]
         assert costs == sorted(costs)
 
     def test_json_lines_round_trip(self):
         fx = TickFixture(n_tactics=2)
-        entries = fx.run([fx.spec_hot, fx.spec_cool])
-        lines = [json.dumps(tick_entry_to_dict(e)) for e in entries]
-        assert len(lines) == 2
-        decoded = [json.loads(line) for line in lines]
+        decoded = fx.run([fx.spec_hot, fx.spec_cool])
+        assert len(decoded) == 2
         assert decoded[0]["name"] == "hot"
         assert {"name", "status", "first_violation_step", "forecast",
                 "tactics"} <= decoded[0].keys()
         assert [t["rank"] for t in decoded[0]["tactics"]] == [1, 2]
 
-    def test_shared_series_and_model_forecast_once(self, monkeypatch):
+    def test_a_k_spec_block_equals_k_one_spec_blocks(self):
+        # Every spec is classified from its tick's one forecast row, so a
+        # block of k specs is k one-spec blocks side by side.
+        rng = np.random.default_rng(31)
+        last = rng.normal(1.0, 0.3, 60)
+        previous = last - rng.normal(0.0, 0.05, 60)
+        phi, c = rng.uniform(-0.9, 0.9, 60), rng.normal(0.0, 0.02, 60)
+        specs = [SlaSpec("a", 1.0), SlaSpec("b", 1.2), SlaSpec("zero", 0.0),
+                 SlaSpec("low", 0.8, direction=Direction.LOWER_BOUND)]
+        config = WorkflowConfig(horizon=4, risk_margin=0.1)
+        block = workflow.workflow_block(specs, last, previous, phi, c, config)
+        assert block.forecasts.shape == (60, 4)
+        assert block.status.shape == block.first_step.shape == (60, len(specs))
+        assert set(block.status.ravel().tolist()) == {0, 1, 2}
+        for j, spec in enumerate(specs):
+            one = workflow.workflow_block([spec], last, previous, phi, c, config)
+            assert one.forecasts.tobytes() == block.forecasts.tobytes()
+            assert one.nonfinite_step.tolist() == block.nonfinite_step.tolist()
+            assert one.status[:, 0].tolist() == block.status[:, j].tolist()
+            assert one.first_step[:, 0].tolist() == block.first_step[:, j].tolist()
+
+    def test_shared_series_and_model_forecast_once(self):
         series = ramp(0.50, 0.01, 40)
         specs = [SlaSpec("a", 0.7, reward=3.0), SlaSpec("b", 0.9, reward=2.0),
                  SlaSpec("c", 2.0, reward=1.0)]
-        fits, calls = [], []
-        fit, original = workflow.fit_arima, workflow.workflow_block
-        monkeypatch.setattr(workflow, "fit_arima",
-                            lambda history: fits.append(len(history)) or fit(history))
-        monkeypatch.setattr(workflow, "workflow_block",
-                            lambda s, last, *rest: calls.append(len(last))
-                            or original(s, last, *rest))
-        entries = workflow_tick(specs, series)
-        assert fits == [40] and calls == [1]
+        entries = monitor_tick(specs, series)
+        # Each spec's line is the line of a tick that watches it alone.
         for spec, entry in zip(specs, entries):
-            assert entry.analysis == analyze(spec, series, 5, 0.10)
-        assert {e.analysis.status for e in entries} == {
-            SpecStatus.BROKEN, SpecStatus.AT_RISK, SpecStatus.HEALTHY}
+            assert entry == analyze(spec, series, 5, 0.10)
+        assert {e["status"] for e in entries} == {"broken", "at_risk", "healthy"}
 
-    def test_shared_forecast_failure_lands_on_each_spec(self, monkeypatch):
+    def test_shared_forecast_failure_lands_on_each_spec(self):
         specs = [SlaSpec("a", 0.7, reward=2.0), SlaSpec("b", 0.9, reward=1.0)]
         with pytest.raises(ValueError) as failure:
             fit_arima(TimeSeries([0.5]))
-        entries = workflow_tick(specs, TimeSeries([0.5]))
-        assert [e.spec_name for e in entries] == ["a", "b"]
-        assert all(e.analysis is None and e.error == str(failure.value) for e in entries)
+        entries = monitor_tick(specs, TimeSeries([0.5]))
+        assert entries == [{"tick": 0, "name": name, "error": str(failure.value)}
+                           for name in ("a", "b")]
         # A drift of 1e308 per step leaves the float range at step 2.
-        monkeypatch.setattr(workflow, "fit_arima", lambda history: ArimaModel(
-            0.5, 1e308, history.tail(2), 1.0))
-        entries = workflow_tick(specs, ramp(0.40, 0.012, 40))
-        assert [e.spec_name for e in entries] == ["a", "b"]
-        assert all(e.analysis is None and e.error == "forecast step 2 is not finite"
-                   for e in entries)
+        history = ramp(0.40, 0.012, 40)
+        previous, last = history.tail(2)
+        block = workflow.workflow_block(specs, [last], [previous], [0.5], [1e308],
+                                        WorkflowConfig())
+        assert block.nonfinite_step.tolist() == [2]
+        entries = monitor_tick(specs, history,
+                               model=ArimaModel(0.5, 1e308, history.tail(2), 1.0))
+        assert forecast_error(2) == "forecast step 2 is not finite"
+        assert entries == [{"tick": 0, "name": name, "error": forecast_error(2)}
+                           for name in ("a", "b")]
 
 
 class PricingFixture:
@@ -378,7 +410,7 @@ class PricingFixture:
         return price_tactics(self.tactics)
 
     def run(self, specs, config=None):
-        return workflow_tick(specs, self.series, self.price(), config)
+        return monitor_tick(specs, self.series, self.price(), config)
 
 
 def count_predictions(monkeypatch):
@@ -399,18 +431,18 @@ class TestOncePerTickPricing:
         specs = [SlaSpec("a", 0.7, reward=3.0), SlaSpec("b", 0.8, reward=2.0),
                  SlaSpec("c", 0.95, reward=1.0)]
         entries = fx.run(specs)
-        assert all(e.analysis.status is not SpecStatus.HEALTHY for e in entries)
+        assert all(e["status"] != "healthy" for e in entries)
         assert len(calls) == 2 * len(fx.tactics)
-        assert all(len(e.estimates) == len(fx.tactics) for e in entries)
+        assert all(len(e["tactics"]) == len(fx.tactics) for e in entries)
 
     def test_all_healthy_tick_prices_nothing(self, monkeypatch):
         fx = PricingFixture()
         estimates = fx.price()
         calls = count_predictions(monkeypatch)
-        entries = workflow_tick([SlaSpec("a", 10.0, reward=2.0),
-                                 SlaSpec("b", 20.0, reward=1.0)], fx.series, estimates)
-        assert all(e.analysis.status is SpecStatus.HEALTHY for e in entries)
-        assert all(e.estimates == () for e in entries)
+        entries = monitor_tick([SlaSpec("a", 10.0, reward=2.0),
+                                SlaSpec("b", 20.0, reward=1.0)], fx.series, estimates)
+        assert all(e["status"] == "healthy" for e in entries)
+        assert all(e["tactics"] == [] for e in entries)
         assert calls == []
 
     def test_rankings_follow_each_specs_deadline(self):
@@ -419,8 +451,8 @@ class TestOncePerTickPricing:
         fx = PricingFixture({"instant": (0.0, 5.0), "cheap": (10.0, 1.0)})
         broken, late = SlaSpec("broken", 0.7, reward=2.0), SlaSpec("late", 0.925, reward=1.0)
         entries = fx.run([broken, late], WorkflowConfig(risk_margin=0.0))
-        assert entries[0].analysis.status is SpecStatus.BROKEN
-        assert entries[1].analysis.status is SpecStatus.AT_RISK
-        assert entries[1].analysis.first_violation_step >= 2
-        assert [e.tactic_name for e in entries[0].estimates] == ["instant", "cheap"]
-        assert [e.tactic_name for e in entries[1].estimates] == ["cheap", "instant"]
+        assert entries[0]["status"] == "broken"
+        assert entries[1]["status"] == "at_risk"
+        assert entries[1]["first_violation_step"] >= 2
+        assert [t["name"] for t in entries[0]["tactics"]] == ["instant", "cheap"]
+        assert [t["name"] for t in entries[1]["tactics"]] == ["cheap", "instant"]
