@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .types import TimeSeries, check_array, check_real, check_size, integer_array
 
@@ -139,11 +138,14 @@ def _fit_ar1_lstsq(z: np.ndarray) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), float(np.mean(residuals**2))
 
 
-def _fit_cls(z: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fit_cls(z: np.ndarray, sizes: np.ndarray, work: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Conditional least squares on each row of the 2-D stack ``z`` of
     differenced windows, row i's the first ``sizes[i]`` entries (the rest
     pad it), with ``sizes`` in ascending order; returns the arrays (c, phi,
-    residual variance).
+    residual variance). ``work`` is a flat float buffer of at least three
+    times the lag pairs of ``z``, where the centred lags and their products
+    go.
 
     Regresses z_t on z_{t-1} plus a constant in closed form from centred
     sums, phi = Sxy / Sxx and c = ybar - phi * xbar. A finite row whose lag
@@ -167,12 +169,13 @@ def _fit_cls(z: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
             np.add.reduce(values[lo:hi, :pairs], axis=1, out=out[lo:hi])
         return out
 
+    # Contiguous (rows, pairs) views of the buffer, as fresh arrays would be.
+    xc, yc, product = work[:3 * x.size].reshape(3, *x.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         xbar, ybar = total(x) / m, total(y) / m
-        xc, yc = x - xbar[:, None], y - ybar[:, None]
-        # Each product goes to one reused buffer: a stack can be large.
-        product = np.multiply(xc, xc)
-        sxx = total(product)
+        np.subtract(x, xbar[:, None], out=xc)
+        np.subtract(y, ybar[:, None], out=yc)
+        sxx = total(np.multiply(xc, xc, out=product))
         # sqrt(m * Sxx) / (m + Sx^2) is within a factor 2 of the design's
         # smallest-to-largest singular value ratio.
         deficient = ~(np.sqrt(m * sxx) > _RANK_TOL * (m + total(np.multiply(x, x, out=product))))
@@ -245,7 +248,8 @@ def fit_arima_windows(series: TimeSeries, window: int | Sequence[int], starts: S
     its coefficients. Only the span the starts cover is differenced, once;
     the windows are gathered from it in order of length, up to
     ``WINDOW_CELLS`` differences at a time, each gather padded to its
-    longest window, and every fit is bit for bit the fit of its window
+    longest window and written into one workspace that the call sizes to
+    its largest gather, and every fit is bit for bit the fit of its window
     alone. ``starts`` follow ``types.integer_array`` with least value 0.
     ``window`` follows ``types.check_size``, and
     raises ``ValueError`` when longer than ``series``, with or without
@@ -287,21 +291,30 @@ def fit_arima_windows(series: TimeSeries, window: int | Sequence[int], starts: S
         # longest, inside the array.
         differenced = np.concatenate([differenced, np.zeros(sizes[-1] - sizes[0])])
         offsets -= lo
-        first = 0
+        # The gathers: each the most rows whose count times the longest's
+        # size stays within WINDOW_CELLS, and at least one.
+        bounds, first = [], 0
         while first < rows.size:
-            # The next gather: the most rows whose count times the longest's
-            # size stays within WINDOW_CELLS, and at least one.
             cells = np.arange(1, rows.size - first + 1) * sizes[first:]
             last = first + max(1, int(np.searchsorted(cells, WINDOW_CELLS, side="right")))
-            # Every window of the gather's width, as a read-only view; row k
-            # of the stack copies the one at offsets[k].
-            width = int(sizes[last - 1])
-            windows = as_strided(differenced, (differenced.size - width + 1, width),
-                                 differenced.strides * 2, writeable=False)
-            fits = _fit_cls(windows[offsets[first:last]], sizes[first:last])
+            bounds.append((first, last, (last - first, int(sizes[last - 1]))))
+            first = last
+        # One workspace for all gathers, sized to the largest: its indices,
+        # its windows and _fit_cls' centred lags and products. Each gather
+        # writes a contiguous view of it, so no pass faults in fresh pages.
+        largest = max(count * width for _, _, (count, width) in bounds)
+        index, gathered = np.empty(largest, dtype=np.intp), np.empty(largest)
+        work = np.empty(3 * largest)
+        steps = np.arange(int(sizes[-1]))
+        for first, last, shape in bounds:
+            at = index[:shape[0] * shape[1]].reshape(shape)
+            np.add(offsets[first:last, None], steps[:shape[1]], out=at)
+            # Row k is the window at offsets[k]. Every index lies in range;
+            # "clip" writes straight into the view, where "raise" buffers.
+            windows = np.take(differenced, at, mode="clip", out=gathered[:at.size].reshape(shape))
+            fits = _fit_cls(windows, sizes[first:last], work)
             gather = rows[first:last]
             c[gather], phi[gather], variance[gather] = fits
-            first = last
     # _fit_error's test as one array pass (|phi| < 1 fails a phi that is not
     # finite); _fit_error builds the FitErrors of the windows that fail it.
     good = np.isfinite(c) & np.isfinite(variance) & (np.abs(phi) < 1.0)

@@ -105,20 +105,31 @@ def __getattr__(name: str):
 def _write_report_set(out_dir: Path, texts: dict[str, str]) -> None:
     """Write each text of ``texts`` to the file of its name in the existing
     directory ``out_dir``, all or none. A name is resolved first, so a
-    symlink is written through to the file it names. Every text goes to a
-    temporary file in its target's directory first, and the files are
-    replaced only once all of them are written and every target that
-    exists is a regular file (a directory, a device, a pipe or a symlink
-    loop would be replaced, not written). The temporaries never outlive
-    the call."""
+    symlink is written through to the file it names; two names that
+    resolve to one file are refused. Every text goes to a temporary file in
+    its target's directory first, and the files are replaced only once all
+    of them are written and every target that exists is a regular file (a
+    directory, a device, a pipe or a symlink loop would be replaced, not
+    written). The temporaries never outlive the call, and an error names
+    the report and the file it resolves to, never a temporary."""
     if not out_dir.is_dir():
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(out_dir))
-    targets = [Path(os.path.realpath(out_dir / name)) for name in texts]
+    reports = [out_dir / name for name in texts]
+    targets = [Path(os.path.realpath(report)) for report in reports]
+    first: dict[Path, Path] = {}
+    for report, target in zip(reports, targets):
+        if first.setdefault(target, report) != report:
+            raise OSError(f"reports {first[target]} and {report} both resolve to {target}")
     temporaries = []
     try:
-        for target, text in zip(targets, texts.values()):
+        for report, target, text in zip(reports, targets, texts.values()):
             temporary = target.parent / f".{target.name}.{os.getpid()}.tmp"
-            with open(temporary, "x", encoding="utf-8", newline="\n") as handle:
+            try:
+                handle = open(temporary, "x", encoding="utf-8", newline="\n")
+            except OSError as exc:
+                resolved = str(target) if target != Path(os.path.abspath(report)) else None
+                raise type(exc)(exc.errno, exc.strerror, str(report), None, resolved) from None
+            with handle:
                 temporaries.append(temporary)
                 handle.write(text)
         for target in targets:

@@ -62,18 +62,30 @@ downdates their statistics one gather pass at a time: a pass gathers
 [X | t] of the first response once, and each other response in turn
 overwrites the gathered last column with its own held-out t. So every
 response's downdate is the (M + 1)-wide product that a one-response call
-computes, bit for bit, whatever other responses it is scored with. The
-batch then takes each response's least-squares and Bayesian-ridge weights
-of every run from one ``regression.fit_gram_batch`` call, which flags every
-run the statistics cannot be trusted with (cond(X'X) above
-``GRAM_CONDITION_LIMIT``, a residual sum below ``CANCELLATION_LIMIT`` of
-t't, anything non-finite); those runs are refitted with
-``fit_mra``/``fit_bayesian_ridge`` on their rows. A second round of gather
-passes regathers the held-out rows, predicts every response's held-out
-values in one ``matmul`` and scores all responses' models in one
+computes, bit for bit, whatever other responses it is scored with. Those
+products differ only in their last column, so every response's downdated
+X'X block is the first response's, bit for bit. The batch then takes
+every response's least-squares and Bayesian-ridge weights of every run
+from one ``regression.fit_gram_batch`` call, given the first response's
+X'X block and each response's X't and t't: it decomposes each run's X'X
+once for all of them, and gives each response the bits of a call of its
+own. It flags every fit the statistics cannot be trusted with (cond(X'X)
+above ``GRAM_CONDITION_LIMIT``, a residual sum below
+``CANCELLATION_LIMIT`` of t't, anything non-finite); those are refitted
+with ``fit_mra``/``fit_bayesian_ridge`` on their rows. A second round of
+gather passes regathers the held-out rows, predicts every response's
+held-out values in one ``matmul`` and scores all responses' models in one
 ``_reports`` call per pass. Each run's arithmetic is independent of the
 runs that share its batch or pass, so the budget changes no bit of the
 reports, and no array grows with runs x N.
+
+A call allocates one workspace, sized to its largest fit batch and gather
+pass: the held-out indices and downdated statistics of a batch, and flat
+buffers for a pass's gathered rows and its residual grid. Every batch and
+pass writes contiguous views of it, the layout fresh arrays would have,
+so the bits are those of fresh arrays. Fresh arrays of these sizes (a few
+hundred KB) cost more: glibc hands such freed blocks back to the kernel,
+and the next pass faults their pages in again.
 
 Report CSV format: header ``run,model,rmse,mae,train_fraction,seed``, then
 one row per scored cell of each grid in turn, run by run and, within a
@@ -375,13 +387,14 @@ def run_predictor_experiments(X: DesignMatrix,
     # Each run's held-out rows, drawn as the batches reach the run.
     draws = (rng.choice(X.n, n_test, replace=False) for rng in _run_generators(seeds))
     size = max(1, PASS_CELLS // n_test)
+    work = _PredictorWork.sized(len(ts), X.m + 1, n_test, min(size, n_runs))
     columns = tuple(f"{model}_{name}" for name in names for model in PREDICTOR_MODELS)
     errors: dict[tuple[str, int], str] = {}
     rows: list[tuple[np.ndarray, np.ndarray]] = []
     for start in range(0, n_runs, size):
         runs = range(start, min(start + size, n_runs))
         rows += _predictor_batch(X, ts, statics, augmented, totals, runs, draws, n_test,
-                                 columns, errors)
+                                 columns, errors, work)
     rmse, mae = (np.concatenate(part) for part in zip(*rows))
     return Reports(columns, seeds, rmse, mae, errors)
 
@@ -394,23 +407,58 @@ def _training_rows(test_idx: np.ndarray, n: int) -> np.ndarray:
     return train
 
 
+class _PredictorWork(NamedTuple):
+    """The arrays of a predictor harness call, allocated once and sized to
+    its largest fit batch and gather pass, so that no batch or pass faults
+    in fresh pages: the batch's held-out row indices and downdated
+    statistics, and the flat buffers whose leading cells hold a pass's
+    gathered rows and its residual grid."""
+
+    test_idx: np.ndarray
+    stats: np.ndarray
+    gathered: np.ndarray
+    grid: np.ndarray
+
+    @classmethod
+    def sized(cls, responses: int, width: int, n_test: int, runs: int) -> _PredictorWork:
+        """The workspace of fit batches of up to ``runs`` runs holding out
+        ``n_test`` rows of [X | t] of ``width`` columns, for ``responses``."""
+        step = min(runs, _pass_runs(n_test, width))
+        return cls(np.empty((runs, n_test), dtype=np.intp),
+                   np.empty((responses, runs, width, width)),
+                   np.empty(step * n_test * width), np.empty(responses * 4 * step * n_test))
+
+
+def _pass_runs(n_test: int, width: int) -> int:
+    """The runs of a gather pass: at most ``PASS_CELLS`` gathered values."""
+    return max(1, PASS_CELLS // (n_test * width))
+
+
 def _predictor_batch(X: DesignMatrix, ts: Sequence[np.ndarray], statics: Sequence[float],
                      augmented: np.ndarray, totals: np.ndarray, runs: range,
                      draws: Iterator[np.ndarray], n_test: int, columns: Sequence[str],
-                     errors: dict[tuple[str, int], str]
+                     errors: dict[tuple[str, int], str], work: _PredictorWork
                      ) -> list[tuple[np.ndarray, np.ndarray]]:
     """The rmse and mae rows of a fit batch of predictor runs, one pair per
     gather pass, in ``columns`` order. ``ts`` and ``statics`` hold each
     response's values and static value, ``totals`` its (M + 1) square
     statistics, and ``augmented`` is [X | the first response]; ``draws``
-    yields the held-out rows of each of ``runs`` in turn. Adds the runs'
-    failures to ``errors``."""
+    yields the held-out rows of each of ``runs`` in turn, and ``work`` is
+    the call's workspace. Adds the runs' failures to ``errors``."""
     width = X.m + 1
-    step = max(1, PASS_CELLS // (n_test * width))
+    step = _pass_runs(n_test, width)
     passes = [slice(lo, min(lo + step, len(runs))) for lo in range(0, len(runs), step)]
-    test_idx = np.empty((len(runs), n_test), dtype=np.intp)
-    stats = np.empty((len(ts), len(runs), width, width))
+    test_idx, stats = work.test_idx[:len(runs)], work.stats[:, :len(runs)]
     means = np.empty((len(ts), len(runs)))
+
+    def gather(span: slice) -> np.ndarray:
+        """The held-out rows of [X | the first response] of the runs of
+        ``span``, a contiguous view of the workspace. Every index lies in
+        range; "clip" writes straight into the view, where "raise" buffers."""
+        index = test_idx[span]
+        out = work.gathered[:index.size * width].reshape(*index.shape, width)
+        return np.take(augmented, index, axis=0, mode="clip", out=out)
+
     # Splits, training means and downdated statistics, one gather pass at a
     # time. Each response in turn takes the gathered last column, so its
     # downdate is the product a one-response call computes. One wider
@@ -422,7 +470,7 @@ def _predictor_batch(X: DesignMatrix, ts: Sequence[np.ndarray], statics: Sequenc
         for span in passes:
             for i in range(span.start, span.stop):
                 test_idx[i] = next(draws)
-            held_out = np.take(augmented, test_idx[span], axis=0)
+            held_out = gather(span)
             for r, t in enumerate(ts):
                 if r:
                     held_out[..., -1] = np.take(t, test_idx[span])
@@ -432,15 +480,17 @@ def _predictor_batch(X: DesignMatrix, ts: Sequence[np.ndarray], statics: Sequenc
         # Where a sum overflowed, the mean of the run's own training rows.
         for r, i in np.argwhere(~np.isfinite(means)).tolist():
             means[r, i] = ts[r][_training_rows(test_idx[i], X.n)].mean()
+    # Each response's product differs from the first's only in its last
+    # column, so its X'X block is the first's, bit for bit, and one call
+    # decomposes it once for every response.
     weights = np.empty((len(ts), 2, len(runs), X.m))
+    weights[:, 0], mra_ok, weights[:, 1], brr_ok = fit_gram_batch(
+        stats[0, :, :-1, :-1], stats[:, :, :-1, -1], stats[:, :, -1, -1], X.n - n_test)
+    # The least-squares and ridge fits, each response's last two columns.
     for r, t in enumerate(ts):
-        mra, mra_ok, brr, brr_ok = fit_gram_batch(stats[r, :, :-1, :-1], stats[r, :, :-1, -1],
-                                                  stats[r, :, -1, -1], X.n - n_test)
-        weights[r] = mra, brr
-        # The least-squares and ridge fits, the response's last two columns.
         for k, (trusted, fit) in enumerate(((mra_ok, fit_mra), (brr_ok, fit_bayesian_ridge))):
             column = columns[4 * r + 2 + k]
-            for i in np.flatnonzero(~trusted).tolist():
+            for i in np.flatnonzero(~trusted[r]).tolist():
                 train = _training_rows(test_idx[i], X.n)
                 try:
                     fitted = fit(DesignMatrix(X.rows[train], X.column_names),
@@ -452,11 +502,12 @@ def _predictor_batch(X: DesignMatrix, ts: Sequence[np.ndarray], statics: Sequenc
                     weights[r, k, i] = fitted.weights
 
     # Regather each pass's held-out rows and score every model of every
-    # response on them.
+    # response on them, in one residual grid of the workspace.
     rows = []
     for span in passes:
-        held_out = np.take(augmented, test_idx[span], axis=0)
-        residuals = np.empty((len(ts), 4) + held_out.shape[:2])
+        held_out = gather(span)
+        shape = (len(ts), 4) + held_out.shape[:2]
+        residuals = work.grid[:math.prod(shape)].reshape(shape)
         with np.errstate(over="ignore", invalid="ignore"):
             predicted = residuals[:, 2:]
             np.matmul(held_out[..., :-1], weights[:, :, span, :, None],

@@ -11,7 +11,10 @@ back to a minimal ridge term instead of failing.
 
 ``fit_gram_batch`` fits a stack of training sets from their statistics
 X'X, X't and t't alone, as the replication harness needs for its batches
-of runs. It solves the normal equations only where that is safe:
+of runs, for one response or for several that share each X'X. It
+decomposes each X'X once for both models and every response, and keeps
+each response's bits those of a call of its own (see its docstring). It
+solves the normal equations only where that is safe:
 cond(X'X) <= ``GRAM_CONDITION_LIMIT`` = 1e6, far below the
 ``CONDITION_LIMIT`` = 1e12 at which ``fit_mra`` adds its ridge, and a
 residual sum of at least ``CANCELLATION_LIMIT`` = 1e-6 of t't. It flags
@@ -278,14 +281,15 @@ def _solve_flagged(systems: np.ndarray, rhs: np.ndarray, ok: np.ndarray) -> np.n
 def fit_gram_batch(gram: np.ndarray, xt: np.ndarray, tt: np.ndarray,
                    n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Least-squares and Bayesian-ridge weights for a stack of fits given
-    only their training statistics.
+    only their training statistics, for one or more responses at once.
 
-    ``gram`` (k, M, M), ``xt`` (k, M) and ``tt`` (k,) hold X'X, X't and t't
-    of k training sets of ``n`` rows each. One batched ``eigh`` serves both
-    models. Returns ``(mra, mra_ok, brr, brr_ok)``: (k, M) weights and (k,)
-    flags. A fit whose flag is False was not trusted to the statistics and
-    must be refitted from its rows with ``fit_mra`` or
-    ``fit_bayesian_ridge``:
+    ``gram`` (k, M, M) holds X'X of k training sets of ``n`` rows each.
+    ``xt`` (k, M) and ``tt`` (k,) hold X't and t't of one response on each
+    set, or ``xt`` (R, k, M) and ``tt`` (R, k) those of R responses, all on
+    the same k sets. Returns ``(mra, mra_ok, brr, brr_ok)``: weights shaped
+    like ``xt`` and flags shaped like ``tt``. A fit whose flag is False was
+    not trusted to the statistics and must be refitted from its rows with
+    ``fit_mra`` or ``fit_bayesian_ridge``:
 
     - the least-squares fit needs finite statistics and a spectrum with
       lambda_min > 0 and lambda_max <= ``GRAM_CONDITION_LIMIT`` * lambda_min
@@ -304,16 +308,33 @@ def fit_gram_batch(gram: np.ndarray, xt: np.ndarray, tt: np.ndarray,
     The ridge runs the evidence updates of ``fit_bayesian_ridge`` from the
     same start and for as many iterations, taking residual sums from the
     statistics instead of the rows.
+
+    One batched ``eigh`` of X'X and one equilibrated least-squares matrix
+    per set serve both models and every response. That costs no bit: the
+    decomposition is of the one X'X, each response's solve is its own
+    one-right-hand-side system (LAPACK may round a column of a solve with
+    several right-hand sides differently), each projection is the
+    ``einsum`` a one-response call makes, and every other step is
+    elementwise or a sum along the last axis. So each response's weights
+    and flags are, bit for bit, those of a call given its statistics alone.
     """
-    k, m = xt.shape
+    single = xt.ndim == 2
+    if single:
+        xt, tt = xt[None], tt[None]
+    k, m = gram.shape[:2]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        finite = (np.isfinite(gram).all(axis=(1, 2)) & np.isfinite(xt).all(axis=1)
-                  & np.isfinite(tt))
+        decomposed = np.isfinite(gram).all(axis=(1, 2))
         eigenvalues = np.ones((k, m))
         vectors = np.broadcast_to(np.eye(m), (k, m, m)).copy()
-        for at, (values, basis) in _flagged_lapack(np.linalg.eigh, finite, gram):
+        for at, (values, basis) in _flagged_lapack(np.linalg.eigh, decomposed, gram):
             eigenvalues[at], vectors[at] = values, basis
-        q = np.einsum("kji,kj->ki", vectors, xt)
+        finite = decomposed & np.isfinite(xt).all(axis=-1) & np.isfinite(tt)
+
+        def project(w: np.ndarray) -> np.ndarray:
+            """V'w of each response's stack of vectors w."""
+            return np.stack([np.einsum("kji,kj->ki", vectors, one) for one in w])
+
+        q = project(xt)
         floor = CANCELLATION_LIMIT * tt
 
         def residuals(z: np.ndarray, spectrum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -326,11 +347,13 @@ def fit_gram_batch(gram: np.ndarray, xt: np.ndarray, tt: np.ndarray,
         mra_ok = finite & (low > 0) & (high <= GRAM_CONDITION_LIMIT * low)
         # S = diag(G)^(-1/2): solve (S G S) y = S X't, then w = S y.
         s = 1.0 / np.sqrt(np.abs(np.diagonal(gram, axis1=1, axis2=2)))
-        mra = s * _solve_flagged(s[:, :, None] * gram * s[:, None, :], s * xt, mra_ok)
-        mra_ok &= residuals(np.einsum("kji,kj->ki", vectors, mra), eigenvalues)[1]
+        equilibrated = s[:, :, None] * gram * s[:, None, :]
+        mra = s * np.stack([_solve_flagged(equilibrated, rhs, ok)
+                            for rhs, ok in zip(s * xt, mra_ok)])
+        mra_ok &= residuals(project(mra), eigenvalues)[1]
 
         spectrum = np.clip(eigenvalues, 0.0, None)
-        alpha, beta = np.ones(k), np.ones(k)
+        alpha, beta = np.ones(tt.shape), np.ones(tt.shape)
         z = _posterior_coordinates(spectrum, q, alpha, beta)
         brr_ok = finite.copy()
         for _ in range(EVIDENCE_ITERATIONS):
@@ -338,8 +361,11 @@ def fit_gram_batch(gram: np.ndarray, xt: np.ndarray, tt: np.ndarray,
             brr_ok &= trusted
             alpha, beta, z = _evidence_step(spectrum, q, z, alpha, beta, n, residual_sum)
         brr_ok &= np.isfinite(alpha) & np.isfinite(beta)
-        brr = _solve_flagged(alpha[:, None, None] * np.eye(m) + beta[:, None, None] * gram,
-                             beta[:, None] * xt, brr_ok)
-    mra_ok &= np.isfinite(mra).all(axis=1)
-    brr_ok &= np.isfinite(brr).all(axis=1)
+        systems = alpha[..., None, None] * np.eye(m) + beta[..., None, None] * gram
+        brr = np.stack([_solve_flagged(*fit) for fit in zip(systems, beta[..., None] * xt,
+                                                            brr_ok)])
+    mra_ok &= np.isfinite(mra).all(axis=-1)
+    brr_ok &= np.isfinite(brr).all(axis=-1)
+    if single:
+        return mra[0], mra_ok[0], brr[0], brr_ok[0]
     return mra, mra_ok, brr, brr_ok

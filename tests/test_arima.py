@@ -572,9 +572,9 @@ class TestWindowsOfManyLengths:
         calls = []
         fit_cls = arima._fit_cls
 
-        def spy(z, sizes):
+        def spy(z, sizes, *work):
             calls.append(sizes.tolist())
-            return fit_cls(z, sizes)
+            return fit_cls(z, sizes, *work)
 
         monkeypatch.setattr(arima, "_fit_cls", spy)
         fit_arima_windows(arima_110_series(0.4, 5000, seed=3), 60, range(256))
@@ -584,9 +584,9 @@ class TestWindowsOfManyLengths:
         calls = []
         fit_cls = arima._fit_cls
 
-        def spy(z, sizes):
+        def spy(z, sizes, *work):
             calls.append((z.shape, sizes.tolist()))
-            return fit_cls(z, sizes)
+            return fit_cls(z, sizes, *work)
 
         monkeypatch.setattr(arima, "_fit_cls", spy)
         monkeypatch.setattr(arima, "WINDOW_CELLS", 100)

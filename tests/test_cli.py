@@ -149,6 +149,32 @@ class TestReplicate:
             "rq1.csv", "rq2.csv", "rq3.csv", "rq4.csv"]
         assert [p.name for p in keep.iterdir()] == ["rq1.csv"]
 
+    @pytest.mark.parametrize("case", ["one file", "missing directory"])
+    def test_a_report_link_that_cannot_be_written_names_the_report(self, tmp_path, capsys,
+                                                                   case):
+        # Two reports that resolve to one file, or a report that links into
+        # a directory that does not exist: exit 2 with a line that names the
+        # report and the link's target (not the temporary), and nothing left.
+        out, keep = tmp_path / "out", tmp_path / "keep"
+        for directory in (out, keep):
+            directory.mkdir()
+        (out / "rq1.csv").symlink_to(Path("..") / "keep" / "x.csv")
+        linked = Path("..") / ("keep" if case == "one file" else "nowhere") / "x.csv"
+        (out / "rq2.csv").symlink_to(linked)
+        code, stdout, err = run_main(capsys, "replicate", "--emulate", "--minutes", "120",
+                                     "--runs", "2", "--out-dir", str(out))
+        real = Path(os.path.realpath(tmp_path))
+        assert (code, stdout) == (2, "")
+        assert err == {
+            "one file": f"error: reports {out / 'rq1.csv'} and {out / 'rq2.csv'} both "
+                        f"resolve to {real / 'keep' / 'x.csv'}\n",
+            "missing directory": f"error: [Errno 2] No such file or directory: "
+                                 f"'{out / 'rq2.csv'}' -> '{real / 'nowhere' / 'x.csv'}'\n",
+        }[case]
+        assert sorted(p.name for p in out.iterdir()) == ["rq1.csv", "rq2.csv"]
+        assert list(keep.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["keep", "out"]
+
     def test_single_run_reports(self, tmp_path):
         result = run_cli("replicate", "--emulate", "--minutes", "360",
                          "--runs", "1", "--seed", "7", "--out-dir", str(tmp_path))

@@ -586,6 +586,90 @@ def test_an_unconverged_eigh_clears_only_its_own_fit(monkeypatch):
         assert np.array_equal(mra[i], alone[0][0]) and np.array_equal(brr[i], alone[2][0])
 
 
+@st.composite
+def shared_gram_fits(draw):
+    """A stack of k training sets of one design kind, each with R responses
+    (the design's own and others on its rows), and a statistic set to inf
+    or NaN, and a set whose ``eigh`` LAPACK refuses, each sometimes."""
+    kind = draw(st.sampled_from(KINDS))
+    k, n, m = draw(st.integers(1, 6)), draw(st.integers(20, 120)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    responses = draw(st.integers(2, 3))
+    gram, xt, tt = np.empty((k, m, m)), np.empty((responses, k, m)), np.empty((responses, k))
+    for i in range(k):
+        X, t = build_design(kind, n, m, rng)
+        ts = [t] + [extra_response(X, rng, 0.3, huge=False) for _ in range(responses - 1)]
+        for r, response in enumerate(ts):
+            gram[i], xt[r, i], tt[r, i] = training_statistics(X.rows, response.t)
+    for _ in range(draw(st.integers(0, 2))):
+        bad = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+        i, j, r = (draw(st.integers(0, size - 1)) for size in (k, m, responses))
+        where = draw(st.sampled_from(["gram", "xt", "tt"]))
+        if where == "gram":
+            gram[i, j, j] = bad
+        elif where == "xt":
+            xt[r, i, j] = bad
+        else:
+            tt[r, i] = bad
+    refused = draw(st.none() | st.integers(0, k - 1))
+    return gram, xt, tt, n, refused
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_gram_fits())
+def test_responses_sharing_one_gram_fit_as_each_alone(case):
+    """A call on R responses over one X'X stack (one ``eigh`` per set for
+    all of them) gives each response, bit for bit, the weights and flags of
+    a call on that response alone: with statistics that are not finite,
+    X'X that overflows (huge rows) and a set whose ``eigh`` LAPACK refuses."""
+    gram, xt, tt, n, refused = case
+    eigh = np.linalg.eigh
+
+    def refusing(a):
+        if refused is not None and (a == gram[refused]).all(axis=(-2, -1)).any():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", refusing)
+        shared = fit_gram_batch(gram, xt, tt, n)
+        alone = [fit_gram_batch(gram, xt[r], tt[r], n) for r in range(len(xt))]
+    for got, want in zip(shared, zip(*alone)):
+        assert got.shape == (len(xt),) + want[0].shape
+        assert got.tobytes() == np.array(want).tobytes()
+    if refused is not None and np.isfinite(gram[refused]).all():
+        assert not shared[1][:, refused].any() and not shared[3][:, refused].any()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_response_downdates_the_first_responses_gram(kind, monkeypatch):
+    """The harness decomposes only the first response's X'X block of each
+    run: each response's (M + 1)-wide product differs from the first's only
+    in its last column, so its block is the first's, bit for bit. The
+    workspace keeps the statistics of the call's last fit batch (here its
+    only one, of 21 runs in passes of 3)."""
+    X, t = build_design(kind, 97, 6, np.random.default_rng(7))
+    rng = np.random.default_rng(8)
+    u, v = (extra_response(X, rng, 0.3, huge) for huge in (False, kind == "huge_responses"))
+    monkeypatch.setattr(metrics, "PASS_CELLS", 3 * held_out_rows(X.n) * (X.m + 1))
+    workspaces = []
+    sized = metrics._PredictorWork.sized
+
+    def keeping(*args):
+        workspaces.append(sized(*args))
+        return workspaces[-1]
+
+    monkeypatch.setattr(metrics._PredictorWork, "sized", keeping)
+    outcome(run_predictor_experiments, X, {"t": (t, 1.0), "u": (u, 2.0), "v": (v, 0.0)},
+            21, 3)
+    (work,) = workspaces
+    assert work.stats.shape[:2] == (3, 21)
+    blocks = work.stats[:, :, :-1, :-1]
+    for r in (1, 2):
+        assert blocks[r].tobytes() == blocks[0].tobytes()
+    assert not np.array_equal(work.stats[1, :, -1], work.stats[0, :, -1])
+
+
 def extended_precision_ridge(X: DesignMatrix, t: ResponseVector, digits: int = 60):
     """``fit_bayesian_ridge``'s evidence iterations in mpmath at ``digits``
     significant digits, with a fresh solve per iteration."""
