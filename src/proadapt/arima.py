@@ -279,8 +279,7 @@ def fit_arima_windows(series: TimeSeries, window: int | Sequence[int], starts: S
         errors[i] = _length_error(int(lengths[i]))
     # The windows long enough to fit, shortest first.
     rows = np.flatnonzero(fitted)
-    if np.ndim(window):
-        rows = rows[np.argsort(lengths[rows], kind="stable")]
+    rows = rows[np.argsort(lengths[rows], kind="stable")]
     if rows.size:
         offsets, sizes = starts[rows], lengths[rows] - 1  # each window's differences
         lo, hi = int(offsets.min()), int((offsets + sizes).max()) + 1

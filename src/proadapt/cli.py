@@ -29,6 +29,7 @@ import errno
 import json
 import math
 import os
+import stat
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -55,20 +56,39 @@ def _print_model_table(summary: Summary, names: Sequence[str]) -> None:
               f"{agg.max_rmse:>9.4f}{agg.mean_mae:>12.4f}")
 
 
+def _check_size_flag(flag: str, value: int) -> None:
+    """A size flag lies in [1, 2**63), the rule of ``types.check_size``."""
+    if value < 1:
+        raise ValueError(f"{flag} must be >= 1, got {value}")
+    if value >= 2**63:
+        raise ValueError(f"{flag} must be < 2**63")
+
+
 def _check_trace_flags(args: argparse.Namespace) -> None:
-    if args.minutes < 1:
-        raise ValueError(f"--minutes must be >= 1, got {args.minutes}")
+    _check_size_flag("--minutes", args.minutes)
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
+
+
+@contextlib.contextmanager
+def _sized_by(flag: str, value: int):
+    """Name ``flag`` and its ``value`` in a ``MemoryError`` of the block,
+    whose work that flag sizes."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise MemoryError(f"{flag} {value}: {exc}".rstrip(": ")) from None
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     from .emulator import Phase, generate_trace, trace_csv_text
 
     _check_trace_flags(args)
-    trace = generate_trace(args.minutes, args.seed)
+    with _sized_by("--minutes", args.minutes):
+        trace = generate_trace(args.minutes, args.seed)
+        text = trace_csv_text(trace)
     out = Path(args.out)
-    _write_report_set(out.parent, {out.name: trace_csv_text(trace)})
+    _write_report_set(out.parent, {out.name: text})
     downloads = int(np.count_nonzero(trace.phase_is(Phase.DOWNLOAD)))
     print(f"{len(trace)} records ({downloads} downloads) written to {args.out}")
     return 0
@@ -155,8 +175,7 @@ def cmd_replicate(args: argparse.Namespace) -> int:
 
     harness = sys.modules[__name__]
     _check_trace_flags(args)
-    if args.runs < 1:
-        raise ValueError(f"--runs must be >= 1, got {args.runs}")
+    _check_size_flag("--runs", args.runs)
     # The rule a tactics file applies to its static values, checked before any work.
     for flag, value in (("--static-latency", args.static_latency),
                         ("--static-cost", args.static_cost)):
@@ -171,21 +190,25 @@ def cmd_replicate(args: argparse.Namespace) -> int:
         with trace_content():
             trace = ingest_trace_csv(args.trace)
     else:
-        trace = generate_trace(args.minutes, trace_seed)
+        with _sized_by("--minutes", args.minutes):
+            trace = generate_trace(args.minutes, trace_seed)
 
     # Every report is computed before any file is written, and the set is
     # written all or nothing, so a failure leaves no partial report set.
-    impact = tuple(zip((SAMPLE_TACTIC_A, SAMPLE_TACTIC_B), run_cost_impact_simulation(
-        SAMPLE_TACTIC_A, SAMPLE_TACTIC_B, args.runs, impact_seed)))
+    with _sized_by("--runs", args.runs):
+        impact = tuple(zip((SAMPLE_TACTIC_A, SAMPLE_TACTIC_B), run_cost_impact_simulation(
+            SAMPLE_TACTIC_A, SAMPLE_TACTIC_B, args.runs, impact_seed)))
     with trace_content():
         idle = to_idle_series(trace)
-    forecast_reports = harness.run_forecast_experiments(idle, args.runs, forecast_seed)
+    with _sized_by("--runs", args.runs):
+        forecast_reports = harness.run_forecast_experiments(idle, args.runs, forecast_seed)
     with trace_content():
         X, latency, cost = to_regression_dataset(trace)
     # One split per run, shared by both responses.
-    predictor_reports = harness.run_predictor_experiments(
-        X, {"latency": (latency, args.static_latency), "cost": (cost, args.static_cost)},
-        args.runs, predictor_seed)
+    with _sized_by("--runs", args.runs):
+        predictor_reports = harness.run_predictor_experiments(
+            X, {"latency": (latency, args.static_latency), "cost": (cost, args.static_cost)},
+            args.runs, predictor_seed)
 
     def response(name: str, models: Sequence[str], suffix: str = "") -> Reports:
         """The ``models`` columns of response ``name``, each renamed to its
@@ -382,6 +405,46 @@ def _load_tactic_context(tactics_path: str, trace_path: str | None) -> dict[str,
     return tactics
 
 
+def _silence_stdout() -> None:
+    """Point stdout's descriptor at devnull, so that the interpreter's final
+    flush of what is still buffered cannot write again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
+@contextlib.contextmanager
+def _whole_lines():
+    """Yield ``mark``, which flushes stdout and, when stdout is a regular
+    file, records the file's size (its end even when opened to append,
+    before anything is written). If a write or flush in the block fails,
+    such a file is cut back to the last mark and stdout silenced, so the
+    file ends in whole lines. Any other stdout (a pipe, a ``StringIO``) is
+    only flushed."""
+    try:
+        fd = sys.stdout.fileno()
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+    except (AttributeError, OSError, ValueError):  # no descriptor
+        regular = False
+    offset = 0
+
+    def mark() -> None:
+        nonlocal offset
+        sys.stdout.flush()
+        if regular:
+            offset = os.fstat(fd).st_size
+
+    mark()
+    try:
+        yield mark
+    except OSError:
+        if regular:
+            os.ftruncate(fd, offset)
+            os.lseek(fd, offset, os.SEEK_SET)  # where a stderr sharing the file writes
+            _silence_stdout()
+        raise
+
+
 class _TickLines:
     """The JSON lines of one monitor tick, byte for byte what ``json.dumps``
     writes for each entry ``{"tick", "name", "status",
@@ -480,22 +543,27 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     model = np.maximum.accumulate(np.where(good, np.arange(good.size), -1))[
         np.arange(ticks) // every]
     opening = int(np.count_nonzero(model < 0))
-    for tick in range(opening):
-        sys.stdout.write(lines.errors(tick, str(errors[tick // every])))
-    # The other ticks go through the kernel a block at a time, and each is
-    # written as soon as it is serialised. Each tick's window ends at
-    # last[tick] (previous is empty for a window of 1, which never fits).
-    last, previous = history.values[window - 1:], history.values[window - 2:-1]
-    size = min(BLOCK_TICKS, BLOCK_CELLS // config.horizon)
-    for lo in range(opening, ticks, size):
-        hi = min(lo + size, ticks)
-        block = workflow_block(ordered, last[lo:hi], previous[lo:hi], phi[model[lo:hi]],
-                               c[model[lo:hi]], config)
-        for tick, forecast, step, pairs in zip(
-                range(lo, hi), block.forecasts.tolist(), block.nonfinite_step.tolist(),
-                (block.status + 3 * block.first_step).tolist()):
-            sys.stdout.write(lines.errors(tick, forecast_error(step)) if step
-                             else lines.entries(tick, forecast, pairs))
+    # Each block of lines is flushed whole, so a failed write leaves a file
+    # of whole lines.
+    with _whole_lines() as mark:
+        for tick in range(opening):
+            sys.stdout.write(lines.errors(tick, str(errors[tick // every])))
+        mark()
+        # The other ticks go through the kernel a block at a time, and each
+        # is written as soon as it is serialised. Each tick's window ends at
+        # last[tick] (previous is empty for a window of 1, which never fits).
+        last, previous = history.values[window - 1:], history.values[window - 2:-1]
+        size = min(BLOCK_TICKS, BLOCK_CELLS // config.horizon)
+        for lo in range(opening, ticks, size):
+            hi = min(lo + size, ticks)
+            block = workflow_block(ordered, last[lo:hi], previous[lo:hi], phi[model[lo:hi]],
+                                   c[model[lo:hi]], config)
+            for tick, forecast, step, pairs in zip(
+                    range(lo, hi), block.forecasts.tolist(), block.nonfinite_step.tolist(),
+                    (block.status + 3 * block.first_step).tolist()):
+                sys.stdout.write(lines.errors(tick, forecast_error(step)) if step
+                                 else lines.entries(tick, forecast, pairs))
+            mark()
     return 0
 
 
@@ -561,11 +629,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # The reader closed stdout: send what is still buffered to devnull
-        # so that the interpreter's final flush cannot fail again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _silence_stdout()  # the reader closed stdout
         return 2
     except MemoryError as exc:
         # A size the host cannot hold: one line, not NumPy's traceback.

@@ -58,20 +58,19 @@ that mean's, within the pairwise-summation error bound of both sums
 ``PASS_CELLS`` budget sets two sizes: a fit batch holds at most that
 many held-out row indices, and a gather pass at most that many gathered
 values (runs x n_test x (M + 1)). Each fit batch draws its runs' splits and
-downdates their statistics one gather pass at a time: a pass gathers
-[X | t] of the first response once, and each other response in turn
-overwrites the gathered last column with its own held-out t. So every
-response's downdate is the (M + 1)-wide product that a one-response call
-computes, bit for bit, whatever other responses it is scored with. Those
-products differ only in their last column, so every response's downdated
-X'X block is the first response's, bit for bit. The batch then takes
-every response's least-squares and Bayesian-ridge weights of every run
-from one ``regression.fit_gram_batch`` call, given the first response's
-X'X block and each response's X't and t't: it decomposes each run's X'X
-once for all of them, and gives each response the bits of a call of its
-own. It flags every fit the statistics cannot be trusted with (cond(X'X)
-above ``GRAM_CONDITION_LIMIT``, a residual sum below
-``CANCELLATION_LIMIT`` of t't, anything non-finite); those are refitted
+downdates their statistics one gather pass at a time: a pass gathers the
+held-out rows of [X | t] once, and each response in turn writes its own
+held-out t into the gathered last column. So every response's downdate is
+the (M + 1)-wide product that a one-response call computes, bit for bit,
+whatever other responses it is scored with. Those products differ only in
+their last column, so every response's downdated X'X block is the same,
+bit for bit. The batch then takes every response's least-squares and
+Bayesian-ridge weights of every run from one ``regression.fit_gram_batch``
+call, given any response's X'X block and each response's X't and t't: it
+decomposes each run's X'X once for all of them, and gives each response
+the bits of a call of its own. It flags every fit the statistics cannot
+be trusted with (cond(X'X) above ``GRAM_CONDITION_LIMIT``, a residual sum
+below ``CANCELLATION_LIMIT`` of t't, anything non-finite); those are refitted
 with ``fit_mra``/``fit_bayesian_ridge`` on their rows. A second round of
 gather passes regathers the held-out rows, predicts every response's
 held-out values in one ``matmul`` and scores all responses' models in one
@@ -374,13 +373,12 @@ def run_predictor_experiments(X: DesignMatrix,
                              "on length")
     statics = [float(static_value) for _, static_value in responses.values()]
     # A response rides as the last column, so one product gives its X'X,
-    # X't and t't. Each response takes that column in turn, the first one
-    # last, so that the gathers start from it.
+    # X't and t't. Each response takes that column in turn.
     augmented = np.column_stack([X.rows, ts[0]])
     totals = np.empty((len(ts), X.m + 1, X.m + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        for r in reversed(range(len(ts))):
-            augmented[:, -1] = ts[r]
+        for r, t in enumerate(ts):
+            augmented[:, -1] = t
             totals[r] = augmented.T @ augmented
     seeds = subseeds(seed, np.arange(n_runs))
     n_test = max(1, int(round((1.0 - TRAIN_FRACTION) * X.n)))
@@ -412,26 +410,24 @@ class _PredictorWork(NamedTuple):
     its largest fit batch and gather pass, so that no batch or pass faults
     in fresh pages: the batch's held-out row indices and downdated
     statistics, and the flat buffers whose leading cells hold a pass's
-    gathered rows and its residual grid."""
+    gathered rows and its residual grid. ``pass_runs`` is the runs of a
+    gather pass: at most ``PASS_CELLS`` gathered values."""
 
     test_idx: np.ndarray
     stats: np.ndarray
     gathered: np.ndarray
     grid: np.ndarray
+    pass_runs: int
 
     @classmethod
     def sized(cls, responses: int, width: int, n_test: int, runs: int) -> _PredictorWork:
         """The workspace of fit batches of up to ``runs`` runs holding out
         ``n_test`` rows of [X | t] of ``width`` columns, for ``responses``."""
-        step = min(runs, _pass_runs(n_test, width))
+        step = min(runs, max(1, PASS_CELLS // (n_test * width)))
         return cls(np.empty((runs, n_test), dtype=np.intp),
                    np.empty((responses, runs, width, width)),
-                   np.empty(step * n_test * width), np.empty(responses * 4 * step * n_test))
-
-
-def _pass_runs(n_test: int, width: int) -> int:
-    """The runs of a gather pass: at most ``PASS_CELLS`` gathered values."""
-    return max(1, PASS_CELLS // (n_test * width))
+                   np.empty(step * n_test * width), np.empty(responses * 4 * step * n_test),
+                   step)
 
 
 def _predictor_batch(X: DesignMatrix, ts: Sequence[np.ndarray], statics: Sequence[float],
@@ -442,29 +438,29 @@ def _predictor_batch(X: DesignMatrix, ts: Sequence[np.ndarray], statics: Sequenc
     """The rmse and mae rows of a fit batch of predictor runs, one pair per
     gather pass, in ``columns`` order. ``ts`` and ``statics`` hold each
     response's values and static value, ``totals`` its (M + 1) square
-    statistics, and ``augmented`` is [X | the first response]; ``draws``
-    yields the held-out rows of each of ``runs`` in turn, and ``work`` is
-    the call's workspace. Adds the runs' failures to ``errors``."""
-    width = X.m + 1
-    step = _pass_runs(n_test, width)
+    statistics, and ``augmented`` is [X | a response]; ``draws`` yields
+    the held-out rows of each of ``runs`` in turn, and ``work`` is the
+    call's workspace. Adds the runs' failures to ``errors``."""
+    width, step = X.m + 1, work.pass_runs
     passes = [slice(lo, min(lo + step, len(runs))) for lo in range(0, len(runs), step)]
     test_idx, stats = work.test_idx[:len(runs)], work.stats[:, :len(runs)]
     means = np.empty((len(ts), len(runs)))
 
     def gather(span: slice) -> np.ndarray:
-        """The held-out rows of [X | the first response] of the runs of
-        ``span``, a contiguous view of the workspace. Every index lies in
-        range; "clip" writes straight into the view, where "raise" buffers."""
+        """The held-out rows of ``augmented`` of the runs of ``span``, a
+        contiguous view of the workspace. Every index lies in range;
+        "clip" writes straight into the view, where "raise" buffers."""
         index = test_idx[span]
         out = work.gathered[:index.size * width].reshape(*index.shape, width)
         return np.take(augmented, index, axis=0, mode="clip", out=out)
 
     # Splits, training means and downdated statistics, one gather pass at a
-    # time. Each response in turn takes the gathered last column, so its
-    # downdate is the product a one-response call computes. One wider
-    # product of [X | t_1 | ... | t_R] would share X'X, but BLAS may round
-    # it differently at another width (with OpenBLAS 0.3.31, a 9-column
-    # X'X from a 10- and a 12-column product differed in the last bits).
+    # time. Each response in turn writes its held-out t into the gathered
+    # last column, so its downdate is the product a one-response call
+    # computes. One wider product of [X | t_1 | ... | t_R] would share X'X,
+    # but BLAS may round it differently at another width (with OpenBLAS
+    # 0.3.31, a 9-column X'X from a 10- and a 12-column product differed in
+    # the last bits).
     with np.errstate(over="ignore", invalid="ignore"):
         sums = [t.sum() for t in ts]
         for span in passes:
@@ -472,17 +468,16 @@ def _predictor_batch(X: DesignMatrix, ts: Sequence[np.ndarray], statics: Sequenc
                 test_idx[i] = next(draws)
             held_out = gather(span)
             for r, t in enumerate(ts):
-                if r:
-                    held_out[..., -1] = np.take(t, test_idx[span])
+                held_out[..., -1] = np.take(t, test_idx[span])
                 means[r, span] = (sums[r] - held_out[..., -1].sum(axis=1)) / (X.n - n_test)
                 np.subtract(totals[r], np.matmul(held_out.transpose(0, 2, 1), held_out),
                             out=stats[r, span])
         # Where a sum overflowed, the mean of the run's own training rows.
         for r, i in np.argwhere(~np.isfinite(means)).tolist():
             means[r, i] = ts[r][_training_rows(test_idx[i], X.n)].mean()
-    # Each response's product differs from the first's only in its last
-    # column, so its X'X block is the first's, bit for bit, and one call
-    # decomposes it once for every response.
+    # The responses' products differ only in their last column, so their
+    # X'X blocks are one, bit for bit, and one call decomposes it once for
+    # every response.
     weights = np.empty((len(ts), 2, len(runs), X.m))
     weights[:, 0], mra_ok, weights[:, 1], brr_ok = fit_gram_batch(
         stats[0, :, :-1, :-1], stats[:, :, :-1, -1], stats[:, :, -1, -1], X.n - n_test)
@@ -514,7 +509,7 @@ def _predictor_batch(X: DesignMatrix, ts: Sequence[np.ndarray], statics: Sequenc
                       out=predicted[..., None])
             np.maximum(0.0, predicted, out=predicted)
             for r, t in enumerate(ts):
-                actual = np.take(t, test_idx[span]) if r else held_out[..., -1]
+                actual = np.take(t, test_idx[span])
                 np.subtract(means[r, span, None], actual, out=residuals[r, 0])
                 np.subtract(statics[r], actual, out=residuals[r, 1])
                 np.subtract(predicted[r], actual, out=predicted[r])

@@ -11,7 +11,7 @@ back to a minimal ridge term instead of failing.
 
 ``fit_gram_batch`` fits a stack of training sets from their statistics
 X'X, X't and t't alone, as the replication harness needs for its batches
-of runs, for one response or for several that share each X'X. It
+of runs, for R responses that share each X'X (an (R, k) stack). It
 decomposes each X'X once for both models and every response, and keeps
 each response's bits those of a call of its own (see its docstring). It
 solves the normal equations only where that is safe:
@@ -284,12 +284,12 @@ def fit_gram_batch(gram: np.ndarray, xt: np.ndarray, tt: np.ndarray,
     only their training statistics, for one or more responses at once.
 
     ``gram`` (k, M, M) holds X'X of k training sets of ``n`` rows each.
-    ``xt`` (k, M) and ``tt`` (k,) hold X't and t't of one response on each
-    set, or ``xt`` (R, k, M) and ``tt`` (R, k) those of R responses, all on
-    the same k sets. Returns ``(mra, mra_ok, brr, brr_ok)``: weights shaped
-    like ``xt`` and flags shaped like ``tt``. A fit whose flag is False was
-    not trusted to the statistics and must be refitted from its rows with
-    ``fit_mra`` or ``fit_bayesian_ridge``:
+    ``xt`` (R, k, M) and ``tt`` (R, k) hold X't and t't of R responses, all
+    on the same k sets (R = 1 for one response). Returns
+    ``(mra, mra_ok, brr, brr_ok)``: weights shaped like ``xt`` and flags
+    shaped like ``tt``. A fit whose flag is False was not trusted to the
+    statistics and must be refitted from its rows with ``fit_mra`` or
+    ``fit_bayesian_ridge``:
 
     - the least-squares fit needs finite statistics and a spectrum with
       lambda_min > 0 and lambda_max <= ``GRAM_CONDITION_LIMIT`` * lambda_min
@@ -318,9 +318,6 @@ def fit_gram_batch(gram: np.ndarray, xt: np.ndarray, tt: np.ndarray,
     elementwise or a sum along the last axis. So each response's weights
     and flags are, bit for bit, those of a call given its statistics alone.
     """
-    single = xt.ndim == 2
-    if single:
-        xt, tt = xt[None], tt[None]
     k, m = gram.shape[:2]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         decomposed = np.isfinite(gram).all(axis=(1, 2))
@@ -366,6 +363,4 @@ def fit_gram_batch(gram: np.ndarray, xt: np.ndarray, tt: np.ndarray,
                                                             brr_ok)])
     mra_ok &= np.isfinite(mra).all(axis=-1)
     brr_ok &= np.isfinite(brr).all(axis=-1)
-    if single:
-        return mra[0], mra_ok[0], brr[0], brr_ok[0]
     return mra, mra_ok, brr, brr_ok

@@ -18,16 +18,17 @@ import sys
 ADDRESS_SPACE = 1 << 29  # bytes; Python with NumPy peaks at about 100 MiB
 
 
-def run_limited(*argv, file_size: int | None = None):
+def run_limited(*argv, file_size: int | None = None, stdout=subprocess.PIPE):
     """``python *argv`` under the address-space limit and, given
     ``file_size``, a file-size limit of that many bytes, with one BLAS
-    thread (each thread reserves address space of its own)."""
+    thread (each thread reserves address space of its own). The child's
+    stdout goes to ``stdout`` (an open file, say), by default captured."""
     def lower_limits():
         resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
         if file_size is not None:
             signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
             resource.setrlimit(resource.RLIMIT_FSIZE, (file_size, file_size))
 
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
-                          env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+    return subprocess.run([sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
                           preexec_fn=lower_limits)

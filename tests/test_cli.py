@@ -58,6 +58,16 @@ class TestGenerate:
             1, "", f"error: --minutes must be >= 1, got {minutes}\n")
         assert not out.exists()
 
+    def test_minutes_from_2_to_the_63_name_the_flag_before_any_work(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the trace was generated")
+        monkeypatch.setattr(emulator, "generate_trace", no_work)
+        out = tmp_path / "trace.csv"
+        assert run_main(capsys, "generate", "--minutes", str(2**63), "--out", str(out)) == (
+            1, "", "error: --minutes must be < 2**63\n")
+        assert not out.exists()
+
     def test_negative_seed_names_the_flag(self, tmp_path, capsys, monkeypatch):
         def no_work(*args):
             raise AssertionError("the trace was generated")
@@ -242,6 +252,17 @@ class TestReplicate:
         assert run_main(capsys, "replicate", "--emulate", "--runs", runs,
                         "--out-dir", str(out_dir)) == (
             1, "", f"error: --runs must be >= 1, got {runs}\n")
+        assert not out_dir.exists()
+
+    def test_runs_from_2_to_the_63_name_the_flag_before_any_work(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the trace was generated")
+        monkeypatch.setattr(emulator, "generate_trace", no_work)
+        out_dir = tmp_path / "reports"
+        assert run_main(capsys, "replicate", "--emulate", "--runs", str(10**20),
+                        "--out-dir", str(out_dir)) == (
+            1, "", "error: --runs must be < 2**63\n")
         assert not out_dir.exists()
 
     def test_requires_a_source(self, tmp_path):
@@ -481,15 +502,17 @@ class TestContracts:
                                 capture_output=True, text=True)
         assert result.stderr == "0 False\n"
 
-    @pytest.mark.parametrize("argv", [
-        ["generate", "--minutes", "100000000", "--out"],
-        ["replicate", "--emulate", "--minutes", "60", "--runs", "1000000000", "--out-dir"]],
+    @pytest.mark.parametrize("argv, flag", [
+        (["generate", "--minutes", "100000000", "--out"], "--minutes 100000000"),
+        (["replicate", "--emulate", "--minutes", "60", "--runs", "1000000000", "--out-dir"],
+         "--runs 1000000000")],
         ids=["generate", "replicate"])
-    def test_out_of_memory_exits_2_with_one_line(self, tmp_path, argv):
-        # Sizes of gigabytes, asked for only under the child's lowered limit.
+    def test_out_of_memory_exits_2_with_one_line(self, tmp_path, argv, flag):
+        # Sizes of gigabytes, asked for only under the child's lowered
+        # limit. The line names the flag that sized the failed stage.
         result = run_limited("-m", "proadapt.cli", *argv, str(tmp_path / "out"))
         assert result.returncode == 2
-        assert result.stderr.startswith("error: out of memory")
+        assert result.stderr.startswith(f"error: out of memory: {flag}: ")
         assert len(result.stderr.splitlines()) == 1
         assert "Traceback" not in result.stderr
         assert result.stdout == ""
@@ -508,6 +531,28 @@ class TestContracts:
         stderr = process.stderr.read()
         assert process.wait() == 2
         assert stderr == b""
+
+    @pytest.mark.parametrize("mode", ["w", "a"])
+    @pytest.mark.parametrize("limit", [1_000, 10_000, 50_001, 123_457])
+    def test_a_failed_write_leaves_stdout_in_whole_lines(self, tmp_path, limit, mode):
+        # About 390 kB of lines into a file the child may not grow past
+        # ``limit``: the write fails part way through a line, and the file
+        # is cut back to the last whole block of ticks. A file opened to
+        # append keeps its earlier line.
+        spec, history = write_ramp_fixture(tmp_path, n=3000)
+        earlier = '{"earlier": true}\n' if mode == "a" else ""
+        (tmp_path / "stdout.txt").write_text(earlier, encoding="utf-8")
+        with open(tmp_path / "stdout.txt", mode) as stdout:
+            result = run_limited("-m", "proadapt.cli", "monitor", "--spec", str(spec),
+                                 "--history", str(history), file_size=limit, stdout=stdout)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.splitlines()) == 1
+        text = (tmp_path / "stdout.txt").read_text(encoding="utf-8")
+        assert text.startswith(earlier)
+        assert text == "" or text.endswith("\n")
+        for line in text.splitlines():
+            json.loads(line)
 
 
 def run_main(capsys, *args):

@@ -4,9 +4,11 @@ Seeded inputs are generated by committed code, each command runs through
 ``cli.main`` in this process, and the SHA-256 of its stdout and of every
 report file is compared with ``golden_digests.json``; so is the stdout of
 each ``demos/*.py`` script, also run in this process, and the stdout and
-stderr of one ``monitor`` run over an edge-case history. A refactor that
-claims to keep behaviour passes unchanged; a change that moves output
-bits on purpose re-records the digests and says so.
+stderr of one ``monitor`` run over an edge-case history. Each seed also
+runs one ``replicate`` large enough that its harnesses split their runs
+into several fit batches and gather passes. A refactor that claims to
+keep behaviour passes unchanged; a change that moves output bits on
+purpose re-records the digests and says so.
 
 Float formatting and NumPy's reductions can differ between NumPy
 releases, so the digests hold only for the NumPy version they were
@@ -41,6 +43,8 @@ DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
 SEEDS = (1, 2)
 HISTORY_MINUTES = 800  # one idle reading per minute
 TRACE_MINUTES = 240
+BATCHED_MINUTES = 1440  # a day's trace, so the predictor harness has rows to spare
+BATCHED_RUNS = 500  # several predictor fit batches and gather passes, two rq2 passes
 RISK_MARGIN = 0.10
 SPEC_QUANTILES = (("gold", 0.35, 3.0), ("silver", 0.45, 2.0), ("bronze", 0.55, 1.0))
 MIRRORS = ("germany", "massachusetts", "ontario")
@@ -130,24 +134,32 @@ def run(argv: list[str]) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
+def replicate_digests(key: str, minutes: int, runs: int, seed: int,
+                      out_dir: Path) -> dict[str, str]:
+    """Digests of the stdout and the reports of one emulated ``replicate``
+    run, keyed ``<key>.stdout`` and ``<key>.rq1.csv`` to ``<key>.rq4.csv``."""
+    stdout = run(["replicate", "--emulate", "--minutes", str(minutes), "--runs", str(runs),
+                  "--seed", str(seed), "--out-dir", str(out_dir)])
+    digests = {f"{key}.stdout": sha256(stdout)}
+    for name in ("rq1.csv", "rq2.csv", "rq3.csv", "rq4.csv"):
+        digests[f"{key}.{name}"] = sha256((out_dir / name).read_bytes())
+    return digests
+
+
 def compute_digests(seed: int, directory: Path) -> dict[str, str]:
     paths = write_inputs(seed, directory)
     monitor = ["monitor", "--spec", str(paths["specs.json"]),
                "--history", str(paths["history.csv"])]
     tactics = ["--tactics", str(paths["tactics.json"]), "--trace", str(paths["trace.csv"])]
-    out_dir = directory / "replicate"
-    digests = {
+    return {
         "generate.csv": sha256(paths["trace.csv"].read_bytes()),
         "monitor.stdout": sha256(run(monitor)),
         "monitor-refit.stdout": sha256(run(monitor + ["--refit-every", "1"])),
         "monitor-tactics.stdout": sha256(run(monitor + tactics)),
-        "replicate.stdout": sha256(run(["replicate", "--emulate", "--minutes",
-                                        str(TRACE_MINUTES), "--runs", "5", "--seed",
-                                        str(seed), "--out-dir", str(out_dir)])),
+        **replicate_digests("replicate", TRACE_MINUTES, 5, seed, directory / "replicate"),
+        **replicate_digests("replicate-batched", BATCHED_MINUTES, BATCHED_RUNS, seed,
+                            directory / "batched"),
     }
-    for name in ("rq1.csv", "rq2.csv", "rq3.csv", "rq4.csv"):
-        digests[f"replicate.{name}"] = sha256((out_dir / name).read_bytes())
-    return digests
 
 
 def edge_digests(directory: Path) -> dict[str, str]:

@@ -391,7 +391,7 @@ def stacked_fits(kind: str, k: int, n: int, m: int, seed: int):
     designs = [build_design(kind, n, m, rng) for _ in range(k)]
     stats = [training_statistics(X.rows, t.t) for X, t in designs]
     gram, xt, tt = (np.array(column) for column in zip(*stats))
-    return designs, fit_gram_batch(gram, xt, tt, n)
+    return designs, tuple(fit[0] for fit in fit_gram_batch(gram, xt[None], tt[None], n))
 
 
 @settings(max_examples=60, deadline=None)
@@ -579,10 +579,11 @@ def test_an_unconverged_eigh_clears_only_its_own_fit(monkeypatch):
         return eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", failing)
-    mra, mra_ok, brr, brr_ok = fit_gram_batch(gram, xt, tt, 60)
+    mra, mra_ok, brr, brr_ok = (fit[0] for fit in fit_gram_batch(gram, xt[None], tt[None], 60))
     assert mra_ok.tolist() == brr_ok.tolist() == [True, False, True]
     for i in (0, 2):
-        alone = fit_gram_batch(gram[i:i + 1], xt[i:i + 1], tt[i:i + 1], 60)
+        alone = [fit[0] for fit in fit_gram_batch(gram[i:i + 1], xt[None, i:i + 1],
+                                                  tt[None, i:i + 1], 60)]
         assert np.array_equal(mra[i], alone[0][0]) and np.array_equal(brr[i], alone[2][0])
 
 
@@ -633,10 +634,10 @@ def test_responses_sharing_one_gram_fit_as_each_alone(case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np.linalg, "eigh", refusing)
         shared = fit_gram_batch(gram, xt, tt, n)
-        alone = [fit_gram_batch(gram, xt[r], tt[r], n) for r in range(len(xt))]
+        alone = [fit_gram_batch(gram, xt[r:r + 1], tt[r:r + 1], n) for r in range(len(xt))]
     for got, want in zip(shared, zip(*alone)):
-        assert got.shape == (len(xt),) + want[0].shape
-        assert got.tobytes() == np.array(want).tobytes()
+        assert got.shape == (len(xt),) + want[0].shape[1:]
+        assert got.tobytes() == np.concatenate(want).tobytes()
     if refused is not None and np.isfinite(gram[refused]).all():
         assert not shared[1][:, refused].any() and not shared[3][:, refused].any()
 
