@@ -26,8 +26,8 @@ _EXPORTS = {
                 "run_predictor_experiments", "summarize"),
     "regression": ("DesignMatrix", "RegressionModel", "ResponseVector", "fit_mra"),
     "types": ("Direction", "SlaSpec", "TimeSeries", "UtilityParams", "order_specs_by_reward"),
-    "workflow": ("SpecStatus", "TacticEstimate", "TacticModels", "WorkflowConfig",
-                 "price_tactics", "rank_tactics"),
+    "workflow": ("SpecStatus", "TacticEstimate", "TacticModels", "price_tactics",
+                 "rank_tactics"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

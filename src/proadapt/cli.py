@@ -126,12 +126,13 @@ def _write_report_set(out_dir: Path, texts: dict[str, str]) -> None:
     """Write each text of ``texts`` to the file of its name in the existing
     directory ``out_dir``, all or none. A name is resolved first, so a
     symlink is written through to the file it names; two names that
-    resolve to one file are refused. Every text goes to a temporary file in
-    its target's directory first, and the files are replaced only once all
-    of them are written and every target that exists is a regular file (a
-    directory, a device, a pipe or a symlink loop would be replaced, not
-    written). The temporaries never outlive the call, and an error names
-    the report and the file it resolves to, never a temporary."""
+    resolve to one file are refused, and so is a target that exists and is
+    not a regular file (a directory, a device, a pipe or a symlink loop
+    would be replaced, not written), before any temporary is opened. Every
+    text then goes to a temporary file in its target's directory, and the
+    files are replaced only once all of them are written. The temporaries
+    never outlive the call, and an error names the report and the file it
+    resolves to, never a temporary."""
     if not out_dir.is_dir():
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(out_dir))
     reports = [out_dir / name for name in texts]
@@ -140,6 +141,12 @@ def _write_report_set(out_dir: Path, texts: dict[str, str]) -> None:
     for report, target in zip(reports, targets):
         if first.setdefault(target, report) != report:
             raise OSError(f"reports {first[target]} and {report} both resolve to {target}")
+    for target in targets:
+        if target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+        # A resolved path that is still a symlink is a loop.
+        if target.is_symlink() or (target.exists() and not target.is_file()):
+            raise OSError(f"{target} is not a regular file")
     temporaries = []
     try:
         for report, target, text in zip(reports, targets, texts.values()):
@@ -152,12 +159,6 @@ def _write_report_set(out_dir: Path, texts: dict[str, str]) -> None:
             with handle:
                 temporaries.append(temporary)
                 handle.write(text)
-        for target in targets:
-            if target.is_dir():
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
-            # A resolved path that is still a symlink is a loop.
-            if target.is_symlink() or (target.exists() and not target.is_file()):
-                raise OSError(f"{target} is not a regular file")
         for temporary, target in zip(temporaries, targets):
             os.replace(temporary, target)
     finally:
@@ -182,30 +183,22 @@ def cmd_replicate(args: argparse.Namespace) -> int:
         check_real(flag, value, 0)
     trace_seed, impact_seed, forecast_seed, predictor_seed = subseeds(args.seed, range(4))
 
-    def trace_content():
-        """Errors about the content of a trace file name the file."""
-        return _input_file("trace file") if args.trace else contextlib.nullcontext()
-
-    if args.trace:
-        with trace_content():
-            trace = ingest_trace_csv(args.trace)
-    else:
-        with _sized_by("--minutes", args.minutes):
-            trace = generate_trace(args.minutes, trace_seed)
+    # The trace and both series come before any experiment runs, so every
+    # error about a trace file's content does too.
+    with (_input_file("trace file") if args.trace
+          else _sized_by("--minutes", args.minutes)):
+        trace = (ingest_trace_csv(args.trace) if args.trace
+                 else generate_trace(args.minutes, trace_seed))
+        idle = to_idle_series(trace)
+        X, latency, cost = to_regression_dataset(trace)
 
     # Every report is computed before any file is written, and the set is
     # written all or nothing, so a failure leaves no partial report set.
     with _sized_by("--runs", args.runs):
         impact = tuple(zip((SAMPLE_TACTIC_A, SAMPLE_TACTIC_B), run_cost_impact_simulation(
             SAMPLE_TACTIC_A, SAMPLE_TACTIC_B, args.runs, impact_seed)))
-    with trace_content():
-        idle = to_idle_series(trace)
-    with _sized_by("--runs", args.runs):
         forecast_reports = harness.run_forecast_experiments(idle, args.runs, forecast_seed)
-    with trace_content():
-        X, latency, cost = to_regression_dataset(trace)
-    # One split per run, shared by both responses.
-    with _sized_by("--runs", args.runs):
+        # One split per run, shared by both responses.
         predictor_reports = harness.run_predictor_experiments(
             X, {"latency": (latency, args.static_latency), "cost": (cost, args.static_cost)},
             args.runs, predictor_seed)
@@ -359,7 +352,7 @@ def _load_tactic_context(tactics_path: str, trace_path: str | None) -> dict[str,
     """Each tactic's trained models and current feature vector, by name in
     file order, from a tactics JSON file plus the trace that supplies the
     training data."""
-    from .emulator import Mirror, Phase, ingest_trace_csv, to_regression_dataset
+    from .emulator import Mirror, ingest_trace_csv, to_regression_dataset
     from .regression import fit_mra
     from .workflow import TacticModels
 
@@ -371,7 +364,6 @@ def _load_tactic_context(tactics_path: str, trace_path: str | None) -> dict[str,
         raise ValueError("tactics file must hold a JSON list")
     with _input_file("trace file"):
         trace = ingest_trace_csv(trace_path)
-    others = ~trace.phase_is(Phase.DOWNLOAD)
     static = ("static_latency", "static_cost")
     tactics = {}
     for i, entry in enumerate(raw):
@@ -383,7 +375,7 @@ def _load_tactic_context(tactics_path: str, trace_path: str | None) -> dict[str,
             except ValueError:
                 raise ValueError(f"tactics file entry {i}: unknown mirror "
                                  f"{entry['mirror']!r}") from None
-            subset = trace.select(others | trace.mirror_is(mirror))
+            subset = trace.select(trace.mirror_is(mirror))
             source += f": tactics file entry {i} (mirror {mirror.value!r})"
         with _input_file(source):
             X, latency, cost = to_regression_dataset(subset)
@@ -499,7 +491,7 @@ class _TickLines:
 
 def cmd_monitor(args: argparse.Namespace) -> int:
     from .arima import fit_arima_windows, forecast_error
-    from .workflow import WorkflowConfig, price_tactics, workflow_block
+    from .workflow import price_tactics, workflow_block
 
     specs = _load_specs(args.spec)
     history = _load_history(args.history)
@@ -514,19 +506,18 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         raise ValueError(f"--horizon must be >= 1, got {args.horizon}")
     if args.horizon > BLOCK_CELLS:  # a block of one tick would not fit in BLOCK_CELLS
         raise ValueError(f"--horizon must be <= {BLOCK_CELLS}, got {args.horizon}")
-    # The rules of WorkflowConfig's fields, checked here to name the flags.
+    # The rules of workflow_block's risk_margin and rank_tactics'
+    # tick_seconds, checked here to name the flags before any work.
     check_real("--risk-margin", args.risk_margin, 0)
     if args.risk_margin >= 1:
         raise ValueError(f"--risk-margin must lie in [0, 1), got {args.risk_margin}")
     check_real("--tick-seconds", args.tick_seconds, 0, strict=True)
-    config = WorkflowConfig(horizon=args.horizon, risk_margin=args.risk_margin,
-                            tick_seconds=args.tick_seconds)
     # The tactics' models and features are fixed for the run, so are their prices.
     estimates = (price_tactics(_load_tactic_context(args.tactics, args.trace))
                  if args.tactics else ())
 
     ordered = order_specs_by_reward(specs)
-    lines = _TickLines(ordered, estimates, config.tick_seconds)
+    lines = _TickLines(ordered, estimates, args.tick_seconds)
     ticks = len(history) - window + 1
     # 0, or a K of at least the ticks, fits once, on the first window.
     every = min(args.refit_every or ticks, ticks)
@@ -553,11 +544,11 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         # is written as soon as it is serialised. Each tick's window ends at
         # last[tick] (previous is empty for a window of 1, which never fits).
         last, previous = history.values[window - 1:], history.values[window - 2:-1]
-        size = min(BLOCK_TICKS, BLOCK_CELLS // config.horizon)
+        size = min(BLOCK_TICKS, BLOCK_CELLS // args.horizon)
         for lo in range(opening, ticks, size):
             hi = min(lo + size, ticks)
             block = workflow_block(ordered, last[lo:hi], previous[lo:hi], phi[model[lo:hi]],
-                                   c[model[lo:hi]], config)
+                                   c[model[lo:hi]], args.horizon, args.risk_margin)
             for tick, forecast, step, pairs in zip(
                     range(lo, hi), block.forecasts.tolist(), block.nonfinite_step.tolist(),
                     (block.status + 3 * block.first_step).tolist()):

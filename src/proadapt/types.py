@@ -55,7 +55,7 @@ class TimeSeries:
 
     ``values`` are in whatever unit the monitored specification uses
     (seconds, joules, ...). The series does not store its sampling period:
-    the decision loop's is ``WorkflowConfig.tick_seconds``.
+    the decision loop's is ``rank_tactics``' ``tick_seconds``.
     """
 
     values: np.ndarray

@@ -29,8 +29,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .arima import forecast_paths
-from .types import (Direction, SlaSpec, UtilityParams, check_array, check_real,
-                    check_size, utility)
+from .types import Direction, SlaSpec, UtilityParams, check_array, check_real, utility
 
 if TYPE_CHECKING:  # regression loads only when tactics are priced
     from .regression import RegressionModel
@@ -39,7 +38,6 @@ __all__ = [
     "SpecStatus",
     "TacticEstimate",
     "TacticModels",
-    "WorkflowConfig",
     "TickBlock",
     "STATUSES",
     "price_tactics",
@@ -96,28 +94,6 @@ class TacticModels:
 
 
 @dataclass(frozen=True)
-class WorkflowConfig:
-    """Loop knobs.
-
-    ``risk_margin`` widens the threshold band: a forecast within
-    margin * |threshold| of the threshold (on the approaching side) counts
-    as potentially broken. For a zero threshold the band has width 0
-    whatever the margin, so AT_RISK then means a forecast step violates.
-    """
-
-    horizon: int = 5
-    risk_margin: float = 0.10
-    tick_seconds: float = 6.0
-
-    def __post_init__(self) -> None:
-        check_size("horizon", self.horizon)
-        check_real("risk_margin", self.risk_margin, 0)
-        if self.risk_margin >= 1:
-            raise ValueError("risk_margin must lie in [0, 1)")
-        check_real("tick_seconds", self.tick_seconds, 0, strict=True)
-
-
-@dataclass(frozen=True)
 class TickBlock:
     """Forecasts and classifications of a block of n ticks and k specs.
 
@@ -136,24 +112,29 @@ class TickBlock:
 
 def workflow_block(specs: Sequence[SlaSpec], last: Sequence[float],
                    previous: Sequence[float], phi: Sequence[float], c: Sequence[float],
-                   config: WorkflowConfig) -> TickBlock:
+                   horizon: int, risk_margin: float) -> TickBlock:
     """Forecast and classify n ticks, each from its last two observations
     (``previous``, ``last``) under its model coefficients ``phi`` and ``c``.
 
-    The forecasts and their first non-finite steps are
+    The ``horizon`` forecasts and their first non-finite steps are
     ``arima.forecast_paths``'s. A spec is broken when the tick's last
     value violates it (lies strictly above an upper bound or below a lower
     one), at risk from the first forecast step inside its risk band (strict
     on the approach side, so a zero margin means "a step violates"),
-    healthy otherwise. ``specs`` are taken in the given order. The four
-    per-tick sequences follow ``forecast_paths``' rule.
+    healthy otherwise. The band is ``risk_margin`` (in [0, 1)) times
+    |threshold| wide on the approaching side, so a zero threshold's band
+    has width 0 whatever the margin. ``specs`` are taken in the given
+    order. The four per-tick sequences follow ``forecast_paths``' rule.
     """
-    steps, nonfinite_step = forecast_paths(last, previous, phi, c, config.horizon)
+    check_real("risk_margin", risk_margin, 0)
+    if risk_margin >= 1:
+        raise ValueError(f"risk_margin must lie in [0, 1), got {risk_margin}")
+    steps, nonfinite_step = forecast_paths(last, previous, phi, c, horizon)
     last = np.asarray(last, dtype=float)  # forecast_paths has checked it
     status = np.empty((last.size, len(specs)), dtype=np.int8)
     first_step = np.zeros((last.size, len(specs)), dtype=np.intp)
     for j, spec in enumerate(specs):
-        margin_width = config.risk_margin * abs(spec.threshold)
+        margin_width = risk_margin * abs(spec.threshold)
         if spec.direction is Direction.UPPER_BOUND:
             now, band = last > spec.threshold, steps > spec.threshold - margin_width
         else:

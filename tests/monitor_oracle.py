@@ -23,7 +23,7 @@ from typing import Sequence
 from arima_oracle import fit_arima, forecast
 from proadapt.arima import ArimaModel, FitError
 from proadapt.types import Direction, SlaSpec, TimeSeries, order_specs_by_reward
-from proadapt.workflow import SpecStatus, TacticEstimate, WorkflowConfig, rank_tactics
+from proadapt.workflow import SpecStatus, TacticEstimate, rank_tactics
 
 
 def classify(spec: SlaSpec, history: TimeSeries, predicted: Sequence[float],
@@ -47,19 +47,19 @@ def classify(spec: SlaSpec, history: TimeSeries, predicted: Sequence[float],
 
 
 def reference_tick(ordered: Sequence[SlaSpec], history: TimeSeries,
-                   estimates: Sequence[TacticEstimate], config: WorkflowConfig,
-                   model) -> list[dict]:
+                   estimates: Sequence[TacticEstimate], horizon: int, risk_margin: float,
+                   tick_seconds: float, model) -> list[dict]:
     try:
         moved = ArimaModel(model.phi, model.c, history.tail(2), model.residual_variance)
-        predicted = forecast(moved, config.horizon)
+        predicted = forecast(moved, horizon)
     except ValueError as exc:
         return [{"name": spec.name, "error": str(exc)} for spec in ordered]
     entries = []
     for spec in ordered:
-        status, step = classify(spec, history, predicted, config.risk_margin)
+        status, step = classify(spec, history, predicted, risk_margin)
         ranked = []
         if status is not SpecStatus.HEALTHY and estimates:
-            ranked = rank_tactics(estimates, status, step, config.tick_seconds)
+            ranked = rank_tactics(estimates, status, step, tick_seconds)
         entries.append({
             "name": spec.name, "status": status.value, "first_violation_step": step,
             "forecast": list(predicted),
@@ -71,8 +71,9 @@ def reference_tick(ordered: Sequence[SlaSpec], history: TimeSeries,
 
 
 def reference_monitor(specs: Sequence[SlaSpec], history: TimeSeries, window: int,
-                      config: WorkflowConfig, refit_every: int,
-                      estimates: Sequence[TacticEstimate]) -> tuple[str, str]:
+                      horizon: int, risk_margin: float, tick_seconds: float,
+                      refit_every: int, estimates: Sequence[TacticEstimate]
+                      ) -> tuple[str, str]:
     """The stdout and stderr text ``monitor`` writes for these inputs."""
     ordered = order_specs_by_reward(specs)
     ticks = len(history) - window + 1
@@ -90,6 +91,7 @@ def reference_monitor(specs: Sequence[SlaSpec], history: TimeSeries, window: int
             entries = [{"name": spec.name, "error": fit_error} for spec in ordered]
         else:
             window_series = TimeSeries(history.values[tick:tick + window])
-            entries = reference_tick(ordered, window_series, estimates, config, model)
+            entries = reference_tick(ordered, window_series, estimates, horizon, risk_margin,
+                                     tick_seconds, model)
         out += [json.dumps({"tick": tick, **entry}) + "\n" for entry in entries]
     return "".join(out), "".join(err)

@@ -16,7 +16,8 @@ with the argument's name.
 
 The real fields are found, not listed: each public dataclass that
 validates itself has one valid instance in ``VALID``, and every field of
-it annotated ``float`` is drawn out of its domain.
+it annotated ``float`` is drawn out of its domain. The real arguments of
+functions are listed in ``REAL_ARGUMENTS``.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from hypothesis import strategies as st
 import proadapt
 from proadapt import (SAMPLE_TACTIC_A, SAMPLE_TACTIC_B, ArimaModel, DesignMatrix,
                       RegressionModel, ResponseVector, SlaSpec, TimeSeries,
-                      UtilityParams, WorkflowConfig, acf, fit_arima_windows, forecast,
-                      generate_trace, pacf, run_cost_impact_simulation,
+                      SpecStatus, UtilityParams, acf, fit_arima_windows, forecast,
+                      generate_trace, pacf, rank_tactics, run_cost_impact_simulation,
                       run_forecast_experiments, run_predictor_experiments)
 from proadapt.arima import forecast_paths
 from proadapt.emulator import sample_latency
@@ -50,6 +51,7 @@ SERIES = TimeSeries(np.sin(np.arange(40.0)))
 MODEL = ArimaModel(0.5, 0.0, (1.0, 2.0), 0.0)
 X = DesignMatrix(np.column_stack([np.ones(40), np.arange(40.0)]))
 T = ResponseVector(np.arange(40.0))
+SPECS = [SlaSpec("s", 1.0)]
 
 # (argument name, least value, the call with the argument set to a value)
 INTEGER_ARGUMENTS = [
@@ -72,8 +74,8 @@ INTEGER_ARGUMENTS = [
                  id="run_predictor_experiments-n_runs"),
     pytest.param("seed", 0, lambda v: run_predictor_experiments(X, {"t": (T, 1.0)}, 3, v),
                  id="run_predictor_experiments-seed"),
-    pytest.param("horizon", 1, lambda v: WorkflowConfig(horizon=v),
-                 id="WorkflowConfig-horizon"),
+    pytest.param("horizon", 1, lambda v: workflow_block(
+        SPECS, [2.0], [1.0], [0.5], [0.0], v, 0.1), id="workflow_block-horizon"),
     pytest.param("max_lag", 1, lambda v: acf(SERIES, v), id="acf-max_lag"),
     pytest.param("max_lag", 1, lambda v: pacf(SERIES, v), id="pacf-max_lag"),
     pytest.param("horizon", 1, lambda v: forecast(MODEL, v), id="forecast-horizon"),
@@ -172,7 +174,6 @@ VALID = [
     SlaSpec("s", 1.0, penalty=1.0, reward=1.0),
     UtilityParams(tau=1.0, rate=1.0, response_time=0.5, target=1.0, max_rate=2.0,
                   dimmer=0.5, reward_optional=2.0, reward_mandatory=1.0, cost=1.0),
-    WorkflowConfig(),
     TacticEstimate("t", 1.0, 1.0, 0.5),
     SAMPLE_TACTIC_A,
     MODEL,
@@ -185,7 +186,6 @@ BOUNDS = {
     "UtilityParams.tau": (0, True), "UtilityParams.rate": (0, False),
     "UtilityParams.max_rate": (0, False), "UtilityParams.dimmer": (0, False),
     "UtilityParams.cost": (0, True),
-    "WorkflowConfig.risk_margin": (0, False), "WorkflowConfig.tick_seconds": (0, True),
     "TacticEstimate.predicted_latency": (0, False),
     "TacticEstimate.predicted_cost": (0, False),
     "TacticProfile.cost_per_unit_latency": (0, False), "TacticProfile.mean": (0, True),
@@ -244,6 +244,38 @@ def test_bounded_real_fields_accept_the_bound_unless_strict(instance, name, boun
             dataclasses.replace(instance, **{name: least})
     else:
         assert getattr(dataclasses.replace(instance, **{name: least}), name) == least
+
+
+# Real arguments of functions: (argument name, (least, strict), the call
+# with the argument set to a value).
+REAL_ARGUMENTS = [
+    pytest.param("risk_margin", (0, False),
+                 lambda v: workflow_block(SPECS, [2.0], [1.0], [0.5], [0.0], 3, v),
+                 id="workflow_block-risk_margin"),
+    pytest.param("tick_seconds", (0, True),
+                 lambda v: rank_tactics([TacticEstimate("t", 1.0, 1.0, 0.5)],
+                                        SpecStatus.AT_RISK, 1, v),
+                 id="rank_tactics-tick_seconds"),
+]
+
+
+@pytest.mark.parametrize("name, bound, call", REAL_ARGUMENTS)
+@given(data=st.data())
+def test_real_arguments_follow_one_rule(name, bound, call, data):
+    value = data.draw(out_of_domain(bound))
+    with pytest.raises((TypeError, ValueError)) as raised:
+        call(value)
+    assert str(raised.value).startswith(f"{name} must ")
+
+
+@pytest.mark.parametrize("name, bound, call", REAL_ARGUMENTS)
+def test_bounded_real_arguments_accept_the_bound_unless_strict(name, bound, call):
+    least, strict = bound
+    if strict:
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > {least}, got "):
+            call(least)
+    else:
+        call(least)
 
 
 @given(out_of_domain(None))
@@ -307,7 +339,6 @@ def test_check_array_reads_bools_mixed_with_floats_as_floats():
 
 
 MODEL_2 = RegressionModel((1.0, 2.0))
-SPECS = [SlaSpec("s", 1.0)]
 PER_TICK = ("last", "previous", "phi", "c")
 
 # (argument names, the call given each argument's value, which corruptions
@@ -319,7 +350,7 @@ SEQUENCE_ARGUMENTS = [
                  ("entries",), id="TacticModels-features"),
     pytest.param(PER_TICK, lambda *per_tick: forecast_paths(*per_tick, 3),
                  ("entries", "length"), id="forecast_paths"),
-    pytest.param(PER_TICK, lambda *per_tick: workflow_block(SPECS, *per_tick, WorkflowConfig()),
+    pytest.param(PER_TICK, lambda *per_tick: workflow_block(SPECS, *per_tick, 3, 0.1),
                  ("entries", "length"), id="workflow_block"),
     pytest.param(("starts",), lambda starts: fit_arima_windows(SERIES, 20, starts),
                  ("entries",), id="fit_arima_windows-starts"),

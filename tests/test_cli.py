@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proadapt import (ArimaModel, Mirror, Phase, TimeSeries, WorkflowConfig, arima, cli,
-                      emulator, fit_arima, forecast, generate_trace, price_tactics,
-                      regression, workflow, write_trace_csv)
+from proadapt import (ArimaModel, Mirror, Phase, TimeSeries, arima, cli, emulator, fit_arima,
+                      forecast, generate_trace, metrics, price_tactics, regression, workflow,
+                      write_trace_csv)
 from proadapt.cli import main
 from limited_child import run_limited
 from monitor_oracle import reference_tick
@@ -116,6 +116,27 @@ class TestGenerate:
         assert sorted(tmp_path.iterdir()) == before
         assert target != "fifo" or stat.S_ISFIFO(out.stat().st_mode)
         assert target != "symlink loop" or os.readlink(out) == str(out)
+
+    @pytest.mark.parametrize("target", ["directory", "fifo", "symlink loop"])
+    def test_a_refused_out_opens_no_temporary(self, tmp_path, capsys, monkeypatch, target):
+        # The target is checked before any temporary is opened, so a refused
+        # out costs no write of the trace beside it.
+        opened = []
+        monkeypatch.setattr(cli, "open", lambda path, *args, **kwargs: (
+            opened.append(path) or open(path, *args, **kwargs)), raising=False)
+        out = tmp_path / "trace.csv"
+        if target == "directory":
+            out.mkdir()
+        elif target == "fifo":
+            os.mkfifo(out)
+        else:
+            out.symlink_to(out)
+        assert run_main(capsys, "generate", "--minutes", "5", "--out", str(out)) == (
+            2, "", {"directory": f"error: [Errno 21] Is a directory: '{out}'\n",
+                    "fifo": f"error: {out} is not a regular file\n",
+                    "symlink loop": f"error: {out} is not a regular file\n"}[target])
+        assert opened == []
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
 
     def test_a_symlinked_out_is_written_through(self, tmp_path):
         trace, link = tmp_path / "trace.csv", tmp_path / "link.csv"
@@ -311,6 +332,29 @@ class TestReplicate:
         assert code == 0
         assert err == "warning: 3 of 30 run/model scores failed\n"
         assert (out_dir / "rq2.csv").read_text().count(",persistence,") == 3
+
+    def test_trace_content_errors_come_before_any_experiment(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # A trace with idle records but 3 downloads is refused before rq1,
+        # rq2 or the predictor harness runs.
+        ran = []
+        for module, name in ((emulator, "run_cost_impact_simulation"),
+                             (metrics, "run_forecast_experiments"),
+                             (metrics, "run_predictor_experiments")):
+            def spy(*args, name=name, original=getattr(module, name), **kwargs):
+                ran.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+        trace = tmp_path / "trace.csv"
+        records = generate_trace(1, 3)
+        write_trace_csv(records, trace)
+        assert np.count_nonzero(records.phase_is(Phase.IDLE)) > 0
+        code, out, err = run_main(capsys, "replicate", "--trace", str(trace), "--runs", "3",
+                                  "--out-dir", str(tmp_path / "reports"))
+        assert (code, out) == (1, "")
+        assert err == "error: trace file: need at least 8 download records, got 3\n"
+        assert ran == []
+        assert not (tmp_path / "reports").exists()
 
     def test_report_set_is_written_all_or_nothing(self, tmp_path, capsys):
         # A directory where rq3.csv belongs fails the run before any report
@@ -596,7 +640,6 @@ class TestMonitorRefit:
         specs = cli._load_specs(specs_path)
         estimates = (price_tactics(cli._load_tactic_context(*tactics_args))
                      if tactics_args else ())
-        config = WorkflowConfig(horizon=self.HORIZON)
         ticks = len(values) - self.WINDOW + 1
         lines, models = {}, {}
         for tick in range(ticks):
@@ -604,8 +647,8 @@ class TestMonitorRefit:
             if tick == 0 or (refit_every > 0 and tick % refit_every == 0):
                 models = {s.name: fit_arima(series) for s in specs}
             for spec in specs:
-                lines[(tick, spec.name)], = reference_tick([spec], series, estimates, config,
-                                                           models[spec.name])
+                lines[(tick, spec.name)], = reference_tick(
+                    [spec], series, estimates, self.HORIZON, 0.10, 6.0, models[spec.name])
         return lines
 
     @pytest.mark.parametrize("refit_every", [0, 1, 3])
@@ -755,7 +798,7 @@ class TestMonitorInputErrors:
         ("-0.1", "must be finite and >= 0, got -0.1"), ("1", "must lie in [0, 1), got 1.0"),
         ("inf", "must be finite and >= 0, got inf")])
     def test_risk_margin_errors_name_the_flag(self, tmp_path, capsys, value, message):
-        # Both flags' errors used to name the WorkflowConfig field instead.
+        # Both flags' errors used to name the argument, not the flag.
         spec, history = write_ramp_fixture(tmp_path)
         err = self.assert_one_error(capsys, "monitor", "--spec", str(spec), "--history",
                                     str(history), f"--risk-margin={value}")

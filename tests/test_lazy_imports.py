@@ -28,8 +28,8 @@ REEXPORTS = {
                 "run_predictor_experiments", "summarize"],
     "regression": ["DesignMatrix", "RegressionModel", "ResponseVector", "fit_mra"],
     "types": ["Direction", "SlaSpec", "TimeSeries", "UtilityParams", "order_specs_by_reward"],
-    "workflow": ["SpecStatus", "TacticEstimate", "TacticModels", "WorkflowConfig",
-                 "price_tactics", "rank_tactics"],
+    "workflow": ["SpecStatus", "TacticEstimate", "TacticModels", "price_tactics",
+                 "rank_tactics"],
 }
 HARNESS = ("run_forecast_experiments", "run_predictor_experiments")
 

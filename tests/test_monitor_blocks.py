@@ -22,7 +22,7 @@ from proadapt import arima, cli, workflow
 from proadapt.arima import ArimaModel
 from proadapt.emulator import generate_trace, write_trace_csv
 from proadapt.types import SlaSpec, TimeSeries
-from proadapt.workflow import TacticEstimate, WorkflowConfig, price_tactics
+from proadapt.workflow import TacticEstimate, price_tactics
 
 TACTICS = [{"name": "mirror_g", "mirror": "germany", "static_latency": 2.5,
             "static_cost": 30.0},
@@ -58,11 +58,9 @@ def run_both(workdir, values, specs, window, horizon, risk_margin, tick_seconds,
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(argv)
     assert rc == 0, err.getvalue()
-    config = WorkflowConfig(horizon=horizon, risk_margin=risk_margin,
-                            tick_seconds=tick_seconds)
     want_out, want_err = reference_monitor(
         cli._load_specs(str(workdir / "specs.json")), TimeSeries(np.array(values)),
-        window, config, refit_every, estimates)
+        window, horizon, risk_margin, tick_seconds, refit_every, estimates)
     return out.getvalue(), err.getvalue(), want_out, want_err
 
 
@@ -267,9 +265,9 @@ def test_blocks_stay_within_the_cell_budget(workdir, monkeypatch):
     sizes = []
     kernel = workflow.workflow_block
 
-    def spy(specs, last, previous, phi, c, config):
-        sizes.append((len(last), config.horizon))
-        return kernel(specs, last, previous, phi, c, config)
+    def spy(specs, last, previous, phi, c, horizon, risk_margin):
+        sizes.append((len(last), horizon))
+        return kernel(specs, last, previous, phi, c, horizon, risk_margin)
 
     monkeypatch.setattr(workflow, "workflow_block", spy)
     values = (0.01 * np.arange(80) + np.sin(np.arange(80))).tolist()

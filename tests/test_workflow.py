@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from proadapt import (ArimaModel, Direction, RegressionModel, SlaSpec, SpecStatus,
-                      TacticEstimate, TacticModels, TimeSeries, UtilityParams,
-                      WorkflowConfig, fit_arima, generate_trace, order_specs_by_reward,
-                      price_tactics, rank_tactics, to_regression_dataset, fit_mra)
+                      TacticEstimate, TacticModels, TimeSeries, UtilityParams, fit_arima,
+                      generate_trace, order_specs_by_reward, price_tactics, rank_tactics,
+                      to_regression_dataset, fit_mra)
 from proadapt import cli, regression, workflow
 from proadapt.arima import forecast_error
 
@@ -18,15 +18,15 @@ def ramp(start, step, n):
     return TimeSeries(start + step * np.arange(n))
 
 
-def monitor_tick(specs, history, estimates=(), config=None, model=None):
+def monitor_tick(specs, history, estimates=(), horizon=5, risk_margin=0.10, model=None):
     """The decoded JSON lines of one ``monitor`` tick at the end of
     ``history``, one per spec in descending-reward order, as ``monitor``
-    makes them: ``model`` (by default ``fit_arima(history)``) forecasts the
-    tick in a one-tick ``workflow_block``, and ``cli._TickLines`` ranks the
-    estimates and writes the lines."""
-    config = config or WorkflowConfig()
+    makes them at its default six-second tick: ``model`` (by default
+    ``fit_arima(history)``) forecasts the tick in a one-tick
+    ``workflow_block``, and ``cli._TickLines`` ranks the estimates and
+    writes the lines."""
     ordered = order_specs_by_reward(specs)
-    lines = cli._TickLines(ordered, estimates, config.tick_seconds)
+    lines = cli._TickLines(ordered, estimates, 6.0)
     try:
         model = model or fit_arima(history)
     except ValueError as exc:
@@ -34,17 +34,22 @@ def monitor_tick(specs, history, estimates=(), config=None, model=None):
     else:
         previous, last = history.tail(2)
         block = workflow.workflow_block(ordered, [last], [previous], [model.phi],
-                                        [model.c], config)
+                                        [model.c], horizon, risk_margin)
         step = int(block.nonfinite_step[0])
         text = (lines.errors(0, forecast_error(step)) if step else lines.entries(
             0, block.forecasts[0].tolist(), (block.status + 3 * block.first_step)[0].tolist()))
     return [json.loads(line) for line in text.splitlines()]
 
 
+def block_of_one(horizon=5, risk_margin=0.10):
+    """A one-tick, one-spec ``workflow_block`` under ``horizon`` and
+    ``risk_margin``."""
+    return workflow.workflow_block([UPPER], [0.5], [0.4], [0.5], [0.0], horizon, risk_margin)
+
+
 def analyze(spec, history, horizon, risk_margin):
     """The one spec's line from a tick without tactics."""
-    config = WorkflowConfig(horizon=horizon, risk_margin=risk_margin)
-    [entry] = monitor_tick([spec], history, config=config)
+    [entry] = monitor_tick([spec], history, horizon=horizon, risk_margin=risk_margin)
     return entry
 
 
@@ -78,8 +83,7 @@ class TestAnalyzeSpecification:
                                 (Direction.LOWER_BOUND, -np.inf)):
             spec = SlaSpec("s", 0.7, direction=direction)
             last = [0.7, np.nextafter(0.7, past)]
-            block = workflow.workflow_block([spec], last, last, [0.0, 0.0], [0.0, 0.0],
-                                            WorkflowConfig(risk_margin=0.0))
+            block = workflow.workflow_block([spec], last, last, [0.0, 0.0], [0.0, 0.0], 5, 0.0)
             assert [workflow.STATUSES[code] for code in block.status[:, 0]] == [
                 SpecStatus.HEALTHY, SpecStatus.BROKEN]
 
@@ -115,10 +119,10 @@ class TestAnalyzeSpecification:
         assert analysis["first_violation_step"] == 7
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            WorkflowConfig(horizon=0)
-        with pytest.raises(ValueError):
-            WorkflowConfig(risk_margin=1.0)
+        with pytest.raises(ValueError, match="^horizon must "):
+            block_of_one(horizon=0)
+        with pytest.raises(ValueError, match=r"^risk_margin must lie in \[0, 1\), got 1.0$"):
+            block_of_one(risk_margin=1.0)
 
     @pytest.mark.parametrize("horizon, error, message", [
         (2.5, TypeError, "horizon must be an integer, got 2.5"),
@@ -126,12 +130,11 @@ class TestAnalyzeSpecification:
         (3.0, TypeError, "horizon must be an integer, got 3.0"),
         (0, ValueError, "horizon must be >= 1")])
     def test_horizon_must_be_an_integer_of_at_least_1(self, horizon, error, message):
-        # 2.5 used to be accepted and fail later inside forecast_paths.
         with pytest.raises(error, match=f"^{message}$"):
-            WorkflowConfig(horizon=horizon)
+            block_of_one(horizon=horizon)
 
     def test_numpy_integer_horizon_accepted(self):
-        assert WorkflowConfig(horizon=np.int64(3)).horizon == 3
+        assert block_of_one(horizon=np.int64(3)).forecasts.shape == (1, 3)
 
 
 def price(x, latency_model, cost_model):
@@ -277,8 +280,6 @@ class TestRankTactics:
         with pytest.raises(ValueError, match="finite and > 0"):
             rank_tactics([estimate("t", 1.0, 1.0, 0.0)], *AT_RISK,
                          tick_seconds=tick_seconds)
-        with pytest.raises(ValueError, match="finite and > 0"):
-            WorkflowConfig(tick_seconds=tick_seconds)
 
 
 class TickFixture:
@@ -295,9 +296,9 @@ class TickFixture:
                                               RegressionModel(weights=(float(i + 2),)), (1.0,))
                         for i in range(n_tactics)}
 
-    def run(self, specs, config=None, utility_params=None):
+    def run(self, specs, utility_params=None):
         estimates = price_tactics(self.tactics, utility_params)
-        return monitor_tick(specs, self.history, estimates, config)
+        return monitor_tick(specs, self.history, estimates)
 
 
 class TestWorkflowTick:
@@ -353,13 +354,12 @@ class TestWorkflowTick:
         phi, c = rng.uniform(-0.9, 0.9, 60), rng.normal(0.0, 0.02, 60)
         specs = [SlaSpec("a", 1.0), SlaSpec("b", 1.2), SlaSpec("zero", 0.0),
                  SlaSpec("low", 0.8, direction=Direction.LOWER_BOUND)]
-        config = WorkflowConfig(horizon=4, risk_margin=0.1)
-        block = workflow.workflow_block(specs, last, previous, phi, c, config)
+        block = workflow.workflow_block(specs, last, previous, phi, c, 4, 0.1)
         assert block.forecasts.shape == (60, 4)
         assert block.status.shape == block.first_step.shape == (60, len(specs))
         assert set(block.status.ravel().tolist()) == {0, 1, 2}
         for j, spec in enumerate(specs):
-            one = workflow.workflow_block([spec], last, previous, phi, c, config)
+            one = workflow.workflow_block([spec], last, previous, phi, c, 4, 0.1)
             assert one.forecasts.tobytes() == block.forecasts.tobytes()
             assert one.nonfinite_step.tolist() == block.nonfinite_step.tolist()
             assert one.status[:, 0].tolist() == block.status[:, j].tolist()
@@ -385,8 +385,7 @@ class TestWorkflowTick:
         # A drift of 1e308 per step leaves the float range at step 2.
         history = ramp(0.40, 0.012, 40)
         previous, last = history.tail(2)
-        block = workflow.workflow_block(specs, [last], [previous], [0.5], [1e308],
-                                        WorkflowConfig())
+        block = workflow.workflow_block(specs, [last], [previous], [0.5], [1e308], 5, 0.1)
         assert block.nonfinite_step.tolist() == [2]
         entries = monitor_tick(specs, history,
                                model=ArimaModel(0.5, 1e308, history.tail(2), 1.0))
@@ -409,8 +408,8 @@ class PricingFixture:
     def price(self):
         return price_tactics(self.tactics)
 
-    def run(self, specs, config=None):
-        return monitor_tick(specs, self.series, self.price(), config)
+    def run(self, specs, risk_margin=0.10):
+        return monitor_tick(specs, self.series, self.price(), risk_margin=risk_margin)
 
 
 def count_predictions(monkeypatch):
@@ -450,7 +449,7 @@ class TestOncePerTickPricing:
         # which fits before a violation at step 2 or later (12 s and up).
         fx = PricingFixture({"instant": (0.0, 5.0), "cheap": (10.0, 1.0)})
         broken, late = SlaSpec("broken", 0.7, reward=2.0), SlaSpec("late", 0.925, reward=1.0)
-        entries = fx.run([broken, late], WorkflowConfig(risk_margin=0.0))
+        entries = fx.run([broken, late], risk_margin=0.0)
         assert entries[0]["status"] == "broken"
         assert entries[1]["status"] == "at_risk"
         assert entries[1]["first_violation_step"] >= 2
