@@ -36,7 +36,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .types import Direction, SlaSpec, TimeSeries, check_real, order_specs_by_reward, subseeds
+from .types import (Direction, SlaSpec, TimeSeries, check_integer, check_real, check_size,
+                    order_specs_by_reward, subseeds)
 
 if TYPE_CHECKING:
     from .metrics import Reports, Summary
@@ -56,20 +57,6 @@ def _print_model_table(summary: Summary, names: Sequence[str]) -> None:
               f"{agg.max_rmse:>9.4f}{agg.mean_mae:>12.4f}")
 
 
-def _check_size_flag(flag: str, value: int) -> None:
-    """A size flag lies in [1, 2**63), the rule of ``types.check_size``."""
-    if value < 1:
-        raise ValueError(f"{flag} must be >= 1, got {value}")
-    if value >= 2**63:
-        raise ValueError(f"{flag} must be < 2**63")
-
-
-def _check_trace_flags(args: argparse.Namespace) -> None:
-    _check_size_flag("--minutes", args.minutes)
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
-
-
 @contextlib.contextmanager
 def _sized_by(flag: str, value: int):
     """Name ``flag`` and its ``value`` in a ``MemoryError`` of the block,
@@ -83,7 +70,8 @@ def _sized_by(flag: str, value: int):
 def cmd_generate(args: argparse.Namespace) -> int:
     from .emulator import Phase, generate_trace, trace_csv_text
 
-    _check_trace_flags(args)
+    check_size("--minutes", args.minutes)
+    check_integer("--seed", args.seed, 0)
     with _sized_by("--minutes", args.minutes):
         trace = generate_trace(args.minutes, args.seed)
         text = trace_csv_text(trace)
@@ -175,8 +163,9 @@ def cmd_replicate(args: argparse.Namespace) -> int:
                           reports_to_csv_text, summarize)
 
     harness = sys.modules[__name__]
-    _check_trace_flags(args)
-    _check_size_flag("--runs", args.runs)
+    check_size("--minutes", args.minutes)
+    check_integer("--seed", args.seed, 0)
+    check_size("--runs", args.runs)
     # The rule a tactics file applies to its static values, checked before any work.
     for flag, value in (("--static-latency", args.static_latency),
                         ("--static-cost", args.static_cost)):
@@ -278,25 +267,32 @@ def _input_file(what: str):
         raise ValueError(f"{what}: {exc}") from None
 
 
-def _check_entry(entry, i: int, what: str, required: Sequence[str],
-                 numbers: Sequence[str]) -> None:
-    """Entry ``i`` of a JSON list must be an object with the ``required``
+@contextlib.contextmanager
+def _entry(what: str, i: int):
+    """Start each error raised in the block, about entry ``i`` of the JSON
+    list in the file ``what``, with ``what`` and ``i``."""
+    try:
+        yield
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int too large for a float
+        raise ValueError(f"{what} entry {i}: {exc}") from None
+
+
+def _check_entry(entry, required: Sequence[str], numbers: Sequence[str]) -> None:
+    """An entry of a JSON list must be an object with the ``required``
     fields and a string ``name``, and each of its ``numbers`` fields that is
     present must be a JSON number (not a boolean, string, null, list or
     object)."""
     if not isinstance(entry, dict):
-        raise ValueError(f"{what} entry {i}: expected a JSON object")
+        raise ValueError("expected a JSON object")
     for field in required:
         if field not in entry:
-            raise ValueError(f"{what} entry {i}: missing field '{field}'")
+            raise ValueError(f"missing field '{field}'")
     if not isinstance(entry["name"], str):
-        raise ValueError(f"{what} entry {i}: field 'name' must be a string, "
-                         f"got {json.dumps(entry['name'])}")
+        raise ValueError(f"field 'name' must be a string, got {json.dumps(entry['name'])}")
     for field in numbers:
         value = entry.get(field, 0.0)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{what} entry {i}: field '{field}' must be a number, "
-                             f"got {json.dumps(value)}")
+            raise ValueError(f"field '{field}' must be a number, got {json.dumps(value)}")
 
 
 def _load_specs(path: str) -> list[SlaSpec]:
@@ -307,24 +303,21 @@ def _load_specs(path: str) -> list[SlaSpec]:
         raise ValueError("spec file holds no specs")
     specs = []
     for i, entry in enumerate(entries):
-        _check_entry(entry, i, "spec file", ("name", "threshold"),
-                     ("threshold", "penalty", "reward"))
-        direction_text = entry.get("direction", "upper")
-        try:
-            direction = Direction(direction_text)
-        except ValueError:
-            raise ValueError(f"spec file entry {i}: field 'direction' must be "
-                             f"'upper' or 'lower', got {direction_text!r}") from None
-        try:
+        with _entry("spec file", i):
+            _check_entry(entry, ("name", "threshold"), ("threshold", "penalty", "reward"))
+            direction_text = entry.get("direction", "upper")
+            try:
+                direction = Direction(direction_text)
+            except ValueError:
+                raise ValueError(f"field 'direction' must be 'upper' or 'lower', "
+                                 f"got {direction_text!r}") from None
             specs.append(SlaSpec(name=entry["name"],
                                  threshold=float(entry["threshold"]),
                                  direction=direction,
                                  penalty=float(entry.get("penalty", 0.0)),
                                  reward=float(entry.get("reward", 0.0))))
-        except (ValueError, OverflowError) as exc:
-            raise ValueError(f"spec file entry {i}: {exc}") from None
-        if specs[-1].name in (spec.name for spec in specs[:-1]):
-            raise ValueError(f"spec file entry {i}: duplicate name {specs[-1].name!r}")
+            if specs[-1].name in (spec.name for spec in specs[:-1]):
+                raise ValueError(f"duplicate name {specs[-1].name!r}")
     return specs
 
 
@@ -351,7 +344,8 @@ def _load_history(path: str) -> TimeSeries:
 def _load_tactic_context(tactics_path: str, trace_path: str | None) -> dict[str, TacticModels]:
     """Each tactic's trained models and current feature vector, by name in
     file order, from a tactics JSON file plus the trace that supplies the
-    training data."""
+    training data. Tactics with the same mirror, or with none, share one
+    ``TacticModels``."""
     from .emulator import Mirror, ingest_trace_csv, to_regression_dataset
     from .regression import fit_mra
     from .workflow import TacticModels
@@ -366,34 +360,39 @@ def _load_tactic_context(tactics_path: str, trace_path: str | None) -> dict[str,
         trace = ingest_trace_csv(trace_path)
     static = ("static_latency", "static_cost")
     tactics = {}
+    # One model pair per source (a mirror's records, or None for the whole
+    # trace), shared by its tactics: its first entry builds the dataset and,
+    # once its own checks pass, fits it.
+    trained: dict[Mirror | None, TacticModels] = {}
     for i, entry in enumerate(raw):
-        _check_entry(entry, i, "tactics file", ("name", *static), static)
-        subset, source = trace, "trace file"
-        if "mirror" in entry:
-            try:
-                mirror = Mirror(entry["mirror"])
-            except ValueError:
-                raise ValueError(f"tactics file entry {i}: unknown mirror "
-                                 f"{entry['mirror']!r}") from None
-            subset = trace.select(trace.mirror_is(mirror))
-            source += f": tactics file entry {i} (mirror {mirror.value!r})"
-        with _input_file(source):
-            X, latency, cost = to_regression_dataset(subset)
-        name = entry["name"]
-        try:
+        with _entry("tactics file", i):
+            _check_entry(entry, ("name", *static), static)
+            mirror = None
+            if "mirror" in entry:
+                try:
+                    mirror = Mirror(entry["mirror"])
+                except ValueError:
+                    raise ValueError(f"unknown mirror {entry['mirror']!r}") from None
+        if mirror not in trained:
+            subset, source = trace, "trace file"
+            if mirror is not None:
+                subset = trace.select(trace.mirror_is(mirror))
+                source += f": tactics file entry {i} (mirror {mirror.value!r})"
+            with _input_file(source):
+                X, latency, cost = to_regression_dataset(subset)
+        with _entry("tactics file", i):
+            name = entry["name"]
             values = [float(entry[field]) for field in static]
             if not name:
                 raise ValueError("tactic name must be non-empty")
             for field, value in zip(static, values):
                 check_real(field, value, 0)
-        except (ValueError, OverflowError) as exc:
-            raise ValueError(f"tactics file entry {i}: {exc}") from None
-        if name in tactics:
-            raise ValueError(f"tactics file entry {i}: duplicate name {name!r}")
-        try:
-            tactics[name] = TacticModels(fit_mra(X, latency), fit_mra(X, cost), X.rows[-1])
-        except ValueError as exc:
-            raise ValueError(f"tactics file entry {i}: {exc}") from None
+            if name in tactics:
+                raise ValueError(f"duplicate name {name!r}")
+            if mirror not in trained:
+                trained[mirror] = TacticModels(fit_mra(X, latency), fit_mra(X, cost),
+                                               X.rows[-1])
+            tactics[name] = trained[mirror]
     return tactics
 
 
@@ -496,14 +495,11 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     specs = _load_specs(args.spec)
     history = _load_history(args.history)
     window = args.window
-    if window < 1:
-        raise ValueError(f"--window must be >= 1, got {window}")
-    if args.refit_every < 0:
-        raise ValueError(f"--refit-every must be >= 0, got {args.refit_every}")
+    check_size("--window", window)
+    check_integer("--refit-every", args.refit_every, 0)
     if len(history) < window:
         raise ValueError(f"history has {len(history)} points but the window needs {window}")
-    if args.horizon < 1:
-        raise ValueError(f"--horizon must be >= 1, got {args.horizon}")
+    check_size("--horizon", args.horizon)
     if args.horizon > BLOCK_CELLS:  # a block of one tick would not fit in BLOCK_CELLS
         raise ValueError(f"--horizon must be <= {BLOCK_CELLS}, got {args.horizon}")
     # The rules of workflow_block's risk_margin and rank_tactics'

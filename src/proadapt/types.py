@@ -261,7 +261,7 @@ def check_integer(name: str, value: object, least: int) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if value < least:
-        raise ValueError(f"{name} must be >= {least}")
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
 def check_size(name: str, value: object) -> None:

@@ -44,7 +44,7 @@ from proadapt.arima import forecast_paths
 from proadapt.emulator import sample_latency
 from proadapt.metrics import mae, rmse
 from proadapt.regression import predict
-from proadapt.types import check_array, check_real
+from proadapt.types import check_array, check_integer, check_real, check_size
 from proadapt.workflow import TacticEstimate, TacticModels, workflow_block
 
 SERIES = TimeSeries(np.sin(np.arange(40.0)))
@@ -144,6 +144,17 @@ def test_drawn_integer_arguments_follow_one_rule(name, least, call, data):
 def test_check_real_rejects(value, error, message):
     with pytest.raises(error) as raised:
         check_real("x", value)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("check, value, message", [
+    (lambda v: check_integer("x", v, 0), -1, "x must be >= 0, got -1"),
+    (lambda v: check_size("x", v), 0, "x must be >= 1, got 0"),
+    (lambda v: check_size("x", v), 2**63, "x must be < 2**63")],
+    ids=["check_integer-below", "check_size-below", "check_size-2**63"])
+def test_integer_checks_reject(check, value, message):
+    with pytest.raises(ValueError) as raised:
+        check(value)
     assert str(raised.value) == message
 
 

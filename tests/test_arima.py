@@ -110,7 +110,7 @@ class TestAcf:
             for max_lag in (True, 2.5):
                 with pytest.raises(TypeError, match=f"^max_lag must be an integer, got {max_lag}$"):
                     lags(series, max_lag)
-            with pytest.raises(ValueError, match="^max_lag must be >= 1$"):
+            with pytest.raises(ValueError, match="^max_lag must be >= 1, got 0$"):
                 lags(series, 0)
 
 
@@ -486,7 +486,7 @@ class TestFitArimaWindows:
         for window in (True, 20.5):
             with pytest.raises(TypeError, match=f"^window must be an integer, got {window}$"):
                 fit_arima_windows(series, window, [0])
-        with pytest.raises(ValueError, match="^window must be >= 1$"):
+        with pytest.raises(ValueError, match="^window must be >= 1, got 0$"):
             fit_arima_windows(series, 0, [0])
 
 

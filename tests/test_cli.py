@@ -16,7 +16,7 @@ from proadapt import (ArimaModel, Mirror, Phase, TimeSeries, arima, cli, emulato
                       write_trace_csv)
 from proadapt.cli import main
 from limited_child import run_limited
-from monitor_oracle import reference_tick
+from monitor_oracle import reference_monitor, reference_tick
 
 
 def run_cli(*args, cwd=None, timeout=None):
@@ -491,6 +491,38 @@ class TestMonitor:
         assert sum(t["status"] != "healthy" for t in ticks) > 1
         assert len(calls) == 2 * 3
 
+    def test_tactics_of_one_source_share_one_fit(self, tmp_path, capsys, monkeypatch):
+        # Three tactics that name no mirror all train on the whole trace.
+        # They used to build the dataset three times and fit six models.
+        records = generate_trace(1440, 4)
+        trace = tmp_path / "trace.csv"
+        write_trace_csv(records, trace)
+        entries = [{"name": f"t{i}", "static_latency": 1.0 + i, "static_cost": 10.0 * i}
+                   for i in range(3)]
+        tactics = tmp_path / "tactics.json"
+        tactics.write_text(json.dumps(entries))
+        spec, history = write_ramp_fixture(tmp_path, start=0.60, step=0.004, n=80)
+        X, latency, cost = emulator.to_regression_dataset(records)
+        estimates = price_tactics({
+            entry["name"]: workflow.TacticModels(regression.fit_mra(X, latency),
+                                                 regression.fit_mra(X, cost), X.rows[-1])
+            for entry in entries})
+        want, _ = reference_monitor(cli._load_specs(str(spec)), cli._load_history(str(history)),
+                                    60, 5, 0.10, 6.0, 0, estimates)
+        calls = []
+        for module, name in ((emulator, "to_regression_dataset"), (regression, "fit_mra")):
+            def spy(*args, name=name, original=getattr(module, name)):
+                calls.append(name)
+                return original(*args)
+            monkeypatch.setattr(module, name, spy)
+        code, out, err = run_main(capsys, "monitor", "--spec", str(spec), "--history",
+                                  str(history), "--tactics", str(tactics),
+                                  "--trace", str(trace))
+        assert (code, err) == (0, "")
+        assert (calls.count("to_regression_dataset"), calls.count("fit_mra")) == (1, 2)
+        assert any(json.loads(line)["tactics"] for line in out.splitlines())
+        assert out == want
+
     def test_missing_history_exits_2(self, tmp_path):
         spec, _ = write_ramp_fixture(tmp_path)
         result = run_cli("monitor", "--spec", str(spec),
@@ -545,6 +577,48 @@ class TestContracts:
         result = subprocess.run([sys.executable, "-c", code, *argv],
                                 capture_output=True, text=True)
         assert result.stderr == "0 False\n"
+
+    # Every integer flag below its least value and, for a size, at 2**63:
+    # (command, flag, value, the error's text). --horizon 0 used to read
+    # "error: horizon must be >= 1", naming no flag.
+    INTEGER_FLAG_ERRORS = [
+        ("generate", "--minutes", "0", "--minutes must be >= 1, got 0"),
+        ("generate", "--minutes", str(2**63), "--minutes must be < 2**63"),
+        ("generate", "--seed", "-1", "--seed must be >= 0, got -1"),
+        ("replicate", "--minutes", "0", "--minutes must be >= 1, got 0"),
+        ("replicate", "--minutes", str(2**63), "--minutes must be < 2**63"),
+        ("replicate", "--runs", "0", "--runs must be >= 1, got 0"),
+        ("replicate", "--runs", str(2**63), "--runs must be < 2**63"),
+        ("replicate", "--seed", "-1", "--seed must be >= 0, got -1"),
+        ("monitor", "--window", "0", "--window must be >= 1, got 0"),
+        ("monitor", "--window", str(2**63), "--window must be < 2**63"),
+        ("monitor", "--refit-every", "-3", "--refit-every must be >= 0, got -3"),
+        ("monitor", "--horizon", "0", "--horizon must be >= 1, got 0"),
+        ("monitor", "--horizon", "-2", "--horizon must be >= 1, got -2"),
+        ("monitor", "--horizon", str(2**63), "--horizon must be < 2**63")]
+
+    @pytest.mark.parametrize("command, flag, value, message", INTEGER_FLAG_ERRORS,
+                             ids=[" ".join(row[:3]) for row in INTEGER_FLAG_ERRORS])
+    def test_integer_flags_name_the_flag_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                         command, flag, value, message):
+        spec, history = write_ramp_fixture(tmp_path)
+        trace, tactics = tmp_path / "trace.csv", tmp_path / "tactics.json"
+        write_trace_csv(generate_trace(30, 4), trace)
+        tactics.write_text(json.dumps([{"name": "t", "static_latency": 1.0,
+                                        "static_cost": 1.0}]))
+        for module, name in ((emulator, "generate_trace"), (emulator, "ingest_trace_csv"),
+                             (arima, "fit_arima_windows"), (regression, "fit_mra"),
+                             (workflow, "workflow_block")):
+            def no_work(*args, name=name, **kwargs):
+                raise AssertionError(f"{name} ran")
+            monkeypatch.setattr(module, name, no_work)
+        out = tmp_path / "out"
+        argv = {"generate": ["--out", str(out)],
+                "replicate": ["--emulate", "--out-dir", str(out)],
+                "monitor": ["--spec", str(spec), "--history", str(history),
+                            "--tactics", str(tactics), "--trace", str(trace)]}[command]
+        assert run_main(capsys, command, *argv, flag, value) == (1, "", f"error: {message}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, flag", [
         (["generate", "--minutes", "100000000", "--out"], "--minutes 100000000"),
@@ -739,14 +813,6 @@ class TestMonitorInputErrors:
         err = self.assert_one_error(capsys, "monitor", "--spec", str(spec), "--history",
                                     str(history), "--refit-every", "-3")
         assert "--refit-every" in err
-
-    @pytest.mark.parametrize("horizon", ["0", "-2"])
-    def test_horizon_below_1_names_the_flag(self, tmp_path, capsys, horizon):
-        # It used to read "error: horizon must be >= 1", naming no flag.
-        spec, history = write_ramp_fixture(tmp_path)
-        err = self.assert_one_error(capsys, "monitor", "--spec", str(spec), "--history",
-                                    str(history), "--horizon", horizon)
-        assert err == f"error: --horizon must be >= 1, got {horizon}\n"
 
     @pytest.mark.parametrize("horizon", [cli.BLOCK_CELLS + 1, 10**9])
     def test_horizon_over_block_cells_rejected_before_any_fit(self, tmp_path, capsys,

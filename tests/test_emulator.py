@@ -63,7 +63,7 @@ class TestGenerateTrace:
         (True, 1, TypeError, "duration_minutes must be an integer, got True"),
         # 2.5 and seed -1 failed with messages that named no argument.
         (2.5, 1, TypeError, "duration_minutes must be an integer, got 2.5"),
-        (5, -1, ValueError, "seed must be >= 0"),
+        (5, -1, ValueError, "seed must be >= 0, got -1"),
         (5, 1.0, TypeError, "seed must be an integer, got 1.0")])
     def test_arguments_checked_before_any_work(self, monkeypatch, minutes, seed, error,
                                                message):
@@ -238,7 +238,7 @@ class TestSampleLatency:
         # None drew fresh OS entropy on every call; True and 2.5 failed in
         # NumPy with messages that named no argument.
         (None, 3, TypeError, "seed must be an integer, got None"),
-        (-1, 3, ValueError, "seed must be >= 0"),
+        (-1, 3, ValueError, "seed must be >= 0, got -1"),
         (1, True, TypeError, "n must be an integer, got True"),
         (1, 2.5, TypeError, "n must be an integer, got 2.5")])
     def test_arguments_checked_before_any_work(self, monkeypatch, seed, n, error, message):
@@ -271,11 +271,11 @@ class TestCostImpactSimulation:
     @pytest.mark.parametrize("n_runs, seed, error, message", [
         # seed was not checked; 2.5 runs failed with a NumPy message.
         (10, None, TypeError, "seed must be an integer, got None"),
-        (10, -1, ValueError, "seed must be >= 0"),
+        (10, -1, ValueError, "seed must be >= 0, got -1"),
         (10, True, TypeError, "seed must be an integer, got True"),
         (2.5, 1, TypeError, "n_runs must be an integer, got 2.5"),
         (True, 1, TypeError, "n_runs must be an integer, got True"),
-        (0, 1, ValueError, "n_runs must be >= 1")])
+        (0, 1, ValueError, "n_runs must be >= 1, got 0")])
     def test_arguments_checked_before_any_work(self, monkeypatch, n_runs, seed, error,
                                                message):
         monkeypatch.setattr(emulator, "subseeds", no_work)

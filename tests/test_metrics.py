@@ -242,8 +242,8 @@ def no_work(*args, **kwargs):
     (2.5, TypeError, "n_runs must be an integer, got 2.5"),
     (3.0, TypeError, "n_runs must be an integer, got 3.0"),
     ("3", TypeError, "n_runs must be an integer, got '3'"),
-    (0, ValueError, "n_runs must be >= 1"),
-    (-2, ValueError, "n_runs must be >= 1")])
+    (0, ValueError, "n_runs must be >= 1, got 0"),
+    (-2, ValueError, "n_runs must be >= 1, got -2")])
 def test_harnesses_check_n_runs_before_any_work(monkeypatch, n_runs, error, message):
     # n_runs=True used to run one run, and 2.5 failed inside range().
     monkeypatch.setattr(metrics, "subseeds", no_work)
@@ -262,7 +262,7 @@ def test_harnesses_check_n_runs_before_any_work(monkeypatch, n_runs, error, mess
     (None, TypeError, "seed must be an integer, got None"),
     (2.5, TypeError, "seed must be an integer, got 2.5"),
     ("3", TypeError, "seed must be an integer, got '3'"),
-    (-1, ValueError, "seed must be >= 0")])
+    (-1, ValueError, "seed must be >= 0, got -1")])
 def test_harnesses_check_seed_before_any_work(monkeypatch, seed, error, message):
     # seed=True used to run as seed 1, None failed inside len() and -1
     # inside NumPy, neither naming the argument.

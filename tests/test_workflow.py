@@ -128,7 +128,7 @@ class TestAnalyzeSpecification:
         (2.5, TypeError, "horizon must be an integer, got 2.5"),
         (True, TypeError, "horizon must be an integer, got True"),
         (3.0, TypeError, "horizon must be an integer, got 3.0"),
-        (0, ValueError, "horizon must be >= 1")])
+        (0, ValueError, "horizon must be >= 1, got 0")])
     def test_horizon_must_be_an_integer_of_at_least_1(self, horizon, error, message):
         with pytest.raises(error, match=f"^{message}$"):
             block_of_one(horizon=horizon)
