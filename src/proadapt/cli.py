@@ -167,9 +167,8 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     check_integer("--seed", args.seed, 0)
     check_size("--runs", args.runs)
     # The rule a tactics file applies to its static values, checked before any work.
-    for flag, value in (("--static-latency", args.static_latency),
-                        ("--static-cost", args.static_cost)):
-        check_real(flag, value, 0)
+    check_real("--static-latency", args.static_latency, 0)
+    check_real("--static-cost", args.static_cost, 0)
     trace_seed, impact_seed, forecast_seed, predictor_seed = subseeds(args.seed, range(4))
 
     # The trace and both series come before any experiment runs, so every
@@ -341,7 +340,7 @@ def _load_history(path: str) -> TimeSeries:
         raise
 
 
-def _load_tactic_context(tactics_path: str, trace_path: str | None) -> dict[str, TacticModels]:
+def _load_tactic_context(tactics_path: str, trace_path: str) -> dict[str, TacticModels]:
     """Each tactic's trained models and current feature vector, by name in
     file order, from a tactics JSON file plus the trace that supplies the
     training data. Tactics with the same mirror, or with none, share one
@@ -350,8 +349,6 @@ def _load_tactic_context(tactics_path: str, trace_path: str | None) -> dict[str,
     from .regression import fit_mra
     from .workflow import TacticModels
 
-    if not trace_path:
-        raise ValueError("--tactics requires --trace for training data")
     with _input_file("tactics file"):
         raw = json.loads(Path(tactics_path).read_text(encoding="utf-8"))
     if not isinstance(raw, list):
@@ -490,28 +487,28 @@ class _TickLines:
 
 def cmd_monitor(args: argparse.Namespace) -> int:
     from .arima import fit_arima_windows, forecast_error
-    from .workflow import price_tactics, workflow_block
+    from .workflow import check_risk_margin, price_tactics, workflow_block
 
-    specs = _load_specs(args.spec)
-    history = _load_history(args.history)
     window = args.window
     check_size("--window", window)
     check_integer("--refit-every", args.refit_every, 0)
-    if len(history) < window:
-        raise ValueError(f"history has {len(history)} points but the window needs {window}")
     check_size("--horizon", args.horizon)
     if args.horizon > BLOCK_CELLS:  # a block of one tick would not fit in BLOCK_CELLS
         raise ValueError(f"--horizon must be <= {BLOCK_CELLS}, got {args.horizon}")
-    # The rules of workflow_block's risk_margin and rank_tactics'
-    # tick_seconds, checked here to name the flags before any work.
-    check_real("--risk-margin", args.risk_margin, 0)
-    if args.risk_margin >= 1:
-        raise ValueError(f"--risk-margin must lie in [0, 1), got {args.risk_margin}")
+    # workflow_block's and rank_tactics' rules, checked here to name the flags.
+    check_risk_margin("--risk-margin", args.risk_margin)
     check_real("--tick-seconds", args.tick_seconds, 0, strict=True)
-    # The tactics' models and features are fixed for the run, so are their prices.
-    estimates = (price_tactics(_load_tactic_context(args.tactics, args.trace))
-                 if args.tactics else ())
+    if bool(args.tactics) != bool(args.trace):  # the trace trains the tactics' models
+        raise ValueError("--tactics requires --trace for training data" if args.tactics
+                         else "--trace requires --tactics")
 
+    specs = _load_specs(args.spec)
+    history = _load_history(args.history)
+    if len(history) < window:
+        raise ValueError(f"history has {len(history)} points but the window needs {window}")
+    tactics = _load_tactic_context(args.tactics, args.trace) if args.tactics else {}
+
+    estimates = price_tactics(tactics) if tactics else ()  # priced once, for the whole run
     ordered = order_specs_by_reward(specs)
     lines = _TickLines(ordered, estimates, args.tick_seconds)
     ticks = len(history) - window + 1
@@ -622,12 +619,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # A size the host cannot hold: one line, not NumPy's traceback.
         print(f"error: out of memory: {exc}".rstrip(": "), file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, OSError) else 1  # an IO error, else a validation error
 
 
 if __name__ == "__main__":

@@ -40,6 +40,7 @@ __all__ = [
     "TacticModels",
     "TickBlock",
     "STATUSES",
+    "check_risk_margin",
     "price_tactics",
     "rank_tactics",
     "workflow_block",
@@ -110,6 +111,13 @@ class TickBlock:
     first_step: np.ndarray
 
 
+def check_risk_margin(name: str, value: object) -> None:
+    """The rule for a risk margin ``value``: ``check_real``'s, and below 1."""
+    check_real(name, value, 0)
+    if value >= 1:
+        raise ValueError(f"{name} must lie in [0, 1), got {value}")
+
+
 def workflow_block(specs: Sequence[SlaSpec], last: Sequence[float],
                    previous: Sequence[float], phi: Sequence[float], c: Sequence[float],
                    horizon: int, risk_margin: float) -> TickBlock:
@@ -126,9 +134,7 @@ def workflow_block(specs: Sequence[SlaSpec], last: Sequence[float],
     has width 0 whatever the margin. ``specs`` are taken in the given
     order. The four per-tick sequences follow ``forecast_paths``' rule.
     """
-    check_real("risk_margin", risk_margin, 0)
-    if risk_margin >= 1:
-        raise ValueError(f"risk_margin must lie in [0, 1), got {risk_margin}")
+    check_risk_margin("risk_margin", risk_margin)
     steps, nonfinite_step = forecast_paths(last, previous, phi, c, horizon)
     last = np.asarray(last, dtype=float)  # forecast_paths has checked it
     status = np.empty((last.size, len(specs)), dtype=np.int8)

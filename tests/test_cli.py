@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import stat
@@ -6,6 +8,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -545,6 +548,19 @@ class TestMonitor:
         assert "direction" in result.stderr
 
 
+@pytest.fixture(scope="module")
+def flag_check_dir(tmp_path_factory):
+    """Valid input files of every command, and two malformed files."""
+    path = tmp_path_factory.mktemp("flag-check")
+    write_ramp_fixture(path)  # spec.json and history.csv
+    write_trace_csv(generate_trace(30, 4), path / "trace.csv")
+    (path / "tactics.json").write_text(json.dumps([{"name": "t", "static_latency": 1.0,
+                                                    "static_cost": 1.0}]))
+    (path / "bad-malformed").write_text("{bad\n")
+    (path / "bad-not UTF-8").write_bytes(b"\xff\n")
+    return path
+
+
 class TestContracts:
     def test_stdout_carries_only_data(self, tmp_path):
         spec, history = write_ramp_fixture(tmp_path, n=70)
@@ -619,6 +635,72 @@ class TestContracts:
                             "--tactics", str(tactics), "--trace", str(trace)]}[command]
         assert run_main(capsys, command, *argv, flag, value) == (1, "", f"error: {message}\n")
         assert not out.exists()
+
+    # One bad flag of each command: (its argv, the input file it drops,
+    # the error's text). --tactics and --trace each need the other.
+    BAD_FLAGS = {
+        "generate": [(["--minutes", "0"], None, "--minutes must be >= 1, got 0"),
+                     (["--seed", "-1"], None, "--seed must be >= 0, got -1")],
+        "replicate": [(["--minutes", str(2**63)], None, "--minutes must be < 2**63"),
+                      (["--runs", "0"], None, "--runs must be >= 1, got 0"),
+                      (["--seed", "-2"], None, "--seed must be >= 0, got -2"),
+                      (["--static-latency=nan"], None,
+                       "--static-latency must be finite and >= 0, got nan"),
+                      (["--static-cost=-1"], None,
+                       "--static-cost must be finite and >= 0, got -1.0")],
+        "monitor": [(["--window", "0"], None, "--window must be >= 1, got 0"),
+                    (["--refit-every", "-1"], None, "--refit-every must be >= 0, got -1"),
+                    (["--horizon", str(2**63)], None, "--horizon must be < 2**63"),
+                    (["--horizon", str(cli.BLOCK_CELLS + 1)], None,
+                     f"--horizon must be <= {cli.BLOCK_CELLS}, got {cli.BLOCK_CELLS + 1}"),
+                    (["--risk-margin", "1"], None, "--risk-margin must lie in [0, 1), got 1.0"),
+                    (["--risk-margin=-0.5"], None,
+                     "--risk-margin must be finite and >= 0, got -0.5"),
+                    (["--tick-seconds", "0"], None,
+                     "--tick-seconds must be finite and > 0, got 0.0"),
+                    ([], "--trace", "--tactics requires --trace for training data"),
+                    ([], "--tactics", "--trace requires --tactics")]}
+    # Each command's input files, and each file's valid name.
+    INPUT_FILES = {"generate": {"--out": "trace.csv"},
+                   "replicate": {"--trace": "trace.csv"},
+                   "monitor": {"--spec": "spec.json", "--history": "history.csv",
+                               "--tactics": "tactics.json", "--trace": "trace.csv"}}
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_a_bad_flag_is_reported_before_any_file_is_opened(self, flag_check_dir, data):
+        # One bad flag plus one missing or malformed input file: the
+        # flag's error, and no file opened. A missing file would exit 2,
+        # and every other file is read under _input_file, which a spy
+        # watches; generate's --out lies in a directory that does not exist.
+        command = data.draw(st.sampled_from(sorted(self.BAD_FLAGS)), "command")
+        flag_argv, dropped, message = data.draw(st.sampled_from(self.BAD_FLAGS[command]),
+                                                "flag")
+        files = {flag: flag_check_dir / name for flag, name in self.INPUT_FILES[command].items()
+                 if flag != dropped}
+        bad = data.draw(st.sampled_from(sorted(files)), "bad file")
+        fault = data.draw(st.sampled_from(["missing", "malformed", "not UTF-8"]), "fault")
+        if command == "generate" or fault == "missing":
+            files[bad] = flag_check_dir / "missing" / files[bad].name
+        else:
+            files[bad] = flag_check_dir / f"bad-{fault}"
+        argv = [command, *(arg for flag, path in files.items() for arg in (flag, str(path)))]
+        if command == "replicate":
+            argv += ["--out-dir", str(flag_check_dir / "missing")]
+        opened = []
+        real_input_file = cli._input_file
+
+        def input_file(what):
+            opened.append(what)
+            return real_input_file(what)
+
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(cli, "_input_file", input_file), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + flag_argv)
+        assert (code, out.getvalue(), err.getvalue()) == (1, "", f"error: {message}\n")
+        assert opened == []
+        assert not (flag_check_dir / "missing").exists()
 
     @pytest.mark.parametrize("argv, flag", [
         (["generate", "--minutes", "100000000", "--out"], "--minutes 100000000"),
@@ -838,6 +920,15 @@ class TestMonitorInputErrors:
                                     "--tactics", str(tactics), "--trace", str(trace))
         assert err == f"error: --horizon must be <= {cli.BLOCK_CELLS}, got {horizon}\n"
         assert calls == []
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--tactics", "--tactics requires --trace for training data"),
+        ("--trace", "--trace requires --tactics")])
+    def test_tactics_and_trace_need_each_other(self, tmp_path, capsys, flag, message):
+        # Checked with the flags, before any file is opened: no file exists.
+        missing = [str(tmp_path / name) for name in ("spec.json", "history.csv", "file")]
+        assert run_main(capsys, "monitor", "--spec", missing[0], "--history", missing[1],
+                        flag, missing[2]) == (1, "", f"error: {message}\n")
 
     def test_empty_spec_list_rejected(self, tmp_path, capsys):
         spec, history = write_ramp_fixture(tmp_path)

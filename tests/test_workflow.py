@@ -124,6 +124,19 @@ class TestAnalyzeSpecification:
         with pytest.raises(ValueError, match=r"^risk_margin must lie in \[0, 1\), got 1.0$"):
             block_of_one(risk_margin=1.0)
 
+    @pytest.mark.parametrize("name", ["risk_margin", "--risk-margin"])
+    @pytest.mark.parametrize("value, error, message", [
+        (1, ValueError, "must lie in [0, 1), got 1"),
+        (1.5, ValueError, "must lie in [0, 1), got 1.5"),
+        (-0.25, ValueError, "must be finite and >= 0, got -0.25"),
+        (float("nan"), ValueError, "must be finite and >= 0, got nan"),
+        (True, TypeError, "must be a real number, got True")])
+    def test_risk_margin_rule_names_its_argument(self, name, value, error, message):
+        # One rule for workflow_block's argument and monitor's flag.
+        with pytest.raises(error) as raised:
+            workflow.check_risk_margin(name, value)
+        assert str(raised.value) == f"{name} {message}"
+
     @pytest.mark.parametrize("horizon, error, message", [
         (2.5, TypeError, "horizon must be an integer, got 2.5"),
         (True, TypeError, "horizon must be an integer, got True"),
