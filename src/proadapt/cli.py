@@ -163,7 +163,10 @@ def cmd_replicate(args: argparse.Namespace) -> int:
                           reports_to_csv_text, summarize)
 
     harness = sys.modules[__name__]
-    check_size("--minutes", args.minutes)
+    if args.minutes is not None and not args.emulate:  # a trace file sets its own length
+        raise ValueError("--minutes requires --emulate")
+    minutes = 1440 if args.minutes is None else args.minutes
+    check_size("--minutes", minutes)
     check_integer("--seed", args.seed, 0)
     check_size("--runs", args.runs)
     # The rule a tactics file applies to its static values, checked before any work.
@@ -174,9 +177,9 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     # The trace and both series come before any experiment runs, so every
     # error about a trace file's content does too.
     with (_input_file("trace file") if args.trace
-          else _sized_by("--minutes", args.minutes)):
+          else _sized_by("--minutes", minutes)):
         trace = (ingest_trace_csv(args.trace) if args.trace
-                 else generate_trace(args.minutes, trace_seed))
+                 else generate_trace(minutes, trace_seed))
         idle = to_idle_series(trace)
         X, latency, cost = to_regression_dataset(trace)
 
@@ -343,8 +346,10 @@ def _load_history(path: str) -> TimeSeries:
 def _load_tactic_context(tactics_path: str, trace_path: str) -> dict[str, TacticModels]:
     """Each tactic's trained models and current feature vector, by name in
     file order, from a tactics JSON file plus the trace that supplies the
-    training data. Tactics with the same mirror, or with none, share one
-    ``TacticModels``."""
+    training data, in two passes. The first checks every entry and notes
+    its tactic's source: its mirror's records, or None for the whole trace.
+    Only then is the trace read, and each source's dataset built and fitted
+    once, under its first entry, for all of its tactics."""
     from .emulator import Mirror, ingest_trace_csv, to_regression_dataset
     from .regression import fit_mra
     from .workflow import TacticModels
@@ -353,14 +358,11 @@ def _load_tactic_context(tactics_path: str, trace_path: str) -> dict[str, Tactic
         raw = json.loads(Path(tactics_path).read_text(encoding="utf-8"))
     if not isinstance(raw, list):
         raise ValueError("tactics file must hold a JSON list")
-    with _input_file("trace file"):
-        trace = ingest_trace_csv(trace_path)
+    if not raw:
+        raise ValueError("tactics file holds no tactics")
     static = ("static_latency", "static_cost")
-    tactics = {}
-    # One model pair per source (a mirror's records, or None for the whole
-    # trace), shared by its tactics: its first entry builds the dataset and,
-    # once its own checks pass, fits it.
-    trained: dict[Mirror | None, TacticModels] = {}
+    sources: dict[str, Mirror | None] = {}  # each tactic's source, by name
+    first: dict[Mirror | None, int] = {}  # each source's first entry
     for i, entry in enumerate(raw):
         with _entry("tactics file", i):
             _check_entry(entry, ("name", *static), static)
@@ -370,27 +372,29 @@ def _load_tactic_context(tactics_path: str, trace_path: str) -> dict[str, Tactic
                     mirror = Mirror(entry["mirror"])
                 except ValueError:
                     raise ValueError(f"unknown mirror {entry['mirror']!r}") from None
-        if mirror not in trained:
-            subset, source = trace, "trace file"
-            if mirror is not None:
-                subset = trace.select(trace.mirror_is(mirror))
-                source += f": tactics file entry {i} (mirror {mirror.value!r})"
-            with _input_file(source):
-                X, latency, cost = to_regression_dataset(subset)
-        with _entry("tactics file", i):
             name = entry["name"]
             values = [float(entry[field]) for field in static]
             if not name:
                 raise ValueError("tactic name must be non-empty")
             for field, value in zip(static, values):
                 check_real(field, value, 0)
-            if name in tactics:
+            if name in sources:
                 raise ValueError(f"duplicate name {name!r}")
-            if mirror not in trained:
-                trained[mirror] = TacticModels(fit_mra(X, latency), fit_mra(X, cost),
-                                               X.rows[-1])
-            tactics[name] = trained[mirror]
-    return tactics
+            sources[name] = mirror
+            first.setdefault(mirror, i)
+    with _input_file("trace file"):
+        trace = ingest_trace_csv(trace_path)
+    trained: dict[Mirror | None, TacticModels] = {}
+    for mirror, i in first.items():
+        subset, source = trace, "trace file"
+        if mirror is not None:
+            subset = trace.select(trace.mirror_is(mirror))
+            source += f": tactics file entry {i} (mirror {mirror.value!r})"
+        with _input_file(source):
+            X, latency, cost = to_regression_dataset(subset)
+        with _entry("tactics file", i):
+            trained[mirror] = TacticModels(fit_mra(X, latency), fit_mra(X, cost), X.rows[-1])
+    return {name: trained[mirror] for name, mirror in sources.items()}
 
 
 def _silence_stdout() -> None:
@@ -570,8 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--emulate", action="store_true",
                         help="generate the evaluation trace internally")
     source.add_argument("--trace", help="ingest an existing trace CSV instead")
-    rep.add_argument("--minutes", type=int, default=1440,
-                     help="emulated trace duration (default 1440)")
+    rep.add_argument("--minutes", type=int,
+                     help="emulated trace duration (default 1440; --emulate only)")
     rep.add_argument("--runs", type=int, default=50,
                      help="randomized experiments per question (default 50)")
     rep.add_argument("--seed", type=int, default=DEFAULT_SEED)

@@ -94,7 +94,7 @@ class TacticModels:
         object.__setattr__(self, "features", check_array("features", self.features))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TickBlock:
     """Forecasts and classifications of a block of n ticks and k specs.
 

@@ -237,9 +237,12 @@ class TestReplicate:
                          "--seed", "5", "--out-dir", str(tmp_path))
         assert result.returncode == 0
 
-    @pytest.mark.parametrize("source", ["--emulate", "--trace"])
+    # A trace file sets its own length, so --trace refuses --minutes whatever its value.
+    @pytest.mark.parametrize("source, message", [
+        ("--emulate", "--minutes must be >= 1, got 0"),
+        ("--trace", "--minutes requires --emulate")], ids=["--emulate", "--trace"])
     def test_minutes_below_1_name_the_flag_before_any_work(self, tmp_path, capsys,
-                                                           monkeypatch, source):
+                                                           monkeypatch, source, message):
         def no_work(*args):
             raise AssertionError("the trace was read or generated")
         monkeypatch.setattr(emulator, "generate_trace", no_work)
@@ -247,9 +250,20 @@ class TestReplicate:
         argv = [source] + ([str(tmp_path / "trace.csv")] if source == "--trace" else [])
         out_dir = tmp_path / "reports"
         assert run_main(capsys, "replicate", *argv, "--minutes", "0", "--runs", "2",
-                        "--out-dir", str(out_dir)) == (
-            1, "", "error: --minutes must be >= 1, got 0\n")
+                        "--out-dir", str(out_dir)) == (1, "", f"error: {message}\n")
         assert not out_dir.exists()
+
+    def test_emulated_trace_defaults_to_1440_minutes(self, tmp_path, capsys, monkeypatch):
+        lengths = []
+        real_generate = emulator.generate_trace
+
+        def generate(minutes, seed):
+            lengths.append(minutes)
+            return real_generate(120, seed)
+        monkeypatch.setattr(emulator, "generate_trace", generate)
+        code, out, err = run_main(capsys, "replicate", "--emulate", "--runs", "2",
+                                  "--out-dir", str(tmp_path))
+        assert (code, lengths) == (0, [1440])
 
     @pytest.mark.parametrize("source", ["--emulate", "--trace"])
     def test_negative_seed_names_the_flag_before_any_work(self, tmp_path, capsys,
@@ -641,7 +655,8 @@ class TestContracts:
     BAD_FLAGS = {
         "generate": [(["--minutes", "0"], None, "--minutes must be >= 1, got 0"),
                      (["--seed", "-1"], None, "--seed must be >= 0, got -1")],
-        "replicate": [(["--minutes", str(2**63)], None, "--minutes must be < 2**63"),
+        # replicate's input file is --trace, which refuses any --minutes.
+        "replicate": [(["--minutes", "1440"], None, "--minutes requires --emulate"),
                       (["--runs", "0"], None, "--runs must be >= 1, got 0"),
                       (["--seed", "-2"], None, "--seed must be >= 0, got -2"),
                       (["--static-latency=nan"], None,
@@ -701,6 +716,68 @@ class TestContracts:
         assert (code, out.getvalue(), err.getvalue()) == (1, "", f"error: {message}\n")
         assert opened == []
         assert not (flag_check_dir / "missing").exists()
+
+    # Each defect of a tactics file entry that test_tactics_file_messages
+    # covers, plus a repeated name: (the entry's JSON text, its error's
+    # text). Entry names "t0", "t1", ... are the valid entries'.
+    TACTIC_DEFECTS = [
+        ('{"name": "", "static_latency": 1.0, "static_cost": 1.0}',
+         "tactic name must be non-empty"),
+        ('{"name": "", "static_latency": 1.0, "static_cost": 1' + 400 * "0" + "}",
+         "int too large to convert to float"),
+        ('{"name": "", "static_latency": NaN, "static_cost": 1.0}',
+         "tactic name must be non-empty"),
+        ('{"name": "x", "static_latency": NaN, "static_cost": 1.0}',
+         "static_latency must be finite and >= 0, got nan"),
+        ('{"name": "x", "static_latency": 1.0, "static_cost": NaN}',
+         "static_cost must be finite and >= 0, got nan"),
+        ('{"name": "x", "static_latency": 1.0, "static_cost": 1e400}',
+         "static_cost must be finite and >= 0, got inf"),
+        ('{"name": "x", "static_latency": -1, "static_cost": 1.0}',
+         "static_latency must be finite and >= 0, got -1.0"),
+        ('{"name": "t0", "static_latency": 1.0, "static_cost": -0.5}',
+         "static_cost must be finite and >= 0, got -0.5"),
+        ('{"name": "t0", "static_latency": 1.0, "static_cost": 1.0}', "duplicate name 't0'"),
+        ('{"name": "x", "static_latency": 1.0, "static_cost": 1.0, "mirror": "mars"}',
+         "unknown mirror 'mars'")]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_a_bad_tactic_is_reported_before_the_trace_is_read(self, flag_check_dir, data):
+        # One defective entry among valid ones, beside a valid, malformed
+        # or missing trace: the entry's error, and the trace never read, no
+        # dataset built and no model fitted.
+        text, message = data.draw(st.sampled_from(self.TACTIC_DEFECTS), "defect")
+        position = data.draw(st.integers(int("duplicate" in message), 3), "position")
+        mirrors = data.draw(st.lists(st.sampled_from([None, *(m.value for m in Mirror)]),
+                                     min_size=position, max_size=position + 3), "mirrors")
+        valid = [json.dumps({"name": f"t{i}", "static_latency": 1.0, "static_cost": 1.0,
+                             **({"mirror": mirror} if mirror else {})})
+                 for i, mirror in enumerate(mirrors)]
+        tactics = flag_check_dir / "defective.json"
+        tactics.write_text("[" + ", ".join(valid[:position] + [text] + valid[position:]) + "]")
+        trace = flag_check_dir / data.draw(st.sampled_from(
+            ["trace.csv", "bad-malformed", "bad-not UTF-8", "missing/trace.csv"]), "trace")
+        calls = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def called(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return mock.patch.object(module, name, called)
+
+        out, err = io.StringIO(), io.StringIO()
+        with spy(emulator, "ingest_trace_csv"), spy(emulator, "to_regression_dataset"), \
+                spy(regression, "fit_mra"), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["monitor", "--spec", str(flag_check_dir / "spec.json"), "--history",
+                         str(flag_check_dir / "history.csv"), "--tactics", str(tactics),
+                         "--trace", str(trace)])
+        assert (code, out.getvalue(), err.getvalue()) == (
+            1, "", f"error: tactics file entry {position}: {message}\n")
+        assert calls == []
 
     @pytest.mark.parametrize("argv, flag", [
         (["generate", "--minutes", "100000000", "--out"], "--minutes 100000000"),
@@ -937,6 +1014,16 @@ class TestMonitorInputErrors:
                                     str(history))
         assert err == "error: spec file holds no specs\n"
 
+    def test_empty_tactics_list_rejected(self, tmp_path, capsys):
+        # Refused before the trace, which does not exist, is opened.
+        spec, history = write_ramp_fixture(tmp_path)
+        tactics = tmp_path / "tactics.json"
+        tactics.write_text("[]")
+        err = self.assert_one_error(capsys, "monitor", "--spec", str(spec), "--history",
+                                    str(history), "--tactics", str(tactics),
+                                    "--trace", str(tmp_path / "missing.csv"))
+        assert err == "error: tactics file holds no tactics\n"
+
     def test_nonpositive_window_rejected(self, tmp_path, capsys):
         spec, history = write_ramp_fixture(tmp_path)
         err = self.assert_one_error(capsys, "monitor", "--spec", str(spec), "--history",
@@ -1152,7 +1239,8 @@ class TestMonitorInputErrors:
         trace, tactics = tmp_path / "trace.csv", tmp_path / "tactics.json"
         write_trace_csv(generate_trace(30, 4), trace)
         trace.write_bytes(trace.read_bytes() + tail)
-        tactics.write_text("[]")
+        tactics.write_text(json.dumps([{"name": "t", "static_latency": 1.0,
+                                        "static_cost": 1.0}]))
         err = self.assert_one_error(capsys, "monitor", "--spec", str(spec), "--history",
                                     str(history), "--tactics", str(tactics),
                                     "--trace", str(trace))

@@ -8,8 +8,9 @@ bit for bit:
   and negating its threshold keeps every status, first step and error,
   and negates every forecast step;
 * power-of-two scaling: scaling the idle series by 2**k scales every rq2
-  RMSE and MAE by 2**k, and scaling a response and its static value by
-  2**k scales every rq3/rq4 column of that response by 2**k.
+  RMSE and MAE by 2**k, scaling a response and its static value by 2**k
+  scales every rq3/rq4 column of that response by 2**k, and scaling both
+  tactics' cost per unit latency by 2**k scales every rq1 cost by 2**k.
 
 Scaling by a power of two is exact in every product, quotient and sum
 that neither overflows nor underflows, and negation is exact in all of
@@ -23,11 +24,14 @@ import functools
 import io
 import json
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from proadapt import (TimeSeries, cli, generate_trace, run_forecast_experiments,
+from proadapt import (SAMPLE_TACTIC_A, SAMPLE_TACTIC_B, TimeSeries, cli, generate_trace,
+                      run_cost_impact_simulation, run_forecast_experiments,
                       run_predictor_experiments, to_idle_series, to_regression_dataset)
 from proadapt.regression import ResponseVector
 
@@ -142,3 +146,21 @@ def test_predictor_scores_scale_with_the_response(k, trace_seed, runs, seed, sta
     assert scaled.errors == base.errors
     np.testing.assert_array_equal(scaled.rmse, base.rmse * scale)
     np.testing.assert_array_equal(scaled.mae, base.mae * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(-8, 8), runs=st.integers(1, 200), seed=st.integers(0, 2**32 - 1),
+       costs=st.tuples(*2 * [st.just(0.0) | st.floats(1e-3, 100.0)]))
+def test_impact_costs_scale_with_the_unit_costs(k, runs, seed, costs):
+    """Both rq1 cost arrays scale exactly when both tactics' cost per unit
+    latency does: the latency draws depend only on the seed. The unit
+    costs are 0 or at least 1e-3, so no product is subnormal."""
+    scale = 2.0**k
+
+    def impact(s):
+        a, b = (replace(tactic, cost_per_unit_latency=cost * s)
+                for tactic, cost in zip((SAMPLE_TACTIC_A, SAMPLE_TACTIC_B), costs))
+        return run_cost_impact_simulation(a, b, runs, seed)
+
+    for base, scaled in zip(impact(1.0), impact(scale)):
+        np.testing.assert_array_equal(scaled, base * scale)

@@ -149,6 +149,14 @@ class TestAnalyzeSpecification:
     def test_numpy_integer_horizon_accepted(self):
         assert block_of_one(horizon=np.int64(3)).forecasts.shape == (1, 3)
 
+    def test_tick_blocks_compare_by_identity(self):
+        # Like every frozen record of arrays: a generated __eq__ raised
+        # numpy's "truth value ... is ambiguous" on two equal blocks, and a
+        # generated __hash__ a TypeError.
+        block, equal = block_of_one(), block_of_one()
+        assert block == block and block != equal
+        assert len({block, equal, block}) == 2
+
 
 def price(x, latency_model, cost_model):
     """The one tactic's estimate from ``price_tactics``."""
