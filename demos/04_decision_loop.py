@@ -38,18 +38,18 @@ ticks = len(values) - window + 1
 # refit on every tick's window in one call, then forecast and classify all ticks at once
 phi, c, _, errors = fit_arima_windows(TimeSeries(values), window, range(ticks))
 assert errors == [None] * ticks
-block = workflow_block([spec], values[window - 1:], values[window - 2:-1], phi, c, horizon,
-                       risk_margin)
+_, _, codes, first_steps = workflow_block([spec], values[window - 1:], values[window - 2:-1],
+                                         phi, c, horizon, risk_margin)
 previous_status = None
 for tick in range(ticks):
-    status = STATUSES[block.status[tick, 0]]
+    status = STATUSES[codes[tick, 0]]
     if status is previous_status:
         continue
     previous_status = status
     print(f"tick {tick:3d}  response={values[tick + window - 1]:.3f}s  -> "
           f"{status.value.upper()}")
     if status is not SpecStatus.HEALTHY:
-        step = int(block.first_step[tick, 0]) or None
+        step = int(first_steps[tick, 0]) or None
         if step is not None:
             print(f"          forecast crosses the risk band at step {step} "
                   f"({step * tick_seconds:.0f}s away)")

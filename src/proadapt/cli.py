@@ -36,8 +36,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .types import (Direction, SlaSpec, TimeSeries, check_integer, check_real, check_size,
-                    order_specs_by_reward, subseeds)
+from .types import (Direction, SlaSpec, TimeSeries, _csv_lines, check_integer, check_real,
+                    check_size, order_specs_by_reward, subseeds)
 
 if TYPE_CHECKING:
     from .metrics import Reports, Summary
@@ -176,10 +176,10 @@ def cmd_replicate(args: argparse.Namespace) -> int:
 
     # The trace and both series come before any experiment runs, so every
     # error about a trace file's content does too.
-    with (_input_file("trace file") if args.trace
-          else _sized_by("--minutes", minutes)):
-        trace = (ingest_trace_csv(args.trace) if args.trace
-                 else generate_trace(minutes, trace_seed))
+    with (_sized_by("--minutes", minutes) if args.emulate
+          else _input_file("trace file")):
+        trace = (generate_trace(minutes, trace_seed) if args.emulate
+                 else ingest_trace_csv(args.trace))
         idle = to_idle_series(trace)
         X, latency, cost = to_regression_dataset(trace)
 
@@ -265,18 +265,9 @@ def _input_file(what: str):
         yield
     except RecursionError:
         raise ValueError(f"{what}: JSON nested too deeply") from None
-    except (csv.Error, ValueError) as exc:  # malformed, or bytes that are not UTF-8
+    # Malformed, bytes that are not UTF-8, or an int too large for a float.
+    except (csv.Error, ValueError, OverflowError) as exc:
         raise ValueError(f"{what}: {exc}") from None
-
-
-@contextlib.contextmanager
-def _entry(what: str, i: int):
-    """Start each error raised in the block, about entry ``i`` of the JSON
-    list in the file ``what``, with ``what`` and ``i``."""
-    try:
-        yield
-    except (ValueError, OverflowError) as exc:  # OverflowError: an int too large for a float
-        raise ValueError(f"{what} entry {i}: {exc}") from None
 
 
 def _check_entry(entry, required: Sequence[str], numbers: Sequence[str]) -> None:
@@ -298,14 +289,14 @@ def _check_entry(entry, required: Sequence[str], numbers: Sequence[str]) -> None
 
 
 def _load_specs(path: str) -> list[SlaSpec]:
-    with _input_file("spec file"):
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    with open(path, encoding="utf-8") as handle, _input_file("spec file"):
+        raw = json.load(handle)
     entries = raw if isinstance(raw, list) else [raw]
     if not entries:
         raise ValueError("spec file holds no specs")
-    specs = []
+    specs: dict[str, SlaSpec] = {}  # by name
     for i, entry in enumerate(entries):
-        with _entry("spec file", i):
+        with _input_file(f"spec file entry {i}"):
             _check_entry(entry, ("name", "threshold"), ("threshold", "penalty", "reward"))
             direction_text = entry.get("direction", "upper")
             try:
@@ -313,14 +304,15 @@ def _load_specs(path: str) -> list[SlaSpec]:
             except ValueError:
                 raise ValueError(f"field 'direction' must be 'upper' or 'lower', "
                                  f"got {direction_text!r}") from None
-            specs.append(SlaSpec(name=entry["name"],
-                                 threshold=float(entry["threshold"]),
-                                 direction=direction,
-                                 penalty=float(entry.get("penalty", 0.0)),
-                                 reward=float(entry.get("reward", 0.0))))
-            if specs[-1].name in (spec.name for spec in specs[:-1]):
-                raise ValueError(f"duplicate name {specs[-1].name!r}")
-    return specs
+            spec = SlaSpec(name=entry["name"],
+                           threshold=float(entry["threshold"]),
+                           direction=direction,
+                           penalty=float(entry.get("penalty", 0.0)),
+                           reward=float(entry.get("reward", 0.0)))
+            if spec.name in specs:
+                raise ValueError(f"duplicate name {spec.name!r}")
+            specs[spec.name] = spec
+    return list(specs.values())
 
 
 def _load_history(path: str) -> TimeSeries:
@@ -329,17 +321,16 @@ def _load_history(path: str) -> TimeSeries:
     if not rows or rows[0] != ["value"]:
         raise ValueError("history file must start with a 'value' header")
     if max(map(len, rows)) > 1:
-        line, row = next((line, row) for line, row in enumerate(rows, 1) if len(row) > 1)
+        line, row = next((line, row) for line, row in zip(_csv_lines(rows), rows)
+                         if len(row) > 1)
         raise ValueError(f"history file line {line}: expected one value, "
                          f"got {len(row)} fields")
     try:
         return TimeSeries([float(row[0]) for row in rows[1:] if row])
     except ValueError:  # a value is not a number or not finite: name the line of the first
-        for line, row in enumerate(rows[1:], 2):
-            try:
+        for line, row in zip(_csv_lines(rows)[1:], rows[1:]):
+            with _input_file(f"history file line {line}"):
                 check_real("value", float(row[0]) if row else 0.0)
-            except ValueError as exc:
-                raise ValueError(f"history file line {line}: {exc}") from None
         raise
 
 
@@ -354,8 +345,8 @@ def _load_tactic_context(tactics_path: str, trace_path: str) -> dict[str, Tactic
     from .regression import fit_mra
     from .workflow import TacticModels
 
-    with _input_file("tactics file"):
-        raw = json.loads(Path(tactics_path).read_text(encoding="utf-8"))
+    with open(tactics_path, encoding="utf-8") as handle, _input_file("tactics file"):
+        raw = json.load(handle)
     if not isinstance(raw, list):
         raise ValueError("tactics file must hold a JSON list")
     if not raw:
@@ -364,7 +355,7 @@ def _load_tactic_context(tactics_path: str, trace_path: str) -> dict[str, Tactic
     sources: dict[str, Mirror | None] = {}  # each tactic's source, by name
     first: dict[Mirror | None, int] = {}  # each source's first entry
     for i, entry in enumerate(raw):
-        with _entry("tactics file", i):
+        with _input_file(f"tactics file entry {i}"):
             _check_entry(entry, ("name", *static), static)
             mirror = None
             if "mirror" in entry:
@@ -392,7 +383,7 @@ def _load_tactic_context(tactics_path: str, trace_path: str) -> dict[str, Tactic
             source += f": tactics file entry {i} (mirror {mirror.value!r})"
         with _input_file(source):
             X, latency, cost = to_regression_dataset(subset)
-        with _entry("tactics file", i):
+        with _input_file(f"tactics file entry {i}"):
             trained[mirror] = TacticModels(fit_mra(X, latency), fit_mra(X, cost), X.rows[-1])
     return {name: trained[mirror] for name, mirror in sources.items()}
 
@@ -502,15 +493,15 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     # workflow_block's and rank_tactics' rules, checked here to name the flags.
     check_risk_margin("--risk-margin", args.risk_margin)
     check_real("--tick-seconds", args.tick_seconds, 0, strict=True)
-    if bool(args.tactics) != bool(args.trace):  # the trace trains the tactics' models
-        raise ValueError("--tactics requires --trace for training data" if args.tactics
-                         else "--trace requires --tactics")
+    if (args.tactics is None) != (args.trace is None):  # the trace trains the tactics' models
+        raise ValueError("--tactics requires --trace for training data"
+                         if args.trace is None else "--trace requires --tactics")
 
     specs = _load_specs(args.spec)
     history = _load_history(args.history)
     if len(history) < window:
         raise ValueError(f"history has {len(history)} points but the window needs {window}")
-    tactics = _load_tactic_context(args.tactics, args.trace) if args.tactics else {}
+    tactics = {} if args.tactics is None else _load_tactic_context(args.tactics, args.trace)
 
     estimates = price_tactics(tactics) if tactics else ()  # priced once, for the whole run
     ordered = order_specs_by_reward(specs)
@@ -544,11 +535,12 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         size = min(BLOCK_TICKS, BLOCK_CELLS // args.horizon)
         for lo in range(opening, ticks, size):
             hi = min(lo + size, ticks)
-            block = workflow_block(ordered, last[lo:hi], previous[lo:hi], phi[model[lo:hi]],
-                                   c[model[lo:hi]], args.horizon, args.risk_margin)
+            forecasts, nonfinite_step, status, first_step = workflow_block(
+                ordered, last[lo:hi], previous[lo:hi], phi[model[lo:hi]], c[model[lo:hi]],
+                args.horizon, args.risk_margin)
             for tick, forecast, step, pairs in zip(
-                    range(lo, hi), block.forecasts.tolist(), block.nonfinite_step.tolist(),
-                    (block.status + 3 * block.first_step).tolist()):
+                    range(lo, hi), forecasts.tolist(), nonfinite_step.tolist(),
+                    (status + 3 * first_step).tolist()):
                 sys.stdout.write(lines.errors(tick, forecast_error(step)) if step
                                  else lines.entries(tick, forecast, pairs))
             mark()

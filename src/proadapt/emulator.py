@@ -42,7 +42,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .regression import DesignMatrix, ResponseVector
-from .types import TimeSeries, check_integer, check_real, check_size, subseeds
+from .types import TimeSeries, _csv_lines, check_integer, check_real, check_size, subseeds
 
 __all__ = [
     "Mirror",
@@ -357,9 +357,10 @@ def _floats(texts: Sequence[str]) -> tuple[np.ndarray, int, str | None]:
 
 
 def ingest_trace_csv(path: str | Path) -> Trace:
-    """Parse and validate a trace CSV; errors name the first failing line.
+    """Parse and validate a trace CSV; errors name the physical line on
+    which the first failing record starts.
 
-    A line's checks run in this order, and the error is its first failing
+    A record's checks run in this order, and the error is its first failing
     one: field count, numbers, mirror, phase, latency, energy, timestamp,
     then strictly increasing timestamps. Blank lines are skipped.
     """
@@ -403,7 +404,7 @@ def ingest_trace_csv(path: str | Path) -> Trace:
         (*_record_checks(timestamp, latency, energy),
          (~ordered, "timestamps must be strictly increasing")), limit, error)
     if error is not None:
-        line = [line for line, row in enumerate(rows[1:], start=2) if row][limit]
+        line = [line for line, row in zip(_csv_lines(rows)[1:], rows[1:]) if row][limit]
         raise TraceFormatError(f"line {line}: {error}")
     if unread is not None:
         raise unread

@@ -16,6 +16,8 @@ optionally bounded below) and ``check_array`` (finite integer or real
 float entries in a stated number of axes; ``real_array`` lets non-finite
 ones pass) are the only code that writes the rule for an integer, real or
 array argument, and each error they raise starts with the argument's name.
+``_csv_lines`` gives the line on which each CSV record starts, for the
+trace and history readers' errors.
 
 All types are immutable value objects after construction and safe to share
 between threads.
@@ -353,3 +355,16 @@ def check_array(name: str, values: Iterable, ndim: int = 1) -> np.ndarray:
         raise ValueError(f"{name} contains NaN or infinite entries")
     arr.flags.writeable = False
     return arr
+
+
+def _csv_lines(rows: Sequence[Sequence[str]]) -> list[int]:
+    """The line, counted from 1 as ``csv.reader`` counts them, on which each
+    of ``rows`` starts, where ``rows`` are all of a file's records read with
+    ``newline=""``: a record takes one line, plus one per line break (``\\n``,
+    ``\\r`` or ``\\r\\n``) inside its quoted fields."""
+    line, lines = 1, []
+    for row in rows:
+        lines.append(line)
+        text = "\0".join(row)  # a separator, so no break spans two fields
+        line += 1 + text.count("\n") + text.count("\r") - text.count("\r\n")
+    return lines

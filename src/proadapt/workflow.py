@@ -38,7 +38,6 @@ __all__ = [
     "SpecStatus",
     "TacticEstimate",
     "TacticModels",
-    "TickBlock",
     "STATUSES",
     "check_risk_margin",
     "price_tactics",
@@ -55,7 +54,7 @@ class SpecStatus(enum.Enum):
     BROKEN = "broken"
 
 
-# A TickBlock's status code i stands for STATUSES[i].
+# workflow_block's status code i stands for STATUSES[i].
 STATUSES = (SpecStatus.HEALTHY, SpecStatus.AT_RISK, SpecStatus.BROKEN)
 _HEALTHY, _AT_RISK, _BROKEN = range(3)
 
@@ -94,23 +93,6 @@ class TacticModels:
         object.__setattr__(self, "features", check_array("features", self.features))
 
 
-@dataclass(frozen=True, eq=False)
-class TickBlock:
-    """Forecasts and classifications of a block of n ticks and k specs.
-
-    ``forecasts`` is (n, horizon). ``nonfinite_step`` (n,) holds each
-    tick's first 1-based step that is not finite, 0 when all are; the
-    classification of such a tick is meaningless. ``status`` (n, k) holds
-    codes into ``STATUSES``, and ``first_step`` (n, k) the 1-based step
-    that first enters the risk band of an AT_RISK spec, 0 otherwise.
-    """
-
-    forecasts: np.ndarray
-    nonfinite_step: np.ndarray
-    status: np.ndarray
-    first_step: np.ndarray
-
-
 def check_risk_margin(name: str, value: object) -> None:
     """The rule for a risk margin ``value``: ``check_real``'s, and below 1."""
     check_real(name, value, 0)
@@ -120,19 +102,26 @@ def check_risk_margin(name: str, value: object) -> None:
 
 def workflow_block(specs: Sequence[SlaSpec], last: Sequence[float],
                    previous: Sequence[float], phi: Sequence[float], c: Sequence[float],
-                   horizon: int, risk_margin: float) -> TickBlock:
+                   horizon: int, risk_margin: float) -> tuple[np.ndarray, ...]:
     """Forecast and classify n ticks, each from its last two observations
-    (``previous``, ``last``) under its model coefficients ``phi`` and ``c``.
+    (``previous``, ``last``) under its model coefficients ``phi`` and ``c``,
+    for k specs: ``(forecasts, nonfinite_step, status, first_step)``.
 
-    The ``horizon`` forecasts and their first non-finite steps are
-    ``arima.forecast_paths``'s. A spec is broken when the tick's last
-    value violates it (lies strictly above an upper bound or below a lower
-    one), at risk from the first forecast step inside its risk band (strict
-    on the approach side, so a zero margin means "a step violates"),
-    healthy otherwise. The band is ``risk_margin`` (in [0, 1)) times
-    |threshold| wide on the approaching side, so a zero threshold's band
-    has width 0 whatever the margin. ``specs`` are taken in the given
-    order. The four per-tick sequences follow ``forecast_paths``' rule.
+    ``forecasts`` (n, horizon) are ``arima.forecast_paths``' forecasts, and
+    ``nonfinite_step`` (n,) holds each tick's first 1-based step that is not
+    finite, 0 when all are; the classification of such a tick is
+    meaningless. ``status`` (n, k) holds codes into ``STATUSES``, and
+    ``first_step`` (n, k) the 1-based step that first enters the risk band
+    of an AT_RISK spec, 0 otherwise.
+
+    A spec is broken when the tick's last value violates it (lies strictly
+    above an upper bound or below a lower one), at risk from the first
+    forecast step inside its risk band (strict on the approach side, so a
+    zero margin means "a step violates"), healthy otherwise. The band is
+    ``risk_margin`` (in [0, 1)) times |threshold| wide on the approaching
+    side, so a zero threshold's band has width 0 whatever the margin.
+    ``specs`` are taken in the given order. The four per-tick inputs follow
+    ``forecast_paths``' rule.
     """
     check_risk_margin("risk_margin", risk_margin)
     steps, nonfinite_step = forecast_paths(last, previous, phi, c, horizon)
@@ -148,7 +137,7 @@ def workflow_block(specs: Sequence[SlaSpec], last: Sequence[float],
         at_risk = band.any(axis=0) & ~now
         status[:, j] = np.where(now, _BROKEN, np.where(at_risk, _AT_RISK, _HEALTHY))
         first_step[at_risk, j] = band.argmax(axis=0)[at_risk] + 1
-    return TickBlock(steps.T, nonfinite_step, status, first_step)
+    return steps.T, nonfinite_step, status, first_step
 
 
 def price_tactics(tactics: Mapping[str, TacticModels],

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -6,13 +7,14 @@ import stat
 import struct
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from proadapt import (ArimaModel, Mirror, Phase, TimeSeries, arima, cli, emulator, fit_arima,
                       forecast, generate_trace, metrics, price_tactics, regression, workflow,
@@ -1001,11 +1003,34 @@ class TestMonitorInputErrors:
     @pytest.mark.parametrize("flag, message", [
         ("--tactics", "--tactics requires --trace for training data"),
         ("--trace", "--trace requires --tactics")])
-    def test_tactics_and_trace_need_each_other(self, tmp_path, capsys, flag, message):
+    @pytest.mark.parametrize("path", ["file", ""])
+    def test_tactics_and_trace_need_each_other(self, tmp_path, capsys, flag, message, path):
         # Checked with the flags, before any file is opened: no file exists.
-        missing = [str(tmp_path / name) for name in ("spec.json", "history.csv", "file")]
+        # An empty path is a path too; it used to pass for an absent flag.
+        missing = [str(tmp_path / name) for name in ("spec.json", "history.csv")]
         assert run_main(capsys, "monitor", "--spec", missing[0], "--history", missing[1],
-                        flag, missing[2]) == (1, "", f"error: {message}\n")
+                        flag, str(tmp_path / path) if path else "") == (
+            1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("args", [
+        pytest.param(("replicate", "--trace", ""), id="replicate-trace"),
+        pytest.param(("monitor", "--spec", ""), id="spec"),
+        pytest.param(("monitor", "--history", ""), id="history"),
+        pytest.param(("monitor", "--tactics", "", "--trace", ""), id="tactics-and-trace")])
+    def test_an_empty_path_is_a_missing_file(self, tmp_path, capsys, args):
+        # It used to be read as an absent flag: replicate emulated a trace,
+        # monitor ran without tactics, and --spec "" read the directory '.'.
+        spec, history = write_ramp_fixture(tmp_path)
+        reports = tmp_path / "reports"
+        command, *argv = args
+        defaults = {"replicate": {"--runs": "2", "--out-dir": str(reports)},
+                    "monitor": {"--spec": str(spec), "--history": str(history)}}[command]
+        for flag, value in defaults.items():
+            if flag not in argv:
+                argv += [flag, value]
+        assert run_main(capsys, command, *argv) == (
+            2, "", "error: [Errno 2] No such file or directory: ''\n")
+        assert not reports.exists()
 
     def test_empty_spec_list_rejected(self, tmp_path, capsys):
         spec, history = write_ramp_fixture(tmp_path)
@@ -1101,6 +1126,17 @@ class TestMonitorInputErrors:
         err = self.assert_one_error(capsys, "monitor", "--spec", str(spec),
                                     "--history", str(history))
         assert "duplicate" in err
+
+    def test_duplicate_spec_names_are_found_in_linear_time(self, tmp_path):
+        # Each spec used to be compared with every earlier one: 20,000 took about 11 s.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps([{"name": f"s{i}", "threshold": 1.0} for i in range(20_000)]
+                                   + [{"name": "s0", "threshold": 1.0}]))
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as raised:
+            cli._load_specs(str(spec))
+        assert time.perf_counter() - start < 3
+        assert str(raised.value) == "spec file entry 20000: duplicate name 's0'"
 
     @pytest.mark.parametrize("field", [
         '"static_latency": true', '"static_latency": null', '"static_latency": []',
@@ -1334,3 +1370,83 @@ class TestMonitorInputErrors:
                                     "--history", str(history))
         assert err == (f"error: history file line 5: value must be finite, "
                        f"got {float(row)!r}\n")
+
+
+breaks = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_with_breaks(draw, header, rows, bad, padded):
+    """``header``, ``rows`` (lists of cells) and the row text ``bad``, each
+    line ended by a drawn line break, with blank lines drawn between rows.
+    Each cell at an index in ``padded`` may be quoted around line breaks
+    (``float`` strips them)."""
+    lines = [header]
+    for row in rows:
+        if draw(st.booleans()):
+            lines.append("")
+        cells = []
+        for j, cell in enumerate(row):
+            if j in padded and draw(st.booleans()):
+                before = "".join(draw(st.lists(breaks, max_size=2)))
+                after = "".join(draw(st.lists(breaks, max_size=2)))
+                cell = f'"{before}{cell}{after}"'
+            cells.append(cell)
+        lines.append(",".join(cells))
+    lines.append(bad)
+    return "".join(line + draw(breaks) for line in lines)
+
+
+def trace_with_breaks(n):
+    return csv_with_breaks(emulator.TRACE_HEADER,
+                           [[f"{k + 1}.0", "germany", "download", "1.0", "1.0"]
+                            for k in range(n)],
+                           f"{n + 1}.0,germany,download,-1.0,1.0", (0, 3, 4))
+
+
+def history_with_breaks(n):
+    return st.sampled_from(["abc", "1.0,2.0"]).flatmap(
+        lambda bad: csv_with_breaks("value", [[f"{k}.5"] for k in range(n)], bad, (0,)))
+
+
+def last_record(path):
+    """The file's last record and the line it starts on, by a separate
+    ``csv.reader`` pass: one past the reader's ``line_num`` after the
+    record before."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        start, last = 1, None
+        for row in reader:
+            if row:
+                last = start, row
+            start = reader.line_num + 1
+    return last
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4).flatmap(trace_with_breaks))
+@example('timestamp,mirror,phase,latency_seconds,energy_joules\n"1.0\n",germany,download,1.0,'
+         '1.0\n2.0,germany,download,-1.0,1.0\n')
+def test_trace_errors_name_the_physical_line(tmp_path_factory, text):
+    # Records used to be counted, so a quoted field over two lines moved
+    # every later error one line up.
+    path = tmp_path_factory.getbasetemp() / "trace_breaks.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with pytest.raises(emulator.TraceFormatError) as raised:
+        emulator.ingest_trace_csv(path)
+    line, _ = last_record(path)
+    assert str(raised.value) == f"line {line}: latency_seconds must be finite and >= 0"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4).flatmap(history_with_breaks))
+@example('value\n"1.0\n"\n2.0\nabc\n')
+def test_history_errors_name_the_physical_line(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "history_breaks.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with pytest.raises(ValueError) as raised:
+        cli._load_history(str(path))
+    line, row = last_record(path)
+    error = (f"expected one value, got {len(row)} fields" if len(row) > 1
+             else f"could not convert string to float: {row[0]!r}")
+    assert str(raised.value) == f"history file line {line}: {error}"

@@ -44,7 +44,7 @@ def test_patched_parameters_apply_to_both_generators(monkeypatch):
 cells = (st.floats(allow_nan=True, allow_infinity=True).map(repr)
          | st.sampled_from(["", "nan", "-inf", "1e999", "-0.0", "0x10", " 1.5 ", "1_0",
                             '"2.5"', '"1,5"', "germany", "ontario", "mars", "idle",
-                            "download", "grep", "GERMANY"])
+                            "download", "grep", "GERMANY", '"1.5\n"', '"\r\n2.5\r"'])
          | st.text(st.characters(blacklist_categories=("Cs",)), max_size=8))
 
 

@@ -33,11 +33,11 @@ def monitor_tick(specs, history, estimates=(), horizon=5, risk_margin=0.10, mode
         text = lines.errors(0, str(exc))
     else:
         previous, last = history.tail(2)
-        block = workflow.workflow_block(ordered, [last], [previous], [model.phi],
-                                        [model.c], horizon, risk_margin)
-        step = int(block.nonfinite_step[0])
+        forecasts, nonfinite_step, status, first_step = workflow.workflow_block(
+            ordered, [last], [previous], [model.phi], [model.c], horizon, risk_margin)
+        step = int(nonfinite_step[0])
         text = (lines.errors(0, forecast_error(step)) if step else lines.entries(
-            0, block.forecasts[0].tolist(), (block.status + 3 * block.first_step)[0].tolist()))
+            0, forecasts[0].tolist(), (status + 3 * first_step)[0].tolist()))
     return [json.loads(line) for line in text.splitlines()]
 
 
@@ -83,8 +83,9 @@ class TestAnalyzeSpecification:
                                 (Direction.LOWER_BOUND, -np.inf)):
             spec = SlaSpec("s", 0.7, direction=direction)
             last = [0.7, np.nextafter(0.7, past)]
-            block = workflow.workflow_block([spec], last, last, [0.0, 0.0], [0.0, 0.0], 5, 0.0)
-            assert [workflow.STATUSES[code] for code in block.status[:, 0]] == [
+            _, _, status, _ = workflow.workflow_block([spec], last, last, [0.0, 0.0],
+                                                      [0.0, 0.0], 5, 0.0)
+            assert [workflow.STATUSES[code] for code in status[:, 0]] == [
                 SpecStatus.HEALTHY, SpecStatus.BROKEN]
 
     def test_zero_margin_single_step_equals_forecast_violation(self):
@@ -147,15 +148,8 @@ class TestAnalyzeSpecification:
             block_of_one(horizon=horizon)
 
     def test_numpy_integer_horizon_accepted(self):
-        assert block_of_one(horizon=np.int64(3)).forecasts.shape == (1, 3)
-
-    def test_tick_blocks_compare_by_identity(self):
-        # Like every frozen record of arrays: a generated __eq__ raised
-        # numpy's "truth value ... is ambiguous" on two equal blocks, and a
-        # generated __hash__ a TypeError.
-        block, equal = block_of_one(), block_of_one()
-        assert block == block and block != equal
-        assert len({block, equal, block}) == 2
+        forecasts, _, _, _ = block_of_one(horizon=np.int64(3))
+        assert forecasts.shape == (1, 3)
 
 
 def price(x, latency_model, cost_model):
@@ -375,16 +369,18 @@ class TestWorkflowTick:
         phi, c = rng.uniform(-0.9, 0.9, 60), rng.normal(0.0, 0.02, 60)
         specs = [SlaSpec("a", 1.0), SlaSpec("b", 1.2), SlaSpec("zero", 0.0),
                  SlaSpec("low", 0.8, direction=Direction.LOWER_BOUND)]
-        block = workflow.workflow_block(specs, last, previous, phi, c, 4, 0.1)
-        assert block.forecasts.shape == (60, 4)
-        assert block.status.shape == block.first_step.shape == (60, len(specs))
-        assert set(block.status.ravel().tolist()) == {0, 1, 2}
+        forecasts, nonfinite_step, status, first_step = workflow.workflow_block(
+            specs, last, previous, phi, c, 4, 0.1)
+        assert forecasts.shape == (60, 4)
+        assert status.shape == first_step.shape == (60, len(specs))
+        assert set(status.ravel().tolist()) == {0, 1, 2}
         for j, spec in enumerate(specs):
-            one = workflow.workflow_block([spec], last, previous, phi, c, 4, 0.1)
-            assert one.forecasts.tobytes() == block.forecasts.tobytes()
-            assert one.nonfinite_step.tolist() == block.nonfinite_step.tolist()
-            assert one.status[:, 0].tolist() == block.status[:, j].tolist()
-            assert one.first_step[:, 0].tolist() == block.first_step[:, j].tolist()
+            one_forecasts, one_nonfinite, one_status, one_first = workflow.workflow_block(
+                [spec], last, previous, phi, c, 4, 0.1)
+            assert one_forecasts.tobytes() == forecasts.tobytes()
+            assert one_nonfinite.tolist() == nonfinite_step.tolist()
+            assert one_status[:, 0].tolist() == status[:, j].tolist()
+            assert one_first[:, 0].tolist() == first_step[:, j].tolist()
 
     def test_shared_series_and_model_forecast_once(self):
         series = ramp(0.50, 0.01, 40)
@@ -406,8 +402,9 @@ class TestWorkflowTick:
         # A drift of 1e308 per step leaves the float range at step 2.
         history = ramp(0.40, 0.012, 40)
         previous, last = history.tail(2)
-        block = workflow.workflow_block(specs, [last], [previous], [0.5], [1e308], 5, 0.1)
-        assert block.nonfinite_step.tolist() == [2]
+        _, nonfinite_step, _, _ = workflow.workflow_block(specs, [last], [previous], [0.5],
+                                                          [1e308], 5, 0.1)
+        assert nonfinite_step.tolist() == [2]
         entries = monitor_tick(specs, history,
                                model=ArimaModel(0.5, 1e308, history.tail(2), 1.0))
         assert forecast_error(2) == "forecast step 2 is not finite"

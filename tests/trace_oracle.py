@@ -115,25 +115,29 @@ def reference_generate_trace(duration_minutes: int, seed: int) -> list[TraceReco
     return records
 
 
-def _csv_rows(handle) -> Iterator[list[str]]:
-    """The CSV rows of ``handle``; the reader's own errors (an over-long
-    field, say) become :class:`TraceFormatError`."""
+def _csv_rows(handle) -> Iterator[tuple[int, list[str]]]:
+    """The CSV rows of ``handle``, each with the line it starts on (one past
+    the reader's ``line_num`` after the row before); the reader's own
+    errors (an over-long field, say) become :class:`TraceFormatError`."""
     reader = csv.reader(handle)
     try:
-        yield from reader
+        start = 1
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise TraceFormatError(f"line {reader.line_num}: {exc}") from None
 
 
 def reference_ingest_trace_csv(path) -> list[TraceRecord]:
     """The per-line ingester: parse and validate a trace CSV; errors name
-    the offending line."""
+    the line on which the offending record starts."""
     mirrors = {m.value: m for m in Mirror}
     phases = {p.value: p for p in Phase}
     records: list[TraceRecord] = []
     last_timestamp = -math.inf
     with open(path, newline="", encoding="utf-8") as handle:
-        for line_no, row in enumerate(_csv_rows(handle), start=1):
+        for line_no, row in _csv_rows(handle):
             if line_no == 1:
                 if ",".join(row) != TRACE_HEADER:
                     raise TraceFormatError(f"line 1: expected header '{TRACE_HEADER}'")
